@@ -8,6 +8,16 @@ vertices.  With epsilon < 1/24 (beta > 1/2) each applied flip strictly
 shrinks the syndrome, so the number of flips is at most the initial syndrome
 weight and every flip costs work bounded by the (constant) degrees.
 
+The initial candidate scan is syndrome-local when beta > 0: a flip at a V00
+vertex only changes the V11 cells two edges away from it, so a vertex that
+reaches no lit cell has cleared = 0 and cannot pass cleared >= beta*changed.
+Only the vertices next to lit cells are scanned, and the work is bounded by
+the degrees times the syndrome weight.  With beta <= 0 a flip that clears
+nothing can pass, so every V00 vertex is scanned.
+
+The decoder reads only the four edge classes of the complex, which the
+chain condition checks; the faces are used by the region diagnostics alone.
+
 X errors decode through the transposed complex; the construction is
 symmetric under swapping the two check classes.
 
@@ -18,9 +28,9 @@ parallel over a shared immutable code; each owns its state.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .css import CssCode, extract_code
 from .errors import InternalInvariantError, PreconditionError, ValidationError
@@ -135,26 +145,32 @@ class _DecoderIndex:
             raise PreconditionError("decoding needs a code extracted from a complex")
         self.code = code
         self.cpx = cpx
-        self.n10: list[tuple[int, ...]] = [() for _ in range(cpx.v00_size)]
-        self.n01: list[tuple[int, ...]] = [() for _ in range(cpx.v00_size)]
         tmp10: list[list[int]] = [[] for _ in range(cpx.v00_size)]
         tmp01: list[list[int]] = [[] for _ in range(cpx.v00_size)]
         for z00, z10 in cpx.edges_v00_v10:
             tmp10[z00].append(z10)
         for z00, z01 in cpx.edges_v00_v01:
             tmp01[z00].append(z01)
-        self.n10 = [tuple(sorted(v)) for v in tmp10]
-        self.n01 = [tuple(sorted(v)) for v in tmp01]
+        self.n10: list[tuple[int, ...]] = [tuple(sorted(v)) for v in tmp10]
+        self.n01: list[tuple[int, ...]] = [tuple(sorted(v)) for v in tmp01]
         self.v11_of_v10: list[int] = [0] * cpx.v10_size
         for z10, z11 in cpx.edges_v10_v11:
             self.v11_of_v10[z10] |= 1 << z11
         self.v11_of_v01: list[int] = [0] * cpx.v01_size
         for z01, z11 in cpx.edges_v01_v11:
             self.v11_of_v01[z01] |= 1 << z11
-        v00s: list[set[int]] = [set() for _ in range(cpx.v11_size)]
-        for z00, z10, z01, z11 in cpx.faces:
-            v00s[z11].add(z00)
-        self.v00_of_v11: list[tuple[int, ...]] = [tuple(sorted(s)) for s in v00s]
+        # The V00 vertices two edges away from each V11 cell, through V10 or
+        # V01: exactly the vertices whose flips can change that cell.
+        v00s: list[list[int]] = [[] for _ in range(cpx.v11_size)]
+        for x00 in range(cpx.v00_size):
+            reach = 0
+            for q in self.n10[x00]:
+                reach |= self.v11_of_v10[q]
+            for q in self.n01[x00]:
+                reach |= self.v11_of_v01[q]
+            for z11 in _bit_indices(reach):
+                v00s[z11].append(x00)
+        self.v00_of_v11: list[tuple[int, ...]] = [tuple(v) for v in v00s]
         self._flip_cache: dict[int, tuple[list[int], list[int]]] = {}
 
     def flip_tables(self, x00: int) -> tuple[list[int], list[int]]:
@@ -169,6 +185,15 @@ class _DecoderIndex:
         if (1 << (len(self.n10[x00]) + len(self.n01[x00]))) <= _FLIP_CACHE_LIMIT:
             self._flip_cache[x00] = tables
         return tables
+
+
+def _bit_indices(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _subset_masks(singles: list[int]) -> list[int]:
@@ -190,6 +215,15 @@ def _index_for(code: CssCode) -> _DecoderIndex:
     return idx
 
 
+def _checked_index(code: CssCode, syndrome: F2Vector) -> _DecoderIndex:
+    idx = _index_for(code)
+    if syndrome.length != idx.cpx.v11_size:
+        raise ValidationError(
+            f"syndrome length {syndrome.length} != |V11| = {idx.cpx.v11_size}"
+        )
+    return idx
+
+
 def flippable(
     code: CssCode,
     syndrome: F2Vector,
@@ -205,11 +239,7 @@ def flippable(
     nonzero and cleared >= beta * changed.  Empty flips change nothing and
     are defined non-flippable: they would never make progress.
     """
-    idx = _index_for(code)
-    if syndrome.length != idx.cpx.v11_size:
-        raise ValidationError(
-            f"syndrome length {syndrome.length} != |V11| = {idx.cpx.v11_size}"
-        )
+    idx = _checked_index(code, syndrome)
     s10 = set(n10)
     s01 = set(n01)
     if not s10 <= set(idx.n10[x00]):
@@ -231,25 +261,25 @@ def flippable(
 
 def _first_flippable(
     idx: _DecoderIndex, synd: int, x00: int, beta_num: int, beta_den: int
-) -> Optional[tuple[int, int, int, int, int]]:
+) -> tuple[Optional[tuple[int, int, int, int, int]], int]:
     """First flippable subset pair at x00 in ascending (mask10, mask01) order.
 
-    Returns (mask10, mask01, flip_mask, changed, cleared) or None.
+    Returns (found, tested): found is (mask10, mask01, flip_mask, changed,
+    cleared) or None, and tested counts the nonempty pairs tried, the found
+    one included.
     """
     t10, t01 = idx.flip_tables(x00)
-    for m10 in range(len(t10)):
-        f10 = t10[m10]
-        for m01 in range(len(t01)):
-            if m10 == 0 and m01 == 0:
-                continue
+    width = len(t01)
+    for m10, f10 in enumerate(t10):
+        for m01 in range(0 if m10 else 1, width):
             flip = f10 ^ t01[m01]
             changed = flip.bit_count()
             if changed == 0:
                 continue
             cleared = (flip & synd).bit_count()
             if cleared * beta_den >= beta_num * changed:
-                return (m10, m01, flip, changed, cleared)
-    return None
+                return (m10, m01, flip, changed, cleared), m10 * width + m01
+    return None, len(t10) * width - 1
 
 
 @dataclass(frozen=True)
@@ -260,43 +290,32 @@ class PreprocessResult:
 
 
 def preprocess_candidates(code: CssCode, syndrome: F2Vector, beta: Fraction) -> PreprocessResult:
-    """Scan every V00 vertex for at least one flippable subset pair.
+    """Find every V00 vertex with at least one flippable subset pair.
 
     The queue lists, in ascending vertex order, exactly the vertices that
-    admit a flippable pair against the given syndrome.  Work is recorded as
-    vertices scanned and subset pairs tested.
+    admit a flippable pair against the given syndrome.  When beta > 0 only
+    the vertices two edges away from a lit V11 cell are scanned: any other
+    vertex changes no lit cell, so every flip there has cleared = 0 and
+    fails cleared >= beta * changed.  When beta <= 0 such a flip can pass
+    and every V00 vertex is scanned.  Work is recorded as the vertices
+    scanned and the subset pairs tested on them.
     """
-    idx = _index_for(code)
-    if syndrome.length != idx.cpx.v11_size:
-        raise ValidationError(
-            f"syndrome length {syndrome.length} != |V11| = {idx.cpx.v11_size}"
-        )
+    idx = _checked_index(code, syndrome)
     beta = Fraction(beta)
     synd = syndrome.to_mask()
+    if beta > 0:
+        candidates: Sequence[int] = sorted(
+            {x00 for z11 in _bit_indices(synd) for x00 in idx.v00_of_v11[z11]})
+    else:
+        candidates = range(idx.cpx.v00_size)
     queue = []
     tested = 0
-    for x00 in range(idx.cpx.v00_size):
-        t10, t01 = idx.flip_tables(x00)
-        found = None
-        for m10 in range(len(t10)):
-            f10 = t10[m10]
-            for m01 in range(len(t01)):
-                if m10 == 0 and m01 == 0:
-                    continue
-                tested += 1
-                flip = f10 ^ t01[m01]
-                changed = flip.bit_count()
-                if changed == 0:
-                    continue
-                cleared = (flip & synd).bit_count()
-                if cleared * beta.denominator >= beta.numerator * changed:
-                    found = (m10, m01)
-                    break
-            if found:
-                break
-        if found:
+    for x00 in candidates:
+        found, pairs = _first_flippable(idx, synd, x00, beta.numerator, beta.denominator)
+        tested += pairs
+        if found is not None:
             queue.append(x00)
-    return PreprocessResult(tuple(queue), idx.cpx.v00_size, tested)
+    return PreprocessResult(tuple(queue), len(candidates), tested)
 
 
 def decode(code: CssCode, syndrome: F2Vector, config: DecoderConfig) -> DecodeResult:
@@ -307,13 +326,12 @@ def decode(code: CssCode, syndrome: F2Vector, config: DecoderConfig) -> DecodeRe
     re-tested against the current syndrome before being applied (queue entries
     go stale as flips land); the subset pair is re-searched at pop time, first
     found in ascending subset order.  After a flip, only the changed syndromes
-    and their neighboring V00 vertices are re-examined.
+    and their neighboring V00 vertices are re-examined.  The initial scan is
+    syndrome-local when beta > 0 and covers all of V00 when beta <= 0 (see
+    `preprocess_candidates`); with beta > 0 its work is bounded by the
+    degrees times the initial syndrome weight.
     """
-    idx = _index_for(code)
-    if syndrome.length != idx.cpx.v11_size:
-        raise ValidationError(
-            f"syndrome length {syndrome.length} != |V11| = {idx.cpx.v11_size}"
-        )
+    idx = _checked_index(code, syndrome)
     beta = config.beta
     bn, bd = beta.numerator, beta.denominator
     synd = syndrome.to_mask()
@@ -331,13 +349,13 @@ def decode(code: CssCode, syndrome: F2Vector, config: DecoderConfig) -> DecodeRe
     while synd and queue and iterations < config.iteration_cap:
         x00 = queue.popleft()
         queued.discard(x00)
-        found = _first_flippable(idx, synd, x00, bn, bd)
+        found, _ = _first_flippable(idx, synd, x00, bn, bd)
         if found is None:
             stale_pops += 1
             continue
         m10, m01, flip, changed, cleared = found
-        n10_bits = _mask_to_items(m10, idx.n10[x00])
-        n01_bits = _mask_to_items(m01, idx.n01[x00])
+        n10_bits = [idx.n10[x00][i] for i in _bit_indices(m10)]
+        n01_bits = [idx.n01[x00][i] for i in _bit_indices(m01)]
         for q in n10_bits:
             correction ^= 1 << q
         for q in n01_bits:
@@ -346,19 +364,14 @@ def decode(code: CssCode, syndrome: F2Vector, config: DecoderConfig) -> DecodeRe
         iterations += 1
 
         rescan: set[int] = set()
-        m = flip
-        while m:
-            low = m & -m
-            rescan.update(idx.v00_of_v11[low.bit_length() - 1])
-            m ^= low
-        readded = 0
+        for z11 in _bit_indices(flip):
+            rescan.update(idx.v00_of_v11[z11])
         for y00 in sorted(rescan):
             if y00 in queued:
                 continue
-            if _first_flippable(idx, synd, y00, bn, bd) is not None:
+            if _first_flippable(idx, synd, y00, bn, bd)[0] is not None:
                 queue.append(y00)
                 queued.add(y00)
-                readded += 1
         trace.append(TraceStep(
             iteration=iterations,
             x00=x00,
@@ -391,15 +404,6 @@ def decode(code: CssCode, syndrome: F2Vector, config: DecoderConfig) -> DecodeRe
     )
 
 
-def _mask_to_items(mask: int, items: tuple[int, ...]) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(items[low.bit_length() - 1])
-        mask ^= low
-    return out
-
-
 def decode_x(code: CssCode, syndrome_z: F2Vector, config: DecoderConfig) -> DecodeResult:
     """Decode an X error from its Z syndrome (a subset of V00).
 
@@ -420,16 +424,7 @@ def decode_x(code: CssCode, syndrome_z: F2Vector, config: DecoderConfig) -> Deco
             support.add(code.v10_size + b)       # transposed V10 block = old V01
         else:
             support.add(b - old_v01)             # transposed V01 block = old V10
-    return DecodeResult(
-        outcome=result.outcome,
-        correction=F2Vector.from_support(code.n, support),
-        iterations=result.iterations,
-        initial_syndrome_weight=result.initial_syndrome_weight,
-        trace=result.trace,
-        stale_pops=result.stale_pops,
-        preprocess_vertices_scanned=result.preprocess_vertices_scanned,
-        preprocess_subsets_tested=result.preprocess_subsets_tested,
-    )
+    return replace(result, correction=F2Vector.from_support(code.n, support))
 
 
 _TRANSPOSE_ATTR = "_transposed_code"

@@ -126,17 +126,11 @@ class F2Matrix:
 
     # -- simple queries ---------------------------------------------------
 
-    def row_weight(self, r: int) -> int:
-        return self.row_masks[r].bit_count()
-
     def col_weight(self, c: int) -> int:
         return self.col_masks[c].bit_count()
 
     def max_row_weight(self) -> int:
         return max((m.bit_count() for m in self.row_masks), default=0)
-
-    def max_col_weight(self) -> int:
-        return max((m.bit_count() for m in self.col_masks), default=0)
 
     def transpose(self) -> "F2Matrix":
         return F2Matrix(self.cols, self.rows, frozenset((c, r) for r, c in self.entries))

@@ -7,7 +7,6 @@ from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from .errors import ValidationError
-from .gf2 import F2Matrix
 from .groups import FiniteGroup, GroupAction, left_translation_action, right_translation_action, verify_free_action
 
 
@@ -34,12 +33,6 @@ class BipartiteGraph:
         for x0, x1 in self.edges:
             out[x1].append(x0)
         return tuple(tuple(sorted(v)) for v in out)
-
-    def adjacency_matrix(self) -> F2Matrix:
-        """The map F2^{V0} -> F2^{V1}: rows indexed by V1, columns by V0."""
-        return F2Matrix.from_entries(
-            self.v1_size, self.v0_size, ((x1, x0) for x0, x1 in self.edges)
-        )
 
 
 def build_bipartite(v0_size: int, v1_size: int, edges: Iterable[tuple[int, int]]) -> BipartiteGraph:

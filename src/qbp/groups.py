@@ -222,10 +222,6 @@ def group_from_json(obj: dict) -> FiniteGroup:
         raise ValidationError(f"malformed group JSON: {exc}") from exc
 
 
-def action_to_json(action: GroupAction, group_ref: str = "") -> dict:
-    return {"group": group_ref, "act": [list(r) for r in action.table]}
-
-
 def action_from_json(obj: dict, group: FiniteGroup) -> GroupAction:
     try:
         return GroupAction.from_table(group, obj["act"])

@@ -27,14 +27,6 @@ def fraction_to_json(value: Fraction) -> dict:
     }
 
 
-def fraction_from_json(obj: Any) -> Fraction:
-    if isinstance(obj, dict):
-        return Fraction(int(obj["num"]), int(obj["den"]))
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return Fraction(int(obj[0]), int(obj[1]))
-    return Fraction(obj)
-
-
 def parse_rational(text: str) -> Fraction:
     """Accept '1/3', '0.25', or '2' verbatim as exact rationals."""
     return Fraction(text)

@@ -1,16 +1,20 @@
 """Small-set-flip decoder: flippability, queue, decode loop, diagnostics."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbp
 from qbp import gf2
 from qbp.css import extract_code, minimal_coset_representative
 from qbp.decoder import (
     DecoderConfig,
+    _index_for,
     decode,
     decode_x,
     flippable,
@@ -23,12 +27,73 @@ from qbp.errors import PreconditionError
 from qbp.expansion import tree_partition
 from qbp.gf2 import F2Vector
 from qbp.graphs import build_bipartite
-from qbp.instances import star_incidence_product
-from qbp.product import hypergraph_product
+from qbp.groups import cyclic_group, dihedral_group
+from qbp.instances import (
+    incidence_star_product,
+    left_right_cayley,
+    star_incidence_product,
+    star_product,
+    toric_complex,
+)
+from qbp.product import complex_from_json, complex_to_json, hypergraph_product
 
 
 def syndrome_of(code, support):
     return gf2.mat_vec(code.hx, F2Vector.from_support(code.n, support))
+
+
+def bruteforce_scan(code, syn, beta):
+    """Full V00 scan on the public `flippable`: the oracle for preprocessing.
+
+    Pairs are tried in ascending (mask10, mask01) order.  Returns the queue
+    and, per vertex, the nonempty pairs tried up to the first flippable one.
+    """
+    cpx = code.cpx
+    queue, tested = [], []
+    for x00 in range(cpx.v00_size):
+        n10 = sorted(b for a, b in cpx.edges_v00_v10 if a == x00)
+        n01 = sorted(b for a, b in cpx.edges_v00_v01 if a == x00)
+        count = 0
+        for m10, m01 in itertools.product(range(1 << len(n10)), range(1 << len(n01))):
+            if not (m10 or m01):
+                continue
+            count += 1
+            sub10 = [q for i, q in enumerate(n10) if m10 >> i & 1]
+            sub01 = [q for i, q in enumerate(n01) if m01 >> i & 1]
+            if flippable(code, syn, x00, sub10, sub01, beta).flippable:
+                queue.append(x00)
+                break
+        tested.append(count)
+    return queue, tested
+
+
+def vertices_reaching(cpx, cells):
+    """V00 vertices joined to one of the V11 cells by a two-edge path."""
+    hit10 = {z10 for z10, z11 in cpx.edges_v10_v11 if z11 in cells}
+    hit01 = {z01 for z01, z11 in cpx.edges_v01_v11 if z11 in cells}
+    return ({z00 for z00, z10 in cpx.edges_v00_v10 if z10 in hit10}
+            | {z00 for z00, z01 in cpx.edges_v00_v01 if z01 in hit01})
+
+
+def face_derived_v00_of_v11(cpx):
+    v00s = [set() for _ in range(cpx.v11_size)]
+    for z00, z10, z01, z11 in cpx.faces:
+        v00s[z11].add(z00)
+    return [tuple(sorted(v)) for v in v00s]
+
+
+_ORACLE_FAMILIES = {
+    "toric3": lambda: toric_complex(3),
+    "star12": lambda: star_product(12, 3, 2),
+    "cayley_z8": lambda: left_right_cayley(cyclic_group(8), [1, 2], [1, 4]),
+    "cayley_d4": lambda: left_right_cayley(dihedral_group(4), [1, 2], [1, 2]),
+    "incstar5": lambda: incidence_star_product(5, 2),
+}
+
+
+@functools.cache
+def oracle_code(name):
+    return extract_code(_ORACLE_FAMILIES[name]())
 
 
 class TestConfig:
@@ -114,7 +179,8 @@ class TestPreprocess:
     def test_zero_syndrome_empty_queue(self, star12_code):
         res = preprocess_candidates(star12_code, F2Vector.zero(72), Fraction(1))
         assert res.queue == ()
-        assert res.vertices_scanned == 12
+        assert res.vertices_scanned == 0
+        assert res.subsets_tested == 0
 
     def test_half_column_error_found(self, star12_code):
         code = star12_code
@@ -133,28 +199,34 @@ class TestPreprocess:
             err = F2Vector.from_support(code.n, rng.sample(range(code.n), 3))
             syn = gf2.mat_vec(code.hx, err)
             res = preprocess_candidates(code, syn, beta)
-            cpx = code.cpx
-            expected = []
-            for x00 in range(cpx.v00_size):
-                n10 = sorted(b for a, b in cpx.edges_v00_v10 if a == x00)
-                n01 = sorted(b for a, b in cpx.edges_v00_v01 if a == x00)
-                found = False
-                for r in range(len(n10) + 1):
-                    for sub10 in itertools.combinations(n10, r):
-                        for s in range(len(n01) + 1):
-                            for sub01 in itertools.combinations(n01, s):
-                                if not sub10 and not sub01:
-                                    continue
-                                if flippable(code, syn, x00, sub10, sub01, beta).flippable:
-                                    found = True
-                                    break
-                            if found:
-                                break
-                    if found:
-                        break
-                if found:
-                    expected.append(x00)
-            assert list(res.queue) == expected
+            assert list(res.queue) == bruteforce_scan(code, syn, beta)[0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(_ORACLE_FAMILIES)),
+        beta=st.sampled_from([Fraction(1), Fraction(3, 5), Fraction(0), Fraction(-1, 5)]),
+        data=st.data(),
+    )
+    def test_local_scan_matches_full_scan_oracle(self, family, beta, data):
+        # Differential test of the syndrome-local scan (beta > 0) and the
+        # full scan (beta <= 0) against the full-V00 oracle, on syndromes of
+        # random errors and on arbitrary V11 subsets.
+        code = oracle_code(family)
+        if data.draw(st.booleans(), label="from_error"):
+            support = data.draw(st.sets(st.integers(0, code.n - 1), max_size=6), label="error")
+            syn = syndrome_of(code, support)
+        else:
+            support = data.draw(st.sets(st.integers(0, code.m_x - 1), max_size=6), label="cells")
+            syn = F2Vector.from_support(code.m_x, support)
+        res = preprocess_candidates(code, syn, beta)
+        queue, tested = bruteforce_scan(code, syn, beta)
+        assert list(res.queue) == queue
+        if beta > 0:
+            scanned = vertices_reaching(code.cpx, syn.support)
+        else:
+            scanned = range(code.cpx.v00_size)
+        assert res.vertices_scanned == len(scanned)
+        assert res.subsets_tested == sum(tested[x00] for x00 in scanned)
 
 
 class TestDecode:
@@ -213,6 +285,11 @@ class TestDecode:
             res = decode(star12_code, gf2.mat_vec(star12_code.hx, err), config)
             assert res.max_updated_syndromes <= d.down * d.right
             assert res.max_rescanned_vertices <= (d.down * d.right) ** 2
+            # beta = 1 > 0: the initial scan only visits the V00 vertices
+            # that can reach a lit V11 cell.
+            assert config.beta > 0
+            reach = max(len(v) for v in _index_for(star12_code).v00_of_v11)
+            assert res.preprocess_vertices_scanned <= reach * res.initial_syndrome_weight
 
     def test_stall_is_first_class_on_uncertified_instance(self):
         # The toric code is no lossless expander; past the guarantee the
@@ -238,6 +315,60 @@ class TestDecode:
                 res = decode(code, gf2.mat_vec(code.hx, err), config)
                 assert res.outcome == "success"
                 assert code.z_stabilizers.contains(err ^ res.correction)
+
+
+class TestEdgeDerivedIndex:
+    @pytest.mark.parametrize("family", ["toric2", "toric3", "match8", "star12", "incstar13"])
+    def test_matches_face_derived_index(self, request, family):
+        cpx = request.getfixturevalue(family)
+        code = extract_code(cpx)
+        assert _index_for(code).v00_of_v11 == face_derived_v00_of_v11(cpx)
+        tcode = extract_code(cpx.transposed())
+        assert _index_for(tcode).v00_of_v11 == face_derived_v00_of_v11(cpx.transposed())
+
+    def test_decoding_ignores_faces(self, star12):
+        # The decoder reads only the edge classes, which the loader checks
+        # through the chain condition; faces are not verified on load, and
+        # wrong faces must not change any decode.
+        obj = complex_to_json(star12)
+        no_faces = dict(obj, faces=[])
+        z00, z10, z01, z11 = obj["faces"][0]
+        other = next(f[3] for f in obj["faces"] if f[3] != z11)
+        altered = dict(obj, faces=[[z00, z10, z01, other]] + obj["faces"][1:])
+        codes = [extract_code(complex_from_json(o)) for o in (obj, no_faces, altered)]
+        n = codes[0].n
+        rng = random.Random(26)
+        errors = [[q] for q in range(n)]
+        errors += [rng.sample(range(n), w) for w in (2, 3) for _ in range(30)]
+        config = DecoderConfig(epsilon=Fraction(0))
+        for support in errors:
+            outputs = []
+            for code in codes:
+                err = F2Vector.from_support(n, support)
+                z = decode(code, gf2.mat_vec(code.hx, err), config)
+                x = decode_x(code, gf2.mat_vec(code.hz, err), config)
+                outputs.append((z.to_json(), z.trace, x.to_json(), x.trace))
+            assert outputs[0] == outputs[1] == outputs[2], support
+
+    def test_reach_through_either_edge_class(self):
+        # A chain-valid complex without faces whose one check is reached only
+        # through V01; its transpose reaches it only through V10.
+        obj = {
+            "reps_v00": [[0, 0]], "reps_v10": [], "reps_v01": [[0, 0], [0, 1]],
+            "reps_v11": [[0, 0]], "edges_v00_v10": [], "edges_v10_v11": [],
+            "edges_v00_v01": [[0, 0], [0, 1]], "edges_v01_v11": [[0, 0], [1, 0]],
+            "faces": [], "degrees": None,
+        }
+        code = extract_code(complex_from_json(obj))
+        config = DecoderConfig(epsilon=Fraction(0))
+        for q in range(code.n):
+            err = F2Vector.from_support(code.n, [q])
+            z = decode(code, gf2.mat_vec(code.hx, err), config)
+            x = decode_x(code, gf2.mat_vec(code.hz, err), config)
+            assert z.outcome == x.outcome == "success"
+            assert z.preprocess_vertices_scanned == x.preprocess_vertices_scanned == 1
+            assert code.z_stabilizers.contains(err ^ z.correction)
+            assert code.x_stabilizers.contains(err ^ x.correction)
 
 
 class TestDecodeX:
