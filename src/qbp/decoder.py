@@ -13,7 +13,9 @@ vertex only changes the V11 cells two edges away from it, so a vertex that
 reaches no lit cell has cleared = 0 and cannot pass cleared >= beta*changed.
 Only the vertices next to lit cells are scanned, and the work is bounded by
 the degrees times the syndrome weight.  With beta <= 0 a flip that clears
-nothing can pass, so every V00 vertex is scanned.
+nothing can pass, so `preprocess_candidates` scans every V00 vertex; the
+decoder itself never sees beta <= 0, because `DecoderConfig` rejects
+epsilon >= 1/12.
 
 The decoder reads only the four edge classes of the complex, which the
 chain condition checks; the faces are used by the region diagnostics alone.
@@ -46,8 +48,10 @@ class DecoderConfig:
     """Decoder parameters: the loss fraction epsilon fixes beta = 1 - 12*epsilon.
 
     epsilon < 1/24 makes beta > 1/2, which is what guarantees strict syndrome
-    decrease; larger epsilon is allowed but then the iteration cap is the only
-    termination guarantee.
+    decrease; epsilon in [1/24, 1/12) is allowed but then the iteration cap is
+    the only termination guarantee.  epsilon >= 1/12 (beta <= 0) is rejected:
+    a flip that clears nothing passes the test, so the decoder never stalls
+    and runs to the cap while the syndrome grows.
     """
 
     epsilon: Fraction
@@ -58,6 +62,11 @@ class DecoderConfig:
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
         if self.epsilon < 0:
             raise ValidationError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if self.epsilon >= Fraction(1, 12):
+            raise ValidationError(
+                f"epsilon must be below 1/12 so that beta = 1 - 12*epsilon > 0, "
+                f"got {self.epsilon}"
+            )
         if self.iteration_cap <= 0:
             raise ValidationError("iteration cap must be positive")
 
@@ -327,9 +336,9 @@ def decode(code: CssCode, syndrome: F2Vector, config: DecoderConfig) -> DecodeRe
     go stale as flips land); the subset pair is re-searched at pop time, first
     found in ascending subset order.  After a flip, only the changed syndromes
     and their neighboring V00 vertices are re-examined.  The initial scan is
-    syndrome-local when beta > 0 and covers all of V00 when beta <= 0 (see
-    `preprocess_candidates`); with beta > 0 its work is bounded by the
-    degrees times the initial syndrome weight.
+    syndrome-local, since the config keeps beta > 0 (see
+    `preprocess_candidates`); its work is bounded by the degrees times the
+    initial syndrome weight.
     """
     idx = _checked_index(code, syndrome)
     beta = config.beta

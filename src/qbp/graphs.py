@@ -123,11 +123,27 @@ class GraphAction:
 
 def verify_edge_invariance(graph: BipartiteGraph, action: GraphAction) -> Optional[tuple[int, tuple[int, int]]]:
     """None when every group element maps edges to edges, else the first
-    (g, edge) violation in ascending order."""
-    for g in action.group.elements():
+    (g, edge) violation in ascending order.
+
+    Both vertex actions are validated actions of the group (every
+    `GroupAction` comes from `GroupAction.from_table`), so act(g s) =
+    act(g) o act(s): when each generator s maps edges to edges, so does every
+    word in the generators.  Only a failure scans all of G, for its witness.
+    """
+    group, edges = action.group, graph.edges
+
+    def moves_an_edge(g: int) -> bool:
         r0, r1 = action.v0.table[g], action.v1.table[g]
-        for x0, x1 in sorted(graph.edges):
-            if (r0[x0], r1[x1]) not in graph.edges:
+        return any((r0[x0], r1[x1]) not in edges for x0, x1 in edges)
+
+    same = action.v0.group.same_table(group) and action.v1.group.same_table(group)
+    if not any(map(moves_an_edge, group.generators if same else group.elements())):
+        return None
+    ordered = sorted(edges)
+    for g in group.elements():
+        r0, r1 = action.v0.table[g], action.v1.table[g]
+        for x0, x1 in ordered:
+            if (r0[x0], r1[x1]) not in edges:
                 return (g, (x0, x1))
     return None
 

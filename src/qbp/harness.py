@@ -64,6 +64,8 @@ class ExperimentConfig:
             if not 0 <= p <= 1:
                 raise ValidationError(f"flip probability {p} outside [0, 1]")
             object.__setattr__(self, "flip_probability", p)
+        # The decoder settings are checked here, before the first trial.
+        DecoderConfig(epsilon=self.epsilon, iteration_cap=self.iteration_cap)
 
     def echo(self) -> dict:
         return {

@@ -15,6 +15,7 @@ shareable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,7 +24,7 @@ from typing import Optional
 from .errors import PreconditionError, ValidationError
 from .gf2 import F2Matrix, mat_mul
 from .graphs import BipartiteGraph, GraphAction, regularity, verify_edge_invariance
-from .groups import FiniteGroup, GroupAction, trivial_action, trivial_group, verify_free_action
+from .groups import GroupAction, trivial_action, trivial_group, verify_free_action
 from .expansion import ExpansionCertificate
 
 EDGE_CLASSES = ("v00_v10", "v01_v11", "v00_v01", "v10_v11")
@@ -235,7 +236,9 @@ def balanced_product(
     Both actions must be over the same group, free on all four vertex sets,
     and must map edges to edges; violations are rejected with the witness.
     Orbit representatives are the lexicographically smallest pairs, so vertex
-    indexing is reproducible across runs.
+    indexing is reproducible across runs.  The quotient is written directly
+    from an orbit transversal of the x side, one cell, edge and face at a
+    time, so the work is the input tables plus the size of the quotient.
     """
     group = action_x.group
     if not group.same_table(action_y.group):
@@ -256,40 +259,51 @@ def balanced_product(
     if action_y.v0.set_size != y.v0_size or action_y.v1.set_size != y.v1_size:
         raise ValidationError("action on y has wrong set sizes")
 
-    reps00, cls00 = _orbit_classes(x.v0_size, y.v0_size, action_x.v0, action_y.v0, group)
-    reps10, cls10 = _orbit_classes(x.v1_size, y.v0_size, action_x.v1, action_y.v0, group)
-    reps01, cls01 = _orbit_classes(x.v0_size, y.v1_size, action_x.v0, action_y.v1, group)
-    reps11, cls11 = _orbit_classes(x.v1_size, y.v1_size, action_x.v1, action_y.v1, group)
+    # One representative per orbit of product cells: the x-coordinate is an
+    # orbit minimum, so each quotient cell, edge and face is written once.
+    tx0, tx1 = _Transversal.of(action_x.v0), _Transversal.of(action_x.v1)
+    ny0, ny1 = y.v0_size, y.v1_size
+    ay0, ay1 = action_y.v0.table, action_y.v1.table
+    reps00, reps10 = tx0.reps(ny0), tx1.reps(ny0)
+    reps01, reps11 = tx0.reps(ny1), tx1.reps(ny1)
 
-    ex = sorted(x.edges)
-    ey = sorted(y.edges)
+    ex, ey = x.edges, y.edges
     n = group.order
+    e_v00_v10: list[tuple[int, int]] = []
+    e_v01_v11: list[tuple[int, int]] = []
+    faces: list[tuple[int, int, int, int]] = []
+    for x0, x1 in ex:
+        if not tx0.is_min(x0):
+            continue
+        b00, b01 = tx0.rank[x0] * ny0, tx0.rank[x0] * ny1
+        b10, b11 = tx1.rank[x1] * ny0, tx1.rank[x1] * ny1
+        g = tx1.to_min[x1]
+        row0, row1 = ay0[g], ay1[g]
+        e_v00_v10 += [(b00 + y0, b10 + row0[y0]) for y0 in range(ny0)]
+        e_v01_v11 += [(b01 + y1, b11 + row1[y1]) for y1 in range(ny1)]
+        faces += [(b00 + y0, b10 + row0[y0], b01 + y1, b11 + row1[y1]) for y0, y1 in ey]
+    e_v00_v01 = [(r * ny0 + y0, r * ny1 + y1) for r in range(len(tx0.minima)) for y0, y1 in ey]
+    e_v10_v11 = [(r * ny0 + y0, r * ny1 + y1) for r in range(len(tx1.minima)) for y0, y1 in ey]
 
-    e_v00_v10 = {(cls00[(x0, y0)], cls10[(x1, y0)]) for x0, x1 in ex for y0 in range(y.v0_size)}
-    e_v01_v11 = {(cls01[(x0, y1)], cls11[(x1, y1)]) for x0, x1 in ex for y1 in range(y.v1_size)}
-    e_v00_v01 = {(cls00[(x0, y0)], cls01[(x0, y1)]) for y0, y1 in ey for x0 in range(x.v0_size)}
-    e_v10_v11 = {(cls10[(x1, y0)], cls11[(x1, y1)]) for y0, y1 in ey for x1 in range(x.v1_size)}
+    classes = {}
     for name, edges, expected in (
         ("v00_v10", e_v00_v10, len(ex) * y.v0_size // n),
         ("v01_v11", e_v01_v11, len(ex) * y.v1_size // n),
         ("v00_v01", e_v00_v01, len(ey) * x.v0_size // n),
         ("v10_v11", e_v10_v11, len(ey) * x.v1_size // n),
     ):
-        if len(edges) != expected:
+        classes[name] = frozenset(edges)
+        if len(classes[name]) != expected:
             raise ValidationError(
-                f"edge class {name} collapsed to {len(edges)} classes, expected "
+                f"edge class {name} collapsed to {len(classes[name])} classes, expected "
                 f"{expected}: distinct product edges fell onto one class pair "
                 "(multi-edge); the quotient does not define a simple graph"
             )
 
-    faces = {
-        (cls00[(x0, y0)], cls10[(x1, y0)], cls01[(x0, y1)], cls11[(x1, y1)])
-        for x0, x1 in ex
-        for y0, y1 in ey
-    }
-    if len(faces) != len(ex) * len(ey) // n:
+    face_set = frozenset(faces)
+    if len(face_set) != len(ex) * len(ey) // n:
         raise ValidationError(
-            f"face count {len(faces)} != |E_x||E_y|/|G| = {len(ex) * len(ey) // n}"
+            f"face count {len(face_set)} != |E_x||E_y|/|G| = {len(ex) * len(ey) // n}"
         )
 
     rx = regularity(x)
@@ -303,11 +317,11 @@ def balanced_product(
         reps_v10=reps10,
         reps_v01=reps01,
         reps_v11=reps11,
-        edges_v00_v10=frozenset(e_v00_v10),
-        edges_v01_v11=frozenset(e_v01_v11),
-        edges_v00_v01=frozenset(e_v00_v01),
-        edges_v10_v11=frozenset(e_v10_v11),
-        faces=frozenset(faces),
+        edges_v00_v10=classes["v00_v10"],
+        edges_v01_v11=classes["v01_v11"],
+        edges_v00_v01=classes["v00_v01"],
+        edges_v10_v11=classes["v10_v11"],
+        faces=face_set,
         degrees=degrees,
         group_order=n,
         factor_x=x,
@@ -325,27 +339,47 @@ def balanced_product(
     return cpx
 
 
-def _orbit_classes(
-    nx: int, ny: int, ax: GroupAction, ay: GroupAction, group: FiniteGroup
-) -> tuple[tuple[tuple[int, int], ...], dict[tuple[int, int], int]]:
-    rep: dict[tuple[int, int], tuple[int, int]] = {}
-    for x0 in range(nx):
-        for y0 in range(ny):
-            p = (x0, y0)
-            if p in rep:
+@dataclass(frozen=True)
+class _Transversal:
+    """Orbit data of a free action, as used on the x side of a product.
+
+    For each point x: `rank[x]` is the position of its orbit minimum among all
+    orbit minima, and `to_min[x]` the unique g with g.x = that minimum.  The
+    lexicographically smallest pair in the diagonal orbit of (x, y) is then
+    (minimum, to_min[x].y), so with the pairs sorted its class index is
+    rank[x] * |Y| + act_y(to_min[x], y).
+    """
+
+    minima: tuple[int, ...]
+    rank: tuple[int, ...]
+    to_min: tuple[int, ...]
+
+    @classmethod
+    def of(cls, action: GroupAction) -> "_Transversal":
+        inv = action.group.inv
+        rank = [-1] * action.set_size
+        to_min = [0] * action.set_size
+        minima: list[int] = []
+        for x in range(action.set_size):
+            if rank[x] >= 0:
                 continue
-            orbit = {(ax.table[g][x0], ay.table[g][y0]) for g in group.elements()}
-            if len(orbit) != group.order:
-                raise ValidationError(
-                    f"orbit of {p} has size {len(orbit)} != |G| = {group.order}; "
-                    "diagonal action is not free"
-                )
-            r = min(orbit)
-            for q in orbit:
-                rep[q] = r
-    reps = tuple(sorted(set(rep.values())))
-    index = {r: i for i, r in enumerate(reps)}
-    return reps, {p: index[r] for p, r in rep.items()}
+            # Scanning in ascending order, the first unseen point of an orbit
+            # is its minimum.
+            for g, row in enumerate(action.table):
+                rank[row[x]] = len(minima)
+                to_min[row[x]] = inv[g]
+            minima.append(x)
+        return cls(tuple(minima), tuple(rank), tuple(to_min))
+
+    def is_min(self, x: int) -> bool:
+        return self.minima[self.rank[x]] == x
+
+    def reps(self, ny: int) -> tuple[tuple[int, int], ...]:
+        """The orbit representatives of the pairs (x, y), in index order."""
+        return tuple((m, v) for m in self.minima for v in range(ny))
+
+    def class_of(self, x: int, y: int, y_action: GroupAction) -> int:
+        return self.rank[x] * y_action.set_size + y_action.table[self.to_min[x]][y]
 
 
 @dataclass(frozen=True)
@@ -392,61 +426,26 @@ def copies_decomposition(cpx: BalancedProductComplex, which: str) -> list[Subgra
         raise PreconditionError("complex does not carry factor graphs and actions")
     x, y = cpx.factor_x, cpx.factor_y
     ax, ay = cpx.action_x, cpx.action_y
-    group = ax.group
-    cls = _class_lookup(cpx)
-
-    def orbit_reps(action: GroupAction, size: int) -> list[int]:
-        seen: set[int] = set()
-        reps = []
-        for v in range(size):
-            if v in seen:
-                continue
-            reps.append(v)
-            seen.update(action.table[g][v] for g in group.elements())
-        return reps
-
     copies: list[SubgraphCopy] = []
     if which in ("v00_v10", "v01_v11"):
-        beta = 0 if which == "v00_v10" else 1
-        y_act = ay.v0 if beta == 0 else ay.v1
-        y_size = y.v0_size if beta == 0 else y.v1_size
-        lookup0 = cls["v00"] if beta == 0 else cls["v01"]
-        lookup1 = cls["v10"] if beta == 0 else cls["v11"]
-        for y_rep in orbit_reps(y_act, y_size):
-            v0_map = {lookup0[(xv, y_rep)]: xv for xv in range(x.v0_size)}
-            v1_map = {lookup1[(xv, y_rep)]: xv for xv in range(x.v1_size)}
+        # One copy of x per y-orbit: the classes of (x, y_rep) over all x.
+        y_act = ay.v0 if which == "v00_v10" else ay.v1
+        tx0, tx1 = _Transversal.of(ax.v0), _Transversal.of(ax.v1)
+        for y_rep in _Transversal.of(y_act).minima:
+            v0_map = {tx0.class_of(xv, y_rep, y_act): xv for xv in range(x.v0_size)}
+            v1_map = {tx1.class_of(xv, y_rep, y_act): xv for xv in range(x.v1_size)}
             copies.append(SubgraphCopy(which, v0_map, v1_map))
     elif which in ("v00_v01", "v10_v11"):
-        alpha = 0 if which == "v00_v01" else 1
-        x_act = ax.v0 if alpha == 0 else ax.v1
-        x_size = x.v0_size if alpha == 0 else x.v1_size
-        lookup0 = cls["v00"] if alpha == 0 else cls["v10"]
-        lookup1 = cls["v01"] if alpha == 0 else cls["v11"]
-        for x_rep in orbit_reps(x_act, x_size):
-            v0_map = {lookup0[(x_rep, yv)]: yv for yv in range(y.v0_size)}
-            v1_map = {lookup1[(x_rep, yv)]: yv for yv in range(y.v1_size)}
+        # One copy of y per x-orbit: the classes of (x_rep, y) over all y.
+        x_act = ax.v0 if which == "v00_v01" else ax.v1
+        tx = _Transversal.of(x_act)
+        for x_rep in tx.minima:
+            v0_map = {tx.class_of(x_rep, yv, ay.v0): yv for yv in range(y.v0_size)}
+            v1_map = {tx.class_of(x_rep, yv, ay.v1): yv for yv in range(y.v1_size)}
             copies.append(SubgraphCopy(which, v0_map, v1_map))
     else:
         raise ValidationError(f"unknown subgraph {which!r}; expected one of {SUBGRAPHS}")
     return copies
-
-
-def _class_lookup(cpx: BalancedProductComplex) -> dict[str, dict[tuple[int, int], int]]:
-    ax, ay = cpx.action_x, cpx.action_y
-    group = ax.group
-    out: dict[str, dict[tuple[int, int], int]] = {}
-    for name, reps, act_a, act_b in (
-        ("v00", cpx.reps_v00, ax.v0, ay.v0),
-        ("v10", cpx.reps_v10, ax.v1, ay.v0),
-        ("v01", cpx.reps_v01, ax.v0, ay.v1),
-        ("v11", cpx.reps_v11, ax.v1, ay.v1),
-    ):
-        lookup: dict[tuple[int, int], int] = {}
-        for i, (rx, ry) in enumerate(reps):
-            for g in group.elements():
-                lookup[(act_a.table[g][rx], act_b.table[g][ry])] = i
-        out[name] = lookup
-    return out
 
 
 # -- certificate inheritance ---------------------------------------------------
@@ -552,4 +551,28 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
         raise ValidationError(
             f"complex JSON violates the chain condition at V00 column {check.witness_column}"
         )
+    if cpx.degrees is not None:
+        _check_degrees(cpx)
     return cpx
+
+
+def _check_degrees(cpx: BalancedProductComplex) -> None:
+    """Every vertex must have the recorded degree in both of its edge classes."""
+    d = cpx.degrees
+    for cell, size, which, end, name, expected in (
+        ("V00", cpx.v00_size, "v00_v10", 0, "down", d.down),
+        ("V00", cpx.v00_size, "v00_v01", 0, "right", d.right),
+        ("V10", cpx.v10_size, "v00_v10", 1, "up", d.up),
+        ("V10", cpx.v10_size, "v10_v11", 0, "right", d.right),
+        ("V01", cpx.v01_size, "v01_v11", 0, "down", d.down),
+        ("V01", cpx.v01_size, "v00_v01", 1, "left", d.left),
+        ("V11", cpx.v11_size, "v01_v11", 1, "up", d.up),
+        ("V11", cpx.v11_size, "v10_v11", 1, "left", d.left),
+    ):
+        counts = Counter(e[end] for e in getattr(cpx, f"edges_{which}"))
+        for v in range(size):
+            if counts[v] != expected:
+                raise ValidationError(
+                    f"degrees say {name} = {expected}, but {cell} vertex {v} has "
+                    f"{counts[v]} edges in {which}"
+                )

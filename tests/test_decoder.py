@@ -23,7 +23,7 @@ from qbp.decoder import (
     region_diagnostics,
     size_gates,
 )
-from qbp.errors import PreconditionError
+from qbp.errors import PreconditionError, ValidationError
 from qbp.expansion import tree_partition
 from qbp.gf2 import F2Vector
 from qbp.graphs import build_bipartite
@@ -105,6 +105,14 @@ class TestConfig:
     def test_progress_threshold(self):
         assert not DecoderConfig(epsilon=Fraction(1, 24)).guaranteed_progress
         assert DecoderConfig(epsilon=Fraction(1, 25)).guaranteed_progress
+
+    def test_epsilon_from_one_twelfth_rejected(self):
+        # beta <= 0 lets a flip that clears nothing pass, so the loop would
+        # run to the cap while the syndrome grows.
+        for eps in (Fraction(1, 12), Fraction(1, 10), Fraction(1)):
+            with pytest.raises(ValidationError, match="below 1/12"):
+                DecoderConfig(epsilon=eps)
+        assert DecoderConfig(epsilon=Fraction(1, 13)).beta == Fraction(1, 13)
 
 
 class TestFlippable:

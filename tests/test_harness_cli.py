@@ -44,6 +44,10 @@ class TestHarness:
             ExperimentConfig(epsilon=Fraction(0), trials=1, weight=1,
                              flip_probability=Fraction(1, 10))
 
+    def test_epsilon_from_one_twelfth_rejected(self):
+        with pytest.raises(ValidationError, match="below 1/12"):
+            ExperimentConfig(epsilon=Fraction(1, 12), trials=1, weight=1)
+
     def test_seed_determinism(self, star12_code):
         config = ExperimentConfig(epsilon=Fraction(0), trials=20, seed=7, weight=2)
         a = run_simulation(star12_code, config)
@@ -170,6 +174,18 @@ class TestCli:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["result"]["d"] == 3
+
+    def test_decode_rejects_epsilon_one_twelfth(self, workdir, capsys):
+        (workdir / "syn.json").write_text(json.dumps({"length": 8, "support": [1]}))
+        rc = run_cli("decode", "--complex", workdir / "match.json",
+                     "--syndrome", workdir / "syn.json", "--epsilon", "1/12",
+                     "--trace", workdir / "trace.jsonl", "--out", workdir / "dec.json")
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "below 1/12" in captured.err
+        assert captured.out == ""
+        assert not (workdir / "trace.jsonl").exists()
+        assert not (workdir / "dec.json").exists()
 
     def test_decode_single_syndrome(self, workdir, capsys):
         (workdir / "syn.json").write_text(json.dumps({"length": 8, "support": [1]}))

@@ -17,6 +17,7 @@ from qbp.instances import (
     random_bipartite,
     random_free_action_graph,
     star_product,
+    toric_complex,
 )
 from qbp.product import (
     balanced_product,
@@ -313,6 +314,32 @@ class TestSerialization:
         assert back.faces == toric2.faces
         assert back.edges_v00_v10 == toric2.edges_v00_v10
         assert back.degrees == toric2.degrees
+
+    def test_degrees_must_match_edges(self):
+        obj = complex_to_json(toric_complex(4))
+        obj["degrees"] = {"down": 9, "up": 9, "right": 9, "left": 9}
+        with pytest.raises(ValidationError, match="V00 vertex 0"):
+            complex_from_json(obj)
+
+    @pytest.mark.parametrize("name, cell", [("down", "V00"), ("up", "V10"),
+                                            ("right", "V00"), ("left", "V01")])
+    def test_each_degree_is_checked(self, star12, name, cell):
+        obj = complex_to_json(star12)
+        obj["degrees"] = dict(obj["degrees"], **{name: obj["degrees"][name] + 1})
+        with pytest.raises(ValidationError, match=f"{name} = .* {cell} vertex 0"):
+            complex_from_json(obj)
+        assert complex_from_json(complex_to_json(star12.transposed())).degrees == \
+            star12.transposed().degrees
+
+    def test_v11_degree_checked(self):
+        # No V00 or V01 cells, so only V10 and V11 constrain the degrees:
+        # both V10 cells have right = 1, but V11 cell 0 has two edges.
+        obj = {"reps_v00": [], "reps_v10": [[0, 0], [1, 0]], "reps_v01": [],
+               "reps_v11": [[0, 0], [1, 0]], "edges_v00_v10": [], "edges_v01_v11": [],
+               "edges_v00_v01": [], "edges_v10_v11": [[0, 0], [1, 0]], "faces": [],
+               "degrees": {"down": 0, "up": 0, "right": 1, "left": 1}}
+        with pytest.raises(ValidationError, match="left = 1, but V11 vertex 0 has 2"):
+            complex_from_json(obj)
 
     def test_transpose_is_dual(self, star12):
         t = star12.transposed()
