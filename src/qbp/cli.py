@@ -191,7 +191,7 @@ def _cmd_construct(args) -> tuple[dict, dict, Optional[str]]:
         inputs.update({"group": args.group, "actions": args.actions})
     else:
         cpx = product.hypergraph_product(left, right)
-    check = product.verify_chain_condition(cpx)
+    check = cpx.chain_check
     print(f"chain condition: {'pass' if check.ok else f'FAIL at column {check.witness_column}'}")
     payload = product.complex_to_json(cpx)
     payload["provenance_files"] = {name: jsonio.file_digest(path)

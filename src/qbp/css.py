@@ -2,11 +2,18 @@
 
 A product complex yields the code with X checks indexed by V11, Z checks by
 V00, and qubits by V10 followed by V01.  The commuting condition
-Hx Hz^T = 0 is the chain condition and is re-verified at extraction.
+Hx Hz^T = 0 is the chain condition; a code read off a complex reuses the
+complex's one chain-condition verdict, and a code given as bare matrices
+multiplies them.
 
 Distance oracles enumerate kernels outright (budgeted), so every reported
-value is exact.  Oracles parallelize over kernel strata in principle; the
-implementation is sequential with the same deterministic result.
+value is exact.  Normalized weights |v10|/down + |v01|/right are compared
+through the integer key |v10|*right + |v01|*down, which orders them exactly
+(down, right > 0); a Fraction is built only where one is returned.
+Stabilizer membership is carried along the Gray-code walk as a residue
+(reduction modulo a row space is linear over GF(2)).  Oracles parallelize
+over kernel strata in principle; the implementation is sequential with the
+same deterministic result.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import Optional
 from . import gf2
 from .errors import OracleUnavailableError, PreconditionError, ValidationError
 from .gf2 import F2Matrix, F2Vector
-from .product import BalancedProductComplex, DegreeProfile, verify_chain_condition
+from .product import BalancedProductComplex, DegreeProfile
 
 DEFAULT_KERNEL_BUDGET = 1 << 20
 
@@ -30,6 +37,8 @@ class CssCode:
 
     Qubits 0..v10_size-1 are the V10 block, the rest the V01 block; the
     normalized weight of an error weights those blocks by 1/down and 1/right.
+    When Hx and Hz are the maps of the attached complex, Hx Hz^T = 0 is the
+    complex's chain-condition verdict, reused; otherwise it is multiplied out.
     """
 
     hx: F2Matrix
@@ -43,7 +52,14 @@ class CssCode:
             raise ValidationError(
                 f"Hx has {self.hx.cols} columns but Hz has {self.hz.cols}"
             )
-        if not gf2.mat_mul(self.hx, self.hz.transpose()).is_zero():
+        cpx = self.cpx
+        if (cpx is not None and self.hx.row_masks == cpx.boundary_1.row_masks
+                and self.hz.col_masks == cpx.boundary_2.row_masks):
+            # Hx Hz^T is the complex's boundary_1 boundary_2, checked once.
+            commutes = cpx.chain_check.ok
+        else:
+            commutes = gf2.mat_mul(self.hx, self.hz.transpose()).is_zero()
+        if not commutes:
             raise ValidationError("Hx Hz^T != 0; not a CSS code")
 
     @property
@@ -94,9 +110,11 @@ def extract_code(cpx: BalancedProductComplex) -> CssCode:
     """Read the CSS code off a verified complex.
 
     Hx is the qubits -> V11 map (m_x = |V11| rows), Hz the qubits -> V00 map
-    (m_z = |V00| rows); the chain condition is re-verified before extraction.
+    (m_z = |V00| rows).  The complex's chain-condition verdict is computed
+    once per complex object (a builder or loader has usually computed it
+    already) and refuses a violating complex here.
     """
-    check = verify_chain_condition(cpx)
+    check = cpx.chain_check
     if not check.ok:
         raise ValidationError(
             f"complex violates the chain condition at V00 column {check.witness_column}"
@@ -181,6 +199,9 @@ def brute_distance(code: CssCode, which: str, budget: int = DEFAULT_KERNEL_BUDGE
     DistanceReport
         d is None with no_logicals=True when the kernel equals the
         stabilizers (nothing nontrivial to measure).
+
+    Stabilizer membership is one XOR per vector: each basis vector's residue
+    modulo the stabilizer row space rides along the Gray-code walk.
     """
     if which == "z":
         kernel_of, stabilizers = code.hx, code.z_stabilizers
@@ -194,14 +215,16 @@ def brute_distance(code: CssCode, which: str, budget: int = DEFAULT_KERNEL_BUDGE
         raise OracleUnavailableError(
             f"kernel has 2^{dim} vectors, over the budget of {budget}"
         )
+    # Reduction modulo the stabilizer row space is linear, so the residue of
+    # each kernel vector rides along the same Gray-code walk: a vector is a
+    # stabilizer (the zero vector included) exactly when its residue is 0.
+    masks = [v.to_mask() for v in basis]
+    residues = [stabilizers.reduce_mask(m) for m in masks]
     best: Optional[int] = None
     count = 0
-    masks = [v.to_mask() for v in basis]
-    for mask in gf2.iter_span_masks(masks):
+    for mask, residue in zip(gf2.iter_span_masks(masks), gf2.iter_span_masks(residues)):
         count += 1
-        if mask == 0:
-            continue
-        if stabilizers.contains_mask(mask):
+        if residue == 0:
             continue
         w = mask.bit_count()
         if best is None or w < best:
@@ -224,6 +247,51 @@ def normalized_syndrome_weight(code: CssCode, c0: F2Vector) -> Fraction:
     return Fraction(c0.weight, code.degrees.down * code.degrees.right)
 
 
+def _flip_search(code: CssCode, normalized: bool):
+    """The integer weight key and the first improving Hz-row flip.
+
+    key(m) = a|m & V10| + b|m & V01| with (a, b) = (right, down) when
+    normalized and (1, 1) otherwise.  Normalized, it is down*right times
+    |v10|/down + |v01|/right, so it orders vectors exactly as that weight.
+    Adding Hz row r changes the key by key(r) - 2 key(m & r); a row disjoint
+    from m can only raise it, so `first_improving(m)` looks only at the rows
+    that meet m's support, in ascending row order, and returns the first one
+    whose addition strictly lowers the key (None when m is locally minimal).
+    A zero degree leaves the normalized weight undefined and is refused.
+    """
+    split = code.v10_size
+    low_block = (1 << split) - 1
+    a, b = (code.degrees.right, code.degrees.down) if normalized else (1, 1)
+    if a <= 0 or b <= 0:
+        raise PreconditionError(
+            f"normalized weight needs down, right > 0, got down = {b}, right = {a}"
+        )
+
+    def key(m: int) -> int:
+        return a * (m & low_block).bit_count() + b * (m >> split).bit_count()
+
+    rows = code.hz.row_masks
+    row_keys = [key(r) for r in rows]
+    rows_at = code.hz.col_masks          # qubit -> the Hz rows containing it
+
+    def first_improving(m: int) -> Optional[int]:
+        touched = 0
+        rest = m
+        while rest:
+            low = rest & -rest
+            touched |= rows_at[low.bit_length() - 1]
+            rest ^= low
+        while touched:
+            low = touched & -touched
+            i = low.bit_length() - 1
+            if 2 * key(m & rows[i]) > row_keys[i]:
+                return i
+            touched ^= low
+        return None
+
+    return key, first_improving
+
+
 @dataclass(frozen=True)
 class FlipReduction:
     vector: F2Vector
@@ -235,37 +303,21 @@ def greedy_flip_reduce(code: CssCode, c1: F2Vector, normalized: bool) -> FlipRed
     (normalized) weight strictly drops; the result is (normalized) locally
     minimal and has the same syndrome as the input.
 
-    Candidate columns are scanned in ascending index and the first improving
-    flip is taken, so the output is deterministic.
+    The first improving row in ascending index is taken, so the output is
+    deterministic.  Weights are compared through the exact integer key of
+    `_flip_search`, and only rows meeting the current support are tried.
     """
     if c1.length != code.n:
         raise ValidationError(f"vector length {c1.length} != n = {code.n}")
     if normalized and code.degrees is None:
         raise PreconditionError("normalized reduction needs recorded degrees")
-    columns = code.hz.row_masks          # row i of Hz = column i of the V00 map
+    _, first_improving = _flip_search(code, normalized)
+    rows = code.hz.row_masks             # row i of Hz = column i of the V00 map
     mask = c1.to_mask()
-    v10_mask = (1 << code.v10_size) - 1
-
-    def measure(m: int) -> object:
-        if not normalized:
-            return m.bit_count()
-        lo = (m & v10_mask).bit_count()
-        hi = (m >> code.v10_size).bit_count()
-        return Fraction(lo, code.degrees.down) + Fraction(hi, code.degrees.right)
-
-    current = measure(mask)
     iterations = 0
-    improved = True
-    while improved:
-        improved = False
-        for col in columns:
-            cand = mask ^ col
-            value = measure(cand)
-            if value < current:
-                mask, current = cand, value
-                iterations += 1
-                improved = True
-                break
+    while (i := first_improving(mask)) is not None:
+        mask ^= rows[i]
+        iterations += 1
     return FlipReduction(F2Vector.from_mask(code.n, mask), iterations)
 
 
@@ -299,7 +351,13 @@ def locally_minimal_distance(
     normalized: bool = True,
     budget: int = DEFAULT_KERNEL_BUDGET,
 ) -> LocallyMinimalDistanceReport:
-    """Enumerate ker(Hx) and minimize weight over locally minimal vectors."""
+    """Enumerate ker(Hx) and minimize weight over locally minimal vectors.
+
+    Local minimality uses the support-local test of `_flip_search` on the
+    exact integer weight key; stabilizer membership is the residue modulo
+    the Hz row space carried along the Gray-code walk, as in
+    `brute_distance`.
+    """
     basis = gf2.kernel_basis(code.hx)
     dim = len(basis)
     if 2 ** dim > budget:
@@ -308,34 +366,19 @@ def locally_minimal_distance(
         )
     if normalized and code.degrees is None:
         raise PreconditionError("normalized local minimality needs recorded degrees")
-    columns = code.hz.row_masks
-    v10_mask = (1 << code.v10_size) - 1
-
-    def norm_measure(m: int) -> Fraction:
-        lo = (m & v10_mask).bit_count()
-        hi = (m >> code.v10_size).bit_count()
-        return Fraction(lo, code.degrees.down) + Fraction(hi, code.degrees.right)
-
+    _, first_improving = _flip_search(code, normalized)
     best_all: Optional[int] = None
     best_nontrivial: Optional[int] = None
     masks = [v.to_mask() for v in basis]
-    for mask in gf2.iter_span_masks(masks):
-        if mask == 0:
-            continue
-        if normalized:
-            value = norm_measure(mask)
-            minimal = all(norm_measure(mask ^ col) >= value for col in columns)
-        else:
-            value = mask.bit_count()
-            minimal = all((mask ^ col).bit_count() >= value for col in columns)
-        if not minimal:
+    residues = [code.z_stabilizers.reduce_mask(m) for m in masks]
+    for mask, residue in zip(gf2.iter_span_masks(masks), gf2.iter_span_masks(residues)):
+        if mask == 0 or first_improving(mask) is not None:
             continue
         w = mask.bit_count()
         if best_all is None or w < best_all:
             best_all = w
-        if not code.z_stabilizers.contains_mask(mask):
-            if best_nontrivial is None or w < best_nontrivial:
-                best_nontrivial = w
+        if residue and (best_nontrivial is None or w < best_nontrivial):
+            best_nontrivial = w
     return LocallyMinimalDistanceReport(normalized, best_all, best_nontrivial, dim)
 
 
@@ -356,6 +399,8 @@ def minimal_coset_representative(
 
     Exhaustive over the solution coset (particular solution plus the full
     kernel of Hx), so only feasible at toy sizes; budgeted accordingly.
+    Candidates are compared by the integer key of `_flip_search` (ties go to
+    the smaller mask); the returned weight is that key over down*right.
     """
     if code.degrees is None:
         raise PreconditionError("normalized weight needs recorded degrees")
@@ -367,21 +412,20 @@ def minimal_coset_representative(
         raise OracleUnavailableError(
             f"coset has 2^{len(basis)} vectors, over the budget of {budget}"
         )
-    v10_mask = (1 << code.v10_size) - 1
-    down, right = code.degrees.down, code.degrees.right
+    key, _ = _flip_search(code, normalized=True)
     base = particular.to_mask()
     best_mask = None
-    best_val: Optional[Fraction] = None
+    best_key: Optional[int] = None
     for kmask in gf2.iter_span_masks([v.to_mask() for v in basis]):
         m = base ^ kmask
-        val = Fraction((m & v10_mask).bit_count(), down) + Fraction(
-            (m >> code.v10_size).bit_count(), right
-        )
-        if best_val is None or val < best_val or (val == best_val and m < best_mask):
-            best_val, best_mask = val, m
+        k = key(m)
+        if best_key is None or k < best_key or (k == best_key and m < best_mask):
+            best_key, best_mask = k, m
     vec = F2Vector.from_mask(code.n, best_mask)
     s10, s01 = code.split_support(vec)
-    return MinimalRepresentative(vec, len(s10), len(s01), best_val)
+    d = code.degrees
+    return MinimalRepresentative(vec, len(s10), len(s01),
+                                 Fraction(best_key, d.down * d.right))
 
 
 def export_manifest(code: CssCode, params: CodeParams, provenance: dict,

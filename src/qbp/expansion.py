@@ -151,6 +151,9 @@ def certify_expansion(
     ExpansionCertificate
         verdict "pass" or "fail"; a fail always carries the first violating
         subset found, which callers can recheck directly.
+
+    Each subset is tested in exact integers, |N(S)| den < num w_src |S| with
+    1 - epsilon = num/den, on neighborhoods held as bit masks.
     """
     c = Fraction(c)
     epsilon = Fraction(epsilon)
@@ -165,12 +168,15 @@ def certify_expansion(
     v_dst = graph.v1_size if side == "0to1" else graph.v0_size
     w_src = prof.w0 if side == "0to1" else prof.w1
     max_size = max(0, math.ceil(c * n_src) - 1)
+    keep = 1 - epsilon
+    den, rate = keep.denominator, keep.numerator * w_src
+    adj_masks = [sum(1 << y for y in ys) for ys in adj]
 
     def violates(subset: Sequence[int]) -> bool:
-        seen: set[int] = set()
+        seen = 0
         for x in subset:
-            seen.update(adj[x])
-        return len(seen) < (1 - epsilon) * w_src * len(subset)
+            seen |= adj_masks[x]
+        return seen.bit_count() * den < rate * len(subset)
 
     checked = 0
     if mode == "exhaustive":

@@ -109,6 +109,15 @@ class BalancedProductComplex:
         ents += [(z11, self.v10_size + z01) for z01, z11 in self.edges_v01_v11]
         return F2Matrix.from_entries(self.v11_size, self.n_qubits, ents)
 
+    @cached_property
+    def chain_check(self) -> "ChainCheck":
+        """The chain-condition verdict of this complex, computed once.
+
+        The builder and the loader compute it; code extraction and the CSS
+        commuting check read it instead of multiplying the maps again.
+        """
+        return verify_chain_condition(self)
+
     # -- 1-d subgraphs --------------------------------------------------------
 
     def subgraph(self, which: str) -> BipartiteGraph:
@@ -330,7 +339,7 @@ def balanced_product(
         action_y=action_y,
         provenance=provenance,
     )
-    check = verify_chain_condition(cpx)
+    check = cpx.chain_check
     if not check.ok:
         raise ValidationError(
             f"constructed complex violates the chain condition at V00 column "
@@ -546,7 +555,8 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed complex JSON: {exc}") from exc
-    check = verify_chain_condition(cpx)
+    _check_endpoints(cpx)
+    check = cpx.chain_check
     if not check.ok:
         raise ValidationError(
             f"complex JSON violates the chain condition at V00 column {check.witness_column}"
@@ -554,6 +564,28 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
     if cpx.degrees is not None:
         _check_degrees(cpx)
     return cpx
+
+
+def _check_endpoints(cpx: BalancedProductComplex) -> None:
+    """Every edge must join a vertex of its first class to one of its second.
+
+    The boundary maps place V10 and V01 in one qubit range, so an endpoint past
+    its class would land on another class's row instead of being refused.
+    """
+    for which, size0, size1 in (
+        ("v00_v10", cpx.v00_size, cpx.v10_size),
+        ("v01_v11", cpx.v01_size, cpx.v11_size),
+        ("v00_v01", cpx.v00_size, cpx.v01_size),
+        ("v10_v11", cpx.v10_size, cpx.v11_size),
+    ):
+        bad = [(a, b) for a, b in getattr(cpx, f"edges_{which}")
+               if not (0 <= a < size0 and 0 <= b < size1)]
+        if bad:
+            a, b = min(bad)
+            raise ValidationError(
+                f"edge ({a}, {b}) in edges_{which} has an endpoint outside its "
+                f"class (sizes {size0} and {size1})"
+            )
 
 
 def _check_degrees(cpx: BalancedProductComplex) -> None:

@@ -1,6 +1,7 @@
 """Code extraction, parameters, distances, and locally minimal machinery."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,12 +19,13 @@ from qbp.css import (
     normalized_weight,
     normalized_syndrome_weight,
 )
-from qbp.errors import OracleUnavailableError
-from qbp.gf2 import F2Vector
+from qbp.css import CssCode
+from qbp.errors import OracleUnavailableError, ValidationError
+from qbp.gf2 import F2Matrix, F2Vector
 from qbp.graphs import build_bipartite
 from qbp.instances import left_right_cayley, toric_complex
 from qbp.groups import cyclic_group
-from qbp.product import DegreeProfile, hypergraph_product
+from qbp.product import DegreeProfile, hypergraph_product, verify_chain_condition
 
 
 class TestExtraction:
@@ -52,6 +54,54 @@ class TestExtraction:
             expected = max(d.down + d.right, d.up + d.left,
                            d.up + d.right, d.down + d.left)
             assert code.weight == expected
+
+
+class TestChainVerdict:
+    def test_extract_refuses_a_violating_complex(self):
+        cpx = toric_complex(3)
+        dropped = min(cpx.edges_v10_v11)
+        broken = replace(cpx, edges_v10_v11=cpx.edges_v10_v11 - {dropped})
+        witness = verify_chain_condition(broken).witness_column
+        assert witness is not None
+        with pytest.raises(ValidationError, match=f"chain condition at V00 column {witness}$"):
+            extract_code(broken)
+
+    def test_bare_matrices_must_commute(self):
+        hx = F2Matrix.from_dense([[1, 0, 1]])
+        hz = F2Matrix.from_dense([[1, 1, 0]])
+        with pytest.raises(ValidationError, match="Hx Hz"):
+            CssCode(hx=hx, hz=hz, v10_size=1)
+        assert CssCode(hx=hx, hz=F2Matrix.from_dense([[1, 1, 1]]), v10_size=1).n == 3
+
+    def test_code_on_a_violating_complex_is_refused(self):
+        cpx = toric_complex(3)
+        broken = replace(cpx, edges_v10_v11=cpx.edges_v10_v11 - {min(cpx.edges_v10_v11)})
+        with pytest.raises(ValidationError, match="Hx Hz"):
+            CssCode(hx=broken.boundary_1, hz=broken.boundary_2.transpose(),
+                    v10_size=broken.v10_size, cpx=broken)
+
+    def test_complex_verdict_covers_only_its_own_maps(self, toric3_code):
+        # Matrices other than the complex's own maps are multiplied, even
+        # when the (valid) complex is attached.
+        code = toric3_code
+        hz = F2Matrix.from_row_masks(code.m_z, code.n, (1,) + code.hz.row_masks[1:])
+        with pytest.raises(ValidationError, match="Hx Hz"):
+            CssCode(hx=code.hx, hz=hz, v10_size=code.v10_size, cpx=code.cpx)
+
+    def test_one_chain_check_per_complex(self, monkeypatch):
+        calls = []
+        original = qbp.product.verify_chain_condition
+
+        def counted(cpx):
+            calls.append(cpx)
+            return original(cpx)
+
+        monkeypatch.setattr(qbp.product, "verify_chain_condition", counted)
+        monkeypatch.setattr(gf2, "mat_mul", lambda *a: pytest.fail("CssCode multiplied"))
+        cpx = toric_complex(3)
+        extract_code(cpx)
+        extract_code(cpx)
+        assert len(calls) == 1 and calls[0] is cpx
 
 
 class TestParams:

@@ -116,6 +116,21 @@ class TestCli:
         payload = json.loads((workdir / "cpx.json").read_text())
         assert payload["v00"] == 9
 
+    def test_construct_reports_the_builders_chain_verdict(self, workdir, capsys, monkeypatch):
+        checked = []
+        original = qbp.product.verify_chain_condition
+        monkeypatch.setattr(qbp.product, "verify_chain_condition",
+                            lambda cpx: checked.append(cpx) or original(cpx))
+        rc = run_cli("construct", "--left", workdir / "cyc.json",
+                     "--right", workdir / "cyc.json",
+                     "--out", workdir / "cpx.json")
+        assert rc == 0
+        out = capsys.readouterr().out
+        first, rest = out.split("\n", 1)
+        assert first == "chain condition: pass"
+        assert json.loads(rest)["result"]["chain_condition"] == "pass"
+        assert len(checked) == 1
+
     def test_construct_balanced_with_actions(self, workdir):
         group = cyclic_group(4)
         (workdir / "g.json").write_text(json.dumps(group_to_json(group)))

@@ -341,6 +341,30 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="left = 1, but V11 vertex 0 has 2"):
             complex_from_json(obj)
 
+    def test_edge_endpoint_outside_its_class(self):
+        # (z00, v10 + k) lands in boundary_2 on V01 qubit k's row; with (z00, k)
+        # already a V00-V01 edge the chain condition still holds, so only the
+        # endpoint check refuses it.
+        cpx = hypergraph_product(random_bipartite(4, 3, 6, random.Random(5)),
+                                 random_bipartite(3, 4, 6, random.Random(6)))
+        obj = complex_to_json(cpx)
+        assert obj["degrees"] is None
+        z00, k = min(cpx.edges_v00_v01)
+        bad = [z00, cpx.v10_size + k]
+        obj["edges_v00_v10"].append(bad)
+        with pytest.raises(ValidationError, match=rf"edge \({bad[0]}, {bad[1]}\) in edges_v00_v10"):
+            complex_from_json(obj)
+
+    @pytest.mark.parametrize("which", ["v00_v10", "v01_v11", "v00_v01", "v10_v11"])
+    def test_every_edge_class_endpoint_is_checked(self, toric2, which):
+        obj = complex_to_json(toric2)
+        obj[f"edges_{which}"].append([0, 99])
+        with pytest.raises(ValidationError, match=rf"edge \(0, 99\) in edges_{which}"):
+            complex_from_json(obj)
+        obj[f"edges_{which}"][-1] = [-1, 0]
+        with pytest.raises(ValidationError, match=rf"edge \(-1, 0\) in edges_{which}"):
+            complex_from_json(obj)
+
     def test_transpose_is_dual(self, star12):
         t = star12.transposed()
         assert t.v00_size == star12.v11_size
