@@ -236,6 +236,7 @@ def normalized_weight(code: CssCode, c1: F2Vector) -> Fraction:
     """|v10|/down + |v01|/right, as an exact rational."""
     if code.degrees is None:
         raise PreconditionError("normalized weight needs recorded degrees")
+    code.degrees.require_positive("normalized weight", "down", "right")
     s10, s01 = code.split_support(c1)
     return Fraction(len(s10), code.degrees.down) + Fraction(len(s01), code.degrees.right)
 
@@ -244,6 +245,7 @@ def normalized_syndrome_weight(code: CssCode, c0: F2Vector) -> Fraction:
     """|c0| / (down * right), as an exact rational."""
     if code.degrees is None:
         raise PreconditionError("normalized weight needs recorded degrees")
+    code.degrees.require_positive("normalized syndrome weight", "down", "right")
     return Fraction(c0.weight, code.degrees.down * code.degrees.right)
 
 
@@ -261,11 +263,10 @@ def _flip_search(code: CssCode, normalized: bool):
     """
     split = code.v10_size
     low_block = (1 << split) - 1
-    a, b = (code.degrees.right, code.degrees.down) if normalized else (1, 1)
-    if a <= 0 or b <= 0:
-        raise PreconditionError(
-            f"normalized weight needs down, right > 0, got down = {b}, right = {a}"
-        )
+    a, b = 1, 1
+    if normalized:
+        code.degrees.require_positive("normalized weight", "down", "right")
+        a, b = code.degrees.right, code.degrees.down
 
     def key(m: int) -> int:
         return a * (m & low_block).bit_count() + b * (m >> split).bit_count()

@@ -497,6 +497,7 @@ def size_gates(
     if cpx.degrees is None:
         raise PreconditionError("size gates need biregular factors")
     d = cpx.degrees
+    d.require_positive("size gates", "up", "left")
     sx = Fraction(cert_x.c * cert_x.v_src_size)
     sy = Fraction(cert_y.c * cert_y.v_src_size)
     cx_on_y = cert_x.c * cert_y.v_src_size
@@ -523,6 +524,7 @@ def guaranteed_correctable_weight(
     """
     if cpx.degrees is None:
         raise PreconditionError("the radius needs biregular factors")
+    cpx.degrees.require_positive("the radius", "down", "up", "right", "left")
     epsilon = Fraction(epsilon)
     gates = size_gates(cpx, cert_x, cert_y)
     if pairing == "a":

@@ -1,12 +1,15 @@
 """Exact linear algebra over the two-element field.
 
-Vectors and matrices are stored as sparse position sets (parity checks in
-this package are low density, so iteration over support dominates), while
-elimination-style algorithms run on packed bit rows carried in Python
-integers.  Everything is exact; there is no floating point anywhere.
+Vectors are stored as support sets.  A matrix is its shape plus one packed
+bit row per row, carried in a Python integer (bit c of row r is entry
+(r, c)); products, transposes and elimination all work on those rows.
+Rank, row spaces, kernels and linear solves share one elimination kernel,
+`_eliminate`, whose reduced row echelon form is unique.  Everything is
+exact; there is no floating point anywhere.
 
 All values are immutable after construction and safe to share across
-threads.  Elimination always works on private copies of the packed rows.
+threads.  Cached views (column masks, the echelon form) are derived from the
+rows once and never change.
 """
 
 from __future__ import annotations
@@ -65,63 +68,71 @@ class F2Vector:
 
 @dataclass(frozen=True)
 class F2Matrix:
-    """A matrix over GF(2): row/column counts plus the set of 1-positions.
+    """A matrix over GF(2): row/column counts plus one packed mask per row.
 
-    Zero-row or zero-column matrices are legal; they have rank 0 and a
-    kernel equal to the full domain.
+    Bit c of row_masks[r] is entry (r, c).  Zero-row or zero-column matrices
+    are legal; they have rank 0 and a kernel equal to the full domain.
     """
 
     rows: int
     cols: int
-    entries: frozenset[tuple[int, int]]
+    row_masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ShapeError(f"negative matrix shape {self.rows}x{self.cols}")
-        for r, c in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValidationError(f"entry ({r},{c}) outside {self.rows}x{self.cols}")
+        _check_shape(self.rows, self.cols)
+        masks = self.row_masks
+        if len(masks) != self.rows:
+            raise ShapeError(f"{len(masks)} row masks for {self.rows} rows")
+        if masks and (min(masks) < 0 or max(masks) >> self.cols):
+            r = next(r for r, m in enumerate(masks) if m < 0 or m >> self.cols)
+            if masks[r] < 0:
+                raise ValidationError(f"row {r} has a negative mask")
+            raise ValidationError(
+                f"entry ({r},{masks[r].bit_length() - 1}) outside {self.rows}x{self.cols}"
+            )
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "F2Matrix":
-        return cls(rows, cols, frozenset())
+        return cls(rows, cols, (0,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "F2Matrix":
-        return cls(n, n, frozenset((i, i) for i in range(n)))
+        return cls(n, n, tuple(1 << i for i in range(n)))
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: Iterable[tuple[int, int]]) -> "F2Matrix":
-        return cls(rows, cols, frozenset((int(r), int(c)) for r, c in entries))
+        """The matrix with a 1 at each (r, c); repeated entries are one entry."""
+        _check_shape(rows, cols)
+        masks = [0] * rows
+        for r, c in entries:
+            r, c = int(r), int(c)
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ValidationError(f"entry ({r},{c}) outside {rows}x{cols}")
+            masks[r] |= 1 << c
+        return cls(rows, cols, tuple(masks))
 
     @classmethod
     def from_dense(cls, dense: Sequence[Sequence[int]]) -> "F2Matrix":
         rows = len(dense)
         cols = len(dense[0]) if rows else 0
-        ents = {(r, c) for r, row in enumerate(dense) for c, v in enumerate(row) if v % 2}
-        return cls(rows, cols, frozenset(ents))
+        masks = [sum(1 << c for c, v in enumerate(row) if v % 2) for row in dense]
+        return cls(rows, cols, tuple(masks))
 
     @classmethod
     def from_row_masks(cls, rows: int, cols: int, masks: Sequence[int]) -> "F2Matrix":
-        ents = {(r, c) for r, m in enumerate(masks) for c in _bits(m)}
-        return cls(rows, cols, frozenset(ents))
+        return cls(rows, cols, tuple(masks))
 
     # -- packed views ----------------------------------------------------
 
     @cached_property
-    def row_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.rows
-        for r, c in self.entries:
-            masks[r] |= 1 << c
-        return tuple(masks)
-
-    @cached_property
     def col_masks(self) -> tuple[int, ...]:
         masks = [0] * self.cols
-        for r, c in self.entries:
-            masks[c] |= 1 << r
+        for r, m in enumerate(self.row_masks):
+            bit = 1 << r
+            for c in _bits(m):
+                masks[c] |= bit
         return tuple(masks)
 
     # -- simple queries ---------------------------------------------------
@@ -133,40 +144,58 @@ class F2Matrix:
         return max((m.bit_count() for m in self.row_masks), default=0)
 
     def transpose(self) -> "F2Matrix":
-        return F2Matrix(self.cols, self.rows, frozenset((c, r) for r, c in self.entries))
+        t = F2Matrix(self.cols, self.rows, self.col_masks)
+        t.__dict__["col_masks"] = self.row_masks      # seed the cached view
+        return t
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self.row_masks)
 
     # -- reduced row echelon form ------------------------------------------
 
     @cached_property
     def _rref(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Reduced row echelon form of the packed rows.
+        """Reduced row echelon form of the rows (see `_eliminate`)."""
+        return _eliminate(self.row_masks)
 
-        Returns (pivot_rows, pivot_cols); pivot_rows[i] has its leading 1 in
-        column pivot_cols[i] and that column is cleared everywhere else.
-        """
-        rows = [m for m in self.row_masks if m]
-        pivot_rows: list[int] = []
-        pivot_cols: list[int] = []
-        for col in range(self.cols):
-            bit = 1 << col
-            src = None
-            for i, m in enumerate(rows):
-                if m & bit:
-                    src = i
-                    break
-            if src is None:
-                continue
-            pivot = rows.pop(src)
-            rows = [m ^ pivot if m & bit else m for m in rows]
-            pivot_rows = [m ^ pivot if m & bit else m for m in pivot_rows]
-            pivot_rows.append(pivot)
-            pivot_cols.append(col)
-            if not rows:
+
+def _check_shape(rows: int, cols: int) -> None:
+    if rows < 0 or cols < 0:
+        raise ShapeError(f"negative matrix shape {rows}x{cols}")
+
+
+def _eliminate(masks: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The reduced row echelon form of the span of packed rows.
+
+    Returns (pivot_rows, pivot_cols) in ascending pivot column: pivot_rows[i]
+    has its lowest set bit at pivot_cols[i], and that column is clear in
+    every other pivot row.  This form is unique for the span.
+
+    Each row is reduced at its lowest bit until that bit is a new pivot (or
+    the row vanishes); then, from the highest pivot down, each pivot row has
+    the higher pivot columns cleared by rows already fully reduced.
+    """
+    pivots: dict[int, int] = {}          # lowest bit (as 1 << col) -> row
+    for m in masks:
+        while m:
+            low = m & -m
+            row = pivots.get(low)
+            if row is None:
+                pivots[low] = m
                 break
-        return tuple(pivot_rows), tuple(pivot_cols)
+            m ^= row
+    lows = sorted(pivots)
+    above = 0                            # the pivot bits already reduced
+    for low in reversed(lows):
+        row = pivots[low]
+        hit = row & above
+        while hit:
+            h = hit & -hit
+            row ^= pivots[h]
+            hit ^= h
+        pivots[low] = row
+        above |= low
+    return tuple(pivots[low] for low in lows), tuple(low.bit_length() - 1 for low in lows)
 
 
 def mat_mul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
@@ -183,7 +212,7 @@ def mat_mul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
             acc ^= b_rows[low.bit_length() - 1]
             m ^= low
         out.append(acc)
-    return F2Matrix.from_row_masks(a.rows, b.cols, out)
+    return F2Matrix(a.rows, b.cols, tuple(out))
 
 
 def mat_vec(a: F2Matrix, v: F2Vector) -> F2Vector:
@@ -215,21 +244,17 @@ def kernel_basis(a: F2Matrix) -> list[F2Vector]:
     """Basis of the right kernel {v : A v = 0}, in reduced echelon order.
 
     One basis vector per free column, listed by ascending free column; each
-    satisfies A v = 0 and the basis size equals cols - rank(A).
+    satisfies A v = 0 and the basis size equals cols - rank(A).  The vector
+    of free column f is f plus every pivot column whose pivot row holds f.
     """
     pivot_rows, pivot_cols = a._rref
-    pivot_set = set(pivot_cols)
-    basis = []
-    for free in range(a.cols):
-        if free in pivot_set:
-            continue
-        support = {free}
-        bit = 1 << free
-        for row_mask, col in zip(pivot_rows, pivot_cols):
-            if row_mask & bit:
-                support.add(col)
-        basis.append(F2Vector.from_support(a.cols, support))
-    return basis
+    vectors = [1 << f for f in range(a.cols)]
+    for row, col in zip(pivot_rows, pivot_cols):
+        vectors[col] = 0
+        bit = 1 << col
+        for f in _bits(row ^ bit):
+            vectors[f] |= bit
+    return [F2Vector.from_mask(a.cols, v) for v in vectors if v]
 
 
 @dataclass(frozen=True)
@@ -265,32 +290,26 @@ def row_space(a: F2Matrix) -> RowSpace:
 
 
 def solve(a: F2Matrix, b: F2Vector) -> Optional[F2Vector]:
-    """One solution x of A x = b, or None when the system is inconsistent."""
+    """One solution x of A x = b, or None when the system is inconsistent.
+
+    Eliminates [A | b], with b as column `a.cols`.  The system is
+    inconsistent exactly when that column is a pivot; otherwise setting each
+    free variable to 0 leaves pivot variable i equal to bit `a.cols` of pivot
+    row i.
+    """
     if a.rows != b.length:
         raise ShapeError(f"rhs length {b.length} != row count {a.rows}")
-    # Eliminate on rows of [A^T | I] so pivots come with the combination that
-    # produced them; a solution is a combination of columns of A hitting b.
-    att = a.transpose()
-    aug = [(m, 1 << i) for i, m in enumerate(att.row_masks)]
     target = b.to_mask()
-    combo = 0
-    for col in range(a.rows):
-        bit = 1 << col
-        src = None
-        for i, (m, _) in enumerate(aug):
-            if m & bit:
-                src = i
-                break
-        if src is None:
-            continue
-        pm, pc = aug.pop(src)
-        aug = [(m ^ pm, c ^ pc) if m & bit else (m, c) for m, c in aug]
-        if target & bit:
-            target ^= pm
-            combo ^= pc
-    if target:
+    rhs = 1 << a.cols
+    pivot_rows, pivot_cols = _eliminate(
+        m | rhs if target >> r & 1 else m for r, m in enumerate(a.row_masks))
+    if pivot_cols and pivot_cols[-1] == a.cols:
         return None
-    return F2Vector.from_mask(a.cols, combo)
+    x = 0
+    for row, col in zip(pivot_rows, pivot_cols):
+        if row & rhs:
+            x |= 1 << col
+    return F2Vector.from_mask(a.cols, x)
 
 
 def iter_span_masks(masks: Sequence[int]) -> Iterator[int]:
@@ -314,7 +333,7 @@ def to_json_dict(a: F2Matrix) -> dict:
     return {
         "rows": a.rows,
         "cols": a.cols,
-        "entries": sorted([r, c] for r, c in a.entries),
+        "entries": [[r, c] for r, m in enumerate(a.row_masks) for c in _bits(m)],
     }
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Optional
 
@@ -33,7 +34,84 @@ def parse_rational(text: str) -> Fraction:
 
 
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """`json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)` plus a
+    newline, byte for byte.
+
+    With an indent, `json` runs its pure-Python encoder.  This writer walks
+    dicts, lists and tuples with str keys and exact str, int, float, bool and
+    None leaves itself, and has the C encoder write lists of int rows, which
+    it then indents.  Anything else (non-str keys, values of other types or
+    of subclasses, cycles) goes to `json.dumps`, so it is written, or
+    refused, exactly as `json.dumps` does.
+    """
+    out: list[str] = []
+    try:
+        _write(obj, "\n", out)
+    except (TypeError, ValueError, RecursionError):
+        return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+# The C encoder writes lists compactly; a list whose compact text has only
+# these characters holds nothing but lists and ints (int subclasses included,
+# which `json` writes the same way).  Cycles reach RecursionError.
+_COMPACT = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+_NOT_INT_LIST = str.maketrans("", "", "0123456789-,[]")
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write(obj: Any, nl: str, out: list[str]) -> None:
+    """Append the indented JSON of obj; nl is a newline plus obj's indent.
+
+    Raises TypeError for anything `canonical_dumps` leaves to `json.dumps`.
+    """
+    kind = type(obj)
+    if kind is str:
+        out.append(encode_basestring(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif kind is int:
+        out.append(repr(obj))
+    elif kind is float:
+        text = repr(obj)
+        out.append(_FLOAT_WORDS.get(text, text))
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            # encode_basestring refuses a key that is not a str (TypeError).
+            out += (sep, encode_basestring(key), ": ")
+            _write(obj[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if set(map(type, obj)) <= {list, tuple}:
+            text = _COMPACT.encode(obj)
+            # Only lists and ints, one "[" per row and no empty row:
+            # non-empty int rows.
+            if (not text.translate(_NOT_INT_LIST) and text.count("[") == len(obj) + 1
+                    and "[]" not in text):
+                deep = inner + "  "
+                body = text[2:-2].replace(",", "," + deep)
+                body = body.replace("]," + deep + "[", inner + "]," + inner + "[" + deep)
+                out += ("[", inner, "[", deep, body, inner, "]", nl, "]")
+                return
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        raise TypeError(f"{kind.__name__} is left to json.dumps")
 
 
 def file_digest(path: str | Path) -> str:

@@ -18,7 +18,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Optional
 
 from .errors import PreconditionError, ValidationError
@@ -43,6 +44,12 @@ class DegreeProfile:
     up: int
     right: int
     left: int
+
+    def require_positive(self, purpose: str, *names: str) -> None:
+        """Refuse a degree <= 0 among `names`: `purpose` divides by them."""
+        if any(getattr(self, name) <= 0 for name in names):
+            got = ", ".join(f"{name} = {getattr(self, name)}" for name in names)
+            raise PreconditionError(f"{purpose} needs {', '.join(names)} > 0, got {got}")
 
 
 @dataclass(frozen=True)
@@ -98,16 +105,18 @@ class BalancedProductComplex:
     @cached_property
     def boundary_2(self) -> F2Matrix:
         """F2^{V00} -> F2^{V10} (+) F2^{V01}; rows are qubits, columns V00."""
-        ents = [(z10, z00) for z00, z10 in self.edges_v00_v10]
-        ents += [(self.v10_size + z01, z00) for z00, z01 in self.edges_v00_v01]
-        return F2Matrix.from_entries(self.n_qubits, self.v00_size, ents)
+        rows = _edge_rows(self.edges_v00_v10, "v00_v10", self.v00_size, self.v10_size)
+        rows += _edge_rows(self.edges_v00_v01, "v00_v01", self.v00_size, self.v01_size)
+        return F2Matrix(self.n_qubits, self.v00_size, tuple(rows))
 
     @cached_property
     def boundary_1(self) -> F2Matrix:
         """F2^{V10} (+) F2^{V01} -> F2^{V11}; rows are V11, columns qubits."""
-        ents = [(z11, z10) for z10, z11 in self.edges_v10_v11]
-        ents += [(z11, self.v10_size + z01) for z01, z11 in self.edges_v01_v11]
-        return F2Matrix.from_entries(self.v11_size, self.n_qubits, ents)
+        from_v10 = _edge_rows(self.edges_v10_v11, "v10_v11", self.v10_size, self.v11_size)
+        from_v01 = _edge_rows(self.edges_v01_v11, "v01_v11", self.v01_size, self.v11_size,
+                              shift=self.v10_size)
+        return F2Matrix(self.v11_size, self.n_qubits,
+                        tuple(p | q for p, q in zip(from_v10, from_v01)))
 
     @cached_property
     def chain_check(self) -> "ChainCheck":
@@ -173,6 +182,28 @@ class BalancedProductComplex:
             group_order=self.group_order,
             provenance=f"transpose of [{self.provenance}]",
         )
+
+
+def _edge_rows(edges: frozenset[tuple[int, int]], which: str, size0: int, size1: int,
+               shift: int = 0) -> list[int]:
+    """One edge class as packed rows indexed by its second endpoint: row b
+    holds bit shift + a for each edge (a, b).
+
+    Every edge must join a vertex of its first class to one of its second.
+    The boundary maps place V10 and V01 in one qubit range, so an endpoint
+    past its class would land on another class's row; it is refused instead,
+    naming the smallest such edge.
+    """
+    rows = [0] * size1
+    for a, b in edges:
+        if not (0 <= a < size0 and 0 <= b < size1):
+            a, b = min(e for e in edges if not (0 <= e[0] < size0 and 0 <= e[1] < size1))
+            raise ValidationError(
+                f"edge ({a}, {b}) in edges_{which} has an endpoint outside its "
+                f"class (sizes {size0} and {size1})"
+            )
+        rows[b] |= 1 << (shift + a)
+    return rows
 
 
 def _rev(edges: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:
@@ -402,11 +433,10 @@ def verify_chain_condition(cpx: BalancedProductComplex) -> ChainCheck:
 
     On failure reports the first V00 basis column whose image is nonzero.
     """
-    product = mat_mul(cpx.boundary_1, cpx.boundary_2)
-    if product.is_zero():
+    columns = reduce(or_, mat_mul(cpx.boundary_1, cpx.boundary_2).row_masks, 0)
+    if not columns:
         return ChainCheck(True)
-    witness = min(c for _, c in product.entries)
-    return ChainCheck(False, witness)
+    return ChainCheck(False, (columns & -columns).bit_length() - 1)
 
 
 # -- copies decomposition ----------------------------------------------------
@@ -555,8 +585,7 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed complex JSON: {exc}") from exc
-    _check_endpoints(cpx)
-    check = cpx.chain_check
+    check = cpx.chain_check              # building the maps checks edge endpoints
     if not check.ok:
         raise ValidationError(
             f"complex JSON violates the chain condition at V00 column {check.witness_column}"
@@ -564,28 +593,6 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
     if cpx.degrees is not None:
         _check_degrees(cpx)
     return cpx
-
-
-def _check_endpoints(cpx: BalancedProductComplex) -> None:
-    """Every edge must join a vertex of its first class to one of its second.
-
-    The boundary maps place V10 and V01 in one qubit range, so an endpoint past
-    its class would land on another class's row instead of being refused.
-    """
-    for which, size0, size1 in (
-        ("v00_v10", cpx.v00_size, cpx.v10_size),
-        ("v01_v11", cpx.v01_size, cpx.v11_size),
-        ("v00_v01", cpx.v00_size, cpx.v01_size),
-        ("v10_v11", cpx.v10_size, cpx.v11_size),
-    ):
-        bad = [(a, b) for a, b in getattr(cpx, f"edges_{which}")
-               if not (0 <= a < size0 and 0 <= b < size1)]
-        if bad:
-            a, b = min(bad)
-            raise ValidationError(
-                f"edge ({a}, {b}) in edges_{which} has an endpoint outside its "
-                f"class (sizes {size0} and {size1})"
-            )
 
 
 def _check_degrees(cpx: BalancedProductComplex) -> None:

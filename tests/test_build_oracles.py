@@ -25,7 +25,10 @@ from qbp.css import (
     greedy_flip_reduce,
     locally_minimal_distance,
     minimal_coset_representative,
+    normalized_syndrome_weight,
+    normalized_weight,
 )
+from qbp.decoder import guaranteed_correctable_weight, size_gates
 from qbp.errors import PreconditionError, ValidationError
 from qbp.expansion import certify_expansion
 from qbp.gf2 import F2Vector
@@ -277,6 +280,24 @@ class TestRandom:
             locally_minimal_distance(code, normalized=True)
         with pytest.raises(PreconditionError, match="down, right > 0"):
             minimal_coset_representative(code, gf2.mat_vec(code.hx, c1))
+
+    def test_zero_degree_refuses_every_normalized_quantity(self):
+        # The same 0-regular factor: each quantity that divides by a degree
+        # refuses it with a typed error, never a bare ZeroDivisionError.
+        cpx = hypergraph_product(random_bipartite(2, 2, 0, random.Random(1)),
+                                 bipartite_cycle(2))
+        code = extract_code(cpx)
+        assert (code.degrees.down, code.degrees.up) == (0, 0)
+        with pytest.raises(PreconditionError, match="down, right > 0, got down = 0"):
+            normalized_weight(code, F2Vector.from_support(code.n, [0]))
+        with pytest.raises(PreconditionError, match="down, right > 0, got down = 0"):
+            normalized_syndrome_weight(code, F2Vector.zero(code.m_x))
+        certs = [certify_expansion(g, "0to1", Fraction(1, 2), Fraction(1, 2))
+                 for g in (cpx.factor_x, cpx.factor_y)]
+        with pytest.raises(PreconditionError, match="up, left > 0, got up = 0"):
+            size_gates(cpx, *certs)
+        with pytest.raises(PreconditionError, match="down, up, right, left > 0"):
+            guaranteed_correctable_weight(cpx, *certs, Fraction(0))
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(BIREGULAR_SHAPES + [(6, 3, 2), (6, 6, 3), (8, 4, 1), (5, 5, 2)]),

@@ -112,7 +112,7 @@ class TestKernel:
     def test_deterministic_order(self):
         m = F2Matrix.from_dense([[1, 0, 1, 1], [0, 1, 1, 0]])
         b1 = gf2.kernel_basis(m)
-        b2 = gf2.kernel_basis(F2Matrix.from_entries(2, 4, m.entries))
+        b2 = gf2.kernel_basis(F2Matrix.from_entries(2, 4, gf2.to_json_dict(m)["entries"]))
         assert b1 == b2
 
 

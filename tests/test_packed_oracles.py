@@ -1,0 +1,248 @@
+"""Packed-row matrices and the one elimination kernel against the code they
+replaced.
+
+`F2Matrix` now holds only packed rows; the boundary maps are written from
+the edge classes, and rank, row spaces, kernels and `solve` share one
+leading-bit elimination.  The oracles here are the earlier entry-set
+boundary maps, the column-scan `_rref`, its kernel loop and the separate
+[A^T | I] elimination of `solve`.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qbp import gf2
+from qbp.css import extract_code, minimal_coset_representative
+from qbp.errors import ShapeError, ValidationError
+from qbp.gf2 import F2Matrix, F2Vector
+from qbp.groups import cyclic_group
+from qbp.instances import left_right_cayley, random_bipartite, star_product
+from qbp.product import hypergraph_product, verify_chain_condition
+
+FAMILIES = ["toric2", "toric3", "match8", "star12", "incstar13"]
+
+
+# -- oracles -------------------------------------------------------------------
+
+
+def oracle_rref(row_masks, cols):
+    """The column-scan elimination: one pivot per column, in ascending order."""
+    rows = [m for m in row_masks if m]
+    pivot_rows, pivot_cols = [], []
+    for col in range(cols):
+        bit = 1 << col
+        src = next((i for i, m in enumerate(rows) if m & bit), None)
+        if src is None:
+            continue
+        pivot = rows.pop(src)
+        rows = [m ^ pivot if m & bit else m for m in rows]
+        pivot_rows = [m ^ pivot if m & bit else m for m in pivot_rows]
+        pivot_rows.append(pivot)
+        pivot_cols.append(col)
+        if not rows:
+            break
+    return tuple(pivot_rows), tuple(pivot_cols)
+
+
+def oracle_kernel_basis(row_masks, cols):
+    pivot_rows, pivot_cols = oracle_rref(row_masks, cols)
+    basis = []
+    for free in range(cols):
+        if free in pivot_cols:
+            continue
+        support = {free} | {col for row, col in zip(pivot_rows, pivot_cols) if row >> free & 1}
+        basis.append(F2Vector.from_support(cols, support))
+    return basis
+
+
+def oracle_solve(a, b):
+    """Elimination on the rows of [A^T | I], so each pivot carries its combination."""
+    aug = [(m, 1 << i) for i, m in enumerate(a.transpose().row_masks)]
+    target, combo = b.to_mask(), 0
+    for col in range(a.rows):
+        bit = 1 << col
+        src = next((i for i, (m, _) in enumerate(aug) if m & bit), None)
+        if src is None:
+            continue
+        pm, pc = aug.pop(src)
+        aug = [(m ^ pm, c ^ pc) if m & bit else (m, c) for m, c in aug]
+        if target & bit:
+            target ^= pm
+            combo ^= pc
+    return None if target else F2Vector.from_mask(a.cols, combo)
+
+
+def oracle_boundaries(cpx):
+    """The boundary maps as entry sets, as they were built before."""
+    off = cpx.v10_size
+    b2 = [(z10, z00) for z00, z10 in cpx.edges_v00_v10]
+    b2 += [(off + z01, z00) for z00, z01 in cpx.edges_v00_v01]
+    b1 = [(z11, z10) for z10, z11 in cpx.edges_v10_v11]
+    b1 += [(z11, off + z01) for z01, z11 in cpx.edges_v01_v11]
+    return (F2Matrix.from_entries(cpx.v11_size, cpx.n_qubits, b1),
+            F2Matrix.from_entries(cpx.n_qubits, cpx.v00_size, b2))
+
+
+def oracle_minimal_coset_representative(code, syndrome):
+    """Exhaustive over the coset of the oracle's particular solution; the key
+    |v10| right + |v01| down, ties to the smaller mask."""
+    d, split = code.degrees, code.v10_size
+    base = oracle_solve(code.hx, syndrome).to_mask()
+    kernel = [v.to_mask() for v in oracle_kernel_basis(code.hx.row_masks, code.n)]
+    return min((d.right * (m & ((1 << split) - 1)).bit_count() + d.down * (m >> split).bit_count(),
+                m) for m in (base ^ k for k in gf2.iter_span_masks(kernel)))[1]
+
+
+# -- strategies ------------------------------------------------------------------
+
+
+@st.composite
+def matrices(draw, rows=None):
+    if rows is None:
+        rows = draw(st.integers(0, 10))
+    cols = draw(st.integers(0, 12))
+    density = draw(st.sampled_from([0.1, 0.3, 0.5, 0.9]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    masks = [sum(1 << c for c in range(cols) if rng.random() < density) for _ in range(rows)]
+    if rows and draw(st.booleans()):
+        # Repeated and summed rows make the rank deficient.
+        masks[-1] = masks[0] ^ masks[rows // 2]
+    return F2Matrix(rows, cols, tuple(masks))
+
+
+def assert_elimination_matches(m):
+    assert m._rref == oracle_rref(m.row_masks, m.cols)
+    assert gf2.rank(m) == len(oracle_rref(m.row_masks, m.cols)[0])
+    assert gf2.kernel_basis(m) == oracle_kernel_basis(m.row_masks, m.cols)
+    space = gf2.row_space(m)
+    assert (space.pivot_rows, space.pivot_cols) == oracle_rref(m.row_masks, m.cols)
+
+
+# -- tests -----------------------------------------------------------------------------
+
+
+class TestEliminationKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(matrices())
+    def test_rref_rank_kernel_match_the_column_scan(self, m):
+        assert_elimination_matches(m)
+        assert_elimination_matches(m.transpose())
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0), (3, 1), (1, 3)])
+    def test_empty_and_thin_shapes(self, shape):
+        rows, cols = shape
+        for m in (F2Matrix.zero(rows, cols),
+                  F2Matrix(rows, cols, tuple((1 << cols) - 1 for _ in range(rows)))):
+            assert_elimination_matches(m)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_code_matrices(self, family, request):
+        code = extract_code(request.getfixturevalue(family))
+        for m in (code.hx, code.hz):
+            assert_elimination_matches(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(), st.data())
+    def test_solve_finds_a_solution_exactly_when_the_oracle_does(self, m, data):
+        if data.draw(st.booleans()):
+            x = F2Vector.from_mask(m.cols, data.draw(st.integers(0, (1 << m.cols) - 1)))
+            b = gf2.mat_vec(m, x)                 # consistent by construction
+        else:
+            b = F2Vector.from_mask(m.rows, data.draw(st.integers(0, (1 << m.rows) - 1)))
+        found, expected = gf2.solve(m, b), oracle_solve(m, b)
+        assert (found is None) == (expected is None)
+        if found is not None:
+            assert found.length == m.cols
+            assert gf2.mat_vec(m, found) == b
+
+    def test_solve_shapes(self):
+        assert gf2.solve(F2Matrix.zero(0, 3), F2Vector.zero(0)) == F2Vector.zero(3)
+        assert gf2.solve(F2Matrix.zero(2, 0), F2Vector.zero(2)) == F2Vector.zero(0)
+        assert gf2.solve(F2Matrix.zero(2, 0), F2Vector.from_support(2, [1])) is None
+        with pytest.raises(ShapeError):
+            gf2.solve(F2Matrix.zero(2, 3), F2Vector.zero(3))
+
+    @pytest.mark.parametrize("family", ["toric2", "match8", "star12"])
+    def test_minimal_coset_representative_unchanged(self, family, request):
+        code = extract_code(request.getfixturevalue(family))
+        rng = random.Random(11)
+        for weight in (0, 1, 2, 3, 4):
+            for _ in range(6):
+                err = F2Vector.from_support(code.n, rng.sample(range(code.n), weight))
+                syndrome = gf2.mat_vec(code.hx, err)
+                rep = minimal_coset_representative(code, syndrome)
+                assert rep.vector.to_mask() == oracle_minimal_coset_representative(code, syndrome)
+
+
+class TestPackedRows:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_boundary_maps_match_the_entry_sets(self, family, request):
+        cpx = request.getfixturevalue(family)
+        assert (cpx.boundary_1, cpx.boundary_2) == oracle_boundaries(cpx)
+        t = cpx.transposed()
+        assert (t.boundary_1, t.boundary_2) == oracle_boundaries(t)
+
+    @pytest.mark.parametrize("build", [
+        lambda: left_right_cayley(cyclic_group(12), [1, 2], [1, 4]),
+        lambda: star_product(8, 3, 2),
+        lambda: hypergraph_product(random_bipartite(4, 3, 6, random.Random(5)),
+                                   random_bipartite(3, 5, 7, random.Random(6))),
+    ])
+    def test_more_boundary_maps(self, build):
+        cpx = build()
+        assert (cpx.boundary_1, cpx.boundary_2) == oracle_boundaries(cpx)
+
+    @pytest.mark.parametrize("which", ["v00_v10", "v01_v11", "v00_v01", "v10_v11"])
+    def test_boundary_maps_refuse_a_first_endpoint_past_its_class(self, toric2, which):
+        # (v10 + k, z11) in edges_v10_v11 would be V01 qubit k's column.
+        edges = getattr(toric2, f"edges_{which}")
+        a, b = min(edges)
+        size0 = {"v00_v10": toric2.v00_size, "v01_v11": toric2.v01_size,
+                 "v00_v01": toric2.v00_size, "v10_v11": toric2.v10_size}[which]
+        broken = replace(toric2, **{f"edges_{which}": edges | {(size0 + a, b)}})
+        with pytest.raises(ValidationError, match=rf"edge \({size0 + a}, {b}\) in edges_{which}"):
+            verify_chain_condition(broken)
+
+    def test_chain_witness_is_the_smallest_violating_column(self, toric3):
+        dropped = sorted(toric3.edges_v00_v10)[-7:]
+        broken = replace(toric3, edges_v00_v10=toric3.edges_v00_v10 - set(dropped))
+        b1, b2 = oracle_boundaries(broken)
+        columns = {c for r, c in gf2.to_json_dict(gf2.mat_mul(b1, b2))["entries"]}
+        assert len(columns) > 1
+        assert verify_chain_condition(broken).witness_column == min(columns)
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices(), st.data())
+    def test_transpose_product_and_views(self, a, data):
+        entries = {(r, c) for r in range(a.rows) for c in range(a.cols) if a.row_masks[r] >> c & 1}
+        assert a == F2Matrix.from_entries(a.rows, a.cols, entries)
+        assert F2Matrix.from_row_masks(a.rows, a.cols, list(a.row_masks)) == a
+        assert gf2.to_json_dict(a)["entries"] == sorted([r, c] for r, c in entries)
+        assert a.transpose() == F2Matrix.from_entries(a.cols, a.rows, {(c, r) for r, c in entries})
+        assert a.transpose().transpose() == a
+        assert a.col_masks == a.transpose().row_masks
+        assert a.is_zero() == (not entries)
+        b = data.draw(matrices(rows=a.cols))
+        expected = {(r, c) for r in range(a.rows) for c in range(b.cols)
+                    if sum(a.row_masks[r] >> k & b.row_masks[k] >> c & 1 for k in range(a.cols)) % 2}
+        assert gf2.mat_mul(a, b) == F2Matrix.from_entries(a.rows, b.cols, expected)
+
+    def test_range_checks(self):
+        with pytest.raises(ValidationError, match=r"entry \(1,3\) outside 2x3"):
+            F2Matrix(2, 3, (0b111, 0b1001))
+        with pytest.raises(ValidationError, match=r"entry \(2,0\) outside 2x3"):
+            F2Matrix.from_entries(2, 3, [(2, 0)])
+        with pytest.raises(ValidationError, match=r"entry \(0,-1\) outside 2x3"):
+            F2Matrix.from_entries(2, 3, [(0, -1)])
+        with pytest.raises(ValidationError, match="negative mask"):
+            F2Matrix(1, 3, (-1,))
+        with pytest.raises(ShapeError):
+            F2Matrix(2, 3, (0,))
+        with pytest.raises(ShapeError):
+            F2Matrix.from_entries(-1, 3, [(0, 0)])
+        with pytest.raises(ShapeError):
+            F2Matrix.zero(2, -1)
