@@ -178,6 +178,9 @@ def _cmd_construct(args) -> tuple[dict, dict, Optional[str]]:
             raise ValidationError("--group and --actions must be given together")
         group = group_from_json(_load_json(args.group))
         acts = _load_json(args.actions)
+        if not isinstance(acts, dict):
+            raise ValidationError(
+                f"actions JSON must be an object of four tables, got {type(acts).__name__}")
         try:
             ax = GraphAction(group,
                              action_from_json({"act": acts["left_v0"]}, group),

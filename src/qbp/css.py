@@ -6,14 +6,21 @@ Hx Hz^T = 0 is the chain condition; a code read off a complex reuses the
 complex's one chain-condition verdict, and a code given as bare matrices
 multiplies them.
 
-Distance oracles enumerate kernels outright (budgeted), so every reported
-value is exact.  Normalized weights |v10|/down + |v01|/right are compared
+Distance oracles cover whole kernels (budgeted), so every reported value is
+exact.  They read the kernel through the bit-sliced span kernel
+`gf2.span_planes`: the 2^dim combinations of a kernel basis come in blocks
+of at most 2^12, and a block is one 2^12-bit plane per qubit (bit j is the
+qubit's value in combination j).  Weights, keys, local minimality and
+minima are bit-sliced integer arithmetic on those planes, with no loop over
+vectors, and a call holds one block at a time: at most 512 bytes per qubit
+and stabilizer residue coordinate, plus O(log n) planes for each sum, however
+large the kernel.  Normalized weights |v10|/down + |v01|/right are compared
 through the integer key |v10|*right + |v01|*down, which orders them exactly
 (down, right > 0); a Fraction is built only where one is returned.
-Stabilizer membership is carried along the Gray-code walk as a residue
-(reduction modulo a row space is linear over GF(2)).  Oracles parallelize
-over kernel strata in principle; the implementation is sequential with the
-same deterministic result.
+Stabilizer membership comes from residues: reduction modulo a row space is
+linear over GF(2), so the basis residues are sliced alongside the qubits.
+Blocks are independent; they are taken in ascending order, one after the
+other.
 """
 
 from __future__ import annotations
@@ -200,8 +207,11 @@ def brute_distance(code: CssCode, which: str, budget: int = DEFAULT_KERNEL_BUDGE
         d is None with no_logicals=True when the kernel equals the
         stabilizers (nothing nontrivial to measure).
 
-    Stabilizer membership is one XOR per vector: each basis vector's residue
-    modulo the stabilizer row space rides along the Gray-code walk.
+    The kernel is read in bit-sliced blocks of at most 2^12 combinations
+    (`gf2.span_planes`): a block's nontrivial combinations are the OR of its
+    residue planes (`_with_residues`), its weights a carry-save count of its
+    qubit planes, and its candidate the least weight among the nontrivial
+    ones.  vectors_enumerated is 2^kernel_dim, every combination counted.
     """
     if which == "z":
         kernel_of, stabilizers = code.hx, code.z_stabilizers
@@ -209,27 +219,51 @@ def brute_distance(code: CssCode, which: str, budget: int = DEFAULT_KERNEL_BUDGE
         kernel_of, stabilizers = code.hz, code.x_stabilizers
     else:
         raise ValidationError(f"which must be 'x' or 'z', got {which!r}")
-    basis = gf2.kernel_basis(kernel_of)
-    dim = len(basis)
+    masks = _kernel_masks(kernel_of, budget)
+    n = code.n
+    best: Optional[int] = None
+    for block in gf2.span_planes(*_with_residues(masks, stabilizers, n)):
+        nontrivial = _nontrivial(block.planes, n)
+        if nontrivial:
+            w, _ = gf2.plane_min(gf2.plane_sum((p, 1) for p in block.planes[:n]), nontrivial)
+            if best is None or w < best:
+                best = w
+    return DistanceReport(which, best, best is None, len(masks), 1 << len(masks))
+
+
+def _kernel_masks(matrix: F2Matrix, budget: int, what: str = "kernel") -> list[int]:
+    """The kernel basis of `matrix` as packed masks, refused over the budget."""
+    dim = matrix.cols - gf2.rank(matrix)
     if 2 ** dim > budget:
         raise OracleUnavailableError(
-            f"kernel has 2^{dim} vectors, over the budget of {budget}"
+            f"{what} has 2^{dim} vectors, over the budget of {budget}"
         )
-    # Reduction modulo the stabilizer row space is linear, so the residue of
-    # each kernel vector rides along the same Gray-code walk: a vector is a
-    # stabilizer (the zero vector included) exactly when its residue is 0.
-    masks = [v.to_mask() for v in basis]
+    return [v.to_mask() for v in gf2.kernel_basis(matrix)]
+
+
+def _with_residues(masks: list[int], stabilizers: gf2.RowSpace,
+                   n: int) -> tuple[list[int], list[int]]:
+    """Kernel masks with their stabilizer residues above bit n, and the
+    coordinates to slice: the n qubits, then n + each residue pivot column.
+
+    Reduction modulo the stabilizer row space is linear, so a combination's
+    residue is the same combination of the basis residues.  An element of
+    the residues' span is 0 exactly when it is 0 on the pivot columns of
+    their echelon form, so a combination is a stabilizer (the zero
+    combination included) exactly when its k pivot planes are all clear.
+    """
     residues = [stabilizers.reduce_mask(m) for m in masks]
-    best: Optional[int] = None
-    count = 0
-    for mask, residue in zip(gf2.iter_span_masks(masks), gf2.iter_span_masks(residues)):
-        count += 1
-        if residue == 0:
-            continue
-        w = mask.bit_count()
-        if best is None or w < best:
-            best = w
-    return DistanceReport(which, best, best is None, dim, count)
+    pivots = gf2.row_space(F2Matrix.from_row_masks(len(residues), n, residues)).pivot_cols
+    return ([m | r << n for m, r in zip(masks, residues)],
+            [*range(n), *(n + c for c in pivots)])
+
+
+def _nontrivial(planes: tuple[int, ...], n: int) -> int:
+    """The combinations of a `_with_residues` block that are not stabilizers."""
+    out = 0
+    for plane in planes[n:]:
+        out |= plane
+    return out
 
 
 def normalized_weight(code: CssCode, c1: F2Vector) -> Fraction:
@@ -249,6 +283,19 @@ def normalized_syndrome_weight(code: CssCode, c0: F2Vector) -> Fraction:
     return Fraction(c0.weight, code.degrees.down * code.degrees.right)
 
 
+def _key_weights(code: CssCode, normalized: bool) -> tuple[int, int]:
+    """(a, b) of the integer weight key a|m & V10| + b|m & V01|.
+
+    (right, down) when normalized, so the key is down*right times
+    |v10|/down + |v01|/right; (1, 1) otherwise.  A zero degree leaves the
+    normalized weight undefined and is refused.
+    """
+    if not normalized:
+        return 1, 1
+    code.degrees.require_positive("normalized weight", "down", "right")
+    return code.degrees.right, code.degrees.down
+
+
 def _flip_search(code: CssCode, normalized: bool):
     """The integer weight key and the first improving Hz-row flip.
 
@@ -263,10 +310,7 @@ def _flip_search(code: CssCode, normalized: bool):
     """
     split = code.v10_size
     low_block = (1 << split) - 1
-    a, b = 1, 1
-    if normalized:
-        code.degrees.require_positive("normalized weight", "down", "right")
-        a, b = code.degrees.right, code.degrees.down
+    a, b = _key_weights(code, normalized)
 
     def key(m: int) -> int:
         return a * (m & low_block).bit_count() + b * (m >> split).bit_count()
@@ -352,35 +396,48 @@ def locally_minimal_distance(
     normalized: bool = True,
     budget: int = DEFAULT_KERNEL_BUDGET,
 ) -> LocallyMinimalDistanceReport:
-    """Enumerate ker(Hx) and minimize weight over locally minimal vectors.
+    """Cover ker(Hx) and minimize weight over locally minimal vectors.
 
-    Local minimality uses the support-local test of `_flip_search` on the
-    exact integer weight key; stabilizer membership is the residue modulo
-    the Hz row space carried along the Gray-code walk, as in
-    `brute_distance`.
+    The kernel is read in bit-sliced blocks of at most 2^12 combinations, as
+    in `brute_distance`.  Adding Hz row r changes the integer key of m by
+    key(r) - 2 key(m & r), so m is locally minimal when no row has
+    2 key(m & r) > key(r); for each row, key(m & r) is a carry-save sum of
+    its qubits' planes weighted by the key, compared with key(r) // 2 for
+    every combination of the block at once.  Stabilizer membership is the
+    residue modulo the Hz row space, as in `brute_distance`.
     """
-    basis = gf2.kernel_basis(code.hx)
-    dim = len(basis)
-    if 2 ** dim > budget:
-        raise OracleUnavailableError(
-            f"kernel has 2^{dim} vectors, over the budget of {budget}"
-        )
+    masks = _kernel_masks(code.hx, budget)
     if normalized and code.degrees is None:
         raise PreconditionError("normalized local minimality needs recorded degrees")
-    _, first_improving = _flip_search(code, normalized)
+    a, b = _key_weights(code, normalized)
+    n, split = code.n, code.v10_size
+    # Per Hz row: its qubits with their key weights, and floor(key(r) / 2);
+    # adding row r strictly lowers the key of m when key(m & r) exceeds it.
+    rows = []
+    for r in code.hz.row_masks:
+        terms = [(q, a if q < split else b) for q in gf2.bits(r)]
+        rows.append((terms, sum(w for _, w in terms) // 2))
     best_all: Optional[int] = None
     best_nontrivial: Optional[int] = None
-    masks = [v.to_mask() for v in basis]
-    residues = [code.z_stabilizers.reduce_mask(m) for m in masks]
-    for mask, residue in zip(gf2.iter_span_masks(masks), gf2.iter_span_masks(residues)):
-        if mask == 0 or first_improving(mask) is not None:
+    for block in gf2.span_planes(*_with_residues(masks, code.z_stabilizers, n)):
+        planes = block.planes
+        improvable = 0
+        for terms, bound in rows:
+            improvable |= gf2.plane_greater(
+                gf2.plane_sum((planes[q], w) for q, w in terms), bound)
+        minimal = block.full & ~improvable
+        if block.start == 0:
+            minimal &= ~1                # the zero combination
+        if not minimal:
             continue
-        w = mask.bit_count()
+        weights = gf2.plane_sum((p, 1) for p in planes[:n])
+        w, _ = gf2.plane_min(weights, minimal)
         if best_all is None or w < best_all:
             best_all = w
-        if residue and (best_nontrivial is None or w < best_nontrivial):
-            best_nontrivial = w
-    return LocallyMinimalDistanceReport(normalized, best_all, best_nontrivial, dim)
+        found = gf2.plane_min(weights, minimal & _nontrivial(planes, n))
+        if found is not None and (best_nontrivial is None or found[0] < best_nontrivial):
+            best_nontrivial = found[0]
+    return LocallyMinimalDistanceReport(normalized, best_all, best_nontrivial, len(masks))
 
 
 @dataclass(frozen=True)
@@ -401,27 +458,39 @@ def minimal_coset_representative(
     Exhaustive over the solution coset (particular solution plus the full
     kernel of Hx), so only feasible at toy sizes; budgeted accordingly.
     Candidates are compared by the integer key of `_flip_search` (ties go to
-    the smaller mask); the returned weight is that key over down*right.
+    the smaller mask); the returned weight is that key over down*right.  The
+    coset is read in bit-sliced blocks of at most 2^12 combinations, as in
+    `brute_distance`: a block's least key is a minimum over carry-save key
+    sums, and its smallest tied mask is found plane by plane from the
+    highest qubit down.
     """
     if code.degrees is None:
         raise PreconditionError("normalized weight needs recorded degrees")
     particular = gf2.solve(code.hx, syndrome)
     if particular is None:
         raise ValidationError("syndrome is not in the image of Hx")
-    basis = gf2.kernel_basis(code.hx)
-    if 2 ** len(basis) > budget:
-        raise OracleUnavailableError(
-            f"coset has 2^{len(basis)} vectors, over the budget of {budget}"
-        )
-    key, _ = _flip_search(code, normalized=True)
+    masks = _kernel_masks(code.hx, budget, "coset")
+    a, b = _key_weights(code, True)
+    split = code.v10_size
     base = particular.to_mask()
-    best_mask = None
-    best_key: Optional[int] = None
-    for kmask in gf2.iter_span_masks([v.to_mask() for v in basis]):
-        m = base ^ kmask
-        k = key(m)
-        if best_key is None or k < best_key or (k == best_key and m < best_mask):
-            best_key, best_mask = k, m
+    best: Optional[tuple[int, int]] = None         # (key, mask)
+    for block in gf2.span_planes(masks, range(code.n), offset=base):
+        planes = block.planes
+        k, tied = gf2.plane_min(
+            gf2.plane_sum((p, a if q < split else b) for q, p in enumerate(planes)), block.full)
+        if best is not None and k > best[0]:
+            continue
+        for p in reversed(planes):       # the smallest mask: highest qubit first
+            low = tied & ~p
+            if low:
+                tied = low
+        c = block.start + tied.bit_length() - 1
+        m = base
+        for i in gf2.bits(c):
+            m ^= masks[i]
+        if best is None or (k, m) < best:
+            best = (k, m)
+    best_key, best_mask = best
     vec = F2Vector.from_mask(code.n, best_mask)
     s10, s01 = code.split_support(vec)
     d = code.degrees

@@ -35,12 +35,13 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .css import CssCode, extract_code
-from .errors import InternalInvariantError, PreconditionError, ValidationError
+from .errors import BudgetExceededError, InternalInvariantError, PreconditionError, ValidationError
 from .expansion import ExpansionCertificate, TreePartition
 from .gf2 import F2Vector
 from .product import BalancedProductComplex
 
 _FLIP_CACHE_LIMIT = 1 << 12   # per-vertex subset tables above this are not cached
+_PAIR_BITS_LIMIT = 20         # a V00 vertex with |N10| + |N01| above this is refused
 
 
 @dataclass(frozen=True)
@@ -162,6 +163,12 @@ class _DecoderIndex:
             tmp01[z00].append(z01)
         self.n10: list[tuple[int, ...]] = [tuple(sorted(v)) for v in tmp10]
         self.n01: list[tuple[int, ...]] = [tuple(sorted(v)) for v in tmp01]
+        # The flip search enumerates 2^(|N10| + |N01|) subset pairs per vertex.
+        for x00, (a, b) in enumerate(zip(tmp10, tmp01)):
+            if len(a) + len(b) > _PAIR_BITS_LIMIT:
+                raise BudgetExceededError(
+                    f"V00 vertex {x00} has |N10| + |N01| = {len(a) + len(b)}: its flip "
+                    f"pairs exceed the budget of 2^{_PAIR_BITS_LIMIT}")
         self.v11_of_v10: list[int] = [0] * cpx.v10_size
         for z10, z11 in cpx.edges_v10_v11:
             self.v11_of_v10[z10] |= 1 << z11

@@ -7,6 +7,15 @@ Rank, row spaces, kernels and linear solves share one elimination kernel,
 `_eliminate`, whose reduced row echelon form is unique.  Everything is
 exact; there is no floating point anywhere.
 
+A span is read bit-sliced by `span_planes`: its 2^k combinations come in
+blocks of at most 2^12 (SPAN_BLOCK_BITS), and a block is one 2^12-bit
+integer, a plane, per requested coordinate, with bit j of the plane that
+coordinate of combination j.  A block therefore takes at most 512 bytes per
+coordinate, whatever k is.  `plane_sum` (a carry-save adder tree over
+weighted planes, O(1) wide operations per plane), `plane_min` and
+`plane_greater` do integer arithmetic on every combination of a block at
+once; the exact distance oracles in `css` are built from them.
+
 All values are immutable after construction and safe to share across
 threads.  Cached views (column masks, the echelon form) are derived from the
 rows once and never change.
@@ -16,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ShapeError, ValidationError
 
@@ -45,7 +54,7 @@ class F2Vector:
 
     @classmethod
     def from_mask(cls, length: int, mask: int) -> "F2Vector":
-        return cls(length, frozenset(_bits(mask)))
+        return cls(length, frozenset(bits(mask)))
 
     @property
     def weight(self) -> int:
@@ -131,7 +140,7 @@ class F2Matrix:
         masks = [0] * self.cols
         for r, m in enumerate(self.row_masks):
             bit = 1 << r
-            for c in _bits(m):
+            for c in bits(m):
                 masks[c] |= bit
         return tuple(masks)
 
@@ -252,7 +261,7 @@ def kernel_basis(a: F2Matrix) -> list[F2Vector]:
     for row, col in zip(pivot_rows, pivot_cols):
         vectors[col] = 0
         bit = 1 << col
-        for f in _bits(row ^ bit):
+        for f in bits(row ^ bit):
             vectors[f] |= bit
     return [F2Vector.from_mask(a.cols, v) for v in vectors if v]
 
@@ -312,18 +321,126 @@ def solve(a: F2Matrix, b: F2Vector) -> Optional[F2Vector]:
     return F2Vector.from_mask(a.cols, x)
 
 
-def iter_span_masks(masks: Sequence[int]) -> Iterator[int]:
-    """All 2^k combinations of the given packed vectors, in Gray-code order.
+SPAN_BLOCK_BITS = 12     # a span block holds at most 2^12 combinations
 
-    The zero combination comes first.  Intended for brute-force oracles;
-    callers are responsible for budgeting.
+
+class SpanBlock(NamedTuple):
+    """One block of a bit-sliced span (see `span_planes`)."""
+
+    start: int                # index of the block's first combination
+    full: int                 # one bit per combination of the block
+    planes: tuple[int, ...]   # one plane per requested coordinate
+
+
+def span_planes(masks: Sequence[int], coords: Iterable[int],
+                offset: int = 0) -> Iterator[SpanBlock]:
+    """The span of packed vectors, bit-sliced in blocks of combinations.
+
+    Combination c, for 0 <= c < 2^len(masks), is `offset` XOR masks[i] for
+    each set bit i of c.  The combinations come in 2^(len(masks) - b) blocks
+    of 2^b, b = min(len(masks), SPAN_BLOCK_BITS), in ascending order.  For
+    each block this yields its start, its `full` mask (2^b ones) and one
+    plane per coordinate of `coords`: bit j of planes[t] is coordinate
+    coords[t] of combination start + j.  A block is one 2^b-bit integer
+    (at most 512 bytes) per coordinate, whatever the size of the span;
+    callers are responsible for budgeting the number of blocks.
     """
-    acc = 0
-    yield acc
-    n = len(masks)
-    for i in range(1, 1 << n):
-        acc ^= masks[(i & -i).bit_length() - 1]
-        yield acc
+    b = min(len(masks), SPAN_BLOCK_BITS)
+    width = 1 << b
+    full = (1 << width) - 1
+    # Bit j of index[i] is bit i of j: alternating runs of 2^i zeros and ones.
+    index = [full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+             for i in range(b)]
+    columns: dict[int, int] = {}         # coordinate -> the masks holding it
+    for i, m in enumerate(masks):
+        for q in bits(m):
+            columns[q] = columns.get(q, 0) | 1 << i
+    low, high = [], []
+    for q in coords:
+        col = columns.get(q, 0)
+        plane = full if offset >> q & 1 else 0
+        for i in bits(col & (width - 1)):
+            plane ^= index[i]
+        low.append(plane)
+        high.append(col >> b)
+    yield SpanBlock(0, full, tuple(low))
+    for block in range(1, 1 << (len(masks) - b)):
+        # The masks past the first b add the same vector to every combination
+        # of a block, so each plane is the first block's or its complement.
+        yield SpanBlock(block << b, full, tuple(p ^ full if (h & block).bit_count() & 1 else p
+                                                for p, h in zip(low, high)))
+
+
+def plane_sum(terms: Iterable[tuple[int, int]]) -> list[int]:
+    """Bit-sliced sum of weighted planes.
+
+    Each term is (plane, weight) with weight >= 0; bit j of the sum is
+    weight * (bit j of plane) summed over the terms.  Returns the sum's
+    binary digits as planes, least significant first.  A carry-save adder
+    tree: each full adder takes three planes of one digit to one plane
+    there and a carry into the next, so the cost is O(1) wide operations
+    per plane and digit of weight.
+    """
+    columns: list[list[int]] = []
+    for plane, weight in terms:
+        k = 0
+        while weight and plane:
+            if weight & 1:
+                while len(columns) <= k:
+                    columns.append([])
+                columns[k].append(plane)
+            weight >>= 1
+            k += 1
+    digits = []
+    for k, col in enumerate(columns):    # carries append columns as they go
+        while len(col) > 1:
+            x, y = col.pop(), col.pop()
+            t = x ^ y
+            if col:
+                z = col.pop()
+                col.append(t ^ z)
+                carry = x & y | t & z
+            else:
+                col.append(t)
+                carry = x & y
+            if k + 1 == len(columns):
+                columns.append([])
+            columns[k + 1].append(carry)
+        digits.append(col[0] if col else 0)
+    return digits
+
+
+def plane_min(digits: Sequence[int], target: int) -> Optional[tuple[int, int]]:
+    """The least bit-sliced value among the target bits, and where it occurs.
+
+    Returns (value, the target bits holding that value), or None when the
+    target is empty.  One pass from the most significant digit down.
+    """
+    if not target:
+        return None
+    value = 0
+    for k in reversed(range(len(digits))):
+        low = target & ~digits[k]
+        if low:
+            target = low
+        else:
+            value |= 1 << k
+    return value, target
+
+
+def plane_greater(digits: Sequence[int], bound: int) -> int:
+    """The bits whose bit-sliced value exceeds the constant bound >= 0."""
+    if bound >> len(digits):
+        return 0                         # every value is below 2^len(digits)
+    greater, equal = 0, -1
+    for k in reversed(range(len(digits))):
+        d = digits[k]
+        if bound >> k & 1:
+            equal &= d
+        else:
+            greater |= equal & d
+            equal &= ~d
+    return greater
 
 
 # -- interchange formats --------------------------------------------------
@@ -333,7 +450,7 @@ def to_json_dict(a: F2Matrix) -> dict:
     return {
         "rows": a.rows,
         "cols": a.cols,
-        "entries": [[r, c] for r, m in enumerate(a.row_masks) for c in _bits(m)],
+        "entries": [[r, c] for r, m in enumerate(a.row_masks) for c in bits(m)],
     }
 
 
@@ -351,8 +468,8 @@ def to_alist(a: F2Matrix) -> str:
     """Serialize in alist form: header ``n m`` (columns then rows), the
     maximum column/row weights, per-column and per-row weights, then the
     1-based index lists padded with zeros to the maximum weight."""
-    col_idx = [sorted(_bits(m)) for m in a.col_masks]
-    row_idx = [sorted(_bits(m)) for m in a.row_masks]
+    col_idx = [sorted(bits(m)) for m in a.col_masks]
+    row_idx = [sorted(bits(m)) for m in a.row_masks]
     max_col = max((len(x) for x in col_idx), default=0)
     max_row = max((len(x) for x in row_idx), default=0)
     lines = [f"{a.cols} {a.rows}", f"{max_col} {max_row}"]
@@ -395,7 +512,8 @@ def from_alist(text: str) -> F2Matrix:
     return F2Matrix.from_entries(rows, cols, entries)
 
 
-def _bits(mask: int) -> Iterator[int]:
+def bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of a nonnegative mask, ascending."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -275,10 +275,20 @@ def group_to_json(group: FiniteGroup) -> dict:
 
 
 def group_from_json(obj: dict) -> FiniteGroup:
+    """Load `{order, mul, label}`; `order`, when present, must be the int
+    row count of `mul`."""
     try:
-        return FiniteGroup.from_table(obj["mul"], label=str(obj.get("label", "")))
+        group = FiniteGroup.from_table(obj["mul"], label=str(obj.get("label", "")))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed group JSON: {exc}") from exc
+    if "order" in obj:
+        order = obj["order"]
+        if type(order) is not int:
+            raise ValidationError(f"group order must be an int, got {order!r}")
+        if order != group.order:
+            raise ValidationError(
+                f"group order {order} does not match the {group.order}-row table")
+    return group
 
 
 def action_from_json(obj: dict, group: FiniteGroup) -> GroupAction:

@@ -1,6 +1,13 @@
-"""Shared instances; session-scoped since everything is immutable."""
+"""Shared instances; session-scoped since everything is immutable.
+
+`HYPOTHESIS_PROFILE=ci` selects the `ci` profile: the same examples on every
+run (derandomized), with each test's own `max_examples`.
+"""
+
+import os
 
 import pytest
+from hypothesis import settings
 
 import qbp
 from qbp.groups import cyclic_group
@@ -13,6 +20,9 @@ from qbp.instances import (
     star_product,
     toric_complex,
 )
+
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

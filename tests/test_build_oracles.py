@@ -9,9 +9,12 @@ Hz row, O(rank) row-space membership per vector, and the per-subset
 Fraction bound.
 """
 
+import functools
 import itertools
 import math
+import operator
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 
 from qbp import gf2
 from qbp.css import (
+    CssCode,
     brute_distance,
     extract_code,
     greedy_flip_reduce,
@@ -31,7 +35,7 @@ from qbp.css import (
 from qbp.decoder import guaranteed_correctable_weight, size_gates
 from qbp.errors import PreconditionError, ValidationError
 from qbp.expansion import certify_expansion
-from qbp.gf2 import F2Vector
+from qbp.gf2 import F2Matrix, F2Vector
 from qbp.graphs import regularity
 from qbp.instances import (
     bipartite_cycle,
@@ -41,14 +45,26 @@ from qbp.instances import (
     random_biregular,
     star_graph,
     star_product,
+    toric_complex,
 )
-from qbp.product import hypergraph_product
+from qbp.product import DegreeProfile, hypergraph_product
 
 EPSILONS = (Fraction(0), Fraction(1, 7), Fraction(1, 2))
 ORACLE_KERNEL_DIM = 12
 
 
 # -- oracles -------------------------------------------------------------------
+
+
+def gray_span(masks):
+    """All 2^k combinations of packed vectors in Gray-code order, zero first:
+    the one-vector-at-a-time walk the distance oracles made before the
+    bit-sliced span kernel."""
+    acc = 0
+    yield acc
+    for i in range(1, 1 << len(masks)):
+        acc ^= masks[(i & -i).bit_length() - 1]
+        yield acc
 
 
 def fraction_weight(code, normalized):
@@ -67,7 +83,7 @@ def oracle_brute_distance(code, which):
     basis = gf2.kernel_basis(kernel_of)
     best = None
     count = 0
-    for mask in gf2.iter_span_masks([v.to_mask() for v in basis]):
+    for mask in gray_span([v.to_mask() for v in basis]):
         count += 1
         if mask == 0 or stabilizers.contains_mask(mask):
             continue
@@ -82,7 +98,7 @@ def oracle_locally_minimal_distance(code, normalized):
     columns = code.hz.row_masks
     basis = gf2.kernel_basis(code.hx)
     best_all = best_nontrivial = None
-    for mask in gf2.iter_span_masks([v.to_mask() for v in basis]):
+    for mask in gray_span([v.to_mask() for v in basis]):
         if mask == 0:
             continue
         value = measure(mask)
@@ -119,7 +135,7 @@ def oracle_minimal_coset_representative(code, syndrome):
     measure = fraction_weight(code, True)
     base = gf2.solve(code.hx, syndrome).to_mask()
     best_mask = best_val = None
-    for kmask in gf2.iter_span_masks([v.to_mask() for v in gf2.kernel_basis(code.hx)]):
+    for kmask in gray_span([v.to_mask() for v in gf2.kernel_basis(code.hx)]):
         m = base ^ kmask
         val = measure(m)
         if best_val is None or val < best_val or (val == best_val and m < best_mask):
@@ -307,3 +323,95 @@ class TestRandom:
     def test_certificates(self, shape, seed, epsilon, c, trials):
         assume(c > 0)
         assert_certificates_agree(biregular(shape, seed), c, epsilon, trials=trials, seed=seed)
+
+
+# -- the bit-sliced span kernel ------------------------------------------------------
+
+@st.composite
+def kernel_codes(draw, dim):
+    """A CSS code whose Hx kernel has dimension `dim`.
+
+    Hx is n - dim random rows of full rank; Hz rows are random combinations
+    of its kernel basis, or the basis itself (k = 0).  The degrees, and so
+    the key weights, are drawn with down != right allowed.
+    """
+    n = dim + draw(st.integers(0 if dim else 1, 4))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    hx = F2Matrix.from_row_masks(n - dim, n, [rng.getrandbits(n) for _ in range(n - dim)])
+    assume(gf2.rank(hx) == n - dim)
+    basis = [v.to_mask() for v in gf2.kernel_basis(hx)]
+    if draw(st.booleans()):
+        hz_rows = basis                                      # every logical is trivial
+    else:
+        hz_rows = [functools.reduce(operator.xor, (m for m in basis if rng.random() < 0.3), 0)
+                   for _ in range(rng.randint(0, 3))]
+    degrees = DegreeProfile(draw(st.integers(1, 4)), 1, draw(st.integers(1, 4)), 1)
+    return CssCode(hx, F2Matrix.from_row_masks(len(hz_rows), n, hz_rows),
+                   draw(st.integers(0, n)), degrees)
+
+
+def assert_span_oracles_agree(code, normalized, syndrome):
+    for which, matrix in (("z", code.hx), ("x", code.hz)):
+        if kernel_dim(matrix) <= 17:
+            r = brute_distance(code, which)
+            assert (r.which, r.d, r.no_logicals, r.kernel_dim, r.vectors_enumerated) == \
+                oracle_brute_distance(code, which)
+    r = locally_minimal_distance(code, normalized=normalized)
+    assert (r.normalized, r.d_lm_all, r.d_lm_nontrivial, r.kernel_dim) == \
+        oracle_locally_minimal_distance(code, normalized)
+    rep = minimal_coset_representative(code, syndrome)
+    assert (rep.vector, rep.normalized_weight) == \
+        oracle_minimal_coset_representative(code, syndrome)
+
+
+class TestSpanKernel:
+    # Kernel dimensions around the block of 2^12 combinations: one block of
+    # one combination, of two, one full block, two blocks; 17 is 32 blocks.
+    @pytest.mark.parametrize("dim", [0, 1, 12, 13])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_gray_walk(self, dim, data):
+        self.check(data.draw(kernel_codes(dim)), data)
+
+    @settings(max_examples=1, deadline=None)      # 2^17 Fraction-weighted oracle steps
+    @given(data=st.data())
+    def test_multi_block_matches_the_gray_walk(self, data):
+        self.check(data.draw(kernel_codes(17)), data)
+
+    @staticmethod
+    def check(code, data):
+        error = F2Vector.from_mask(code.n, data.draw(st.integers(0, (1 << code.n) - 1)))
+        assert_span_oracles_agree(code, data.draw(st.booleans()), gf2.mat_vec(code.hx, error))
+
+    def test_toric_multi_block_distance(self):
+        code = extract_code(toric_complex(4))
+        assert kernel_dim(code.hx) == 17
+        r = brute_distance(code, "z")
+        assert (r.which, r.d, r.no_logicals, r.kernel_dim, r.vectors_enumerated) == \
+            oracle_brute_distance(code, "z") == ("z", 4, False, 17, 1 << 17)
+
+    @pytest.mark.parametrize("build", [lambda: toric_complex(4), lambda: star_product(20, 3, 2)],
+                             ids=["toric4", "star20"])
+    def test_memory_is_bounded_by_the_block(self, build):
+        # 2^17 and 2^20 combinations; the oracles hold one block at a time.
+        code = extract_code(build())
+        for oracle in (lambda: brute_distance(code, "z"), lambda: locally_minimal_distance(code)):
+            tracemalloc.start()
+            try:
+                oracle()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1 << 20
+
+    def test_minimal_coset_ties_go_to_the_smaller_mask(self):
+        # Qubits 0 and 2 have equal Hx columns and lie in the same block, so
+        # the coset of either holds both weight-1 vectors at the same key.
+        hx = F2Matrix.from_dense([[1, 0, 1, 0, 0], [0, 1, 0, 1, 0], [0, 0, 0, 1, 1]])
+        code = CssCode(hx, F2Matrix.zero(0, 5), 3, DegreeProfile(2, 1, 3, 1))
+        for q, expected in ((0, 0), (2, 0), (1, 1)):
+            syndrome = gf2.mat_vec(hx, F2Vector.from_support(5, [q]))
+            rep = minimal_coset_representative(code, syndrome)
+            assert rep.vector == F2Vector.from_support(5, [expected])
+            assert (rep.vector, rep.normalized_weight) == \
+                oracle_minimal_coset_representative(code, syndrome)

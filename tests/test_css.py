@@ -150,6 +150,19 @@ class TestDistance:
         with pytest.raises(OracleUnavailableError):
             brute_distance(toric3_code, "z", budget=512)
 
+    def test_budget_boundary(self, toric3_code):
+        # ker(Hx) holds exactly 2^10 vectors: a budget of 2^10 runs all
+        # three oracles, one less refuses each of them.
+        code = toric3_code
+        syndrome = gf2.mat_vec(code.hx, F2Vector.from_support(code.n, [0]))
+        oracles = (lambda b: brute_distance(code, "z", budget=b),
+                   lambda b: locally_minimal_distance(code, budget=b),
+                   lambda b: minimal_coset_representative(code, syndrome, budget=b))
+        for oracle in oracles:
+            oracle(1 << 10)
+            with pytest.raises(OracleUnavailableError, match="has 2\\^10 vectors"):
+                oracle((1 << 10) - 1)
+
     def test_balanced_product_code_parameters(self):
         # Regression values from the same oracle that the toric family
         # anchors: left-right Cayley products with two generators per side.
@@ -175,11 +188,12 @@ class TestDistance:
         # Cross-check: some weight-2 kernel vector exists outside the
         # stabilizers, and no weight-1 vector does.
         code = toric2_code
-        basis = gf2.kernel_basis(code.hx)
-        masks = [v.to_mask() for v in basis]
+        span = [0]
+        for v in gf2.kernel_basis(code.hx):
+            span += [m ^ v.to_mask() for m in span]
         weights = sorted(
             m.bit_count()
-            for m in gf2.iter_span_masks(masks)
+            for m in span
             if m and not code.z_stabilizers.contains_mask(m)
         )
         assert weights[0] == 2
@@ -277,6 +291,19 @@ class TestLocallyMinimalDistance:
         assert is_locally_minimal(code, vec, normalized=False)
         report = locally_minimal_distance(code, normalized=False)
         assert report.d_lm_all is not None and report.d_lm_all <= vec.weight
+
+    def test_normalized_key_can_skip_the_smallest_logical(self):
+        # Qubit 0 is V10, qubits 1 and 2 are V01; down = 1, right = 4 make
+        # the key 4|v10| + |v01|.  The weight-1 logical {0} (key 4) is
+        # improved by the Hz row {0, 1, 2} to {1, 2} (key 2), so the least
+        # nontrivial locally minimal weight is 2 while d_z is 1.
+        code = CssCode(F2Matrix.from_dense([[0, 1, 1]]), F2Matrix.from_dense([[1, 1, 1]]),
+                       1, DegreeProfile(1, 1, 4, 1))
+        assert brute_distance(code, "z").d == 1
+        report = locally_minimal_distance(code, normalized=True)
+        assert (report.d_lm_all, report.d_lm_nontrivial) == (2, 2)
+        report = locally_minimal_distance(code, normalized=False)
+        assert (report.d_lm_all, report.d_lm_nontrivial) == (1, 1)
 
     def test_toric_l2(self, toric2_code):
         report = locally_minimal_distance(toric2_code, normalized=True)

@@ -23,7 +23,7 @@ from qbp.decoder import (
     region_diagnostics,
     size_gates,
 )
-from qbp.errors import PreconditionError, ValidationError
+from qbp.errors import BudgetExceededError, PreconditionError, ValidationError
 from qbp.expansion import tree_partition
 from qbp.gf2 import F2Vector
 from qbp.graphs import build_bipartite
@@ -377,6 +377,29 @@ class TestEdgeDerivedIndex:
             assert z.preprocess_vertices_scanned == x.preprocess_vertices_scanned == 1
             assert code.z_stabilizers.contains(err ^ z.correction)
             assert code.x_stabilizers.contains(err ^ x.correction)
+
+
+def star_hypergraph_product(degree):
+    star = build_bipartite(1, degree, [(0, j) for j in range(degree)])
+    return extract_code(hypergraph_product(star, star))
+
+
+class TestPairBudget:
+    def test_refuses_a_vertex_over_twenty_pair_bits(self):
+        # The V00 vertex at the two centres has |N10| = |N01| = 11, so its
+        # flip search would enumerate 2^22 subset pairs.
+        code = star_hypergraph_product(11)
+        assert code.cpx.degrees.down + code.cpx.degrees.right == 22
+        with pytest.raises(BudgetExceededError, match=r"V00 vertex 0 has \|N10\| \+ \|N01\| = 22"):
+            _index_for(code)
+        err = F2Vector.from_support(code.n, [0])
+        with pytest.raises(BudgetExceededError, match="V00 vertex 0"):
+            decode(code, gf2.mat_vec(code.hx, err), DecoderConfig(epsilon=Fraction(0)))
+
+    def test_twenty_pair_bits_are_allowed(self):
+        code = star_hypergraph_product(10)
+        idx = _index_for(code)
+        assert max(len(a) + len(b) for a, b in zip(idx.n10, idx.n01)) == 20
 
 
 class TestDecodeX:

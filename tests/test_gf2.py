@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbp
 from qbp import gf2
@@ -13,6 +15,16 @@ from qbp.gf2 import F2Matrix, F2Vector
 def random_matrix(rows, cols, rng, density=0.5):
     ents = [(r, c) for r in range(rows) for c in range(cols) if rng.random() < density]
     return F2Matrix.from_entries(rows, cols, ents)
+
+
+def span_masks(masks, length):
+    """Every combination of the masks, read back bit by bit from the planes
+    of the bit-sliced span kernel."""
+    out = []
+    for block in gf2.span_planes(masks, range(length)):
+        for j in range(block.full.bit_length()):
+            out.append(sum((p >> j & 1) << q for q, p in enumerate(block.planes)))
+    return out
 
 
 class TestMatMul:
@@ -59,14 +71,14 @@ class TestRank:
         # Independent oracle: the row space of an 9x18 matrix of rank r has
         # exactly 2^r distinct elements.
         masks = toric3_code.hx.row_masks
-        space = set(gf2.iter_span_masks(masks))
+        space = set(span_masks(masks, toric3_code.hx.cols))
         assert len(space) == 2 ** 8
 
     def test_row_space_size_random(self):
         rng = random.Random(13)
         for _ in range(15):
             m = random_matrix(rng.randrange(1, 9), rng.randrange(1, 12), rng)
-            space = set(gf2.iter_span_masks(m.row_masks))
+            space = set(span_masks(m.row_masks, m.cols))
             assert len(space) == 2 ** gf2.rank(m)
 
     def test_rank_transpose_invariant(self):
@@ -86,7 +98,7 @@ class TestKernel:
         basis = gf2.kernel_basis(F2Matrix.zero(2, 3))
         assert len(basis) == 3
         masks = [v.to_mask() for v in basis]
-        assert len(set(gf2.iter_span_masks(masks))) == 8
+        assert len(set(span_masks(masks, 3))) == 8
 
     def test_forced_kernel_element(self):
         m = F2Matrix.from_dense([[1, 1, 0], [0, 1, 1]])
@@ -167,3 +179,46 @@ class TestInterchange:
     def test_alist_rejects_garbage(self):
         with pytest.raises(ValidationError):
             gf2.from_alist("2 2\n1 1\n1 1\n1 1\n1\n")
+
+
+class TestSpanPlanes:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([0, 1, 2, 5, 12, 13, 14]), st.integers(1, 12), st.data())
+    def test_planes_are_the_span(self, dim, length, data):
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        masks = [rng.getrandbits(length) for _ in range(dim)]
+        offset = data.draw(st.integers(0, (1 << length) - 1))
+        coords = data.draw(st.lists(st.integers(0, length - 1), max_size=length))
+        blocks = list(gf2.span_planes(masks, coords, offset))
+        width = 1 << min(dim, gf2.SPAN_BLOCK_BITS)
+        assert [b.start for b in blocks] == list(range(0, 1 << dim, width))
+        for block in blocks:
+            assert block.full == (1 << width) - 1
+            for j in range(width):
+                c, expected = block.start + j, offset
+                for i in range(dim):
+                    if c >> i & 1:
+                        expected ^= masks[i]
+                assert [p >> j & 1 for p in block.planes] == [expected >> q & 1 for q in coords]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 6), st.data())
+    def test_plane_arithmetic_matches_integers(self, bits, data):
+        width = 1 << bits
+        terms = data.draw(st.lists(st.tuples(st.integers(0, (1 << width) - 1),
+                                              st.integers(0, 9)), max_size=12))
+        values = [sum(w * (p >> j & 1) for p, w in terms) for j in range(width)]
+        digits = gf2.plane_sum(terms)
+        assert [sum((d >> j & 1) << k for k, d in enumerate(digits))
+                for j in range(width)] == values
+        target = data.draw(st.integers(0, (1 << width) - 1))
+        found = gf2.plane_min(digits, target)
+        if target:
+            least = min(v for j, v in enumerate(values) if target >> j & 1)
+            assert found == (least, sum(1 << j for j, v in enumerate(values)
+                                        if target >> j & 1 and v == least))
+        else:
+            assert found is None
+        bound = data.draw(st.integers(0, 100))
+        assert gf2.plane_greater(digits, bound) == sum(
+            1 << j for j, v in enumerate(values) if v > bound)

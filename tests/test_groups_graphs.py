@@ -58,6 +58,24 @@ class TestGroups:
         g = dihedral_group(3)
         assert group_from_json(group_to_json(g)).mul == g.mul
 
+    def test_json_without_order_loads(self):
+        obj = group_to_json(cyclic_group(4))
+        del obj["order"]
+        assert group_from_json(obj).order == 4
+
+    @pytest.mark.parametrize("order", [7, 0])
+    def test_json_order_must_be_the_table_size(self, order):
+        obj = dict(group_to_json(cyclic_group(4)), order=order)
+        with pytest.raises(ValidationError, match="does not match the 4-row table"):
+            group_from_json(obj)
+
+    @pytest.mark.parametrize("order", ["4", None, 4.0, True],
+                             ids=["str", "null", "float", "bool"])
+    def test_json_order_must_be_an_int(self, order):
+        obj = dict(group_to_json(cyclic_group(4)), order=order)
+        with pytest.raises(ValidationError, match="group order must be an int"):
+            group_from_json(obj)
+
 
 class TestActions:
     def test_right_translation_free(self):

@@ -151,6 +151,20 @@ class TestCli:
         payload = json.loads((workdir / "bp.json").read_text())
         assert payload["v00"] == 4
 
+    def test_construct_refuses_actions_given_as_a_list(self, workdir, capsys):
+        (workdir / "g.json").write_text(json.dumps(group_to_json(cyclic_group(4))))
+        graph, action = star_graph(4, 2)
+        (workdir / "star.json").write_text(json.dumps(graph_to_json(graph)))
+        (workdir / "acts.json").write_text(json.dumps([[list(r) for r in action.v0.table]]))
+        rc = run_cli("construct", "--left", workdir / "star.json",
+                     "--right", workdir / "star.json",
+                     "--group", workdir / "g.json", "--actions", workdir / "acts.json",
+                     "--out", workdir / "bp.json")
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: actions JSON must be an object") and "list" in err
+        assert not (workdir / "bp.json").exists()
+
     def test_certify_writes_certificate(self, workdir):
         rc = run_cli("certify", "--graph", workdir / "cyc.json", "--side", "0to1",
                      "--c", "2/3", "--epsilon", "0", "--mode", "exhaustive",

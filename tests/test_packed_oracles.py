@@ -92,9 +92,11 @@ def oracle_minimal_coset_representative(code, syndrome):
     |v10| right + |v01| down, ties to the smaller mask."""
     d, split = code.degrees, code.v10_size
     base = oracle_solve(code.hx, syndrome).to_mask()
-    kernel = [v.to_mask() for v in oracle_kernel_basis(code.hx.row_masks, code.n)]
+    coset = [base]
+    for v in oracle_kernel_basis(code.hx.row_masks, code.n):
+        coset += [m ^ v.to_mask() for m in coset]
     return min((d.right * (m & ((1 << split) - 1)).bit_count() + d.down * (m >> split).bit_count(),
-                m) for m in (base ^ k for k in gf2.iter_span_masks(kernel)))[1]
+                m) for m in coset)[1]
 
 
 # -- strategies ------------------------------------------------------------------
