@@ -22,7 +22,7 @@ from .errors import BudgetExceededError, OracleUnavailableError, ValidationError
 from .gf2 import F2Vector
 from .graphs import GraphAction, graph_from_json
 from .groups import action_from_json, group_from_json
-from .jsonio import parse_rational
+from .jsonio import _int_rows, _int_value, parse_rational
 
 
 class _UsageError(Exception):
@@ -144,11 +144,20 @@ def _load_json(path: str) -> dict:
 
 
 def _load_vector(path: str) -> F2Vector:
+    """Load `{length, support}`: an int length and a list of int indices."""
     obj = _load_json(path)
+    if not isinstance(obj, dict):
+        raise ValidationError(
+            f"vector JSON in {path} must be an object, got {type(obj).__name__}")
     try:
-        return F2Vector.from_support(int(obj["length"]), obj["support"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed vector JSON in {path}: {exc}") from exc
+        length, support = obj["length"], obj["support"]
+    except KeyError as exc:
+        raise ValidationError(f"malformed vector JSON in {path}: missing {exc}") from exc
+    if not isinstance(support, list):
+        raise ValidationError(
+            f"vector support must be a list of ints, got {type(support).__name__}")
+    (indices,) = _int_rows([support], "vector support")
+    return F2Vector.from_support(_int_value(length, "vector length"), indices)
 
 
 def _run(args: argparse.Namespace) -> tuple[Optional[dict], dict, Optional[str]]:

@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from operator import add
 from typing import Optional
 
 from . import gf2
@@ -59,11 +61,9 @@ class CssCode:
             raise ValidationError(
                 f"Hx has {self.hx.cols} columns but Hz has {self.hz.cols}"
             )
-        cpx = self.cpx
-        if (cpx is not None and self.hx.row_masks == cpx.boundary_1.row_masks
-                and self.hz.col_masks == cpx.boundary_2.row_masks):
+        if self._maps_of_complex:
             # Hx Hz^T is the complex's boundary_1 boundary_2, checked once.
-            commutes = cpx.chain_check.ok
+            commutes = self.cpx.chain_check.ok
         else:
             commutes = gf2.mat_mul(self.hx, self.hz.transpose()).is_zero()
         if not commutes:
@@ -85,14 +85,31 @@ class CssCode:
     def v01_size(self) -> int:
         return self.n - self.v10_size
 
+    @cached_property
+    def _maps_of_complex(self) -> bool:
+        """Whether Hx and Hz are the boundary maps of the attached complex."""
+        cpx = self.cpx
+        return (cpx is not None and self.hx.row_masks == cpx.boundary_1.row_masks
+                and self.hz.col_masks == cpx.boundary_2.row_masks)
+
     @property
     def weight(self) -> int:
-        """Max stabilizer support and per-qubit total stabilizer count."""
-        per_qubit = max(
-            (self.hx.col_weight(q) + self.hz.col_weight(q) for q in range(self.n)),
-            default=0,
-        )
-        return max(self.hx.max_row_weight(), self.hz.max_row_weight(), per_qubit)
+        """Max stabilizer support and per-qubit total stabilizer count.
+
+        Check weights are the bit counts of the packed rows, and so are the
+        qubits' Z-check counts (Hz's columns are the rows of the V00 map).
+        For a code read off its complex, a qubit's X-check count is its V11
+        degree in the complex's subgraph adjacency, so Hx's column masks are
+        never built; other codes count Hx's columns.
+        """
+        checks = max(self.hx.max_row_weight(), self.hz.max_row_weight())
+        if self._maps_of_complex:
+            g = self.cpx.subgraph
+            x_counts = map(len, chain(g("v10_v11").adj0, g("v01_v11").adj0))
+        else:
+            x_counts = map(int.bit_count, self.hx.col_masks)
+        return max(checks, max(map(add, x_counts, map(int.bit_count, self.hz.col_masks)),
+                               default=0))
 
     @cached_property
     def z_stabilizers(self) -> gf2.RowSpace:

@@ -29,10 +29,11 @@ parallel over a shared immutable code; each owns its state.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from itertools import chain, compress
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .css import CssCode, extract_code
 from .errors import BudgetExceededError, InternalInvariantError, PreconditionError, ValidationError
@@ -155,16 +156,11 @@ class _DecoderIndex:
             raise PreconditionError("decoding needs a code extracted from a complex")
         self.code = code
         self.cpx = cpx
-        tmp10: list[list[int]] = [[] for _ in range(cpx.v00_size)]
-        tmp01: list[list[int]] = [[] for _ in range(cpx.v00_size)]
-        for z00, z10 in cpx.edges_v00_v10:
-            tmp10[z00].append(z10)
-        for z00, z01 in cpx.edges_v00_v01:
-            tmp01[z00].append(z01)
-        self.n10: list[tuple[int, ...]] = [tuple(sorted(v)) for v in tmp10]
-        self.n01: list[tuple[int, ...]] = [tuple(sorted(v)) for v in tmp01]
+        # The complex's own adjacency of its V00-V10 and V00-V01 subgraphs.
+        self.n10: tuple[tuple[int, ...], ...] = cpx.subgraph("v00_v10").adj0
+        self.n01: tuple[tuple[int, ...], ...] = cpx.subgraph("v00_v01").adj0
         # The flip search enumerates 2^(|N10| + |N01|) subset pairs per vertex.
-        for x00, (a, b) in enumerate(zip(tmp10, tmp01)):
+        for x00, (a, b) in enumerate(zip(self.n10, self.n01)):
             if len(a) + len(b) > _PAIR_BITS_LIMIT:
                 raise BudgetExceededError(
                     f"V00 vertex {x00} has |N10| + |N01| = {len(a) + len(b)}: its flip "
@@ -611,50 +607,39 @@ def region_diagnostics(
     precondition error.  The returned report carries exact counts; the
     unconditional counting bound is verified here and a violation raises,
     since it cannot fail for valid inputs.
+
+    Only faces through an error qubit can be classified (an owned coordinate
+    is an error qubit too), so the scan starts from the complex's per-qubit
+    face index and the V11 cells next to the error; its work is proportional
+    to the cells the error touches, not to the complex.
     """
     v10_set = frozenset(v10)
     v01_set = frozenset(v01)
     _check_partition(cpx, "v00_v10", v10_set, part10)
     _check_partition(cpx, "v00_v01", v01_set, part01)
 
-    owner10: dict[int, int] = {}
-    for x00, owned in part10.assignment.items():
-        for q in owned:
-            owner10[q] = x00
-    owner01: dict[int, int] = {}
-    for x00, owned in part01.assignment.items():
-        for q in owned:
-            owner01[q] = x00
+    owner10 = {q: x00 for x00, owned in _owners(part10) for q in owned}
+    owner01 = {q: x00 for x00, owned in _owners(part01) for q in owned}
 
     # Degree of each V11 corner into the error, for uniqueness and multihit.
-    deg_v10_at_v11: dict[int, int] = {}
-    for z10, z11 in cpx.edges_v10_v11:
-        if z10 in v10_set:
-            deg_v10_at_v11[z11] = deg_v10_at_v11.get(z11, 0) + 1
-    deg_v01_at_v11: dict[int, int] = {}
-    for z01, z11 in cpx.edges_v01_v11:
-        if z01 in v01_set:
-            deg_v01_at_v11[z11] = deg_v01_at_v11.get(z11, 0) + 1
-    unique_v11 = {
-        z11
-        for z11 in range(cpx.v11_size)
-        if deg_v10_at_v11.get(z11, 0) + deg_v01_at_v11.get(z11, 0) == 1
-    }
-    syndrome = {
-        z11
-        for z11 in range(cpx.v11_size)
-        if (deg_v10_at_v11.get(z11, 0) + deg_v01_at_v11.get(z11, 0)) % 2 == 1
-    }
+    adj10, adj01 = cpx.subgraph("v10_v11").adj0, cpx.subgraph("v01_v11").adj0
+    deg_v10_at_v11 = Counter(chain.from_iterable(map(adj10.__getitem__, v10_set)))
+    deg_v01_at_v11 = Counter(chain.from_iterable(map(adj01.__getitem__, v01_set)))
+    deg_at_v11 = deg_v10_at_v11 + deg_v01_at_v11
+    unique_v11 = {z11 for z11, k in deg_at_v11.items() if k == 1}
+    syndrome = {z11 for z11, k in deg_at_v11.items() if k % 2 == 1}
+
+    at10, at01 = cpx.faces_at_qubit
+    faces = [f for q in v10_set for f in at10.get(q, ())]
+    faces += [f for q in v01_set for f in at01.get(q, ()) if f[1] not in v10_set]
 
     per: dict[int, dict[str, int]] = {}
     flip_parity: dict[int, dict[int, int]] = {}
-    for z00, z10, z01, z11 in cpx.faces:
+    for z00, z10, z01, z11 in faces:
         owned10 = owner10.get(z10) == z00
         owned01 = owner01.get(z01) == z00
         in10 = z10 in v10_set
         in01 = z01 in v01_set
-        if not (owned10 or owned01 or in10 or in01):
-            continue
         counts = per.setdefault(z00, _zero_counts())
         if owned10 != owned01:
             counts["touched"] += 1
@@ -714,6 +699,11 @@ def region_diagnostics(
     return report
 
 
+def _owners(part: TreePartition) -> Iterator[tuple[int, frozenset[int]]]:
+    """The (owner, owned) items of a partition that own something."""
+    return compress(part.assignment.items(), part.assignment.values())
+
+
 def _zero_counts() -> dict[str, int]:
     return {"touched": 0, "stray": 0, "multihit": 0, "unowned_pairs": 0,
             "flipped": 0, "lit": 0, "unique": 0}
@@ -725,11 +715,15 @@ def _check_partition(
     target: frozenset[int],
     part: TreePartition,
 ) -> None:
+    """Owners lie in V00 (one min and max over them); the nonempty owned
+    sets are disjoint, inside their owners' neighborhoods and cover target."""
     graph = cpx.subgraph(which)
+    owners = part.assignment
+    if owners and (min(owners) < 0 or max(owners) >= graph.v0_size):
+        x00 = next(x for x in owners if not 0 <= x < graph.v0_size)
+        raise PreconditionError(f"partition owner {x00} outside V00")
     seen: set[int] = set()
-    for x00, owned in part.assignment.items():
-        if not 0 <= x00 < graph.v0_size:
-            raise PreconditionError(f"partition owner {x00} outside V00")
+    for x00, owned in _owners(part):
         if owned & seen:
             raise PreconditionError(f"partition for {which} is not disjoint")
         seen |= owned

@@ -438,6 +438,10 @@ def tree_partition(
     A flow value below the source-cut capacity means the caller's expansion
     hypothesis does not hold for this subset; that is reported as an internal
     invariant violation rather than silently weakened ownership.
+
+    The work is local to v1: only N(v1) can own a vertex or keep a leftover,
+    so every other V0 vertex gets an empty set and leftover 0 without being
+    visited (the graph's regularity verdict is computed once per graph).
     """
     epsilon = Fraction(epsilon)
     if epsilon < 0:
@@ -452,7 +456,8 @@ def tree_partition(
     threshold = math.floor(epsilon * w0)
     v1_set = set(v1)
     v0 = sorted(neighbors(graph, 1, v1))
-    deg = {x0: sum(1 for y in graph.adj0[x0] if y in v1_set) for x0 in v0}
+    adj0 = graph.adj0
+    deg = {x0: sum(1 for y in adj0[x0] if y in v1_set) for x0 in v0}
 
     nodes: list[Node] = ["s", "t"]
     arcs: list[tuple[Node, Node, int]] = []
@@ -463,7 +468,7 @@ def tree_partition(
         nodes.append(("v1", x1))
         arcs.append((("v1", x1), "t", 1))
     for x0 in v0:
-        for y in graph.adj0[x0]:
+        for y in adj0[x0]:
             if y in v1_set:
                 arcs.append((("v0", x0), ("v1", y), 1))
     network = FlowNetwork(tuple(nodes), tuple(arcs), "s", "t")
@@ -476,12 +481,12 @@ def tree_partition(
             "hypothesis asserted by the caller fails on this subset"
         )
 
-    assignment: dict[int, set[int]] = {x0: set() for x0 in range(graph.v0_size)}
+    owned: dict[int, set[int]] = {x0: set() for x0 in v0}
     owner: dict[int, int] = {}
     for x0 in v0:
-        for y in graph.adj0[x0]:
+        for y in adj0[x0]:
             if y in v1_set and result.flow.get((("v0", x0), ("v1", y)), 0) == 1:
-                assignment[x0].add(y)
+                owned[x0].add(y)
                 owner[y] = x0
     for x1 in v1:
         if x1 not in owner:
@@ -492,18 +497,14 @@ def tree_partition(
             # Top-up: any neighbor may own an unclaimed vertex; lowest index
             # is chosen for determinism.
             x0 = graph.adj1[x1][0]
-            assignment[x0].add(x1)
+            owned[x0].add(x1)
             owner[x1] = x0
-    leftover = {
-        x0: sum(1 for y in graph.adj0[x0] if y in v1_set) - len(assignment[x0])
-        for x0 in range(graph.v0_size)
-    }
-    return TreePartition(
-        {x0: frozenset(s) for x0, s in assignment.items()},
-        leftover,
-        result.value,
-        threshold,
-    )
+    assignment: dict[int, frozenset[int]] = dict.fromkeys(range(graph.v0_size), frozenset())
+    leftover: dict[int, int] = dict.fromkeys(range(graph.v0_size), 0)
+    for x0 in v0:
+        assignment[x0] = frozenset(owned[x0])
+        leftover[x0] = deg[x0] - len(owned[x0])
+    return TreePartition(assignment, leftover, result.value, threshold)
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,13 @@ rows once and never change.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ShapeError, ValidationError
+from .jsonio import _int_rows, _int_value
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,7 @@ class F2Matrix:
         return self.col_masks[c].bit_count()
 
     def max_row_weight(self) -> int:
-        return max((m.bit_count() for m in self.row_masks), default=0)
+        return max(map(int.bit_count, self.row_masks), default=0)
 
     def transpose(self) -> "F2Matrix":
         t = F2Matrix(self.cols, self.rows, self.col_masks)
@@ -455,12 +457,17 @@ def to_json_dict(a: F2Matrix) -> dict:
 
 
 def from_json_dict(obj: dict) -> F2Matrix:
+    """Load `{rows, cols, entries}`: an int shape and [r, c] int pairs."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"matrix JSON must be an object, got {type(obj).__name__}")
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        entries = [(int(r), int(c)) for r, c in obj["entries"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed matrix JSON: {exc}") from exc
+        rows = _int_value(obj["rows"], "matrix rows")
+        cols = _int_value(obj["cols"], "matrix cols")
+        entries = _int_rows(obj["entries"], "matrix entries", 2)
+    except KeyError as exc:
+        raise ValidationError(f"malformed matrix JSON: missing {exc}") from exc
+    if max(rows, cols) > sys.maxsize:
+        raise ValidationError(f"matrix shape {rows}x{cols} exceeds any addressable size")
     return F2Matrix.from_entries(rows, cols, entries)
 
 
@@ -486,6 +493,8 @@ def to_alist(a: F2Matrix) -> str:
 
 def from_alist(text: str) -> F2Matrix:
     """Parse alist text (zero padding tolerated, unpadded lines too)."""
+    if not isinstance(text, str):
+        raise ValidationError(f"alist must be text, got {type(text).__name__}")
     lines = [ln.split() for ln in text.splitlines() if ln.strip()]
     try:
         cols, rows = (int(x) for x in lines[0])

@@ -1,4 +1,9 @@
-"""Bipartite graphs, biregularity, neighbors, and bipartite Cayley graphs."""
+"""Bipartite graphs, biregularity, neighbors, and bipartite Cayley graphs.
+
+A graph is frozen, so its adjacency lists and its regularity verdict are
+derived from its edges once, on first use, and cached on that object; equal
+graphs built separately do not share them.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +13,7 @@ from typing import Iterable, Optional, Union
 
 from .errors import ValidationError
 from .groups import FiniteGroup, GroupAction, left_translation_action, right_translation_action, verify_free_action
+from .jsonio import _int_rows, _int_value
 
 
 @dataclass(frozen=True)
@@ -24,7 +30,7 @@ class BipartiteGraph:
         out: list[list[int]] = [[] for _ in range(self.v0_size)]
         for x0, x1 in self.edges:
             out[x0].append(x1)
-        return tuple(tuple(sorted(v)) for v in out)
+        return tuple(map(tuple, map(sorted, out)))
 
     @cached_property
     def adj1(self) -> tuple[tuple[int, ...], ...]:
@@ -32,14 +38,27 @@ class BipartiteGraph:
         out: list[list[int]] = [[] for _ in range(self.v1_size)]
         for x0, x1 in self.edges:
             out[x1].append(x0)
-        return tuple(tuple(sorted(v)) for v in out)
+        return tuple(map(tuple, map(sorted, out)))
+
+    @cached_property
+    def regularity_profile(self) -> Union["RegularityProfile", "NonRegularReport"]:
+        """The verdict of :func:`regularity`, computed once per graph."""
+        widths = []
+        for side, adj in ((0, self.adj0), (1, self.adj1)):
+            degrees = tuple(map(len, adj))
+            if len(set(degrees)) > 1:
+                x = next(x for x, d in enumerate(degrees) if d != degrees[0])
+                return NonRegularReport(side, x, degrees[x])
+            widths.append(degrees[0] if degrees else 0)
+        return RegularityProfile(*widths)
 
 
 def build_bipartite(v0_size: int, v1_size: int, edges: Iterable[tuple[int, int]]) -> BipartiteGraph:
-    """Validated constructor; rejects out-of-range endpoints and duplicates."""
+    """Validated constructor; rejects non-int or out-of-range endpoints and
+    duplicates."""
     if v0_size < 0 or v1_size < 0:
         raise ValidationError(f"negative side sizes ({v0_size}, {v1_size})")
-    edge_list = [(int(a), int(b)) for a, b in edges]
+    edge_list = _int_rows(edges, "edges", 2)
     for x0, x1 in edge_list:
         if not 0 <= x0 < v0_size:
             raise IndexError(f"edge endpoint {x0} outside V0 of size {v0_size}")
@@ -82,22 +101,13 @@ class NonRegularReport:
 
 
 def regularity(graph: BipartiteGraph) -> Union[RegularityProfile, NonRegularReport]:
-    """(w0, w1) when biregular, else a report naming the offending vertex.
+    """(w0, w1) when biregular, else a report naming the first vertex whose
+    degree differs from its side's vertex 0, scanning V0 then V1.
 
     Non-regularity is a report, not a failure; degenerate empty sides count
-    as regular with degree 0.
+    as regular with degree 0.  The verdict is computed once per graph.
     """
-    w0 = len(graph.adj0[0]) if graph.v0_size else 0
-    for x0 in range(graph.v0_size):
-        d = len(graph.adj0[x0])
-        if d != w0:
-            return NonRegularReport(0, x0, d)
-    w1 = len(graph.adj1[0]) if graph.v1_size else 0
-    for x1 in range(graph.v1_size):
-        d = len(graph.adj1[x1])
-        if d != w1:
-            return NonRegularReport(1, x1, d)
-    return RegularityProfile(w0, w1)
+    return graph.regularity_profile
 
 
 def neighbors(graph: BipartiteGraph, side: int, subset: Iterable[int]) -> frozenset[int]:
@@ -178,11 +188,12 @@ def cayley_bipartite(group: FiniteGroup, gens: Iterable[int], side: str) -> Cayl
         raise ValidationError("duplicate generators would create multi-edges; rejected")
     if side not in ("left", "right"):
         raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
+    mul = group.mul
     if side == "left":
-        edges = [(g, group.op(a, g)) for g in group.elements() for a in gen_list]
+        edges = [(g, mul[a][g]) for g in group.elements() for a in gen_list]
         one_side = right_translation_action(group)
     else:
-        edges = [(g, group.op(g, b)) for g in group.elements() for b in gen_list]
+        edges = [(g, mul[g][b]) for g in group.elements() for b in gen_list]
         one_side = left_translation_action(group)
     graph = build_bipartite(group.order, group.order, edges)
     action = GraphAction(group, one_side, one_side)
@@ -207,8 +218,14 @@ def graph_to_json(graph: BipartiteGraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> BipartiteGraph:
+    """Load `{v0, v1, edges}`: int side sizes and a list of [x0, x1] int pairs."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"graph JSON must be an object, got {type(obj).__name__}")
     try:
-        return build_bipartite(int(obj["v0"]), int(obj["v1"]),
-                               [(int(a), int(b)) for a, b in obj["edges"]])
-    except (KeyError, TypeError) as exc:
+        v0, v1, edges = obj["v0"], obj["v1"], obj["edges"]
+    except KeyError as exc:
+        raise ValidationError(f"malformed graph JSON: missing {exc}") from exc
+    try:
+        return build_bipartite(_int_value(v0, "graph v0"), _int_value(v1, "graph v1"), edges)
+    except IndexError as exc:
         raise ValidationError(f"malformed graph JSON: {exc}") from exc

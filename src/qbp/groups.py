@@ -14,6 +14,16 @@ passes over each table:
 * the action law act(g s) = act(g) o act(s) is checked for every generator s
   and all g, x.  It extends to every h by induction on the length of h as a
   word in the generators, which needs the associativity checked above.
+
+Groups and actions are frozen, so a verdict about one is a fact about that
+object for good.  Each is computed at most once per object and cached on it:
+a group's generating set and its left and right translation actions (one
+group yields one validated action object per side), and an action's
+freeness scan.  A cache lives on its own object and is never shared with
+another, even an equal one.
+
+Tables are read in one C-level pass per step, and every entry must be
+exactly an int (see `jsonio._int_rows`).
 """
 
 from __future__ import annotations
@@ -21,10 +31,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Optional
 
 from .errors import ValidationError
+from .jsonio import _int_rows, _int_value
 
 _Row = tuple[int, ...]
 
@@ -41,7 +53,7 @@ class FiniteGroup:
 
     @classmethod
     def from_table(cls, mul: Iterable[Iterable[int]], label: str = "") -> "FiniteGroup":
-        table = tuple(tuple(map(int, row)) for row in mul)
+        table = _int_rows(mul, "group table")
         n = len(table)
         if any(len(row) != n for row in table):
             raise ValidationError("multiplication table must be square")
@@ -102,6 +114,17 @@ class FiniteGroup:
                 i += 1
         return tuple(gens)
 
+    @cached_property
+    def left_translation(self) -> "GroupAction":
+        """g . x = g x on the group itself, validated once per group."""
+        return GroupAction.from_table(self, self.mul)
+
+    @cached_property
+    def right_translation(self) -> "GroupAction":
+        """g . x = x g^{-1} on the group itself, validated once per group."""
+        columns = tuple(zip(*self.mul))    # columns[b][x] = x b
+        return GroupAction.from_table(self, (columns[self.inv[g]] for g in self.elements()))
+
     def op(self, a: int, b: int) -> int:
         return self.mul[a][b]
 
@@ -113,10 +136,12 @@ class FiniteGroup:
 
 
 def _check_range(table: tuple[_Row, ...], size: int, what: str) -> None:
-    for row in table:
-        if row and (min(row) < 0 or max(row) >= size):
-            v = next(v for v in row if not 0 <= v < size)
-            raise ValidationError(f"{what} {v} outside 0..{size - 1}")
+    """Refuse a value outside 0..size-1 with one min and one max over all
+    entries; only a refusal scans for the first such value."""
+    if (min(chain.from_iterable(table), default=0) < 0
+            or max(chain.from_iterable(table), default=-1) >= size):
+        v = next(v for v in chain.from_iterable(table) if not 0 <= v < size)
+        raise ValidationError(f"{what} {v} outside 0..{size - 1}")
 
 
 def _composer(row: _Row) -> Callable[[_Row], _Row]:
@@ -190,7 +215,8 @@ class GroupAction:
     Validated on construction: the identity acts trivially and
     act(g, act(s, x)) = act(g*s, x) for every generator s and all g, x, which
     gives the law for every group element (see the module docstring).
-    Freeness is a separate property checked by :func:`verify_free_action`.
+    Freeness is a separate property, scanned once per action object and
+    returned by :func:`verify_free_action`.
     """
 
     group: FiniteGroup
@@ -199,37 +225,47 @@ class GroupAction:
 
     @classmethod
     def from_table(cls, group: FiniteGroup, table: Iterable[Iterable[int]]) -> "GroupAction":
-        tab = tuple(tuple(map(int, row)) for row in table)
+        tab = _int_rows(table, "action table")
         if len(tab) != group.order:
             raise ValidationError(f"action table has {len(tab)} rows, expected {group.order}")
-        sizes = {len(row) for row in tab}
+        sizes = set(map(len, tab))
         if len(sizes) > 1:
             raise ValidationError("action table rows have unequal lengths")
         set_size = sizes.pop() if sizes else 0
         _check_range(tab, set_size, "action value")
-        points = tuple(range(set_size))
-        if tab[group.identity] != points:
-            x = _first_difference(tab[group.identity], points)
-            raise ValidationError(f"identity moves point {x}")
-        for s in group.generators:
-            times_s = _composer(tab[s])     # row_g -> (act(g, act(s, x)))_x
-            for g, row_g in enumerate(tab):
-                row_gs = tab[group.mul[g][s]]
-                composed = times_s(row_g)
-                if composed != row_gs:
-                    x = _first_difference(composed, row_gs)
-                    raise ValidationError(
-                        f"action not compatible at g={g}, h={s}, x={x}"
-                    )
+        _check_action_law(group, tab, set_size)
         return cls(group, set_size, tab)
+
+    @cached_property
+    def fixed_point(self) -> Optional[tuple[int, int]]:
+        """The first (g, x) with g != identity and g.x = x, in ascending
+        (g, x) order, or None when the action is free; scanned once."""
+        return _first_fixed_point(self)
 
     def act(self, g: int, x: int) -> int:
         return self.table[g][x]
 
 
-def verify_free_action(action: GroupAction) -> Optional[tuple[int, int]]:
-    """Exhaustive freeness scan: returns None when free, else the first fixed
-    point (g, x) with g != identity, scanning in ascending (g, x) order."""
+def _check_action_law(group: FiniteGroup, tab: tuple[_Row, ...], set_size: int) -> None:
+    """The identity fixes every point, and act(g s) = act(g) o act(s) for
+    every generator s (see the module docstring)."""
+    points = tuple(range(set_size))
+    if tab[group.identity] != points:
+        x = _first_difference(tab[group.identity], points)
+        raise ValidationError(f"identity moves point {x}")
+    for s in group.generators:
+        times_s = _composer(tab[s])     # row_g -> (act(g, act(s, x)))_x
+        for g, row_g in enumerate(tab):
+            row_gs = tab[group.mul[g][s]]
+            composed = times_s(row_g)
+            if composed != row_gs:
+                x = _first_difference(composed, row_gs)
+                raise ValidationError(
+                    f"action not compatible at g={g}, h={s}, x={x}"
+                )
+
+
+def _first_fixed_point(action: GroupAction) -> Optional[tuple[int, int]]:
     e = action.group.identity
     points = range(action.set_size)
     for g, row in enumerate(action.table):
@@ -238,15 +274,22 @@ def verify_free_action(action: GroupAction) -> Optional[tuple[int, int]]:
     return None
 
 
+def verify_free_action(action: GroupAction) -> Optional[tuple[int, int]]:
+    """Freeness verdict: None when free, else the first fixed point (g, x)
+    with g != identity, scanning in ascending (g, x) order.  The scan runs
+    once per action object (`GroupAction.fixed_point`)."""
+    return action.fixed_point
+
+
 def left_translation_action(group: FiniteGroup) -> GroupAction:
-    """g . x = g x on the group itself (free)."""
-    return GroupAction.from_table(group, group.mul)
+    """g . x = g x on the group itself (free); one object per group."""
+    return group.left_translation
 
 
 def right_translation_action(group: FiniteGroup) -> GroupAction:
-    """g . x = x g^{-1} on the group itself (free; inverse keeps it a left action)."""
-    columns = tuple(zip(*group.mul))    # columns[b][x] = x b
-    return GroupAction.from_table(group, (columns[group.inv[g]] for g in group.elements()))
+    """g . x = x g^{-1} on the group itself (free; inverse keeps it a left
+    action); one object per group."""
+    return group.right_translation
 
 
 def conjugation_action(group: FiniteGroup) -> GroupAction:
@@ -275,16 +318,15 @@ def group_to_json(group: FiniteGroup) -> dict:
 
 
 def group_from_json(obj: dict) -> FiniteGroup:
-    """Load `{order, mul, label}`; `order`, when present, must be the int
-    row count of `mul`."""
-    try:
-        group = FiniteGroup.from_table(obj["mul"], label=str(obj.get("label", "")))
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed group JSON: {exc}") from exc
+    """Load `{order, mul, label}`; every table entry must be an int, and
+    `order`, when present, must be the int row count of `mul`."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"group JSON must be an object, got {type(obj).__name__}")
+    if "mul" not in obj:
+        raise ValidationError("malformed group JSON: missing 'mul'")
+    group = FiniteGroup.from_table(obj["mul"], label=str(obj.get("label", "")))
     if "order" in obj:
-        order = obj["order"]
-        if type(order) is not int:
-            raise ValidationError(f"group order must be an int, got {order!r}")
+        order = _int_value(obj["order"], "group order")
         if order != group.order:
             raise ValidationError(
                 f"group order {order} does not match the {group.order}-row table")
@@ -292,7 +334,9 @@ def group_from_json(obj: dict) -> FiniteGroup:
 
 
 def action_from_json(obj: dict, group: FiniteGroup) -> GroupAction:
-    try:
-        return GroupAction.from_table(group, obj["act"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed action JSON: {exc}") from exc
+    """Load `{act}`: a group.order x set_size table of ints."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"action JSON must be an object, got {type(obj).__name__}")
+    if "act" not in obj:
+        raise ValidationError("malformed action JSON: missing 'act'")
+    return GroupAction.from_table(group, obj["act"])

@@ -1,10 +1,17 @@
-"""Canonical JSON output with provenance, and exact rational encoding.
+"""Canonical JSON output with provenance, exact rational encoding, and
+strict integer intake.
 
 Result files must be byte-identical across runs with the same inputs and
 seed, so everything deterministic is dumped with sorted keys and exact
 rationals as numerator/denominator pairs (a decimal rendering rides along
 for human readers).  Wall-clock data lives in a separate "timing" field that
 consumers exclude from comparisons.
+
+Loaders read integer fields through `_int_rows` and `_int_value`, which
+admit only values whose type is exactly `int`: a float is never truncated,
+and neither a bool nor a numeric string stands in for an int.  They stay
+private, so a per-function profile charges their time to the loader that
+calls them.
 """
 
 from __future__ import annotations
@@ -12,11 +19,42 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Optional
 
+from .errors import ValidationError
+
 TOOL_VERSION = "0.1.0"
+
+
+def _int_value(value: Any, what: str) -> int:
+    """`value` itself when its type is exactly int, else a ValidationError
+    naming `what`."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an int, got {value!r:.40}")
+    return value
+
+
+def _int_rows(value: Any, what: str, width: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
+    """`value` as a tuple of int tuples, read in one C-level pass per step.
+
+    Every entry must be exactly an int and, when `width` is given, every row
+    must have `width` entries.  A refusal is a ValidationError naming `what`
+    and the first offending row or entry; only a refusal scans row by row.
+    """
+    try:
+        rows = tuple(map(tuple, value))
+    except TypeError:
+        raise ValidationError(f"{what} must be a list of lists") from None
+    if width is not None and set(map(len, rows)) - {width}:
+        row = next(r for r in rows if len(r) != width)
+        raise ValidationError(f"{what} entry {list(row)!r:.60} does not have {width} values")
+    if set(map(type, chain.from_iterable(rows))) - {int}:
+        v = next(v for v in chain.from_iterable(rows) if type(v) is not int)
+        raise ValidationError(f"{what} holds {v!r:.40}, which is not an int")
+    return rows
 
 
 def fraction_to_json(value: Fraction) -> dict:

@@ -10,7 +10,12 @@ condition verified here, and it is exactly the CSS commuting condition of the
 codes extracted downstream.
 
 Construction is single-threaded; the resulting complex is immutable and
-shareable.
+shareable.  Being frozen, a complex derives each structure it is asked for
+once and caches it on itself: the boundary maps, the chain-condition
+verdict, the four one-dimensional subgraphs (so each edge class has one
+graph and one adjacency, which the code, the partitions and the decoder all
+read), and the faces through each qubit.  A cache is never shared between
+complexes; a transposed or reloaded complex builds its own.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import or_
+from operator import itemgetter, or_
 from typing import Optional
 
 from .errors import PreconditionError, ValidationError
@@ -27,8 +32,10 @@ from .gf2 import F2Matrix, mat_mul
 from .graphs import BipartiteGraph, GraphAction, regularity, verify_edge_invariance
 from .groups import GroupAction, trivial_action, trivial_group, verify_free_action
 from .expansion import ExpansionCertificate
+from .jsonio import _int_rows, _int_value
 
 EDGE_CLASSES = ("v00_v10", "v01_v11", "v00_v01", "v10_v11")
+_Face = tuple[int, int, int, int]
 SUBGRAPHS = ("v00_v10", "v01_v11", "v00_v01", "v10_v11")
 
 
@@ -130,16 +137,35 @@ class BalancedProductComplex:
     # -- 1-d subgraphs --------------------------------------------------------
 
     def subgraph(self, which: str) -> BipartiteGraph:
-        """One of the four one-dimensional subgraphs, as a bipartite graph."""
-        if which == "v00_v10":
-            return BipartiteGraph(self.v00_size, self.v10_size, self.edges_v00_v10)
-        if which == "v01_v11":
-            return BipartiteGraph(self.v01_size, self.v11_size, self.edges_v01_v11)
-        if which == "v00_v01":
-            return BipartiteGraph(self.v00_size, self.v01_size, self.edges_v00_v01)
-        if which == "v10_v11":
-            return BipartiteGraph(self.v10_size, self.v11_size, self.edges_v10_v11)
-        raise ValidationError(f"unknown subgraph {which!r}; expected one of {SUBGRAPHS}")
+        """One of the four one-dimensional subgraphs, as a bipartite graph.
+
+        Every call with the same `which` returns the same graph object, so its
+        adjacency lists and regularity verdict are derived once per complex.
+        """
+        graph = self._subgraphs.get(which)
+        if graph is None:
+            raise ValidationError(f"unknown subgraph {which!r}; expected one of {SUBGRAPHS}")
+        return graph
+
+    @cached_property
+    def _subgraphs(self) -> dict[str, BipartiteGraph]:
+        return {
+            "v00_v10": BipartiteGraph(self.v00_size, self.v10_size, self.edges_v00_v10),
+            "v01_v11": BipartiteGraph(self.v01_size, self.v11_size, self.edges_v01_v11),
+            "v00_v01": BipartiteGraph(self.v00_size, self.v01_size, self.edges_v00_v01),
+            "v10_v11": BipartiteGraph(self.v10_size, self.v11_size, self.edges_v10_v11),
+        }
+
+    @cached_property
+    def faces_at_qubit(self) -> tuple[dict[int, list[_Face]], dict[int, list[_Face]]]:
+        """(by V10 cell, by V01 cell): the faces through each qubit, indexed
+        once per complex, so a face scan can start from the qubits it needs."""
+        at10: dict[int, list[_Face]] = {}
+        at01: dict[int, list[_Face]] = {}
+        for face in self.faces:
+            at10.setdefault(face[1], []).append(face)
+            at01.setdefault(face[2], []).append(face)
+        return at10, at01
 
     # -- square completion ----------------------------------------------------
 
@@ -549,15 +575,15 @@ def complex_to_json(cpx: BalancedProductComplex) -> dict:
         "v10": cpx.v10_size,
         "v01": cpx.v01_size,
         "v11": cpx.v11_size,
-        "reps_v00": [list(p) for p in cpx.reps_v00],
-        "reps_v10": [list(p) for p in cpx.reps_v10],
-        "reps_v01": [list(p) for p in cpx.reps_v01],
-        "reps_v11": [list(p) for p in cpx.reps_v11],
-        "edges_v00_v10": sorted([a, b] for a, b in cpx.edges_v00_v10),
-        "edges_v01_v11": sorted([a, b] for a, b in cpx.edges_v01_v11),
-        "edges_v00_v01": sorted([a, b] for a, b in cpx.edges_v00_v01),
-        "edges_v10_v11": sorted([a, b] for a, b in cpx.edges_v10_v11),
-        "faces": sorted(list(f) for f in cpx.faces),
+        "reps_v00": list(map(list, cpx.reps_v00)),
+        "reps_v10": list(map(list, cpx.reps_v10)),
+        "reps_v01": list(map(list, cpx.reps_v01)),
+        "reps_v11": list(map(list, cpx.reps_v11)),
+        "edges_v00_v10": list(map(list, sorted(cpx.edges_v00_v10))),
+        "edges_v01_v11": list(map(list, sorted(cpx.edges_v01_v11))),
+        "edges_v00_v01": list(map(list, sorted(cpx.edges_v00_v01))),
+        "edges_v10_v11": list(map(list, sorted(cpx.edges_v10_v11))),
+        "faces": list(map(list, sorted(cpx.faces))),
         "degrees": {"down": d.down, "up": d.up, "right": d.right, "left": d.left}
         if d else None,
         "group_order": cpx.group_order,
@@ -565,26 +591,55 @@ def complex_to_json(cpx: BalancedProductComplex) -> dict:
     }
 
 
+_PAIR_FIELDS = ("reps_v00", "reps_v10", "reps_v01", "reps_v11",
+                "edges_v00_v10", "edges_v01_v11", "edges_v00_v01", "edges_v10_v11")
+
+
 def complex_from_json(obj: dict) -> BalancedProductComplex:
+    """Load a complex written by `complex_to_json`.
+
+    Reps and edges are lists of int pairs, faces lists of four ints, and
+    `degrees` (null or four ints) and `group_order` (a positive int) are
+    ints too; anything else is refused with a ValidationError naming the
+    field.  Each field is read in one C-level pass (see `jsonio._int_rows`).
+    The edges are checked through the chain condition and, when degrees are
+    recorded, against them.
+    """
+    if not isinstance(obj, dict):
+        raise ValidationError(f"complex JSON must be an object, got {type(obj).__name__}")
     try:
-        deg = obj.get("degrees")
-        cpx = BalancedProductComplex(
-            reps_v00=tuple((int(a), int(b)) for a, b in obj["reps_v00"]),
-            reps_v10=tuple((int(a), int(b)) for a, b in obj["reps_v10"]),
-            reps_v01=tuple((int(a), int(b)) for a, b in obj["reps_v01"]),
-            reps_v11=tuple((int(a), int(b)) for a, b in obj["reps_v11"]),
-            edges_v00_v10=frozenset((int(a), int(b)) for a, b in obj["edges_v00_v10"]),
-            edges_v01_v11=frozenset((int(a), int(b)) for a, b in obj["edges_v01_v11"]),
-            edges_v00_v01=frozenset((int(a), int(b)) for a, b in obj["edges_v00_v01"]),
-            edges_v10_v11=frozenset((int(a), int(b)) for a, b in obj["edges_v10_v11"]),
-            faces=frozenset(tuple(int(v) for v in f) for f in obj["faces"]),
-            degrees=DegreeProfile(int(deg["down"]), int(deg["up"]),
-                                  int(deg["right"]), int(deg["left"])) if deg else None,
-            group_order=int(obj.get("group_order", 1)),
-            provenance=str(obj.get("provenance", "")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed complex JSON: {exc}") from exc
+        rows = {name: _int_rows(obj[name], name, 2) for name in _PAIR_FIELDS}
+        faces = _int_rows(obj["faces"], "faces", 4)
+    except KeyError as exc:
+        raise ValidationError(f"malformed complex JSON: missing {exc}") from exc
+    deg = obj.get("degrees")
+    degrees = None
+    if deg is not None:
+        if not isinstance(deg, dict):
+            raise ValidationError(
+                f"complex degrees must be an object or null, got {type(deg).__name__}")
+        try:
+            degrees = DegreeProfile(*(_int_value(deg[name], f"degree {name}")
+                                      for name in ("down", "up", "right", "left")))
+        except KeyError as exc:
+            raise ValidationError(f"malformed complex JSON: degrees miss {exc}") from exc
+    group_order = _int_value(obj.get("group_order", 1), "group_order")
+    if group_order < 1:
+        raise ValidationError(f"group_order must be positive, got {group_order}")
+    cpx = BalancedProductComplex(
+        reps_v00=rows["reps_v00"],
+        reps_v10=rows["reps_v10"],
+        reps_v01=rows["reps_v01"],
+        reps_v11=rows["reps_v11"],
+        edges_v00_v10=frozenset(rows["edges_v00_v10"]),
+        edges_v01_v11=frozenset(rows["edges_v01_v11"]),
+        edges_v00_v01=frozenset(rows["edges_v00_v01"]),
+        edges_v10_v11=frozenset(rows["edges_v10_v11"]),
+        faces=frozenset(faces),
+        degrees=degrees,
+        group_order=group_order,
+        provenance=str(obj.get("provenance", "")),
+    )
     check = cpx.chain_check              # building the maps checks edge endpoints
     if not check.ok:
         raise ValidationError(
@@ -596,7 +651,12 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
 
 
 def _check_degrees(cpx: BalancedProductComplex) -> None:
-    """Every vertex must have the recorded degree in both of its edge classes."""
+    """Every vertex must have the recorded degree in both of its edge classes.
+
+    The endpoints are already known to lie in their classes, so a class is
+    right when the set of its vertices' degrees is {expected}; only a wrong
+    class is scanned for its first wrong vertex.
+    """
     d = cpx.degrees
     for cell, size, which, end, name, expected in (
         ("V00", cpx.v00_size, "v00_v10", 0, "down", d.down),
@@ -608,10 +668,13 @@ def _check_degrees(cpx: BalancedProductComplex) -> None:
         ("V11", cpx.v11_size, "v01_v11", 1, "up", d.up),
         ("V11", cpx.v11_size, "v10_v11", 1, "left", d.left),
     ):
-        counts = Counter(e[end] for e in getattr(cpx, f"edges_{which}"))
-        for v in range(size):
-            if counts[v] != expected:
-                raise ValidationError(
-                    f"degrees say {name} = {expected}, but {cell} vertex {v} has "
-                    f"{counts[v]} edges in {which}"
-                )
+        counts = Counter(map(itemgetter(end), getattr(cpx, f"edges_{which}")))
+        found = set(counts.values())
+        if len(counts) < size:
+            found.add(0)
+        if found - {expected}:
+            v = next(v for v in range(size) if counts[v] != expected)
+            raise ValidationError(
+                f"degrees say {name} = {expected}, but {cell} vertex {v} has "
+                f"{counts[v]} edges in {which}"
+            )

@@ -336,8 +336,8 @@ class TestEdgeDerivedIndex:
 
     def test_decoding_ignores_faces(self, star12):
         # The decoder reads only the edge classes, which the loader checks
-        # through the chain condition; faces are not verified on load, and
-        # wrong faces must not change any decode.
+        # through the chain condition; faces are only type-checked on load,
+        # and wrong faces must not change any decode.
         obj = complex_to_json(star12)
         no_faces = dict(obj, faces=[])
         z00, z10, z01, z11 = obj["faces"][0]

@@ -1,0 +1,314 @@
+"""Strict intake: every loader admits only ints and refuses with qbp errors.
+
+Each loader reads its integer fields through `jsonio._int_rows` /
+`jsonio._int_value`, which admit values whose type is exactly `int`: a float
+is not truncated, and a bool or a numeric string does not stand in for an
+int.  The regression tests below load inputs that earlier loaders accepted
+by coercion.  The fuzz tests feed arbitrary JSON values (wrong top-level
+types, missing keys, nested junk, huge and negative ints, floats, bools and
+strings) to every loader and require that only `qbp.errors` types escape,
+and that the command line reports every refusal as an `error:` line with
+exit code 1 or 2.
+"""
+
+import contextlib
+import io
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from qbp import cli, errors, gf2
+from qbp.cli import cli_dispatch
+from qbp.errors import ValidationError
+from qbp.graphs import graph_from_json, graph_to_json
+from qbp.groups import action_from_json, cyclic_group, group_from_json, group_to_json
+from qbp.instances import bipartite_cycle, star_graph, toric_complex
+from qbp.product import complex_from_json, complex_to_json
+
+QBP_ERRORS = tuple(v for v in vars(errors).values()
+                   if isinstance(v, type) and issubclass(v, Exception))
+
+
+# -- regressions: entries that are not ints ------------------------------------------
+
+
+class TestOnlyInts:
+    def test_group_table_float_is_refused(self):
+        with pytest.raises(ValidationError, match="group table holds 1.9"):
+            group_from_json({"mul": [[0, 1.9], [1, 0]]})
+
+    def test_action_table_bool_and_float_are_refused(self):
+        with pytest.raises(ValidationError, match="action table holds True"):
+            action_from_json({"act": [[0, 1], [True, 0.2]]}, cyclic_group(2))
+
+    @pytest.mark.parametrize("field", ["edges_v00_v10", "edges_v10_v11", "reps_v01", "faces"])
+    def test_complex_float_entry_is_refused(self, field):
+        obj = complex_to_json(toric_complex(3))
+        first = obj[field][0]
+        obj[field][0] = [first[0] + 0.5] + first[1:]
+        with pytest.raises(ValidationError, match=f"{field} holds {first[0] + 0.5}"):
+            complex_from_json(obj)
+
+    @pytest.mark.parametrize("degree", [2.0, True, "2"], ids=["float", "bool", "str"])
+    def test_complex_degree_must_be_an_int(self, degree):
+        obj = complex_to_json(toric_complex(3))
+        obj["degrees"]["down"] = degree
+        with pytest.raises(ValidationError, match="degree down must be an int"):
+            complex_from_json(obj)
+
+    @pytest.mark.parametrize("order", [1.0, True, "1", 0],
+                             ids=["float", "bool", "str", "zero"])
+    def test_complex_group_order_must_be_a_positive_int(self, order):
+        obj = dict(complex_to_json(toric_complex(3)), group_order=order)
+        with pytest.raises(ValidationError, match="group_order must be"):
+            complex_from_json(obj)
+
+    def test_complex_face_must_have_four_corners(self):
+        obj = complex_to_json(toric_complex(3))
+        obj["faces"][0] = obj["faces"][0][:3]
+        with pytest.raises(ValidationError, match="faces entry .* does not have 4 values"):
+            complex_from_json(obj)
+
+    @pytest.mark.parametrize("change", [{"v0": 4.0}, {"v1": True},
+                                        {"edges": [[0, 0], [1.5, 1]]}],
+                             ids=["v0_float", "v1_bool", "edge_float"])
+    def test_graph_entries_must_be_ints(self, change):
+        obj = dict(graph_to_json(bipartite_cycle(4)), **change)
+        with pytest.raises(ValidationError, match="must be an int|holds 1.5"):
+            graph_from_json(obj)
+
+    def test_graph_endpoint_outside_its_side_is_a_validation_error(self):
+        obj = dict(graph_to_json(bipartite_cycle(4)), edges=[[0, 4]])
+        with pytest.raises(ValidationError, match="edge endpoint 4 outside V1"):
+            graph_from_json(obj)
+
+    @pytest.mark.parametrize("vector", [{"length": 18.0, "support": [1]},
+                                        {"length": 18, "support": [True]},
+                                        {"length": 18, "support": [1.5]},
+                                        {"length": 18, "support": "1"}],
+                             ids=["length_float", "support_bool", "support_float",
+                                  "support_str"])
+    def test_vector_entries_must_be_ints(self, tmp_path, vector):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(vector))
+        with pytest.raises(ValidationError, match="vector"):
+            cli._load_vector(str(path))
+
+    def test_matrix_entries_must_be_ints(self):
+        with pytest.raises(ValidationError, match="matrix entries holds 1.5"):
+            gf2.from_json_dict({"rows": 2, "cols": 2, "entries": [[0, 1.5]]})
+        with pytest.raises(ValidationError, match="matrix rows must be an int"):
+            gf2.from_json_dict({"rows": 2.0, "cols": 2, "entries": []})
+
+    def test_matrix_shape_beyond_any_index_is_refused(self):
+        with pytest.raises(ValidationError, match="exceeds any addressable size"):
+            gf2.from_json_dict({"rows": 2**63, "cols": 2, "entries": []})
+
+    def test_table_values_must_be_below_the_size(self):
+        with pytest.raises(ValidationError, match="table value 2 outside 0..1"):
+            group_from_json({"mul": [[0, 2], [1, 0]]})
+        with pytest.raises(ValidationError, match="action value 3 outside 0..2"):
+            action_from_json({"act": [[0, 1, 2], [1, 2, 3]]}, cyclic_group(2))
+
+    def test_complex_vertex_without_edges_breaks_its_degree(self):
+        # V11 cell 2 has no V10 neighbor while the other cells have one.
+        obj = {"reps_v00": [], "reps_v10": [[0, 0], [1, 0]], "reps_v01": [],
+               "reps_v11": [[0, 0], [1, 0], [2, 0]], "edges_v00_v10": [],
+               "edges_v01_v11": [], "edges_v00_v01": [], "edges_v10_v11": [[0, 0], [1, 1]],
+               "faces": [], "degrees": {"down": 0, "up": 0, "right": 1, "left": 1}}
+        with pytest.raises(ValidationError, match="left = 1, but V11 vertex 2 has 0"):
+            complex_from_json(obj)
+
+    def test_complex_file_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text("[1, 2]")
+        rc = cli_dispatch(["distance", "--complex", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: complex JSON must be an object, got list")
+
+    def test_complex_file_that_is_not_an_object_from_the_shell(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text("[1, 2]")
+        proc = subprocess.run([sys.executable, "-m", "qbp.cli", "distance", "--complex",
+                               str(path)], capture_output=True, text=True, timeout=120,
+                              env={"PYTHONPATH": str(Path(__file__).parent.parent / "src")})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    def test_valid_files_still_load(self):
+        cpx = toric_complex(3)
+        assert complex_from_json(json.loads(json.dumps(complex_to_json(cpx)))).faces == cpx.faces
+        g = cyclic_group(5)
+        assert group_from_json(json.loads(json.dumps(group_to_json(g)))).mul == g.mul
+        _, action = star_graph(4, 2)
+        table = json.loads(json.dumps([list(r) for r in action.v1.table]))
+        assert action_from_json({"act": table}, action.group).table == action.v1.table
+        m = gf2.F2Matrix.from_entries(3, 4, [(0, 1), (2, 3)])
+        assert gf2.from_json_dict(json.loads(json.dumps(gf2.to_json_dict(m)))) == m
+
+
+# -- fuzz ----------------------------------------------------------------------------------
+
+# Huge ints are beyond any index (>= 2^63), so no loader can allocate for them.
+HUGE = st.sampled_from([2**63, 2**64 + 1, 10**30, -(2**63), -(10**30)])
+INTS = st.integers(-3, 12) | HUGE
+KEYS = ["v0", "v1", "edges", "mul", "order", "label", "act", "length", "support", "rows",
+        "cols", "entries", "reps_v00", "reps_v10", "reps_v01", "reps_v11", "edges_v00_v10",
+        "edges_v01_v11", "edges_v00_v01", "edges_v10_v11", "faces", "degrees",
+        "group_order", "down", "up", "right", "left"]
+LEAVES = (st.none() | st.booleans() | INTS | st.floats() | st.text(max_size=3))
+JSON = st.recursive(
+    LEAVES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), kids, max_size=4),
+    max_leaves=20,
+)
+ROWS = st.lists(st.lists(INTS | LEAVES, max_size=5), max_size=5) | JSON
+
+
+def shaped(fields, valid):
+    """Objects with a loader's own keys, each holding rows, ints or junk, and
+    sometimes a key missing; or a valid object with one field replaced by
+    junk, or with one entry of one field replaced."""
+    values = st.one_of(ROWS, INTS, JSON)
+    objects = st.fixed_dictionaries({}, optional={key: values for key in fields})
+
+    @st.composite
+    def mutated(draw):
+        obj = json.loads(json.dumps(valid))
+        key = draw(st.sampled_from(sorted(obj)))
+        field = obj[key]
+        if isinstance(field, list) and field and draw(st.booleans()):
+            i = draw(st.integers(0, len(field) - 1))
+            if isinstance(field[i], list) and field[i]:
+                j = draw(st.integers(0, len(field[i]) - 1))
+                field[i][j] = draw(LEAVES)
+            else:
+                field[i] = draw(LEAVES)
+        elif draw(st.booleans()):
+            del obj[key]
+        else:
+            obj[key] = draw(values)
+        return obj
+
+    return objects | mutated()
+
+
+LOADERS = {
+    "graph": (graph_from_json, shaped(["v0", "v1", "edges"], graph_to_json(bipartite_cycle(3)))),
+    "group": (group_from_json, shaped(["mul", "order", "label"], group_to_json(cyclic_group(3)))),
+    "action": (lambda obj: action_from_json(obj, cyclic_group(3)),
+               shaped(["act"], {"act": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})),
+    "complex": (complex_from_json, shaped(KEYS[12:23], complex_to_json(toric_complex(2)))),
+    "matrix": (gf2.from_json_dict,
+               shaped(["rows", "cols", "entries"], {"rows": 2, "cols": 3,
+                                                    "entries": [[0, 1], [1, 2]]})),
+}
+
+
+def load_vector(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.json"
+        path.write_text(json.dumps(obj))
+        return cli._load_vector(str(path))
+
+
+LOADERS["vector"] = (load_vector, shaped(["length", "support"], {"length": 4, "support": [1, 3]}))
+
+ALIST_TEXT = (st.lists(st.lists(INTS.map(str) | st.text(max_size=3), max_size=6), max_size=8)
+              .map(lambda lines: "\n".join(" ".join(line) for line in lines))
+              | st.text(max_size=40))
+
+
+def loads(load, value):
+    """Whether a loader accepts value; anything it raises must be a qbp error."""
+    try:
+        load(value)
+    except QBP_ERRORS:
+        return False
+    return True
+
+
+class TestLoaderFuzz:
+    @pytest.mark.parametrize("name", sorted(LOADERS))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_only_qbp_errors_escape(self, name, data):
+        load, objects = LOADERS[name]
+        loads(load, data.draw(JSON | objects))
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=ALIST_TEXT | JSON)
+    def test_alist_only_qbp_errors_escape(self, text):
+        loads(gf2.from_alist, text)
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli_dispatch([str(a) for a in argv])
+    return rc, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def cli_files():
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "cycle.json").write_text(json.dumps(graph_to_json(bipartite_cycle(3))))
+        (work / "toric.json").write_text(json.dumps(complex_to_json(toric_complex(2))))
+        (work / "z4.json").write_text(json.dumps(group_to_json(cyclic_group(4))))
+        yield work
+
+
+CLI_CASES = {
+    # name: (loader that must refuse, argv with {f} for the fuzzed file)
+    "complex": (complex_from_json, ["distance", "--complex", "{f}"]),
+    "graph": (graph_from_json, ["certify", "--graph", "{f}", "--c", "1", "--epsilon", "0"]),
+    "group": (group_from_json, ["construct", "--left", "{cycle}", "--right", "{cycle}",
+                                "--group", "{f}", "--actions", "{f}", "--out", "{out}"]),
+    "vector": (load_vector, ["decode", "--complex", "{toric}", "--syndrome", "{f}",
+                             "--epsilon", "0"]),
+}
+
+
+class TestCliFuzz:
+    @pytest.mark.parametrize("name", sorted(CLI_CASES))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.filter_too_much])
+    @given(data=st.data())
+    def test_refusals_exit_with_an_error_line(self, cli_files, name, data):
+        load, argv = CLI_CASES[name]
+        value = data.draw(JSON | LOADERS[name][1])
+        assume(not loads(load, value))
+        path = cli_files / "fuzz.json"
+        path.write_text(json.dumps(value))
+        files = {"f": path, "cycle": cli_files / "cycle.json",
+                 "toric": cli_files / "toric.json", "out": cli_files / "out.json"}
+        rc, err = run_cli([a.format(**files) for a in argv])
+        assert rc in (1, 2)
+        assert err.startswith("error:") or err.startswith("i/o error:")
+        assert "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=JSON)
+    def test_actions_refusals_exit_with_an_error_line(self, cli_files, value):
+        path = cli_files / "acts.json"
+        path.write_text(json.dumps(value))
+        rc, err = run_cli(["construct", "--left", cli_files / "cycle.json",
+                           "--right", cli_files / "cycle.json", "--group",
+                           cli_files / "z4.json", "--actions", path,
+                           "--out", cli_files / "out.json"])
+        assert rc in (1, 2)
+        assert err.startswith("error:")
+        assert "Traceback" not in err

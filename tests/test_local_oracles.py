@@ -1,0 +1,526 @@
+"""Cached verdicts and error-local scans against the code they replaced.
+
+Freeness scans, translation actions, regularity verdicts and the complex's
+subgraphs are computed once per object; the region diagnostics visit only
+the faces through an error qubit; `tree_partition` builds its flow over
+N(v1) only; and a complex's code reads its weight off the subgraph
+adjacency.  Each is compared here with the earlier formulation, kept as an
+oracle: the full face scan, the all-owners partition, the uncached
+regularity and freeness scans, and the column-mask weight.  Every field
+must be equal, `per_vertex`, `assignment` and `leftover` included, and so
+must every refusal.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qbp import groups
+from qbp.css import CssCode, extract_code
+from qbp.decoder import RegionReport, _index_for, region_diagnostics
+from qbp.errors import InternalInvariantError, PreconditionError
+from qbp.gf2 import F2Matrix
+from qbp.expansion import FlowNetwork, TreePartition, max_flow_integer, tree_partition
+from qbp.graphs import BipartiteGraph, NonRegularReport, RegularityProfile, neighbors, regularity
+from qbp.groups import (
+    conjugation_action,
+    cyclic_group,
+    dihedral_group,
+    symmetric_group,
+    trivial_action,
+    verify_free_action,
+)
+from qbp.instances import (
+    incidence_star_product,
+    left_right_cayley,
+    random_bipartite,
+    random_free_action_graph,
+    star_product,
+    toric_complex,
+)
+from qbp.product import SUBGRAPHS, balanced_product, hypergraph_product
+
+
+# -- oracles: the earlier formulations ------------------------------------------
+
+
+def oracle_regularity(graph):
+    """Degree scan over V0 then V1, recomputed on every call."""
+    w0 = len(graph.adj0[0]) if graph.v0_size else 0
+    for x0 in range(graph.v0_size):
+        d = len(graph.adj0[x0])
+        if d != w0:
+            return NonRegularReport(0, x0, d)
+    w1 = len(graph.adj1[0]) if graph.v1_size else 0
+    for x1 in range(graph.v1_size):
+        d = len(graph.adj1[x1])
+        if d != w1:
+            return NonRegularReport(1, x1, d)
+    return RegularityProfile(w0, w1)
+
+
+def oracle_free_action(action):
+    """The first fixed point (g, x), g != identity, rescanned on every call."""
+    e = action.group.identity
+    for g in range(action.group.order):
+        if g == e:
+            continue
+        for x in range(action.set_size):
+            if action.table[g][x] == x:
+                return (g, x)
+    return None
+
+
+def oracle_weight(code):
+    """Column masks of Hx and Hz for every qubit, rows for every check."""
+    per_qubit = max(
+        (code.hx.col_weight(q) + code.hz.col_weight(q) for q in range(code.n)),
+        default=0,
+    )
+    return max(code.hx.max_row_weight(), code.hz.max_row_weight(), per_qubit)
+
+
+def oracle_tree_partition(graph, v1_subset, epsilon, w0):
+    """The flow partition with every V0 vertex visited for its owned set and
+    leftover."""
+    epsilon = Fraction(epsilon)
+    if epsilon < 0:
+        raise PreconditionError(f"need epsilon >= 0, got {epsilon}")
+    prof = oracle_regularity(graph)
+    if not prof.is_regular:
+        raise PreconditionError(f"graph is not biregular: {prof}")
+    v1 = sorted(set(v1_subset))
+    for x1 in v1:
+        if not 0 <= x1 < graph.v1_size:
+            raise IndexError(f"vertex {x1} outside V1 of size {graph.v1_size}")
+    threshold = math.floor(epsilon * w0)
+    v1_set = set(v1)
+    v0 = sorted(neighbors(graph, 1, v1))
+    deg = {x0: sum(1 for y in graph.adj0[x0] if y in v1_set) for x0 in v0}
+    nodes = ["s", "t"]
+    arcs = []
+    for x0 in v0:
+        nodes.append(("v0", x0))
+        arcs.append(("s", ("v0", x0), max(deg[x0] - threshold, 0)))
+    for x1 in v1:
+        nodes.append(("v1", x1))
+        arcs.append((("v1", x1), "t", 1))
+    for x0 in v0:
+        for y in graph.adj0[x0]:
+            if y in v1_set:
+                arcs.append((("v0", x0), ("v1", y), 1))
+    result = max_flow_integer(FlowNetwork(tuple(nodes), tuple(arcs), "s", "t"))
+    required = sum(max(deg[x0] - threshold, 0) for x0 in v0)
+    if result.value < required:
+        raise InternalInvariantError(
+            f"ownership flow is {result.value} < {required}; the expansion "
+            "hypothesis asserted by the caller fails on this subset"
+        )
+    assignment = {x0: set() for x0 in range(graph.v0_size)}
+    owner = {}
+    for x0 in v0:
+        for y in graph.adj0[x0]:
+            if y in v1_set and result.flow.get((("v0", x0), ("v1", y)), 0) == 1:
+                assignment[x0].add(y)
+                owner[y] = x0
+    for x1 in v1:
+        if x1 not in owner:
+            if not graph.adj1[x1]:
+                raise PreconditionError(
+                    f"target vertex {x1} has no neighbors; nothing can own it"
+                )
+            x0 = graph.adj1[x1][0]
+            assignment[x0].add(x1)
+            owner[x1] = x0
+    leftover = {
+        x0: sum(1 for y in graph.adj0[x0] if y in v1_set) - len(assignment[x0])
+        for x0 in range(graph.v0_size)
+    }
+    return TreePartition({x0: frozenset(s) for x0, s in assignment.items()},
+                         leftover, result.value, threshold)
+
+
+def _zero_counts():
+    return {"touched": 0, "stray": 0, "multihit": 0, "unowned_pairs": 0,
+            "flipped": 0, "lit": 0, "unique": 0}
+
+
+def oracle_check_partition(cpx, which, target, part):
+    """Every owner, empty or not, on a freshly built subgraph."""
+    edges = getattr(cpx, f"edges_{which}")
+    graph = BipartiteGraph(cpx.v00_size, len(getattr(cpx, f"reps_{which[4:]}")), edges)
+    seen = set()
+    for x00, owned in part.assignment.items():
+        if not 0 <= x00 < graph.v0_size:
+            raise PreconditionError(f"partition owner {x00} outside V00")
+        if owned & seen:
+            raise PreconditionError(f"partition for {which} is not disjoint")
+        seen |= owned
+        if not owned <= set(graph.adj0[x00]):
+            raise PreconditionError(
+                f"partition for {which} assigns non-neighbors to {x00}"
+            )
+    if seen != target:
+        raise PreconditionError(
+            f"partition for {which} covers {sorted(seen)}, expected {sorted(target)}"
+        )
+
+
+def oracle_region_diagnostics(cpx, v10, v01, part10, part01, epsilon=None):
+    """Every face, every V11 cell and every V00 owner, scanned on each call."""
+    v10_set = frozenset(v10)
+    v01_set = frozenset(v01)
+    oracle_check_partition(cpx, "v00_v10", v10_set, part10)
+    oracle_check_partition(cpx, "v00_v01", v01_set, part01)
+    owner10 = {q: x00 for x00, owned in part10.assignment.items() for q in owned}
+    owner01 = {q: x00 for x00, owned in part01.assignment.items() for q in owned}
+    deg_v10_at_v11 = {}
+    for z10, z11 in cpx.edges_v10_v11:
+        if z10 in v10_set:
+            deg_v10_at_v11[z11] = deg_v10_at_v11.get(z11, 0) + 1
+    deg_v01_at_v11 = {}
+    for z01, z11 in cpx.edges_v01_v11:
+        if z01 in v01_set:
+            deg_v01_at_v11[z11] = deg_v01_at_v11.get(z11, 0) + 1
+    total = {z11: deg_v10_at_v11.get(z11, 0) + deg_v01_at_v11.get(z11, 0)
+             for z11 in range(cpx.v11_size)}
+    unique_v11 = {z11 for z11, k in total.items() if k == 1}
+    syndrome = {z11 for z11, k in total.items() if k % 2 == 1}
+    per = {}
+    flip_parity = {}
+    for z00, z10, z01, z11 in cpx.faces:
+        owned10 = owner10.get(z10) == z00
+        owned01 = owner01.get(z01) == z00
+        in10 = z10 in v10_set
+        in01 = z01 in v01_set
+        if not (owned10 or owned01 or in10 or in01):
+            continue
+        counts = per.setdefault(z00, _zero_counts())
+        if owned10 != owned01:
+            counts["touched"] += 1
+            if owned10 and in01 and not owned01:
+                counts["stray"] += 1
+            if owned01 and in10 and not owned10:
+                counts["stray"] += 1
+            if owned10 and deg_v10_at_v11.get(z11, 0) > 1:
+                counts["multihit"] += 1
+            if owned01 and deg_v01_at_v11.get(z11, 0) > 1:
+                counts["multihit"] += 1
+        if (in10 and not owned10) and (in01 and not owned01):
+            counts["unowned_pairs"] += 1
+        if owned10 or owned01:
+            parity = flip_parity.setdefault(z00, {})
+            if owned10 != owned01:
+                parity[z11] = parity.get(z11, 0) ^ 1
+    for z00, parity in flip_parity.items():
+        counts = per.setdefault(z00, _zero_counts())
+        flipped = [z11 for z11, p in parity.items() if p]
+        counts["flipped"] = len(flipped)
+        counts["lit"] = sum(1 for z11 in flipped if z11 in syndrome)
+        counts["unique"] = sum(1 for z11 in flipped if z11 in unique_v11)
+    totals = _zero_counts()
+    for counts in per.values():
+        for key in totals:
+            totals[key] += counts[key]
+    report = RegionReport(
+        touched_total=totals["touched"], stray_total=totals["stray"],
+        multihit_total=totals["multihit"],
+        excess_total=totals["stray"] + totals["unowned_pairs"],
+        flipped_total=totals["flipped"], lit_total=totals["lit"],
+        unique_total=totals["unique"], syndrome_weight=len(syndrome),
+        per_vertex=per, epsilon=Fraction(epsilon) if epsilon is not None else None,
+    )
+    if not report.counting_bound_ok:
+        raise InternalInvariantError(
+            "region counting bound failed: "
+            f"unique={report.unique_total}, touched={report.touched_total}, "
+            f"stray={report.stray_total}, multihit={report.multihit_total}, "
+            f"excess={report.excess_total}"
+        )
+    for counts in per.values():
+        if counts["unique"] > counts["lit"]:
+            raise InternalInvariantError(
+                "a flipped unique neighbor without syndrome cannot exist")
+    return report
+
+
+def outcome(fn, *args, **kwargs):
+    """A call's value, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (PreconditionError, InternalInvariantError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+# -- families ---------------------------------------------------------------------
+
+
+def _random_free(name, seed):
+    group = {"Z6": lambda: cyclic_group(6), "D3": lambda: dihedral_group(3)}[name]()
+    rng = random.Random(seed)
+    x, ax = random_free_action_graph(group, 1, 2, 2, rng)
+    y, ay = random_free_action_graph(group, 2, 1, 3, rng)
+    return balanced_product(x, ax, y, ay)
+
+
+FAMILIES = {
+    "toric2": lambda: toric_complex(2),
+    "toric4": lambda: toric_complex(4),
+    "star6": lambda: star_product(6, 3, 2),
+    "star8_21": lambda: star_product(8, 2, 1),
+    "cayley_z8": lambda: left_right_cayley(cyclic_group(8), [1, 2], [1, 4]),
+    "cayley_z12": lambda: left_right_cayley(cyclic_group(12), [1, 5], [2, 3, 7]),
+    "cayley_d4": lambda: left_right_cayley(dihedral_group(4), [1, 2], [1, 2]),
+    "cayley_d5": lambda: left_right_cayley(dihedral_group(5), [1, 4], [3]),
+    "incidence5": lambda: incidence_star_product(5, 2),
+    "random_z6": lambda: _random_free("Z6", 11),
+    "random_d3": lambda: _random_free("D3", 5),
+    "hgp_irregular": lambda: hypergraph_product(random_bipartite(4, 3, 7, random.Random(2)),
+                                                random_bipartite(3, 3, 5, random.Random(4))),
+}
+_BUILT = {}
+
+
+def family(name):
+    """One shared complex per family, like the session fixtures."""
+    if name not in _BUILT:
+        _BUILT[name] = FAMILIES[name]()
+    return _BUILT[name]
+
+
+@st.composite
+def small_errors(draw, cpx):
+    """An error (v10, v01) of total weight at most 4."""
+    w10 = draw(st.integers(0, min(4, cpx.v10_size)))
+    w01 = draw(st.integers(0, min(4 - w10, cpx.v01_size)))
+    v10 = draw(st.sets(st.integers(0, cpx.v10_size - 1), min_size=w10, max_size=w10)
+               if cpx.v10_size else st.just(set()))
+    v01 = draw(st.sets(st.integers(0, cpx.v01_size - 1), min_size=w01, max_size=w01)
+               if cpx.v01_size else st.just(set()))
+    return frozenset(v10), frozenset(v01)
+
+
+def neighbor_partition(graph, target, rng):
+    """Each target vertex owned by a random neighbor, every V0 vertex listed;
+    a vertex without neighbors stays unowned, which both scans refuse."""
+    assignment = {x0: set() for x0 in range(graph.v0_size)}
+    for x1 in sorted(target):
+        if graph.adj1[x1]:
+            assignment[rng.choice(graph.adj1[x1])].add(x1)
+    return TreePartition({x0: frozenset(s) for x0, s in assignment.items()},
+                         {x0: 0 for x0 in range(graph.v0_size)}, 0, 0)
+
+
+EPSILONS = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1))
+
+
+# -- tests -------------------------------------------------------------------------
+
+
+class TestComputedOnce:
+    """Each verdict is computed once per object, and only once."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = {"free": [], "law": []}
+        scan, law = groups._first_fixed_point, groups._check_action_law
+
+        def counted_scan(action):
+            calls["free"].append(id(action))
+            return scan(action)
+
+        def counted_law(group, tab, set_size):
+            calls["law"].append(id(tab))
+            return law(group, tab, set_size)
+
+        monkeypatch.setattr(groups, "_first_fixed_point", counted_scan)
+        monkeypatch.setattr(groups, "_check_action_law", counted_law)
+        return calls
+
+    @pytest.mark.parametrize("build, distinct", [
+        (lambda: left_right_cayley(cyclic_group(8), [1, 2], [1, 4]), 1),
+        (lambda: star_product(8, 3, 2), 4),
+    ], ids=["cayley_z8", "star8"])
+    def test_one_scan_and_one_law_check_per_action(self, monkeypatch, build, distinct):
+        calls = self.counting(monkeypatch)
+        cpx = build()
+        actions = {id(a): a for a in (cpx.action_x.v0, cpx.action_x.v1,
+                                      cpx.action_y.v0, cpx.action_y.v1)}
+        assert len(actions) == distinct
+        assert sorted(calls["free"]) == sorted(actions)
+        assert sorted(calls["law"]) == sorted(id(a.table) for a in actions.values())
+        for action in actions.values():
+            assert verify_free_action(action) is None
+        assert len(calls["free"]) == distinct
+
+    def test_one_translation_action_per_group_and_side(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        group = cyclic_group(6)
+        assert groups.left_translation_action(group) is groups.left_translation_action(group)
+        assert groups.right_translation_action(group) is groups.right_translation_action(group)
+        assert len(calls["law"]) == 2
+        other = cyclic_group(6)
+        assert groups.left_translation_action(other) is not groups.left_translation_action(group)
+        assert len(calls["law"]) == 3
+
+    def test_subgraph_is_one_object_per_edge_class(self):
+        cpx = star_product(8, 3, 2)
+        for which in SUBGRAPHS:
+            graph = cpx.subgraph(which)
+            assert cpx.subgraph(which) is graph
+            assert graph.edges is getattr(cpx, f"edges_{which}")
+            assert regularity(graph) is regularity(graph)
+        assert cpx.transposed().subgraph("v00_v10") is not cpx.subgraph("v00_v10")
+
+    def test_decoder_index_reads_the_complex_adjacency(self, star12_code):
+        idx = _index_for(star12_code)
+        cpx = star12_code.cpx
+        assert idx.n10 is cpx.subgraph("v00_v10").adj0
+        assert idx.n01 is cpx.subgraph("v00_v01").adj0
+        for x00 in range(cpx.v00_size):
+            assert idx.n10[x00] == tuple(sorted(z for a, z in cpx.edges_v00_v10 if a == x00))
+            assert idx.n01[x00] == tuple(sorted(z for a, z in cpx.edges_v00_v01 if a == x00))
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_regularity_freeness_and_weight(self, name):
+        cpx = family(name)
+        for which in SUBGRAPHS:
+            graph = cpx.subgraph(which)
+            assert regularity(graph) == oracle_regularity(graph)
+        for graph in (cpx.factor_x, cpx.factor_y):
+            assert regularity(graph) == oracle_regularity(graph)
+        for act in (cpx.action_x.v0, cpx.action_x.v1, cpx.action_y.v0, cpx.action_y.v1):
+            assert verify_free_action(act) == oracle_free_action(act) is None
+        code = extract_code(cpx)
+        assert code.weight == oracle_weight(code)
+        tcode = extract_code(cpx.transposed())
+        assert tcode.weight == oracle_weight(tcode)
+
+    @settings(max_examples=60, deadline=None)
+    @given(v0=st.integers(1, 6), v1=st.integers(1, 6), data=st.data())
+    def test_regularity_of_random_graphs(self, v0, v1, data):
+        n_edges = data.draw(st.integers(0, v0 * v1))
+        graph = random_bipartite(v0, v1, n_edges, random.Random(data.draw(st.integers(0, 99))))
+        assert regularity(graph) == oracle_regularity(graph)
+
+    @pytest.mark.parametrize("group", [cyclic_group(1), cyclic_group(6), dihedral_group(4),
+                                       symmetric_group(3)], ids=["Z1", "Z6", "D4", "S3"])
+    def test_freeness_of_actions_that_are_not_free(self, group):
+        for action in (conjugation_action(group), trivial_action(group, 3),
+                       groups.left_translation_action(group),
+                       groups.right_translation_action(group)):
+            assert verify_free_action(action) == oracle_free_action(action)
+            assert verify_free_action(action) == oracle_free_action(action)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(0, 6), cols=st.integers(1, 8), data=st.data())
+    def test_weight_of_codes_that_are_not_complex_maps(self, rows, cols, data):
+        hz = F2Matrix(rows, cols, tuple(data.draw(st.integers(0, (1 << cols) - 1))
+                                        for _ in range(rows)))
+        code = CssCode(F2Matrix(0, cols, ()), hz, cols // 2)
+        assert code.weight == oracle_weight(code)
+
+    @pytest.mark.parametrize("name", ["toric2", "star6"])
+    def test_complex_code_with_other_matrices_keeps_the_matrix_path(self, name):
+        # The transposed star product has qubits in more checks than any
+        # check has qubits, so a wrong per-qubit count shows in the weight.
+        cpx = family(name).transposed()
+        code = extract_code(cpx)
+        other = CssCode(code.hx, code.hz.transpose().transpose(), code.v10_size, cpx=cpx)
+        assert other._maps_of_complex
+        for hx, hz in ((code.hx, F2Matrix.zero(code.hz.rows, code.hz.cols)),
+                       (F2Matrix.zero(code.hx.rows, code.hx.cols), code.hz)):
+            swapped = CssCode(hx, hz, code.v10_size, cpx=cpx)
+            assert not swapped._maps_of_complex
+            assert swapped.weight == oracle_weight(swapped)
+
+
+class TestLocalDiagnostics:
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(sorted(FAMILIES)), data=st.data())
+    def test_tree_partition_matches_the_all_owner_oracle(self, name, data):
+        cpx = family(name)
+        v10, v01 = data.draw(small_errors(cpx))
+        eps = data.draw(st.sampled_from(EPSILONS))
+        w0 = data.draw(st.integers(0, 4))
+        for which, target in (("v00_v10", v10), ("v00_v01", v01)):
+            graph = cpx.subgraph(which)
+            assert outcome(tree_partition, graph, target, eps, w0) == \
+                outcome(oracle_tree_partition, graph, target, eps, w0)
+            # Keys in V0 order, like the oracle's.
+            got = outcome(tree_partition, graph, target, eps, w0)
+            if isinstance(got, TreePartition):
+                assert list(got.assignment) == list(range(graph.v0_size))
+                assert list(got.leftover) == list(range(graph.v0_size))
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(sorted(FAMILIES)), data=st.data())
+    def test_region_report_matches_the_full_face_scan(self, name, data):
+        cpx = family(name)
+        v10, v01 = data.draw(small_errors(cpx))
+        eps = data.draw(st.sampled_from(EPSILONS + (None,)))
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        g10, g01 = cpx.subgraph("v00_v10"), cpx.subgraph("v00_v01")
+        if cpx.degrees is not None and data.draw(st.booleans()):
+            d = cpx.degrees
+            part10 = outcome(tree_partition, g10, v10, Fraction(1), d.down)
+            part01 = outcome(tree_partition, g01, v01, Fraction(1), d.right)
+            if not isinstance(part10, TreePartition) or not isinstance(part01, TreePartition):
+                return
+        else:
+            part10 = neighbor_partition(g10, v10, rng)
+            part01 = neighbor_partition(g01, v01, rng)
+        got = outcome(region_diagnostics, cpx, v10, v01, part10, part01, epsilon=eps)
+        want = outcome(oracle_region_diagnostics, cpx, v10, v01, part10, part01, epsilon=eps)
+        assert got == want
+        if isinstance(got, RegionReport):
+            assert got.per_vertex == want.per_vertex
+
+    @settings(max_examples=120, deadline=None)
+    @given(name=st.sampled_from(sorted(FAMILIES)), data=st.data(),
+           fault=st.sampled_from(["drop", "non_neighbor", "shared", "outside", "empty_outside"]))
+    def test_refusals_match_the_full_face_scan(self, name, data, fault):
+        cpx = family(name)
+        v10, v01 = data.draw(small_errors(cpx))
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        g10, g01 = cpx.subgraph("v00_v10"), cpx.subgraph("v00_v01")
+        part10 = neighbor_partition(g10, v10, rng)
+        part01 = neighbor_partition(g01, v01, rng)
+        assignment = dict(part10.assignment)
+        owners = [x for x, owned in assignment.items() if owned]
+        if fault == "drop" and owners:
+            assignment[owners[0]] = frozenset(sorted(assignment[owners[0]])[1:])
+        elif fault == "non_neighbor" and owners:
+            q = min(assignment[owners[0]])
+            strangers = [x for x in range(cpx.v00_size) if q not in g10.adj0[x]]
+            if strangers:
+                assignment[owners[0]] -= {q}
+                assignment[strangers[0]] |= {q}
+        elif fault == "shared" and owners and cpx.v00_size > 1:
+            q = min(assignment[owners[0]])
+            other = next(x for x in range(cpx.v00_size) if x != owners[0])
+            assignment[other] |= {q}
+        elif fault == "outside":
+            assignment[cpx.v00_size] = frozenset(v10)
+        elif fault == "empty_outside":
+            assignment[-1] = frozenset()
+        part10 = TreePartition(assignment, part10.leftover, 0, 0)
+        assert outcome(region_diagnostics, cpx, v10, v01, part10, part01) == \
+            outcome(oracle_region_diagnostics, cpx, v10, v01, part10, part01)
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_face_index_lists_exactly_the_faces_through_each_qubit(self, name):
+        cpx = family(name)
+        at10, at01 = cpx.faces_at_qubit
+        assert cpx.faces_at_qubit is cpx.faces_at_qubit
+        for q in range(cpx.v10_size):
+            assert sorted(at10.get(q, ())) == sorted(f for f in cpx.faces if f[1] == q)
+        for q in range(cpx.v01_size):
+            assert sorted(at01.get(q, ())) == sorted(f for f in cpx.faces if f[2] == q)
+        assert sum(map(len, at10.values())) == sum(map(len, at01.values())) == len(cpx.faces)
