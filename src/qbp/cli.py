@@ -22,7 +22,7 @@ from .errors import BudgetExceededError, OracleUnavailableError, ValidationError
 from .gf2 import F2Vector
 from .graphs import GraphAction, graph_from_json
 from .groups import action_from_json, group_from_json
-from .jsonio import _int_rows, _int_value, parse_rational
+from .jsonio import _int_rows, _size_value, parse_rational
 
 
 class _UsageError(Exception):
@@ -144,7 +144,8 @@ def _load_json(path: str) -> dict:
 
 
 def _load_vector(path: str) -> F2Vector:
-    """Load `{length, support}`: an int length and a list of int indices."""
+    """Load `{length, support}`: an int length within the declared-size budget
+    and a list of int indices."""
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise ValidationError(
@@ -157,7 +158,7 @@ def _load_vector(path: str) -> F2Vector:
         raise ValidationError(
             f"vector support must be a list of ints, got {type(support).__name__}")
     (indices,) = _int_rows([support], "vector support")
-    return F2Vector.from_support(_int_value(length, "vector length"), indices)
+    return F2Vector.from_support(_size_value(length, "vector length"), indices)
 
 
 def _run(args: argparse.Namespace) -> tuple[Optional[dict], dict, Optional[str]]:

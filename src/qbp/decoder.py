@@ -1,4 +1,4 @@
-"""Small-set-flip decoding of Z errors on a product-complex CSS code.
+"""Small-set-flip decoding of Z and X errors on a product-complex CSS code.
 
 Given the X syndrome (a subset of V11), the decoder repeatedly picks a V00
 vertex and a subset pair of its V10/V01 neighborhoods whose flip clears at
@@ -20,8 +20,10 @@ epsilon >= 1/12.
 The decoder reads only the four edge classes of the complex, which the
 chain condition checks; the faces are used by the region diagnostics alone.
 
-X errors decode through the transposed complex; the construction is
-symmetric under swapping the two check classes.
+X errors decode by the same search on the same complex with V00 and V11,
+and V10 and V01, swapped: the order the transposed complex would give, so
+no second complex is built and corrections and traces are in the code's
+own coordinates.
 
 A single decode is strictly sequential.  Independent decodes may run in
 parallel over a shared immutable code; each owns its state.
@@ -30,12 +32,13 @@ parallel over a shared immutable code; each owns its state.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, compress
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .css import CssCode, extract_code
+from .css import CssCode
 from .errors import BudgetExceededError, InternalInvariantError, PreconditionError, ValidationError
 from .expansion import ExpansionCertificate, TreePartition
 from .gf2 import F2Vector
@@ -72,7 +75,7 @@ class DecoderConfig:
         if self.iteration_cap <= 0:
             raise ValidationError("iteration cap must be positive")
 
-    @property
+    @cached_property
     def beta(self) -> Fraction:
         return 1 - 12 * self.epsilon
 
@@ -148,37 +151,46 @@ class DecodeResult:
 
 
 class _DecoderIndex:
-    """Adjacency and per-vertex flip masks for one code, built once."""
+    """Adjacency and per-center flip masks for one side of a code, built once
+    from the complex's own subgraph adjacency.
 
-    def __init__(self, code: CssCode) -> None:
+    Side "z" has V00 centers, flips over V10 then V01, and V11 checks; side
+    "x" has V11 centers, flips over V01 then V10, and V00 checks.  Names are
+    the Z side's: on the X side n10 lists V01 cells and n01 V10 cells.
+    """
+
+    def __init__(self, code: CssCode, side: str) -> None:
         cpx = code.cpx
         if cpx is None:
             raise PreconditionError("decoding needs a code extracted from a complex")
         self.code = code
-        self.cpx = cpx
-        # The complex's own adjacency of its V00-V10 and V00-V01 subgraphs.
-        self.n10: tuple[tuple[int, ...], ...] = cpx.subgraph("v00_v10").adj0
-        self.n01: tuple[tuple[int, ...], ...] = cpx.subgraph("v00_v01").adj0
-        # The flip search enumerates 2^(|N10| + |N01|) subset pairs per vertex.
+        g10, g01 = cpx.subgraph("v00_v10"), cpx.subgraph("v00_v01")
+        h10, h01 = cpx.subgraph("v10_v11"), cpx.subgraph("v01_v11")
+        if side == "z":
+            centers, self.checks, self.check_count = "V00", "V11", cpx.v11_size
+            self.n10, self.n01 = g10.adj0, g01.adj0
+            checks10, checks01 = h10.adj0, h01.adj0
+            self.offsets = (0, cpx.v10_size)        # qubit index of n10, n01 cell 0
+        else:
+            centers, self.checks, self.check_count = "V11", "V00", cpx.v00_size
+            self.n10, self.n01 = h01.adj1, h10.adj1
+            checks10, checks01 = g01.adj1, g10.adj1
+            self.offsets = (cpx.v10_size, 0)
+        self.v11_of_v10: list[int] = [sum(1 << z for z in cells) for cells in checks10]
+        self.v11_of_v01: list[int] = [sum(1 << z for z in cells) for cells in checks01]
+        # The centers two edges away from each check, through either flip
+        # class: exactly the centers whose flips can change that check.
+        v00s: list[list[int]] = [[] for _ in range(self.check_count)]
         for x00, (a, b) in enumerate(zip(self.n10, self.n01)):
+            # The flip search enumerates 2^(|N10| + |N01|) subset pairs here.
             if len(a) + len(b) > _PAIR_BITS_LIMIT:
                 raise BudgetExceededError(
-                    f"V00 vertex {x00} has |N10| + |N01| = {len(a) + len(b)}: its flip "
-                    f"pairs exceed the budget of 2^{_PAIR_BITS_LIMIT}")
-        self.v11_of_v10: list[int] = [0] * cpx.v10_size
-        for z10, z11 in cpx.edges_v10_v11:
-            self.v11_of_v10[z10] |= 1 << z11
-        self.v11_of_v01: list[int] = [0] * cpx.v01_size
-        for z01, z11 in cpx.edges_v01_v11:
-            self.v11_of_v01[z01] |= 1 << z11
-        # The V00 vertices two edges away from each V11 cell, through V10 or
-        # V01: exactly the vertices whose flips can change that cell.
-        v00s: list[list[int]] = [[] for _ in range(cpx.v11_size)]
-        for x00 in range(cpx.v00_size):
+                    f"{centers} vertex {x00} has |N10| + |N01| = {len(a) + len(b)}: its "
+                    f"flip pairs exceed the budget of 2^{_PAIR_BITS_LIMIT}")
             reach = 0
-            for q in self.n10[x00]:
+            for q in a:
                 reach |= self.v11_of_v10[q]
-            for q in self.n01[x00]:
+            for q in b:
                 reach |= self.v11_of_v01[q]
             for z11 in _bit_indices(reach):
                 v00s[z11].append(x00)
@@ -186,7 +198,7 @@ class _DecoderIndex:
         self._flip_cache: dict[int, tuple[list[int], list[int]]] = {}
 
     def flip_tables(self, x00: int) -> tuple[list[int], list[int]]:
-        """Subset-indexed syndrome-flip masks for both neighborhoods of x00."""
+        """Subset-indexed check-flip masks for both neighborhoods of x00."""
         cached = self._flip_cache.get(x00)
         if cached is not None:
             return cached
@@ -216,22 +228,21 @@ def _subset_masks(singles: list[int]) -> list[int]:
     return out
 
 
-_INDEX_ATTR = "_decoder_index"
-
-
-def _index_for(code: CssCode) -> _DecoderIndex:
-    idx = getattr(code, _INDEX_ATTR, None)
+def _index_for(code: CssCode, side: str) -> _DecoderIndex:
+    """The decoder index of one side ("z" or "x") of a code, cached on it."""
+    attr = f"_decoder_index_{side}"
+    idx = getattr(code, attr, None)
     if idx is None:
-        idx = _DecoderIndex(code)
-        object.__setattr__(code, _INDEX_ATTR, idx)
+        idx = _DecoderIndex(code, side)
+        object.__setattr__(code, attr, idx)
     return idx
 
 
-def _checked_index(code: CssCode, syndrome: F2Vector) -> _DecoderIndex:
-    idx = _index_for(code)
-    if syndrome.length != idx.cpx.v11_size:
+def _checked_index(code: CssCode, syndrome: F2Vector, side: str) -> _DecoderIndex:
+    idx = _index_for(code, side)
+    if syndrome.length != idx.check_count:
         raise ValidationError(
-            f"syndrome length {syndrome.length} != |V11| = {idx.cpx.v11_size}"
+            f"syndrome length {syndrome.length} != |{idx.checks}| = {idx.check_count}"
         )
     return idx
 
@@ -249,9 +260,10 @@ def flippable(
     The flip of n10 (subset of the V10 neighborhood of x00) and n01 (subset
     of the V01 neighborhood) passes when every changed syndrome count is
     nonzero and cleared >= beta * changed.  Empty flips change nothing and
-    are defined non-flippable: they would never make progress.
+    are defined non-flippable: they would never make progress.  The test is
+    the decoder's own search kernel, run on this one pair.
     """
-    idx = _checked_index(code, syndrome)
+    idx = _checked_index(code, syndrome, "z")
     s10 = set(n10)
     s01 = set(n01)
     if not s10 <= set(idx.n10[x00]):
@@ -264,23 +276,22 @@ def flippable(
     for q in s01:
         mask ^= idx.v11_of_v01[q]
     synd = syndrome.to_mask()
-    changed = mask.bit_count()
-    cleared = (mask & synd).bit_count()
     beta = Fraction(beta)
-    ok = changed > 0 and cleared * beta.denominator >= beta.numerator * changed
-    return FlipCheck(ok, changed, cleared)
+    found, _ = _first_flippable(([0, mask], [0]), synd, beta.numerator, beta.denominator)
+    return FlipCheck(found is not None, mask.bit_count(), (mask & synd).bit_count())
 
 
 def _first_flippable(
-    idx: _DecoderIndex, synd: int, x00: int, beta_num: int, beta_den: int
+    tables: tuple[list[int], list[int]], synd: int, beta_num: int, beta_den: int
 ) -> tuple[Optional[tuple[int, int, int, int, int]], int]:
-    """First flippable subset pair at x00 in ascending (mask10, mask01) order.
+    """First flippable subset pair in ascending (mask10, mask01) order over
+    one center's flip tables (see `_DecoderIndex.flip_tables`).
 
     Returns (found, tested): found is (mask10, mask01, flip_mask, changed,
     cleared) or None, and tested counts the nonempty pairs tried, the found
     one included.
     """
-    t10, t01 = idx.flip_tables(x00)
+    t10, t01 = tables
     width = len(t01)
     for m10, f10 in enumerate(t10):
         for m01 in range(0 if m10 else 1, width):
@@ -312,18 +323,20 @@ def preprocess_candidates(code: CssCode, syndrome: F2Vector, beta: Fraction) -> 
     and every V00 vertex is scanned.  Work is recorded as the vertices
     scanned and the subset pairs tested on them.
     """
-    idx = _checked_index(code, syndrome)
-    beta = Fraction(beta)
-    synd = syndrome.to_mask()
+    return _preprocess(_checked_index(code, syndrome, "z"), syndrome.to_mask(), Fraction(beta))
+
+
+def _preprocess(idx: _DecoderIndex, synd: int, beta: Fraction) -> PreprocessResult:
     if beta > 0:
         candidates: Sequence[int] = sorted(
             {x00 for z11 in _bit_indices(synd) for x00 in idx.v00_of_v11[z11]})
     else:
-        candidates = range(idx.cpx.v00_size)
+        candidates = range(len(idx.n10))
     queue = []
     tested = 0
     for x00 in candidates:
-        found, pairs = _first_flippable(idx, synd, x00, beta.numerator, beta.denominator)
+        found, pairs = _first_flippable(idx.flip_tables(x00), synd, beta.numerator,
+                                        beta.denominator)
         tested += pairs
         if found is not None:
             queue.append(x00)
@@ -343,17 +356,33 @@ def decode(code: CssCode, syndrome: F2Vector, config: DecoderConfig) -> DecodeRe
     `preprocess_candidates`); its work is bounded by the degrees times the
     initial syndrome weight.
     """
-    idx = _checked_index(code, syndrome)
+    idx = _checked_index(code, syndrome, "z")
+    return _decode(idx, syndrome, config, preprocess_candidates(code, syndrome, config.beta))
+
+
+def decode_x(code: CssCode, syndrome_z: F2Vector, config: DecoderConfig) -> DecodeResult:
+    """Decode an X error from its Z syndrome (a subset of V00).
+
+    The loop of `decode` with V00 and V11, and V10 and V01, swapped: the
+    candidates are V11 cells and a flip ranges over a cell's V01 and then
+    its V10 neighbors.  The correction is in the code's qubit coordinates;
+    trace steps name the V11 cell as x00, and n10/n01 list V01/V10 cells.
+    """
+    idx = _checked_index(code, syndrome_z, "x")
+    return _decode(idx, syndrome_z, config, _preprocess(idx, syndrome_z.to_mask(), config.beta))
+
+
+def _decode(idx: _DecoderIndex, syndrome: F2Vector, config: DecoderConfig,
+            pre: PreprocessResult) -> DecodeResult:
     beta = config.beta
     bn, bd = beta.numerator, beta.denominator
     synd = syndrome.to_mask()
     initial_weight = synd.bit_count()
 
-    pre = preprocess_candidates(code, syndrome, beta)
     queue = deque(pre.queue)
     queued = set(pre.queue)
     correction = 0
-    v10_size = code.v10_size
+    off10, off01 = idx.offsets
     trace: list[TraceStep] = []
     stale_pops = 0
     iterations = 0
@@ -361,7 +390,7 @@ def decode(code: CssCode, syndrome: F2Vector, config: DecoderConfig) -> DecodeRe
     while synd and queue and iterations < config.iteration_cap:
         x00 = queue.popleft()
         queued.discard(x00)
-        found, _ = _first_flippable(idx, synd, x00, bn, bd)
+        found, _ = _first_flippable(idx.flip_tables(x00), synd, bn, bd)
         if found is None:
             stale_pops += 1
             continue
@@ -369,9 +398,9 @@ def decode(code: CssCode, syndrome: F2Vector, config: DecoderConfig) -> DecodeRe
         n10_bits = [idx.n10[x00][i] for i in _bit_indices(m10)]
         n01_bits = [idx.n01[x00][i] for i in _bit_indices(m01)]
         for q in n10_bits:
-            correction ^= 1 << q
+            correction ^= 1 << (off10 + q)
         for q in n01_bits:
-            correction ^= 1 << (v10_size + q)
+            correction ^= 1 << (off01 + q)
         synd ^= flip
         iterations += 1
 
@@ -381,7 +410,7 @@ def decode(code: CssCode, syndrome: F2Vector, config: DecoderConfig) -> DecodeRe
         for y00 in sorted(rescan):
             if y00 in queued:
                 continue
-            if _first_flippable(idx, synd, y00, bn, bd)[0] is not None:
+            if _first_flippable(idx.flip_tables(y00), synd, bn, bd)[0] is not None:
                 queue.append(y00)
                 queued.add(y00)
         trace.append(TraceStep(
@@ -406,7 +435,7 @@ def decode(code: CssCode, syndrome: F2Vector, config: DecoderConfig) -> DecodeRe
         outcome = "stalled"
     return DecodeResult(
         outcome=outcome,
-        correction=F2Vector.from_mask(code.n, correction),
+        correction=F2Vector.from_mask(idx.code.n, correction),
         iterations=iterations,
         initial_syndrome_weight=initial_weight,
         trace=tuple(trace),
@@ -414,40 +443,6 @@ def decode(code: CssCode, syndrome: F2Vector, config: DecoderConfig) -> DecodeRe
         preprocess_vertices_scanned=pre.vertices_scanned,
         preprocess_subsets_tested=pre.subsets_tested,
     )
-
-
-def decode_x(code: CssCode, syndrome_z: F2Vector, config: DecoderConfig) -> DecodeResult:
-    """Decode an X error from its Z syndrome (a subset of V00).
-
-    Runs the Z decoder on the transposed complex (V00 and V11 swap roles,
-    V10 and V01 swap blocks) and maps the correction back to the original
-    qubit coordinates.  Trace steps stay in transpose coordinates: x00 there
-    names a V11 cell of the original complex.
-    """
-    cpx = code.cpx
-    if cpx is None:
-        raise PreconditionError("decoding needs a code extracted from a complex")
-    tcode = _transposed_code(code)
-    result = decode(tcode, syndrome_z, config)
-    old_v01 = cpx.v01_size
-    support = set()
-    for b in result.correction.support:
-        if b < old_v01:
-            support.add(code.v10_size + b)       # transposed V10 block = old V01
-        else:
-            support.add(b - old_v01)             # transposed V01 block = old V10
-    return replace(result, correction=F2Vector.from_support(code.n, support))
-
-
-_TRANSPOSE_ATTR = "_transposed_code"
-
-
-def _transposed_code(code: CssCode) -> CssCode:
-    tcode = getattr(code, _TRANSPOSE_ATTR, None)
-    if tcode is None:
-        tcode = extract_code(code.cpx.transposed())
-        object.__setattr__(code, _TRANSPOSE_ATTR, tcode)
-    return tcode
 
 
 # -- eligibility gates and the guaranteed decoding radius ---------------------

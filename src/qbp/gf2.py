@@ -23,13 +23,12 @@ rows once and never change.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ShapeError, ValidationError
-from .jsonio import _int_rows, _int_value
+from .jsonio import _int_rows, _size_value
 
 
 @dataclass(frozen=True)
@@ -457,17 +456,16 @@ def to_json_dict(a: F2Matrix) -> dict:
 
 
 def from_json_dict(obj: dict) -> F2Matrix:
-    """Load `{rows, cols, entries}`: an int shape and [r, c] int pairs."""
+    """Load `{rows, cols, entries}`: an int shape within the declared-size
+    budget and [r, c] int pairs."""
     if not isinstance(obj, dict):
         raise ValidationError(f"matrix JSON must be an object, got {type(obj).__name__}")
     try:
-        rows = _int_value(obj["rows"], "matrix rows")
-        cols = _int_value(obj["cols"], "matrix cols")
+        rows = _size_value(obj["rows"], "matrix rows")
+        cols = _size_value(obj["cols"], "matrix cols")
         entries = _int_rows(obj["entries"], "matrix entries", 2)
     except KeyError as exc:
         raise ValidationError(f"malformed matrix JSON: missing {exc}") from exc
-    if max(rows, cols) > sys.maxsize:
-        raise ValidationError(f"matrix shape {rows}x{cols} exceeds any addressable size")
     return F2Matrix.from_entries(rows, cols, entries)
 
 

@@ -1,8 +1,9 @@
 """Bipartite graphs, biregularity, neighbors, and bipartite Cayley graphs.
 
-A graph is frozen, so its adjacency lists and its regularity verdict are
-derived from its edges once, on first use, and cached on that object; equal
-graphs built separately do not share them.
+A graph is frozen, so its adjacency lists, its regularity verdict and its
+edge-invariance verdict for each action object are derived once, on first
+use, and cached on that object; equal graphs built separately do not share
+them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from typing import Iterable, Optional, Union
 
 from .errors import ValidationError
 from .groups import FiniteGroup, GroupAction, left_translation_action, right_translation_action, verify_free_action
-from .jsonio import _int_rows, _int_value
+from .jsonio import _int_rows, _size_value
+
+_Violation = Optional[tuple[int, tuple[int, int]]]   # (g, edge), or None
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,12 @@ class BipartiteGraph:
                 return NonRegularReport(side, x, degrees[x])
             widths.append(degrees[0] if degrees else 0)
         return RegularityProfile(*widths)
+
+    @cached_property
+    def _edge_invariance(self) -> dict[int, tuple["GraphAction", _Violation]]:
+        """id(action) -> (action, verdict) for :func:`verify_edge_invariance`;
+        holding the action keeps its id from being reused."""
+        return {}
 
 
 def build_bipartite(v0_size: int, v1_size: int, edges: Iterable[tuple[int, int]]) -> BipartiteGraph:
@@ -131,7 +140,7 @@ class GraphAction:
     v1: GroupAction
 
 
-def verify_edge_invariance(graph: BipartiteGraph, action: GraphAction) -> Optional[tuple[int, tuple[int, int]]]:
+def verify_edge_invariance(graph: BipartiteGraph, action: GraphAction) -> _Violation:
     """None when every group element maps edges to edges, else the first
     (g, edge) violation in ascending order.
 
@@ -139,7 +148,17 @@ def verify_edge_invariance(graph: BipartiteGraph, action: GraphAction) -> Option
     `GroupAction` comes from `GroupAction.from_table`), so act(g s) =
     act(g) o act(s): when each generator s maps edges to edges, so does every
     word in the generators.  Only a failure scans all of G, for its witness.
+    The verdict is cached on the graph per action object, so a pair that
+    `cayley_bipartite` has checked is not scanned again by the product.
     """
+    cached = graph._edge_invariance.get(id(action))
+    if cached is None or cached[0] is not action:
+        cached = (action, _edge_invariance_scan(graph, action))
+        graph._edge_invariance[id(action)] = cached
+    return cached[1]
+
+
+def _edge_invariance_scan(graph: BipartiteGraph, action: GraphAction) -> _Violation:
     group, edges = action.group, graph.edges
 
     def moves_an_edge(g: int) -> bool:
@@ -218,7 +237,8 @@ def graph_to_json(graph: BipartiteGraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> BipartiteGraph:
-    """Load `{v0, v1, edges}`: int side sizes and a list of [x0, x1] int pairs."""
+    """Load `{v0, v1, edges}`: int side sizes within the declared-size budget
+    and a list of [x0, x1] int pairs."""
     if not isinstance(obj, dict):
         raise ValidationError(f"graph JSON must be an object, got {type(obj).__name__}")
     try:
@@ -226,6 +246,6 @@ def graph_from_json(obj: dict) -> BipartiteGraph:
     except KeyError as exc:
         raise ValidationError(f"malformed graph JSON: missing {exc}") from exc
     try:
-        return build_bipartite(_int_value(v0, "graph v0"), _int_value(v1, "graph v1"), edges)
+        return build_bipartite(_size_value(v0, "graph v0"), _size_value(v1, "graph v1"), edges)
     except IndexError as exc:
         raise ValidationError(f"malformed graph JSON: {exc}") from exc

@@ -9,9 +9,11 @@ consumers exclude from comparisons.
 
 Loaders read integer fields through `_int_rows` and `_int_value`, which
 admit only values whose type is exactly `int`: a float is never truncated,
-and neither a bool nor a numeric string stands in for an int.  They stay
-private, so a per-function profile charges their time to the loader that
-calls them.
+and neither a bool nor a numeric string stands in for an int.  A declared
+size (a graph side, a matrix shape, a vector length) goes through
+`_size_value`, which also bounds it by `MAX_DECLARED_SIZE` before anything
+is allocated from it.  They stay private, so a per-function profile charges
+their time to the loader that calls them.
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ from .errors import ValidationError
 
 TOOL_VERSION = "0.1.0"
 
+# The largest size a file may declare.  A declared size alone, without
+# entries to match, makes every command allocate per-cell tables (adjacency
+# lists, packed rows as wide as a column index), so it is bounded on load.
+MAX_DECLARED_SIZE = 1 << 20
+
 
 def _int_value(value: Any, what: str) -> int:
     """`value` itself when its type is exactly int, else a ValidationError
@@ -35,6 +42,16 @@ def _int_value(value: Any, what: str) -> int:
     if type(value) is not int:
         raise ValidationError(f"{what} must be an int, got {value!r:.40}")
     return value
+
+
+def _size_value(value: Any, what: str) -> int:
+    """`value` as a declared size: an int of at most `MAX_DECLARED_SIZE`,
+    else a ValidationError naming `what`."""
+    size = _int_value(value, what)
+    if size > MAX_DECLARED_SIZE:
+        raise ValidationError(
+            f"{what} = {size} exceeds the declared-size budget of {MAX_DECLARED_SIZE}")
+    return size
 
 
 def _int_rows(value: Any, what: str, width: Optional[int] = None) -> tuple[tuple[int, ...], ...]:

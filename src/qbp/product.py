@@ -191,7 +191,12 @@ class BalancedProductComplex:
         return SquareCompletionTables(to_v00, to_v10, to_v01, to_v11)
 
     def transposed(self) -> "BalancedProductComplex":
-        """The dual complex: V00 and V11 swap roles, as do V10 and V01."""
+        """The dual complex: V00 and V11 swap roles, as do V10 and V01.
+
+        It carries each factor graph with its sides reversed and each action
+        with its v0 and v1 swapped, the factors of which it is the product;
+        transposing twice gives back the complex, provenance aside.
+        """
         return BalancedProductComplex(
             reps_v00=self.reps_v11,
             reps_v10=self.reps_v01,
@@ -206,6 +211,10 @@ class BalancedProductComplex:
                                   self.degrees.left, self.degrees.right)
             if self.degrees else None,
             group_order=self.group_order,
+            factor_x=_reversed(self.factor_x),
+            factor_y=_reversed(self.factor_y),
+            action_x=_swapped(self.action_x),
+            action_y=_swapped(self.action_y),
             provenance=f"transpose of [{self.provenance}]",
         )
 
@@ -234,6 +243,15 @@ def _edge_rows(edges: frozenset[tuple[int, int]], which: str, size0: int, size1:
 
 def _rev(edges: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:
     return frozenset((b, a) for a, b in edges)
+
+
+def _reversed(graph: Optional[BipartiteGraph]) -> Optional[BipartiteGraph]:
+    return None if graph is None else BipartiteGraph(graph.v1_size, graph.v0_size,
+                                                     _rev(graph.edges))
+
+
+def _swapped(action: Optional[GraphAction]) -> Optional[GraphAction]:
+    return None if action is None else GraphAction(action.group, action.v1, action.v0)
 
 
 @dataclass(frozen=True)
@@ -603,7 +621,7 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
     ints too; anything else is refused with a ValidationError naming the
     field.  Each field is read in one C-level pass (see `jsonio._int_rows`).
     The edges are checked through the chain condition and, when degrees are
-    recorded, against them.
+    recorded, against them; the faces against the edges (`_check_faces`).
     """
     if not isinstance(obj, dict):
         raise ValidationError(f"complex JSON must be an object, got {type(obj).__name__}")
@@ -647,7 +665,41 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
         )
     if cpx.degrees is not None:
         _check_degrees(cpx)
+    _check_faces(cpx, faces)
     return cpx
+
+
+def _check_faces(cpx: BalancedProductComplex, faces: tuple[tuple[int, ...], ...]) -> None:
+    """Each face (z00, z10, z01, z11) must lie on four edges, and the faces
+    must match the V00-V10-V11 and the V00-V01-V11 paths one to one.
+
+    One pass over the faces, in file order, names the first face off the
+    edges or repeating an earlier face's path.  Each face holds one path of
+    each kind, so with no path repeated the faces cover every path exactly
+    when there are as many as there are paths; only a shortfall is scanned,
+    for the first path on no face.
+    """
+    e10, e01 = cpx.edges_v00_v10, cpx.edges_v00_v01
+    f10, f01 = cpx.edges_v10_v11, cpx.edges_v01_v11
+    via10: set[tuple[int, int, int]] = set()
+    via01: set[tuple[int, int, int]] = set()
+    for face in faces:
+        z00, z10, z01, z11 = face
+        if not ((z00, z10) in e10 and (z00, z01) in e01
+                and (z10, z11) in f10 and (z01, z11) in f01):
+            raise ValidationError(f"face {list(face)} does not lie on four edges of the complex")
+        if (z00, z10, z11) in via10 or (z00, z01, z11) in via01:
+            raise ValidationError(f"face {list(face)} repeats a two-edge path of an earlier face")
+        via10.add((z00, z10, z11))
+        via01.add((z00, z01, z11))
+    for cell, via, down, up in (("V10", via10, "v00_v10", "v10_v11"),
+                                ("V01", via01, "v00_v01", "v01_v11")):
+        ends = tuple(zip(cpx.subgraph(down).adj1, cpx.subgraph(up).adj0))
+        if sum(len(a) * len(b) for a, b in ends) != len(via):
+            z00, z, z11 = next((z00, z, z11) for z, (a, b) in enumerate(ends)
+                               for z00 in a for z11 in b if (z00, z, z11) not in via)
+            raise ValidationError(
+                f"no face holds the path V00 {z00} -> {cell} {z} -> V11 {z11}")
 
 
 def _check_degrees(cpx: BalancedProductComplex) -> None:

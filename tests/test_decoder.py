@@ -1,5 +1,6 @@
 """Small-set-flip decoder: flippability, queue, decode loop, diagnostics."""
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -35,7 +36,12 @@ from qbp.instances import (
     star_product,
     toric_complex,
 )
-from qbp.product import complex_from_json, complex_to_json, hypergraph_product
+from qbp.product import (
+    BalancedProductComplex,
+    complex_from_json,
+    complex_to_json,
+    hypergraph_product,
+)
 
 
 def syndrome_of(code, support):
@@ -296,7 +302,7 @@ class TestDecode:
             # beta = 1 > 0: the initial scan only visits the V00 vertices
             # that can reach a lit V11 cell.
             assert config.beta > 0
-            reach = max(len(v) for v in _index_for(star12_code).v00_of_v11)
+            reach = max(len(v) for v in _index_for(star12_code, "z").v00_of_v11)
             assert res.preprocess_vertices_scanned <= reach * res.initial_syndrome_weight
 
     def test_stall_is_first_class_on_uncertified_instance(self):
@@ -330,20 +336,27 @@ class TestEdgeDerivedIndex:
     def test_matches_face_derived_index(self, request, family):
         cpx = request.getfixturevalue(family)
         code = extract_code(cpx)
-        assert _index_for(code).v00_of_v11 == face_derived_v00_of_v11(cpx)
+        assert _index_for(code, "z").v00_of_v11 == face_derived_v00_of_v11(cpx)
         tcode = extract_code(cpx.transposed())
-        assert _index_for(tcode).v00_of_v11 == face_derived_v00_of_v11(cpx.transposed())
+        assert _index_for(tcode, "z").v00_of_v11 == face_derived_v00_of_v11(cpx.transposed())
+        assert _index_for(code, "x").v00_of_v11 == face_derived_v00_of_v11(cpx.transposed())
 
     def test_decoding_ignores_faces(self, star12):
-        # The decoder reads only the edge classes, which the loader checks
-        # through the chain condition; faces are only type-checked on load,
-        # and wrong faces must not change any decode.
+        # The decoder reads only the edge classes.  The loader refuses files
+        # whose faces disagree with the edges, so the complexes without faces
+        # and with one face altered are built directly; wrong faces must not
+        # change any decode.
         obj = complex_to_json(star12)
-        no_faces = dict(obj, faces=[])
         z00, z10, z01, z11 = obj["faces"][0]
         other = next(f[3] for f in obj["faces"] if f[3] != z11)
-        altered = dict(obj, faces=[[z00, z10, z01, other]] + obj["faces"][1:])
-        codes = [extract_code(complex_from_json(o)) for o in (obj, no_faces, altered)]
+        altered = [[z00, z10, z01, other]] + obj["faces"][1:]
+        for faces in ([], altered):
+            with pytest.raises(ValidationError, match="face"):
+                complex_from_json(dict(obj, faces=faces))
+        cpx = complex_from_json(obj)
+        complexes = (cpx, dataclasses.replace(cpx, faces=frozenset()),
+                     dataclasses.replace(cpx, faces=frozenset(map(tuple, altered))))
+        codes = [extract_code(c) for c in complexes]
         n = codes[0].n
         rng = random.Random(26)
         errors = [[q] for q in range(n)]
@@ -361,13 +374,21 @@ class TestEdgeDerivedIndex:
     def test_reach_through_either_edge_class(self):
         # A chain-valid complex without faces whose one check is reached only
         # through V01; its transpose reaches it only through V10.
+        # The loader refuses it, since its two V01 paths lie on no face.
         obj = {
             "reps_v00": [[0, 0]], "reps_v10": [], "reps_v01": [[0, 0], [0, 1]],
             "reps_v11": [[0, 0]], "edges_v00_v10": [], "edges_v10_v11": [],
             "edges_v00_v01": [[0, 0], [0, 1]], "edges_v01_v11": [[0, 0], [1, 0]],
             "faces": [], "degrees": None,
         }
-        code = extract_code(complex_from_json(obj))
+        with pytest.raises(ValidationError, match=r"no face holds the path V00 0 -> V01 0"):
+            complex_from_json(obj)
+        cpx = BalancedProductComplex(
+            **{k: tuple(map(tuple, v)) for k, v in obj.items() if k.startswith("reps")},
+            **{k: frozenset(map(tuple, v)) for k, v in obj.items() if k.startswith("edges")},
+            faces=frozenset(), degrees=None, group_order=1)
+        assert cpx.chain_check.ok
+        code = extract_code(cpx)
         config = DecoderConfig(epsilon=Fraction(0))
         for q in range(code.n):
             err = F2Vector.from_support(code.n, [q])
@@ -391,14 +412,14 @@ class TestPairBudget:
         code = star_hypergraph_product(11)
         assert code.cpx.degrees.down + code.cpx.degrees.right == 22
         with pytest.raises(BudgetExceededError, match=r"V00 vertex 0 has \|N10\| \+ \|N01\| = 22"):
-            _index_for(code)
+            _index_for(code, "z")
         err = F2Vector.from_support(code.n, [0])
         with pytest.raises(BudgetExceededError, match="V00 vertex 0"):
             decode(code, gf2.mat_vec(code.hx, err), DecoderConfig(epsilon=Fraction(0)))
 
     def test_twenty_pair_bits_are_allowed(self):
         code = star_hypergraph_product(10)
-        idx = _index_for(code)
+        idx = _index_for(code, "z")
         assert max(len(a) + len(b) for a, b in zip(idx.n10, idx.n01)) == 20
 
 
@@ -428,6 +449,62 @@ class TestDecodeX:
         assert rz.outcome == rx.outcome == "success"
         assert code.z_stabilizers.contains(err ^ rz.correction)
         assert code.x_stabilizers.contains(err ^ rx.correction)
+
+
+_CONFTEST_FAMILIES = {
+    "toric2": lambda: toric_complex(2),
+    "toric3": lambda: toric_complex(3),
+    "match8": lambda: left_right_cayley(cyclic_group(8), [1], [1]),
+    "star12": lambda: star_product(12, 3, 2),
+    "incstar13": lambda: incidence_star_product(13, 2),
+}
+
+
+@functools.cache
+def code_and_transposed_code(name, transposed):
+    """A conftest family (or its transpose) and the code of its transpose."""
+    cpx = _CONFTEST_FAMILIES[name]()
+    if transposed:
+        cpx = cpx.transposed()
+    return extract_code(cpx), extract_code(cpx.transposed())
+
+
+def transposed_decode_x(code, tcode, syndrome, config):
+    """The former X path, kept as the oracle: the Z decoder on the transposed
+    code, whose qubits are the V01 block and then the V10 block, with the
+    correction mapped back to the code's V10-then-V01 coordinates."""
+    result = decode(tcode, syndrome, config)
+    v01 = code.cpx.v01_size
+    support = {code.v10_size + b if b < v01 else b - v01 for b in result.correction.support}
+    return dataclasses.replace(result, correction=F2Vector.from_support(code.n, support))
+
+
+class TestDecodeXOracle:
+    # A draw of the transposed incstar13 family can cost about a second: its
+    # V11 cells have 2^16 flip pairs each, too many to cache.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(_CONFTEST_FAMILIES)),
+        transposed=st.booleans(),
+        epsilon=st.sampled_from([Fraction(0), Fraction(1, 30)]),
+        data=st.data(),
+    )
+    def test_matches_the_transposed_code_path(self, family, transposed, epsilon, data):
+        # Outcome, correction, iterations, stale pops, preprocess counters
+        # and every trace step (flip sets kept) must be identical.
+        code, tcode = code_and_transposed_code(family, transposed)
+        if data.draw(st.booleans(), label="from_error"):
+            support = data.draw(st.sets(st.integers(0, code.n - 1), max_size=8), label="error")
+            syn = gf2.mat_vec(code.hz, F2Vector.from_support(code.n, support))
+        else:
+            support = data.draw(st.sets(st.integers(0, code.m_z - 1), max_size=8), label="cells")
+            syn = F2Vector.from_support(code.m_z, support)
+        config = DecoderConfig(epsilon=epsilon, keep_flip_sets=True)
+        assert decode_x(code, syn, config) == transposed_decode_x(code, tcode, syn, config)
+
+    def test_x_side_refuses_a_wrong_syndrome_length(self, star12_code):
+        with pytest.raises(ValidationError, match=r"syndrome length 72 != \|V00\| = 12"):
+            decode_x(star12_code, F2Vector.zero(72), DecoderConfig(epsilon=Fraction(0)))
 
 
 class TestShortnessMonitors:

@@ -29,6 +29,7 @@ from qbp.errors import ValidationError
 from qbp.graphs import graph_from_json, graph_to_json
 from qbp.groups import action_from_json, cyclic_group, group_from_json, group_to_json
 from qbp.instances import bipartite_cycle, star_graph, toric_complex
+from qbp.jsonio import MAX_DECLARED_SIZE
 from qbp.product import complex_from_json, complex_to_json
 
 QBP_ERRORS = tuple(v for v in vars(errors).values()
@@ -107,7 +108,7 @@ class TestOnlyInts:
             gf2.from_json_dict({"rows": 2.0, "cols": 2, "entries": []})
 
     def test_matrix_shape_beyond_any_index_is_refused(self):
-        with pytest.raises(ValidationError, match="exceeds any addressable size"):
+        with pytest.raises(ValidationError, match="matrix rows = 9223372036854775808 exceeds the declared-size"):
             gf2.from_json_dict({"rows": 2**63, "cols": 2, "entries": []})
 
     def test_table_values_must_be_below_the_size(self):
@@ -153,6 +154,47 @@ class TestOnlyInts:
         assert action_from_json({"act": table}, action.group).table == action.v1.table
         m = gf2.F2Matrix.from_entries(3, 4, [(0, 1), (2, 3)])
         assert gf2.from_json_dict(json.loads(json.dumps(gf2.to_json_dict(m)))) == m
+
+
+class TestDeclaredSizes:
+    """A declared size is bounded by `jsonio.MAX_DECLARED_SIZE` before anything
+    is allocated from it; each probe here loads, without allocating, when
+    sizes are unbounded."""
+
+    def test_graph_side_over_the_budget_is_refused(self):
+        with pytest.raises(ValidationError, match="graph v0 = 1000000000000 exceeds the declared"):
+            graph_from_json({"v0": 10**12, "v1": 1, "edges": [[0, 0]]})
+        with pytest.raises(ValidationError, match="graph v1 = 1048577 exceeds the declared"):
+            graph_from_json({"v0": 1, "v1": MAX_DECLARED_SIZE + 1, "edges": [[0, 0]]})
+
+    def test_matrix_shape_over_the_budget_is_refused(self):
+        with pytest.raises(ValidationError, match="matrix cols = 68719476736 exceeds the declared"):
+            gf2.from_json_dict({"rows": 1, "cols": 2**36, "entries": []})
+        with pytest.raises(ValidationError, match="matrix rows = 1048577 exceeds the declared"):
+            gf2.from_json_dict({"rows": MAX_DECLARED_SIZE + 1, "cols": 1, "entries": []})
+
+    def test_vector_length_over_the_budget_is_refused(self, tmp_path):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"length": 2**40, "support": []}))
+        with pytest.raises(ValidationError, match="vector length = 1099511627776 exceeds"):
+            cli._load_vector(str(path))
+
+    def test_sizes_at_the_budget_load(self):
+        assert MAX_DECLARED_SIZE == 1 << 20
+        graph = graph_from_json({"v0": MAX_DECLARED_SIZE, "v1": 1, "edges": [[0, 0]]})
+        assert graph.v0_size == MAX_DECLARED_SIZE
+        m = gf2.from_json_dict({"rows": 1, "cols": MAX_DECLARED_SIZE,
+                                "entries": [[0, MAX_DECLARED_SIZE - 1]]})
+        assert m.cols == MAX_DECLARED_SIZE
+
+    def test_construct_reports_the_field(self, tmp_path):
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"v0": 10**12, "v1": 1, "edges": [[0, 0]]}))
+        rc, err = run_cli(["construct", "--left", big, "--right", big,
+                           "--out", tmp_path / "c.json"])
+        assert rc == 1
+        assert err.startswith("error: graph v0 = 1000000000000 exceeds the declared-size budget")
+        assert not (tmp_path / "c.json").exists()
 
 
 # -- fuzz ----------------------------------------------------------------------------------

@@ -19,13 +19,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbp import groups
+from qbp import graphs, groups
 from qbp.css import CssCode, extract_code
 from qbp.decoder import RegionReport, _index_for, region_diagnostics
 from qbp.errors import InternalInvariantError, PreconditionError
 from qbp.gf2 import F2Matrix
 from qbp.expansion import FlowNetwork, TreePartition, max_flow_integer, tree_partition
-from qbp.graphs import BipartiteGraph, NonRegularReport, RegularityProfile, neighbors, regularity
+from qbp.graphs import (
+    BipartiteGraph,
+    GraphAction,
+    NonRegularReport,
+    RegularityProfile,
+    neighbors,
+    regularity,
+)
 from qbp.groups import (
     conjugation_action,
     cyclic_group,
@@ -357,6 +364,27 @@ class TestComputedOnce:
             assert verify_free_action(action) is None
         assert len(calls["free"]) == distinct
 
+    def test_one_edge_invariance_scan_per_graph_and_action(self, monkeypatch):
+        # cayley_bipartite checks each factor with its action; the product
+        # then reads those verdicts instead of scanning the pairs again.
+        scans = []
+        scan = graphs._edge_invariance_scan
+
+        def counted(graph, action):
+            scans.append((graph, action))
+            return scan(graph, action)
+
+        monkeypatch.setattr(graphs, "_edge_invariance_scan", counted)
+        cpx = left_right_cayley(cyclic_group(48), [1, 2], [1, 4])
+        assert len(scans) == 2
+        assert scans[0][0] is cpx.factor_x and scans[0][1] is cpx.action_x
+        assert scans[1][0] is cpx.factor_y and scans[1][1] is cpx.action_y
+        assert graphs.verify_edge_invariance(cpx.factor_x, cpx.action_x) is None
+        # Another action object over the same tables is scanned on its own.
+        other = GraphAction(cpx.action_x.group, cpx.action_x.v0, cpx.action_x.v1)
+        assert graphs.verify_edge_invariance(cpx.factor_x, other) is None
+        assert len(scans) == 3
+
     def test_one_translation_action_per_group_and_side(self, monkeypatch):
         calls = self.counting(monkeypatch)
         group = cyclic_group(6)
@@ -377,13 +405,18 @@ class TestComputedOnce:
         assert cpx.transposed().subgraph("v00_v10") is not cpx.subgraph("v00_v10")
 
     def test_decoder_index_reads_the_complex_adjacency(self, star12_code):
-        idx = _index_for(star12_code)
+        idx = _index_for(star12_code, "z")
         cpx = star12_code.cpx
         assert idx.n10 is cpx.subgraph("v00_v10").adj0
         assert idx.n01 is cpx.subgraph("v00_v01").adj0
         for x00 in range(cpx.v00_size):
             assert idx.n10[x00] == tuple(sorted(z for a, z in cpx.edges_v00_v10 if a == x00))
             assert idx.n01[x00] == tuple(sorted(z for a, z in cpx.edges_v00_v01 if a == x00))
+        # The X side reads the same complex with the roles swapped: V11
+        # centers, whose V01 and then V10 neighbors are the flip classes.
+        idx_x = _index_for(star12_code, "x")
+        assert idx_x.n10 is cpx.subgraph("v01_v11").adj1
+        assert idx_x.n01 is cpx.subgraph("v10_v11").adj1
 
 
 class TestVerdicts:

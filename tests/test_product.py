@@ -259,6 +259,39 @@ class TestCopiesDecomposition:
         for copy in copies:
             self._assert_isomorphism(star12, "v10_v11", copy, star12.factor_y)
 
+    @pytest.mark.parametrize("which, original", [
+        ("v00_v10", "v01_v11"), ("v01_v11", "v00_v10"),
+        ("v00_v01", "v10_v11"), ("v10_v11", "v00_v01"),
+    ])
+    def test_transposed_complex_decomposes(self, which, original):
+        # The transpose carries reversed factors and swapped actions, so its
+        # subgraphs decompose into the copies of the original's dual
+        # subgraphs, with the two maps of each copy exchanged.
+        cpx = star_product(6, 3, 2)
+        t = cpx.transposed()
+        copies = copies_decomposition(t, which)
+        factor = t.factor_x if which in ("v00_v10", "v01_v11") else t.factor_y
+        for copy in copies:
+            self._assert_isomorphism(t, which, copy, factor)
+        assert [(c.v0_map, c.v1_map) for c in copies] == \
+            [(c.v1_map, c.v0_map) for c in copies_decomposition(cpx, original)]
+
+    @pytest.mark.parametrize("build", [
+        lambda: star_product(6, 3, 2),
+        lambda: left_right_cayley(dihedral_group(4), [1, 2], [1, 2]),
+        lambda: hypergraph_product(bipartite_cycle(3), random_bipartite(3, 4, 7, random.Random(3))),
+    ], ids=["star6", "cayley_d4", "hypergraph"])
+    def test_transpose_is_the_product_of_the_reversed_factors(self, build):
+        cpx = build()
+        t = cpx.transposed()
+        assert t.factor_x.edges == {(b, a) for a, b in cpx.factor_x.edges}
+        assert (t.action_x.v0, t.action_x.v1) == (cpx.action_x.v1, cpx.action_x.v0)
+        assert (t.action_y.v0, t.action_y.v1) == (cpx.action_y.v1, cpx.action_y.v0)
+        rebuilt = balanced_product(t.factor_x, t.action_x, t.factor_y, t.action_y,
+                                   provenance=t.provenance)
+        assert complex_to_json(rebuilt) == complex_to_json(t)
+        assert replace(t.transposed(), provenance=cpx.provenance) == cpx
+
     def test_requires_recorded_factors(self, toric2):
         bare = replace(toric2, factor_x=None, action_x=None)
         with pytest.raises(PreconditionError):
@@ -364,6 +397,44 @@ class TestSerialization:
         obj[f"edges_{which}"][-1] = [-1, 0]
         with pytest.raises(ValidationError, match=rf"edge \(-1, 0\) in edges_{which}"):
             complex_from_json(obj)
+
+    def test_faces_must_match_the_two_edge_paths(self, star12):
+        obj = complex_to_json(star12)
+        z00, z10, z01, z11 = obj["faces"][0]
+        with pytest.raises(ValidationError, match=r"no face holds the path V00 0 -> V10 0 -> V11"):
+            complex_from_json(dict(obj, faces=[]))
+        with pytest.raises(ValidationError, match=(
+                rf"no face holds the path V00 {z00} -> V10 {z10} -> V11 {z11}$")):
+            complex_from_json(dict(obj, faces=obj["faces"][1:]))
+        with pytest.raises(ValidationError, match=(
+                rf"face \[{z00}, {z10}, {z01}, {z11}\] repeats a two-edge path")):
+            complex_from_json(dict(obj, faces=obj["faces"] + [obj["faces"][0]]))
+        assert complex_from_json(dict(obj, faces=obj["faces"][::-1])).faces == star12.faces
+
+    def test_each_face_edge_is_checked(self, toric3):
+        # Move one corner of a face so that exactly one of its four edges is
+        # missing, for each of the four edges (every toric cell has degree 2,
+        # so a moved corner can keep one of its two edges).
+        obj = complex_to_json(toric3)
+        z00, z10, z01, z11 = obj["faces"][0]
+        edges = (toric3.edges_v00_v10, toric3.edges_v00_v01,
+                 toric3.edges_v10_v11, toric3.edges_v01_v11)
+        sizes = (toric3.v00_size, toric3.v10_size, toric3.v01_size, toric3.v11_size)
+        missing_seen = set()
+        for corner, size in enumerate(sizes):
+            for v in range(size):
+                bad = [z00, z10, z01, z11]
+                bad[corner] = v
+                a, b, c, d = bad
+                pairs = ((a, b), (a, c), (b, d), (c, d))
+                missing = [i for i, (e, pair) in enumerate(zip(edges, pairs)) if pair not in e]
+                if len(missing) != 1:
+                    continue
+                missing_seen.add(missing[0])
+                with pytest.raises(ValidationError, match=(
+                        rf"face \[{a}, {b}, {c}, {d}\] does not lie on four edges")):
+                    complex_from_json(dict(obj, faces=[bad] + obj["faces"][1:]))
+        assert missing_seen == {0, 1, 2, 3}
 
     def test_transpose_is_dual(self, star12):
         t = star12.transposed()
