@@ -4,6 +4,12 @@ A (c, epsilon)-lossless certificate for one direction of a biregular graph
 states that every source subset S with |S| < c * |V_src| (strict) satisfies
 |N(S)| >= (1 - epsilon) * w_src * |S|.  Certification is exhaustive (a proof
 at desk scale, budgeted) or sampled (evidence only; the certificate says so).
+Two exact counting bounds come first: double counting, |N(S)| >= w_src |S| /
+w_dst, and the pair bound |N(S)| >= w_src |S| - lam C(|S|, 2), with lam the
+most neighbors two source vertices share.  Together they prove every size up
+to some s0; only larger sizes are enumerated, and a sampled certificate with
+every size proven draws nothing.  Certificates and the budget refusal are
+those of the full enumeration.
 
 Also here: unique-neighbor counting, the two edge-count inequalities implied
 by losslessness, an integral max-flow solver, and the flow-based partition
@@ -20,10 +26,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Optional
 
 from .errors import (
     BudgetExceededError,
@@ -32,8 +38,11 @@ from .errors import (
     ValidationError,
 )
 from .graphs import BipartiteGraph, neighbors, regularity
+from .jsonio import _int_rows, _int_value
 
 DEFAULT_CERTIFY_BUDGET = 1 << 24
+SIDES = ("0to1", "1to0")
+MODES = ("exhaustive", "sampled")
 
 Node = Hashable
 
@@ -91,30 +100,96 @@ class ExpansionCertificate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExpansionCertificate":
-        return cls(
-            side=obj["side"],
-            v_src_size=int(obj["v_src_size"]),
-            v_dst_size=int(obj["v_dst_size"]),
-            w_src=int(obj["w_src"]),
-            c=Fraction(*obj["c"]),
-            epsilon=Fraction(*obj["epsilon"]),
-            mode=obj["mode"],
-            verdict=obj["verdict"],
-            witness=tuple(obj["witness"]) if obj.get("witness") is not None else None,
-            trials=obj.get("trials"),
-            seed=obj.get("seed"),
-            budget=obj.get("budget"),
-            subsets_checked=int(obj.get("subsets_checked", 0)),
-            note=str(obj.get("note", "")),
-        )
+        """The certificate `to_json` wrote, read strictly: sizes and counts
+        are exact ints, c and epsilon int pairs with a positive denominator,
+        and side, mode and verdict come from their allowed values.  Every
+        refusal is a ValidationError."""
+        if not isinstance(obj, dict):
+            raise ValidationError(
+                f"certificate JSON must be an object, got {type(obj).__name__}")
+        try:
+            fields = {key: obj[key] for key in (
+                "side", "v_src_size", "v_dst_size", "w_src", "c", "epsilon", "mode", "verdict")}
+        except KeyError as exc:
+            raise ValidationError(f"certificate JSON is missing {exc}") from None
+        for key, allowed in (("side", SIDES), ("mode", MODES), ("verdict", ("pass", "fail"))):
+            if fields[key] not in allowed:
+                raise ValidationError(
+                    f"certificate {key} must be one of {allowed}, got {fields[key]!r:.40}")
+        for key in ("v_src_size", "v_dst_size", "w_src"):
+            fields[key] = _count_value(fields[key], f"certificate {key}")
+        for key in ("c", "epsilon"):
+            fields[key] = _fraction_value(fields[key], f"certificate {key}")
+        witness = obj.get("witness")
+        if witness is not None:
+            if not isinstance(witness, list):
+                raise ValidationError(
+                    f"certificate witness must be a list of ints, got {type(witness).__name__}")
+            (witness,) = _int_rows([witness], "certificate witness")
+        for key in ("trials", "seed", "budget"):
+            if obj.get(key) is not None:
+                fields[key] = _int_value(obj[key], f"certificate {key}")
+        note = obj.get("note", "")
+        if type(note) is not str:
+            raise ValidationError(f"certificate note must be a string, got {note!r:.40}")
+        return cls(**fields, witness=witness,
+                   subsets_checked=_count_value(obj.get("subsets_checked", 0),
+                                                "certificate subsets_checked"),
+                   note=note)
 
 
-def _source_view(graph: BipartiteGraph, side: str):
+def _count_value(value, what: str) -> int:
+    count = _int_value(value, what)
+    if count < 0:
+        raise ValidationError(f"{what} must be nonnegative, got {count}")
+    return count
+
+
+def _fraction_value(value, what: str) -> Fraction:
+    """An exact rational from its [numerator, denominator] int pair."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValidationError(f"{what} must be a [numerator, denominator] pair, got {value!r:.40}")
+    num, den = (_int_value(v, what) for v in value)
+    if den <= 0:
+        raise ValidationError(f"{what} needs a positive denominator, got {den}")
+    return Fraction(num, den)
+
+
+def _views(graph: BipartiteGraph, side: str):
+    """(adjacency, degree) of the source side, then of the destination side."""
+    prof = regularity(graph)
+    if not prof.is_regular:
+        raise PreconditionError(f"graph is not biregular: {prof}")
     if side == "0to1":
-        return graph.v0_size, graph.adj0
+        return graph.adj0, prof.w0, graph.adj1, prof.w1
     if side == "1to0":
-        return graph.v1_size, graph.adj1
+        return graph.adj1, prof.w1, graph.adj0, prof.w0
     raise ValidationError(f"side must be '0to1' or '1to0', got {side!r}")
+
+
+def _proven_size(adj, w_src: int, adj_dst, w_dst: int, num: int, den: int,
+                 max_size: int) -> int:
+    """The largest s0 <= max_size at which no subset S of size <= s0 can
+    have |N(S)| den < num w_src |S|, from two exact counting bounds.
+
+    Double counting: each vertex of N(S) takes at most w_dst of the
+    w_src |S| edges that leave S, so |N(S)| >= w_src |S| / w_dst, and
+    num w_dst <= den proves every size.  Pairs (Bonferroni): |N(S)| >=
+    w_src |S| - lam C(|S|, 2), with lam the most neighbors that two source
+    vertices share, proves size s when lam (s - 1) den <= 2 w_src (den - num).
+    Size 1 needs neither: a single vertex has w_src >= num w_src / den
+    neighbors whenever epsilon >= 0.
+    """
+    if num * w_dst <= den or max_size <= 1:
+        return max_size
+    lam = 0
+    for x, ys in enumerate(adj):
+        shared = Counter(itertools.chain.from_iterable(map(adj_dst.__getitem__, ys)))
+        del shared[x]
+        lam = max(lam, max(shared.values(), default=0))
+    if lam == 0:
+        return max_size
+    return min(max_size, 1 + 2 * w_src * (den - num) // (lam * den))
 
 
 def certify_expansion(
@@ -141,10 +216,11 @@ def certify_expansion(
         Small-set fraction (0 < c <= 1) and loss parameter (>= 0).  Subsets
         of size s are eligible iff s < c * |V_src|, strictly.
     mode : str
-        "exhaustive" enumerates every eligible subset in lexicographic order
-        and stops at the first violation; it refuses with a budget error when
-        the subset count exceeds `budget`.  "sampled" draws `trials` uniform
-        subsets per eligible size from `seed`.
+        "exhaustive" checks every eligible subset in (size, lexicographic)
+        order and stops at the first violation; it refuses with a budget
+        error when the count of all eligible subsets exceeds `budget`.
+        "sampled" draws `trials` (>= 1) uniform subsets per eligible size
+        from `seed`.
 
     Returns
     -------
@@ -153,7 +229,14 @@ def certify_expansion(
         subset found, which callers can recheck directly.
 
     Each subset is tested in exact integers, |N(S)| den < num w_src |S| with
-    1 - epsilon = num/den, on neighborhoods held as bit masks.
+    1 - epsilon = num/den, on neighborhoods held as bit masks.  Before that,
+    two counting bounds (`_proven_size`: double counting, and the pair bound
+    with the largest common neighborhood of two source vertices) prove every
+    size up to some s0.  Exhaustive mode enumerates only sizes above s0 and
+    counts the subsets of the proven sizes as checked, so verdict, witness
+    and count are those of the full enumeration.  Sampled mode with every
+    size proven draws nothing and records trials * sizes checked; otherwise
+    it draws every size from `seed` as before, so its stream is unchanged.
     """
     c = Fraction(c)
     epsilon = Fraction(epsilon)
@@ -161,62 +244,50 @@ def certify_expansion(
         raise PreconditionError(f"need 0 < c <= 1, got {c}")
     if epsilon < 0:
         raise PreconditionError(f"need epsilon >= 0, got {epsilon}")
-    prof = regularity(graph)
-    if not prof.is_regular:
-        raise PreconditionError(f"graph is not biregular: {prof}")
-    n_src, adj = _source_view(graph, side)
-    v_dst = graph.v1_size if side == "0to1" else graph.v0_size
-    w_src = prof.w0 if side == "0to1" else prof.w1
+    if mode not in MODES:
+        raise ValidationError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+    if mode == "sampled" and trials < 1:
+        raise PreconditionError(f"sampled mode needs trials >= 1, got {trials}")
+    adj, w_src, adj_dst, w_dst = _views(graph, side)
+    n_src = len(adj)
     max_size = max(0, math.ceil(c * n_src) - 1)
     keep = 1 - epsilon
-    den, rate = keep.denominator, keep.numerator * w_src
-    adj_masks = [sum(1 << y for y in ys) for ys in adj]
-
-    def violates(subset: Sequence[int]) -> bool:
-        seen = 0
-        for x in subset:
-            seen |= adj_masks[x]
-        return seen.bit_count() * den < rate * len(subset)
-
-    checked = 0
+    num, den = keep.numerator, keep.denominator
+    s0 = _proven_size(adj, w_src, adj_dst, w_dst, num, den, max_size)
     if mode == "exhaustive":
+        extra = {"budget": budget}
         total = sum(math.comb(n_src, s) for s in range(1, max_size + 1))
         if total > budget:
             raise BudgetExceededError(
                 f"exhaustive certification needs {total} subset checks, over the "
                 f"budget of {budget}; raise the budget or use sampled mode"
             )
-        for size in range(1, max_size + 1):
-            for subset in itertools.combinations(range(n_src), size):
-                checked += 1
-                if violates(subset):
-                    return ExpansionCertificate(
-                        side, n_src, v_dst, w_src, c, epsilon, "exhaustive",
-                        "fail", witness=subset, budget=budget, subsets_checked=checked,
-                    )
-        return ExpansionCertificate(
-            side, n_src, v_dst, w_src, c, epsilon, "exhaustive",
-            "pass", budget=budget, subsets_checked=checked,
-        )
-    if mode == "sampled":
-        rng = random.Random(seed)
-        for size in range(1, max_size + 1):
-            for _ in range(trials):
-                subset = tuple(sorted(rng.sample(range(n_src), size)))
-                checked += 1
-                if violates(subset):
-                    return ExpansionCertificate(
-                        side, n_src, v_dst, w_src, c, epsilon, "sampled",
-                        "fail", witness=subset, trials=trials, seed=seed,
-                        subsets_checked=checked,
-                        note="sampled verdicts are evidence, not proof",
-                    )
-        return ExpansionCertificate(
-            side, n_src, v_dst, w_src, c, epsilon, "sampled",
-            "pass", trials=trials, seed=seed, subsets_checked=checked,
-            note="sampled verdicts are evidence, not proof",
-        )
-    raise ValidationError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+        checked = sum(math.comb(n_src, s) for s in range(1, s0 + 1))
+        subsets = (subset for size in range(s0 + 1, max_size + 1)
+                   for subset in itertools.combinations(range(n_src), size))
+    else:
+        extra = {"trials": trials, "seed": seed,
+                 "note": "sampled verdicts are evidence, not proof"}
+        if s0 == max_size:
+            checked, subsets = trials * max_size, ()
+        else:
+            checked, rng = 0, random.Random(seed)
+            subsets = (tuple(sorted(rng.sample(range(n_src), size)))
+                       for size in range(1, max_size + 1) for _ in range(trials))
+    if s0 < max_size:
+        masks = [sum(1 << y for y in ys) for ys in adj]
+        rate = num * w_src
+        for subset in subsets:
+            checked += 1
+            seen = 0
+            for x in subset:
+                seen |= masks[x]
+            if seen.bit_count() * den < rate * len(subset):
+                return ExpansionCertificate(
+                    side, n_src, len(adj_dst), w_src, c, epsilon, mode, "fail",
+                    witness=subset, subsets_checked=checked, **extra)
+    return ExpansionCertificate(side, n_src, len(adj_dst), w_src, c, epsilon, mode, "pass",
+                                subsets_checked=checked, **extra)
 
 
 def unique_neighbors(graph: BipartiteGraph, side: int, subset: Iterable[int]) -> frozenset[int]:

@@ -3,10 +3,12 @@
 The distance oracles compare weights through an exact integer key, test
 local minimality only against the Hz rows that meet a vector's support, and
 carry the stabilizer residue along the Gray-code walk; `certify_expansion`
-compares integers instead of building a Fraction per subset.  Each is
-compared here with the earlier formulation: Fraction weights against every
-Hz row, O(rank) row-space membership per vector, and the per-subset
-Fraction bound.
+compares integers instead of building a Fraction per subset, and skips the
+sizes that two counting bounds prove.  Each is compared here with the
+earlier formulation: Fraction weights against every Hz row, O(rank)
+row-space membership per vector, and the per-subset Fraction bound over
+every eligible subset or draw.  The proven size itself is recomputed from
+the bounds in Fractions, with the common neighborhoods of all pairs.
 """
 
 import functools
@@ -16,12 +18,13 @@ import operator
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from qbp import gf2
+from qbp import expansion, gf2
 from qbp.css import (
     CssCode,
     brute_distance,
@@ -34,7 +37,7 @@ from qbp.css import (
 )
 from qbp.decoder import guaranteed_correctable_weight, size_gates
 from qbp.errors import PreconditionError, ValidationError
-from qbp.expansion import certify_expansion
+from qbp.expansion import _proven_size, certify_expansion
 from qbp.gf2 import F2Matrix, F2Vector
 from qbp.graphs import regularity
 from qbp.instances import (
@@ -204,16 +207,67 @@ def assert_oracles_agree(code, rng, vectors=6):
             assert rep.v10_weight + rep.v01_weight == rep.vector.weight
 
 
-def assert_certificates_agree(graph, c, epsilon, trials=8, seed=0):
-    for side in ("0to1", "1to0"):
+def source_views(graph, side):
+    prof = regularity(graph)
+    if side == "0to1":
+        return graph.adj0, prof.w0, graph.adj1, prof.w1
+    return graph.adj1, prof.w1, graph.adj0, prof.w0
+
+
+def oracle_proven_size(graph, side, c, epsilon):
+    """The largest s0 <= max_size at which each size up to s0 satisfies the
+    double-counting bound w_src s / w_dst >= (1 - epsilon) w_src s or the pair
+    bound w_src s - lam C(s, 2) >= (1 - epsilon) w_src s, in Fractions, with
+    lam the largest common neighborhood over all pairs of source vertices."""
+    adj, w_src, _, w_dst = source_views(graph, side)
+    keep = 1 - epsilon
+    lam = max((len(set(a) & set(b)) for a, b in itertools.combinations(adj, 2)), default=0)
+
+    def proven(s):
+        need = keep * w_src * s
+        return ((w_dst == 0 or Fraction(w_src * s, w_dst) >= need)
+                or w_src * s - lam * math.comb(s, 2) >= need)
+
+    max_size = max(0, math.ceil(c * len(adj)) - 1)
+    s0 = 0
+    while s0 < max_size and proven(s0 + 1):
+        s0 += 1
+    return s0
+
+
+def proven_size(graph, side, c, epsilon):
+    adj, w_src, adj_dst, w_dst = source_views(graph, side)
+    keep = 1 - epsilon
+    return _proven_size(adj, w_src, adj_dst, w_dst, keep.numerator, keep.denominator,
+                        max(0, math.ceil(c * len(adj)) - 1))
+
+
+def proof_kind(s0, max_size):
+    """What the counting bounds decide: every size, a prefix beyond the
+    singletons (which every biregular graph passes), or nothing more."""
+    return "all" if s0 == max_size else "prefix" if s0 > 1 else "none"
+
+
+def assert_certificates_agree(graph, c, epsilon, trials=8, seed=0, sides=("0to1", "1to0")):
+    """Certificates equal the enumeration oracle's in verdict, witness and
+    count, and the proven size equals the Fraction oracle's; returns the
+    proof kind of each side."""
+    kinds = []
+    for side in sides:
         n_src = graph.v0_size if side == "0to1" else graph.v1_size
         max_size = max(0, math.ceil(c * n_src) - 1)
+        s0 = proven_size(graph, side, c, epsilon)
+        assert s0 == oracle_proven_size(graph, side, c, epsilon)
+        kinds.append(proof_kind(s0, max_size))
         subsets = sum(math.comb(n_src, s) for s in range(1, max_size + 1))
         modes = ("exhaustive", "sampled") if subsets <= 1 << ORACLE_KERNEL_DIM else ("sampled",)
         for mode in modes:
             cert = certify_expansion(graph, side, c, epsilon, mode, trials=trials, seed=seed)
-            assert (cert.verdict, cert.witness, cert.subsets_checked) == \
-                oracle_certify(graph, side, c, epsilon, mode, trials, seed)
+            expected = oracle_certify(graph, side, c, epsilon, mode, trials, seed)
+            assert (cert.verdict, cert.witness, cert.subsets_checked) == expected
+            if expected[1] is not None:
+                assert len(expected[1]) > s0            # the proven sizes hold
+    return kinds
 
 
 FAMILIES = ["toric2", "toric3", "match8", "star12", "incstar13"]
@@ -323,6 +377,110 @@ class TestRandom:
     def test_certificates(self, shape, seed, epsilon, c, trials):
         assume(c > 0)
         assert_certificates_agree(biregular(shape, seed), c, epsilon, trials=trials, seed=seed)
+
+
+# -- counting bounds before enumeration ---------------------------------------------
+
+# Both degrees at least 2, so w_dst >= 2 from either side.
+DENSE_SHAPES = [(4, 4, 2), (5, 5, 2), (6, 6, 2), (6, 4, 2), (6, 3, 2), (8, 4, 2), (9, 6, 2),
+                (6, 9, 3), (6, 6, 3), (8, 8, 3)]
+
+
+def bound_epsilons(w_dst):
+    return (Fraction(0), Fraction(1, w_dst), Fraction(1, 2), Fraction(1), Fraction(3, 2))
+
+
+def forbid_enumeration(monkeypatch):
+    """Make any subset enumeration or draw in `qbp.expansion` raise."""
+    monkeypatch.setattr(expansion, "itertools", SimpleNamespace(chain=itertools.chain))
+    monkeypatch.setattr(expansion, "random", SimpleNamespace())
+
+
+# name: (graph, side, c, epsilon, proof kind, size of the first violation)
+PROOF_KINDS = {
+    "double_counting": (lambda: bipartite_cycle(6), "1to0", 1, Fraction(1, 2), "all", None),
+    "pairs": (lambda: doubled_complete_incidence(7)[0], "0to1", Fraction(3, 7), Fraction(1, 8),
+              "all", None),
+    "prefix": (lambda: random_biregular(8, 8, 3, random.Random(0)), "0to1", 1, Fraction(1, 3),
+               "prefix", 3),
+    "prefix_passes": (lambda: random_biregular(8, 8, 3, random.Random(0)), "0to1",
+                      Fraction(1, 2), Fraction(1, 2), "prefix", None),
+    "nothing": (lambda: bipartite_cycle(6), "0to1", 1, Fraction(0), "none", 2),
+    "nothing_k33": (lambda: random_biregular(3, 3, 3, random.Random(0)), "0to1", 1,
+                    Fraction(1, 3), "none", 2),
+}
+
+
+class TestCountingBounds:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(DENSE_SHAPES), st.integers(0, 10 ** 6), st.integers(0, 4),
+           st.fractions(min_value=Fraction(1, 3), max_value=1, max_denominator=9),
+           st.integers(1, 4))
+    def test_certificates_match_the_enumeration(self, shape, seed, which, c, trials):
+        graph = biregular(shape, seed)
+        for side in ("0to1", "1to0"):
+            w_dst = source_views(graph, side)[3]
+            assert w_dst >= 2
+            (kind,) = assert_certificates_agree(graph, c, bound_epsilons(w_dst)[which],
+                                                trials=trials, seed=seed, sides=(side,))
+            event(f"counting bounds prove {kind}")
+
+    @pytest.mark.parametrize("name", sorted(PROOF_KINDS))
+    def test_each_kind_matches_the_enumeration(self, name):
+        build, side, c, epsilon, kind, violation = PROOF_KINDS[name]
+        graph = build()
+        assert source_views(graph, side)[3] >= 2
+        assert assert_certificates_agree(graph, c, epsilon, sides=(side,)) == [kind]
+        cert = certify_expansion(graph, side, c, epsilon)
+        assert (len(cert.witness) if cert.witness else None) == violation
+        if violation is not None:
+            assert violation == proven_size(graph, side, c, epsilon) + 1
+
+    @pytest.mark.parametrize("m", [5, 7, 9, 13])
+    def test_doubled_incidence_is_proven_by_pairs_with_equality(self, m, monkeypatch):
+        graph, _ = doubled_complete_incidence(m)
+        c, epsilon = Fraction(3, m), Fraction(1, m + 1)
+        adj, w_src, _, w_dst = source_views(graph, "0to1")
+        lam = max(len(set(a) & set(b)) for a, b in itertools.combinations(adj, 2))
+        keep = 1 - epsilon
+        num, den = keep.numerator, keep.denominator
+        assert (w_src, w_dst, lam, num, den) == (m + 1, 2, 2, m, m + 1)
+        assert num * w_dst > den                                  # double counting fails
+        assert lam * (2 - 1) * den == 2 * w_src * (den - num)     # pairs hold at s = 2
+        assert proven_size(graph, "0to1", c, epsilon) == 2 == certify_expansion(
+            graph, "0to1", c, epsilon).max_eligible_size
+        forbid_enumeration(monkeypatch)
+        cert = certify_expansion(graph, "0to1", c, epsilon)
+        assert (cert.verdict, cert.subsets_checked) == ("pass", m + math.comb(m, 2))
+        cert = certify_expansion(graph, "0to1", c, epsilon, "sampled", trials=5, seed=1)
+        assert (cert.verdict, cert.subsets_checked, cert.trials, cert.seed) == ("pass", 10, 5, 1)
+        assert cert.note == "sampled verdicts are evidence, not proof"
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 9])
+    def test_double_counting_is_proven_with_equality(self, n, monkeypatch):
+        # The 2n-cycle at epsilon = 1/2: num w_dst = den, while pairs alone
+        # (lam = 1) stop at size 3.
+        graph = bipartite_cycle(n)
+        epsilon = Fraction(1, 2)
+        assert proven_size(graph, "0to1", Fraction(1), epsilon) == n - 1
+        forbid_enumeration(monkeypatch)
+        cert = certify_expansion(graph, "0to1", Fraction(1), epsilon)
+        assert (cert.verdict, cert.subsets_checked) == ("pass", 2 ** n - 2)
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 9])
+    def test_pairs_short_by_one_enumerate_that_size(self, n):
+        # The 2n-cycle at epsilon = 1/5: at s = 2, lam (s - 1) den = 5 and
+        # 2 w_src (den - num) = 4, and pair (0, 1) is the first violation.
+        graph = bipartite_cycle(n)
+        epsilon = Fraction(1, 5)
+        keep = 1 - epsilon
+        assert 1 * (2 - 1) * keep.denominator == 2 * 2 * (keep.denominator - keep.numerator) + 1
+        assert proven_size(graph, "0to1", Fraction(1), epsilon) == 1
+        for mode in ("exhaustive", "sampled"):
+            cert = certify_expansion(graph, "0to1", Fraction(1), epsilon, mode, trials=40)
+            assert cert.verdict == "fail" and len(cert.witness) == 2
+        cert = certify_expansion(graph, "0to1", Fraction(1), epsilon)
+        assert (cert.witness, cert.subsets_checked) == ((0, 1), n + 1)
 
 
 # -- the bit-sliced span kernel ------------------------------------------------------

@@ -1,6 +1,7 @@
 """Expansion certification, unique neighbors, flows, and ownership partitions."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -85,6 +86,13 @@ class TestCertify:
         assert not cert.authoritative
         assert "evidence" in cert.note
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_sampled_mode_needs_a_trial(self, trials):
+        # Both a proven (epsilon = 1/2, double counting) and an open instance.
+        for g, eps in ((bipartite_cycle(3), Fraction(1, 2)), (k33(), Fraction(1, 10))):
+            with pytest.raises(PreconditionError, match=f"trials >= 1, got {trials}"):
+                certify_expansion(g, "0to1", Fraction(1), eps, mode="sampled", trials=trials)
+
     def test_exhaustive_agrees_with_brute_force(self):
         rng = random.Random(101)
         shapes = [(8, 8, 2), (9, 6, 2), (10, 10, 3), (12, 8, 2), (14, 14, 3),
@@ -109,6 +117,12 @@ class TestCertify:
     def test_json_roundtrip(self):
         cert = certify_expansion(k33(), "0to1", Fraction(9, 10), Fraction(1, 10))
         assert ExpansionCertificate.from_json(cert.to_json()) == cert
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 2)], ids=["fail", "pass"])
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_json_roundtrip_through_text(self, mode, eps):
+        cert = certify_expansion(k33(), "1to0", Fraction(9, 10), eps, mode, trials=3, seed=7)
+        assert ExpansionCertificate.from_json(json.loads(json.dumps(cert.to_json()))) == cert
 
 
 class TestUniqueNeighbors:

@@ -174,6 +174,18 @@ class TestCli:
         assert payload["result"]["verdict"] == "pass"
         assert payload["result"]["provenance"]["tool_version"] == jsonio.TOOL_VERSION
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_certify_refuses_sampled_without_trials(self, workdir, capsys, trials):
+        # Every size of the 3-cycle at epsilon = 1/2 is proven by counting, so
+        # only the refusal keeps this from reporting a pass with no draws.
+        rc = run_cli("certify", "--graph", workdir / "cyc.json", "--c", "1",
+                     "--epsilon", "1/2", "--mode", "sampled", "--trials", trials,
+                     "--out", workdir / "cert.json")
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: sampled mode needs trials >= 1, got {trials}\n"
+        assert not (workdir / "cert.json").exists()
+
     def test_code_exports_alist_pair(self, workdir):
         run_cli("construct", "--left", workdir / "cyc.json",
                 "--right", workdir / "cyc.json", "--out", workdir / "cpx.json")

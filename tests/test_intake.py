@@ -17,6 +17,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,8 @@ from hypothesis import strategies as st
 from qbp import cli, errors, gf2
 from qbp.cli import cli_dispatch
 from qbp.errors import ValidationError
-from qbp.graphs import graph_from_json, graph_to_json
+from qbp.expansion import ExpansionCertificate, certify_expansion
+from qbp.graphs import build_bipartite, graph_from_json, graph_to_json
 from qbp.groups import action_from_json, cyclic_group, group_from_json, group_to_json
 from qbp.instances import bipartite_cycle, star_graph, toric_complex
 from qbp.jsonio import MAX_DECLARED_SIZE
@@ -156,6 +158,51 @@ class TestOnlyInts:
         assert gf2.from_json_dict(json.loads(json.dumps(gf2.to_json_dict(m)))) == m
 
 
+def k33_certificate(mode="exhaustive"):
+    k33 = build_bipartite(3, 3, [(a, b) for a in range(3) for b in range(3)])
+    return certify_expansion(k33, "0to1", Fraction(9, 10), Fraction(1, 10), mode,
+                             trials=2, seed=1)
+
+
+class TestCertificateIntake:
+    """`ExpansionCertificate.from_json` reads each field strictly."""
+
+    @pytest.mark.parametrize("change, message", [
+        ({"v_src_size": 6.9}, "certificate v_src_size must be an int, got 6.9"),
+        ({"subsets_checked": "63"}, "certificate subsets_checked must be an int, got '63'"),
+        ({"w_src": True}, "certificate w_src must be an int, got True"),
+        ({"v_dst_size": -1}, "certificate v_dst_size must be nonnegative, got -1"),
+        ({"mode": "bogus"}, "certificate mode must be one of .*, got 'bogus'"),
+        ({"side": ["0to1"]}, "certificate side must be one of"),
+        ({"verdict": "PASS"}, "certificate verdict must be one of"),
+        ({"witness": [1.5]}, "certificate witness holds 1.5, which is not an int"),
+        ({"witness": 1}, "certificate witness must be a list of ints, got int"),
+        ({"c": [1, 0]}, "certificate c needs a positive denominator, got 0"),
+        ({"epsilon": [1, -10]}, "certificate epsilon needs a positive denominator, got -10"),
+        ({"c": [1, 2, 3]}, "certificate c must be a .numerator, denominator. pair"),
+        ({"epsilon": [0.5, 1]}, "certificate epsilon must be an int, got 0.5"),
+        ({"budget": 1.0}, "certificate budget must be an int, got 1.0"),
+        ({"note": 3}, "certificate note must be a string, got 3"),
+    ], ids=lambda v: v if isinstance(v, str) else next(iter(v)))
+    def test_refusals(self, change, message):
+        obj = dict(k33_certificate().to_json(), **change)
+        with pytest.raises(ValidationError, match=message):
+            ExpansionCertificate.from_json(obj)
+
+    def test_missing_field_and_wrong_type(self):
+        obj = k33_certificate().to_json()
+        del obj["epsilon"]
+        with pytest.raises(ValidationError, match="certificate JSON is missing 'epsilon'"):
+            ExpansionCertificate.from_json(obj)
+        with pytest.raises(ValidationError, match="certificate JSON must be an object, got list"):
+            ExpansionCertificate.from_json([])
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_valid_certificates_load(self, mode):
+        cert = k33_certificate(mode)
+        assert ExpansionCertificate.from_json(json.loads(json.dumps(cert.to_json()))) == cert
+
+
 class TestDeclaredSizes:
     """A declared size is bounded by `jsonio.MAX_DECLARED_SIZE` before anything
     is allocated from it; each probe here loads, without allocating, when
@@ -250,6 +297,10 @@ LOADERS = {
     "action": (lambda obj: action_from_json(obj, cyclic_group(3)),
                shaped(["act"], {"act": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})),
     "complex": (complex_from_json, shaped(KEYS[12:23], complex_to_json(toric_complex(2)))),
+    "certificate": (ExpansionCertificate.from_json,
+                    shaped(["side", "v_src_size", "v_dst_size", "w_src", "c", "epsilon", "mode",
+                            "verdict", "witness", "trials", "seed", "budget",
+                            "subsets_checked", "note"], k33_certificate("sampled").to_json())),
     "matrix": (gf2.from_json_dict,
                shaped(["rows", "cols", "entries"], {"rows": 2, "cols": 3,
                                                     "entries": [[0, 1], [1, 2]]})),
