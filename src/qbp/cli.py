@@ -191,13 +191,15 @@ def _cmd_construct(args) -> tuple[dict, dict, Optional[str]]:
         if not isinstance(acts, dict):
             raise ValidationError(
                 f"actions JSON must be an object of four tables, got {type(acts).__name__}")
+        # Each raw table is popped as it is converted, so at most one is
+        # held twice; a translation table becomes the group's own object.
         try:
             ax = GraphAction(group,
-                             action_from_json({"act": acts["left_v0"]}, group),
-                             action_from_json({"act": acts["left_v1"]}, group))
+                             action_from_json({"act": acts.pop("left_v0")}, group),
+                             action_from_json({"act": acts.pop("left_v1")}, group))
             ay = GraphAction(group,
-                             action_from_json({"act": acts["right_v0"]}, group),
-                             action_from_json({"act": acts["right_v1"]}, group))
+                             action_from_json({"act": acts.pop("right_v0")}, group),
+                             action_from_json({"act": acts.pop("right_v1")}, group))
         except KeyError as exc:
             raise ValidationError(f"actions JSON is missing table {exc}") from exc
         cpx = product.balanced_product(left, ax, right, ay)

@@ -8,8 +8,8 @@ Two exact counting bounds come first: double counting, |N(S)| >= w_src |S| /
 w_dst, and the pair bound |N(S)| >= w_src |S| - lam C(|S|, 2), with lam the
 most neighbors two source vertices share.  Together they prove every size up
 to some s0; only larger sizes are enumerated, and a sampled certificate with
-every size proven draws nothing.  Certificates and the budget refusal are
-those of the full enumeration.
+every size proven draws nothing.  Certificates are those of the full
+enumeration; the exhaustive budget counts only the subsets of unproven sizes.
 
 Also here: unique-neighbor counting, the two edge-count inequalities implied
 by losslessness, an integral max-flow solver, and the flow-based partition
@@ -218,7 +218,8 @@ def certify_expansion(
     mode : str
         "exhaustive" checks every eligible subset in (size, lexicographic)
         order and stops at the first violation; it refuses with a budget
-        error when the count of all eligible subsets exceeds `budget`.
+        error when the count of eligible subsets of the sizes the counting
+        bounds leave unproven exceeds `budget`.
         "sampled" draws `trials` (>= 1) uniform subsets per eligible size
         from `seed`.
 
@@ -256,10 +257,11 @@ def certify_expansion(
     s0 = _proven_size(adj, w_src, adj_dst, w_dst, num, den, max_size)
     if mode == "exhaustive":
         extra = {"budget": budget}
-        total = sum(math.comb(n_src, s) for s in range(1, max_size + 1))
-        if total > budget:
+        unproven = sum(math.comb(n_src, s) for s in range(s0 + 1, max_size + 1))
+        if unproven > budget:
             raise BudgetExceededError(
-                f"exhaustive certification needs {total} subset checks, over the "
+                f"exhaustive certification needs {unproven} subset checks of the sizes "
+                f"the counting bounds leave unproven ({s0 + 1}..{max_size}), over the "
                 f"budget of {budget}; raise the budget or use sampled mode"
             )
         checked = sum(math.comb(n_src, s) for s in range(1, s0 + 1))

@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from .errors import ValidationError
-from .groups import FiniteGroup, GroupAction, left_translation_action, right_translation_action, verify_free_action
+from .groups import FiniteGroup, GroupAction, left_translation_action, right_translation_action
 from .jsonio import _int_rows, _size_value
 
 _Violation = Optional[tuple[int, tuple[int, int]]]   # (g, edge), or None
@@ -144,12 +144,13 @@ def verify_edge_invariance(graph: BipartiteGraph, action: GraphAction) -> _Viola
     """None when every group element maps edges to edges, else the first
     (g, edge) violation in ascending order.
 
-    Both vertex actions are validated actions of the group (every
-    `GroupAction` comes from `GroupAction.from_table`), so act(g s) =
-    act(g) o act(s): when each generator s maps edges to edges, so does every
-    word in the generators.  Only a failure scans all of G, for its witness.
-    The verdict is cached on the graph per action object, so a pair that
-    `cayley_bipartite` has checked is not scanned again by the product.
+    Both vertex actions are lawful actions of the group (every
+    `GroupAction` is checked by `GroupAction.from_table` or is a translation,
+    lawful by proof), so act(g s) = act(g) o act(s): when each generator s
+    maps edges to edges, so does every word in the generators.  Only a
+    failure scans all of G, for its witness.  The verdict is cached on the
+    graph per action object, so a pair that `cayley_bipartite` has checked
+    is not scanned again by the product.
     """
     cached = graph._edge_invariance.get(id(action))
     if cached is None or cached[0] is not action:
@@ -196,8 +197,9 @@ def cayley_bipartite(group: FiniteGroup, gens: Iterable[int], side: str) -> Cayl
     """Bipartite Cayley graph on V0 = V1 = G.
 
     side="left" uses edges (g, a g); side="right" uses edges (g, g b).  The
-    returned action is the translation from the opposite side, which commutes
-    with the edge relation and acts freely (both facts re-verified here).
+    returned action is the translation from the opposite side, which acts
+    freely (by proof, see `groups`) and commutes with the edge relation
+    (verified here).
     """
     gen_list = [int(a) for a in gens]
     for a in gen_list:
@@ -216,9 +218,6 @@ def cayley_bipartite(group: FiniteGroup, gens: Iterable[int], side: str) -> Cayl
         one_side = left_translation_action(group)
     graph = build_bipartite(group.order, group.order, edges)
     action = GraphAction(group, one_side, one_side)
-    fixed = verify_free_action(one_side)
-    if fixed is not None:
-        raise ValidationError(f"translation action unexpectedly has fixed point {fixed}")
     violation = verify_edge_invariance(graph, action)
     if violation is not None:
         raise ValidationError(f"Cayley action fails edge invariance at {violation}")

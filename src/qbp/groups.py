@@ -15,12 +15,19 @@ passes over each table:
   and all g, x.  It extends to every h by induction on the length of h as a
   word in the generators, which needs the associativity checked above.
 
+A validated group's two translations need no check at all.  The left law
+g (h x) = (g h) x is the associativity just checked, and the right law
+x (g h)^{-1} = (x h^{-1}) g^{-1} follows from it; both are free by
+cancellation (g x = x or x g^{-1} = x forces g = e).  So
+`FiniteGroup.left_translation` holds `mul` itself as its table, and
+`GroupAction.from_table` hands back the group's left translation object,
+after its type and shape checks, for a table equal to `mul`.
+
 Groups and actions are frozen, so a verdict about one is a fact about that
 object for good.  Each is computed at most once per object and cached on it:
 a group's generating set and its left and right translation actions (one
-group yields one validated action object per side), and an action's
-freeness scan.  A cache lives on its own object and is never shared with
-another, even an equal one.
+object per side), and an action's freeness scan.  A cache lives on its own
+object and is never shared with another, even an equal one.
 
 Tables are read in one C-level pass per step, and every entry must be
 exactly an int (see `jsonio._int_rows`).
@@ -116,14 +123,17 @@ class FiniteGroup:
 
     @cached_property
     def left_translation(self) -> "GroupAction":
-        """g . x = g x on the group itself, validated once per group."""
-        return GroupAction.from_table(self, self.mul)
+        """g . x = g x on the group itself, one object per group; its table
+        is `mul` itself (lawful and free by proof, see the module
+        docstring)."""
+        return _regular_action(self, self.mul)
 
     @cached_property
     def right_translation(self) -> "GroupAction":
-        """g . x = x g^{-1} on the group itself, validated once per group."""
+        """g . x = x g^{-1} on the group itself, one object per group
+        (lawful and free by proof, see the module docstring)."""
         columns = tuple(zip(*self.mul))    # columns[b][x] = x b
-        return GroupAction.from_table(self, (columns[self.inv[g]] for g in self.elements()))
+        return _regular_action(self, tuple(columns[b] for b in self.inv))
 
     def op(self, a: int, b: int) -> int:
         return self.mul[a][b]
@@ -214,9 +224,10 @@ class GroupAction:
 
     Validated on construction: the identity acts trivially and
     act(g, act(s, x)) = act(g*s, x) for every generator s and all g, x, which
-    gives the law for every group element (see the module docstring).
-    Freeness is a separate property, scanned once per action object and
-    returned by :func:`verify_free_action`.
+    gives the law for every group element (see the module docstring).  A
+    table equal to `group.mul` is the group's left translation object,
+    lawful and free by proof.  Freeness is a separate property, scanned once
+    per other action object and returned by :func:`verify_free_action`.
     """
 
     group: FiniteGroup
@@ -232,6 +243,8 @@ class GroupAction:
         if len(sizes) > 1:
             raise ValidationError("action table rows have unequal lengths")
         set_size = sizes.pop() if sizes else 0
+        if tab == group.mul:
+            return group.left_translation
         _check_range(tab, set_size, "action value")
         _check_action_law(group, tab, set_size)
         return cls(group, set_size, tab)
@@ -244,6 +257,16 @@ class GroupAction:
 
     def act(self, g: int, x: int) -> int:
         return self.table[g][x]
+
+
+def _regular_action(group: FiniteGroup, table: tuple[_Row, ...]) -> GroupAction:
+    """A translation action of `group` on itself, with no check and no
+    freeness scan: both hold by proof (see the module docstring)."""
+    action = GroupAction(group, group.order, table)
+    # Preset the cached freeness verdict; `TestComputedOnce` checks that
+    # no translation is scanned.
+    action.__dict__[GroupAction.fixed_point.attrname] = None
+    return action
 
 
 def _check_action_law(group: FiniteGroup, tab: tuple[_Row, ...], set_size: int) -> None:

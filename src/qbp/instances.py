@@ -57,7 +57,7 @@ def star_graph(m: int, degree: int) -> tuple[BipartiteGraph, GraphAction]:
     group = cyclic_group(m)
     edges = [(i, i * degree + j) for i in range(m) for j in range(degree)]
     graph = build_bipartite(m, m * degree, edges)
-    v0 = GroupAction.from_table(group, [[(i + g) % m for i in range(m)] for g in range(m)])
+    v0 = group.left_translation
     v1 = GroupAction.from_table(
         group,
         [[((i + g) % m) * degree + j for i in range(m) for j in range(degree)]
@@ -138,7 +138,7 @@ def doubled_complete_incidence(m: int) -> tuple[BipartiteGraph, GraphAction]:
         edges.append((i, k))
         edges.append(((i + s) % m, k))
     graph = build_bipartite(m, len(instances), edges)
-    v0 = GroupAction.from_table(group, [[(i + g) % m for i in range(m)] for g in range(m)])
+    v0 = group.left_translation
     v1 = GroupAction.from_table(
         group,
         [[index[(s, tag, (i + g) % m)] for (s, tag, i) in instances] for g in range(m)],

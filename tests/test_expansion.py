@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -77,6 +79,32 @@ class TestCertify:
         g = random_biregular(20, 20, 3, random.Random(0))
         with pytest.raises(BudgetExceededError):
             certify_expansion(g, "0to1", Fraction(1, 2), Fraction(1, 4), budget=100)
+
+    def test_budget_refusal_names_the_unproven_count(self):
+        # The pair bound proves singletons only; sizes 2..9 hold
+        # sum C(20, s) = 431,889 subsets, and only those are charged.
+        g = random_biregular(20, 20, 3, random.Random(0))
+        unproven = sum(math.comb(20, s) for s in range(2, 10))
+        assert unproven == 431889
+        message = (f"exhaustive certification needs {unproven} subset checks of the sizes the "
+                   f"counting bounds leave unproven (2..9), over the budget of {unproven - 1}")
+        with pytest.raises(BudgetExceededError, match=re.escape(message)):
+            certify_expansion(g, "0to1", Fraction(1, 2), Fraction(1, 4), budget=unproven - 1)
+
+    def test_budget_charges_only_the_unproven_sizes(self):
+        # Double counting proves every size of the 60-vertex cycle at
+        # epsilon = 1/2: the exhaustive pass enumerates nothing, where it
+        # used to refuse 459,312,151 checks over the 2^24 budget.
+        cert = certify_expansion(bipartite_cycle(30), "0to1", Fraction(1, 2), Fraction(1, 2))
+        assert (cert.mode, cert.verdict, cert.authoritative) == ("exhaustive", "pass", True)
+        assert cert.subsets_checked == sum(math.comb(30, s) for s in range(1, 15)) == 459312151
+        assert cert.budget == 1 << 24
+        sampled = certify_expansion(bipartite_cycle(30), "0to1", Fraction(1, 2), Fraction(1, 2),
+                                    mode="sampled", trials=3)
+        assert sampled.note == "sampled verdicts are evidence, not proof"
+        # At epsilon = 1/3 the bounds prove sizes 1 and 2; the rest is charged.
+        with pytest.raises(BudgetExceededError, match="needs 459311686 subset checks"):
+            certify_expansion(bipartite_cycle(30), "0to1", Fraction(1, 2), Fraction(1, 3))
 
     def test_sampled_mode_labelled(self):
         g = random_biregular(20, 20, 3, random.Random(0))

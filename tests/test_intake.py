@@ -28,11 +28,12 @@ from qbp import cli, errors, gf2
 from qbp.cli import cli_dispatch
 from qbp.errors import ValidationError
 from qbp.expansion import ExpansionCertificate, certify_expansion
-from qbp.graphs import build_bipartite, graph_from_json, graph_to_json
-from qbp.groups import action_from_json, cyclic_group, group_from_json, group_to_json
+from qbp.graphs import build_bipartite, cayley_bipartite, graph_from_json, graph_to_json
+from qbp.groups import (action_from_json, cyclic_group, dihedral_group, group_from_json,
+                        group_to_json)
 from qbp.instances import bipartite_cycle, star_graph, toric_complex
 from qbp.jsonio import MAX_DECLARED_SIZE
-from qbp.product import complex_from_json, complex_to_json
+from qbp.product import balanced_product, complex_from_json, complex_to_json
 
 QBP_ERRORS = tuple(v for v in vars(errors).values()
                    if isinstance(v, type) and issubclass(v, Exception))
@@ -241,6 +242,83 @@ class TestDeclaredSizes:
                            "--out", tmp_path / "c.json"])
         assert rc == 1
         assert err.startswith("error: graph v0 = 1000000000000 exceeds the declared-size budget")
+        assert not (tmp_path / "c.json").exists()
+
+
+# -- translation tables load as the group's own action objects ---------------------------
+
+
+def write_factor_files(work, group, gens_a, gens_b, actions):
+    """Factor graphs, group and actions written with plain lists, as a user
+    would: edges (g, a g) on both factors when the actions are right
+    translations, and (g, g a^{-1}), (g, g b) when they are left ones."""
+    mul, inv, m = group.mul, group.inv, group.order
+    if actions == "right":
+        left = sorted([g, mul[a][g]] for g in range(m) for a in gens_a)
+        right = sorted([g, mul[b][g]] for g in range(m) for b in gens_b)
+        table = [[mul[x][inv[g]] for x in range(m)] for g in range(m)]
+    else:
+        left = sorted([g, mul[g][inv[a]]] for g in range(m) for a in gens_a)
+        right = sorted([g, mul[g][b]] for g in range(m) for b in gens_b)
+        table = [[mul[g][x] for x in range(m)] for g in range(m)]
+    files = {
+        "left": {"v0": m, "v1": m, "edges": left},
+        "right": {"v0": m, "v1": m, "edges": right},
+        "group": group_to_json(group),
+        "actions": {"left_v0": table, "left_v1": table, "right_v0": table, "right_v1": table},
+    }
+    for name, obj in files.items():
+        (work / f"{name}.json").write_text(json.dumps(obj))
+    return ["construct"] + [a for name in files for a in (f"--{name}", work / f"{name}.json")]
+
+
+class TestTranslationIntake:
+    @staticmethod
+    def construct(monkeypatch, argv, out):
+        """Run `qbp construct` and return the GraphActions it built with."""
+        seen = []
+        build = cli.product.balanced_product
+
+        def recording(x, ax, y, ay, **kwargs):
+            seen.extend((ax, ay))
+            return build(x, ax, y, ay, **kwargs)
+
+        monkeypatch.setattr(cli.product, "balanced_product", recording)
+        rc, err = run_cli(argv + ["--out", out])
+        assert (rc, err) == (0, "")
+        return seen
+
+    @pytest.mark.parametrize("m", [8, 32])
+    def test_cyclic_files_load_as_the_left_translation(self, tmp_path, monkeypatch, m):
+        argv = write_factor_files(tmp_path, cyclic_group(m), (1, 2), (1, 4), "left")
+        ax, ay = self.construct(monkeypatch, argv, tmp_path / "c.json")
+        group = ax.group
+        assert ay.group is group
+        for action in (ax.v0, ax.v1, ay.v0, ay.v1):
+            assert action is group.left_translation
+            assert action.table is group.mul
+
+    def test_dihedral_files_load_as_the_right_translation(self, tmp_path, monkeypatch):
+        group = dihedral_group(4)
+        argv = write_factor_files(tmp_path, group, (1, 2), (1, 2), "right")
+        ax, ay = self.construct(monkeypatch, argv, tmp_path / "c.json")
+        for action in (ax.v0, ax.v1, ay.v0, ay.v1):
+            assert action.table == group.right_translation.table
+        x = cayley_bipartite(group, (1, 2), "left")
+        y = cayley_bipartite(group, (1, 2), "left")
+        built = balanced_product(x.graph, x.action, y.graph, y.action)
+        written = complex_from_json(json.loads((tmp_path / "c.json").read_text()))
+        assert written.faces == built.faces
+
+    def test_one_changed_entry_is_refused(self, tmp_path):
+        argv = write_factor_files(tmp_path, cyclic_group(8), (1, 2), (1, 4), "left")
+        acts = json.loads((tmp_path / "actions.json").read_text())
+        acts["right_v1"] = [row[:] for row in acts["right_v1"]]
+        acts["right_v1"][3][5] = acts["right_v1"][3][6]
+        (tmp_path / "actions.json").write_text(json.dumps(acts))
+        rc, err = run_cli(argv + ["--out", tmp_path / "c.json"])
+        assert rc == 1
+        assert err == "error: action not compatible at g=2, h=1, x=5\n"
         assert not (tmp_path / "c.json").exists()
 
 

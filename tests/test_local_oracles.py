@@ -1,12 +1,15 @@
 """Cached verdicts and error-local scans against the code they replaced.
 
 Freeness scans, translation actions, regularity verdicts and the complex's
-subgraphs are computed once per object; the region diagnostics visit only
+subgraphs are computed once per object; a group's translations are built
+without a check or a freeness scan, and a table equal to one of them loads
+as that object; the region diagnostics visit only
 the faces through an error qubit; `tree_partition` builds its flow over
 N(v1) only; and a complex's code reads its weight off the subgraph
 adjacency.  Each is compared here with the earlier formulation, kept as an
-oracle: the full face scan, the all-owners partition, the uncached
-regularity and freeness scans, and the column-mask weight.  Every field
+oracle: the validating action path, the full face scan, the all-owners
+partition, the uncached regularity and freeness scans, and the column-mask
+weight.  Every field
 must be equal, `per_vertex`, `assignment` and `leftover` included, and so
 must every refusal.
 """
@@ -16,13 +19,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qbp import graphs, groups
 from qbp.css import CssCode, extract_code
 from qbp.decoder import RegionReport, _index_for, region_diagnostics
-from qbp.errors import InternalInvariantError, PreconditionError
+from qbp.errors import InternalInvariantError, PreconditionError, ValidationError
 from qbp.gf2 import F2Matrix
 from qbp.expansion import FlowNetwork, TreePartition, max_flow_integer, tree_partition
 from qbp.graphs import (
@@ -34,6 +37,9 @@ from qbp.graphs import (
     regularity,
 )
 from qbp.groups import (
+    FiniteGroup,
+    GroupAction,
+    action_from_json,
     conjugation_action,
     cyclic_group,
     dihedral_group,
@@ -49,6 +55,7 @@ from qbp.instances import (
     star_product,
     toric_complex,
 )
+from qbp.jsonio import _int_rows
 from qbp.product import SUBGRAPHS, balanced_product, hypergraph_product
 
 
@@ -80,6 +87,22 @@ def oracle_free_action(action):
             if action.table[g][x] == x:
                 return (g, x)
     return None
+
+
+def oracle_action_from_table(group, table):
+    """The validating path every action table took before translations were
+    recognised: int and shape checks, the value range, then the law on the
+    generators."""
+    tab = _int_rows(table, "action table")
+    if len(tab) != group.order:
+        raise ValidationError(f"action table has {len(tab)} rows, expected {group.order}")
+    sizes = set(map(len, tab))
+    if len(sizes) > 1:
+        raise ValidationError("action table rows have unequal lengths")
+    set_size = sizes.pop() if sizes else 0
+    groups._check_range(tab, set_size, "action value")
+    groups._check_action_law(group, tab, set_size)
+    return GroupAction(group, set_size, tab)
 
 
 def oracle_weight(code):
@@ -255,6 +278,16 @@ def oracle_region_diagnostics(cpx, v10, v01, part10, part01, epsilon=None):
     return report
 
 
+def loaded(fn, *args):
+    """An action loader's table and set size, or the type and message of its
+    refusal."""
+    try:
+        action = fn(*args)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return action.table, action.set_size
+
+
 def outcome(fn, *args, **kwargs):
     """A call's value, or the type and message of what it raised."""
     try:
@@ -324,6 +357,38 @@ def neighbor_partition(graph, target, rng):
 
 EPSILONS = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1))
 
+TABLE_GROUPS = {"Z1": lambda: cyclic_group(1), "Z2": lambda: cyclic_group(2),
+                "Z7": lambda: cyclic_group(7), "Z12": lambda: cyclic_group(12),
+                "D3": lambda: dihedral_group(3), "D4": lambda: dihedral_group(4),
+                "D5": lambda: dihedral_group(5), "S3": lambda: symmetric_group(3),
+                "S4": lambda: symmetric_group(4)}
+
+
+def relabelled(group, perm):
+    """The same group with element a renamed perm[a], so that the identity
+    need not be 0."""
+    mul = [[0] * group.order for _ in group.elements()]
+    for a in group.elements():
+        for b in group.elements():
+            mul[perm[a]][perm[b]] = perm[group.mul[a][b]]
+    return FiniteGroup.from_table(mul, label=group.label)
+
+
+@st.composite
+def table_groups(draw):
+    """A small group from its table, half of the time relabelled at random."""
+    group = TABLE_GROUPS[draw(st.sampled_from(sorted(TABLE_GROUPS)))]()
+    if draw(st.booleans()):
+        group = relabelled(group, draw(st.permutations(range(group.order))))
+    return group
+
+
+def translations(group):
+    """(left, right) with the tables written from their definitions."""
+    left = [[group.op(g, x) for x in group.elements()] for g in group.elements()]
+    right = [[group.op(x, group.inv[g]) for x in group.elements()] for g in group.elements()]
+    return left, right
+
 
 # -- tests -------------------------------------------------------------------------
 
@@ -348,21 +413,28 @@ class TestComputedOnce:
         monkeypatch.setattr(groups, "_check_action_law", counted_law)
         return calls
 
-    @pytest.mark.parametrize("build, distinct", [
-        (lambda: left_right_cayley(cyclic_group(8), [1, 2], [1, 4]), 1),
-        (lambda: star_product(8, 3, 2), 4),
+    @pytest.mark.parametrize("build, distinct, regular", [
+        (lambda: left_right_cayley(cyclic_group(8), [1, 2], [1, 4]), 1, 1),
+        (lambda: star_product(8, 3, 2), 4, 2),
     ], ids=["cayley_z8", "star8"])
-    def test_one_scan_and_one_law_check_per_action(self, monkeypatch, build, distinct):
+    def test_one_scan_and_one_law_check_per_action(self, monkeypatch, build, distinct,
+                                                   regular):
+        # Translations are lawful and free by proof: no law check and no
+        # scan (this guards the verdict `groups._regular_action` presets).
+        # Every other action is checked and scanned once.
         calls = self.counting(monkeypatch)
         cpx = build()
         actions = {id(a): a for a in (cpx.action_x.v0, cpx.action_x.v1,
                                       cpx.action_y.v0, cpx.action_y.v1)}
         assert len(actions) == distinct
-        assert sorted(calls["free"]) == sorted(actions)
-        assert sorted(calls["law"]) == sorted(id(a.table) for a in actions.values())
+        checked = {i: a for i, a in actions.items() if a is not a.group.left_translation}
+        assert len(actions) - len(checked) == regular
+        assert all(a.set_size != a.group.order for a in checked.values())
+        assert sorted(calls["free"]) == sorted(checked)
+        assert sorted(calls["law"]) == sorted(id(a.table) for a in checked.values())
         for action in actions.values():
             assert verify_free_action(action) is None
-        assert len(calls["free"]) == distinct
+        assert len(calls["free"]) == distinct - regular
 
     def test_one_edge_invariance_scan_per_graph_and_action(self, monkeypatch):
         # cayley_bipartite checks each factor with its action; the product
@@ -390,10 +462,11 @@ class TestComputedOnce:
         group = cyclic_group(6)
         assert groups.left_translation_action(group) is groups.left_translation_action(group)
         assert groups.right_translation_action(group) is groups.right_translation_action(group)
-        assert len(calls["law"]) == 2
         other = cyclic_group(6)
         assert groups.left_translation_action(other) is not groups.left_translation_action(group)
-        assert len(calls["law"]) == 3
+        for action in (group.left_translation, group.right_translation, other.left_translation):
+            assert verify_free_action(action) is None
+        assert calls == {"free": [], "law": []}
 
     def test_subgraph_is_one_object_per_edge_class(self):
         cpx = star_product(8, 3, 2)
@@ -417,6 +490,62 @@ class TestComputedOnce:
         idx_x = _index_for(star12_code, "x")
         assert idx_x.n10 is cpx.subgraph("v01_v11").adj1
         assert idx_x.n01 is cpx.subgraph("v10_v11").adj1
+
+
+class TestTranslationsByProof:
+    """A group's translations skip the validating path; a table equal to
+    `mul` loads as the left translation object, and every other table meets
+    the validating path's refusals."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(group=table_groups())
+    def test_the_validating_path_accepts_both_translations(self, group):
+        left, right = group.left_translation, group.right_translation
+        assert left.table is group.mul
+        for action, table in zip((left, right), translations(group)):
+            assert action.table == tuple(map(tuple, table))
+            assert action.set_size == group.order
+            assert oracle_action_from_table(group, table) == action
+            assert groups._first_fixed_point(action) is None
+            assert oracle_free_action(action) is None
+            assert verify_free_action(action) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(group=table_groups())
+    def test_an_equal_table_loads_as_the_translation(self, group):
+        table, _ = translations(group)
+        want = group.left_translation
+        assert GroupAction.from_table(group, table) is want
+        assert GroupAction.from_table(group, map(tuple, table)) is want
+        assert action_from_json({"act": table}, group) is want
+        # The cache belongs to the group object, not to its table.
+        other = FiniteGroup.from_table(group.mul)
+        assert GroupAction.from_table(other, group.mul) is other.left_translation
+        assert other.left_translation is not group.left_translation
+
+    @settings(max_examples=200, deadline=None)
+    @given(group=table_groups(), data=st.data())
+    def test_one_changed_entry_meets_the_old_refusal(self, group, data):
+        table = [list(row) for row in data.draw(st.sampled_from(translations(group)))]
+        g = data.draw(st.integers(0, group.order - 1))
+        x = data.draw(st.integers(0, group.order - 1))
+        value = data.draw(st.integers(-2, group.order + 1) | st.sampled_from([1.0, True, "0"]))
+        assume(type(value) is not int or value != table[g][x])
+        table[g][x] = value
+        got = loaded(GroupAction.from_table, group, table)
+        assert got == loaded(oracle_action_from_table, group, table)
+        assert got[0] is ValidationError
+
+    @pytest.mark.parametrize("name", ["Z7", "D4", "S4"])
+    def test_other_tables_keep_the_validating_path(self, name):
+        group = TABLE_GROUPS[name]()
+        shuffled = random.Random(0).sample(range(group.order), group.order)
+        for table in (conjugation_action(group).table, trivial_action(group, 3).table,
+                      trivial_action(group, group.order).table,
+                      [[shuffled[v] for v in row] for row in group.mul],
+                      [[row[v] for v in shuffled] for row in group.mul]):
+            assert loaded(GroupAction.from_table, group, table) == \
+                loaded(oracle_action_from_table, group, table)
 
 
 class TestVerdicts:
