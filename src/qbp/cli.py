@@ -108,7 +108,7 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         return 1
     started = time.time()
     try:
-        result, inputs, out_path = _run(args)
+        result, inputs, out_path = _COMMANDS[args.command](args)
     except (ValidationError, BudgetExceededError, OracleUnavailableError,
             ValueError, IndexError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -161,22 +161,10 @@ def _load_vector(path: str) -> F2Vector:
     return F2Vector.from_support(_size_value(length, "vector length"), indices)
 
 
-def _run(args: argparse.Namespace) -> tuple[Optional[dict], dict, Optional[str]]:
-    if args.command == "construct":
-        return _cmd_construct(args)
-    if args.command == "certify":
-        return _cmd_certify(args)
-    if args.command == "code":
-        return _cmd_code(args)
-    if args.command == "distance":
-        return _cmd_distance(args)
-    if args.command == "decode":
-        return _cmd_decode(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "diagnose":
-        return _cmd_diagnose(args)
-    raise ValidationError(f"unknown command {args.command!r}")
+def _load_code(path: str) -> tuple[product.BalancedProductComplex, css.CssCode]:
+    """The complex in the file at `path` and its CSS code."""
+    cpx = product.complex_from_json(_load_json(path))
+    return cpx, css.extract_code(cpx)
 
 
 def _cmd_construct(args) -> tuple[dict, dict, Optional[str]]:
@@ -232,8 +220,7 @@ def _cmd_certify(args) -> tuple[dict, dict, Optional[str]]:
 
 
 def _cmd_code(args) -> tuple[Optional[dict], dict, Optional[str]]:
-    cpx = product.complex_from_json(_load_json(args.complex))
-    code = css.extract_code(cpx)
+    _, code = _load_code(args.complex)
     params = css.code_params(code)
     manifest = css.export_manifest(code, params, {"complex": jsonio.file_digest(args.complex)})
     if args.out_prefix:
@@ -251,8 +238,7 @@ def _cmd_code(args) -> tuple[Optional[dict], dict, Optional[str]]:
 
 
 def _cmd_distance(args) -> tuple[dict, dict, Optional[str]]:
-    cpx = product.complex_from_json(_load_json(args.complex))
-    code = css.extract_code(cpx)
+    _, code = _load_code(args.complex)
     out: dict = {}
     sides = ["x", "z"] if args.which == "both" else [args.which]
     for side in sides:
@@ -268,8 +254,7 @@ def _cmd_distance(args) -> tuple[dict, dict, Optional[str]]:
 
 
 def _cmd_decode(args) -> tuple[dict, dict, Optional[str]]:
-    cpx = product.complex_from_json(_load_json(args.complex))
-    code = css.extract_code(cpx)
+    _, code = _load_code(args.complex)
     syndrome = _load_vector(args.syndrome)
     config = decoder.DecoderConfig(epsilon=parse_rational(args.epsilon), iteration_cap=args.cap)
     if args.side == "z":
@@ -284,8 +269,7 @@ def _cmd_decode(args) -> tuple[dict, dict, Optional[str]]:
 
 
 def _cmd_simulate(args) -> tuple[dict, dict, Optional[str]]:
-    cpx = product.complex_from_json(_load_json(args.complex))
-    code = css.extract_code(cpx)
+    _, code = _load_code(args.complex)
     config = harness.ExperimentConfig(
         epsilon=parse_rational(args.epsilon),
         trials=args.trials,
@@ -301,8 +285,7 @@ def _cmd_simulate(args) -> tuple[dict, dict, Optional[str]]:
 
 
 def _cmd_diagnose(args) -> tuple[dict, dict, Optional[str]]:
-    cpx = product.complex_from_json(_load_json(args.complex))
-    code = css.extract_code(cpx)
+    cpx, code = _load_code(args.complex)
     error = _load_vector(args.error)
     if error.length != code.n:
         raise ValidationError(f"error length {error.length} != n = {code.n}")
@@ -329,6 +312,17 @@ def _cmd_diagnose(args) -> tuple[dict, dict, Optional[str]]:
         "per_vertex": {str(k): v for k, v in sorted(report.per_vertex.items())},
     }
     return payload, {"complex": args.complex, "error": args.error}, args.out
+
+
+_COMMANDS = {
+    "construct": _cmd_construct,
+    "certify": _cmd_certify,
+    "code": _cmd_code,
+    "distance": _cmd_distance,
+    "decode": _cmd_decode,
+    "simulate": _cmd_simulate,
+    "diagnose": _cmd_diagnose,
+}
 
 
 def main() -> None:

@@ -1,9 +1,10 @@
 """Bipartite graphs, biregularity, neighbors, and bipartite Cayley graphs.
 
-A graph is frozen, so its adjacency lists, its regularity verdict and its
-edge-invariance verdict for each action object are derived once, on first
-use, and cached on that object; equal graphs built separately do not share
-them.
+A graph is frozen, so its adjacency lists and its regularity verdict are
+derived once, on first use, and cached on that object; equal graphs built
+separately do not share them.  Edge invariance is checked on each call, not
+cached: a Cayley graph's translation action keeps its edges by
+associativity, so only a product of arbitrary factors needs the check.
 """
 
 from __future__ import annotations
@@ -54,12 +55,6 @@ class BipartiteGraph:
                 return NonRegularReport(side, x, degrees[x])
             widths.append(degrees[0] if degrees else 0)
         return RegularityProfile(*widths)
-
-    @cached_property
-    def _edge_invariance(self) -> dict[int, tuple["GraphAction", _Violation]]:
-        """id(action) -> (action, verdict) for :func:`verify_edge_invariance`;
-        holding the action keeps its id from being reused."""
-        return {}
 
 
 def build_bipartite(v0_size: int, v1_size: int, edges: Iterable[tuple[int, int]]) -> BipartiteGraph:
@@ -148,18 +143,8 @@ def verify_edge_invariance(graph: BipartiteGraph, action: GraphAction) -> _Viola
     `GroupAction` is checked by `GroupAction.from_table` or is a translation,
     lawful by proof), so act(g s) = act(g) o act(s): when each generator s
     maps edges to edges, so does every word in the generators.  Only a
-    failure scans all of G, for its witness.  The verdict is cached on the
-    graph per action object, so a pair that `cayley_bipartite` has checked
-    is not scanned again by the product.
+    failure scans all of G, for its witness.
     """
-    cached = graph._edge_invariance.get(id(action))
-    if cached is None or cached[0] is not action:
-        cached = (action, _edge_invariance_scan(graph, action))
-        graph._edge_invariance[id(action)] = cached
-    return cached[1]
-
-
-def _edge_invariance_scan(graph: BipartiteGraph, action: GraphAction) -> _Violation:
     group, edges = action.group, graph.edges
 
     def moves_an_edge(g: int) -> bool:
@@ -198,8 +183,10 @@ def cayley_bipartite(group: FiniteGroup, gens: Iterable[int], side: str) -> Cayl
 
     side="left" uses edges (g, a g); side="right" uses edges (g, g b).  The
     returned action is the translation from the opposite side, which acts
-    freely (by proof, see `groups`) and commutes with the edge relation
-    (verified here).
+    freely and lawfully (by proof, see `groups`) and keeps the edges, also
+    by proof: h maps (g, g b) to (h g, h g b) and (g, a g) to (g h^-1,
+    a g h^-1), both edges by the associativity the group table was checked
+    for.  So nothing is scanned here; `balanced_product` checks its factors.
     """
     gen_list = [int(a) for a in gens]
     for a in gen_list:
@@ -217,11 +204,7 @@ def cayley_bipartite(group: FiniteGroup, gens: Iterable[int], side: str) -> Cayl
         edges = [(g, mul[g][b]) for g in group.elements() for b in gen_list]
         one_side = left_translation_action(group)
     graph = build_bipartite(group.order, group.order, edges)
-    action = GraphAction(group, one_side, one_side)
-    violation = verify_edge_invariance(graph, action)
-    if violation is not None:
-        raise ValidationError(f"Cayley action fails edge invariance at {violation}")
-    return CayleyGraph(graph, action, tuple(gen_list), side)
+    return CayleyGraph(graph, GraphAction(group, one_side, one_side), tuple(gen_list), side)
 
 
 # -- interchange ----------------------------------------------------------

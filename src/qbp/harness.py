@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ValidationError("sweep mode needs the exact-weight model")
         if self.trials < 0:
             raise ValidationError("trials must be nonnegative")
+        if self.weight is not None and self.weight < 0:
+            raise ValidationError(f"error weight must be nonnegative, got {self.weight}")
         if self.flip_probability is not None:
             p = Fraction(self.flip_probability)
             if not 0 <= p <= 1:

@@ -84,8 +84,12 @@ def fraction_to_json(value: Fraction) -> dict:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Accept '1/3', '0.25', or '2' verbatim as exact rationals."""
-    return Fraction(text)
+    """Accept '1/3', '0.25', or '2' verbatim as exact rationals; a zero
+    denominator is a ValidationError naming the text."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValidationError(f"rational {text!r} has a zero denominator") from None
 
 
 def canonical_dumps(obj: Any) -> str:

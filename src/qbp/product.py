@@ -15,16 +15,17 @@ once and caches it on itself: the boundary maps, the chain-condition
 verdict, the four one-dimensional subgraphs (so each edge class has one
 graph and one adjacency, which the code, the partitions and the decoder all
 read), and the faces through each qubit.  A cache is never shared between
-complexes; a transposed or reloaded complex builds its own.
+complexes; a transposed or reloaded complex builds its own.  These are the
+complex's only indexes: square completion reads the face index, and the
+loader's degree check reads the adjacency lengths.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import itemgetter, or_
+from operator import or_
 from typing import Optional
 
 from .errors import PreconditionError, ValidationError
@@ -34,7 +35,6 @@ from .groups import GroupAction, trivial_action, trivial_group, verify_free_acti
 from .expansion import ExpansionCertificate
 from .jsonio import _int_rows, _int_value
 
-EDGE_CLASSES = ("v00_v10", "v01_v11", "v00_v01", "v10_v11")
 _Face = tuple[int, int, int, int]
 SUBGRAPHS = ("v00_v10", "v01_v11", "v00_v01", "v10_v11")
 
@@ -167,29 +167,6 @@ class BalancedProductComplex:
             at01.setdefault(face[2], []).append(face)
         return at10, at01
 
-    # -- square completion ----------------------------------------------------
-
-    @cached_property
-    def completion_tables(self) -> "SquareCompletionTables":
-        to_v11: dict = {}
-        to_v01: dict = {}
-        to_v10: dict = {}
-        to_v00: dict = {}
-        for z00, z10, z01, z11 in self.faces:
-            for table, key, val in (
-                (to_v11, (z00, z10, z01), z11),
-                (to_v01, (z00, z10, z11), z01),
-                (to_v10, (z11, z01, z00), z10),
-                (to_v00, (z01, z11, z10), z00),
-            ):
-                if table.get(key, val) != val:
-                    raise ValidationError(
-                        f"square completion is not unique at {key}; "
-                        "the underlying action cannot be free"
-                    )
-                table[key] = val
-        return SquareCompletionTables(to_v00, to_v10, to_v01, to_v11)
-
     def transposed(self) -> "BalancedProductComplex":
         """The dual complex: V00 and V11 swap roles, as do V10 and V01.
 
@@ -254,15 +231,13 @@ def _swapped(action: Optional[GraphAction]) -> Optional[GraphAction]:
     return None if action is None else GraphAction(action.group, action.v1, action.v0)
 
 
-@dataclass(frozen=True)
-class SquareCompletionTables:
-    """The four completion mappings; each is total on adjacent triples and
-    single-valued (uniqueness relies on freeness of the quotient action)."""
-
-    to_v00: dict[tuple[int, int, int], int]
-    to_v10: dict[tuple[int, int, int], int]
-    to_v01: dict[tuple[int, int, int], int]
-    to_v11: dict[tuple[int, int, int], int]
+# The omitted corner -> the corners that name its triple in a refusal.
+_COMPLETION_KEYS = {
+    "z11": ("z00", "z10", "z01"),
+    "z01": ("z00", "z10", "z11"),
+    "z10": ("z11", "z01", "z00"),
+    "z00": ("z01", "z11", "z10"),
+}
 
 
 def complete_square(
@@ -276,25 +251,29 @@ def complete_square(
     """Complete a square from three pairwise-adjacent cells.
 
     Exactly one corner must be omitted; that corner is returned.  A triple
-    that does not bound a face is a precondition error.
+    that does not bound a face is a precondition error.  Every triple holds
+    a V10 or a V01 cell, so the answer is read off the faces through that
+    qubit (`faces_at_qubit`) that agree with the given corners; freeness of
+    the quotient action leaves one, and more than one is refused.
     """
     known = {"z00": z00, "z10": z10, "z01": z01, "z11": z11}
     missing = [k for k, v in known.items() if v is None]
     if len(missing) != 1:
         raise PreconditionError(f"exactly one corner must be omitted, got missing={missing}")
-    tables = cpx.completion_tables
     which = missing[0]
-    if which == "z11":
-        key, table = (z00, z10, z01), tables.to_v11
-    elif which == "z01":
-        key, table = (z00, z10, z11), tables.to_v01
-    elif which == "z10":
-        key, table = (z11, z01, z00), tables.to_v10
-    else:
-        key, table = (z01, z11, z10), tables.to_v00
-    if key not in table:
+    key = tuple(known[k] for k in _COMPLETION_KEYS[which])
+    at10, at01 = cpx.faces_at_qubit
+    faces = at10.get(z10, ()) if z10 is not None else at01.get(z01, ())
+    slot = list(known).index(which)
+    answers = {face[slot] for face in faces
+               if all(c is None or c == f for c, f in zip(known.values(), face))}
+    if len(answers) > 1:
+        raise ValidationError(
+            f"square completion is not unique at {key}; the underlying action cannot be free"
+        )
+    if not answers:
         raise PreconditionError(f"cells {key} are not pairwise adjacent around {which}")
-    return table[key]
+    return answers.pop()
 
 
 # -- construction -----------------------------------------------------------
@@ -705,27 +684,27 @@ def _check_faces(cpx: BalancedProductComplex, faces: tuple[tuple[int, ...], ...]
 def _check_degrees(cpx: BalancedProductComplex) -> None:
     """Every vertex must have the recorded degree in both of its edge classes.
 
-    The endpoints are already known to lie in their classes, so a class is
-    right when the set of its vertices' degrees is {expected}; only a wrong
-    class is scanned for its first wrong vertex.
+    A vertex's degree in a class is the length of its list in that class's
+    cached adjacency, which `_check_faces` reads too; the endpoints are
+    already known to lie in their classes.  A class is right when the set of
+    its lengths is {expected}; only a wrong class is scanned for its first
+    wrong vertex.
     """
     d = cpx.degrees
-    for cell, size, which, end, name, expected in (
-        ("V00", cpx.v00_size, "v00_v10", 0, "down", d.down),
-        ("V00", cpx.v00_size, "v00_v01", 0, "right", d.right),
-        ("V10", cpx.v10_size, "v00_v10", 1, "up", d.up),
-        ("V10", cpx.v10_size, "v10_v11", 0, "right", d.right),
-        ("V01", cpx.v01_size, "v01_v11", 0, "down", d.down),
-        ("V01", cpx.v01_size, "v00_v01", 1, "left", d.left),
-        ("V11", cpx.v11_size, "v01_v11", 1, "up", d.up),
-        ("V11", cpx.v11_size, "v10_v11", 1, "left", d.left),
+    for cell, which, end, name, expected in (
+        ("V00", "v00_v10", 0, "down", d.down),
+        ("V00", "v00_v01", 0, "right", d.right),
+        ("V10", "v00_v10", 1, "up", d.up),
+        ("V10", "v10_v11", 0, "right", d.right),
+        ("V01", "v01_v11", 0, "down", d.down),
+        ("V01", "v00_v01", 1, "left", d.left),
+        ("V11", "v01_v11", 1, "up", d.up),
+        ("V11", "v10_v11", 1, "left", d.left),
     ):
-        counts = Counter(map(itemgetter(end), getattr(cpx, f"edges_{which}")))
-        found = set(counts.values())
-        if len(counts) < size:
-            found.add(0)
-        if found - {expected}:
-            v = next(v for v in range(size) if counts[v] != expected)
+        graph = cpx.subgraph(which)
+        counts = tuple(map(len, graph.adj1 if end else graph.adj0))
+        if set(counts) - {expected}:
+            v = next(v for v, k in enumerate(counts) if k != expected)
             raise ValidationError(
                 f"degrees say {name} = {expected}, but {cell} vertex {v} has "
                 f"{counts[v]} edges in {which}"

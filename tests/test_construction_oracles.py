@@ -1,11 +1,13 @@
 """Fast construction paths against their exhaustive oracles.
 
 The group laws are checked on a generating set, edge invariance on the
-generators, and the balanced product is written from an orbit transversal.
-Each fast path is compared here with the exhaustive code it replaced: the
-all-triples associativity check, the all-(g, h, x) action check, the scan of
-every (g, edge), and the builder that enumerates the whole unquotiented
-product.
+generators (and a Cayley graph's not at all, since its translations keep
+the edges by proof), the balanced product is written from an orbit
+transversal, and square completion reads the face index.  Each fast path is
+compared here with the exhaustive code it replaced: the all-triples
+associativity check, the all-(g, h, x) action check, the scan of every
+(g, edge), the builder that enumerates the whole unquotiented product, and
+the four completion tables.
 """
 
 import itertools
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbp.errors import ValidationError
+from qbp.errors import PreconditionError, ValidationError
 from qbp.graphs import (
     GraphAction,
     build_bipartite,
@@ -46,10 +48,12 @@ from qbp.product import (
     BalancedProductComplex,
     DegreeProfile,
     balanced_product,
+    complete_square,
     complex_to_json,
     copies_decomposition,
     hypergraph_product,
 )
+from test_local_oracles import table_groups
 
 GROUPS = {
     "Z1": trivial_group,
@@ -104,6 +108,27 @@ def exhaustive_edge_violation(graph, action):
             if (r0[x0], r1[x1]) not in graph.edges:
                 return (g, (x0, x1))
     return None
+
+
+CORNERS = ("z00", "z10", "z01", "z11")
+# The omitted corner -> the corners that key its completion table.
+COMPLETION_KEYS = {"z11": ("z00", "z10", "z01"), "z01": ("z00", "z10", "z11"),
+                   "z10": ("z11", "z01", "z00"), "z00": ("z01", "z11", "z10")}
+
+
+def oracle_completion(cpx):
+    """The four completion tables, omitted corner -> {triple: corner}, built
+    from every face; a triple with two answers refuses the whole complex."""
+    tables = {which: {} for which in COMPLETION_KEYS}
+    for face in cpx.faces:
+        named = dict(zip(CORNERS, face))
+        for which, table in tables.items():
+            key = tuple(named[k] for k in COMPLETION_KEYS[which])
+            if table.get(key, named[which]) != named[which]:
+                raise ValidationError(f"square completion is not unique at {key}; "
+                                      "the underlying action cannot be free")
+            table[key] = named[which]
+    return tables
 
 
 def orbit_classes(nx, ny, ax, ay, group):
@@ -366,6 +391,23 @@ class TestEdgeInvariance:
         assert verify_edge_invariance(graph, action) is not None
 
 
+class TestCayleyByProof:
+    @settings(max_examples=150, deadline=None)
+    @given(group=table_groups(), side=st.sampled_from(["left", "right"]), data=st.data())
+    def test_translations_keep_the_edges(self, group, side, data):
+        gens = data.draw(st.lists(st.integers(0, group.order - 1), unique=True,
+                                  max_size=min(4, group.order)))
+        cg = cayley_bipartite(group, gens, side)
+        assert verify_edge_invariance(cg.graph, cg.action) is None
+        assert exhaustive_edge_violation(cg.graph, cg.action) is None
+        # Translating from the same side keeps the edges only when the
+        # generators are closed under conjugation; the witness is the scan's.
+        same = group.left_translation if side == "left" else group.right_translation
+        action = GraphAction(group, same, same)
+        assert verify_edge_invariance(cg.graph, action) == \
+            exhaustive_edge_violation(cg.graph, action)
+
+
 # -- balanced products -------------------------------------------------------------
 
 
@@ -402,3 +444,71 @@ class TestBalancedProductOracle:
         x, ax = random_factor(group, rng)
         y, ay = random_factor(group, rng)
         assert_matches_oracle(balanced_product(x, ax, y, ay))
+
+
+# -- square completion ---------------------------------------------------------------
+
+
+def assert_completion_matches_oracle(cpx, rng):
+    """Every face, and as many near misses with one corner moved, queried
+    with each corner omitted, against the completion tables."""
+    tables = oracle_completion(cpx)
+    sizes = dict(zip(CORNERS, (cpx.v00_size, cpx.v10_size, cpx.v01_size, cpx.v11_size)))
+    queries = []
+    for face in sorted(cpx.faces):
+        named = dict(zip(CORNERS, face))
+        queries.append(named)
+        moved = rng.choice(CORNERS)
+        queries.append(dict(named, **{moved: rng.randrange(sizes[moved])}))
+    for named in queries:
+        for which in CORNERS:
+            given = {k: v for k, v in named.items() if k != which}
+            key = tuple(given[k] for k in COMPLETION_KEYS[which])
+            if key in tables[which]:
+                assert complete_square(cpx, **given) == tables[which][key]
+            else:
+                with pytest.raises(PreconditionError, match=re.escape(
+                        f"cells {key} are not pairwise adjacent around {which}")):
+                    complete_square(cpx, **given)
+
+
+class TestSquareCompletionOracle:
+    @pytest.mark.parametrize("family", ["toric2", "toric3", "match8", "star12", "incstar13"])
+    def test_conftest_families_and_their_transposes(self, family, request):
+        cpx = request.getfixturevalue(family)
+        assert_completion_matches_oracle(cpx, random.Random(family))
+        assert_completion_matches_oracle(cpx.transposed(), random.Random(family))
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(GROUPS)), seed=st.integers(0, 10**6))
+    def test_random_free_action_products(self, name, seed):
+        rng = random.Random(seed)
+        group = GROUPS[name]()
+        x, ax = random_factor(group, rng)
+        y, ay = random_factor(group, rng)
+        assert_completion_matches_oracle(balanced_product(x, ax, y, ay), rng)
+
+    def test_ambiguous_completion_is_refused_where_it_is_asked(self):
+        # One V00, V10 and V01 cell, two V11 cells, and a face through each:
+        # the path V00 0 -> V10 0 and V01 0 closes in two ways.
+        pair = frozenset({(0, 0)})
+        both = frozenset({(0, 0), (0, 1)})
+        cpx = BalancedProductComplex(
+            reps_v00=((0, 0),), reps_v10=((0, 0),), reps_v01=((0, 0),),
+            reps_v11=((0, 0), (0, 1)),
+            edges_v00_v10=pair, edges_v01_v11=both, edges_v00_v01=pair, edges_v10_v11=both,
+            faces=frozenset({(0, 0, 0, 0), (0, 0, 0, 1)}), degrees=None, group_order=1,
+        )
+        assert cpx.chain_check.ok
+        with pytest.raises(ValidationError, match=re.escape(
+                "square completion is not unique at (0, 0, 0); "
+                "the underlying action cannot be free")):
+            complete_square(cpx, z00=0, z10=0, z01=0)
+        with pytest.raises(ValidationError, match="not unique"):
+            oracle_completion(cpx)
+        # The tables refused every query on this complex; the face index
+        # answers the triples that close one way.
+        for z11 in (0, 1):
+            assert complete_square(cpx, z10=0, z01=0, z11=z11) == 0
+            assert complete_square(cpx, z00=0, z10=0, z11=z11) == 0
+            assert complete_square(cpx, z00=0, z01=0, z11=z11) == 0

@@ -44,6 +44,11 @@ class TestHarness:
             ExperimentConfig(epsilon=Fraction(0), trials=1, weight=1,
                              flip_probability=Fraction(1, 10))
 
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_negative_weight_rejected(self, sweep):
+        with pytest.raises(ValidationError, match="error weight must be nonnegative, got -1"):
+            ExperimentConfig(epsilon=Fraction(0), trials=1, weight=-1, sweep=sweep)
+
     def test_epsilon_from_one_twelfth_rejected(self):
         with pytest.raises(ValidationError, match="below 1/12"):
             ExperimentConfig(epsilon=Fraction(1, 12), trials=1, weight=1)
@@ -267,6 +272,37 @@ class TestCli:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["result"]["counting_bound_ok"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--graph", "cyc.json", "--c", "1/0", "--epsilon", "1/2"],
+        ["certify", "--graph", "cyc.json", "--c", "1/2", "--epsilon", "1/0"],
+        ["decode", "--complex", "match.json", "--syndrome", "syn.json", "--epsilon", "1/0"],
+        ["simulate", "--complex", "match.json", "--error-weight", "1", "--trials", "1",
+         "--epsilon", "1/0"],
+        ["simulate", "--complex", "match.json", "--iid-p", "1/0", "--trials", "1",
+         "--epsilon", "0"],
+        ["diagnose", "--complex", "match.json", "--error", "err.json", "--epsilon", "1/0"],
+    ], ids=["certify-c", "certify-epsilon", "decode-epsilon", "simulate-epsilon",
+            "simulate-iid-p", "diagnose-epsilon"])
+    def test_zero_denominator_is_one_error_line(self, workdir, capsys, argv):
+        (workdir / "syn.json").write_text(json.dumps({"length": 8, "support": [1]}))
+        (workdir / "err.json").write_text(json.dumps({"length": 16, "support": [0]}))
+        rc = run_cli(*(workdir / a if a.endswith(".json") else a for a in argv),
+                     "--out", workdir / "out.json")
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: rational '1/0' has a zero denominator\n"
+        assert captured.out == ""
+        assert not (workdir / "out.json").exists()
+
+    @pytest.mark.parametrize("sweep", [[], ["--sweep"]], ids=["sampled", "sweep"])
+    def test_simulate_refuses_a_negative_weight(self, workdir, capsys, sweep):
+        rc = run_cli("simulate", "--complex", workdir / "match.json", "--error-weight", "-1",
+                     "--trials", "1", "--epsilon", "0", *sweep, "--out", workdir / "sim.json")
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: error weight must be nonnegative, got -1\n"
+        assert not (workdir / "sim.json").exists()
 
     def test_unknown_command_exit1(self, capsys):
         assert run_cli("frobnicate") == 1

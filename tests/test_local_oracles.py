@@ -22,7 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qbp import graphs, groups
+from qbp import graphs, groups, product
 from qbp.css import CssCode, extract_code
 from qbp.decoder import RegionReport, _index_for, region_diagnostics
 from qbp.errors import InternalInvariantError, PreconditionError, ValidationError
@@ -30,7 +30,6 @@ from qbp.gf2 import F2Matrix
 from qbp.expansion import FlowNetwork, TreePartition, max_flow_integer, tree_partition
 from qbp.graphs import (
     BipartiteGraph,
-    GraphAction,
     NonRegularReport,
     RegularityProfile,
     neighbors,
@@ -437,25 +436,23 @@ class TestComputedOnce:
         assert len(calls["free"]) == distinct - regular
 
     def test_one_edge_invariance_scan_per_graph_and_action(self, monkeypatch):
-        # cayley_bipartite checks each factor with its action; the product
-        # then reads those verdicts instead of scanning the pairs again.
+        # cayley_bipartite keeps its edges by proof and scans nothing; the
+        # product checks each factor with its action, once.
         scans = []
-        scan = graphs._edge_invariance_scan
+        scan = graphs.verify_edge_invariance
 
-        def counted(graph, action):
-            scans.append((graph, action))
-            return scan(graph, action)
+        def counted(module):
+            def verify(graph, action):
+                scans.append((module, graph, action))
+                return scan(graph, action)
+            return verify
 
-        monkeypatch.setattr(graphs, "_edge_invariance_scan", counted)
+        monkeypatch.setattr(graphs, "verify_edge_invariance", counted("graphs"))
+        monkeypatch.setattr(product, "verify_edge_invariance", counted("product"))
         cpx = left_right_cayley(cyclic_group(48), [1, 2], [1, 4])
-        assert len(scans) == 2
-        assert scans[0][0] is cpx.factor_x and scans[0][1] is cpx.action_x
-        assert scans[1][0] is cpx.factor_y and scans[1][1] is cpx.action_y
-        assert graphs.verify_edge_invariance(cpx.factor_x, cpx.action_x) is None
-        # Another action object over the same tables is scanned on its own.
-        other = GraphAction(cpx.action_x.group, cpx.action_x.v0, cpx.action_x.v1)
-        assert graphs.verify_edge_invariance(cpx.factor_x, other) is None
-        assert len(scans) == 3
+        assert [module for module, _, _ in scans] == ["product", "product"]
+        assert scans[0][1] is cpx.factor_x and scans[0][2] is cpx.action_x
+        assert scans[1][1] is cpx.factor_y and scans[1][2] is cpx.action_y
 
     def test_one_translation_action_per_group_and_side(self, monkeypatch):
         calls = self.counting(monkeypatch)
