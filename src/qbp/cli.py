@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -30,6 +31,14 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse takes a token that starts with "-" for an option unless it
+        # looks like a negative number, which by default means -1 or -0.5.
+        # Rational flags also take -1/30, so that a negative fraction reaches
+        # the same range check as a negative integer.
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
     def error(self, message: str) -> None:
         raise _UsageError(message)
 

@@ -217,6 +217,7 @@ def brute_distance(code: CssCode, which: str, budget: int = DEFAULT_KERNEL_BUDGE
     budget : int
         Refuse (oracle-unavailable) when the kernel holds more than this
         many vectors; the distance is left unset rather than approximated.
+        A negative budget is refused up front.
 
     Returns
     -------
@@ -230,6 +231,7 @@ def brute_distance(code: CssCode, which: str, budget: int = DEFAULT_KERNEL_BUDGE
     qubit planes, and its candidate the least weight among the nontrivial
     ones.  vectors_enumerated is 2^kernel_dim, every combination counted.
     """
+    _check_budget(budget)
     if which == "z":
         kernel_of, stabilizers = code.hx, code.z_stabilizers
     elif which == "x":
@@ -246,6 +248,12 @@ def brute_distance(code: CssCode, which: str, budget: int = DEFAULT_KERNEL_BUDGE
             if best is None or w < best:
                 best = w
     return DistanceReport(which, best, best is None, len(masks), 1 << len(masks))
+
+
+def _check_budget(budget: int) -> None:
+    """Refuse a negative budget before any work: no enumeration fits it."""
+    if budget < 0:
+        raise PreconditionError(f"need budget >= 0, got {budget}")
 
 
 def _kernel_masks(matrix: F2Matrix, budget: int, what: str = "kernel") -> list[int]:
@@ -423,6 +431,7 @@ def locally_minimal_distance(
     every combination of the block at once.  Stabilizer membership is the
     residue modulo the Hz row space, as in `brute_distance`.
     """
+    _check_budget(budget)
     masks = _kernel_masks(code.hx, budget)
     if normalized and code.degrees is None:
         raise PreconditionError("normalized local minimality needs recorded degrees")
@@ -481,6 +490,7 @@ def minimal_coset_representative(
     sums, and its smallest tied mask is found plane by plane from the
     highest qubit down.
     """
+    _check_budget(budget)
     if code.degrees is None:
         raise PreconditionError("normalized weight needs recorded degrees")
     particular = gf2.solve(code.hx, syndrome)

@@ -100,8 +100,9 @@ class ExpansionCertificate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExpansionCertificate":
-        """The certificate `to_json` wrote, read strictly: sizes and counts
-        are exact ints, c and epsilon int pairs with a positive denominator,
+        """The certificate `to_json` wrote, read strictly: sizes, counts and
+        the budget are exact nonnegative ints, c and epsilon int pairs with a
+        positive denominator,
         and side, mode and verdict come from their allowed values.  Every
         refusal is a ValidationError."""
         if not isinstance(obj, dict):
@@ -126,9 +127,9 @@ class ExpansionCertificate:
                 raise ValidationError(
                     f"certificate witness must be a list of ints, got {type(witness).__name__}")
             (witness,) = _int_rows([witness], "certificate witness")
-        for key in ("trials", "seed", "budget"):
+        for key, read in (("trials", _int_value), ("seed", _int_value), ("budget", _count_value)):
             if obj.get(key) is not None:
-                fields[key] = _int_value(obj[key], f"certificate {key}")
+                fields[key] = read(obj[key], f"certificate {key}")
         note = obj.get("note", "")
         if type(note) is not str:
             raise ValidationError(f"certificate note must be a string, got {note!r:.40}")
@@ -219,7 +220,8 @@ def certify_expansion(
         "exhaustive" checks every eligible subset in (size, lexicographic)
         order and stops at the first violation; it refuses with a budget
         error when the count of eligible subsets of the sizes the counting
-        bounds leave unproven exceeds `budget`.
+        bounds leave unproven exceeds `budget`.  A negative budget is
+        refused up front, in either mode.
         "sampled" draws `trials` (>= 1) uniform subsets per eligible size
         from `seed`.
 
@@ -249,6 +251,8 @@ def certify_expansion(
         raise ValidationError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     if mode == "sampled" and trials < 1:
         raise PreconditionError(f"sampled mode needs trials >= 1, got {trials}")
+    if budget < 0:
+        raise PreconditionError(f"need budget >= 0, got {budget}")
     adj, w_src, adj_dst, w_dst = _views(graph, side)
     n_src = len(adj)
     max_size = max(0, math.ceil(c * n_src) - 1)

@@ -15,19 +15,32 @@ passes over each table:
   and all g, x.  It extends to every h by induction on the length of h as a
   word in the generators, which needs the associativity checked above.
 
-A validated group's two translations need no check at all.  The left law
-g (h x) = (g h) x is the associativity just checked, and the right law
+Tables written from a closed form need none of this.  `cyclic_group` and
+`dihedral_group` write Z_n and D_n by their formulas, with identity,
+inverses and generating set, and run no test: the formulas are the groups'
+definitions, and `FiniteGroup.from_table` on the same table is their test
+oracle.
+
+Nor do translations.  The left law g (h x) = (g h) x is associativity,
+which Light's test checked or the formula gives, and the right law
 x (g h)^{-1} = (x h^{-1}) g^{-1} follows from it; both are free by
-cancellation (g x = x or x g^{-1} = x forces g = e).  So
+cancellation (g x = x or x g^{-1} = x forces g = e).  The same holds for
+the translation g . (h, b) = (g h, b) on k copies G x [k] of the group,
+under any numbering of its points.  So these actions are built with no
+range check, no law check and no freeness scan (`_regular_action`):
 `FiniteGroup.left_translation` holds `mul` itself as its table, and
 `GroupAction.from_table` hands back the group's left translation object,
 after its type and shape checks, for a table equal to `mul`.
 
-Groups and actions are frozen, so a verdict about one is a fact about that
-object for good.  Each is computed at most once per object and cached on it:
-a group's generating set and its left and right translation actions (one
-object per side), and an action's freeness scan.  A cache lives on its own
-object and is never shared with another, even an equal one.
+Every verdict here is thus known by proof (a formula group, a
+translation) or from the validating path (`from_table`), just as a
+complex's chain verdict is known by proof, from the loader's face check,
+or by `mat_mul` (see `product`).  Groups and actions are frozen, so a
+verdict about one is a fact about that object for good.  Each is computed
+at most once per object and cached on it: a group's generating set and its
+left and right translation actions (one object per side), and an action's
+freeness scan.  A cache lives on its own object and is never shared with
+another, even an equal one.
 
 Tables are read in one C-level pass per step, and every entry must be
 exactly an int (see `jsonio._int_rows`).
@@ -179,30 +192,44 @@ def _check_associativity(table: tuple[_Row, ...], gens: tuple[int, ...]) -> None
 
 
 def cyclic_group(n: int) -> FiniteGroup:
+    """Z_n, written by formula: a b = a + b mod n (no check, see the module
+    docstring)."""
     if n <= 0:
         raise ValidationError(f"cyclic group order must be positive, got {n}")
     base = tuple(range(n))
     table = tuple(base[a:] + base[:a] for a in range(n))
-    return FiniteGroup.from_table(table, label=f"Z{n}")
+    inv = base[:1] + base[:0:-1]                # -a mod n
+    return _by_formula(FiniteGroup(n, table, 0, inv, f"Z{n}"), base[1:2])
 
 
 def dihedral_group(n: int) -> FiniteGroup:
-    """Dihedral group of order 2n; element 2i is rotation i, 2i+1 reflection i."""
+    """Dihedral group of order 2n; element 2i is rotation i, 2i+1 reflection i.
+
+    Written by formula (no check, see the module docstring): element
+    a = 2r + f acts on b as b + 2r (mod 2n) when f = 0, and as 2r + 1 - b
+    (mod 2n) when f = 1, so a rotation's row is a rotated copy of 0..2n-1
+    and a reflection's a rotated copy of it reversed.
+    """
     if n <= 0:
         raise ValidationError(f"dihedral parameter must be positive, got {n}")
+    order = 2 * n
+    base = tuple(range(order))
+    rev = base[::-1]                            # rev[b] = 2n - 1 - b
+    table = []
+    for r in range(n):
+        table.append(base[2 * r:] + base[:2 * r])
+        k = (-2 * r - 2) % order                # (2r + 1 - b) = rev[(b + k) mod 2n]
+        table.append(rev[k:] + rev[:k])
+    # A rotation's inverse is the opposite rotation; a reflection is its own.
+    inv = tuple(a if a % 2 else (order - a) % order for a in base)
+    return _by_formula(FiniteGroup(order, tuple(table), 0, inv, f"D{n}"), base[1:3])
 
-    def enc(rot: int, flip: int) -> int:
-        return 2 * (rot % n) + flip
 
-    def mul(a: int, b: int) -> int:
-        ra, fa = a // 2, a % 2
-        rb, fb = b // 2, b % 2
-        if fa == 0:
-            return enc(ra + rb, fb)
-        return enc(ra - rb, 1 - fb)
-
-    table = tuple(tuple(mul(a, b) for b in range(2 * n)) for a in range(2 * n))
-    return FiniteGroup.from_table(table, label=f"D{n}")
+def _by_formula(group: FiniteGroup, generators: tuple[int, ...]) -> FiniteGroup:
+    """A group whose table was written from a closed form, with its
+    generating set preset: the one `FiniteGroup.generators` would find."""
+    group.__dict__[FiniteGroup.generators.attrname] = generators
+    return group
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -260,13 +287,33 @@ class GroupAction:
 
 
 def _regular_action(group: FiniteGroup, table: tuple[_Row, ...]) -> GroupAction:
-    """A translation action of `group` on itself, with no check and no
-    freeness scan: both hold by proof (see the module docstring)."""
-    action = GroupAction(group, group.order, table)
+    """The translation of `group` on itself, or on k copies of itself, with
+    no check and no freeness scan: both hold by proof (see the module
+    docstring).  `table[g]` must send the point of (h, b) to the point of
+    (g h, b), for one numbering of G x [k] by 0..k|G|-1."""
+    action = GroupAction(group, len(table[group.identity]), table)
     # Preset the cached freeness verdict; `TestComputedOnce` checks that
     # no translation is scanned.
     action.__dict__[GroupAction.fixed_point.attrname] = None
     return action
+
+
+def _copies_translation(group: FiniteGroup, copies: int, interleaved: bool) -> GroupAction:
+    """g . (h, b) = (g h, b) on G x [copies], by proof (`_regular_action`).
+
+    Point (h, b) is b |G| + h, or h copies + b when `interleaved`; one copy
+    is the group's own left translation object either way.
+    """
+    if copies == 1:
+        return group.left_translation
+    n = group.order
+    if interleaved:
+        spread = tuple(range(copies))
+        table = tuple(tuple(v * copies + b for v in row for b in spread) for row in group.mul)
+    else:
+        offsets = tuple(range(0, copies * n, n))
+        table = tuple(tuple(o + v for o in offsets for v in row) for row in group.mul)
+    return _regular_action(group, table)
 
 
 def _check_action_law(group: FiniteGroup, tab: tuple[_Row, ...], set_size: int) -> None:

@@ -10,6 +10,16 @@ The families here are the workhorses for experiments and tests:
   smallest biregular family certifiable at a nonzero epsilon with the pair
   bound epsilon * w0 = 1 (girth 6 except for the doubled class),
 * seeded random graphs, biregular or with a prescribed free action.
+
+Nothing on these build paths re-checks what the construction guarantees.
+The groups are written by formula (`cyclic_group`), and every free action
+here is a translation, on the group or on copies of it (the star leaves,
+the incidence edge instances, the random blocks), so it is built with no
+law check or freeness scan (`groups._copies_translation`).  The products
+come from `balanced_product`, whose chain-condition verdict is preset by
+proof.  A complex has one of three verdict sources (see `product`): by
+proof for a built complex, from the face check for a loaded one, or by
+`mat_mul` for any other.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from .graphs import (
     cayley_bipartite,
     invert_gens,
 )
-from .groups import FiniteGroup, GroupAction, cyclic_group
+from .groups import FiniteGroup, _copies_translation, cyclic_group
 from .product import BalancedProductComplex, balanced_product, hypergraph_product
 
 
@@ -57,13 +67,9 @@ def star_graph(m: int, degree: int) -> tuple[BipartiteGraph, GraphAction]:
     group = cyclic_group(m)
     edges = [(i, i * degree + j) for i in range(m) for j in range(degree)]
     graph = build_bipartite(m, m * degree, edges)
-    v0 = group.left_translation
-    v1 = GroupAction.from_table(
-        group,
-        [[((i + g) % m) * degree + j for i in range(m) for j in range(degree)]
-         for g in range(m)],
-    )
-    return graph, GraphAction(group, v0, v1)
+    # Leaf i * degree + j is (i, j) in Z_m x [degree]; g moves it to (g + i, j).
+    v1 = _copies_translation(group, degree, interleaved=True)
+    return graph, GraphAction(group, group.left_translation, v1)
 
 
 def matching_cayley(group: FiniteGroup, gen: int) -> CayleyGraph:
@@ -138,12 +144,10 @@ def doubled_complete_incidence(m: int) -> tuple[BipartiteGraph, GraphAction]:
         edges.append((i, k))
         edges.append(((i + s) % m, k))
     graph = build_bipartite(m, len(instances), edges)
-    v0 = group.left_translation
-    v1 = GroupAction.from_table(
-        group,
-        [[index[(s, tag, (i + g) % m)] for (s, tag, i) in instances] for g in range(m)],
-    )
-    return graph, GraphAction(group, v0, v1)
+    # Instance (s, tag, i) is point block * m + i, one block per (s, tag);
+    # g moves it to (s, tag, g + i).
+    v1 = _copies_translation(group, half + 1, interleaved=False)
+    return graph, GraphAction(group, group.left_translation, v1)
 
 
 def doubled_incidence_certificate(m: int) -> ExpansionCertificate:
@@ -224,14 +228,6 @@ def random_free_action_graph(
     randomly seeded diagonal orbits."""
     n = group.order
     v0, v1 = blocks0 * n, blocks1 * n
-
-    def act_table(blocks: int) -> GroupAction:
-        table = [
-            [b * n + group.op(g, h) for b in range(blocks) for h in group.elements()]
-            for g in group.elements()
-        ]
-        return GroupAction.from_table(group, table)
-
     # An orbit is determined by (block0, block1, relative element); sample
     # distinct triples so the orbit union is duplicate-free.
     triples = [(b0, b1, d) for b0 in range(blocks0) for b1 in range(blocks1)
@@ -244,4 +240,6 @@ def random_free_action_graph(
         for g in group.elements():
             edges.add((b0 * n + g, b1 * n + group.op(g, d)))
     graph = build_bipartite(v0, v1, edges)
-    return graph, GraphAction(group, act_table(blocks0), act_table(blocks1))
+    act0 = _copies_translation(group, blocks0, interleaved=False)
+    act1 = act0 if blocks1 == blocks0 else _copies_translation(group, blocks1, interleaved=False)
+    return graph, GraphAction(group, act0, act1)

@@ -6,8 +6,20 @@ both factors carry a free action of the same group, quotienting the product
 by the diagonal action yields the balanced product; freeness makes square
 completion unique, which in turn makes the two composite maps
 V00 -> {V10, V01} -> V11 cancel over GF(2).  That cancellation is the chain
-condition verified here, and it is exactly the CSS commuting condition of the
-codes extracted downstream.
+condition, and it is exactly the CSS commuting condition of the codes
+extracted downstream.
+
+A complex's chain-condition verdict (`chain_check`) has one of three
+sources, and only the last multiplies anything:
+
+* by proof: `balanced_product` writes one face per product square, so the
+  complex it returns is a chain complex (see its docstring);
+* from the face check: `complex_from_json` accepts a file only when its
+  faces match both families of two-edge paths one to one, which gives every
+  (V00, V11) pair as many paths through V10 as through V01;
+* by `mat_mul`: any other complex (a transpose, one built field by field,
+  and a file the loader refuses, so that the first error is named as the
+  boundary maps name it) multiplies its two maps (`verify_chain_condition`).
 
 Construction is single-threaded; the resulting complex is immutable and
 shareable.  Being frozen, a complex derives each structure it is asked for
@@ -25,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import or_
+from operator import itemgetter, or_
 from typing import Optional
 
 from .errors import PreconditionError, ValidationError
@@ -129,8 +141,10 @@ class BalancedProductComplex:
     def chain_check(self) -> "ChainCheck":
         """The chain-condition verdict of this complex, computed once.
 
-        The builder and the loader compute it; code extraction and the CSS
-        commuting check read it instead of multiplying the maps again.
+        The builder and the loader preset it by proof (see the module
+        docstring); any other complex multiplies its maps here.  Code
+        extraction and the CSS commuting check read it instead of
+        multiplying the maps again.
         """
         return verify_chain_condition(self)
 
@@ -209,13 +223,27 @@ def _edge_rows(edges: frozenset[tuple[int, int]], which: str, size0: int, size1:
     rows = [0] * size1
     for a, b in edges:
         if not (0 <= a < size0 and 0 <= b < size1):
-            a, b = min(e for e in edges if not (0 <= e[0] < size0 and 0 <= e[1] < size1))
-            raise ValidationError(
-                f"edge ({a}, {b}) in edges_{which} has an endpoint outside its "
-                f"class (sizes {size0} and {size1})"
-            )
+            raise _endpoint_error(edges, which, size0, size1)
         rows[b] |= 1 << (shift + a)
     return rows
+
+
+def _endpoint_error(edges: frozenset[tuple[int, int]], which: str, size0: int,
+                    size1: int) -> ValidationError:
+    """The refusal of an edge class with an endpoint outside its class,
+    naming the smallest such edge."""
+    a, b = min(e for e in edges if not (0 <= e[0] < size0 and 0 <= e[1] < size1))
+    return ValidationError(
+        f"edge ({a}, {b}) in edges_{which} has an endpoint outside its "
+        f"class (sizes {size0} and {size1})"
+    )
+
+
+def _preset_chain_check(cpx: BalancedProductComplex) -> BalancedProductComplex:
+    """Store the verdict `ChainCheck(True)` under the cached property's own
+    name, for a complex that is a chain complex by proof."""
+    cpx.__dict__[BalancedProductComplex.chain_check.attrname] = ChainCheck(True)
+    return cpx
 
 
 def _rev(edges: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:
@@ -302,6 +330,18 @@ def balanced_product(
     indexing is reproducible across runs.  The quotient is written directly
     from an orbit transversal of the x side, one cell, edge and face at a
     time, so the work is the input tables plus the size of the quotient.
+
+    The result is a chain complex by proof, so its verdict is preset and no
+    boundary map is built here.  One face is written per product square
+    (x0 x1, y0 y1), and that square holds one path through V10, via
+    (x1, y0), and one through V01, via (x0, y1), from the class of (x0, y0)
+    to the class of (x1, y1).  The freeness and edge-class counts checked
+    below mean that no two product edges at one cell fall onto one class
+    pair, so the
+    quotient's edges are exactly the images of the product's.  The paths
+    from a V00 cell, lifted to its representative (x0, y0), therefore reach
+    each V11 cell through V10 as often as through V01, once per square at
+    (x0, y0): the two composite maps cancel over GF(2).
     """
     group = action_x.group
     if not group.same_table(action_y.group):
@@ -393,13 +433,7 @@ def balanced_product(
         action_y=action_y,
         provenance=provenance,
     )
-    check = cpx.chain_check
-    if not check.ok:
-        raise ValidationError(
-            f"constructed complex violates the chain condition at V00 column "
-            f"{check.witness_column}"
-        )
-    return cpx
+    return _preset_chain_check(cpx)
 
 
 @dataclass(frozen=True)
@@ -599,8 +633,13 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
     `degrees` (null or four ints) and `group_order` (a positive int) are
     ints too; anything else is refused with a ValidationError naming the
     field.  Each field is read in one C-level pass (see `jsonio._int_rows`).
-    The edges are checked through the chain condition and, when degrees are
-    recorded, against them; the faces against the edges (`_check_faces`).
+    The edge endpoints are checked against their classes, the edges against
+    the degrees when these are recorded, and the faces against the edges
+    (`_check_faces`).  Faces in one-to-one correspondence with both families
+    of two-edge paths prove the chain condition, so the verdict is preset
+    and no boundary map is built.  A file that fails any of these checks is
+    first put through `verify_chain_condition`, so that its first error,
+    and the message naming it, are those of the boundary-map path.
     """
     if not isinstance(obj, dict):
         raise ValidationError(f"complex JSON must be an object, got {type(obj).__name__}")
@@ -637,15 +676,41 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
         group_order=group_order,
         provenance=str(obj.get("provenance", "")),
     )
-    check = cpx.chain_check              # building the maps checks edge endpoints
-    if not check.ok:
-        raise ValidationError(
-            f"complex JSON violates the chain condition at V00 column {check.witness_column}"
-        )
-    if cpx.degrees is not None:
-        _check_degrees(cpx)
-    _check_faces(cpx, faces)
-    return cpx
+    try:
+        _check_endpoints(cpx)
+        if cpx.degrees is not None:
+            _check_degrees(cpx)
+        _check_faces(cpx, faces)
+    except ValidationError:
+        check = cpx.chain_check          # building the maps checks edge endpoints
+        if not check.ok:
+            raise ValidationError(
+                f"complex JSON violates the chain condition at V00 column "
+                f"{check.witness_column}"
+            ) from None
+        raise
+    return _preset_chain_check(cpx)
+
+
+def _check_endpoints(cpx: BalancedProductComplex) -> None:
+    """Every edge must join a vertex of its first class to one of its second.
+
+    One min and one max per end of each class decide it; a refusal names
+    the smallest bad edge of the first bad class, in the order in which the
+    boundary maps read the classes (`_edge_rows`).
+    """
+    for which, size0, size1 in (("v10_v11", cpx.v10_size, cpx.v11_size),
+                                ("v01_v11", cpx.v01_size, cpx.v11_size),
+                                ("v00_v10", cpx.v00_size, cpx.v10_size),
+                                ("v00_v01", cpx.v00_size, cpx.v01_size)):
+        edges = getattr(cpx, f"edges_{which}")
+        if not edges:
+            continue
+        # Pairs order by their first end, so min and max of the pairs bound it.
+        if (min(edges)[0] < 0 or max(edges)[0] >= size0
+                or min(map(itemgetter(1), edges)) < 0
+                or max(map(itemgetter(1), edges)) >= size1):
+            raise _endpoint_error(edges, which, size0, size1)
 
 
 def _check_faces(cpx: BalancedProductComplex, faces: tuple[tuple[int, ...], ...]) -> None:
@@ -656,7 +721,9 @@ def _check_faces(cpx: BalancedProductComplex, faces: tuple[tuple[int, ...], ...]
     edges or repeating an earlier face's path.  Each face holds one path of
     each kind, so with no path repeated the faces cover every path exactly
     when there are as many as there are paths; only a shortfall is scanned,
-    for the first path on no face.
+    for the first path on no face.  Passing, it proves the chain condition:
+    the faces with corners z00 and z11 count both the paths from z00 to z11
+    through V10 and those through V01, so the two counts are equal.
     """
     e10, e01 = cpx.edges_v00_v10, cpx.edges_v00_v01
     f10, f01 = cpx.edges_v10_v11, cpx.edges_v01_v11

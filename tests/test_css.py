@@ -20,7 +20,7 @@ from qbp.css import (
     normalized_syndrome_weight,
 )
 from qbp.css import CssCode
-from qbp.errors import OracleUnavailableError, ValidationError
+from qbp.errors import OracleUnavailableError, PreconditionError, ValidationError
 from qbp.gf2 import F2Matrix, F2Vector
 from qbp.graphs import build_bipartite
 from qbp.instances import left_right_cayley, toric_complex
@@ -89,6 +89,9 @@ class TestChainVerdict:
             CssCode(hx=code.hx, hz=hz, v10_size=code.v10_size, cpx=code.cpx)
 
     def test_one_chain_check_per_complex(self, monkeypatch):
+        # The builder's verdict holds by proof: building and extracting twice
+        # multiplies no maps and runs no chain check.  The multiplied verdict
+        # (the oracle) agrees.
         calls = []
         original = qbp.product.verify_chain_condition
 
@@ -98,10 +101,13 @@ class TestChainVerdict:
 
         monkeypatch.setattr(qbp.product, "verify_chain_condition", counted)
         monkeypatch.setattr(gf2, "mat_mul", lambda *a: pytest.fail("CssCode multiplied"))
+        monkeypatch.setattr(qbp.product, "mat_mul", lambda *a: pytest.fail("product multiplied"))
         cpx = toric_complex(3)
         extract_code(cpx)
         extract_code(cpx)
-        assert len(calls) == 1 and calls[0] is cpx
+        assert calls == []
+        monkeypatch.undo()
+        assert cpx.chain_check == original(cpx) == qbp.product.ChainCheck(True)
 
 
 class TestParams:
@@ -162,6 +168,25 @@ class TestDistance:
             oracle(1 << 10)
             with pytest.raises(OracleUnavailableError, match="has 2\\^10 vectors"):
                 oracle((1 << 10) - 1)
+
+    def test_negative_budget_refused_up_front(self, toric3_code, monkeypatch):
+        # Refused before any elimination, with a typed error, not measured
+        # against a kernel size.
+        code = toric3_code
+        syndrome = gf2.mat_vec(code.hx, F2Vector.from_support(code.n, [0]))
+        monkeypatch.setattr(gf2, "rank", lambda *a: pytest.fail("eliminated"))
+        monkeypatch.setattr(gf2, "row_space", lambda *a: pytest.fail("eliminated"))
+        monkeypatch.setattr(gf2, "solve", lambda *a: pytest.fail("eliminated"))
+        fresh = extract_code(code.cpx)
+        for oracle in (lambda: brute_distance(fresh, "z", budget=-1),
+                       lambda: brute_distance(fresh, "x", budget=-1),
+                       lambda: locally_minimal_distance(fresh, budget=-1),
+                       lambda: minimal_coset_representative(fresh, syndrome, budget=-1)):
+            with pytest.raises(PreconditionError, match=r"^need budget >= 0, got -1$"):
+                oracle()
+        monkeypatch.undo()
+        with pytest.raises(OracleUnavailableError, match="over the budget of 0"):
+            brute_distance(code, "z", budget=0)
 
     def test_balanced_product_code_parameters(self):
         # Regression values from the same oracle that the toric family

@@ -80,6 +80,17 @@ class TestCertify:
         with pytest.raises(BudgetExceededError):
             certify_expansion(g, "0to1", Fraction(1, 2), Fraction(1, 4), budget=100)
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_negative_budget_refused_up_front(self, mode):
+        # Every size of the 3-cycle is proven by counting, so nothing would be
+        # charged; the budget is still refused before any work.
+        with pytest.raises(PreconditionError, match=r"^need budget >= 0, got -1$"):
+            certify_expansion(bipartite_cycle(3), "0to1", Fraction(1), Fraction(1, 2),
+                              mode=mode, trials=1, budget=-1)
+        cert = certify_expansion(bipartite_cycle(3), "0to1", Fraction(1), Fraction(1, 2),
+                                 mode=mode, trials=1, budget=0)
+        assert cert.verdict == "pass"
+
     def test_budget_refusal_names_the_unproven_count(self):
         # The pair bound proves singletons only; sizes 2..9 hold
         # sum C(20, s) = 431,889 subsets, and only those are charged.

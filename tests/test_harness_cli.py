@@ -15,7 +15,7 @@ from qbp.graphs import graph_to_json
 from qbp.groups import cyclic_group, group_to_json
 from qbp.harness import ExperimentConfig, derive_trial_seed, run_simulation
 from qbp.instances import bipartite_cycle, left_right_cayley, star_graph
-from qbp.product import complex_to_json
+from qbp.product import complex_from_json, complex_to_json
 
 
 class TestHarness:
@@ -126,6 +126,7 @@ class TestCli:
         original = qbp.product.verify_chain_condition
         monkeypatch.setattr(qbp.product, "verify_chain_condition",
                             lambda cpx: checked.append(cpx) or original(cpx))
+        monkeypatch.setattr(qbp.product, "mat_mul", lambda *a: pytest.fail("multiplied"))
         rc = run_cli("construct", "--left", workdir / "cyc.json",
                      "--right", workdir / "cyc.json",
                      "--out", workdir / "cpx.json")
@@ -134,7 +135,13 @@ class TestCli:
         first, rest = out.split("\n", 1)
         assert first == "chain condition: pass"
         assert json.loads(rest)["result"]["chain_condition"] == "pass"
-        assert len(checked) == 1
+        # The builder's verdict holds by proof and is not multiplied out; the
+        # multiplied verdict (the oracle) on the written complex agrees.
+        assert checked == []
+        written = complex_from_json(json.loads((workdir / "cpx.json").read_text()))
+        assert checked == []
+        monkeypatch.undo()
+        assert original(written).ok
 
     def test_construct_balanced_with_actions(self, workdir):
         group = cyclic_group(4)
@@ -303,6 +310,53 @@ class TestCli:
         assert rc == 1
         assert captured.err == "error: error weight must be nonnegative, got -1\n"
         assert not (workdir / "sim.json").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", "--graph", "cyc.json", "--c", "V", "--epsilon", "1/2"],
+         "need 0 < c <= 1, got V"),
+        (["certify", "--graph", "cyc.json", "--c", "1/2", "--epsilon", "V"],
+         "need epsilon >= 0, got V"),
+        (["decode", "--complex", "match.json", "--syndrome", "syn.json", "--epsilon", "V"],
+         "epsilon must be nonnegative, got V"),
+        (["simulate", "--complex", "match.json", "--error-weight", "1", "--trials", "1",
+          "--epsilon", "V"], "epsilon must be nonnegative, got V"),
+        (["simulate", "--complex", "match.json", "--iid-p", "V", "--trials", "1",
+          "--epsilon", "0"], "flip probability V outside [0, 1]"),
+        (["diagnose", "--complex", "match.json", "--error", "err.json", "--epsilon", "V"],
+         "need epsilon >= 0, got V"),
+        (["diagnose", "--complex", "match.json", "--error", "err.json", "--epsilon", "0",
+          "--epsilon-x", "V"], "need epsilon >= 0, got V"),
+        (["diagnose", "--complex", "match.json", "--error", "err.json", "--epsilon", "0",
+          "--epsilon-y", "V"], "need epsilon >= 0, got V"),
+    ], ids=["certify-c", "certify-epsilon", "decode-epsilon", "simulate-epsilon",
+            "simulate-iid-p", "diagnose-epsilon", "diagnose-epsilon-x", "diagnose-epsilon-y"])
+    def test_a_negative_fraction_reaches_the_range_check(self, workdir, capsys, argv, message):
+        # argparse would read -1/30 as an option; every rational flag takes it
+        # as a value, refused by the same check, in the same words, as -1.
+        (workdir / "syn.json").write_text(json.dumps({"length": 8, "support": [1]}))
+        (workdir / "err.json").write_text(json.dumps({"length": 16, "support": []}))
+        for value in ("-1", "-1/30", "-3/2"):
+            rc = run_cli(*(workdir / a if a.endswith(".json") else a.replace("V", value)
+                           for a in argv), "--out", workdir / "out.json")
+            captured = capsys.readouterr()
+            assert rc == 1
+            assert captured.err == f"error: {message.replace('V', value)}\n"
+            assert captured.out == ""
+            assert not (workdir / "out.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--graph", "cyc.json", "--c", "1", "--epsilon", "1/2"],
+        ["certify", "--graph", "cyc.json", "--c", "1", "--epsilon", "1/2", "--mode", "sampled"],
+        ["distance", "--complex", "match.json"],
+        ["distance", "--complex", "match.json", "--which", "x"],
+    ], ids=["certify-exhaustive", "certify-sampled", "distance-both", "distance-x"])
+    def test_a_negative_budget_is_refused_up_front(self, workdir, capsys, argv):
+        rc = run_cli(*(workdir / a if a.endswith(".json") else a for a in argv),
+                     "--budget", "-1", "--out", workdir / "out.json")
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: need budget >= 0, got -1\n"
+        assert not (workdir / "out.json").exists()
 
     def test_unknown_command_exit1(self, capsys):
         assert run_cli("frobnicate") == 1

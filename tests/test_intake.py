@@ -190,6 +190,13 @@ class TestCertificateIntake:
         with pytest.raises(ValidationError, match=message):
             ExpansionCertificate.from_json(obj)
 
+    def test_negative_budget_is_refused(self):
+        # certify_expansion refuses a negative budget, so no certificate
+        # holding one is read either.
+        obj = dict(k33_certificate().to_json(), budget=-1)
+        with pytest.raises(ValidationError, match="certificate budget must be nonnegative, got -1"):
+            ExpansionCertificate.from_json(obj)
+
     def test_missing_field_and_wrong_type(self):
         obj = k33_certificate().to_json()
         del obj["epsilon"]

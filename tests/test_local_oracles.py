@@ -418,22 +418,24 @@ class TestComputedOnce:
     ], ids=["cayley_z8", "star8"])
     def test_one_scan_and_one_law_check_per_action(self, monkeypatch, build, distinct,
                                                    regular):
-        # Translations are lawful and free by proof: no law check and no
-        # scan (this guards the verdict `groups._regular_action` presets).
-        # Every other action is checked and scanned once.
+        # Translations, on the group or on copies of it (the star leaves),
+        # are lawful and free by proof: no law check and no scan (this
+        # guards the verdict `groups._regular_action` presets).  The
+        # validating path and the uncached scan, as oracles, agree.
         calls = self.counting(monkeypatch)
         cpx = build()
         actions = {id(a): a for a in (cpx.action_x.v0, cpx.action_x.v1,
                                       cpx.action_y.v0, cpx.action_y.v1)}
         assert len(actions) == distinct
-        checked = {i: a for i, a in actions.items() if a is not a.group.left_translation}
-        assert len(actions) - len(checked) == regular
-        assert all(a.set_size != a.group.order for a in checked.values())
-        assert sorted(calls["free"]) == sorted(checked)
-        assert sorted(calls["law"]) == sorted(id(a.table) for a in checked.values())
+        on_copies = [a for a in actions.values() if a is not a.group.left_translation]
+        assert len(actions) - len(on_copies) == regular
+        assert all(a.set_size in (2 * a.group.order, 3 * a.group.order) for a in on_copies)
         for action in actions.values():
             assert verify_free_action(action) is None
-        assert len(calls["free"]) == distinct - regular
+        assert calls == {"free": [], "law": []}
+        for action in actions.values():
+            assert oracle_action_from_table(action.group, action.table) == action
+            assert oracle_free_action(action) is None
 
     def test_one_edge_invariance_scan_per_graph_and_action(self, monkeypatch):
         # cayley_bipartite keeps its edges by proof and scans nothing; the

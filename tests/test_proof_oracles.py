@@ -1,0 +1,335 @@
+"""Verdicts by proof against the validating paths they skip.
+
+The balanced product and the complex loader preset the chain-condition
+verdict instead of multiplying the boundary maps, `cyclic_group` and
+`dihedral_group` write their tables by formula with no group test, and the
+translations on copies of a group (the star leaves, the incidence edge
+instances, the random families' blocks) are built with no range check, law
+check or freeness scan.  Each is compared here with the path it skips, kept
+as the oracle: `verify_chain_condition`, `FiniteGroup.from_table`,
+`GroupAction.from_table` with `_first_fixed_point`, and the loader as it was,
+which multiplied the maps before checking degrees and faces.
+"""
+
+import copy
+import dataclasses
+import random
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qbp import groups, product
+from qbp.errors import ValidationError
+from qbp.groups import FiniteGroup, GroupAction, cyclic_group, dihedral_group
+from qbp.instances import (
+    doubled_complete_incidence,
+    incidence_star_product,
+    left_right_cayley,
+    random_bipartite,
+    random_free_action_graph,
+    star_graph,
+    star_incidence_product,
+    star_product,
+    toric_complex,
+)
+from qbp.jsonio import _int_rows, _int_value
+from qbp.product import (
+    BalancedProductComplex,
+    ChainCheck,
+    DegreeProfile,
+    balanced_product,
+    complex_from_json,
+    complex_to_json,
+    hypergraph_product,
+    verify_chain_condition,
+)
+from test_construction_oracles import GROUPS, invariant_graph, random_factor
+from test_local_oracles import FAMILIES, family, table_groups
+
+_VERDICT = BalancedProductComplex.chain_check.attrname
+
+
+# -- oracles: the validating paths ------------------------------------------------
+
+
+def oracle_complex_from_json(obj):
+    """The loader as it was: the chain condition by multiplying the maps
+    (whose rows check every endpoint) first, then degrees, then faces."""
+    rows = {name: _int_rows(obj[name], name, 2) for name in product._PAIR_FIELDS}
+    faces = _int_rows(obj["faces"], "faces", 4)
+    deg = obj.get("degrees")
+    degrees = None if deg is None else DegreeProfile(
+        *(_int_value(deg[name], f"degree {name}") for name in ("down", "up", "right", "left")))
+    cpx = BalancedProductComplex(
+        reps_v00=rows["reps_v00"], reps_v10=rows["reps_v10"],
+        reps_v01=rows["reps_v01"], reps_v11=rows["reps_v11"],
+        edges_v00_v10=frozenset(rows["edges_v00_v10"]),
+        edges_v01_v11=frozenset(rows["edges_v01_v11"]),
+        edges_v00_v01=frozenset(rows["edges_v00_v01"]),
+        edges_v10_v11=frozenset(rows["edges_v10_v11"]),
+        faces=frozenset(faces), degrees=degrees,
+        group_order=_int_value(obj.get("group_order", 1), "group_order"),
+        provenance=str(obj.get("provenance", "")),
+    )
+    check = verify_chain_condition(cpx)
+    if not check.ok:
+        raise ValidationError(
+            f"complex JSON violates the chain condition at V00 column {check.witness_column}")
+    if cpx.degrees is not None:
+        product._check_degrees(cpx)
+    product._check_faces(cpx, faces)
+    return cpx
+
+
+def outcome(load, obj):
+    """The loaded complex's JSON, or the refusal's type and message."""
+    try:
+        cpx = load(copy.deepcopy(obj))
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return complex_to_json(cpx)
+
+
+def assert_verdict_by_proof(cpx):
+    """The verdict was preset, not multiplied, and the product agrees."""
+    assert cpx.__dict__.get(_VERDICT) == ChainCheck(True)
+    assert verify_chain_condition(cpx) == cpx.chain_check
+
+
+# -- strategies ---------------------------------------------------------------------
+
+
+@st.composite
+def products(draw):
+    """A product as the construction strategies draw them: free-action
+    factors over the small groups (random blocks or Cayley graphs), random
+    hypergraph products, and the named families at drawn sizes."""
+    kind = draw(st.sampled_from(["balanced", "hypergraph", "family"]))
+    seed = draw(st.integers(0, 10 ** 6))
+    rng = random.Random(seed)
+    if kind == "balanced":
+        group = GROUPS[draw(st.sampled_from(sorted(GROUPS)))]()
+        make = random_factor if draw(st.booleans()) else invariant_graph
+        x, ax = make(group, rng)
+        y, ay = make(group, rng)
+        try:
+            return balanced_product(x, ax, y, ay)
+        except ValidationError:
+            assume(False)
+    if kind == "hypergraph":
+        a0, a1, b0, b1 = (draw(st.integers(1, 4)) for _ in range(4))
+        x = random_bipartite(a0, a1, draw(st.integers(0, a0 * a1)), rng)
+        y = random_bipartite(b0, b1, draw(st.integers(0, b0 * b1)), rng)
+        return hypergraph_product(x, y)
+    m = draw(st.integers(1, 12))
+    odd = 2 * draw(st.integers(2, 6)) + 1
+    builders = [
+        lambda: toric_complex(m + 1),
+        lambda: star_product(m, draw(st.integers(1, 3)), draw(st.integers(1, 3))),
+        lambda: left_right_cayley(cyclic_group(m + 2), [1], [1, 2]),
+        lambda: left_right_cayley(dihedral_group(m), [1], [1]),
+        lambda: incidence_star_product(odd, 2),
+        lambda: star_incidence_product(odd, 2),
+    ]
+    return draw(st.sampled_from(builders))()
+
+
+# -- chain verdicts -------------------------------------------------------------------
+
+
+class TestChainVerdictByProof:
+    @settings(max_examples=120, deadline=None)
+    @given(cpx=products())
+    def test_the_preset_verdict_is_the_multiplied_one(self, cpx):
+        assert_verdict_by_proof(cpx)
+        loaded = complex_from_json(complex_to_json(cpx))
+        assert_verdict_by_proof(loaded)
+        # The transpose builds its own verdict, by multiplying its maps.
+        transposed = cpx.transposed()
+        assert _VERDICT not in transposed.__dict__
+        assert transposed.chain_check == ChainCheck(True)
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_building_and_loading_multiply_nothing(self, name, monkeypatch):
+        def forbidden(*args):
+            pytest.fail("a boundary-map product on the build path")
+
+        monkeypatch.setattr(product, "mat_mul", forbidden)
+        cpx = FAMILIES[name]()
+        loaded = complex_from_json(complex_to_json(cpx))
+        assert "boundary_1" not in cpx.__dict__ and "boundary_2" not in cpx.__dict__
+        assert "boundary_1" not in loaded.__dict__ and "boundary_2" not in loaded.__dict__
+        monkeypatch.undo()
+        assert_verdict_by_proof(cpx)
+        assert_verdict_by_proof(loaded)
+
+
+CORRUPTIONS = ("move_edge", "past_class", "drop_edge", "add_edge", "drop_face", "move_face",
+               "degree")
+_CLASS_SIZES = {"v00_v10": ("v00", "v10"), "v01_v11": ("v01", "v11"),
+                "v00_v01": ("v00", "v01"), "v10_v11": ("v10", "v11")}
+
+
+def corrupt(obj, kind, data):
+    """One drawn corruption of a complex file, in place."""
+    if kind == "degree":
+        assume(obj["degrees"] is not None)
+        name = data.draw(st.sampled_from(["down", "up", "right", "left"]), label="degree")
+        obj["degrees"][name] += data.draw(st.sampled_from([-1, 1]), label="by")
+        return
+    if kind in ("drop_face", "move_face"):
+        assume(obj["faces"])
+        i = data.draw(st.integers(0, len(obj["faces"]) - 1), label="face")
+        if kind == "drop_face":
+            del obj["faces"][i]
+            return
+        corner = data.draw(st.integers(0, 3), label="corner")
+        size = obj[("v00", "v10", "v01", "v11")[corner]]
+        obj["faces"][i][corner] = data.draw(st.integers(0, max(size - 1, 0)), label="value")
+        return
+    which = data.draw(st.sampled_from(sorted(_CLASS_SIZES)), label="class")
+    edges = obj[f"edges_{which}"]
+    if kind == "add_edge":
+        size0, size1 = (obj[name] for name in _CLASS_SIZES[which])
+        assume(size0 and size1)
+        edges.append([data.draw(st.integers(0, size0 - 1), label="end0"),
+                      data.draw(st.integers(0, size1 - 1), label="end1")])
+        return
+    assume(edges)
+    i = data.draw(st.integers(0, len(edges) - 1), label="edge")
+    if kind == "drop_edge":
+        del edges[i]
+        return
+    end = data.draw(st.integers(0, 1), label="end")
+    size = obj[_CLASS_SIZES[which][end]]
+    if kind == "move_edge":
+        edges[i][end] = data.draw(st.integers(0, max(size - 1, 0)), label="value")
+    else:
+        past = data.draw(st.integers(0, 3), label="past")
+        edges[i][end] = data.draw(st.sampled_from([size + past, -1 - past]), label="value")
+
+
+class TestLoaderRefusals:
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(sorted(FAMILIES)), kind=st.sampled_from(CORRUPTIONS),
+           data=st.data())
+    def test_corrupted_files_get_the_same_refusal(self, name, kind, data):
+        obj = complex_to_json(family(name))
+        corrupt(obj, kind, data)
+        got = outcome(complex_from_json, obj)
+        assert got == outcome(oracle_complex_from_json, obj)
+        if isinstance(got, dict):
+            assert_verdict_by_proof(complex_from_json(obj))
+
+    def test_faces_covering_every_path_but_repeating_one_are_refused(self):
+        # V00 0 reaches V11 0 once through V10 and twice through V01, so the
+        # chain condition fails; two faces cover all three paths, repeating
+        # the V10 one.  Only the one-to-one check stands between this file
+        # and a verdict preset by proof.
+        obj = {"reps_v00": [[0, 0]], "reps_v10": [[0, 0]],
+               "reps_v01": [[0, 0], [0, 1]], "reps_v11": [[0, 0]],
+               "edges_v00_v10": [[0, 0]], "edges_v10_v11": [[0, 0]],
+               "edges_v00_v01": [[0, 0], [0, 1]], "edges_v01_v11": [[0, 0], [1, 0]],
+               "faces": [[0, 0, 0, 0], [0, 0, 1, 0]], "degrees": None, "group_order": 1}
+        want = (ValidationError,
+                "complex JSON violates the chain condition at V00 column 0")
+        assert outcome(oracle_complex_from_json, obj) == want
+        assert outcome(complex_from_json, obj) == want
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_each_edge_and_face_dropped(self, name):
+        # Every single drop, not a sample, is refused or loaded as before (an
+        # edge on no face, as the irregular families have, may go unnoticed).
+        obj = complex_to_json(family(name))
+        refused = 0
+        for field in ("edges_v00_v10", "edges_v01_v11", "edges_v00_v01", "edges_v10_v11",
+                      "faces"):
+            for i in range(len(obj[field])):
+                dropped = dict(obj, **{field: obj[field][:i] + obj[field][i + 1:]})
+                want = outcome(oracle_complex_from_json, dropped)
+                assert outcome(complex_from_json, dropped) == want
+                refused += isinstance(want, tuple)
+        assert refused >= len(obj["faces"])
+
+
+# -- groups by formula ------------------------------------------------------------------
+
+
+class TestGroupsByFormula:
+    @pytest.mark.parametrize("make", [cyclic_group, dihedral_group], ids=["cyclic", "dihedral"])
+    def test_every_field_matches_the_validating_path(self, make, monkeypatch):
+        for n in range(1, 65):
+            monkeypatch.setattr(groups, "_check_associativity",
+                                lambda *a: pytest.fail("Light's test ran"))
+            group = make(n)
+            assert "generators" in group.__dict__
+            monkeypatch.undo()
+            oracle = FiniteGroup.from_table([list(r) for r in group.mul], label=group.label)
+            assert dataclasses.astuple(group) == dataclasses.astuple(oracle)
+            assert group == oracle
+            assert group.generators == oracle.generators
+
+    @pytest.mark.parametrize("make, order", [(cyclic_group, 1), (dihedral_group, 2)])
+    def test_nonpositive_parameters_are_refused(self, make, order):
+        for n in (0, -1):
+            with pytest.raises(ValidationError, match="must be positive"):
+                make(n)
+        assert make(1).order == order
+
+
+# -- translations on copies ---------------------------------------------------------------
+
+
+def assert_action_by_proof(action):
+    """No scan was run for the preset verdict, and the validating path and
+    the scan accept the table."""
+    assert action.__dict__.get(GroupAction.fixed_point.attrname, "unset") is None
+    table = [list(row) for row in action.table]
+    assert GroupAction.from_table(action.group, table) == action
+    assert groups._first_fixed_point(action) is None
+
+
+class TestTranslationsOnCopies:
+    @settings(max_examples=60, deadline=None)
+    @given(group=table_groups(), m=st.integers(1, 12), degree=st.integers(1, 4),
+           blocks0=st.integers(1, 3), blocks1=st.integers(1, 3), seed=st.integers(0, 10 ** 6))
+    def test_each_table_passes_the_validating_path(self, group, m, degree, blocks0, blocks1,
+                                                   seed):
+        checked = []
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("_check_range", "_check_action_law", "_first_fixed_point"):
+                patch.setattr(groups, name, lambda *a, name=name: checked.append(name))
+            _, star = star_graph(m, degree)
+            _, incidence = doubled_complete_incidence(2 * (m // 2) + 5)
+            orbits = min(3, blocks0 * blocks1 * group.order)
+            _, blocks = random_free_action_graph(group, blocks0, blocks1, orbits,
+                                                 random.Random(seed))
+            actions = (star.v0, star.v1, incidence.v0, incidence.v1, blocks.v0, blocks.v1)
+            for action in actions:
+                assert action.__dict__.get(GroupAction.fixed_point.attrname, "unset") is None
+        assert checked == []
+        for action in actions:
+            assert_action_by_proof(action)
+        # The tables the families wrote from their definitions before.
+        n = group.order
+        assert star.v1.table == tuple(
+            tuple(((i + g) % m) * degree + j for i in range(m) for j in range(degree))
+            for g in range(m))
+        assert blocks.v0.table == tuple(
+            tuple(b * n + group.op(g, h) for b in range(blocks0) for h in range(n))
+            for g in range(n))
+        assert blocks.v1.set_size == blocks1 * n
+
+    def test_incidence_instances_move_by_translation(self):
+        for m in (5, 7, 9, 11):
+            graph, action = doubled_complete_incidence(m)
+            half = (m - 1) // 2
+            instances = [(s, tag, i) for s in range(1, half + 1)
+                         for tag in ((0, 1) if s == 1 else (0,)) for i in range(m)]
+            index = {inst: k for k, inst in enumerate(instances)}
+            assert action.v1.table == tuple(
+                tuple(index[(s, tag, (i + g) % m)] for (s, tag, i) in instances)
+                for g in range(m))
+            assert action.v1.set_size == graph.v1_size
+            assert_action_by_proof(action.v1)
