@@ -19,7 +19,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import css, decoder, expansion, gf2, harness, jsonio, product
-from .errors import BudgetExceededError, OracleUnavailableError, ValidationError
+from .errors import (BudgetExceededError, InternalInvariantError, OracleUnavailableError,
+                     ValidationError)
 from .gf2 import F2Vector
 from .graphs import GraphAction, graph_from_json
 from .groups import action_from_json, group_from_json
@@ -304,8 +305,15 @@ def _cmd_diagnose(args) -> tuple[dict, dict, Optional[str]]:
     eps = parse_rational(args.epsilon)
     eps_x = parse_rational(args.epsilon_x) if args.epsilon_x else eps
     eps_y = parse_rational(args.epsilon_y) if args.epsilon_y else eps
-    part10 = expansion.tree_partition(cpx.subgraph("v00_v10"), v10, eps_x, cpx.degrees.down)
-    part01 = expansion.tree_partition(cpx.subgraph("v00_v01"), v01, eps_y, cpx.degrees.right)
+    # The epsilons are the user's claim of expansion, so a partition they
+    # cannot support is refused input, not a broken invariant.
+    try:
+        part10 = expansion.tree_partition(cpx.subgraph("v00_v10"), v10, eps_x,
+                                          cpx.degrees.down)
+        part01 = expansion.tree_partition(cpx.subgraph("v00_v01"), v01, eps_y,
+                                          cpx.degrees.right)
+    except InternalInvariantError as exc:
+        raise ValidationError(f"the given epsilon cannot partition the error: {exc}") from exc
     report = decoder.region_diagnostics(cpx, v10, v01, part10, part01, epsilon=eps)
     payload = {
         "touched": report.touched_total,

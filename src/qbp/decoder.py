@@ -3,10 +3,22 @@
 Given the X syndrome (a subset of V11), the decoder repeatedly picks a V00
 vertex and a subset pair of its V10/V01 neighborhoods whose flip clears at
 least beta = 1 - 12*epsilon of the syndrome bits it changes, applies the
-flip, and updates only the affected syndromes and their neighboring V00
-vertices.  With epsilon < 1/24 (beta > 1/2) each applied flip strictly
-shrinks the syndrome, so the number of flips is at most the initial syndrome
-weight and every flip costs work bounded by the (constant) degrees.
+flip, and re-tests only the flipped vertex and the V00 vertices next to the
+checks the flip newly lit.  With epsilon < 1/24 (beta > 1/2) each applied
+flip strictly shrinks the syndrome, so the number of flips is at most the
+initial syndrome weight and every flip costs work bounded by the (constant)
+degrees.
+
+The re-test rule is exact: it queues the same vertices, in the same order,
+as re-testing every vertex next to a changed check.  Every flippable vertex
+is queued at the top of each iteration (the initial scan finds them all, and
+the rule below keeps it so).  A pair's test cleared >= beta*changed has a
+fixed changed count, and its cleared count moves only with the checks the
+flip changed: it drops by the lit ones the pair reaches and grows by the
+newly lit ones.  So an unqueued vertex other than the flipped one, which was
+not flippable, stays so unless it reaches a newly lit check.  With
+epsilon = 0 (beta = 1) an applied flip lights nothing, and only the flipped
+vertex is re-tested.
 
 The initial candidate scan is syndrome-local when beta > 0: a flip at a V00
 vertex only changes the V11 cells two edges away from it, so a vertex that
@@ -93,6 +105,12 @@ class FlipCheck:
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One applied flip.  updated_syndromes is the number of checks it
+    changed (cleared + created), and rescanned_vertices the number of
+    vertices next to those checks: the vertices whose tests the flip can
+    reach, of which only x00 and those next to a created check are re-tested.
+    """
+
     iteration: int
     x00: int
     n10_size: int
@@ -350,11 +368,12 @@ def decode(code: CssCode, syndrome: F2Vector, config: DecoderConfig) -> DecodeRe
     The candidate queue is FIFO over V00 indices.  A popped vertex is always
     re-tested against the current syndrome before being applied (queue entries
     go stale as flips land); the subset pair is re-searched at pop time, first
-    found in ascending subset order.  After a flip, only the changed syndromes
-    and their neighboring V00 vertices are re-examined.  The initial scan is
-    syndrome-local, since the config keeps beta > 0 (see
-    `preprocess_candidates`); its work is bounded by the degrees times the
-    initial syndrome weight.
+    found in ascending subset order.  After a flip, only the flipped vertex
+    and the unqueued V00 vertices next to a newly lit check are re-tested, in
+    ascending order; no other vertex can have become flippable (see the
+    module docstring).  The initial scan is syndrome-local, since the config
+    keeps beta > 0 (see `preprocess_candidates`); its work is bounded by the
+    degrees times the initial syndrome weight.
     """
     idx = _checked_index(code, syndrome, "z")
     return _decode(idx, syndrome, config, preprocess_candidates(code, syndrome, config.beta))
@@ -404,10 +423,15 @@ def _decode(idx: _DecoderIndex, syndrome: F2Vector, config: DecoderConfig,
         synd ^= flip
         iterations += 1
 
-        rescan: set[int] = set()
+        near: set[int] = set()
         for z11 in _bit_indices(flip):
-            rescan.update(idx.v00_of_v11[z11])
-        for y00 in sorted(rescan):
+            near.update(idx.v00_of_v11[z11])
+        # Only x00 and the centers next to a newly lit check can have turned
+        # flippable (proof in the module docstring).
+        retest = {x00}
+        for z11 in _bit_indices(flip & synd):
+            retest.update(idx.v00_of_v11[z11])
+        for y00 in sorted(retest):
             if y00 in queued:
                 continue
             if _first_flippable(idx.flip_tables(y00), synd, bn, bd)[0] is not None:
@@ -422,7 +446,7 @@ def _decode(idx: _DecoderIndex, syndrome: F2Vector, config: DecoderConfig,
             created=changed - cleared,
             syndrome_after=synd.bit_count(),
             updated_syndromes=changed,
-            rescanned_vertices=len(rescan),
+            rescanned_vertices=len(near),
             n10=tuple(n10_bits) if config.keep_flip_sets else (),
             n01=tuple(n01_bits) if config.keep_flip_sets else (),
         ))

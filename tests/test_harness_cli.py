@@ -280,6 +280,21 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["result"]["counting_bound_ok"] is True
 
+    def test_diagnose_refuses_an_epsilon_that_cannot_partition(self, workdir, capsys):
+        # At epsilon = 0 the V00-V10 partition of qubit 1 needs a flow of 2
+        # and gets 1: the user's epsilon is refused, not a broken invariant.
+        cpx = left_right_cayley(cyclic_group(8), [1, 2], [1, 4])
+        (workdir / "z8.json").write_text(jsonio.canonical_dumps(complex_to_json(cpx)))
+        (workdir / "err.json").write_text(json.dumps({"length": 16, "support": [1]}))
+        rc = run_cli("diagnose", "--complex", workdir / "z8.json", "--error",
+                     workdir / "err.json", "--epsilon", "0", "--out", workdir / "out.json")
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == (
+            "error: the given epsilon cannot partition the error: ownership flow is 1 < 2; "
+            "the expansion hypothesis asserted by the caller fails on this subset\n")
+        assert not (workdir / "out.json").exists()
+
     @pytest.mark.parametrize("argv", [
         ["certify", "--graph", "cyc.json", "--c", "1/0", "--epsilon", "1/2"],
         ["certify", "--graph", "cyc.json", "--c", "1/2", "--epsilon", "1/0"],
