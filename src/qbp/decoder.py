@@ -20,6 +20,12 @@ not flippable, stays so unless it reaches a newly lit check.  With
 epsilon = 0 (beta = 1) an applied flip lights nothing, and only the flipped
 vertex is re-tested.
 
+A center's test walks its subset pairs in ascending (mask10, mask01) order
+by prefix XORs (see `_first_flippable`): one XOR and two popcounts per pair,
+from |N10| + |N01| masks per center.  That state is linear in the degree,
+not exponential like a table per subset, so the index holds it for every
+center and needs no cache or size limit.
+
 The initial candidate scan is syndrome-local when beta > 0: a flip at a V00
 vertex only changes the V11 cells two edges away from it, so a vertex that
 reaches no lit cell has cleared = 0 and cannot pass cleared >= beta*changed.
@@ -46,18 +52,18 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, compress
+from functools import cached_property, reduce
+from itertools import accumulate, chain, compress
+from operator import or_, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .css import CssCode
 from .errors import BudgetExceededError, InternalInvariantError, PreconditionError, ValidationError
 from .expansion import ExpansionCertificate, TreePartition
-from .gf2 import F2Vector
+from .gf2 import F2Vector, bits
 from .product import BalancedProductComplex
 
-_FLIP_CACHE_LIMIT = 1 << 12   # per-vertex subset tables above this are not cached
-_PAIR_BITS_LIMIT = 20         # a V00 vertex with |N10| + |N01| above this is refused
+_PAIR_BITS_LIMIT = 20   # a V00 vertex with |N10| + |N01| above this is refused
 
 
 @dataclass(frozen=True)
@@ -169,12 +175,16 @@ class DecodeResult:
 
 
 class _DecoderIndex:
-    """Adjacency and per-center flip masks for one side of a code, built once
+    """Adjacency and per-center prefix masks for one side of a code, built once
     from the complex's own subgraph adjacency.
 
     Side "z" has V00 centers, flips over V10 then V01, and V11 checks; side
     "x" has V11 centers, flips over V01 then V10, and V00 checks.  Names are
     the Z side's: on the X side n10 lists V01 cells and n01 V10 cells.
+
+    A center's flip search reads only the prefix XORs of its cells' check
+    masks, N01 cells first (see `_first_flippable`): one mask per cell, held
+    for every center.  The one ruler is sized to the widest center.
     """
 
     def __init__(self, code: CssCode, side: str) -> None:
@@ -199,51 +209,21 @@ class _DecoderIndex:
         # The centers two edges away from each check, through either flip
         # class: exactly the centers whose flips can change that check.
         v00s: list[list[int]] = [[] for _ in range(self.check_count)]
+        self.prefixes: list[list[int]] = []
         for x00, (a, b) in enumerate(zip(self.n10, self.n01)):
             # The flip search enumerates 2^(|N10| + |N01|) subset pairs here.
             if len(a) + len(b) > _PAIR_BITS_LIMIT:
                 raise BudgetExceededError(
                     f"{centers} vertex {x00} has |N10| + |N01| = {len(a) + len(b)}: its "
                     f"flip pairs exceed the budget of 2^{_PAIR_BITS_LIMIT}")
-            reach = 0
-            for q in a:
-                reach |= self.v11_of_v10[q]
-            for q in b:
-                reach |= self.v11_of_v01[q]
-            for z11 in _bit_indices(reach):
+            masks = [self.v11_of_v01[q] for q in b] + [self.v11_of_v10[q] for q in a]
+            self.prefixes.append(list(accumulate(masks, xor)))
+            for z11 in bits(reduce(or_, masks, 0)):
                 v00s[z11].append(x00)
         self.v00_of_v11: list[tuple[int, ...]] = [tuple(v) for v in v00s]
-        self._flip_cache: dict[int, tuple[list[int], list[int]]] = {}
-
-    def flip_tables(self, x00: int) -> tuple[list[int], list[int]]:
-        """Subset-indexed check-flip masks for both neighborhoods of x00."""
-        cached = self._flip_cache.get(x00)
-        if cached is not None:
-            return cached
-        tables = (
-            _subset_masks([self.v11_of_v10[q] for q in self.n10[x00]]),
-            _subset_masks([self.v11_of_v01[q] for q in self.n01[x00]]),
-        )
-        if (1 << (len(self.n10[x00]) + len(self.n01[x00]))) <= _FLIP_CACHE_LIMIT:
-            self._flip_cache[x00] = tables
-        return tables
-
-
-def _bit_indices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _subset_masks(singles: list[int]) -> list[int]:
-    out = [0] * (1 << len(singles))
-    for s in range(1, len(out)):
-        low = s & -s
-        out[s] = out[s ^ low] ^ singles[low.bit_length() - 1]
-    return out
+        # ruler[c] is the number of trailing zeros of c > 0.
+        width = max(map(len, self.prefixes), default=0)
+        self.ruler: list[int] = [(c & -c).bit_length() - 1 for c in range(1 << width)]
 
 
 def _index_for(code: CssCode, side: str) -> _DecoderIndex:
@@ -295,32 +275,35 @@ def flippable(
         mask ^= idx.v11_of_v01[q]
     synd = syndrome.to_mask()
     beta = Fraction(beta)
-    found, _ = _first_flippable(([0, mask], [0]), synd, beta.numerator, beta.denominator)
+    found, _ = _first_flippable([mask], idx.ruler, synd, beta.numerator, beta.denominator)
     return FlipCheck(found is not None, mask.bit_count(), (mask & synd).bit_count())
 
 
 def _first_flippable(
-    tables: tuple[list[int], list[int]], synd: int, beta_num: int, beta_den: int
-) -> tuple[Optional[tuple[int, int, int, int, int]], int]:
-    """First flippable subset pair in ascending (mask10, mask01) order over
-    one center's flip tables (see `_DecoderIndex.flip_tables`).
+    prefix: list[int], ruler: list[int], synd: int, beta_num: int, beta_den: int
+) -> tuple[Optional[tuple[int, int, int, int]], int]:
+    """First flippable subset pair of one center, in ascending (mask10,
+    mask01) order, by one prefix-XOR walk.
 
-    Returns (found, tested): found is (mask10, mask01, flip_mask, changed,
-    cleared) or None, and tested counts the nonempty pairs tried, the found
-    one included.
+    Pair c = mask10 * 2^|N01| + mask01 flips the cells at the set bits of c,
+    N01 cells first.  From c - 1 to c the bits up to the lowest set bit of c
+    flip, so the flip mask moves by prefix[ruler[c]].
+
+    Returns (found, tested): found is (c, flip_mask, changed, cleared) or
+    None, and tested counts the nonempty pairs tried, the found one
+    included.
     """
-    t10, t01 = tables
-    width = len(t01)
-    for m10, f10 in enumerate(t10):
-        for m01 in range(0 if m10 else 1, width):
-            flip = f10 ^ t01[m01]
-            changed = flip.bit_count()
-            if changed == 0:
-                continue
-            cleared = (flip & synd).bit_count()
-            if cleared * beta_den >= beta_num * changed:
-                return (m10, m01, flip, changed, cleared), m10 * width + m01
-    return None, len(t10) * width - 1
+    flip = 0
+    end = 1 << len(prefix)
+    for c in range(1, end):
+        flip ^= prefix[ruler[c]]
+        changed = flip.bit_count()
+        if changed == 0:
+            continue
+        cleared = (flip & synd).bit_count()
+        if cleared * beta_den >= beta_num * changed:
+            return (c, flip, changed, cleared), c
+    return None, end - 1
 
 
 @dataclass(frozen=True)
@@ -347,13 +330,13 @@ def preprocess_candidates(code: CssCode, syndrome: F2Vector, beta: Fraction) -> 
 def _preprocess(idx: _DecoderIndex, synd: int, beta: Fraction) -> PreprocessResult:
     if beta > 0:
         candidates: Sequence[int] = sorted(
-            {x00 for z11 in _bit_indices(synd) for x00 in idx.v00_of_v11[z11]})
+            {x00 for z11 in bits(synd) for x00 in idx.v00_of_v11[z11]})
     else:
         candidates = range(len(idx.n10))
     queue = []
     tested = 0
     for x00 in candidates:
-        found, pairs = _first_flippable(idx.flip_tables(x00), synd, beta.numerator,
+        found, pairs = _first_flippable(idx.prefixes[x00], idx.ruler, synd, beta.numerator,
                                         beta.denominator)
         tested += pairs
         if found is not None:
@@ -402,6 +385,7 @@ def _decode(idx: _DecoderIndex, syndrome: F2Vector, config: DecoderConfig,
     queued = set(pre.queue)
     correction = 0
     off10, off01 = idx.offsets
+    ruler = idx.ruler
     trace: list[TraceStep] = []
     stale_pops = 0
     iterations = 0
@@ -409,13 +393,14 @@ def _decode(idx: _DecoderIndex, syndrome: F2Vector, config: DecoderConfig,
     while synd and queue and iterations < config.iteration_cap:
         x00 = queue.popleft()
         queued.discard(x00)
-        found, _ = _first_flippable(idx.flip_tables(x00), synd, bn, bd)
+        found, _ = _first_flippable(idx.prefixes[x00], ruler, synd, bn, bd)
         if found is None:
             stale_pops += 1
             continue
-        m10, m01, flip, changed, cleared = found
-        n10_bits = [idx.n10[x00][i] for i in _bit_indices(m10)]
-        n01_bits = [idx.n01[x00][i] for i in _bit_indices(m01)]
+        c, flip, changed, cleared = found
+        n10, n01 = idx.n10[x00], idx.n01[x00]
+        n10_bits = [n10[i] for i in bits(c >> len(n01))]
+        n01_bits = [n01[i] for i in bits(c & ((1 << len(n01)) - 1))]
         for q in n10_bits:
             correction ^= 1 << (off10 + q)
         for q in n01_bits:
@@ -424,17 +409,17 @@ def _decode(idx: _DecoderIndex, syndrome: F2Vector, config: DecoderConfig,
         iterations += 1
 
         near: set[int] = set()
-        for z11 in _bit_indices(flip):
+        for z11 in bits(flip):
             near.update(idx.v00_of_v11[z11])
         # Only x00 and the centers next to a newly lit check can have turned
         # flippable (proof in the module docstring).
         retest = {x00}
-        for z11 in _bit_indices(flip & synd):
+        for z11 in bits(flip & synd):
             retest.update(idx.v00_of_v11[z11])
         for y00 in sorted(retest):
             if y00 in queued:
                 continue
-            if _first_flippable(idx.flip_tables(y00), synd, bn, bd)[0] is not None:
+            if _first_flippable(idx.prefixes[y00], ruler, synd, bn, bd)[0] is not None:
                 queue.append(y00)
                 queued.add(y00)
         trace.append(TraceStep(

@@ -28,6 +28,8 @@ from .errors import OracleUnavailableError, ValidationError
 from .gf2 import F2Vector
 from .jsonio import fraction_to_json
 
+_REPRESENTATIVE_BUDGET = 1 << 16   # coset vectors the minimal-representative oracle may try
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -48,7 +50,6 @@ class ExperimentConfig:
     iteration_cap: int = 1 << 16
     check_residual: bool = True
     check_minimal_representative: bool = False
-    representative_budget: int = 1 << 16
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
@@ -186,7 +187,7 @@ def run_simulation(code: CssCode, config: ExperimentConfig) -> ExperimentResult:
             # toggle reports nothing instead of failing past its budget.
             try:
                 rep = minimal_coset_representative(
-                    code, syndrome, budget=config.representative_budget)
+                    code, syndrome, budget=_REPRESENTATIVE_BUDGET)
                 rep_weights = (rep.v10_weight, rep.v01_weight)
             except OracleUnavailableError:
                 rep_weights = None
