@@ -221,8 +221,9 @@ class _DecoderIndex:
             for z11 in bits(reduce(or_, masks, 0)):
                 v00s[z11].append(x00)
         self.v00_of_v11: list[tuple[int, ...]] = [tuple(v) for v in v00s]
-        # ruler[c] is the number of trailing zeros of c > 0.
-        width = max(map(len, self.prefixes), default=0)
+        # ruler[c] is the number of trailing zeros of c > 0.  It covers c = 1
+        # even when no center has a neighbor: `flippable` walks one mask.
+        width = max(1, max(map(len, self.prefixes), default=0))
         self.ruler: list[int] = [(c & -c).bit_length() - 1 for c in range(1 << width)]
 
 

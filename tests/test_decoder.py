@@ -15,6 +15,7 @@ from qbp import gf2
 from qbp.css import extract_code, minimal_coset_representative
 from qbp.decoder import (
     DecoderConfig,
+    FlipCheck,
     _index_for,
     decode,
     decode_x,
@@ -126,6 +127,14 @@ class TestFlippable:
         syn = syndrome_of(star12_code, [0])
         check = flippable(star12_code, syn, 0, [], [], Fraction(1))
         assert not check.flippable and check.changed_count == 0
+
+    def test_empty_flip_on_an_edgeless_product(self):
+        # No center has a neighbor, so the only flip is the empty one.
+        code = extract_code(hypergraph_product(build_bipartite(1, 1, []),
+                                               build_bipartite(1, 1, [])))
+        syn = F2Vector.zero(code.cpx.v11_size)
+        assert flippable(code, syn, 0, [], [], Fraction(1)) == FlipCheck(False, 0, 0)
+        assert decode(code, syn, DecoderConfig(epsilon=Fraction(0))).outcome == "success"
 
     def test_exact_cancellation(self, star12_code):
         # Error = the V10 half of one check column; the matching candidate
