@@ -626,7 +626,8 @@ def verify_tree_partition(
         if owned & seen:
             disjoint = False
         seen |= owned
-        if not owned <= set(graph.adj0[x0]):
+        # An owner outside V0 has no neighborhood to hold what it owns.
+        if owned and not (0 <= x0 < graph.v0_size and owned <= set(graph.adj0[x0])):
             within = False
     covering = seen == v1
 

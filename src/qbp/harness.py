@@ -48,7 +48,6 @@ class ExperimentConfig:
     flip_probability: Optional[Fraction] = None
     sweep: bool = False
     iteration_cap: int = 1 << 16
-    check_residual: bool = True
     check_minimal_representative: bool = False
 
     def __post_init__(self) -> None:
@@ -80,7 +79,7 @@ class ExperimentConfig:
             if self.flip_probability is not None else None,
             "sweep": self.sweep,
             "iteration_cap": self.iteration_cap,
-            "check_residual": self.check_residual,
+            "check_residual": True,         # the residual is always checked
             "check_minimal_representative": self.check_minimal_representative,
         }
 
@@ -92,15 +91,13 @@ class TrialRecord:
     syndrome_weight: int
     outcome: str
     iterations: int
-    residual_in_stabilizer: Optional[bool]
+    residual_in_stabilizer: bool
     max_updated_syndromes: int
     minimal_representative_weights: Optional[tuple[int, int]] = None
 
     @property
     def success(self) -> bool:
-        if self.outcome != "success":
-            return False
-        return bool(self.residual_in_stabilizer) if self.residual_in_stabilizer is not None else True
+        return self.outcome == "success" and self.residual_in_stabilizer
 
     def to_json(self) -> dict:
         return {
@@ -163,9 +160,9 @@ def _iter_errors(code: CssCode, config: ExperimentConfig):
 def run_simulation(code: CssCode, config: ExperimentConfig) -> ExperimentResult:
     """Decode a stream of sampled (or swept) Z errors and aggregate outcomes.
 
-    Success means the syndrome cleared and, when residual checking is on,
-    the injected error plus the correction lies in the Z-stabilizer group
-    (membership in the row space of Hz, tested by rank reduction).
+    Success means the syndrome cleared and the injected error plus the
+    correction lies in the Z-stabilizer group (membership in the row space
+    of Hz, tested by rank reduction).
     """
     if config.weight is not None and config.weight > code.n:
         raise ValidationError(f"error weight {config.weight} exceeds n = {code.n}")
@@ -177,10 +174,7 @@ def run_simulation(code: CssCode, config: ExperimentConfig) -> ExperimentResult:
         error = F2Vector.from_support(code.n, support)
         syndrome = gf2.mat_vec(code.hx, error)
         result = decode(code, syndrome, decoder_config)
-        residual_ok: Optional[bool] = None
-        if config.check_residual:
-            residual = error ^ result.correction
-            residual_ok = code.z_stabilizers.contains(residual)
+        residual_ok = code.z_stabilizers.contains(error ^ result.correction)
         rep_weights: Optional[tuple[int, int]] = None
         if config.check_minimal_representative:
             # Exhaustive coset search; feasible only at toy sizes, so the

@@ -17,9 +17,8 @@ sources, and only the last multiplies anything:
 * from the face check: `complex_from_json` accepts a file only when its
   faces match both families of two-edge paths one to one, which gives every
   (V00, V11) pair as many paths through V10 as through V01;
-* by `mat_mul`: any other complex (a transpose, one built field by field,
-  and a file the loader refuses, so that the first error is named as the
-  boundary maps name it) multiplies its two maps (`verify_chain_condition`).
+* by `mat_mul`: any other complex (a transpose or one built field by
+  field) multiplies its two maps (`verify_chain_condition`).
 
 Construction is single-threaded; the resulting complex is immutable and
 shareable.  Being frozen, a complex derives each structure it is asked for
@@ -635,11 +634,10 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
     field.  Each field is read in one C-level pass (see `jsonio._int_rows`).
     The edge endpoints are checked against their classes, the edges against
     the degrees when these are recorded, and the faces against the edges
-    (`_check_faces`).  Faces in one-to-one correspondence with both families
-    of two-edge paths prove the chain condition, so the verdict is preset
-    and no boundary map is built.  A file that fails any of these checks is
-    first put through `verify_chain_condition`, so that its first error,
-    and the message naming it, are those of the boundary-map path.
+    (`_check_faces`); the first check that fails names the file's error.
+    Faces in one-to-one correspondence with both families of two-edge paths
+    prove the chain condition, so the verdict is preset and no boundary map
+    is built.
     """
     if not isinstance(obj, dict):
         raise ValidationError(f"complex JSON must be an object, got {type(obj).__name__}")
@@ -676,19 +674,10 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
         group_order=group_order,
         provenance=str(obj.get("provenance", "")),
     )
-    try:
-        _check_endpoints(cpx)
-        if cpx.degrees is not None:
-            _check_degrees(cpx)
-        _check_faces(cpx, faces)
-    except ValidationError:
-        check = cpx.chain_check          # building the maps checks edge endpoints
-        if not check.ok:
-            raise ValidationError(
-                f"complex JSON violates the chain condition at V00 column "
-                f"{check.witness_column}"
-            ) from None
-        raise
+    _check_endpoints(cpx)
+    if cpx.degrees is not None:
+        _check_degrees(cpx)
+    _check_faces(cpx, faces)
     return _preset_chain_check(cpx)
 
 
@@ -696,8 +685,7 @@ def _check_endpoints(cpx: BalancedProductComplex) -> None:
     """Every edge must join a vertex of its first class to one of its second.
 
     One min and one max per end of each class decide it; a refusal names
-    the smallest bad edge of the first bad class, in the order in which the
-    boundary maps read the classes (`_edge_rows`).
+    the smallest bad edge of the first bad class.
     """
     for which, size0, size1 in (("v10_v11", cpx.v10_size, cpx.v11_size),
                                 ("v01_v11", cpx.v01_size, cpx.v11_size),

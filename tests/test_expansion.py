@@ -18,6 +18,7 @@ from qbp.expansion import (
     check_unique_expander_bound,
     edge_count_bounds,
     max_flow_integer,
+    TreePartition,
     tree_partition,
     unique_neighbors,
     verify_tree_partition,
@@ -338,6 +339,31 @@ class TestTreePartition:
         audit = verify_tree_partition(g, [1], Fraction(1, 2), 2, part)
         assert audit.all_ok
         assert sorted(part.leftover.values()) == [0, 0, 1]
+
+    # Hand-made partitions of v1 on bipartite_cycle(4) (adj0: 0 -> {0, 1},
+    # 1 -> {1, 2}, 2 -> {2, 3}, 3 -> {0, 3}) at epsilon * w0 = 1, each
+    # breaking one invariant: (v1, assignment, leftover, failing audit field).
+    BROKEN = {
+        "shared": ([0], {0: {0}, 3: {0}}, {}, "disjoint"),
+        "unowned": ([0], {}, {0: 1, 3: 1}, "covering"),
+        "off_neighborhood": ([0, 2], {1: {0}, 2: {2}}, {0: 1, 3: 1}, "within_neighborhoods"),
+        "owner_minus_one": ([0], {-1: {0}}, {0: 1, 3: 1}, "within_neighborhoods"),
+        "owner_past_v0": ([0], {4: {0}}, {0: 1, 3: 1}, "within_neighborhoods"),
+        "leftover_misstated": ([0], {0: {0}}, {}, "leftover_ok"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BROKEN))
+    def test_each_broken_invariant_fails_its_audit(self, case):
+        v1, owned, leftover, field = self.BROKEN[case]
+        g = bipartite_cycle(4)
+        assignment = {x0: frozenset() for x0 in range(4)}
+        assignment.update((x0, frozenset(ys)) for x0, ys in owned.items())
+        part = TreePartition(assignment, leftover, flow_value=0, threshold=1)
+        audit = verify_tree_partition(g, v1, Fraction(1, 2), 2, part)
+        flags = {name: getattr(audit, name)
+                 for name in ("disjoint", "covering", "within_neighborhoods", "leftover_ok")}
+        assert flags == {name: name != field for name in flags}
+        assert audit.majorization_ok and not audit.all_ok
 
     def test_zero_epsilon_forces_zero_leftovers(self):
         g, _ = star_graph(6, 3)

@@ -7,8 +7,10 @@ translations on copies of a group (the star leaves, the incidence edge
 instances, the random families' blocks) are built with no range check, law
 check or freeness scan.  Each is compared here with the path it skips, kept
 as the oracle: `verify_chain_condition`, `FiniteGroup.from_table`,
-`GroupAction.from_table` with `_first_fixed_point`, and the loader as it was,
-which multiplied the maps before checking degrees and faces.
+`GroupAction.from_table` with `_first_fixed_point`, and a loader that
+multiplies the maps before checking degrees and faces.  That loader decides
+which files are accepted; the loader itself refuses the rest by its own
+checks, naming the first one that fails.
 """
 
 import copy
@@ -54,7 +56,7 @@ _VERDICT = BalancedProductComplex.chain_check.attrname
 
 
 def oracle_complex_from_json(obj):
-    """The loader as it was: the chain condition by multiplying the maps
+    """The acceptance oracle: the chain condition by multiplying the maps
     (whose rows check every endpoint) first, then degrees, then faces."""
     rows = {name: _int_rows(obj[name], name, 2) for name in product._PAIR_FIELDS}
     faces = _int_rows(obj["faces"], "faces", 4)
@@ -210,46 +212,117 @@ def corrupt(obj, kind, data):
         edges[i][end] = data.draw(st.sampled_from([size + past, -1 - past]), label="value")
 
 
+_CHAIN_MESSAGE = "complex JSON violates the chain condition"
+
+
+def assert_loaded_as_the_oracle_loads(obj):
+    """The loader accepts exactly the files the oracle accepts, as the same
+    complex, and refuses the rest with a ValidationError.  The message is
+    the oracle's unless the oracle names a chain-condition column, which
+    the loader never multiplies out: it names the check that failed."""
+    want = outcome(oracle_complex_from_json, obj)
+    got = outcome(complex_from_json, obj)
+    if isinstance(want, dict):
+        assert got == want
+        assert_verdict_by_proof(complex_from_json(obj))
+        return False
+    assert isinstance(got, tuple) and got[0] is ValidationError
+    if not want[1].startswith(_CHAIN_MESSAGE):
+        assert got == want
+    return True
+
+
+def _forbidden(*args, **kwargs):
+    pytest.fail("a refusal built or multiplied a boundary map")
+
+
+def _cayley_z8():
+    return complex_to_json(left_right_cayley(cyclic_group(8), [1, 2], [1, 4]))
+
+
+def _repeated_path():
+    # V00 0 reaches V11 0 once through V10 and twice through V01, so the
+    # chain condition fails; two faces cover all three paths, repeating the
+    # V10 one.  Only the one-to-one check stands between this file and a
+    # verdict preset by proof.
+    return {"reps_v00": [[0, 0]], "reps_v10": [[0, 0]],
+            "reps_v01": [[0, 0], [0, 1]], "reps_v11": [[0, 0]],
+            "edges_v00_v10": [[0, 0]], "edges_v10_v11": [[0, 0]],
+            "edges_v00_v01": [[0, 0], [0, 1]], "edges_v01_v11": [[0, 0], [1, 0]],
+            "faces": [[0, 0, 0, 0], [0, 0, 1, 0]], "degrees": None, "group_order": 1}
+
+
+def _without_first(obj, field):
+    return dict(obj, **{field: obj[field][1:]})
+
+
+def _first_face_moved(obj):
+    z00, z10, z01, z11 = obj["faces"][0]
+    return dict(obj, faces=[[z00, z10, z01, (z11 + 1) % obj["v11"]]] + obj["faces"][1:])
+
+
+# Refused files, with the oracle's message and the loader's.  They differ
+# only where the edges break the chain condition: the oracle names the first
+# nonzero column of the product, the loader the first of its checks that fails.
+_PINNED = {
+    "repeated_path": (_repeated_path, "complex JSON violates the chain condition at V00 column 0",
+                      "face [0, 0, 1, 0] repeats a two-edge path of an earlier face"),
+    "z8_no_edge": (lambda: _without_first(_cayley_z8(), "edges_v10_v11"),
+                   "complex JSON violates the chain condition at V00 column 6",
+                   "degrees say right = 2, but V10 vertex 0 has 1 edges in v10_v11"),
+    "z8_no_face": (lambda: _without_first(_cayley_z8(), "faces"),
+                   "no face holds the path V00 0 -> V10 1 -> V11 2",
+                   "no face holds the path V00 0 -> V10 1 -> V11 2"),
+    "z8_moved_face": (lambda: _first_face_moved(_cayley_z8()),
+                      "face [0, 1, 1, 3] does not lie on four edges of the complex",
+                      "face [0, 1, 1, 3] does not lie on four edges of the complex"),
+    "toric2_no_face": (lambda: _without_first(complex_to_json(toric_complex(2)), "faces"),
+                       "no face holds the path V00 0 -> V10 0 -> V11 0",
+                       "no face holds the path V00 0 -> V10 0 -> V11 0"),
+}
+
+
 class TestLoaderRefusals:
     @settings(max_examples=300, deadline=None)
     @given(name=st.sampled_from(sorted(FAMILIES)), kind=st.sampled_from(CORRUPTIONS),
            data=st.data())
-    def test_corrupted_files_get_the_same_refusal(self, name, kind, data):
+    def test_corrupted_files_are_loaded_as_the_oracle_loads_them(self, name, kind, data):
         obj = complex_to_json(family(name))
         corrupt(obj, kind, data)
-        got = outcome(complex_from_json, obj)
-        assert got == outcome(oracle_complex_from_json, obj)
-        if isinstance(got, dict):
-            assert_verdict_by_proof(complex_from_json(obj))
+        assert_loaded_as_the_oracle_loads(obj)
 
-    def test_faces_covering_every_path_but_repeating_one_are_refused(self):
-        # V00 0 reaches V11 0 once through V10 and twice through V01, so the
-        # chain condition fails; two faces cover all three paths, repeating
-        # the V10 one.  Only the one-to-one check stands between this file
-        # and a verdict preset by proof.
-        obj = {"reps_v00": [[0, 0]], "reps_v10": [[0, 0]],
-               "reps_v01": [[0, 0], [0, 1]], "reps_v11": [[0, 0]],
-               "edges_v00_v10": [[0, 0]], "edges_v10_v11": [[0, 0]],
-               "edges_v00_v01": [[0, 0], [0, 1]], "edges_v01_v11": [[0, 0], [1, 0]],
-               "faces": [[0, 0, 0, 0], [0, 0, 1, 0]], "degrees": None, "group_order": 1}
-        want = (ValidationError,
-                "complex JSON violates the chain condition at V00 column 0")
-        assert outcome(oracle_complex_from_json, obj) == want
-        assert outcome(complex_from_json, obj) == want
+    @pytest.mark.parametrize("case", sorted(_PINNED))
+    def test_refusal_messages(self, case):
+        make, old, new = _PINNED[case]
+        obj = make()
+        assert outcome(oracle_complex_from_json, obj) == (ValidationError, old)
+        assert outcome(complex_from_json, obj) == (ValidationError, new)
+
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    @settings(max_examples=20, deadline=None)
+    @given(name=st.sampled_from(sorted(FAMILIES)), data=st.data())
+    def test_refusals_build_and_multiply_no_boundary_map(self, kind, name, data):
+        obj = complex_to_json(family(name))
+        corrupt(obj, kind, data)
+        assume(not isinstance(outcome(oracle_complex_from_json, obj), dict))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(product, "mat_mul", _forbidden)
+            patch.setattr(product, "_edge_rows", _forbidden)
+            with pytest.raises(ValidationError):
+                complex_from_json(obj)
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_each_edge_and_face_dropped(self, name):
-        # Every single drop, not a sample, is refused or loaded as before (an
-        # edge on no face, as the irregular families have, may go unnoticed).
+        # Every single drop, not a sample, is refused or loaded as the
+        # oracle does (an edge on no face, as the irregular families have,
+        # may go unnoticed).
         obj = complex_to_json(family(name))
         refused = 0
         for field in ("edges_v00_v10", "edges_v01_v11", "edges_v00_v01", "edges_v10_v11",
                       "faces"):
             for i in range(len(obj[field])):
                 dropped = dict(obj, **{field: obj[field][:i] + obj[field][i + 1:]})
-                want = outcome(oracle_complex_from_json, dropped)
-                assert outcome(complex_from_json, dropped) == want
-                refused += isinstance(want, tuple)
+                refused += assert_loaded_as_the_oracle_loads(dropped)
         assert refused >= len(obj["faces"])
 
 
