@@ -19,6 +19,8 @@ through the integer key |v10|*right + |v01|*down, which orders them exactly
 (down, right > 0); a Fraction is built only where one is returned.
 Stabilizer membership comes from residues: reduction modulo a row space is
 linear over GF(2), so the basis residues are sliced alongside the qubits.
+ker(Hx) with its residues is derived once per code and shared by the two
+Z-side oracles; the budget is checked on every call.
 Blocks are independent; they are taken in ascending order, one after the
 other.
 """
@@ -120,6 +122,12 @@ class CssCode:
     def x_stabilizers(self) -> gf2.RowSpace:
         """Row space of Hx: the trivial (stabilizer) X operators."""
         return gf2.row_space(self.hx)
+
+    @cached_property
+    def _z_kernel_residues(self) -> tuple[list[int], list[int]]:
+        """ker(Hx) with its residues modulo the Hz row space, sliced as
+        `_with_residues` gives them (see `_z_kernel`)."""
+        return _with_residues(gf2.kernel_masks(self.hx), self.z_stabilizers, self.n)
 
     def split_support(self, v: F2Vector) -> tuple[frozenset[int], frozenset[int]]:
         """Split a length-n vector into (V10 support, V01 support as V01 indices)."""
@@ -232,16 +240,15 @@ def brute_distance(code: CssCode, which: str, budget: int = DEFAULT_KERNEL_BUDGE
     ones.  vectors_enumerated is 2^kernel_dim, every combination counted.
     """
     _check_budget(budget)
+    n = code.n
     if which == "z":
-        kernel_of, stabilizers = code.hx, code.z_stabilizers
+        masks, coords = _z_kernel(code, budget)
     elif which == "x":
-        kernel_of, stabilizers = code.hz, code.x_stabilizers
+        masks, coords = _with_residues(_kernel_masks(code.hz, budget), code.x_stabilizers, n)
     else:
         raise ValidationError(f"which must be 'x' or 'z', got {which!r}")
-    masks = _kernel_masks(kernel_of, budget)
-    n = code.n
     best: Optional[int] = None
-    for block in gf2.span_planes(*_with_residues(masks, stabilizers, n)):
+    for block in gf2.span_planes(masks, coords):
         nontrivial = _nontrivial(block.planes, n)
         if nontrivial:
             w, _ = gf2.plane_min(gf2.plane_sum((p, 1) for p in block.planes[:n]), nontrivial)
@@ -256,14 +263,27 @@ def _check_budget(budget: int) -> None:
         raise PreconditionError(f"need budget >= 0, got {budget}")
 
 
-def _kernel_masks(matrix: F2Matrix, budget: int, what: str = "kernel") -> list[int]:
-    """The kernel basis of `matrix` as packed masks, refused over the budget."""
+def _check_kernel_size(matrix: F2Matrix, budget: int, what: str = "kernel") -> None:
+    """Refuse a kernel of `matrix` with more vectors than the budget."""
     dim = matrix.cols - gf2.rank(matrix)
     if 2 ** dim > budget:
         raise OracleUnavailableError(
             f"{what} has 2^{dim} vectors, over the budget of {budget}"
         )
-    return [v.to_mask() for v in gf2.kernel_basis(matrix)]
+
+
+def _kernel_masks(matrix: F2Matrix, budget: int, what: str = "kernel") -> list[int]:
+    """The kernel basis of `matrix` as packed masks, refused over the budget."""
+    _check_kernel_size(matrix, budget, what)
+    return gf2.kernel_masks(matrix)
+
+
+def _z_kernel(code: CssCode, budget: int) -> tuple[list[int], list[int]]:
+    """ker(Hx) as `_with_residues` gives it modulo the Hz row space, derived
+    once per code and shared by the Z-side oracles; the budget is checked on
+    every call."""
+    _check_kernel_size(code.hx, budget)
+    return code._z_kernel_residues
 
 
 def _with_residues(masks: list[int], stabilizers: gf2.RowSpace,
@@ -432,7 +452,7 @@ def locally_minimal_distance(
     residue modulo the Hz row space, as in `brute_distance`.
     """
     _check_budget(budget)
-    masks = _kernel_masks(code.hx, budget)
+    masks, coords = _z_kernel(code, budget)
     if normalized and code.degrees is None:
         raise PreconditionError("normalized local minimality needs recorded degrees")
     a, b = _key_weights(code, normalized)
@@ -445,7 +465,7 @@ def locally_minimal_distance(
         rows.append((terms, sum(w for _, w in terms) // 2))
     best_all: Optional[int] = None
     best_nontrivial: Optional[int] = None
-    for block in gf2.span_planes(*_with_residues(masks, code.z_stabilizers, n)):
+    for block in gf2.span_planes(masks, coords):
         planes = block.planes
         improvable = 0
         for terms, bound in rows:

@@ -645,7 +645,9 @@ def region_diagnostics(
         owned01 = owner01.get(z01) == z00
         in10 = z10 in v10_set
         in01 = z01 in v01_set
-        counts = per.setdefault(z00, _zero_counts())
+        counts = per.get(z00)
+        if counts is None:
+            counts = per[z00] = _zero_counts()
         if owned10 != owned01:
             counts["touched"] += 1
             if owned10 and in01 and not owned01:
@@ -665,7 +667,7 @@ def region_diagnostics(
             # Both coordinates owned flips the corner twice: parity unchanged.
 
     for z00, parity in flip_parity.items():
-        counts = per.setdefault(z00, _zero_counts())
+        counts = per[z00]                # set by the face that gave z00 a parity
         flipped = [z11 for z11, p in parity.items() if p]
         counts["flipped"] = len(flipped)
         counts["lit"] = sum(1 for z11 in flipped if z11 in syndrome)

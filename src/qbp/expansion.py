@@ -514,7 +514,19 @@ def tree_partition(
     valid; with epsilon * w0 integral this is exactly the nominal capacity.
     A flow value below the source-cut capacity means the caller's expansion
     hypothesis does not hold for this subset; that is reported as an internal
-    invariant violation rather than silently weakened ownership.
+    invariant violation rather than silently weakened ownership.  A flow that
+    saturates the source cut is maximal, so no cut is computed.
+
+    The flow runs on the vertex ids themselves, as `max_flow_integer` runs it
+    on this network: shortest augmenting paths, each vertex's residual arcs
+    visited in the order the network would insert them (the source's in
+    ascending V0 order; a V0 vertex's to its v1 neighbors in adjacency order;
+    a v1 vertex's to the sink, then back to its owner).  Every path ends on a
+    unit sink arc, so each carries one unit, and a v1 vertex holds at most
+    one: its owner.  A search ends at the first v1 vertex it finds without
+    an owner, where the network's, which takes vertices in the order it
+    finds them, reaches the sink.  So the flow, and every ownership, is the
+    network's.
 
     The work is local to v1: only N(v1) can own a vertex or keep a leftover,
     so every other V0 vertex gets an empty set and leftover 0 without being
@@ -530,41 +542,57 @@ def tree_partition(
     for x1 in v1:
         if not 0 <= x1 < graph.v1_size:
             raise IndexError(f"vertex {x1} outside V1 of size {graph.v1_size}")
-    threshold = math.floor(epsilon * w0)
+    threshold = epsilon.numerator * w0 // epsilon.denominator
     v1_set = set(v1)
     v0 = sorted(neighbors(graph, 1, v1))
     adj0 = graph.adj0
-    deg = {x0: sum(1 for y in adj0[x0] if y in v1_set) for x0 in v0}
+    inside = {x0: [y for y in adj0[x0] if y in v1_set] for x0 in v0}
+    room = {x0: max(len(ys) - threshold, 0) for x0, ys in inside.items()}
+    required = sum(room.values())
 
-    nodes: list[Node] = ["s", "t"]
-    arcs: list[tuple[Node, Node, int]] = []
-    for x0 in v0:
-        nodes.append(("v0", x0))
-        arcs.append(("s", ("v0", x0), max(deg[x0] - threshold, 0)))
-    for x1 in v1:
-        nodes.append(("v1", x1))
-        arcs.append((("v1", x1), "t", 1))
-    for x0 in v0:
-        for y in adj0[x0]:
-            if y in v1_set:
-                arcs.append((("v0", x0), ("v1", y), 1))
-    network = FlowNetwork(tuple(nodes), tuple(arcs), "s", "t")
-    result = max_flow_integer(network)
-
-    required = sum(max(deg[x0] - threshold, 0) for x0 in v0)
-    if result.value < required:
+    owner: dict[int, int] = {}           # v1 vertex -> the V0 vertex sending it a unit
+    value = 0
+    while value < required:
+        # BFS from the source; came[x0] is the v1 vertex x0 was reached from
+        # (None: from the source), reached[y] the V0 vertex y was reached from.
+        came: dict[int, Optional[int]] = {x0: None for x0 in v0 if room[x0]}
+        reached: dict[int, int] = {}
+        queue = list(came)
+        end = None
+        for x0 in queue:
+            for y in inside[x0]:
+                if y in reached or owner.get(y) == x0:
+                    continue
+                reached[y] = x0
+                back = owner.get(y)
+                if back is None:
+                    end = y
+                    break
+                if back not in came:
+                    came[back] = y
+                    queue.append(back)
+            if end is not None:
+                break
+        if end is None:
+            break
+        y = end
+        while True:
+            x0 = reached[y]
+            owner[y] = x0
+            y = came[x0]
+            if y is None:
+                room[x0] -= 1
+                break
+        value += 1
+    if value < required:
         raise InternalInvariantError(
-            f"ownership flow is {result.value} < {required}; the expansion "
+            f"ownership flow is {value} < {required}; the expansion "
             "hypothesis asserted by the caller fails on this subset"
         )
 
     owned: dict[int, set[int]] = {x0: set() for x0 in v0}
-    owner: dict[int, int] = {}
-    for x0 in v0:
-        for y in adj0[x0]:
-            if y in v1_set and result.flow.get((("v0", x0), ("v1", y)), 0) == 1:
-                owned[x0].add(y)
-                owner[y] = x0
+    for y, x0 in owner.items():
+        owned[x0].add(y)
     for x1 in v1:
         if x1 not in owner:
             if not graph.adj1[x1]:
@@ -580,8 +608,8 @@ def tree_partition(
     leftover: dict[int, int] = dict.fromkeys(range(graph.v0_size), 0)
     for x0 in v0:
         assignment[x0] = frozenset(owned[x0])
-        leftover[x0] = deg[x0] - len(owned[x0])
-    return TreePartition(assignment, leftover, result.value, threshold)
+        leftover[x0] = len(inside[x0]) - len(owned[x0])
+    return TreePartition(assignment, leftover, value, threshold)
 
 
 @dataclass(frozen=True)
@@ -610,9 +638,10 @@ def verify_tree_partition(
     """Recompute every partition invariant from scratch.
 
     Checks disjointness, coverage of v1, containment in neighborhoods,
-    leftover <= epsilon * w0, and the majorization of the sorted leftover
-    sequence by {epsilon*w0 repeated ceil((w1/(epsilon*w0)) |v1|) times}
-    (skipped when epsilon = 0 and all leftovers are zero).
+    leftover <= epsilon * w0 (and no leftover recorded outside V0), and the
+    majorization of the sorted leftover sequence by {epsilon*w0 repeated
+    ceil((w1/(epsilon*w0)) |v1|) times} (skipped when epsilon = 0 and all
+    leftovers are zero).
     """
     epsilon = Fraction(epsilon)
     v1 = set(v1_subset)
@@ -641,6 +670,9 @@ def verify_tree_partition(
         if Fraction(actual) > bound:
             leftover_ok = False
         leftovers.append(actual)
+    # A vertex outside V0 has no neighbors, so it leaves nothing over.
+    if any(n and not 0 <= x0 < graph.v0_size for x0, n in part.leftover.items()):
+        leftover_ok = False
 
     if epsilon == 0:
         skipped = all(v == 0 for v in leftovers)

@@ -254,8 +254,16 @@ def kernel_basis(a: F2Matrix) -> list[F2Vector]:
     """Basis of the right kernel {v : A v = 0}, in reduced echelon order.
 
     One basis vector per free column, listed by ascending free column; each
-    satisfies A v = 0 and the basis size equals cols - rank(A).  The vector
-    of free column f is f plus every pivot column whose pivot row holds f.
+    satisfies A v = 0 and the basis size equals cols - rank(A).
+    """
+    return [F2Vector.from_mask(a.cols, v) for v in kernel_masks(a)]
+
+
+def kernel_masks(a: F2Matrix) -> list[int]:
+    """The `kernel_basis` of A as packed masks, in the same order.
+
+    The vector of free column f is f plus every pivot column whose pivot row
+    holds f.
     """
     pivot_rows, pivot_cols = a._rref
     vectors = [1 << f for f in range(a.cols)]
@@ -264,7 +272,7 @@ def kernel_basis(a: F2Matrix) -> list[F2Vector]:
         bit = 1 << col
         for f in bits(row ^ bit):
             vectors[f] |= bit
-    return [F2Vector.from_mask(a.cols, v) for v in vectors if v]
+    return [v for v in vectors if v]
 
 
 @dataclass(frozen=True)

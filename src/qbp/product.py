@@ -36,10 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import itemgetter, or_
+from operator import itemgetter, mul, or_
 from typing import Optional
 
-from .errors import PreconditionError, ValidationError
+from .errors import InternalInvariantError, PreconditionError, ValidationError
 from .gf2 import F2Matrix, mat_mul
 from .graphs import BipartiteGraph, GraphAction, regularity, verify_edge_invariance
 from .groups import GroupAction, trivial_action, trivial_group, verify_free_action
@@ -705,14 +705,42 @@ def _check_faces(cpx: BalancedProductComplex, faces: tuple[tuple[int, ...], ...]
     """Each face (z00, z10, z01, z11) must lie on four edges, and the faces
     must match the V00-V10-V11 and the V00-V01-V11 paths one to one.
 
-    One pass over the faces, in file order, names the first face off the
-    edges or repeating an earlier face's path.  Each face holds one path of
-    each kind, so with no path repeated the faces cover every path exactly
-    when there are as many as there are paths; only a shortfall is scanned,
-    for the first path on no face.  Passing, it proves the chain condition:
-    the faces with corners z00 and z11 count both the paths from z00 to z11
-    through V10 and those through V01, so the two counts are equal.
+    Set algebra accepts the faces, in C: the corner columns of the faces are
+    zipped into corner pairs, each of which must be a subset of its edge
+    class, and into the two kinds of path, each of which must have as many
+    distinct elements as there are faces.  Only a file that fails this is
+    scanned face by face, in file order, for the first face off the edges
+    or repeating an earlier face's path (`_first_bad_face`).  Each face
+    holds one path of each kind, so with no path repeated the faces cover
+    every path exactly when there are as many as there are paths; only a
+    shortfall is scanned, for the first path on no face.  Passing, it
+    proves the chain condition: the faces with corners z00 and z11 count
+    both the paths from z00 to z11 through V10 and those through V01, so
+    the two counts are equal.
     """
+    z00s, z10s, z01s, z11s = tuple(zip(*faces)) or ((),) * 4
+    via10 = set(zip(z00s, z10s, z11s))
+    via01 = set(zip(z00s, z01s, z11s))
+    if not (len(via10) == len(via01) == len(faces)
+            and cpx.edges_v00_v10.issuperset(zip(z00s, z10s))
+            and cpx.edges_v00_v01.issuperset(zip(z00s, z01s))
+            and cpx.edges_v10_v11.issuperset(zip(z10s, z11s))
+            and cpx.edges_v01_v11.issuperset(zip(z01s, z11s))):
+        raise _first_bad_face(cpx, faces)
+    for cell, via, down, up in (("V10", via10, "v00_v10", "v10_v11"),
+                                ("V01", via01, "v00_v01", "v01_v11")):
+        into, out = cpx.subgraph(down).adj1, cpx.subgraph(up).adj0
+        if sum(map(mul, map(len, into), map(len, out))) != len(via):
+            z00, z, z11 = next((z00, z, z11) for z, (a, b) in enumerate(zip(into, out))
+                               for z00 in a for z11 in b if (z00, z, z11) not in via)
+            raise ValidationError(
+                f"no face holds the path V00 {z00} -> {cell} {z} -> V11 {z11}")
+
+
+def _first_bad_face(cpx: BalancedProductComplex,
+                    faces: tuple[tuple[int, ...], ...]) -> ValidationError:
+    """The refusal of the first face, in file order, that is off the edges
+    or repeats a two-edge path of an earlier face."""
     e10, e01 = cpx.edges_v00_v10, cpx.edges_v00_v01
     f10, f01 = cpx.edges_v10_v11, cpx.edges_v01_v11
     via10: set[tuple[int, int, int]] = set()
@@ -721,19 +749,12 @@ def _check_faces(cpx: BalancedProductComplex, faces: tuple[tuple[int, ...], ...]
         z00, z10, z01, z11 = face
         if not ((z00, z10) in e10 and (z00, z01) in e01
                 and (z10, z11) in f10 and (z01, z11) in f01):
-            raise ValidationError(f"face {list(face)} does not lie on four edges of the complex")
+            return ValidationError(f"face {list(face)} does not lie on four edges of the complex")
         if (z00, z10, z11) in via10 or (z00, z01, z11) in via01:
-            raise ValidationError(f"face {list(face)} repeats a two-edge path of an earlier face")
+            return ValidationError(f"face {list(face)} repeats a two-edge path of an earlier face")
         via10.add((z00, z10, z11))
         via01.add((z00, z01, z11))
-    for cell, via, down, up in (("V10", via10, "v00_v10", "v10_v11"),
-                                ("V01", via01, "v00_v01", "v01_v11")):
-        ends = tuple(zip(cpx.subgraph(down).adj1, cpx.subgraph(up).adj0))
-        if sum(len(a) * len(b) for a, b in ends) != len(via):
-            z00, z, z11 = next((z00, z, z11) for z, (a, b) in enumerate(ends)
-                               for z00 in a for z11 in b if (z00, z, z11) not in via)
-            raise ValidationError(
-                f"no face holds the path V00 {z00} -> {cell} {z} -> V11 {z11}")
+    raise InternalInvariantError("the set checks refused faces with no bad face")
 
 
 def _check_degrees(cpx: BalancedProductComplex) -> None:

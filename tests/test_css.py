@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import qbp
-from qbp import gf2
+from qbp import css, gf2
 from qbp.css import (
     brute_distance,
     code_params,
@@ -187,6 +187,27 @@ class TestDistance:
         monkeypatch.undo()
         with pytest.raises(OracleUnavailableError, match="over the budget of 0"):
             brute_distance(code, "z", budget=0)
+
+    def test_z_kernel_residues_are_derived_once_per_code(self, toric3_code, monkeypatch):
+        # brute_distance(code, "z") and locally_minimal_distance share one
+        # sliced ker(Hx); the X side derives its own on each call, and a
+        # budget below the kernel is refused after the Z side is cached.
+        fresh = extract_code(toric3_code.cpx)
+        derived = []
+        with_residues = css._with_residues
+        monkeypatch.setattr(css, "_with_residues",
+                            lambda *args: derived.append(args[1]) or with_residues(*args))
+        z = brute_distance(fresh, "z")
+        lm = locally_minimal_distance(fresh)
+        assert brute_distance(fresh, "z") == z
+        assert derived == [fresh.z_stabilizers]
+        brute_distance(fresh, "x")
+        assert derived == [fresh.z_stabilizers, fresh.x_stabilizers]
+        assert (z.d, lm.d_lm_nontrivial, lm.kernel_dim) == (3, 3, 10)
+        for oracle in (lambda b: brute_distance(fresh, "z", budget=b),
+                       lambda b: locally_minimal_distance(fresh, budget=b)):
+            with pytest.raises(OracleUnavailableError, match="has 2\\^10 vectors"):
+                oracle((1 << 10) - 1)
 
     def test_balanced_product_code_parameters(self):
         # Regression values from the same oracle that the toric family

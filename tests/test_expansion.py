@@ -350,6 +350,11 @@ class TestTreePartition:
         "owner_minus_one": ([0], {-1: {0}}, {0: 1, 3: 1}, "within_neighborhoods"),
         "owner_past_v0": ([0], {4: {0}}, {0: 1, 3: 1}, "within_neighborhoods"),
         "leftover_misstated": ([0], {0: {0}}, {}, "leftover_ok"),
+        # tree_partition's own leftovers with entries outside V0 added.
+        "leftover_minus_one": ([0], {0: {0}}, {0: 0, 1: 0, 2: 0, 3: 1, -1: 7}, "leftover_ok"),
+        "leftover_past_v0": ([0], {0: {0}}, {0: 0, 1: 0, 2: 0, 3: 1, 9: 5}, "leftover_ok"),
+        "leftovers_outside_v0": ([0], {0: {0}}, {0: 0, 1: 0, 2: 0, 3: 1, -1: 7, 9: 5},
+                                 "leftover_ok"),
     }
 
     @pytest.mark.parametrize("case", sorted(BROKEN))

@@ -4,16 +4,17 @@ Freeness scans, translation actions, regularity verdicts and the complex's
 subgraphs are computed once per object; a group's translations are built
 without a check or a freeness scan, and a table equal to one of them loads
 as that object; the region diagnostics visit only
-the faces through an error qubit; `tree_partition` builds its flow over
-N(v1) only; and a complex's code reads its weight off the subgraph
-adjacency.  Each is compared here with the earlier formulation, kept as an
-oracle: the validating action path, the full face scan, the all-owners
-partition, the uncached regularity and freeness scans, and the column-mask
-weight.  Every field
+the faces through an error qubit; `tree_partition` runs its flow over
+N(v1) only, on the vertex ids; and a complex's code reads its weight off
+the subgraph adjacency.  Each is compared here with the earlier
+formulation, kept as an oracle: the validating action path, the full face
+scan, the all-owners partition on a `FlowNetwork`, the uncached regularity
+and freeness scans, and the column-mask weight.  Every field
 must be equal, `per_vertex`, `assignment` and `leftover` included, and so
 must every refusal.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qbp import graphs, groups, product
+from qbp import expansion, graphs, groups, product
 from qbp.css import CssCode, extract_code
 from qbp.decoder import RegionReport, _index_for, region_diagnostics
 from qbp.errors import InternalInvariantError, PreconditionError, ValidationError
@@ -685,3 +686,61 @@ class TestLocalDiagnostics:
         for q in range(cpx.v01_size):
             assert sorted(at01.get(q, ())) == sorted(f for f in cpx.faces if f[2] == q)
         assert sum(map(len, at10.values())) == sum(map(len, at01.values())) == len(cpx.faces)
+
+
+def flow_targets(graph, seed):
+    """Every target of at most two vertices, then 40 seeded ones each of
+    three and of four."""
+    pool = range(graph.v1_size)
+    targets = [t for k in range(3) for t in itertools.combinations(pool, k)]
+    rng = random.Random(seed)
+    for k in (3, 4):
+        if graph.v1_size >= k:
+            targets += [tuple(rng.sample(pool, k)) for _ in range(40)]
+    return targets
+
+
+FLOW_FAMILIES = ("toric4", "star6", "cayley_z8", "incidence5")
+
+
+class TestOwnershipFlow:
+    """`tree_partition` runs its flow on vertex ids; the oracle builds the
+    `FlowNetwork` and calls `max_flow_integer`, as the partition once did."""
+
+    @pytest.mark.parametrize("eps", [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)],
+                             ids=["0", "1/3", "1/2", "1"])
+    @pytest.mark.parametrize("which", ["v00_v10", "v00_v01"])
+    @pytest.mark.parametrize("name", FLOW_FAMILIES)
+    def test_partitions_equal_the_flow_network_oracle(self, name, which, eps):
+        graph = family(name).subgraph(which)
+        for target in flow_targets(graph, seed=len(name) * 7 + len(which)):
+            for w0 in range(1, 5):
+                assert outcome(tree_partition, graph, target, eps, w0) == \
+                    outcome(oracle_tree_partition, graph, target, eps, w0)
+
+    @pytest.mark.parametrize("graph, target, kind, message", [
+        (lambda: family("toric4").subgraph("v00_v10"), [0], InternalInvariantError,
+         "ownership flow is 1 < 2; the expansion hypothesis asserted by the caller "
+         "fails on this subset"),
+        (lambda: BipartiteGraph(2, 3, frozenset()), [0, 2], PreconditionError,
+         "target vertex 0 has no neighbors; nothing can own it"),
+    ], ids=["flow_short", "no_neighbors"])
+    def test_refusals_equal_the_oracle(self, graph, target, kind, message):
+        g = graph()
+        got = outcome(tree_partition, g, target, Fraction(0), 2)
+        assert got == (kind, message)
+        assert got == outcome(oracle_tree_partition, g, target, Fraction(0), 2)
+
+    def test_no_flow_network_is_built(self, monkeypatch):
+        cases = [(family(name).subgraph(which), target, eps, w0)
+                 for name in sorted(FAMILIES) for which in ("v00_v10", "v00_v01")
+                 for target in flow_targets(family(name).subgraph(which), seed=3)[::9]
+                 for eps, w0 in ((Fraction(0), 2), (Fraction(1, 2), 3))]
+        want = [outcome(oracle_tree_partition, *case) for case in cases]
+
+        def forbidden(*args, **kwargs):
+            pytest.fail("tree_partition built a FlowNetwork or called max_flow_integer")
+
+        monkeypatch.setattr(expansion, "FlowNetwork", forbidden)
+        monkeypatch.setattr(expansion, "max_flow_integer", forbidden)
+        assert [outcome(tree_partition, *case) for case in cases] == want

@@ -120,6 +120,7 @@ def assert_elimination_matches(m):
     assert m._rref == oracle_rref(m.row_masks, m.cols)
     assert gf2.rank(m) == len(oracle_rref(m.row_masks, m.cols)[0])
     assert gf2.kernel_basis(m) == oracle_kernel_basis(m.row_masks, m.cols)
+    assert gf2.kernel_masks(m) == [v.to_mask() for v in oracle_kernel_basis(m.row_masks, m.cols)]
     space = gf2.row_space(m)
     assert (space.pivot_rows, space.pivot_cols) == oracle_rref(m.row_masks, m.cols)
 

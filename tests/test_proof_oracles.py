@@ -10,7 +10,9 @@ as the oracle: `verify_chain_condition`, `FiniteGroup.from_table`,
 `GroupAction.from_table` with `_first_fixed_point`, and a loader that
 multiplies the maps before checking degrees and faces.  That loader decides
 which files are accepted; the loader itself refuses the rest by its own
-checks, naming the first one that fails.
+checks, naming the first one that fails.  The oracle loader checks faces
+by one scan over them (`oracle_check_faces`), which the loader's set
+algebra must agree with, message for message.
 """
 
 import copy
@@ -55,6 +57,33 @@ _VERDICT = BalancedProductComplex.chain_check.attrname
 # -- oracles: the validating paths ------------------------------------------------
 
 
+def oracle_check_faces(cpx, faces):
+    """The face check as one scan over the faces, in file order: the first
+    face off the edges or repeating an earlier face's path is named, then
+    the first path on no face."""
+    e10, e01 = cpx.edges_v00_v10, cpx.edges_v00_v01
+    f10, f01 = cpx.edges_v10_v11, cpx.edges_v01_v11
+    via10 = set()
+    via01 = set()
+    for face in faces:
+        z00, z10, z01, z11 = face
+        if not ((z00, z10) in e10 and (z00, z01) in e01
+                and (z10, z11) in f10 and (z01, z11) in f01):
+            raise ValidationError(f"face {list(face)} does not lie on four edges of the complex")
+        if (z00, z10, z11) in via10 or (z00, z01, z11) in via01:
+            raise ValidationError(f"face {list(face)} repeats a two-edge path of an earlier face")
+        via10.add((z00, z10, z11))
+        via01.add((z00, z01, z11))
+    for cell, via, down, up in (("V10", via10, "v00_v10", "v10_v11"),
+                                ("V01", via01, "v00_v01", "v01_v11")):
+        ends = tuple(zip(cpx.subgraph(down).adj1, cpx.subgraph(up).adj0))
+        if sum(len(a) * len(b) for a, b in ends) != len(via):
+            z00, z, z11 = next((z00, z, z11) for z, (a, b) in enumerate(ends)
+                               for z00 in a for z11 in b if (z00, z, z11) not in via)
+            raise ValidationError(
+                f"no face holds the path V00 {z00} -> {cell} {z} -> V11 {z11}")
+
+
 def oracle_complex_from_json(obj):
     """The acceptance oracle: the chain condition by multiplying the maps
     (whose rows check every endpoint) first, then degrees, then faces."""
@@ -80,7 +109,7 @@ def oracle_complex_from_json(obj):
             f"complex JSON violates the chain condition at V00 column {check.witness_column}")
     if cpx.degrees is not None:
         product._check_degrees(cpx)
-    product._check_faces(cpx, faces)
+    oracle_check_faces(cpx, faces)
     return cpx
 
 
@@ -168,7 +197,7 @@ class TestChainVerdictByProof:
 
 
 CORRUPTIONS = ("move_edge", "past_class", "drop_edge", "add_edge", "drop_face", "move_face",
-               "degree")
+               "repeat_face", "degree")
 _CLASS_SIZES = {"v00_v10": ("v00", "v10"), "v01_v11": ("v01", "v11"),
                 "v00_v01": ("v00", "v01"), "v10_v11": ("v10", "v11")}
 
@@ -180,11 +209,15 @@ def corrupt(obj, kind, data):
         name = data.draw(st.sampled_from(["down", "up", "right", "left"]), label="degree")
         obj["degrees"][name] += data.draw(st.sampled_from([-1, 1]), label="by")
         return
-    if kind in ("drop_face", "move_face"):
+    if kind in ("drop_face", "move_face", "repeat_face"):
         assume(obj["faces"])
         i = data.draw(st.integers(0, len(obj["faces"]) - 1), label="face")
         if kind == "drop_face":
             del obj["faces"][i]
+            return
+        if kind == "repeat_face":
+            j = data.draw(st.integers(0, len(obj["faces"]) - 1), label="copy")
+            obj["faces"][i] = list(obj["faces"][j])
             return
         corner = data.draw(st.integers(0, 3), label="corner")
         size = obj[("v00", "v10", "v01", "v11")[corner]]
@@ -252,6 +285,17 @@ def _repeated_path():
             "faces": [[0, 0, 0, 0], [0, 0, 1, 0]], "degrees": None, "group_order": 1}
 
 
+def _repeated_v01_path():
+    # The mirror image: two paths through V10 and one through V01, which
+    # both faces hold.  Both faces lie on four edges and their V10 paths
+    # differ, so only the count of distinct V01 paths refuses the file.
+    return {"reps_v00": [[0, 0]], "reps_v10": [[0, 0], [0, 1]],
+            "reps_v01": [[0, 0]], "reps_v11": [[0, 0]],
+            "edges_v00_v10": [[0, 0], [0, 1]], "edges_v10_v11": [[0, 0], [1, 0]],
+            "edges_v00_v01": [[0, 0]], "edges_v01_v11": [[0, 0]],
+            "faces": [[0, 0, 0, 0], [0, 1, 0, 0]], "degrees": None, "group_order": 1}
+
+
 def _without_first(obj, field):
     return dict(obj, **{field: obj[field][1:]})
 
@@ -267,6 +311,9 @@ def _first_face_moved(obj):
 _PINNED = {
     "repeated_path": (_repeated_path, "complex JSON violates the chain condition at V00 column 0",
                       "face [0, 0, 1, 0] repeats a two-edge path of an earlier face"),
+    "repeated_v01_path": (_repeated_v01_path,
+                          "complex JSON violates the chain condition at V00 column 0",
+                          "face [0, 1, 0, 0] repeats a two-edge path of an earlier face"),
     "z8_no_edge": (lambda: _without_first(_cayley_z8(), "edges_v10_v11"),
                    "complex JSON violates the chain condition at V00 column 6",
                    "degrees say right = 2, but V10 vertex 0 has 1 edges in v10_v11"),
@@ -324,6 +371,33 @@ class TestLoaderRefusals:
                 dropped = dict(obj, **{field: obj[field][:i] + obj[field][i + 1:]})
                 refused += assert_loaded_as_the_oracle_loads(dropped)
         assert refused >= len(obj["faces"])
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_face_check_agrees_with_the_face_scan(self, name):
+        # Every face replaced by a copy of the next, and every corner of
+        # every face moved by one within its class: the set algebra accepts
+        # or refuses each face list as the scan does, message for message.
+        cpx = family(name)
+        faces = tuple(sorted(cpx.faces))
+        sizes = (cpx.v00_size, cpx.v10_size, cpx.v01_size, cpx.v11_size)
+        variants = [faces]
+        for i, face in enumerate(faces):
+            variants.append(faces[:i] + faces[(i + 1) % len(faces):][:1] + faces[i + 1:])
+            for corner, size in enumerate(sizes):
+                moved = list(face)
+                moved[corner] = (moved[corner] + 1) % size
+                variants.append(faces[:i] + (tuple(moved),) + faces[i + 1:])
+
+        def checked(check, faces):
+            try:
+                check(cpx, faces)
+            except ValidationError as exc:
+                return str(exc)
+            return None
+
+        got = [checked(product._check_faces, v) for v in variants]
+        assert got == [checked(oracle_check_faces, v) for v in variants]
+        assert got[0] is None and any(got)
 
 
 # -- groups by formula ------------------------------------------------------------------
