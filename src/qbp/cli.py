@@ -155,7 +155,7 @@ def _load_json(path: str) -> dict:
 
 def _load_vector(path: str) -> F2Vector:
     """Load `{length, support}`: an int length within the declared-size budget
-    and a list of int indices."""
+    and a list of distinct int indices."""
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise ValidationError(
@@ -168,6 +168,12 @@ def _load_vector(path: str) -> F2Vector:
         raise ValidationError(
             f"vector support must be a list of ints, got {type(support).__name__}")
     (indices,) = _int_rows([support], "vector support")
+    if len(set(indices)) != len(indices):
+        seen: set[int] = set()
+        for i in indices:
+            if i in seen:
+                raise ValidationError(f"vector support repeats index {i}")
+            seen.add(i)
     return F2Vector.from_support(_size_value(length, "vector length"), indices)
 
 
@@ -295,11 +301,15 @@ def _cmd_simulate(args) -> tuple[dict, dict, Optional[str]]:
 
 
 def _cmd_diagnose(args) -> tuple[dict, dict, Optional[str]]:
-    cpx, code = _load_code(args.complex)
+    # The region report reads the complex alone, so no code is extracted: the
+    # loader has already settled the chain condition that extraction checks.
+    cpx = product.complex_from_json(_load_json(args.complex))
     error = _load_vector(args.error)
-    if error.length != code.n:
-        raise ValidationError(f"error length {error.length} != n = {code.n}")
-    v10, v01 = code.split_support(error)
+    if error.length != cpx.n_qubits:
+        raise ValidationError(f"error length {error.length} != n = {cpx.n_qubits}")
+    split = cpx.v10_size
+    v10 = frozenset(i for i in error.support if i < split)
+    v01 = frozenset(i - split for i in error.support if i >= split)
     if cpx.degrees is None:
         raise ValidationError("diagnostics need biregular factors")
     eps = parse_rational(args.epsilon)

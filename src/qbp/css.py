@@ -341,47 +341,6 @@ def _key_weights(code: CssCode, normalized: bool) -> tuple[int, int]:
     return code.degrees.right, code.degrees.down
 
 
-def _flip_search(code: CssCode, normalized: bool):
-    """The integer weight key and the first improving Hz-row flip.
-
-    key(m) = a|m & V10| + b|m & V01| with (a, b) = (right, down) when
-    normalized and (1, 1) otherwise.  Normalized, it is down*right times
-    |v10|/down + |v01|/right, so it orders vectors exactly as that weight.
-    Adding Hz row r changes the key by key(r) - 2 key(m & r); a row disjoint
-    from m can only raise it, so `first_improving(m)` looks only at the rows
-    that meet m's support, in ascending row order, and returns the first one
-    whose addition strictly lowers the key (None when m is locally minimal).
-    A zero degree leaves the normalized weight undefined and is refused.
-    """
-    split = code.v10_size
-    low_block = (1 << split) - 1
-    a, b = _key_weights(code, normalized)
-
-    def key(m: int) -> int:
-        return a * (m & low_block).bit_count() + b * (m >> split).bit_count()
-
-    rows = code.hz.row_masks
-    row_keys = [key(r) for r in rows]
-    rows_at = code.hz.col_masks          # qubit -> the Hz rows containing it
-
-    def first_improving(m: int) -> Optional[int]:
-        touched = 0
-        rest = m
-        while rest:
-            low = rest & -rest
-            touched |= rows_at[low.bit_length() - 1]
-            rest ^= low
-        while touched:
-            low = touched & -touched
-            i = low.bit_length() - 1
-            if 2 * key(m & rows[i]) > row_keys[i]:
-                return i
-            touched ^= low
-        return None
-
-    return key, first_improving
-
-
 @dataclass(frozen=True)
 class FlipReduction:
     vector: F2Vector
@@ -393,22 +352,40 @@ def greedy_flip_reduce(code: CssCode, c1: F2Vector, normalized: bool) -> FlipRed
     (normalized) weight strictly drops; the result is (normalized) locally
     minimal and has the same syndrome as the input.
 
-    The first improving row in ascending index is taken, so the output is
-    deterministic.  Weights are compared through the exact integer key of
-    `_flip_search`, and only rows meeting the current support are tried.
+    Weights are compared through the exact integer key of `_key_weights`,
+    key(m) = a|m & V10| + b|m & V01|.  Adding Hz row r changes it by
+    key(r) - 2 key(m & r); a row disjoint from m can only raise it, so each
+    step tries only the rows that meet m's support, in ascending row order,
+    and takes the first one whose addition strictly lowers the key.  The
+    output is therefore deterministic.
     """
     if c1.length != code.n:
         raise ValidationError(f"vector length {c1.length} != n = {code.n}")
     if normalized and code.degrees is None:
         raise PreconditionError("normalized reduction needs recorded degrees")
-    _, first_improving = _flip_search(code, normalized)
+    split = code.v10_size
+    low_block = (1 << split) - 1
+    a, b = _key_weights(code, normalized)
+
+    def key(m: int) -> int:
+        return a * (m & low_block).bit_count() + b * (m >> split).bit_count()
+
     rows = code.hz.row_masks             # row i of Hz = column i of the V00 map
+    row_keys = [key(r) for r in rows]
+    rows_at = code.hz.col_masks          # qubit -> the Hz rows containing it
     mask = c1.to_mask()
     iterations = 0
-    while (i := first_improving(mask)) is not None:
+    while True:
+        touched = 0
+        for q in gf2.bits(mask):
+            touched |= rows_at[q]
+        for i in gf2.bits(touched):
+            if 2 * key(mask & rows[i]) > row_keys[i]:
+                break
+        else:
+            return FlipReduction(F2Vector.from_mask(code.n, mask), iterations)
         mask ^= rows[i]
         iterations += 1
-    return FlipReduction(F2Vector.from_mask(code.n, mask), iterations)
 
 
 def is_locally_minimal(code: CssCode, c1: F2Vector, normalized: bool) -> bool:
@@ -503,7 +480,7 @@ def minimal_coset_representative(
 
     Exhaustive over the solution coset (particular solution plus the full
     kernel of Hx), so only feasible at toy sizes; budgeted accordingly.
-    Candidates are compared by the integer key of `_flip_search` (ties go to
+    Candidates are compared by the integer key of `_key_weights` (ties go to
     the smaller mask); the returned weight is that key over down*right.  The
     coset is read in bit-sliced blocks of at most 2^12 combinations, as in
     `brute_distance`: a block's least key is a minimum over carry-save key

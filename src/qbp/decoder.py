@@ -53,9 +53,9 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain
 from operator import or_, xor
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .css import CssCode
 from .errors import BudgetExceededError, InternalInvariantError, PreconditionError, ValidationError
@@ -623,8 +623,8 @@ def region_diagnostics(
     _check_partition(cpx, "v00_v10", v10_set, part10)
     _check_partition(cpx, "v00_v01", v01_set, part01)
 
-    owner10 = {q: x00 for x00, owned in _owners(part10) for q in owned}
-    owner01 = {q: x00 for x00, owned in _owners(part01) for q in owned}
+    owner10 = {q: x00 for x00, owned in part10.assignment.items() for q in owned}
+    owner01 = {q: x00 for x00, owned in part01.assignment.items() for q in owned}
 
     # Degree of each V11 corner into the error, for uniqueness and multihit.
     adj10, adj01 = cpx.subgraph("v10_v11").adj0, cpx.subgraph("v01_v11").adj0
@@ -706,11 +706,6 @@ def region_diagnostics(
     return report
 
 
-def _owners(part: TreePartition) -> Iterator[tuple[int, frozenset[int]]]:
-    """The (owner, owned) items of a partition that own something."""
-    return compress(part.assignment.items(), part.assignment.values())
-
-
 def _zero_counts() -> dict[str, int]:
     return {"touched": 0, "stray": 0, "multihit": 0, "unowned_pairs": 0,
             "flipped": 0, "lit": 0, "unique": 0}
@@ -722,15 +717,15 @@ def _check_partition(
     target: frozenset[int],
     part: TreePartition,
 ) -> None:
-    """Owners lie in V00 (one min and max over them); the nonempty owned
-    sets are disjoint, inside their owners' neighborhoods and cover target."""
+    """Owners lie in V00 (one min and max over them); the owned sets are
+    disjoint, inside their owners' neighborhoods and cover target."""
     graph = cpx.subgraph(which)
     owners = part.assignment
     if owners and (min(owners) < 0 or max(owners) >= graph.v0_size):
         x00 = next(x for x in owners if not 0 <= x < graph.v0_size)
         raise PreconditionError(f"partition owner {x00} outside V00")
     seen: set[int] = set()
-    for x00, owned in _owners(part):
+    for x00, owned in owners.items():
         if owned & seen:
             raise PreconditionError(f"partition for {which} is not disjoint")
         seen |= owned

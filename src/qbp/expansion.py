@@ -487,7 +487,9 @@ class TreePartition:
 
     assignment[x0] is the set of v1-vertices owned by x0; the sets partition
     v1 and each x0 keeps at most threshold = floor(epsilon * w0) neighbors in
-    v1 unowned (its leftover degree).
+    v1 unowned (its leftover degree).  Both dicts are keyed by N(v1) in
+    ascending order: a V0 vertex not next to v1 is absent, which means it owns
+    nothing and leaves nothing over.
     """
 
     assignment: dict[int, frozenset[int]]
@@ -529,8 +531,8 @@ def tree_partition(
     network's.
 
     The work is local to v1: only N(v1) can own a vertex or keep a leftover,
-    so every other V0 vertex gets an empty set and leftover 0 without being
-    visited (the graph's regularity verdict is computed once per graph).
+    so no other V0 vertex is visited or listed (the graph's regularity verdict
+    is computed once per graph).
     """
     epsilon = Fraction(epsilon)
     if epsilon < 0:
@@ -590,9 +592,6 @@ def tree_partition(
             "hypothesis asserted by the caller fails on this subset"
         )
 
-    owned: dict[int, set[int]] = {x0: set() for x0 in v0}
-    for y, x0 in owner.items():
-        owned[x0].add(y)
     for x1 in v1:
         if x1 not in owner:
             if not graph.adj1[x1]:
@@ -601,14 +600,12 @@ def tree_partition(
                 )
             # Top-up: any neighbor may own an unclaimed vertex; lowest index
             # is chosen for determinism.
-            x0 = graph.adj1[x1][0]
-            owned[x0].add(x1)
-            owner[x1] = x0
-    assignment: dict[int, frozenset[int]] = dict.fromkeys(range(graph.v0_size), frozenset())
-    leftover: dict[int, int] = dict.fromkeys(range(graph.v0_size), 0)
-    for x0 in v0:
-        assignment[x0] = frozenset(owned[x0])
-        leftover[x0] = len(inside[x0]) - len(owned[x0])
+            owner[x1] = graph.adj1[x1][0]
+    owned: dict[int, set[int]] = {x0: set() for x0 in v0}
+    for y, x0 in owner.items():
+        owned[x0].add(y)
+    assignment = {x0: frozenset(ys) for x0, ys in owned.items()}
+    leftover = {x0: len(inside[x0]) - len(ys) for x0, ys in owned.items()}
     return TreePartition(assignment, leftover, value, threshold)
 
 
@@ -640,8 +637,8 @@ def verify_tree_partition(
     Checks disjointness, coverage of v1, containment in neighborhoods,
     leftover <= epsilon * w0 (and no leftover recorded outside V0), and the
     majorization of the sorted leftover sequence by {epsilon*w0 repeated
-    ceil((w1/(epsilon*w0)) |v1|) times} (skipped when epsilon = 0 and all
-    leftovers are zero).
+    ceil((w1/(epsilon*w0)) |v1|) times} (skipped when epsilon * w0 = 0 and
+    all leftovers are zero).
     """
     epsilon = Fraction(epsilon)
     v1 = set(v1_subset)
@@ -674,7 +671,7 @@ def verify_tree_partition(
     if any(n and not 0 <= x0 < graph.v0_size for x0, n in part.leftover.items()):
         leftover_ok = False
 
-    if epsilon == 0:
+    if bound == 0:
         skipped = all(v == 0 for v in leftovers)
         return TreePartitionAudit(disjoint, covering, within, leftover_ok,
                                   majorization_ok=skipped, majorization_skipped=skipped)

@@ -24,7 +24,9 @@ from qbp.expansion import (
     verify_tree_partition,
 )
 from qbp.graphs import build_bipartite, neighbors, regularity
-from qbp.instances import bipartite_cycle, doubled_complete_incidence, random_biregular, star_graph
+from qbp.groups import cyclic_group
+from qbp.instances import (bipartite_cycle, doubled_complete_incidence, matching_cayley,
+                           random_biregular, star_graph)
 
 
 def k33():
@@ -338,7 +340,8 @@ class TestTreePartition:
         part = tree_partition(g, [1], Fraction(1, 2), 2)
         audit = verify_tree_partition(g, [1], Fraction(1, 2), 2, part)
         assert audit.all_ok
-        assert sorted(part.leftover.values()) == [0, 0, 1]
+        assert sorted(part.leftover.values()) == [0, 1]
+        assert 2 not in part.leftover          # not next to the target
 
     # Hand-made partitions of v1 on bipartite_cycle(4) (adj0: 0 -> {0, 1},
     # 1 -> {1, 2}, 2 -> {2, 3}, 3 -> {0, 3}) at epsilon * w0 = 1, each
@@ -379,6 +382,15 @@ class TestTreePartition:
             audit = verify_tree_partition(g, v1, Fraction(0), 3, part)
             assert audit.all_ok
             assert audit.majorization_skipped
+
+    def test_zero_bound_with_positive_epsilon_forces_zero_leftovers(self):
+        # epsilon > 0 but epsilon * w0 = 0: the audit needs every leftover to
+        # be 0 and skips majorization, as at epsilon = 0.
+        g = matching_cayley(cyclic_group(4), 1).graph
+        part = tree_partition(g, [0], Fraction(1, 2), 0)
+        audit = verify_tree_partition(g, [0], Fraction(1, 2), 0, part)
+        assert audit.all_ok
+        assert audit.majorization_skipped
 
     def test_three_regular_example(self):
         # (3,3)-regular random graphs, |v1| = 3, epsilon*w0 = 1: all leftovers

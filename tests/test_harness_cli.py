@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import qbp
-from qbp import gf2, jsonio
+from qbp import css, gf2, jsonio
 from qbp.cli import cli_dispatch
 from qbp.errors import ValidationError
 from qbp.graphs import graph_to_json
@@ -294,6 +294,42 @@ class TestCli:
             "error: the given epsilon cannot partition the error: ownership flow is 1 < 2; "
             "the expansion hypothesis asserted by the caller fails on this subset\n")
         assert not (workdir / "out.json").exists()
+
+    def test_diagnose_builds_no_code(self, workdir, capsys, monkeypatch):
+        # The report reads the complex alone: with extraction refused, the
+        # bytes are the same, and so is the length refusal.
+        cpx = left_right_cayley(cyclic_group(8), [1, 2], [1, 4])
+        (workdir / "z8.json").write_text(jsonio.canonical_dumps(complex_to_json(cpx)))
+        (workdir / "err.json").write_text(json.dumps({"length": 16, "support": [1, 9, 12]}))
+        (workdir / "short.json").write_text(json.dumps({"length": 15, "support": [1]}))
+        argv = ("diagnose", "--complex", workdir / "z8.json", "--error", workdir / "err.json",
+                "--epsilon", "1/2")
+        assert run_cli(*argv) == 0
+        want = capsys.readouterr().out
+
+        def refused(cpx):
+            raise AssertionError("diagnose extracted a code")
+
+        monkeypatch.setattr(css, "extract_code", refused)
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == want
+        assert json.loads(want)["result"]["counting_bound_ok"] is True
+        assert run_cli("diagnose", "--complex", workdir / "z8.json", "--error",
+                       workdir / "short.json", "--epsilon", "1/2") == 1
+        assert capsys.readouterr().err == "error: error length 15 != n = 16\n"
+
+    def test_decode_refuses_a_repeated_support_index(self, workdir, capsys):
+        # Read over GF(2), [2, 2, 3] would be {3}; merging it to {2, 3}
+        # would decode a different syndrome, so the file is refused.
+        cpx = left_right_cayley(cyclic_group(8), [1, 2], [1, 4])
+        (workdir / "z8.json").write_text(jsonio.canonical_dumps(complex_to_json(cpx)))
+        (workdir / "syn.json").write_text(json.dumps({"length": 8, "support": [2, 2, 3]}))
+        rc = run_cli("decode", "--complex", workdir / "z8.json", "--syndrome",
+                     workdir / "syn.json", "--epsilon", "1/30", "--side", "x",
+                     "--out", workdir / "dec.json")
+        assert rc == 1
+        assert capsys.readouterr().err == "error: vector support repeats index 2\n"
+        assert not (workdir / "dec.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["certify", "--graph", "cyc.json", "--c", "1/0", "--epsilon", "1/2"],

@@ -10,8 +10,9 @@ the subgraph adjacency.  Each is compared here with the earlier
 formulation, kept as an oracle: the validating action path, the full face
 scan, the all-owners partition on a `FlowNetwork`, the uncached regularity
 and freeness scans, and the column-mask weight.  Every field
-must be equal, `per_vertex`, `assignment` and `leftover` included, and so
-must every refusal.
+must be equal, `per_vertex` included, and so must every refusal; a
+partition lists only N(v1), so its `assignment` and `leftover` equal the
+oracle's there, and the oracle's other entries must be empty or 0.
 """
 
 import itertools
@@ -172,6 +173,22 @@ def oracle_tree_partition(graph, v1_subset, epsilon, w0):
     }
     return TreePartition({x0: frozenset(s) for x0, s in assignment.items()},
                          leftover, result.value, threshold)
+
+
+def assert_partition_matches(graph, target, got, want):
+    """`got` equals the all-owners oracle's `want` restricted to N(target),
+    keyed in ascending order, and every other oracle entry is empty or 0;
+    refusals must be equal."""
+    if not isinstance(want, TreePartition):
+        assert got == want
+        return
+    near = sorted(neighbors(graph, 1, target))
+    assert list(got.assignment) == list(got.leftover) == near
+    assert all(not want.assignment[x0] and want.leftover[x0] == 0
+               for x0 in range(graph.v0_size) if x0 not in got.assignment)
+    assert got == TreePartition({x0: want.assignment[x0] for x0 in near},
+                                {x0: want.leftover[x0] for x0 in near},
+                                want.flow_value, want.threshold)
 
 
 def _zero_counts():
@@ -613,13 +630,9 @@ class TestLocalDiagnostics:
         w0 = data.draw(st.integers(0, 4))
         for which, target in (("v00_v10", v10), ("v00_v01", v01)):
             graph = cpx.subgraph(which)
-            assert outcome(tree_partition, graph, target, eps, w0) == \
-                outcome(oracle_tree_partition, graph, target, eps, w0)
-            # Keys in V0 order, like the oracle's.
-            got = outcome(tree_partition, graph, target, eps, w0)
-            if isinstance(got, TreePartition):
-                assert list(got.assignment) == list(range(graph.v0_size))
-                assert list(got.leftover) == list(range(graph.v0_size))
+            assert_partition_matches(graph, target,
+                                     outcome(tree_partition, graph, target, eps, w0),
+                                     outcome(oracle_tree_partition, graph, target, eps, w0))
 
     @settings(max_examples=200, deadline=None)
     @given(name=st.sampled_from(sorted(FAMILIES)), data=st.data())
@@ -715,8 +728,9 @@ class TestOwnershipFlow:
         graph = family(name).subgraph(which)
         for target in flow_targets(graph, seed=len(name) * 7 + len(which)):
             for w0 in range(1, 5):
-                assert outcome(tree_partition, graph, target, eps, w0) == \
-                    outcome(oracle_tree_partition, graph, target, eps, w0)
+                assert_partition_matches(graph, target,
+                                         outcome(tree_partition, graph, target, eps, w0),
+                                         outcome(oracle_tree_partition, graph, target, eps, w0))
 
     @pytest.mark.parametrize("graph, target, kind, message", [
         (lambda: family("toric4").subgraph("v00_v10"), [0], InternalInvariantError,
@@ -743,4 +757,14 @@ class TestOwnershipFlow:
 
         monkeypatch.setattr(expansion, "FlowNetwork", forbidden)
         monkeypatch.setattr(expansion, "max_flow_integer", forbidden)
-        assert [outcome(tree_partition, *case) for case in cases] == want
+        for (graph, target, eps, w0), wanted in zip(cases, want):
+            assert_partition_matches(graph, target,
+                                     outcome(tree_partition, graph, target, eps, w0), wanted)
+
+    def test_a_partition_lists_only_the_neighbors_of_its_target(self):
+        # On toric(64), V0 has 4,096 vertices and two targets have 4 neighbors.
+        graph = toric_complex(64).subgraph("v00_v10")
+        target = [0, 1]
+        part = tree_partition(graph, target, Fraction(1, 2), 2)
+        assert len(part.assignment) == len(neighbors(graph, 1, target))
+        assert len(part.leftover) == len(part.assignment)
