@@ -177,10 +177,9 @@ def _load_vector(path: str) -> F2Vector:
     return F2Vector.from_support(_size_value(length, "vector length"), indices)
 
 
-def _load_code(path: str) -> tuple[product.BalancedProductComplex, css.CssCode]:
-    """The complex in the file at `path` and its CSS code."""
-    cpx = product.complex_from_json(_load_json(path))
-    return cpx, css.extract_code(cpx)
+def _load_code(path: str) -> css.CssCode:
+    """The CSS code of the complex in the file at `path`."""
+    return css.extract_code(product.complex_from_json(_load_json(path)))
 
 
 def _cmd_construct(args) -> tuple[dict, dict, Optional[str]]:
@@ -236,7 +235,7 @@ def _cmd_certify(args) -> tuple[dict, dict, Optional[str]]:
 
 
 def _cmd_code(args) -> tuple[Optional[dict], dict, Optional[str]]:
-    _, code = _load_code(args.complex)
+    code = _load_code(args.complex)
     params = css.code_params(code)
     manifest = css.export_manifest(code, params, {"complex": jsonio.file_digest(args.complex)})
     if args.out_prefix:
@@ -254,7 +253,7 @@ def _cmd_code(args) -> tuple[Optional[dict], dict, Optional[str]]:
 
 
 def _cmd_distance(args) -> tuple[dict, dict, Optional[str]]:
-    _, code = _load_code(args.complex)
+    code = _load_code(args.complex)
     out: dict = {}
     sides = ["x", "z"] if args.which == "both" else [args.which]
     for side in sides:
@@ -270,22 +269,20 @@ def _cmd_distance(args) -> tuple[dict, dict, Optional[str]]:
 
 
 def _cmd_decode(args) -> tuple[dict, dict, Optional[str]]:
-    _, code = _load_code(args.complex)
+    # The decoder reads the complex alone, so no code is extracted.
+    cpx = product.complex_from_json(_load_json(args.complex))
     syndrome = _load_vector(args.syndrome)
     config = decoder.DecoderConfig(epsilon=parse_rational(args.epsilon), iteration_cap=args.cap)
-    if args.side == "z":
-        result = decoder.decode(code, syndrome, config)
-    else:
-        result = decoder.decode_x(code, syndrome, config)
+    decode = decoder.decode if args.side == "z" else decoder.decode_x
+    result = decode(cpx, syndrome, config)
     if args.trace:
         with open(args.trace, "w") as fh:
-            for step in result.trace:
-                fh.write(json.dumps(step.to_json(), sort_keys=True) + "\n")
+            fh.writelines(json.dumps(step.to_json(), sort_keys=True) + "\n" for step in result.trace)
     return result.to_json(), {"complex": args.complex, "syndrome": args.syndrome}, args.out
 
 
 def _cmd_simulate(args) -> tuple[dict, dict, Optional[str]]:
-    _, code = _load_code(args.complex)
+    code = _load_code(args.complex)
     config = harness.ExperimentConfig(
         epsilon=parse_rational(args.epsilon),
         trials=args.trials,

@@ -35,8 +35,8 @@ nothing can pass, so `preprocess_candidates` scans every V00 vertex; the
 decoder itself never sees beta <= 0, because `DecoderConfig` rejects
 epsilon >= 1/12.
 
-The decoder reads only the four edge classes of the complex, which the
-chain condition checks; the faces are used by the region diagnostics alone.
+The decoder reads only the edge classes of the complex and caches its index
+there; a code read off a complex stands for it.  Faces serve the diagnostics.
 
 X errors decode by the same search on the same complex with V00 and V11,
 and V10 and V01, swapped: the order the transposed complex would give, so
@@ -44,7 +44,7 @@ no second complex is built and corrections and traces are in the code's
 own coordinates.
 
 A single decode is strictly sequential.  Independent decodes may run in
-parallel over a shared immutable code; each owns its state.
+parallel over a shared immutable complex; each owns its state.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from .gf2 import F2Vector, bits
 from .product import BalancedProductComplex
 
 _PAIR_BITS_LIMIT = 20   # a V00 vertex with |N10| + |N01| above this is refused
+_CodeOrComplex = CssCode | BalancedProductComplex   # what the decoder's entry points take
 
 
 @dataclass(frozen=True)
@@ -175,8 +176,8 @@ class DecodeResult:
 
 
 class _DecoderIndex:
-    """Adjacency and per-center prefix masks for one side of a code, built once
-    from the complex's own subgraph adjacency.
+    """Adjacency and per-center prefix masks for one side of a complex, built
+    once from its own subgraph adjacency.
 
     Side "z" has V00 centers, flips over V10 then V01, and V11 checks; side
     "x" has V11 centers, flips over V01 then V10, and V00 checks.  Names are
@@ -187,11 +188,8 @@ class _DecoderIndex:
     for every center.  The one ruler is sized to the widest center.
     """
 
-    def __init__(self, code: CssCode, side: str) -> None:
-        cpx = code.cpx
-        if cpx is None:
-            raise PreconditionError("decoding needs a code extracted from a complex")
-        self.code = code
+    def __init__(self, cpx: BalancedProductComplex, side: str) -> None:
+        self.n = cpx.n_qubits
         g10, g01 = cpx.subgraph("v00_v10"), cpx.subgraph("v00_v01")
         h10, h01 = cpx.subgraph("v10_v11"), cpx.subgraph("v01_v11")
         if side == "z":
@@ -227,17 +225,18 @@ class _DecoderIndex:
         self.ruler: list[int] = [(c & -c).bit_length() - 1 for c in range(1 << width)]
 
 
-def _index_for(code: CssCode, side: str) -> _DecoderIndex:
-    """The decoder index of one side ("z" or "x") of a code, cached on it."""
-    attr = f"_decoder_index_{side}"
-    idx = getattr(code, attr, None)
-    if idx is None:
-        idx = _DecoderIndex(code, side)
-        object.__setattr__(code, attr, idx)
-    return idx
+def _index_for(source: _CodeOrComplex, side: str) -> _DecoderIndex:
+    """The decoder index of one side ("z" or "x") of a complex, cached on it.  A
+    code stands for its complex, and is refused unless its matrices are its maps."""
+    if isinstance(source, CssCode) and not source._maps_of_complex:
+        raise PreconditionError("decoding needs a code whose matrices are its complex's maps")
+    cpx = source.cpx if isinstance(source, CssCode) else source
+    if side not in cpx.decoder_indexes:
+        cpx.decoder_indexes[side] = _DecoderIndex(cpx, side)
+    return cpx.decoder_indexes[side]
 
 
-def _checked_index(code: CssCode, syndrome: F2Vector, side: str) -> _DecoderIndex:
+def _checked_index(code: _CodeOrComplex, syndrome: F2Vector, side: str) -> _DecoderIndex:
     idx = _index_for(code, side)
     if syndrome.length != idx.check_count:
         raise ValidationError(
@@ -247,7 +246,7 @@ def _checked_index(code: CssCode, syndrome: F2Vector, side: str) -> _DecoderInde
 
 
 def flippable(
-    code: CssCode,
+    code: _CodeOrComplex,
     syndrome: F2Vector,
     x00: int,
     n10: Iterable[int],
@@ -263,6 +262,8 @@ def flippable(
     the decoder's own search kernel, run on this one pair.
     """
     idx = _checked_index(code, syndrome, "z")
+    if not 0 <= x00 < len(idx.n10):
+        raise PreconditionError(f"center x00 = {x00} is outside V00 = 0..{len(idx.n10) - 1}")
     s10 = set(n10)
     s01 = set(n01)
     if not s10 <= set(idx.n10[x00]):
@@ -314,7 +315,7 @@ class PreprocessResult:
     subsets_tested: int
 
 
-def preprocess_candidates(code: CssCode, syndrome: F2Vector, beta: Fraction) -> PreprocessResult:
+def preprocess_candidates(code: _CodeOrComplex, syndrome: F2Vector, beta: Fraction) -> PreprocessResult:
     """Find every V00 vertex with at least one flippable subset pair.
 
     The queue lists, in ascending vertex order, exactly the vertices that
@@ -345,7 +346,7 @@ def _preprocess(idx: _DecoderIndex, synd: int, beta: Fraction) -> PreprocessResu
     return PreprocessResult(tuple(queue), len(candidates), tested)
 
 
-def decode(code: CssCode, syndrome: F2Vector, config: DecoderConfig) -> DecodeResult:
+def decode(code: _CodeOrComplex, syndrome: F2Vector, config: DecoderConfig) -> DecodeResult:
     """Run the small-set-flip loop until the syndrome clears or no candidate
     survives re-testing.
 
@@ -363,7 +364,7 @@ def decode(code: CssCode, syndrome: F2Vector, config: DecoderConfig) -> DecodeRe
     return _decode(idx, syndrome, config, preprocess_candidates(code, syndrome, config.beta))
 
 
-def decode_x(code: CssCode, syndrome_z: F2Vector, config: DecoderConfig) -> DecodeResult:
+def decode_x(code: _CodeOrComplex, syndrome_z: F2Vector, config: DecoderConfig) -> DecodeResult:
     """Decode an X error from its Z syndrome (a subset of V00).
 
     The loop of `decode` with V00 and V11, and V10 and V01, swapped: the
@@ -445,7 +446,7 @@ def _decode(idx: _DecoderIndex, syndrome: F2Vector, config: DecoderConfig,
         outcome = "stalled"
     return DecodeResult(
         outcome=outcome,
-        correction=F2Vector.from_mask(idx.code.n, correction),
+        correction=F2Vector.from_mask(idx.n, correction),
         iterations=iterations,
         initial_syndrome_weight=initial_weight,
         trace=tuple(trace),

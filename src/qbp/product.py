@@ -25,10 +25,10 @@ shareable.  Being frozen, a complex derives each structure it is asked for
 once and caches it on itself: the boundary maps, the chain-condition
 verdict, the four one-dimensional subgraphs (so each edge class has one
 graph and one adjacency, which the code, the partitions and the decoder all
-read), and the faces through each qubit.  A cache is never shared between
-complexes; a transposed or reloaded complex builds its own.  These are the
-complex's only indexes: square completion reads the face index, and the
-loader's degree check reads the adjacency lengths.
+read), the faces through each qubit and the decoder's index of each side.  A
+cache is never shared between complexes; a transposed or reloaded complex
+builds its own.  Square completion reads the face index, and the loader's
+degree check reads the adjacency lengths.
 """
 
 from __future__ import annotations
@@ -179,6 +179,10 @@ class BalancedProductComplex:
             at10.setdefault(face[1], []).append(face)
             at01.setdefault(face[2], []).append(face)
         return at10, at01
+
+    @cached_property
+    def decoder_indexes(self) -> dict:    # side ("z", "x") -> index, filled by `decoder`
+        return {}
 
     def transposed(self) -> "BalancedProductComplex":
         """The dual complex: V00 and V11 swap roles, as do V10 and V01.

@@ -171,6 +171,14 @@ class TestFlippable:
         with pytest.raises(PreconditionError):
             flippable(star12_code, syn, 0, bad, [], Fraction(1))
 
+    @pytest.mark.parametrize("x00", [-1, 12], ids=["negative", "v00_size"])
+    def test_a_center_outside_v00_is_refused(self, star12_code, x00):
+        # -1 would otherwise test the last center, by Python's negative index.
+        assert star12_code.cpx.v00_size == 12
+        syn = syndrome_of(star12_code, [0])
+        with pytest.raises(PreconditionError, match=rf"center x00 = {x00} is outside V00 = 0\.\.11"):
+            flippable(star12_code, syn, x00, [], [], Fraction(1))
+
     def test_matches_independent_recomputation(self, star12_code):
         # Exhaustive oracle at one vertex: recompute the flip result from the
         # boundary matrix for every candidate subset pair.
@@ -430,6 +438,82 @@ class TestPairBudget:
         code = star_hypergraph_product(10)
         idx = _index_for(code, "z")
         assert max(len(a) + len(b) for a, b in zip(idx.n10, idx.n01)) == 20
+
+
+class TestIndexOnTheComplex:
+    """The decoder index is the complex's: a complex and a code read off it
+    decode alike, and a code that is not its complex's maps is refused."""
+
+    @pytest.mark.parametrize("family", ["toric2", "toric3", "match8", "star12", "incstar13"])
+    def test_a_complex_decodes_as_its_code(self, request, family):
+        # The complex is reloaded, so the two calls build separate indexes.
+        built = request.getfixturevalue(family)
+        cpx = complex_from_json(complex_to_json(built))
+        code = extract_code(built)
+        rng = random.Random(20)
+        errors = [[q] for q in rng.sample(range(code.n), 2)]
+        errors += [rng.sample(range(code.n), w) for w in (2, 3)]
+        for epsilon in (Fraction(0), Fraction(1, 30), Fraction(1, 13)):
+            config = DecoderConfig(epsilon=epsilon, iteration_cap=64)
+            for support in errors:
+                err = F2Vector.from_support(code.n, support)
+                syn_x, syn_z = gf2.mat_vec(code.hx, err), gf2.mat_vec(code.hz, err)
+                assert decode(cpx, syn_x, config) == decode(code, syn_x, config), support
+                assert decode_x(cpx, syn_z, config) == decode_x(code, syn_z, config), support
+        syn = syndrome_of(code, [0])
+        assert preprocess_candidates(cpx, syn, 1) == preprocess_candidates(code, syn, 1)
+        for x00 in range(cpx.v00_size):
+            n10, n01 = cpx.subgraph("v00_v10").adj0[x00], cpx.subgraph("v00_v01").adj0[x00]
+            assert (flippable(cpx, syn, x00, n10, n01, Fraction(1, 2))
+                    == flippable(code, syn, x00, n10, n01, Fraction(1, 2)))
+
+    def test_codes_over_one_complex_share_one_index(self):
+        cpx = left_right_cayley(cyclic_group(8), [1, 2], [1, 4])
+        first, second = extract_code(cpx), extract_code(cpx)
+        for side in ("z", "x"):
+            idx = _index_for(first, side)
+            assert _index_for(second, side) is idx
+            assert _index_for(cpx, side) is idx
+            assert cpx.decoder_indexes[side] is idx
+            assert not hasattr(idx, "code")
+        assert not any(k.startswith("_decoder_index") for k in vars(first))
+
+    def test_a_complex_decodes_without_its_boundary_maps(self, star12):
+        cpx = complex_from_json(complex_to_json(star12))
+        config = DecoderConfig(epsilon=Fraction(1, 30))
+        decode(cpx, F2Vector.from_support(cpx.v11_size, [0, 1]), config)
+        decode_x(cpx, F2Vector.from_support(cpx.v00_size, [0]), config)
+        assert {"boundary_1", "boundary_2"}.isdisjoint(vars(cpx))
+        assert set(cpx.decoder_indexes) == {"z", "x"}
+
+    def test_refuses_a_code_whose_matrices_are_not_its_complexs_maps(self):
+        # Hz = 0 commutes with Hx, so the code is valid, but it is not the
+        # complex's: decoding it against the complex would answer for
+        # another code, as decode_x's "success" with correction {4} would,
+        # whose syndrome under this Hz is empty.
+        cpx = left_right_cayley(cyclic_group(8), [1, 2], [1, 4])
+        code = extract_code(cpx)
+        other = qbp.CssCode(code.hx, gf2.F2Matrix.zero(code.m_z, code.n), code.v10_size,
+                            code.degrees, cpx=cpx)
+        assert not other._maps_of_complex
+        config = DecoderConfig(epsilon=Fraction(1, 30))
+        syn_z = F2Vector.from_support(code.m_z, [2, 3])
+        syn_x = syndrome_of(code, [1])
+        calls = [
+            lambda: decode(other, syn_x, config),
+            lambda: decode_x(other, syn_z, config),
+            lambda: preprocess_candidates(other, syn_x, config.beta),
+            lambda: flippable(other, syn_x, 0, [], [], config.beta),
+        ]
+        for call in calls:
+            with pytest.raises(PreconditionError, match="its complex's maps"):
+                call()
+        assert cpx.decoder_indexes == {}
+
+    def test_refuses_a_code_without_a_complex(self, star12_code):
+        bare = qbp.CssCode(star12_code.hx, star12_code.hz, star12_code.v10_size)
+        with pytest.raises(PreconditionError, match="its complex's maps"):
+            decode(bare, F2Vector.zero(star12_code.m_x), DecoderConfig(epsilon=Fraction(0)))
 
 
 class TestDecodeX:

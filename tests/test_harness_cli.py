@@ -1,6 +1,7 @@
 """Simulation harness determinism and the command-line surface."""
 
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,13 +9,16 @@ from fractions import Fraction
 import pytest
 
 import qbp
-from qbp import css, gf2, jsonio
+from qbp import css, decoder, gf2, jsonio, product
 from qbp.cli import cli_dispatch
 from qbp.errors import ValidationError
+from qbp.gf2 import F2Vector
 from qbp.graphs import graph_to_json
 from qbp.groups import cyclic_group, group_to_json
 from qbp.harness import ExperimentConfig, derive_trial_seed, run_simulation
-from qbp.instances import bipartite_cycle, left_right_cayley, star_graph
+from qbp.instances import (bipartite_cycle, incidence_star_product, left_right_cayley,
+                           star_graph, star_product)
+from qbp.jsonio import parse_rational
 from qbp.product import complex_from_json, complex_to_json
 
 
@@ -108,6 +112,34 @@ def workdir(tmp_path):
 
 def run_cli(*argv):
     return cli_dispatch([str(a) for a in argv])
+
+
+def decode_complex_file(workdir, family):
+    """A complex file for the decode tests.  "z8" is built by `qbp construct`
+    from the Z_8 factor, group and action files of the console-script CI
+    step; star12 and incstar13 are the conftest families, written out."""
+    path = workdir / f"{family}.json"
+    if family == "z8":
+        m = 8
+        table = [[(g + x) % m for x in range(m)] for g in range(m)]
+        files = {
+            "left.json": {"v0": m, "v1": m,
+                          "edges": sorted([g, (g - a) % m] for g in range(m) for a in (1, 2))},
+            "right.json": {"v0": m, "v1": m,
+                           "edges": sorted([g, (g + b) % m] for g in range(m) for b in (1, 4))},
+            "group.json": {"order": m, "mul": table, "label": "Z8"},
+            "actions.json": {"left_v0": table, "left_v1": table,
+                             "right_v0": table, "right_v1": table},
+        }
+        for name, obj in files.items():
+            (workdir / name).write_text(json.dumps(obj))
+        assert run_cli("construct", "--left", workdir / "left.json", "--right",
+                       workdir / "right.json", "--group", workdir / "group.json",
+                       "--actions", workdir / "actions.json", "--out", path) == 0
+    else:
+        cpx = star_product(12, 3, 2) if family == "star12" else incidence_star_product(13, 2)
+        path.write_text(jsonio.canonical_dumps(complex_to_json(cpx)))
+    return path
 
 
 class TestCli:
@@ -317,6 +349,64 @@ class TestCli:
         assert run_cli("diagnose", "--complex", workdir / "z8.json", "--error",
                        workdir / "short.json", "--epsilon", "1/2") == 1
         assert capsys.readouterr().err == "error: error length 15 != n = 16\n"
+
+    @pytest.mark.parametrize("side", ["z", "x"])
+    @pytest.mark.parametrize("family", ["z8", "star12", "incstar13"])
+    def test_decode_writes_what_the_code_decodes(self, workdir, capsys, family, side):
+        # `qbp decode` hands the loaded complex to the decoder; its result
+        # and trace bytes are those of decoding the complex's code.
+        path = decode_complex_file(workdir, family)
+        code = css.extract_code(complex_from_json(json.loads(path.read_text())))
+        matrix, length = (code.hx, code.m_x) if side == "z" else (code.hz, code.m_z)
+        call = decoder.decode if side == "z" else decoder.decode_x
+        rng = random.Random(20)
+        for support in ([rng.randrange(code.n)], rng.sample(range(code.n), 2)):
+            syn = gf2.mat_vec(matrix, F2Vector.from_support(code.n, support))
+            assert syn.length == length
+            (workdir / "syn.json").write_text(json.dumps(
+                {"length": syn.length, "support": sorted(syn.support)}))
+            for epsilon in ("0", "1/30", "1/13"):
+                rc = run_cli("decode", "--complex", path, "--syndrome", workdir / "syn.json",
+                             "--epsilon", epsilon, "--side", side, "--cap", 64,
+                             "--trace", workdir / "trace.jsonl", "--out", workdir / "dec.json")
+                assert rc == 0, capsys.readouterr().err
+                want = call(code, syn, decoder.DecoderConfig(parse_rational(epsilon),
+                                                             iteration_cap=64))
+                got = json.loads((workdir / "dec.json").read_text())["result"]
+                del got["provenance"]
+                assert got == want.to_json(), (support, epsilon)
+                assert (workdir / "trace.jsonl").read_text() == "".join(
+                    json.dumps(step.to_json(), sort_keys=True) + "\n" for step in want.trace)
+
+    @pytest.mark.parametrize("side, length, checks", [("z", 8, "V11"), ("x", 8, "V00")])
+    def test_decode_builds_no_code(self, workdir, capsys, monkeypatch, side, length, checks):
+        # The decoder reads the complex alone: with extraction refused, the
+        # decode still succeeds, and the loaded complex holds no boundary map.
+        path = decode_complex_file(workdir, "z8")
+        capsys.readouterr()
+        (workdir / "syn.json").write_text(json.dumps({"length": length, "support": [2, 3]}))
+        (workdir / "short.json").write_text(json.dumps({"length": length - 1, "support": [2]}))
+        loaded = []
+
+        def load(obj):
+            loaded.append(complex_from_json(obj))
+            return loaded[-1]
+
+        def refused(cpx):
+            raise AssertionError("decode extracted a code")
+
+        monkeypatch.setattr(product, "complex_from_json", load)
+        monkeypatch.setattr(css, "extract_code", refused)
+        assert run_cli("decode", "--complex", path, "--syndrome", workdir / "syn.json",
+                       "--epsilon", "1/30", "--side", side) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["outcome"] == "success"
+        (cpx,) = loaded
+        assert {"boundary_1", "boundary_2"}.isdisjoint(vars(cpx))
+        assert set(cpx.decoder_indexes) == {side}
+        assert run_cli("decode", "--complex", path, "--syndrome", workdir / "short.json",
+                       "--epsilon", "1/30", "--side", side) == 1
+        assert capsys.readouterr().err == (
+            f"error: syndrome length {length - 1} != |{checks}| = {length}\n")
 
     def test_decode_refuses_a_repeated_support_index(self, workdir, capsys):
         # Read over GF(2), [2, 2, 3] would be {3}; merging it to {2, 3}
