@@ -44,7 +44,6 @@ from .product import (
     BalancedProductComplex,
     DegreeProfile,
     balanced_product,
-    complete_square,
     copies_decomposition,
     hypergraph_product,
     inherit_certificates,

@@ -522,12 +522,11 @@ def minimal_coset_representative(
                                  Fraction(best_key, d.down * d.right))
 
 
-def export_manifest(code: CssCode, params: CodeParams, provenance: dict,
-                    budgets: Optional[dict] = None) -> dict:
+def export_manifest(code: CssCode, params: CodeParams, provenance: dict) -> dict:
     """JSON manifest accompanying the alist pair of an exported code."""
     d = code.degrees
     return {
-        "budgets": budgets or {"kernel": DEFAULT_KERNEL_BUDGET},
+        "budgets": {"kernel": DEFAULT_KERNEL_BUDGET},
         "n": params.n,
         "k": params.k,
         "m_x": params.m_x,

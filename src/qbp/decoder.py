@@ -26,14 +26,11 @@ from |N10| + |N01| masks per center.  That state is linear in the degree,
 not exponential like a table per subset, so the index holds it for every
 center and needs no cache or size limit.
 
-The initial candidate scan is syndrome-local when beta > 0: a flip at a V00
-vertex only changes the V11 cells two edges away from it, so a vertex that
-reaches no lit cell has cleared = 0 and cannot pass cleared >= beta*changed.
-Only the vertices next to lit cells are scanned, and the work is bounded by
-the degrees times the syndrome weight.  With beta <= 0 a flip that clears
-nothing can pass, so `preprocess_candidates` scans every V00 vertex; the
-decoder itself never sees beta <= 0, because `DecoderConfig` rejects
-epsilon >= 1/12.
+The initial candidate scan is syndrome-local: a flip at a V00 vertex only
+changes the V11 cells two edges away from it, so a vertex that reaches no
+lit cell has cleared = 0 and, as beta > 0, cannot pass cleared >=
+beta*changed.  Only the vertices next to lit cells are scanned, and the work
+is bounded by the degrees times the syndrome weight.
 
 The decoder reads only the edge classes of the complex and caches its index
 there; a code read off a complex stands for it.  Faces serve the diagnostics.
@@ -55,7 +52,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, chain
 from operator import or_, xor
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .css import CssCode
 from .errors import BudgetExceededError, InternalInvariantError, PreconditionError, ValidationError
@@ -319,22 +316,21 @@ def preprocess_candidates(code: _CodeOrComplex, syndrome: F2Vector, beta: Fracti
     """Find every V00 vertex with at least one flippable subset pair.
 
     The queue lists, in ascending vertex order, exactly the vertices that
-    admit a flippable pair against the given syndrome.  When beta > 0 only
-    the vertices two edges away from a lit V11 cell are scanned: any other
-    vertex changes no lit cell, so every flip there has cleared = 0 and
-    fails cleared >= beta * changed.  When beta <= 0 such a flip can pass
-    and every V00 vertex is scanned.  Work is recorded as the vertices
-    scanned and the subset pairs tested on them.
+    admit a flippable pair against the given syndrome.  Only the vertices
+    two edges away from a lit V11 cell are scanned: any other vertex changes
+    no lit cell, so every flip there has cleared = 0 and fails cleared >=
+    beta * changed.  That needs beta > 0, so beta <= 0 is refused, as
+    `DecoderConfig` refuses epsilon >= 1/12.  Work is recorded as the
+    vertices scanned and the subset pairs tested on them.
     """
-    return _preprocess(_checked_index(code, syndrome, "z"), syndrome.to_mask(), Fraction(beta))
+    beta = Fraction(beta)
+    if beta <= 0:
+        raise PreconditionError(f"preprocessing needs beta > 0, got beta = {beta}")
+    return _preprocess(_checked_index(code, syndrome, "z"), syndrome.to_mask(), beta)
 
 
 def _preprocess(idx: _DecoderIndex, synd: int, beta: Fraction) -> PreprocessResult:
-    if beta > 0:
-        candidates: Sequence[int] = sorted(
-            {x00 for z11 in bits(synd) for x00 in idx.v00_of_v11[z11]})
-    else:
-        candidates = range(len(idx.n10))
+    candidates = sorted({x00 for z11 in bits(synd) for x00 in idx.v00_of_v11[z11]})
     queue = []
     tested = 0
     for x00 in candidates:
@@ -356,9 +352,9 @@ def decode(code: _CodeOrComplex, syndrome: F2Vector, config: DecoderConfig) -> D
     found in ascending subset order.  After a flip, only the flipped vertex
     and the unqueued V00 vertices next to a newly lit check are re-tested, in
     ascending order; no other vertex can have become flippable (see the
-    module docstring).  The initial scan is syndrome-local, since the config
-    keeps beta > 0 (see `preprocess_candidates`); its work is bounded by the
-    degrees times the initial syndrome weight.
+    module docstring).  The initial scan is syndrome-local (see
+    `preprocess_candidates`); its work is bounded by the degrees times the
+    initial syndrome weight.
     """
     idx = _checked_index(code, syndrome, "z")
     return _decode(idx, syndrome, config, preprocess_candidates(code, syndrome, config.beta))
@@ -465,29 +461,11 @@ class SizeGates:
 
     Two inequivalent pairings of the factor constants appear for these gates
     (which factor's small-set fraction is divided by which side's degree);
-    both are computed, the conservative minimum is what downstream consumers
-    gate on, and `binding` records which pairing binds each block.
+    each gate is the conservative minimum over both pairings.
     """
 
-    v10_a: Fraction
-    v01_a: Fraction
-    v10_b: Fraction
-    v01_b: Fraction
-
-    @property
-    def v10(self) -> Fraction:
-        return min(self.v10_a, self.v10_b)
-
-    @property
-    def v01(self) -> Fraction:
-        return min(self.v01_a, self.v01_b)
-
-    @property
-    def binding(self) -> dict[str, str]:
-        return {
-            "v10": "a" if self.v10_a <= self.v10_b else "b",
-            "v01": "a" if self.v01_a <= self.v01_b else "b",
-        }
+    v10: Fraction
+    v01: Fraction
 
 
 def size_gates(
@@ -501,7 +479,8 @@ def size_gates(
                  v01 < min(c_y |V0y| / left, c_x |V0x|).
     Pairing "b": v10 < min(c_y |V0x| / left, c_x |V0y|),
                  v01 < min(c_x |V0y| / up, c_y |V0x|).
-    Here |V0x|, |V0y| are the factors' source-side sizes.
+    Each gate is the smaller of its two pairings.  Here |V0x|, |V0y| are the
+    factors' source-side sizes.
     """
     if cpx.degrees is None:
         raise PreconditionError("size gates need biregular factors")
@@ -512,10 +491,8 @@ def size_gates(
     cx_on_y = cert_x.c * cert_y.v_src_size
     cy_on_x = cert_y.c * cert_x.v_src_size
     return SizeGates(
-        v10_a=min(sx / d.up, sy),
-        v01_a=min(sy / d.left, sx),
-        v10_b=min(cy_on_x / d.left, cx_on_y),
-        v01_b=min(cx_on_y / d.up, cy_on_x),
+        v10=min(sx / d.up, sy, cy_on_x / d.left, cx_on_y),
+        v01=min(sy / d.left, sx, cx_on_y / d.up, cy_on_x),
     )
 
 
@@ -524,28 +501,19 @@ def guaranteed_correctable_weight(
     cert_x: ExpansionCertificate,
     cert_y: ExpansionCertificate,
     epsilon: Fraction,
-    pairing: str = "min",
 ) -> Fraction:
     """Error weights strictly below this bound decode back to the codeword.
 
     min(down, right) * (1/2 - 6 epsilon) * (min(gate_v10/down, gate_v01/right) - 1),
-    with the gates taken from pairing "a", "b", or their minimum.
+    with the gates of `size_gates`.
     """
     if cpx.degrees is None:
         raise PreconditionError("the radius needs biregular factors")
     cpx.degrees.require_positive("the radius", "down", "up", "right", "left")
     epsilon = Fraction(epsilon)
     gates = size_gates(cpx, cert_x, cert_y)
-    if pairing == "a":
-        g10, g01 = gates.v10_a, gates.v01_a
-    elif pairing == "b":
-        g10, g01 = gates.v10_b, gates.v01_b
-    elif pairing == "min":
-        g10, g01 = gates.v10, gates.v01
-    else:
-        raise ValidationError(f"pairing must be 'a', 'b', or 'min', got {pairing!r}")
     d = cpx.degrees
-    inner = min(Fraction(g10, d.down), Fraction(g01, d.right)) - 1
+    inner = min(Fraction(gates.v10, d.down), Fraction(gates.v01, d.right)) - 1
     return min(d.down, d.right) * (Fraction(1, 2) - 6 * epsilon) * inner
 
 

@@ -38,10 +38,8 @@ from .errors import (
     ValidationError,
 )
 from .graphs import BipartiteGraph, neighbors, regularity
-from .jsonio import _int_rows, _int_value
 
 DEFAULT_CERTIFY_BUDGET = 1 << 24
-SIDES = ("0to1", "1to0")
 MODES = ("exhaustive", "sampled")
 
 Node = Hashable
@@ -97,63 +95,6 @@ class ExpansionCertificate:
             "subsets_checked": self.subsets_checked,
             "note": self.note,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ExpansionCertificate":
-        """The certificate `to_json` wrote, read strictly: sizes, counts and
-        the budget are exact nonnegative ints, c and epsilon int pairs with a
-        positive denominator,
-        and side, mode and verdict come from their allowed values.  Every
-        refusal is a ValidationError."""
-        if not isinstance(obj, dict):
-            raise ValidationError(
-                f"certificate JSON must be an object, got {type(obj).__name__}")
-        try:
-            fields = {key: obj[key] for key in (
-                "side", "v_src_size", "v_dst_size", "w_src", "c", "epsilon", "mode", "verdict")}
-        except KeyError as exc:
-            raise ValidationError(f"certificate JSON is missing {exc}") from None
-        for key, allowed in (("side", SIDES), ("mode", MODES), ("verdict", ("pass", "fail"))):
-            if fields[key] not in allowed:
-                raise ValidationError(
-                    f"certificate {key} must be one of {allowed}, got {fields[key]!r:.40}")
-        for key in ("v_src_size", "v_dst_size", "w_src"):
-            fields[key] = _count_value(fields[key], f"certificate {key}")
-        for key in ("c", "epsilon"):
-            fields[key] = _fraction_value(fields[key], f"certificate {key}")
-        witness = obj.get("witness")
-        if witness is not None:
-            if not isinstance(witness, list):
-                raise ValidationError(
-                    f"certificate witness must be a list of ints, got {type(witness).__name__}")
-            (witness,) = _int_rows([witness], "certificate witness")
-        for key, read in (("trials", _int_value), ("seed", _int_value), ("budget", _count_value)):
-            if obj.get(key) is not None:
-                fields[key] = read(obj[key], f"certificate {key}")
-        note = obj.get("note", "")
-        if type(note) is not str:
-            raise ValidationError(f"certificate note must be a string, got {note!r:.40}")
-        return cls(**fields, witness=witness,
-                   subsets_checked=_count_value(obj.get("subsets_checked", 0),
-                                                "certificate subsets_checked"),
-                   note=note)
-
-
-def _count_value(value, what: str) -> int:
-    count = _int_value(value, what)
-    if count < 0:
-        raise ValidationError(f"{what} must be nonnegative, got {count}")
-    return count
-
-
-def _fraction_value(value, what: str) -> Fraction:
-    """An exact rational from its [numerator, denominator] int pair."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValidationError(f"{what} must be a [numerator, denominator] pair, got {value!r:.40}")
-    num, den = (_int_value(v, what) for v in value)
-    if den <= 0:
-        raise ValidationError(f"{what} needs a positive denominator, got {den}")
-    return Fraction(num, den)
 
 
 def _views(graph: BipartiteGraph, side: str):

@@ -28,7 +28,6 @@ from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ShapeError, ValidationError
-from .jsonio import _int_rows, _size_value
 
 
 @dataclass(frozen=True)
@@ -146,9 +145,6 @@ class F2Matrix:
         return tuple(masks)
 
     # -- simple queries ---------------------------------------------------
-
-    def col_weight(self, c: int) -> int:
-        return self.col_masks[c].bit_count()
 
     def max_row_weight(self) -> int:
         return max(map(int.bit_count, self.row_masks), default=0)
@@ -452,29 +448,7 @@ def plane_greater(digits: Sequence[int], bound: int) -> int:
     return greater
 
 
-# -- interchange formats --------------------------------------------------
-
-
-def to_json_dict(a: F2Matrix) -> dict:
-    return {
-        "rows": a.rows,
-        "cols": a.cols,
-        "entries": [[r, c] for r, m in enumerate(a.row_masks) for c in bits(m)],
-    }
-
-
-def from_json_dict(obj: dict) -> F2Matrix:
-    """Load `{rows, cols, entries}`: an int shape within the declared-size
-    budget and [r, c] int pairs."""
-    if not isinstance(obj, dict):
-        raise ValidationError(f"matrix JSON must be an object, got {type(obj).__name__}")
-    try:
-        rows = _size_value(obj["rows"], "matrix rows")
-        cols = _size_value(obj["cols"], "matrix cols")
-        entries = _int_rows(obj["entries"], "matrix entries", 2)
-    except KeyError as exc:
-        raise ValidationError(f"malformed matrix JSON: missing {exc}") from exc
-    return F2Matrix.from_entries(rows, cols, entries)
+# -- interchange format ---------------------------------------------------
 
 
 def to_alist(a: F2Matrix) -> str:

@@ -9,13 +9,14 @@ sequential loop here produces the identical result.
 The default error model draws a uniform support of exact weight t, matching
 how the decoding guarantees are stated; an i.i.d. flip model is available
 for threshold-style sweeps, and an exhaustive sweep model enumerates every
-support of weight t.
+support of weight t, up to 2^20 of them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,11 +25,12 @@ from typing import Iterable, Optional
 from . import gf2
 from .css import CssCode, minimal_coset_representative
 from .decoder import DecoderConfig, decode
-from .errors import OracleUnavailableError, ValidationError
+from .errors import BudgetExceededError, OracleUnavailableError, ValidationError
 from .gf2 import F2Vector
 from .jsonio import fraction_to_json
 
 _REPRESENTATIVE_BUDGET = 1 << 16   # coset vectors the minimal-representative oracle may try
+_SWEEP_BUDGET = 1 << 20            # supports a sweep may decode, as many as the kernel budget
 
 
 @dataclass(frozen=True)
@@ -162,10 +164,15 @@ def run_simulation(code: CssCode, config: ExperimentConfig) -> ExperimentResult:
 
     Success means the syndrome cleared and the injected error plus the
     correction lies in the Z-stabilizer group (membership in the row space
-    of Hz, tested by rank reduction).
+    of Hz, tested by rank reduction).  A sweep of more than `_SWEEP_BUDGET`
+    supports is refused before the first decode.
     """
     if config.weight is not None and config.weight > code.n:
         raise ValidationError(f"error weight {config.weight} exceeds n = {code.n}")
+    if config.sweep and math.comb(code.n, config.weight) > _SWEEP_BUDGET:
+        raise BudgetExceededError(
+            f"a weight-{config.weight} sweep decodes C({code.n}, {config.weight}) = "
+            f"{math.comb(code.n, config.weight)} supports, over the budget of {_SWEEP_BUDGET}")
     decoder_config = DecoderConfig(
         epsilon=config.epsilon, iteration_cap=config.iteration_cap, keep_flip_sets=False
     )

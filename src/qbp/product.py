@@ -27,8 +27,8 @@ verdict, the four one-dimensional subgraphs (so each edge class has one
 graph and one adjacency, which the code, the partitions and the decoder all
 read), the faces through each qubit and the decoder's index of each side.  A
 cache is never shared between complexes; a transposed or reloaded complex
-builds its own.  Square completion reads the face index, and the loader's
-degree check reads the adjacency lengths.
+builds its own.  The region diagnostics read the face index, and the
+loader's degree check reads the adjacency lengths.
 """
 
 from __future__ import annotations
@@ -260,51 +260,6 @@ def _reversed(graph: Optional[BipartiteGraph]) -> Optional[BipartiteGraph]:
 
 def _swapped(action: Optional[GraphAction]) -> Optional[GraphAction]:
     return None if action is None else GraphAction(action.group, action.v1, action.v0)
-
-
-# The omitted corner -> the corners that name its triple in a refusal.
-_COMPLETION_KEYS = {
-    "z11": ("z00", "z10", "z01"),
-    "z01": ("z00", "z10", "z11"),
-    "z10": ("z11", "z01", "z00"),
-    "z00": ("z01", "z11", "z10"),
-}
-
-
-def complete_square(
-    cpx: BalancedProductComplex,
-    *,
-    z00: Optional[int] = None,
-    z10: Optional[int] = None,
-    z01: Optional[int] = None,
-    z11: Optional[int] = None,
-) -> int:
-    """Complete a square from three pairwise-adjacent cells.
-
-    Exactly one corner must be omitted; that corner is returned.  A triple
-    that does not bound a face is a precondition error.  Every triple holds
-    a V10 or a V01 cell, so the answer is read off the faces through that
-    qubit (`faces_at_qubit`) that agree with the given corners; freeness of
-    the quotient action leaves one, and more than one is refused.
-    """
-    known = {"z00": z00, "z10": z10, "z01": z01, "z11": z11}
-    missing = [k for k, v in known.items() if v is None]
-    if len(missing) != 1:
-        raise PreconditionError(f"exactly one corner must be omitted, got missing={missing}")
-    which = missing[0]
-    key = tuple(known[k] for k in _COMPLETION_KEYS[which])
-    at10, at01 = cpx.faces_at_qubit
-    faces = at10.get(z10, ()) if z10 is not None else at01.get(z01, ())
-    slot = list(known).index(which)
-    answers = {face[slot] for face in faces
-               if all(c is None or c == f for c, f in zip(known.values(), face))}
-    if len(answers) > 1:
-        raise ValidationError(
-            f"square completion is not unique at {key}; the underlying action cannot be free"
-        )
-    if not answers:
-        raise PreconditionError(f"cells {key} are not pairwise adjacent around {which}")
-    return answers.pop()
 
 
 # -- construction -----------------------------------------------------------
@@ -636,9 +591,11 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
     `degrees` (null or four ints) and `group_order` (a positive int) are
     ints too; anything else is refused with a ValidationError naming the
     field.  Each field is read in one C-level pass (see `jsonio._int_rows`).
-    The edge endpoints are checked against their classes, the edges against
-    the degrees when these are recorded, and the faces against the edges
-    (`_check_faces`); the first check that fails names the file's error.
+    A declared class size (`v00`, `v10`, `v01`, `v11`), when present, must be
+    the int length of its reps list.  The edge endpoints are checked against
+    their classes, the edges against the degrees when these are recorded,
+    and the faces against the edges (`_check_faces`); the first check that
+    fails names the file's error.
     Faces in one-to-one correspondence with both families of two-edge paths
     prove the chain condition, so the verdict is preset and no boundary map
     is built.
@@ -650,6 +607,12 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
         faces = _int_rows(obj["faces"], "faces", 4)
     except KeyError as exc:
         raise ValidationError(f"malformed complex JSON: missing {exc}") from exc
+    for cell in ("v00", "v10", "v01", "v11"):
+        size = len(rows[f"reps_{cell}"])
+        declared = obj.get(cell, size)
+        if type(declared) is not int or declared != size:
+            raise ValidationError(
+                f"complex {cell} must be {size}, the length of reps_{cell}, got {declared!r:.40}")
     deg = obj.get("degrees")
     degrees = None
     if deg is not None:

@@ -331,7 +331,7 @@ def test_criterion_07_decoder_correctness():
     star = star_product(12, 3, 2)
     star_code = extract_code(star)
     cert_x, cert_y = star_certificate(12, 3), star_certificate(12, 2)
-    radius = guaranteed_correctable_weight(star, cert_x, cert_y, Fraction(0), pairing="min")
+    radius = guaranteed_correctable_weight(star, cert_x, cert_y, Fraction(0))
     assert radius == 3
     config = DecoderConfig(epsilon=Fraction(0), keep_flip_sets=False)
     max_w = math.ceil(radius) - 1
@@ -346,7 +346,7 @@ def test_criterion_07_decoder_correctness():
     match = left_right_cayley(cyclic_group(8), [1], [1])
     match_code = extract_code(match)
     mcert = matching_certificate(cyclic_group(8), 1)
-    radius = guaranteed_correctable_weight(match, mcert, mcert, Fraction(0), pairing="min")
+    radius = guaranteed_correctable_weight(match, mcert, mcert, Fraction(0))
     assert radius == Fraction(7, 2)
     for w in range(1, math.ceil(radius)):
         for support in itertools.combinations(range(match_code.n), w):

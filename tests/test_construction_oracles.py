@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbp.errors import PreconditionError, ValidationError
+from qbp.errors import ValidationError
 from qbp.graphs import (
     GraphAction,
     build_bipartite,
@@ -48,7 +48,6 @@ from qbp.product import (
     BalancedProductComplex,
     DegreeProfile,
     balanced_product,
-    complete_square,
     complex_to_json,
     copies_decomposition,
     hypergraph_product,
@@ -449,35 +448,16 @@ class TestBalancedProductOracle:
 # -- square completion ---------------------------------------------------------------
 
 
-def assert_completion_matches_oracle(cpx, rng):
-    """Every face, and as many near misses with one corner moved, queried
-    with each corner omitted, against the completion tables."""
-    tables = oracle_completion(cpx)
-    sizes = dict(zip(CORNERS, (cpx.v00_size, cpx.v10_size, cpx.v01_size, cpx.v11_size)))
-    queries = []
-    for face in sorted(cpx.faces):
-        named = dict(zip(CORNERS, face))
-        queries.append(named)
-        moved = rng.choice(CORNERS)
-        queries.append(dict(named, **{moved: rng.randrange(sizes[moved])}))
-    for named in queries:
-        for which in CORNERS:
-            given = {k: v for k, v in named.items() if k != which}
-            key = tuple(given[k] for k in COMPLETION_KEYS[which])
-            if key in tables[which]:
-                assert complete_square(cpx, **given) == tables[which][key]
-            else:
-                with pytest.raises(PreconditionError, match=re.escape(
-                        f"cells {key} are not pairwise adjacent around {which}")):
-                    complete_square(cpx, **given)
-
-
 class TestSquareCompletionOracle:
+    """Freeness makes square completion unique: `oracle_completion`, which
+    refuses a triple of corners that lies on two faces, builds on every
+    product."""
+
     @pytest.mark.parametrize("family", ["toric2", "toric3", "match8", "star12", "incstar13"])
     def test_conftest_families_and_their_transposes(self, family, request):
         cpx = request.getfixturevalue(family)
-        assert_completion_matches_oracle(cpx, random.Random(family))
-        assert_completion_matches_oracle(cpx.transposed(), random.Random(family))
+        oracle_completion(cpx)
+        oracle_completion(cpx.transposed())
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(GROUPS)), seed=st.integers(0, 10**6))
@@ -486,9 +466,9 @@ class TestSquareCompletionOracle:
         group = GROUPS[name]()
         x, ax = random_factor(group, rng)
         y, ay = random_factor(group, rng)
-        assert_completion_matches_oracle(balanced_product(x, ax, y, ay), rng)
+        oracle_completion(balanced_product(x, ax, y, ay))
 
-    def test_ambiguous_completion_is_refused_where_it_is_asked(self):
+    def test_ambiguous_completion_is_refused(self):
         # One V00, V10 and V01 cell, two V11 cells, and a face through each:
         # the path V00 0 -> V10 0 and V01 0 closes in two ways.
         pair = frozenset({(0, 0)})
@@ -503,12 +483,4 @@ class TestSquareCompletionOracle:
         with pytest.raises(ValidationError, match=re.escape(
                 "square completion is not unique at (0, 0, 0); "
                 "the underlying action cannot be free")):
-            complete_square(cpx, z00=0, z10=0, z01=0)
-        with pytest.raises(ValidationError, match="not unique"):
             oracle_completion(cpx)
-        # The tables refused every query on this complex; the face index
-        # answers the triples that close one way.
-        for z11 in (0, 1):
-            assert complete_square(cpx, z10=0, z01=0, z11=z11) == 0
-            assert complete_square(cpx, z00=0, z10=0, z11=z11) == 0
-            assert complete_square(cpx, z00=0, z01=0, z11=z11) == 0

@@ -1,7 +1,6 @@
 """Expansion certification, unique neighbors, flows, and ownership partitions."""
 
 import itertools
-import json
 import math
 import random
 import re
@@ -12,7 +11,6 @@ import pytest
 import qbp
 from qbp.errors import BudgetExceededError, InternalInvariantError, PreconditionError
 from qbp.expansion import (
-    ExpansionCertificate,
     FlowNetwork,
     certify_expansion,
     check_unique_expander_bound,
@@ -155,16 +153,6 @@ class TestCertify:
         cert = certify_expansion(k33(), "0to1", Fraction(9, 10), Fraction(1, 10))
         seen = neighbors(k33(), 0, cert.witness)
         assert len(seen) < (1 - cert.epsilon) * cert.w_src * len(cert.witness)
-
-    def test_json_roundtrip(self):
-        cert = certify_expansion(k33(), "0to1", Fraction(9, 10), Fraction(1, 10))
-        assert ExpansionCertificate.from_json(cert.to_json()) == cert
-
-    @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 2)], ids=["fail", "pass"])
-    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
-    def test_json_roundtrip_through_text(self, mode, eps):
-        cert = certify_expansion(k33(), "1to0", Fraction(9, 10), eps, mode, trials=3, seed=7)
-        assert ExpansionCertificate.from_json(json.loads(json.dumps(cert.to_json()))) == cert
 
 
 class TestUniqueNeighbors:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,9 +10,9 @@ from fractions import Fraction
 import pytest
 
 import qbp
-from qbp import css, decoder, gf2, jsonio, product
+from qbp import css, decoder, gf2, harness, jsonio, product
 from qbp.cli import cli_dispatch
-from qbp.errors import ValidationError
+from qbp.errors import BudgetExceededError, ValidationError
 from qbp.gf2 import F2Vector
 from qbp.graphs import graph_to_json
 from qbp.groups import cyclic_group, group_to_json
@@ -40,6 +41,15 @@ class TestHarness:
         result = run_simulation(star12_code, config)
         assert len(result.records) == star12_code.n
         assert result.success_rate == 1
+
+    def test_sweep_over_the_budget_is_refused_before_decoding(self, star12_code, monkeypatch):
+        # C(60, 5) = 5,461,512 supports exceed 2^20; a decode would raise here.
+        monkeypatch.setattr(harness, "decode", no_decode)
+        config = ExperimentConfig(epsilon=Fraction(0), weight=5, sweep=True)
+        with pytest.raises(BudgetExceededError, match=re.escape(
+                "a weight-5 sweep decodes C(60, 5) = 5461512 supports, "
+                "over the budget of 1048576")):
+            run_simulation(star12_code, config)
 
     def test_exactly_one_error_model(self):
         with pytest.raises(ValidationError):
@@ -108,6 +118,10 @@ def workdir(tmp_path):
     cpx = left_right_cayley(cyclic_group(8), [1], [1])
     (tmp_path / "match.json").write_text(jsonio.canonical_dumps(complex_to_json(cpx)))
     return tmp_path
+
+
+def no_decode(*args):
+    raise AssertionError("decoded a trial of a sweep over the budget")
 
 
 def run_cli(*argv):
@@ -292,6 +306,16 @@ class TestCli:
         payload = json.loads((workdir / "sim.json").read_text())
         agg = payload["result"]["aggregates"]
         assert agg["success_rate"]["num"] == 1 and agg["success_rate"]["den"] == 1
+
+    def test_simulate_refuses_a_sweep_over_the_budget(self, workdir, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "decode", no_decode)
+        rc = run_cli("simulate", "--complex", decode_complex_file(workdir, "star12"),
+                     "--error-weight", "5", "--sweep", "--epsilon", "0",
+                     "--out", workdir / "sim.json")
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: a weight-5 sweep decodes C(60, 5) = 5461512 "
+                                           "supports, over the budget of 1048576\n")
+        assert not (workdir / "sim.json").exists()
 
     def test_simulate_determinism_bytes(self, workdir):
         outputs = set()

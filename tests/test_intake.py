@@ -14,10 +14,10 @@ exit code 1 or 2.
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,8 +27,7 @@ from hypothesis import strategies as st
 from qbp import cli, errors, gf2
 from qbp.cli import cli_dispatch
 from qbp.errors import ValidationError
-from qbp.expansion import ExpansionCertificate, certify_expansion
-from qbp.graphs import build_bipartite, cayley_bipartite, graph_from_json, graph_to_json
+from qbp.graphs import cayley_bipartite, graph_from_json, graph_to_json
 from qbp.groups import (action_from_json, cyclic_group, dihedral_group, group_from_json,
                         group_to_json)
 from qbp.instances import bipartite_cycle, star_graph, toric_complex
@@ -104,16 +103,6 @@ class TestOnlyInts:
         with pytest.raises(ValidationError, match="vector"):
             cli._load_vector(str(path))
 
-    def test_matrix_entries_must_be_ints(self):
-        with pytest.raises(ValidationError, match="matrix entries holds 1.5"):
-            gf2.from_json_dict({"rows": 2, "cols": 2, "entries": [[0, 1.5]]})
-        with pytest.raises(ValidationError, match="matrix rows must be an int"):
-            gf2.from_json_dict({"rows": 2.0, "cols": 2, "entries": []})
-
-    def test_matrix_shape_beyond_any_index_is_refused(self):
-        with pytest.raises(ValidationError, match="matrix rows = 9223372036854775808 exceeds the declared-size"):
-            gf2.from_json_dict({"rows": 2**63, "cols": 2, "entries": []})
-
     def test_table_values_must_be_below_the_size(self):
         with pytest.raises(ValidationError, match="table value 2 outside 0..1"):
             group_from_json({"mul": [[0, 2], [1, 0]]})
@@ -149,66 +138,16 @@ class TestOnlyInts:
 
     def test_valid_files_still_load(self):
         cpx = toric_complex(3)
-        assert complex_from_json(json.loads(json.dumps(complex_to_json(cpx)))).faces == cpx.faces
+        obj = json.loads(json.dumps(complex_to_json(cpx)))
+        assert complex_from_json(obj).faces == cpx.faces
+        # The declared class sizes may be left out.
+        sizeless = {k: v for k, v in obj.items() if k not in ("v00", "v10", "v01", "v11")}
+        assert complex_from_json(sizeless).faces == cpx.faces
         g = cyclic_group(5)
         assert group_from_json(json.loads(json.dumps(group_to_json(g)))).mul == g.mul
         _, action = star_graph(4, 2)
         table = json.loads(json.dumps([list(r) for r in action.v1.table]))
         assert action_from_json({"act": table}, action.group).table == action.v1.table
-        m = gf2.F2Matrix.from_entries(3, 4, [(0, 1), (2, 3)])
-        assert gf2.from_json_dict(json.loads(json.dumps(gf2.to_json_dict(m)))) == m
-
-
-def k33_certificate(mode="exhaustive"):
-    k33 = build_bipartite(3, 3, [(a, b) for a in range(3) for b in range(3)])
-    return certify_expansion(k33, "0to1", Fraction(9, 10), Fraction(1, 10), mode,
-                             trials=2, seed=1)
-
-
-class TestCertificateIntake:
-    """`ExpansionCertificate.from_json` reads each field strictly."""
-
-    @pytest.mark.parametrize("change, message", [
-        ({"v_src_size": 6.9}, "certificate v_src_size must be an int, got 6.9"),
-        ({"subsets_checked": "63"}, "certificate subsets_checked must be an int, got '63'"),
-        ({"w_src": True}, "certificate w_src must be an int, got True"),
-        ({"v_dst_size": -1}, "certificate v_dst_size must be nonnegative, got -1"),
-        ({"mode": "bogus"}, "certificate mode must be one of .*, got 'bogus'"),
-        ({"side": ["0to1"]}, "certificate side must be one of"),
-        ({"verdict": "PASS"}, "certificate verdict must be one of"),
-        ({"witness": [1.5]}, "certificate witness holds 1.5, which is not an int"),
-        ({"witness": 1}, "certificate witness must be a list of ints, got int"),
-        ({"c": [1, 0]}, "certificate c needs a positive denominator, got 0"),
-        ({"epsilon": [1, -10]}, "certificate epsilon needs a positive denominator, got -10"),
-        ({"c": [1, 2, 3]}, "certificate c must be a .numerator, denominator. pair"),
-        ({"epsilon": [0.5, 1]}, "certificate epsilon must be an int, got 0.5"),
-        ({"budget": 1.0}, "certificate budget must be an int, got 1.0"),
-        ({"note": 3}, "certificate note must be a string, got 3"),
-    ], ids=lambda v: v if isinstance(v, str) else next(iter(v)))
-    def test_refusals(self, change, message):
-        obj = dict(k33_certificate().to_json(), **change)
-        with pytest.raises(ValidationError, match=message):
-            ExpansionCertificate.from_json(obj)
-
-    def test_negative_budget_is_refused(self):
-        # certify_expansion refuses a negative budget, so no certificate
-        # holding one is read either.
-        obj = dict(k33_certificate().to_json(), budget=-1)
-        with pytest.raises(ValidationError, match="certificate budget must be nonnegative, got -1"):
-            ExpansionCertificate.from_json(obj)
-
-    def test_missing_field_and_wrong_type(self):
-        obj = k33_certificate().to_json()
-        del obj["epsilon"]
-        with pytest.raises(ValidationError, match="certificate JSON is missing 'epsilon'"):
-            ExpansionCertificate.from_json(obj)
-        with pytest.raises(ValidationError, match="certificate JSON must be an object, got list"):
-            ExpansionCertificate.from_json([])
-
-    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
-    def test_valid_certificates_load(self, mode):
-        cert = k33_certificate(mode)
-        assert ExpansionCertificate.from_json(json.loads(json.dumps(cert.to_json()))) == cert
 
 
 class TestDeclaredSizes:
@@ -222,12 +161,6 @@ class TestDeclaredSizes:
         with pytest.raises(ValidationError, match="graph v1 = 1048577 exceeds the declared"):
             graph_from_json({"v0": 1, "v1": MAX_DECLARED_SIZE + 1, "edges": [[0, 0]]})
 
-    def test_matrix_shape_over_the_budget_is_refused(self):
-        with pytest.raises(ValidationError, match="matrix cols = 68719476736 exceeds the declared"):
-            gf2.from_json_dict({"rows": 1, "cols": 2**36, "entries": []})
-        with pytest.raises(ValidationError, match="matrix rows = 1048577 exceeds the declared"):
-            gf2.from_json_dict({"rows": MAX_DECLARED_SIZE + 1, "cols": 1, "entries": []})
-
     def test_vector_length_over_the_budget_is_refused(self, tmp_path):
         path = tmp_path / "v.json"
         path.write_text(json.dumps({"length": 2**40, "support": []}))
@@ -238,9 +171,17 @@ class TestDeclaredSizes:
         assert MAX_DECLARED_SIZE == 1 << 20
         graph = graph_from_json({"v0": MAX_DECLARED_SIZE, "v1": 1, "edges": [[0, 0]]})
         assert graph.v0_size == MAX_DECLARED_SIZE
-        m = gf2.from_json_dict({"rows": 1, "cols": MAX_DECLARED_SIZE,
-                                "entries": [[0, MAX_DECLARED_SIZE - 1]]})
-        assert m.cols == MAX_DECLARED_SIZE
+
+    @pytest.mark.parametrize("change, message", [
+        ({"v10": 5, "v00": 999}, "complex v00 must be 9, the length of reps_v00, got 999"),
+        ({"v10": 5}, "complex v10 must be 9, the length of reps_v10, got 5"),
+        ({"v11": 9.0}, "complex v11 must be 9, the length of reps_v11, got 9.0"),
+        ({"v01": True}, "complex v01 must be 9, the length of reps_v01, got True"),
+    ], ids=["v00", "v10", "v11_float", "v01_bool"])
+    def test_complex_class_size_must_be_its_reps_length(self, change, message):
+        obj = dict(complex_to_json(toric_complex(3)), **change)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            complex_from_json(obj)
 
     def test_construct_reports_the_field(self, tmp_path):
         big = tmp_path / "big.json"
@@ -334,10 +275,10 @@ class TestTranslationIntake:
 # Huge ints are beyond any index (>= 2^63), so no loader can allocate for them.
 HUGE = st.sampled_from([2**63, 2**64 + 1, 10**30, -(2**63), -(10**30)])
 INTS = st.integers(-3, 12) | HUGE
-KEYS = ["v0", "v1", "edges", "mul", "order", "label", "act", "length", "support", "rows",
-        "cols", "entries", "reps_v00", "reps_v10", "reps_v01", "reps_v11", "edges_v00_v10",
-        "edges_v01_v11", "edges_v00_v01", "edges_v10_v11", "faces", "degrees",
-        "group_order", "down", "up", "right", "left"]
+KEYS = ["v0", "v1", "edges", "mul", "order", "label", "act", "length", "support",
+        "reps_v00", "reps_v10", "reps_v01", "reps_v11", "edges_v00_v10", "edges_v01_v11",
+        "edges_v00_v01", "edges_v10_v11", "faces", "degrees", "group_order", "v00", "v10",
+        "v01", "v11", "down", "up", "right", "left"]
 LEAVES = (st.none() | st.booleans() | INTS | st.floats() | st.text(max_size=3))
 JSON = st.recursive(
     LEAVES,
@@ -381,14 +322,7 @@ LOADERS = {
     "group": (group_from_json, shaped(["mul", "order", "label"], group_to_json(cyclic_group(3)))),
     "action": (lambda obj: action_from_json(obj, cyclic_group(3)),
                shaped(["act"], {"act": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})),
-    "complex": (complex_from_json, shaped(KEYS[12:23], complex_to_json(toric_complex(2)))),
-    "certificate": (ExpansionCertificate.from_json,
-                    shaped(["side", "v_src_size", "v_dst_size", "w_src", "c", "epsilon", "mode",
-                            "verdict", "witness", "trials", "seed", "budget",
-                            "subsets_checked", "note"], k33_certificate("sampled").to_json())),
-    "matrix": (gf2.from_json_dict,
-               shaped(["rows", "cols", "entries"], {"rows": 2, "cols": 3,
-                                                    "entries": [[0, 1], [1, 2]]})),
+    "complex": (complex_from_json, shaped(KEYS[9:24], complex_to_json(toric_complex(2)))),
 }
 
 

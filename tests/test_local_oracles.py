@@ -109,7 +109,8 @@ def oracle_action_from_table(group, table):
 def oracle_weight(code):
     """Column masks of Hx and Hz for every qubit, rows for every check."""
     per_qubit = max(
-        (code.hx.col_weight(q) + code.hz.col_weight(q) for q in range(code.n)),
+        (code.hx.col_masks[q].bit_count() + code.hz.col_masks[q].bit_count()
+         for q in range(code.n)),
         default=0,
     )
     return max(code.hx.max_row_weight(), code.hz.max_row_weight(), per_qubit)

@@ -1,6 +1,7 @@
 """Products: construction counts, chain condition, squares, copies, inheritance."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,7 +22,6 @@ from qbp.instances import (
 )
 from qbp.product import (
     balanced_product,
-    complete_square,
     complex_from_json,
     complex_to_json,
     copies_decomposition,
@@ -162,48 +162,18 @@ class TestChainCondition:
 
 
 class TestSquareCompletion:
-    def test_cartesian_completion(self):
-        x, y = bipartite_cycle(2), bipartite_cycle(2)
-        cpx = hypergraph_product(x, y)
-        z00, z10, z01, z11 = next(iter(sorted(cpx.faces)))
-        assert complete_square(cpx, z00=z00, z10=z10, z01=z01) == z11
-
     def test_left_right_cayley_square(self):
         # In difference labels the face at g=0 with a=1, b=2 reads
         # (0, 1, 2, 3): the missing corner is a*g*b.
         cpx = left_right_cayley(cyclic_group(5), [1], [2])
-        assert complete_square(cpx, z00=0, z10=1, z01=2) == 3
-
-    def test_round_trip_all_faces(self):
-        rng = random.Random(41)
-        group = cyclic_group(4)
-        x, ax = random_free_action_graph(group, 1, 1, 3, rng)
-        y, ay = random_free_action_graph(group, 1, 1, 2, rng)
-        cpx = balanced_product(x, ax, y, ay)
-        for z00, z10, z01, z11 in cpx.faces:
-            assert complete_square(cpx, z00=z00, z10=z10, z01=z01) == z11
-            assert complete_square(cpx, z00=z00, z10=z10, z11=z11) == z01
-            assert complete_square(cpx, z11=z11, z01=z01, z00=z00) == z10
-            assert complete_square(cpx, z01=z01, z11=z11, z10=z10) == z00
+        assert (0, 1, 2, 3) in cpx.faces
 
     def test_completion_total_on_adjacent_pairs(self, toric2):
         # Every path z10 - z00 - z01 bounds exactly one face.
-        n10 = {}
-        for z00, z10 in toric2.edges_v00_v10:
-            n10.setdefault(z00, []).append(z10)
-        n01 = {}
-        for z00, z01 in toric2.edges_v00_v01:
-            n01.setdefault(z00, []).append(z01)
-        for z00 in range(toric2.v00_size):
-            for z10 in n10[z00]:
-                for z01 in n01[z00]:
-                    z11 = complete_square(toric2, z00=z00, z10=z10, z01=z01)
-                    assert (z00, z10, z01, z11) in toric2.faces
-
-    def test_non_adjacent_triple_rejected(self, toric2):
-        with pytest.raises(PreconditionError):
-            # Two corners omitted.
-            complete_square(toric2, z00=0, z10=0)
+        adj01 = toric2.subgraph("v00_v01").adj0
+        paths = Counter((z00, z10, z01) for z00, z10 in toric2.edges_v00_v10
+                        for z01 in adj01[z00])
+        assert Counter((z00, z10, z01) for z00, z10, z01, _ in toric2.faces) == paths
 
     def test_degree_laws(self, star12):
         # Each V10 vertex sees `right` V11 cells; each V01 vertex `down`.
