@@ -468,7 +468,7 @@ class TestSquareCompletionOracle:
         y, ay = random_factor(group, rng)
         oracle_completion(balanced_product(x, ax, y, ay))
 
-    def test_ambiguous_completion_is_refused(self):
+    def test_ambiguous_completion_is_refused_where_it_is_asked(self):
         # One V00, V10 and V01 cell, two V11 cells, and a face through each:
         # the path V00 0 -> V10 0 and V01 0 closes in two ways.
         pair = frozenset({(0, 0)})

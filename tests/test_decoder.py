@@ -221,6 +221,20 @@ class TestPreprocess:
                 f"preprocessing needs beta > 0, got beta = {beta}")):
             preprocess_candidates(star12_code, syndrome_of(star12_code, [0]), beta)
 
+    @pytest.mark.parametrize("family", sorted(_ORACLE_FAMILIES))
+    def test_local_scan_holds_for_a_tiny_beta(self, family):
+        # However small beta > 0 is, a vertex that reaches no lit cell
+        # clears nothing and fails, so the local scan still finds every flip.
+        code = oracle_code(family)
+        beta = Fraction(1, 10**9)
+        rng = random.Random(family)
+        for _ in range(4):
+            syn = syndrome_of(code, rng.sample(range(code.n), 3))
+            res = preprocess_candidates(code, syn, beta)
+            queue, _ = bruteforce_scan(code, syn, beta)
+            assert list(res.queue) == queue
+            assert res.vertices_scanned == len(vertices_reaching(code.cpx, syn.support))
+
     def test_half_column_error_found(self, star12_code):
         code = star12_code
         x00 = 7

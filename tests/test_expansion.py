@@ -1,6 +1,7 @@
 """Expansion certification, unique neighbors, flows, and ownership partitions."""
 
 import itertools
+import json
 import math
 import random
 import re
@@ -11,6 +12,7 @@ import pytest
 import qbp
 from qbp.errors import BudgetExceededError, InternalInvariantError, PreconditionError
 from qbp.expansion import (
+    ExpansionCertificate,
     FlowNetwork,
     certify_expansion,
     check_unique_expander_bound,
@@ -47,6 +49,15 @@ def brute_force_violation(graph, side, c, epsilon):
             if len(seen) < (1 - Fraction(epsilon)) * w * size:
                 return subset
     return None
+
+
+def certificate_from_json(obj):
+    """The certificate whose `to_json` is obj: c and epsilon from their
+    [numerator, denominator] pairs, the witness as a tuple."""
+    witness = obj["witness"]
+    return ExpansionCertificate(**dict(
+        obj, c=Fraction(*obj["c"]), epsilon=Fraction(*obj["epsilon"]),
+        witness=None if witness is None else tuple(witness)))
 
 
 class TestCertify:
@@ -153,6 +164,17 @@ class TestCertify:
         cert = certify_expansion(k33(), "0to1", Fraction(9, 10), Fraction(1, 10))
         seen = neighbors(k33(), 0, cert.witness)
         assert len(seen) < (1 - cert.epsilon) * cert.w_src * len(cert.witness)
+
+    def test_json_roundtrip(self):
+        cert = certify_expansion(k33(), "0to1", Fraction(9, 10), Fraction(1, 10))
+        assert certificate_from_json(cert.to_json()) == cert
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 2)], ids=["fail", "pass"])
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_json_roundtrip_through_text(self, mode, eps):
+        # `qbp certify` writes `to_json`; its text holds every field exactly.
+        cert = certify_expansion(k33(), "1to0", Fraction(9, 10), eps, mode, trials=3, seed=7)
+        assert certificate_from_json(json.loads(json.dumps(cert.to_json()))) == cert
 
 
 class TestUniqueNeighbors:

@@ -1,6 +1,7 @@
 """GF(2) linear algebra: frozen oracle values and randomized properties."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -175,6 +176,17 @@ class TestInterchange:
     def test_alist_rejects_garbage(self):
         with pytest.raises(ValidationError):
             gf2.from_alist("2 2\n1 1\n1 1\n1 1\n1\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("2 1\n1 1\n1\n1\n1\n", "alist weight lists disagree with header"),
+        ("1 1\n1 1\n1\n1\n0\n1\n", "alist column 0 has 0 indices, expected 1"),
+        ("2 1\n1 1\n1 0\n1\n1\n0\n2\n", "alist row/column lists disagree at (0,1)"),
+        ("1 1\n1 1\n1\n1\n1.5\n1\n", "malformed alist: invalid literal"),
+        ("1 1\n1 1\n1\n1\n1\n", "malformed alist: list index out of range"),
+    ], ids=["weights", "column", "disagree", "float", "truncated"])
+    def test_alist_refusals_name_the_fault(self, text, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            gf2.from_alist(text)
 
 
 class TestSpanPlanes:

@@ -51,6 +51,23 @@ class TestHarness:
                 "over the budget of 1048576")):
             run_simulation(star12_code, config)
 
+    @pytest.mark.parametrize("budget, refused", [(60, False), (59, True)], ids=["at", "over"])
+    def test_sweep_budget_boundary(self, star12_code, monkeypatch, budget, refused):
+        # A weight-1 sweep of star12 decodes C(60, 1) = 60 supports.
+        monkeypatch.setattr(harness, "_SWEEP_BUDGET", budget)
+        config = ExperimentConfig(epsilon=Fraction(0), weight=1, sweep=True)
+        if refused:
+            with pytest.raises(BudgetExceededError, match="over the budget of 59"):
+                run_simulation(star12_code, config)
+        else:
+            assert len(run_simulation(star12_code, config).records) == 60
+
+    def test_sampled_weight_is_not_budgeted(self, star12_code):
+        # Only the sweep enumerates supports; trials of weight 5 draw three.
+        config = ExperimentConfig(epsilon=Fraction(0), trials=3, seed=2, weight=5)
+        result = run_simulation(star12_code, config)
+        assert [r.error_weight for r in result.records] == [5, 5, 5]
+
     def test_exactly_one_error_model(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(epsilon=Fraction(0), trials=1)

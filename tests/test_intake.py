@@ -177,11 +177,35 @@ class TestDeclaredSizes:
         ({"v10": 5}, "complex v10 must be 9, the length of reps_v10, got 5"),
         ({"v11": 9.0}, "complex v11 must be 9, the length of reps_v11, got 9.0"),
         ({"v01": True}, "complex v01 must be 9, the length of reps_v01, got True"),
-    ], ids=["v00", "v10", "v11_float", "v01_bool"])
+        ({"v00": -1}, "complex v00 must be 9, the length of reps_v00, got -1"),
+        ({"v10": "9"}, "complex v10 must be 9, the length of reps_v10, got '9'"),
+        ({"v11": None}, "complex v11 must be 9, the length of reps_v11, got None"),
+        ({"v01": 10}, "complex v01 must be 9, the length of reps_v01, got 10"),
+    ], ids=["v00", "v10", "v11_float", "v01_bool", "v00_negative", "v10_str", "v11_null",
+            "v01_one_over"])
     def test_complex_class_size_must_be_its_reps_length(self, change, message):
         obj = dict(complex_to_json(toric_complex(3)), **change)
         with pytest.raises(ValidationError, match=re.escape(message)):
             complex_from_json(obj)
+
+    @pytest.mark.parametrize("command", [
+        ["code"],
+        ["distance"],
+        ["decode", "--syndrome", "{v}", "--epsilon", "0"],
+        ["simulate", "--error-weight", "1", "--sweep", "--epsilon", "0"],
+        ["diagnose", "--error", "{v}", "--epsilon", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_every_command_refuses_a_wrong_class_size(self, tmp_path, command):
+        obj = complex_to_json(toric_complex(3))
+        obj["v10"] += 1
+        path = tmp_path / "declared_size.json"
+        path.write_text(json.dumps(obj))
+        vector = tmp_path / "v.json"
+        vector.write_text(json.dumps({"length": 18, "support": [0]}))
+        argv = [command[0], "--complex", path] + [vector if a == "{v}" else a
+                                                 for a in command[1:]]
+        assert run_cli(argv) == (
+            1, "error: complex v10 must be 9, the length of reps_v10, got 10\n")
 
     def test_construct_reports_the_field(self, tmp_path):
         big = tmp_path / "big.json"

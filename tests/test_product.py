@@ -162,11 +162,30 @@ class TestChainCondition:
 
 
 class TestSquareCompletion:
+    def test_cartesian_completion(self):
+        # Three corners of a face fix the fourth.
+        x, y = bipartite_cycle(2), bipartite_cycle(2)
+        cpx = hypergraph_product(x, y)
+        face = min(cpx.faces)
+        assert [f for f in cpx.faces if f[:3] == face[:3]] == [face]
+
     def test_left_right_cayley_square(self):
         # In difference labels the face at g=0 with a=1, b=2 reads
         # (0, 1, 2, 3): the missing corner is a*g*b.
         cpx = left_right_cayley(cyclic_group(5), [1], [2])
         assert (0, 1, 2, 3) in cpx.faces
+
+    def test_round_trip_all_faces(self):
+        # Freeness: any three corners of a face lie on no other face.
+        rng = random.Random(41)
+        group = cyclic_group(4)
+        x, ax = random_free_action_graph(group, 1, 1, 3, rng)
+        y, ay = random_free_action_graph(group, 1, 1, 2, rng)
+        cpx = balanced_product(x, ax, y, ay)
+        assert cpx.faces
+        for omitted in range(4):
+            triples = Counter(face[:omitted] + face[omitted + 1:] for face in cpx.faces)
+            assert set(triples.values()) == {1}
 
     def test_completion_total_on_adjacent_pairs(self, toric2):
         # Every path z10 - z00 - z01 bounds exactly one face.
@@ -174,6 +193,14 @@ class TestSquareCompletion:
         paths = Counter((z00, z10, z01) for z00, z10 in toric2.edges_v00_v10
                         for z01 in adj01[z00])
         assert Counter((z00, z10, z01) for z00, z10, z01, _ in toric2.faces) == paths
+
+    def test_non_adjacent_triple_rejected(self, toric2):
+        # A face closes only corners that are pairwise adjacent.
+        for z00, z10, z01, z11 in toric2.faces:
+            assert (z00, z10) in toric2.edges_v00_v10
+            assert (z00, z01) in toric2.edges_v00_v01
+            assert (z10, z11) in toric2.edges_v10_v11
+            assert (z01, z11) in toric2.edges_v01_v11
 
     def test_degree_laws(self, star12):
         # Each V10 vertex sees `right` V11 cells; each V01 vertex `down`.

@@ -150,3 +150,12 @@ def test_keep_lists_only_unreached_names():
     assert [name for name in KEEP if name not in defs] == [], "KEEP names that no longer exist"
     assert [name for name in KEEP if name in seen] == [], "KEEP names that are now reached"
     assert set(KEEP.values()) <= ROLES
+
+
+def test_walk_reaches_what_the_commands_run():
+    # Each command's core is reached, and the walk stops short of the oracles.
+    seen = reached(definitions())
+    assert {"product.balanced_product", "product.complex_from_json", "css.extract_code",
+            "css.code_params", "decoder.decode", "decoder.decode_x", "harness.run_simulation",
+            "expansion.certify_expansion", "expansion.tree_partition"} <= seen
+    assert not {"gf2.from_alist", "decoder.flippable", "css.greedy_flip_reduce"} & seen
