@@ -18,12 +18,8 @@ from .graphs import (
 from .groups import (
     FiniteGroup,
     GroupAction,
-    conjugation_action,
     cyclic_group,
     dihedral_group,
-    left_translation_action,
-    right_translation_action,
-    symmetric_group,
     trivial_action,
     trivial_group,
     verify_free_action,

@@ -23,7 +23,7 @@ from .errors import (BudgetExceededError, InternalInvariantError, OracleUnavaila
                      ValidationError)
 from .gf2 import F2Vector
 from .graphs import GraphAction, graph_from_json
-from .groups import action_from_json, group_from_json
+from .groups import GroupAction, group_from_json
 from .jsonio import _int_rows, _size_value, parse_rational
 
 
@@ -197,12 +197,10 @@ def _cmd_construct(args) -> tuple[dict, dict, Optional[str]]:
         # Each raw table is popped as it is converted, so at most one is
         # held twice; a translation table becomes the group's own object.
         try:
-            ax = GraphAction(group,
-                             action_from_json({"act": acts.pop("left_v0")}, group),
-                             action_from_json({"act": acts.pop("left_v1")}, group))
-            ay = GraphAction(group,
-                             action_from_json({"act": acts.pop("right_v0")}, group),
-                             action_from_json({"act": acts.pop("right_v1")}, group))
+            ax = GraphAction(group, GroupAction.from_table(group, acts.pop("left_v0")),
+                             GroupAction.from_table(group, acts.pop("left_v1")))
+            ay = GraphAction(group, GroupAction.from_table(group, acts.pop("right_v0")),
+                             GroupAction.from_table(group, acts.pop("right_v1")))
         except KeyError as exc:
             raise ValidationError(f"actions JSON is missing table {exc}") from exc
         cpx = product.balanced_product(left, ax, right, ay)

@@ -328,15 +328,11 @@ def normalized_syndrome_weight(code: CssCode, c0: F2Vector) -> Fraction:
     return Fraction(c0.weight, code.degrees.down * code.degrees.right)
 
 
-def _key_weights(code: CssCode, normalized: bool) -> tuple[int, int]:
-    """(a, b) of the integer weight key a|m & V10| + b|m & V01|.
-
-    (right, down) when normalized, so the key is down*right times
-    |v10|/down + |v01|/right; (1, 1) otherwise.  A zero degree leaves the
-    normalized weight undefined and is refused.
+def _key_weights(code: CssCode) -> tuple[int, int]:
+    """(a, b) = (right, down) of the integer weight key a|m & V10| + b|m & V01|,
+    which is down*right times the normalized weight |v10|/down + |v01|/right.
+    A zero degree leaves the normalized weight undefined and is refused.
     """
-    if not normalized:
-        return 1, 1
     code.degrees.require_positive("normalized weight", "down", "right")
     return code.degrees.right, code.degrees.down
 
@@ -347,10 +343,10 @@ class FlipReduction:
     iterations: int
 
 
-def greedy_flip_reduce(code: CssCode, c1: F2Vector, normalized: bool) -> FlipReduction:
+def greedy_flip_reduce(code: CssCode, c1: F2Vector) -> FlipReduction:
     """Add single Hz rows (columns of the V00 -> qubits map) while the
-    (normalized) weight strictly drops; the result is (normalized) locally
-    minimal and has the same syndrome as the input.
+    normalized weight strictly drops; the result is locally minimal and has
+    the same syndrome as the input.
 
     Weights are compared through the exact integer key of `_key_weights`,
     key(m) = a|m & V10| + b|m & V01|.  Adding Hz row r changes it by
@@ -361,11 +357,11 @@ def greedy_flip_reduce(code: CssCode, c1: F2Vector, normalized: bool) -> FlipRed
     """
     if c1.length != code.n:
         raise ValidationError(f"vector length {c1.length} != n = {code.n}")
-    if normalized and code.degrees is None:
+    if code.degrees is None:
         raise PreconditionError("normalized reduction needs recorded degrees")
     split = code.v10_size
     low_block = (1 << split) - 1
-    a, b = _key_weights(code, normalized)
+    a, b = _key_weights(code)
 
     def key(m: int) -> int:
         return a * (m & low_block).bit_count() + b * (m >> split).bit_count()
@@ -388,18 +384,19 @@ def greedy_flip_reduce(code: CssCode, c1: F2Vector, normalized: bool) -> FlipRed
         iterations += 1
 
 
-def is_locally_minimal(code: CssCode, c1: F2Vector, normalized: bool) -> bool:
-    """No single Hz-row addition decreases the (normalized) weight.
+def is_locally_minimal(code: CssCode, c1: F2Vector) -> bool:
+    """No single Hz-row addition decreases the normalized weight.
 
     Weight ties do not disqualify: the comparison is strict decrease.
     """
-    reduced = greedy_flip_reduce(code, c1, normalized)
+    reduced = greedy_flip_reduce(code, c1)
     return reduced.iterations == 0
 
 
 @dataclass(frozen=True)
 class LocallyMinimalDistanceReport:
-    """Minimum weights over nonzero locally minimal kernel vectors.
+    """Minimum weights over nonzero kernel vectors that are locally minimal
+    in the normalized weight.
 
     d_lm_all quantifies over every nonzero locally minimal vector in the
     kernel, stabilizers included; d_lm_nontrivial excludes the stabilizer
@@ -407,7 +404,6 @@ class LocallyMinimalDistanceReport:
     locally minimal, in which case the two differ.
     """
 
-    normalized: bool
     d_lm_all: Optional[int]
     d_lm_nontrivial: Optional[int]
     kernel_dim: int
@@ -415,7 +411,6 @@ class LocallyMinimalDistanceReport:
 
 def locally_minimal_distance(
     code: CssCode,
-    normalized: bool = True,
     budget: int = DEFAULT_KERNEL_BUDGET,
 ) -> LocallyMinimalDistanceReport:
     """Cover ker(Hx) and minimize weight over locally minimal vectors.
@@ -430,9 +425,9 @@ def locally_minimal_distance(
     """
     _check_budget(budget)
     masks, coords = _z_kernel(code, budget)
-    if normalized and code.degrees is None:
+    if code.degrees is None:
         raise PreconditionError("normalized local minimality needs recorded degrees")
-    a, b = _key_weights(code, normalized)
+    a, b = _key_weights(code)
     n, split = code.n, code.v10_size
     # Per Hz row: its qubits with their key weights, and floor(key(r) / 2);
     # adding row r strictly lowers the key of m when key(m & r) exceeds it.
@@ -460,7 +455,7 @@ def locally_minimal_distance(
         found = gf2.plane_min(weights, minimal & _nontrivial(planes, n))
         if found is not None and (best_nontrivial is None or found[0] < best_nontrivial):
             best_nontrivial = found[0]
-    return LocallyMinimalDistanceReport(normalized, best_all, best_nontrivial, len(masks))
+    return LocallyMinimalDistanceReport(best_all, best_nontrivial, len(masks))
 
 
 @dataclass(frozen=True)
@@ -494,7 +489,7 @@ def minimal_coset_representative(
     if particular is None:
         raise ValidationError("syndrome is not in the image of Hx")
     masks = _kernel_masks(code.hx, budget, "coset")
-    a, b = _key_weights(code, True)
+    a, b = _key_weights(code)
     split = code.v10_size
     base = particular.to_mask()
     best: Optional[tuple[int, int]] = None         # (key, mask)

@@ -549,7 +549,7 @@ class RegionReport:
     unique_total: int
     syndrome_weight: int
     per_vertex: dict[int, dict[str, int]]
-    epsilon: Optional[Fraction]
+    epsilon: Fraction
 
     @property
     def counting_bound_ok(self) -> bool:
@@ -557,9 +557,7 @@ class RegionReport:
                                      - self.multihit_total - 2 * self.excess_total)
 
     @property
-    def chain_ok(self) -> Optional[bool]:
-        if self.epsilon is None:
-            return None
+    def chain_ok(self) -> bool:
         factor = 1 - 12 * self.epsilon
         return (self.syndrome_weight >= self.unique_total
                 and Fraction(self.unique_total) >= factor * self.touched_total
@@ -572,7 +570,7 @@ def region_diagnostics(
     v01: Iterable[int],
     part10: TreePartition,
     part01: TreePartition,
-    epsilon: Optional[Fraction] = None,
+    epsilon: Fraction,
 ) -> RegionReport:
     """Classify every face against an error and its ownership partitions.
 
@@ -658,7 +656,7 @@ def region_diagnostics(
         unique_total=totals["unique"],
         syndrome_weight=len(syndrome),
         per_vertex=per,
-        epsilon=Fraction(epsilon) if epsilon is not None else None,
+        epsilon=Fraction(epsilon),
     )
     if not report.counting_bound_ok:
         raise InternalInvariantError(

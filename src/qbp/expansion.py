@@ -238,11 +238,12 @@ def certify_expansion(
 
 
 def unique_neighbors(graph: BipartiteGraph, side: int, subset: Iterable[int]) -> frozenset[int]:
-    """Opposite-side vertices adjacent to exactly one member of `subset`."""
+    """Opposite-side vertices adjacent to exactly one member of `subset`,
+    read as a set."""
     adj = graph.adj0 if side == 0 else graph.adj1
     size = graph.v0_size if side == 0 else graph.v1_size
     counts: dict[int, int] = {}
-    for x in subset:
+    for x in set(subset):
         if not 0 <= x < size:
             raise IndexError(f"vertex {x} outside side {side} of size {size}")
         for y in adj[x]:

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from .errors import ValidationError
-from .groups import FiniteGroup, GroupAction, left_translation_action, right_translation_action
+from .groups import FiniteGroup, GroupAction
 from .jsonio import _int_rows, _size_value
 
 _Violation = Optional[tuple[int, tuple[int, int]]]   # (g, edge), or None
@@ -199,10 +199,10 @@ def cayley_bipartite(group: FiniteGroup, gens: Iterable[int], side: str) -> Cayl
     mul = group.mul
     if side == "left":
         edges = [(g, mul[a][g]) for g in group.elements() for a in gen_list]
-        one_side = right_translation_action(group)
+        one_side = group.right_translation
     else:
         edges = [(g, mul[g][b]) for g in group.elements() for b in gen_list]
-        one_side = left_translation_action(group)
+        one_side = group.left_translation
     graph = build_bipartite(group.order, group.order, edges)
     return CayleyGraph(graph, GraphAction(group, one_side, one_side), tuple(gen_list), side)
 

@@ -48,7 +48,6 @@ exactly an int (see `jsonio._int_rows`).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -232,19 +231,6 @@ def _by_formula(group: FiniteGroup, generators: tuple[int, ...]) -> FiniteGroup:
     return group
 
 
-def symmetric_group(n: int) -> FiniteGroup:
-    """Symmetric group on n letters; elements are permutations in lex order."""
-    if not 1 <= n <= 6:
-        raise ValidationError("symmetric_group supports 1 <= n <= 6")
-    perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    # Composition (p . q)(x) = p(q(x)).
-    table = tuple(
-        tuple(index[tuple(p[q[x]] for x in range(n))] for q in perms) for p in perms
-    )
-    return FiniteGroup.from_table(table, label=f"S{n}")
-
-
 @dataclass(frozen=True)
 class GroupAction:
     """A left action of a group on {0..set_size-1}, as an order x set_size table.
@@ -351,26 +337,6 @@ def verify_free_action(action: GroupAction) -> Optional[tuple[int, int]]:
     return action.fixed_point
 
 
-def left_translation_action(group: FiniteGroup) -> GroupAction:
-    """g . x = g x on the group itself (free); one object per group."""
-    return group.left_translation
-
-
-def right_translation_action(group: FiniteGroup) -> GroupAction:
-    """g . x = x g^{-1} on the group itself (free; inverse keeps it a left
-    action); one object per group."""
-    return group.right_translation
-
-
-def conjugation_action(group: FiniteGroup) -> GroupAction:
-    """g . x = g x g^{-1}; not free for any group with a non-central element."""
-    table = tuple(
-        tuple(group.op(group.op(g, x), group.inv[g]) for x in group.elements())
-        for g in group.elements()
-    )
-    return GroupAction.from_table(group, table)
-
-
 def trivial_action(group: FiniteGroup, set_size: int) -> GroupAction:
     table = tuple(tuple(range(set_size)) for _ in group.elements())
     return GroupAction.from_table(group, table)
@@ -401,12 +367,3 @@ def group_from_json(obj: dict) -> FiniteGroup:
             raise ValidationError(
                 f"group order {order} does not match the {group.order}-row table")
     return group
-
-
-def action_from_json(obj: dict, group: FiniteGroup) -> GroupAction:
-    """Load `{act}`: a group.order x set_size table of ints."""
-    if not isinstance(obj, dict):
-        raise ValidationError(f"action JSON must be an object, got {type(obj).__name__}")
-    if "act" not in obj:
-        raise ValidationError("malformed action JSON: missing 'act'")
-    return GroupAction.from_table(group, obj["act"])

@@ -23,13 +23,12 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import gf2
-from .css import CssCode, minimal_coset_representative
+from .css import CssCode
 from .decoder import DecoderConfig, decode
-from .errors import BudgetExceededError, OracleUnavailableError, ValidationError
+from .errors import BudgetExceededError, ValidationError
 from .gf2 import F2Vector
 from .jsonio import fraction_to_json
 
-_REPRESENTATIVE_BUDGET = 1 << 16   # coset vectors the minimal-representative oracle may try
 _SWEEP_BUDGET = 1 << 20            # supports a sweep may decode, as many as the kernel budget
 
 
@@ -49,8 +48,6 @@ class ExperimentConfig:
     weight: Optional[int] = None
     flip_probability: Optional[Fraction] = None
     sweep: bool = False
-    iteration_cap: int = 1 << 16
-    check_minimal_representative: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
@@ -69,7 +66,7 @@ class ExperimentConfig:
                 raise ValidationError(f"flip probability {p} outside [0, 1]")
             object.__setattr__(self, "flip_probability", p)
         # The decoder settings are checked here, before the first trial.
-        DecoderConfig(epsilon=self.epsilon, iteration_cap=self.iteration_cap)
+        DecoderConfig(epsilon=self.epsilon)
 
     def echo(self) -> dict:
         return {
@@ -80,9 +77,11 @@ class ExperimentConfig:
             "flip_probability": fraction_to_json(self.flip_probability)
             if self.flip_probability is not None else None,
             "sweep": self.sweep,
-            "iteration_cap": self.iteration_cap,
-            "check_residual": True,         # the residual is always checked
-            "check_minimal_representative": self.check_minimal_representative,
+            # Fixed by the harness: the decoder's default cap, a residual that
+            # is always checked and no minimal-representative search.
+            "iteration_cap": DecoderConfig.iteration_cap,
+            "check_residual": True,
+            "check_minimal_representative": False,
         }
 
 
@@ -95,7 +94,6 @@ class TrialRecord:
     iterations: int
     residual_in_stabilizer: bool
     max_updated_syndromes: int
-    minimal_representative_weights: Optional[tuple[int, int]] = None
 
     @property
     def success(self) -> bool:
@@ -110,8 +108,7 @@ class TrialRecord:
             "iterations": self.iterations,
             "residual_in_stabilizer": self.residual_in_stabilizer,
             "max_updated_syndromes": self.max_updated_syndromes,
-            "minimal_representative_weights": list(self.minimal_representative_weights)
-            if self.minimal_representative_weights is not None else None,
+            "minimal_representative_weights": None,     # no such search runs
         }
 
 
@@ -173,25 +170,13 @@ def run_simulation(code: CssCode, config: ExperimentConfig) -> ExperimentResult:
         raise BudgetExceededError(
             f"a weight-{config.weight} sweep decodes C({code.n}, {config.weight}) = "
             f"{math.comb(code.n, config.weight)} supports, over the budget of {_SWEEP_BUDGET}")
-    decoder_config = DecoderConfig(
-        epsilon=config.epsilon, iteration_cap=config.iteration_cap, keep_flip_sets=False
-    )
+    decoder_config = DecoderConfig(epsilon=config.epsilon, keep_flip_sets=False)
     records = []
     for index, support in _iter_errors(code, config):
         error = F2Vector.from_support(code.n, support)
         syndrome = gf2.mat_vec(code.hx, error)
         result = decode(code, syndrome, decoder_config)
         residual_ok = code.z_stabilizers.contains(error ^ result.correction)
-        rep_weights: Optional[tuple[int, int]] = None
-        if config.check_minimal_representative:
-            # Exhaustive coset search; feasible only at toy sizes, so the
-            # toggle reports nothing instead of failing past its budget.
-            try:
-                rep = minimal_coset_representative(
-                    code, syndrome, budget=_REPRESENTATIVE_BUDGET)
-                rep_weights = (rep.v10_weight, rep.v01_weight)
-            except OracleUnavailableError:
-                rep_weights = None
         records.append(TrialRecord(
             index=index,
             error_weight=error.weight,
@@ -200,7 +185,6 @@ def run_simulation(code: CssCode, config: ExperimentConfig) -> ExperimentResult:
             iterations=result.iterations,
             residual_in_stabilizer=residual_ok,
             max_updated_syndromes=result.max_updated_syndromes,
-            minimal_representative_weights=rep_weights,
         ))
     return ExperimentResult(
         records=tuple(records),

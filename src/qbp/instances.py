@@ -3,13 +3,13 @@
 The families here are the workhorses for experiments and tests:
 
 * bipartite cycles (products of two of them are the toric codes),
-* star forests and perfect matchings with translation symmetry, which are
-  exact lossless expanders (every subset expands by the full degree) and so
-  support the decoder's guarantees with epsilon = 0,
+* star forests with translation symmetry, which are exact lossless
+  expanders (every subset expands by the full degree) and so support the
+  decoder's guarantees with epsilon = 0,
 * incidence graphs of complete graphs with one doubled distance class, the
   smallest biregular family certifiable at a nonzero epsilon with the pair
   bound epsilon * w0 = 1 (girth 6 except for the doubled class),
-* seeded random graphs, biregular or with a prescribed free action.
+* seeded random graphs with a prescribed free action.
 
 Nothing on these build paths re-checks what the construction guarantees.
 The groups are written by formula (`cyclic_group`), and every free action
@@ -25,19 +25,10 @@ proof for a built complex, from the face check for a loaded one, or by
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Iterable
 
 from .errors import ValidationError
-from .expansion import ExpansionCertificate, certify_expansion
-from .graphs import (
-    BipartiteGraph,
-    CayleyGraph,
-    GraphAction,
-    build_bipartite,
-    cayley_bipartite,
-    invert_gens,
-)
+from .graphs import BipartiteGraph, GraphAction, build_bipartite, cayley_bipartite, invert_gens
 from .groups import FiniteGroup, _copies_translation, cyclic_group
 from .product import BalancedProductComplex, balanced_product, hypergraph_product
 
@@ -72,11 +63,6 @@ def star_graph(m: int, degree: int) -> tuple[BipartiteGraph, GraphAction]:
     return graph, GraphAction(group, group.left_translation, v1)
 
 
-def matching_cayley(group: FiniteGroup, gen: int) -> CayleyGraph:
-    """A perfect matching as a right Cayley graph on one generator."""
-    return cayley_bipartite(group, [gen], "right")
-
-
 def left_right_cayley(group: FiniteGroup, gens_a: Iterable[int], gens_b: Iterable[int]) -> BalancedProductComplex:
     """Balanced product of two right Cayley graphs over the same group.
 
@@ -97,24 +83,6 @@ def star_product(m: int, down: int, right: int) -> BalancedProductComplex:
     gx, ax = star_graph(m, down)
     gy, ay = star_graph(m, right)
     return balanced_product(gx, ax, gy, ay, provenance=f"star product m={m}")
-
-
-def star_certificate(m: int, degree: int) -> ExpansionCertificate:
-    """Exhaustive (c=1, epsilon=0) certificate for a star family, center side."""
-    graph, _ = star_graph(m, degree)
-    cert = certify_expansion(graph, "0to1", Fraction(1), Fraction(0))
-    if cert.verdict != "pass":
-        raise ValidationError("star family failed its own certificate")
-    return cert
-
-
-def matching_certificate(group: FiniteGroup, gen: int, side: str = "0to1") -> ExpansionCertificate:
-    """Exhaustive (c=1, epsilon=0) certificate for a matching, either side."""
-    graph = matching_cayley(group, gen).graph
-    cert = certify_expansion(graph, side, Fraction(1), Fraction(0))
-    if cert.verdict != "pass":
-        raise ValidationError("matching failed its own certificate")
-    return cert
 
 
 def doubled_complete_incidence(m: int) -> tuple[BipartiteGraph, GraphAction]:
@@ -150,15 +118,6 @@ def doubled_complete_incidence(m: int) -> tuple[BipartiteGraph, GraphAction]:
     return graph, GraphAction(group, group.left_translation, v1)
 
 
-def doubled_incidence_certificate(m: int) -> ExpansionCertificate:
-    """Exhaustive (3/m, 1/(m+1)) certificate for the doubled incidence family."""
-    graph, _ = doubled_complete_incidence(m)
-    cert = certify_expansion(graph, "0to1", Fraction(3, m), Fraction(1, m + 1))
-    if cert.verdict != "pass":
-        raise ValidationError(f"doubled incidence m={m} failed its certificate: {cert}")
-    return cert
-
-
 def incidence_star_product(m: int, right: int) -> BalancedProductComplex:
     """Balanced product of the doubled incidence family with a star family."""
     gx, ax = doubled_complete_incidence(m)
@@ -167,53 +126,7 @@ def incidence_star_product(m: int, right: int) -> BalancedProductComplex:
                             provenance=f"doubled-incidence x star, m={m}")
 
 
-def star_incidence_product(m: int, down: int) -> BalancedProductComplex:
-    """Balanced product of a star family with the doubled incidence family."""
-    gx, ax = star_graph(m, down)
-    gy, ay = doubled_complete_incidence(m)
-    return balanced_product(gx, ax, gy, ay,
-                            provenance=f"star x doubled-incidence, m={m}")
-
-
 # -- seeded random families ----------------------------------------------------
-
-
-def random_bipartite(v0: int, v1: int, n_edges: int, rng: random.Random) -> BipartiteGraph:
-    """A uniform simple bipartite graph with exactly n_edges edges."""
-    if n_edges > v0 * v1:
-        raise ValidationError(f"cannot place {n_edges} edges in a {v0}x{v1} grid")
-    cells = [(a, b) for a in range(v0) for b in range(v1)]
-    return build_bipartite(v0, v1, rng.sample(cells, n_edges))
-
-
-def random_biregular(v0: int, v1: int, w0: int, rng: random.Random, attempts: int = 200) -> BipartiteGraph:
-    """A random (w0, w1)-biregular simple graph; w1 = w0*v0/v1 must be integral.
-
-    Built as a union of w0 random perfect assignments of V0-stubs to V1,
-    resampled on duplicate edges.
-    """
-    if (w0 * v0) % v1 != 0:
-        raise ValidationError(f"w0*v0 = {w0 * v0} not divisible by v1 = {v1}")
-    w1 = w0 * v0 // v1
-    if w0 > v1 or w1 > v0:
-        raise ValidationError("degrees exceed opposite side size; no simple graph exists")
-    for _ in range(attempts):
-        stubs = [x1 for x1 in range(v1) for _ in range(w1)]
-        rng.shuffle(stubs)
-        left = [x0 for x0 in range(v0) for _ in range(w0)]
-        edges = set()
-        ok = True
-        for x0, x1 in zip(left, stubs):
-            if (x0, x1) in edges:
-                ok = False
-                break
-            edges.add((x0, x1))
-        if ok:
-            return build_bipartite(v0, v1, edges)
-    raise ValidationError(
-        f"could not sample a simple ({w0},{w1})-biregular graph on {v0}+{v1} "
-        f"vertices in {attempts} attempts"
-    )
 
 
 def random_free_action_graph(

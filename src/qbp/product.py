@@ -162,6 +162,9 @@ class BalancedProductComplex:
 
     @cached_property
     def _subgraphs(self) -> dict[str, BipartiteGraph]:
+        """The four subgraphs, built once their edge endpoints are checked:
+        `BipartiteGraph` indexes its adjacency by them unchecked."""
+        _check_endpoints(self)
         return {
             "v00_v10": BipartiteGraph(self.v00_size, self.v10_size, self.edges_v00_v10),
             "v01_v11": BipartiteGraph(self.v01_size, self.v11_size, self.edges_v01_v11),

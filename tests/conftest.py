@@ -5,24 +5,34 @@ run (derandomized), with each test's own `max_examples`.
 """
 
 import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
 
 import qbp
+from qbp.expansion import certify_expansion
+from qbp.graphs import cayley_bipartite
 from qbp.groups import cyclic_group
 from qbp.instances import (
-    doubled_incidence_certificate,
+    doubled_complete_incidence,
     incidence_star_product,
     left_right_cayley,
-    matching_certificate,
-    star_certificate,
+    star_graph,
     star_product,
     toric_complex,
 )
 
 settings.register_profile("ci", derandomize=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def passing_certificate(graph, c, epsilon):
+    """The exhaustive certificate of `graph` from V0 at (c, epsilon), which
+    must pass."""
+    cert = certify_expansion(graph, "0to1", Fraction(c), Fraction(epsilon))
+    assert cert.verdict == "pass", cert
+    return cert
 
 
 @pytest.fixture(scope="session")
@@ -58,7 +68,8 @@ def match8_code(match8):
 
 @pytest.fixture(scope="session")
 def match8_cert():
-    return matching_certificate(cyclic_group(8), 1)
+    """(1, 0) for the perfect matching of Z_8 on generator 1."""
+    return passing_certificate(cayley_bipartite(cyclic_group(8), [1], "right").graph, 1, 0)
 
 
 @pytest.fixture(scope="session")
@@ -74,7 +85,15 @@ def star12_code(star12):
 
 @pytest.fixture(scope="session")
 def star12_certs():
-    return star_certificate(12, 3), star_certificate(12, 2)
+    """(1, 0) for the star families of degrees 3 and 2 over Z_12."""
+    return (passing_certificate(star_graph(12, 3)[0], 1, 0),
+            passing_certificate(star_graph(12, 2)[0], 1, 0))
+
+
+@pytest.fixture(scope="session")
+def star13_cert():
+    """(1, 0) for the degree-2 star family over Z_13."""
+    return passing_certificate(star_graph(13, 2)[0], 1, 0)
 
 
 @pytest.fixture(scope="session")
@@ -90,4 +109,6 @@ def incstar13_code(incstar13):
 
 @pytest.fixture(scope="session")
 def inc13_cert():
-    return doubled_incidence_certificate(13)
+    """(3/13, 1/14) for the doubled incidence family over Z_13."""
+    return passing_certificate(doubled_complete_incidence(13)[0], Fraction(3, 13),
+                               Fraction(1, 14))

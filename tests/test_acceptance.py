@@ -46,20 +46,16 @@ from qbp.harness import ExperimentConfig, iterations_slope, run_simulation
 from qbp.instances import (
     bipartite_cycle,
     doubled_complete_incidence,
-    doubled_incidence_certificate,
     incidence_star_product,
     left_right_cayley,
-    matching_certificate,
-    random_biregular,
-    random_bipartite,
     random_free_action_graph,
-    star_certificate,
     star_graph,
-    star_incidence_product,
     star_product,
     toric_complex,
 )
 from qbp.product import balanced_product, hypergraph_product, verify_chain_condition
+
+from fixtures import random_biregular, random_bipartite
 
 
 def report(criterion, text):
@@ -119,7 +115,7 @@ def _biregular_instances():
         ("star12", star_product(12, 3, 2)),
         ("star6", star_product(6, 2, 2)),
         ("incstar13", incidence_star_product(13, 2)),
-        ("starinc7", star_incidence_product(7, 2)),
+        ("starinc7", balanced_product(*star_graph(7, 2), *doubled_complete_incidence(7))),
     ]
 
 
@@ -264,8 +260,7 @@ def _ltc_samples(code, gates, rng, count):
             continue
         support = set(rng.sample(range(code.v10_size), w10))
         support |= {code.v10_size + q for q in rng.sample(range(code.v01_size), w01)}
-        reduced = greedy_flip_reduce(code, F2Vector.from_support(code.n, support),
-                                     normalized=True).vector
+        reduced = greedy_flip_reduce(code, F2Vector.from_support(code.n, support)).vector
         if reduced.is_zero():
             continue
         s10, s01 = code.split_support(reduced)
@@ -275,7 +270,8 @@ def _ltc_samples(code, gates, rng, count):
         yield reduced
 
 
-def test_criterion_06_small_set_syndrome_lower_bound():
+def test_criterion_06_small_set_syndrome_lower_bound(star12_certs, match8_cert, inc13_cert,
+                                                     star13_cert):
     rng = random.Random(606)
     total = 0
 
@@ -287,23 +283,21 @@ def test_criterion_06_small_set_syndrome_lower_bound():
 
     star = star_product(12, 3, 2)
     star_code = extract_code(star)
-    star_gates = size_gates(star, star_certificate(12, 3), star_certificate(12, 2))
+    star_gates = size_gates(star, *star12_certs)
     for c1 in _ltc_samples(star_code, star_gates, rng, 650):
         check(star_code, c1, Fraction(0))
         total += 1
 
     match = left_right_cayley(cyclic_group(8), [1], [1])
     match_code = extract_code(match)
-    mcert = matching_certificate(cyclic_group(8), 1)
-    match_gates = size_gates(match, mcert, mcert)
+    match_gates = size_gates(match, match8_cert, match8_cert)
     for c1 in _ltc_samples(match_code, match_gates, rng, 200):
         check(match_code, c1, Fraction(0))
         total += 1
 
     incstar = incidence_star_product(13, 2)
     inc_code = extract_code(incstar)
-    inc_gates = size_gates(incstar, doubled_incidence_certificate(13),
-                           star_certificate(13, 2))
+    inc_gates = size_gates(incstar, inc13_cert, star13_cert)
     produced = 0
     while produced < 160:
         v10 = rng.sample(range(inc_code.v10_size), rng.randrange(0, 2))
@@ -312,7 +306,7 @@ def test_criterion_06_small_set_syndrome_lower_bound():
             continue
         support = set(v10) | {inc_code.v10_size + q for q in v01}
         c1 = F2Vector.from_support(inc_code.n, support)
-        assert is_locally_minimal(inc_code, c1, normalized=True)
+        assert is_locally_minimal(inc_code, c1)
         s10, s01 = inc_code.split_support(c1)
         if not (len(s10) < inc_gates.v10 and len(s01) < inc_gates.v01):
             continue
@@ -324,14 +318,13 @@ def test_criterion_06_small_set_syndrome_lower_bound():
     report(6, f"{total} locally minimal in-gate samples, zero violations")
 
 
-def test_criterion_07_decoder_correctness():
+def test_criterion_07_decoder_correctness(star12_certs, match8_cert):
     started = time.time()
     swept = 0
 
     star = star_product(12, 3, 2)
     star_code = extract_code(star)
-    cert_x, cert_y = star_certificate(12, 3), star_certificate(12, 2)
-    radius = guaranteed_correctable_weight(star, cert_x, cert_y, Fraction(0))
+    radius = guaranteed_correctable_weight(star, *star12_certs, Fraction(0))
     assert radius == 3
     config = DecoderConfig(epsilon=Fraction(0), keep_flip_sets=False)
     max_w = math.ceil(radius) - 1
@@ -345,8 +338,7 @@ def test_criterion_07_decoder_correctness():
 
     match = left_right_cayley(cyclic_group(8), [1], [1])
     match_code = extract_code(match)
-    mcert = matching_certificate(cyclic_group(8), 1)
-    radius = guaranteed_correctable_weight(match, mcert, mcert, Fraction(0))
+    radius = guaranteed_correctable_weight(match, match8_cert, match8_cert, Fraction(0))
     assert radius == Fraction(7, 2)
     for w in range(1, math.ceil(radius)):
         for support in itertools.combinations(range(match_code.n), w):
@@ -385,7 +377,7 @@ def test_criterion_08_decoder_linear_time():
               f"slope {slope:.3f} <= 1.05")
 
 
-def test_criterion_09_region_diagnostics():
+def test_criterion_09_region_diagnostics(star12_certs):
     rng = random.Random(909)
     ran = 0
 
@@ -401,7 +393,7 @@ def test_criterion_09_region_diagnostics():
                 continue
             support = set(v10) | {code.v10_size + q for q in v01}
             c1 = F2Vector.from_support(code.n, support)
-            if not is_locally_minimal(code, c1, normalized=True):
+            if not is_locally_minimal(code, c1):
                 continue
             p10 = tree_partition(cpx.subgraph("v00_v10"), v10, eps_x, d.down)
             p01 = tree_partition(cpx.subgraph("v00_v01"), v01, eps_y, d.right)
@@ -413,14 +405,14 @@ def test_criterion_09_region_diagnostics():
             ran += 1
 
     star = star_product(12, 3, 2)
-    gates = size_gates(star, star_certificate(12, 3), star_certificate(12, 2))
+    gates = size_gates(star, *star12_certs)
     run_configs(star, Fraction(0), Fraction(0), Fraction(0),
                 int(gates.v10) - 1, int(gates.v01) - 1, 150)
 
     incstar = incidence_star_product(13, 2)
     run_configs(incstar, Fraction(1, 14), Fraction(0), Fraction(1, 14), 1, 1, 100)
 
-    starinc = star_incidence_product(7, 2)
+    starinc = balanced_product(*star_graph(7, 2), *doubled_complete_incidence(7))
     # Constraint set forces the chain parameter up to down * eps_y here.
     run_configs(starinc, Fraction(0), Fraction(1, 8), Fraction(2, 8), 1, 1, 60)
 
@@ -441,11 +433,10 @@ def test_criterion_10_locally_minimal_lower_bounds_distance():
     for code in instances:
         d = brute_distance(code, "z").d
         assert d is not None
-        for normalized in (False, True):
-            report_lm = locally_minimal_distance(code, normalized=normalized)
-            assert report_lm.d_lm_nontrivial is not None
-            assert d >= report_lm.d_lm_nontrivial
-            checked += 1
+        report_lm = locally_minimal_distance(code)
+        assert report_lm.d_lm_nontrivial is not None
+        assert d >= report_lm.d_lm_nontrivial
+        checked += 1
     report(10, f"d >= locally-minimal distance on {checked} oracle-complete cases")
 
 

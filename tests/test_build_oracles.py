@@ -44,13 +44,13 @@ from qbp.instances import (
     bipartite_cycle,
     doubled_complete_incidence,
     incidence_star_product,
-    random_bipartite,
-    random_biregular,
     star_graph,
     star_product,
     toric_complex,
 )
 from qbp.product import DegreeProfile, hypergraph_product
+
+from fixtures import random_bipartite, random_biregular
 
 EPSILONS = (Fraction(0), Fraction(1, 7), Fraction(1, 2))
 ORACLE_KERNEL_DIM = 12
@@ -70,11 +70,10 @@ def gray_span(masks):
         yield acc
 
 
-def fraction_weight(code, normalized):
+def fraction_weight(code):
+    """The normalized weight |v10|/down + |v01|/right of a packed vector."""
     split = code.v10_size
     low_block = (1 << split) - 1
-    if not normalized:
-        return lambda m: m.bit_count()
     d = code.degrees
     return lambda m: (Fraction((m & low_block).bit_count(), d.down)
                       + Fraction((m >> split).bit_count(), d.right))
@@ -96,8 +95,8 @@ def oracle_brute_distance(code, which):
     return which, best, best is None, len(basis), count
 
 
-def oracle_locally_minimal_distance(code, normalized):
-    measure = fraction_weight(code, normalized)
+def oracle_locally_minimal_distance(code):
+    measure = fraction_weight(code)
     columns = code.hz.row_masks
     basis = gf2.kernel_basis(code.hx)
     best_all = best_nontrivial = None
@@ -113,11 +112,11 @@ def oracle_locally_minimal_distance(code, normalized):
         if not code.z_stabilizers.contains_mask(mask):
             if best_nontrivial is None or w < best_nontrivial:
                 best_nontrivial = w
-    return normalized, best_all, best_nontrivial, len(basis)
+    return best_all, best_nontrivial, len(basis)
 
 
-def oracle_greedy_flip_reduce(code, c1, normalized):
-    measure = fraction_weight(code, normalized)
+def oracle_greedy_flip_reduce(code, c1):
+    measure = fraction_weight(code)
     mask = c1.to_mask()
     current = measure(mask)
     iterations = 0
@@ -135,7 +134,7 @@ def oracle_greedy_flip_reduce(code, c1, normalized):
 
 
 def oracle_minimal_coset_representative(code, syndrome):
-    measure = fraction_weight(code, True)
+    measure = fraction_weight(code)
     base = gf2.solve(code.hx, syndrome).to_mask()
     best_mask = best_val = None
     for kmask in gray_span([v.to_mask() for v in gf2.kernel_basis(code.hx)]):
@@ -183,23 +182,25 @@ def kernel_dim(matrix):
 
 def assert_oracles_agree(code, rng, vectors=6):
     d = code.degrees
-    normalizations = (False, True) if d is not None and d.down and d.right else (False,)
+    normalizable = d is not None and d.down and d.right
     for which, matrix in (("z", code.hx), ("x", code.hz)):
         if kernel_dim(matrix) <= ORACLE_KERNEL_DIM:
             r = brute_distance(code, which)
             assert (r.which, r.d, r.no_logicals, r.kernel_dim, r.vectors_enumerated) == \
                 oracle_brute_distance(code, which)
-    if kernel_dim(code.hx) <= ORACLE_KERNEL_DIM:
-        for normalized in normalizations:
-            r = locally_minimal_distance(code, normalized=normalized)
-            assert (r.normalized, r.d_lm_all, r.d_lm_nontrivial, r.kernel_dim) == \
-                oracle_locally_minimal_distance(code, normalized)
+    if normalizable and kernel_dim(code.hx) <= ORACLE_KERNEL_DIM:
+        r = locally_minimal_distance(code)
+        assert (r.d_lm_all, r.d_lm_nontrivial, r.kernel_dim) == \
+            oracle_locally_minimal_distance(code)
     for _ in range(vectors):
         c1 = F2Vector.from_support(code.n, rng.sample(range(code.n), rng.randint(0, code.n)))
-        for normalized in normalizations:
-            r = greedy_flip_reduce(code, c1, normalized)
-            assert (r.vector, r.iterations) == oracle_greedy_flip_reduce(code, c1, normalized)
-        if True in normalizations and kernel_dim(code.hx) <= ORACLE_KERNEL_DIM:
+        if not normalizable:
+            with pytest.raises(PreconditionError):
+                greedy_flip_reduce(code, c1)
+            continue
+        r = greedy_flip_reduce(code, c1)
+        assert (r.vector, r.iterations) == oracle_greedy_flip_reduce(code, c1)
+        if kernel_dim(code.hx) <= ORACLE_KERNEL_DIM:
             syndrome = gf2.mat_vec(code.hx, c1)
             rep = minimal_coset_representative(code, syndrome)
             assert (rep.vector, rep.normalized_weight) == \
@@ -345,9 +346,9 @@ class TestRandom:
         assert code.degrees.down == 0
         c1 = F2Vector.from_support(code.n, [0])
         with pytest.raises(PreconditionError, match="down, right > 0"):
-            greedy_flip_reduce(code, c1, normalized=True)
+            greedy_flip_reduce(code, c1)
         with pytest.raises(PreconditionError, match="down, right > 0"):
-            locally_minimal_distance(code, normalized=True)
+            locally_minimal_distance(code)
         with pytest.raises(PreconditionError, match="down, right > 0"):
             minimal_coset_representative(code, gf2.mat_vec(code.hx, c1))
 
@@ -508,15 +509,14 @@ def kernel_codes(draw, dim):
                    draw(st.integers(0, n)), degrees)
 
 
-def assert_span_oracles_agree(code, normalized, syndrome):
+def assert_span_oracles_agree(code, syndrome):
     for which, matrix in (("z", code.hx), ("x", code.hz)):
         if kernel_dim(matrix) <= 17:
             r = brute_distance(code, which)
             assert (r.which, r.d, r.no_logicals, r.kernel_dim, r.vectors_enumerated) == \
                 oracle_brute_distance(code, which)
-    r = locally_minimal_distance(code, normalized=normalized)
-    assert (r.normalized, r.d_lm_all, r.d_lm_nontrivial, r.kernel_dim) == \
-        oracle_locally_minimal_distance(code, normalized)
+    r = locally_minimal_distance(code)
+    assert (r.d_lm_all, r.d_lm_nontrivial, r.kernel_dim) == oracle_locally_minimal_distance(code)
     rep = minimal_coset_representative(code, syndrome)
     assert (rep.vector, rep.normalized_weight) == \
         oracle_minimal_coset_representative(code, syndrome)
@@ -539,7 +539,7 @@ class TestSpanKernel:
     @staticmethod
     def check(code, data):
         error = F2Vector.from_mask(code.n, data.draw(st.integers(0, (1 << code.n) - 1)))
-        assert_span_oracles_agree(code, data.draw(st.booleans()), gf2.mat_vec(code.hx, error))
+        assert_span_oracles_agree(code, gf2.mat_vec(code.hx, error))
 
     def test_toric_multi_block_distance(self):
         code = extract_code(toric_complex(4))

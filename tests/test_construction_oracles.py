@@ -30,18 +30,15 @@ from qbp.graphs import (
 from qbp.groups import (
     FiniteGroup,
     GroupAction,
-    conjugation_action,
     cyclic_group,
     dihedral_group,
-    right_translation_action,
-    symmetric_group,
     trivial_group,
 )
 from qbp.instances import (
+    doubled_complete_incidence,
     left_right_cayley,
-    random_bipartite,
     random_free_action_graph,
-    star_incidence_product,
+    star_graph,
 )
 from qbp.jsonio import canonical_dumps
 from qbp.product import (
@@ -52,6 +49,7 @@ from qbp.product import (
     copies_decomposition,
     hypergraph_product,
 )
+from fixtures import conjugation_action, random_bipartite, symmetric_group
 from test_local_oracles import table_groups
 
 GROUPS = {
@@ -223,7 +221,7 @@ def natural_tables(name, group):
     action, block translations, and its action on letters or polygon corners."""
     tables = [
         [list(r) for r in group.mul],
-        [list(r) for r in right_translation_action(group).table],
+        [list(r) for r in group.right_translation.table],
         [list(r) for r in conjugation_action(group).table],
         [list(range(3)) for _ in group.elements()],
         block_translation(group, 2),
@@ -428,7 +426,7 @@ class TestBalancedProductOracle:
         lambda: left_right_cayley(dihedral_group(4), [1, 2], [1, 2]),
         lambda: left_right_cayley(symmetric_group(3), [1, 2], [3]),
         lambda: left_right_cayley(cyclic_group(12), [1, 2], [1, 4]),
-        lambda: star_incidence_product(7, 2),
+        lambda: balanced_product(*star_graph(7, 2), *doubled_complete_incidence(7)),
         lambda: hypergraph_product(random_bipartite(4, 3, 6, random.Random(5)),
                                    random_bipartite(3, 5, 7, random.Random(6))),
     ])

@@ -267,15 +267,18 @@ class TestNormalizedWeight:
 
 
 class TestGreedyFlip:
+    # The toric code's four degrees are 2, so its normalized weight is half
+    # the Hamming weight and the two order vectors alike.
+
     def test_already_minimal_unchanged(self, toric3_code):
         v = F2Vector.from_support(18, [0])
-        red = greedy_flip_reduce(toric3_code, v, normalized=False)
+        red = greedy_flip_reduce(toric3_code, v)
         assert red.iterations == 0
         assert red.vector == v
 
     def test_full_column_cancels(self, toric3_code):
         col = F2Vector.from_mask(18, toric3_code.hz.row_masks[4])
-        red = greedy_flip_reduce(toric3_code, col, normalized=False)
+        red = greedy_flip_reduce(toric3_code, col)
         assert red.vector.is_zero()
         assert red.iterations == 1
 
@@ -283,7 +286,7 @@ class TestGreedyFlip:
         rng = random.Random(3)
         for _ in range(25):
             sup = [q for q in range(18) if rng.random() < 0.4]
-            red = greedy_flip_reduce(toric3_code, F2Vector.from_support(18, sup), normalized=False)
+            red = greedy_flip_reduce(toric3_code, F2Vector.from_support(18, sup))
             # Exhaustive post-check over all m_z candidate flips.
             m = red.vector.to_mask()
             for col in toric3_code.hz.row_masks:
@@ -293,7 +296,7 @@ class TestGreedyFlip:
         rng = random.Random(5)
         for _ in range(10):
             v = F2Vector.from_support(18, [q for q in range(18) if rng.random() < 0.5])
-            red = greedy_flip_reduce(toric3_code, v, normalized=True)
+            red = greedy_flip_reduce(toric3_code, v)
             assert gf2.mat_vec(toric3_code.hx, v) == gf2.mat_vec(toric3_code.hx, red.vector)
 
     def test_normalized_halting_bound(self, star12_code):
@@ -301,7 +304,7 @@ class TestGreedyFlip:
         rng = random.Random(7)
         for _ in range(20):
             v = F2Vector.from_support(60, [q for q in range(60) if rng.random() < 0.3])
-            red = greedy_flip_reduce(star12_code, v, normalized=True)
+            red = greedy_flip_reduce(star12_code, v)
             assert red.iterations <= v.weight * max(d.down, d.right) // min(d.down, d.right)
 
     def test_monotone_strict_decrease(self, star12_code):
@@ -311,7 +314,7 @@ class TestGreedyFlip:
         rng = random.Random(9)
         for _ in range(10):
             v = F2Vector.from_support(60, rng.sample(range(60), 12))
-            red = greedy_flip_reduce(star12_code, v, normalized=True)
+            red = greedy_flip_reduce(star12_code, v)
             drop = normalized_weight(star12_code, v) - normalized_weight(star12_code, red.vector)
             assert drop >= Fraction(red.iterations, max(d.down, d.right))
 
@@ -320,7 +323,7 @@ class TestLocallyMinimalDistance:
     def test_k0_matching_has_no_locally_minimal_vectors(self, match8_code):
         # Every kernel vector is a stabilizer and greedy reduction always
         # cancels one column outright, so both quantifiers come back empty.
-        report = locally_minimal_distance(match8_code, normalized=True)
+        report = locally_minimal_distance(match8_code)
         assert report.d_lm_nontrivial is None
         assert report.d_lm_all is None
 
@@ -334,8 +337,8 @@ class TestLocallyMinimalDistance:
         vec = F2Vector.from_mask(18, row)
         assert code.z_stabilizers.contains(vec)
         assert gf2.mat_vec(code.hx, vec).is_zero()
-        assert is_locally_minimal(code, vec, normalized=False)
-        report = locally_minimal_distance(code, normalized=False)
+        assert is_locally_minimal(code, vec)
+        report = locally_minimal_distance(code)
         assert report.d_lm_all is not None and report.d_lm_all <= vec.weight
 
     def test_normalized_key_can_skip_the_smallest_logical(self):
@@ -346,23 +349,20 @@ class TestLocallyMinimalDistance:
         code = CssCode(F2Matrix.from_dense([[0, 1, 1]]), F2Matrix.from_dense([[1, 1, 1]]),
                        1, DegreeProfile(1, 1, 4, 1))
         assert brute_distance(code, "z").d == 1
-        report = locally_minimal_distance(code, normalized=True)
+        report = locally_minimal_distance(code)
         assert (report.d_lm_all, report.d_lm_nontrivial) == (2, 2)
-        report = locally_minimal_distance(code, normalized=False)
-        assert (report.d_lm_all, report.d_lm_nontrivial) == (1, 1)
 
     def test_toric_l2(self, toric2_code):
-        report = locally_minimal_distance(toric2_code, normalized=True)
+        report = locally_minimal_distance(toric2_code)
         d = brute_distance(toric2_code, "z").d
         assert report.d_lm_nontrivial <= d == 2
 
-    def test_toric_l3_both_senses(self, toric3_code):
+    def test_toric_l3_lower_bounds_distance(self, toric3_code):
         d = brute_distance(toric3_code, "z").d
-        for normalized in (False, True):
-            report = locally_minimal_distance(toric3_code, normalized=normalized)
-            assert report.d_lm_nontrivial is not None
-            assert d >= report.d_lm_nontrivial
-            assert report.d_lm_all <= report.d_lm_nontrivial
+        report = locally_minimal_distance(toric3_code)
+        assert report.d_lm_nontrivial is not None
+        assert d >= report.d_lm_nontrivial
+        assert report.d_lm_all <= report.d_lm_nontrivial
 
 
 class TestMinimalRepresentative:

@@ -32,14 +32,16 @@ from qbp.gf2 import F2Vector
 from qbp.graphs import build_bipartite
 from qbp.groups import cyclic_group, dihedral_group
 from qbp.instances import (
+    doubled_complete_incidence,
     incidence_star_product,
     left_right_cayley,
-    star_incidence_product,
+    star_graph,
     star_product,
     toric_complex,
 )
 from qbp.product import (
     BalancedProductComplex,
+    balanced_product,
     complex_from_json,
     complex_to_json,
     hypergraph_product,
@@ -706,7 +708,7 @@ class TestRegionDiagnostics:
     def test_stray_region_nonempty_on_doubled_pair(self):
         # v10 = a doubled edge instance: its non-owner endpoint keeps it as
         # leftover; give that endpoint an owned v01 leaf to populate stray.
-        cpx = star_incidence_product(7, 2)   # star(7,2) x doubled incidence m=7
+        cpx = balanced_product(*star_graph(7, 2), *doubled_complete_incidence(7))
         d = cpx.degrees
         # v01 lives on the incidence side: pick the doubled instance of edge
         # {0,1}, i.e. the V01 class with two V00 neighbors 0 and 1.
@@ -746,7 +748,7 @@ class TestRegionDiagnostics:
     def test_partition_invariant_violation_rejected(self, star12):
         p10, p01 = self.partitions_for(star12, [0], [], Fraction(0), Fraction(0))
         with pytest.raises(PreconditionError):
-            region_diagnostics(star12, [0, 1], [], p10, p01)
+            region_diagnostics(star12, [0, 1], [], p10, p01, epsilon=Fraction(0))
 
 
 class TestTheoryIntegration:
@@ -764,7 +766,7 @@ class TestTheoryIntegration:
             support = v10 | {code.v10_size + q for q in v01}
             c1 = F2Vector.from_support(code.n, support)
             from qbp.css import is_locally_minimal
-            if not is_locally_minimal(code, c1, normalized=True):
+            if not is_locally_minimal(code, c1):
                 continue
             syn = gf2.mat_vec(code.hx, c1)
             if syn.is_zero():
@@ -806,3 +808,40 @@ class TestTheoryIntegration:
             res = decode(toric3_code, gf2.mat_vec(toric3_code.hx, err), config)
             assert res.outcome == "success"
             assert toric3_code.z_stabilizers.contains(err ^ res.correction)
+
+
+class TestBadEdgeEndpoints:
+    """A complex whose edge leaves its class is refused by name before its
+    adjacency is read, as code extraction refuses it.  Each case moves one
+    V10-V11 edge to V10 vertex -1 or to 9, one past V10 of toric_complex(3)."""
+
+    @staticmethod
+    def moved(cpx, which, endpoint):
+        edges = getattr(cpx, f"edges_{which}")
+        a, b = min(edges)
+        return dataclasses.replace(cpx, **{f"edges_{which}": edges - {(a, b)} | {(endpoint, b)}})
+
+    @pytest.mark.parametrize("endpoint", [-1, 9])
+    @pytest.mark.parametrize("side", ["z", "x"])
+    def test_decode_refuses(self, toric3, side, endpoint):
+        broken = self.moved(toric3, "v10_v11", endpoint)
+        call = decode if side == "z" else decode_x
+        with pytest.raises(ValidationError,
+                           match=rf"edge \({endpoint}, 0\) in edges_v10_v11 has an endpoint"):
+            call(broken, F2Vector.from_support(9, [0, 1]), DecoderConfig(epsilon=Fraction(0)))
+        with pytest.raises(ValidationError, match=rf"edge \({endpoint}, 0\) in edges_v10_v11"):
+            extract_code(broken)
+
+    @pytest.mark.parametrize("endpoint", [-1, 9])
+    def test_region_diagnostics_refuses(self, toric3, endpoint):
+        d = toric3.degrees
+        p10 = tree_partition(toric3.subgraph("v00_v10"), [0], Fraction(1, 2), d.down)
+        p01 = tree_partition(toric3.subgraph("v00_v01"), [], Fraction(1, 2), d.right)
+        broken = self.moved(toric3, "v10_v11", endpoint)
+        with pytest.raises(ValidationError, match=rf"edge \({endpoint}, 0\) in edges_v10_v11"):
+            region_diagnostics(broken, [0], [], p10, p01, epsilon=Fraction(0))
+
+    def test_partition_graph_refuses(self, toric3):
+        broken = self.moved(toric3, "v00_v10", -1)
+        with pytest.raises(ValidationError, match=r"edge \(-1, 0\) in edges_v00_v10"):
+            broken.subgraph("v00_v10")

@@ -23,10 +23,11 @@ from qbp.expansion import (
     unique_neighbors,
     verify_tree_partition,
 )
-from qbp.graphs import build_bipartite, neighbors, regularity
+from qbp.graphs import build_bipartite, cayley_bipartite, neighbors, regularity
 from qbp.groups import cyclic_group
-from qbp.instances import (bipartite_cycle, doubled_complete_incidence, matching_cayley,
-                           random_biregular, star_graph)
+from qbp.instances import bipartite_cycle, doubled_complete_incidence, star_graph
+
+from fixtures import random_biregular
 
 
 def k33():
@@ -191,6 +192,13 @@ class TestUniqueNeighbors:
         g = bipartite_cycle(3)
         uniq = unique_neighbors(g, 0, [0, 1])
         assert uniq == frozenset({0, 2})
+
+    def test_subset_is_read_as_a_set(self):
+        # A repeated member is one vertex, as `neighbors` reads it.
+        g = bipartite_cycle(5)
+        assert unique_neighbors(g, 0, [0]) == frozenset({0, 1})
+        assert unique_neighbors(g, 0, [0, 0]) == unique_neighbors(g, 0, [0])
+        assert unique_neighbors(g, 0, [1, 0, 1]) == unique_neighbors(g, 0, [0, 1])
 
     def test_unique_bound_singleton_margin(self):
         cert = certify_expansion(k33(), "0to1", Fraction(2, 3), Fraction(1, 10))
@@ -396,7 +404,7 @@ class TestTreePartition:
     def test_zero_bound_with_positive_epsilon_forces_zero_leftovers(self):
         # epsilon > 0 but epsilon * w0 = 0: the audit needs every leftover to
         # be 0 and skips majorization, as at epsilon = 0.
-        g = matching_cayley(cyclic_group(4), 1).graph
+        g = cayley_bipartite(cyclic_group(4), [1], "right").graph
         part = tree_partition(g, [0], Fraction(1, 2), 0)
         audit = verify_tree_partition(g, [0], Fraction(1, 2), 0, part)
         assert audit.all_ok

@@ -21,17 +21,16 @@ from qbp.graphs import (
 from qbp.groups import (
     FiniteGroup,
     GroupAction,
-    conjugation_action,
     cyclic_group,
     dihedral_group,
     group_from_json,
     group_to_json,
-    right_translation_action,
-    symmetric_group,
     trivial_action,
     verify_free_action,
 )
 from qbp.instances import bipartite_cycle
+
+from fixtures import conjugation_action, symmetric_group
 
 
 class TestGroups:
@@ -79,7 +78,7 @@ class TestGroups:
 
 class TestActions:
     def test_right_translation_free(self):
-        assert verify_free_action(right_translation_action(cyclic_group(4))) is None
+        assert verify_free_action(cyclic_group(4).right_translation) is None
 
     def test_trivial_action_counterexample(self):
         # Every nonidentity element fixes every point; the scan order makes

@@ -103,14 +103,19 @@ class TestHarness:
         result = run_simulation(star12_code, config)
         assert len(result.records) == 30
 
-    def test_minimal_representative_toggle(self, match8_code):
-        config = ExperimentConfig(epsilon=Fraction(0), trials=10, seed=5, weight=2,
-                                  check_minimal_representative=True)
+    def test_minimal_representative_of_each_trial(self, match8_code):
+        # The harness runs no minimal-representative search and says so; the
+        # oracle, run on each trial's error, stays within the error's weight.
+        config = ExperimentConfig(epsilon=Fraction(0), trials=10, seed=5, weight=2)
         result = run_simulation(match8_code, config)
+        assert config.echo()["check_minimal_representative"] is False
         for record in result.records:
-            assert record.minimal_representative_weights is not None
-            w10, w01 = record.minimal_representative_weights
-            assert w10 + w01 <= record.error_weight
+            assert record.to_json()["minimal_representative_weights"] is None
+            rng = random.Random(derive_trial_seed(5, record.index))
+            error = F2Vector.from_support(match8_code.n, rng.sample(range(match8_code.n), 2))
+            rep = css.minimal_coset_representative(match8_code,
+                                                   gf2.mat_vec(match8_code.hx, error))
+            assert rep.v10_weight + rep.v01_weight <= record.error_weight
 
     def test_iterations_bounded_by_syndrome(self, star12_code):
         config = ExperimentConfig(epsilon=Fraction(0), trials=50, seed=11, weight=2)

@@ -28,8 +28,7 @@ from qbp import cli, errors, gf2
 from qbp.cli import cli_dispatch
 from qbp.errors import ValidationError
 from qbp.graphs import cayley_bipartite, graph_from_json, graph_to_json
-from qbp.groups import (action_from_json, cyclic_group, dihedral_group, group_from_json,
-                        group_to_json)
+from qbp.groups import GroupAction, cyclic_group, dihedral_group, group_from_json, group_to_json
 from qbp.instances import bipartite_cycle, star_graph, toric_complex
 from qbp.jsonio import MAX_DECLARED_SIZE
 from qbp.product import balanced_product, complex_from_json, complex_to_json
@@ -48,7 +47,7 @@ class TestOnlyInts:
 
     def test_action_table_bool_and_float_are_refused(self):
         with pytest.raises(ValidationError, match="action table holds True"):
-            action_from_json({"act": [[0, 1], [True, 0.2]]}, cyclic_group(2))
+            GroupAction.from_table(cyclic_group(2), [[0, 1], [True, 0.2]])
 
     @pytest.mark.parametrize("field", ["edges_v00_v10", "edges_v10_v11", "reps_v01", "faces"])
     def test_complex_float_entry_is_refused(self, field):
@@ -107,7 +106,7 @@ class TestOnlyInts:
         with pytest.raises(ValidationError, match="table value 2 outside 0..1"):
             group_from_json({"mul": [[0, 2], [1, 0]]})
         with pytest.raises(ValidationError, match="action value 3 outside 0..2"):
-            action_from_json({"act": [[0, 1, 2], [1, 2, 3]]}, cyclic_group(2))
+            GroupAction.from_table(cyclic_group(2), [[0, 1, 2], [1, 2, 3]])
 
     def test_complex_vertex_without_edges_breaks_its_degree(self):
         # V11 cell 2 has no V10 neighbor while the other cells have one.
@@ -147,7 +146,7 @@ class TestOnlyInts:
         assert group_from_json(json.loads(json.dumps(group_to_json(g)))).mul == g.mul
         _, action = star_graph(4, 2)
         table = json.loads(json.dumps([list(r) for r in action.v1.table]))
-        assert action_from_json({"act": table}, action.group).table == action.v1.table
+        assert GroupAction.from_table(action.group, table).table == action.v1.table
 
 
 class TestDeclaredSizes:
@@ -344,8 +343,10 @@ def shaped(fields, valid):
 LOADERS = {
     "graph": (graph_from_json, shaped(["v0", "v1", "edges"], graph_to_json(bipartite_cycle(3)))),
     "group": (group_from_json, shaped(["mul", "order", "label"], group_to_json(cyclic_group(3)))),
-    "action": (lambda obj: action_from_json(obj, cyclic_group(3)),
-               shaped(["act"], {"act": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})),
+    # One table of an actions file; None stands for a missing table.
+    "action": (lambda table: GroupAction.from_table(cyclic_group(3), table),
+               shaped(["act"], {"act": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})
+               .map(lambda obj: obj.get("act"))),
     "complex": (complex_from_json, shaped(KEYS[9:24], complex_to_json(toric_complex(2)))),
 }
 

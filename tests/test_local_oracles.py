@@ -40,24 +40,22 @@ from qbp.graphs import (
 from qbp.groups import (
     FiniteGroup,
     GroupAction,
-    action_from_json,
-    conjugation_action,
     cyclic_group,
     dihedral_group,
-    symmetric_group,
     trivial_action,
     verify_free_action,
 )
 from qbp.instances import (
     incidence_star_product,
     left_right_cayley,
-    random_bipartite,
     random_free_action_graph,
     star_product,
     toric_complex,
 )
 from qbp.jsonio import _int_rows
 from qbp.product import SUBGRAPHS, balanced_product, hypergraph_product
+
+from fixtures import conjugation_action, random_bipartite, symmetric_group
 
 
 # -- oracles: the earlier formulations ------------------------------------------
@@ -218,7 +216,7 @@ def oracle_check_partition(cpx, which, target, part):
         )
 
 
-def oracle_region_diagnostics(cpx, v10, v01, part10, part01, epsilon=None):
+def oracle_region_diagnostics(cpx, v10, v01, part10, part01, epsilon):
     """Every face, every V11 cell and every V00 owner, scanned on each call."""
     v10_set = frozenset(v10)
     v01_set = frozenset(v01)
@@ -280,7 +278,7 @@ def oracle_region_diagnostics(cpx, v10, v01, part10, part01, epsilon=None):
         excess_total=totals["stray"] + totals["unowned_pairs"],
         flipped_total=totals["flipped"], lit_total=totals["lit"],
         unique_total=totals["unique"], syndrome_weight=len(syndrome),
-        per_vertex=per, epsilon=Fraction(epsilon) if epsilon is not None else None,
+        per_vertex=per, epsilon=Fraction(epsilon),
     )
     if not report.counting_bound_ok:
         raise InternalInvariantError(
@@ -478,10 +476,10 @@ class TestComputedOnce:
     def test_one_translation_action_per_group_and_side(self, monkeypatch):
         calls = self.counting(monkeypatch)
         group = cyclic_group(6)
-        assert groups.left_translation_action(group) is groups.left_translation_action(group)
-        assert groups.right_translation_action(group) is groups.right_translation_action(group)
+        assert group.left_translation is group.left_translation
+        assert group.right_translation is group.right_translation
         other = cyclic_group(6)
-        assert groups.left_translation_action(other) is not groups.left_translation_action(group)
+        assert other.left_translation is not group.left_translation
         for action in (group.left_translation, group.right_translation, other.left_translation):
             assert verify_free_action(action) is None
         assert calls == {"free": [], "law": []}
@@ -535,7 +533,6 @@ class TestTranslationsByProof:
         want = group.left_translation
         assert GroupAction.from_table(group, table) is want
         assert GroupAction.from_table(group, map(tuple, table)) is want
-        assert action_from_json({"act": table}, group) is want
         # The cache belongs to the group object, not to its table.
         other = FiniteGroup.from_table(group.mul)
         assert GroupAction.from_table(other, group.mul) is other.left_translation
@@ -593,8 +590,7 @@ class TestVerdicts:
                                        symmetric_group(3)], ids=["Z1", "Z6", "D4", "S3"])
     def test_freeness_of_actions_that_are_not_free(self, group):
         for action in (conjugation_action(group), trivial_action(group, 3),
-                       groups.left_translation_action(group),
-                       groups.right_translation_action(group)):
+                       group.left_translation, group.right_translation):
             assert verify_free_action(action) == oracle_free_action(action)
             assert verify_free_action(action) == oracle_free_action(action)
 
@@ -640,7 +636,7 @@ class TestLocalDiagnostics:
     def test_region_report_matches_the_full_face_scan(self, name, data):
         cpx = family(name)
         v10, v01 = data.draw(small_errors(cpx))
-        eps = data.draw(st.sampled_from(EPSILONS + (None,)))
+        eps = data.draw(st.sampled_from(EPSILONS))
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         g10, g01 = cpx.subgraph("v00_v10"), cpx.subgraph("v00_v01")
         if cpx.degrees is not None and data.draw(st.booleans()):
@@ -687,8 +683,9 @@ class TestLocalDiagnostics:
         elif fault == "empty_outside":
             assignment[-1] = frozenset()
         part10 = TreePartition(assignment, part10.leftover, 0, 0)
-        assert outcome(region_diagnostics, cpx, v10, v01, part10, part01) == \
-            outcome(oracle_region_diagnostics, cpx, v10, v01, part10, part01)
+        eps = Fraction(0)
+        assert outcome(region_diagnostics, cpx, v10, v01, part10, part01, epsilon=eps) == \
+            outcome(oracle_region_diagnostics, cpx, v10, v01, part10, part01, epsilon=eps)
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_face_index_lists_exactly_the_faces_through_each_qubit(self, name):

@@ -20,8 +20,10 @@ from qbp.css import extract_code, minimal_coset_representative
 from qbp.errors import ShapeError, ValidationError
 from qbp.gf2 import F2Matrix, F2Vector
 from qbp.groups import cyclic_group
-from qbp.instances import left_right_cayley, random_bipartite, star_product
+from qbp.instances import left_right_cayley, star_product
 from qbp.product import hypergraph_product, verify_chain_condition
+
+from fixtures import random_bipartite
 
 FAMILIES = ["toric2", "toric3", "match8", "star12", "incstar13"]
 

@@ -15,8 +15,8 @@ from qbp.groups import cyclic_group, dihedral_group, trivial_action, trivial_gro
 from qbp.instances import (
     bipartite_cycle,
     left_right_cayley,
-    random_bipartite,
     random_free_action_graph,
+    star_graph,
     star_product,
     toric_complex,
 )
@@ -29,6 +29,8 @@ from qbp.product import (
     inherit_certificates,
     verify_chain_condition,
 )
+
+from fixtures import random_bipartite
 
 
 def single_edge():
@@ -313,9 +315,9 @@ class TestInheritCertificates:
         assert derived["v00_v10"].c == Fraction(2, 3) * Fraction(3, 9)
 
     def test_derived_certificate_rechecks_exhaustively(self):
-        from qbp.instances import star_certificate
         cpx = star_product(4, 2, 2)
-        cert_x = star_certificate(4, 2)
+        cert_x = certify_expansion(star_graph(4, 2)[0], "0to1", Fraction(1), Fraction(0))
+        assert cert_x.verdict == "pass"
         derived = inherit_certificates(cpx, cert_x, cert_x)
         for which, cert in derived.items():
             graph = cpx.subgraph(which)
@@ -326,9 +328,8 @@ class TestInheritCertificates:
         with pytest.raises(ValidationError):
             inherit_certificates(star12, star12_certs[0], None)
 
-    def test_incidence_subgraph_recheck(self, incstar13, inc13_cert):
-        from qbp.instances import star_certificate
-        derived = inherit_certificates(incstar13, inc13_cert, star_certificate(13, 2))
+    def test_incidence_subgraph_recheck(self, incstar13, inc13_cert, star13_cert):
+        derived = inherit_certificates(incstar13, inc13_cert, star13_cert)
         # One orbit on that side, so the constants transfer unchanged; the
         # subgraph is a single copy and passes its own exhaustive run.
         cert = derived["v00_v10"]

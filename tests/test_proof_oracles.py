@@ -30,10 +30,8 @@ from qbp.instances import (
     doubled_complete_incidence,
     incidence_star_product,
     left_right_cayley,
-    random_bipartite,
     random_free_action_graph,
     star_graph,
-    star_incidence_product,
     star_product,
     toric_complex,
 )
@@ -48,6 +46,7 @@ from qbp.product import (
     hypergraph_product,
     verify_chain_condition,
 )
+from fixtures import random_bipartite
 from test_construction_oracles import GROUPS, invariant_graph, random_factor
 from test_local_oracles import FAMILIES, family, table_groups
 
@@ -161,7 +160,7 @@ def products(draw):
         lambda: left_right_cayley(cyclic_group(m + 2), [1], [1, 2]),
         lambda: left_right_cayley(dihedral_group(m), [1], [1]),
         lambda: incidence_star_product(odd, 2),
-        lambda: star_incidence_product(odd, 2),
+        lambda: balanced_product(*star_graph(odd, 2), *doubled_complete_incidence(odd)),
     ]
     return draw(st.sampled_from(builders))()
 

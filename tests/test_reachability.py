@@ -24,10 +24,14 @@ BENCH = ROOT / "perfbench"
 # an oracle checks a faster path in the tests, a lemma states a bound or a
 # guarantee of the paper, and a fixture builds test instances or files.
 KEEP = {
+    "css.CssCode.split_support": "oracle",
     "css.FlipReduction": "oracle",
     "css.greedy_flip_reduce": "oracle",
+    "css.MinimalRepresentative": "oracle",
     "css.is_locally_minimal": "oracle",
+    "css.minimal_coset_representative": "oracle",
     "css.normalized_syndrome_weight": "lemma",
+    "css.normalized_weight": "lemma",
     "decoder.DecoderConfig.guaranteed_progress": "lemma",
     "decoder.FlipCheck": "oracle",
     "decoder.SizeGates": "lemma",
@@ -49,16 +53,7 @@ KEEP = {
     "gf2.F2Vector.zero": "fixture",
     "gf2.from_alist": "oracle",
     "graphs.graph_to_json": "fixture",
-    "groups.conjugation_action": "fixture",
     "groups.group_to_json": "fixture",
-    "groups.symmetric_group": "fixture",
-    "instances.doubled_incidence_certificate": "fixture",
-    "instances.matching_cayley": "fixture",
-    "instances.matching_certificate": "fixture",
-    "instances.random_bipartite": "fixture",
-    "instances.random_biregular": "fixture",
-    "instances.star_certificate": "fixture",
-    "instances.star_incidence_product": "fixture",
     "jsonio.strip_timing": "fixture",
     "product.BalancedProductComplex.transposed": "oracle",
     "product.SubgraphCopy": "lemma",
