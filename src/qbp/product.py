@@ -644,7 +644,7 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
         group_order=group_order,
         provenance=str(obj.get("provenance", "")),
     )
-    _check_endpoints(cpx)
+    cpx.subgraph("v00_v10")         # the first use checks every edge endpoint
     if cpx.degrees is not None:
         _check_degrees(cpx)
     _check_faces(cpx, faces)
