@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .gf2 import F2Matrix, F2Vector, kernel_basis, mat_mul, mat_vec, rank
+from .gf2 import F2Matrix, F2Vector, mat_mul, mat_vec, rank
 from .graphs import (
     BipartiteGraph,
     CayleyGraph,
@@ -26,15 +26,12 @@ from .groups import (
 )
 from .expansion import (
     ExpansionCertificate,
-    FlowNetwork,
     TreePartition,
     certify_expansion,
     check_unique_expander_bound,
     edge_count_bounds,
-    max_flow_integer,
     tree_partition,
     unique_neighbors,
-    verify_tree_partition,
 )
 from .product import (
     BalancedProductComplex,
@@ -50,9 +47,7 @@ from .css import (
     brute_distance,
     code_params,
     extract_code,
-    greedy_flip_reduce,
     locally_minimal_distance,
-    minimal_coset_representative,
     normalized_weight,
     normalized_syndrome_weight,
 )
@@ -60,7 +55,6 @@ from .decoder import (
     DecoderConfig,
     decode,
     decode_x,
-    flippable,
     guaranteed_correctable_weight,
     preprocess_candidates,
     region_diagnostics,

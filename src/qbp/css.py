@@ -170,10 +170,6 @@ class CodeParams:
     rank_hx: int
     rank_hz: int
     rate_bound: Optional[Fraction] = None
-    d_x: Optional[int] = None
-    d_z: Optional[int] = None
-    d: Optional[int] = None
-    d_lm: Optional[int] = None
 
 
 def code_params(code: CssCode) -> CodeParams:
@@ -263,18 +259,18 @@ def _check_budget(budget: int) -> None:
         raise PreconditionError(f"need budget >= 0, got {budget}")
 
 
-def _check_kernel_size(matrix: F2Matrix, budget: int, what: str = "kernel") -> None:
+def _check_kernel_size(matrix: F2Matrix, budget: int) -> None:
     """Refuse a kernel of `matrix` with more vectors than the budget."""
     dim = matrix.cols - gf2.rank(matrix)
     if 2 ** dim > budget:
         raise OracleUnavailableError(
-            f"{what} has 2^{dim} vectors, over the budget of {budget}"
+            f"kernel has 2^{dim} vectors, over the budget of {budget}"
         )
 
 
-def _kernel_masks(matrix: F2Matrix, budget: int, what: str = "kernel") -> list[int]:
+def _kernel_masks(matrix: F2Matrix, budget: int) -> list[int]:
     """The kernel basis of `matrix` as packed masks, refused over the budget."""
-    _check_kernel_size(matrix, budget, what)
+    _check_kernel_size(matrix, budget)
     return gf2.kernel_masks(matrix)
 
 
@@ -335,62 +331,6 @@ def _key_weights(code: CssCode) -> tuple[int, int]:
     """
     code.degrees.require_positive("normalized weight", "down", "right")
     return code.degrees.right, code.degrees.down
-
-
-@dataclass(frozen=True)
-class FlipReduction:
-    vector: F2Vector
-    iterations: int
-
-
-def greedy_flip_reduce(code: CssCode, c1: F2Vector) -> FlipReduction:
-    """Add single Hz rows (columns of the V00 -> qubits map) while the
-    normalized weight strictly drops; the result is locally minimal and has
-    the same syndrome as the input.
-
-    Weights are compared through the exact integer key of `_key_weights`,
-    key(m) = a|m & V10| + b|m & V01|.  Adding Hz row r changes it by
-    key(r) - 2 key(m & r); a row disjoint from m can only raise it, so each
-    step tries only the rows that meet m's support, in ascending row order,
-    and takes the first one whose addition strictly lowers the key.  The
-    output is therefore deterministic.
-    """
-    if c1.length != code.n:
-        raise ValidationError(f"vector length {c1.length} != n = {code.n}")
-    if code.degrees is None:
-        raise PreconditionError("normalized reduction needs recorded degrees")
-    split = code.v10_size
-    low_block = (1 << split) - 1
-    a, b = _key_weights(code)
-
-    def key(m: int) -> int:
-        return a * (m & low_block).bit_count() + b * (m >> split).bit_count()
-
-    rows = code.hz.row_masks             # row i of Hz = column i of the V00 map
-    row_keys = [key(r) for r in rows]
-    rows_at = code.hz.col_masks          # qubit -> the Hz rows containing it
-    mask = c1.to_mask()
-    iterations = 0
-    while True:
-        touched = 0
-        for q in gf2.bits(mask):
-            touched |= rows_at[q]
-        for i in gf2.bits(touched):
-            if 2 * key(mask & rows[i]) > row_keys[i]:
-                break
-        else:
-            return FlipReduction(F2Vector.from_mask(code.n, mask), iterations)
-        mask ^= rows[i]
-        iterations += 1
-
-
-def is_locally_minimal(code: CssCode, c1: F2Vector) -> bool:
-    """No single Hz-row addition decreases the normalized weight.
-
-    Weight ties do not disqualify: the comparison is strict decrease.
-    """
-    reduced = greedy_flip_reduce(code, c1)
-    return reduced.iterations == 0
 
 
 @dataclass(frozen=True)
@@ -458,65 +398,6 @@ def locally_minimal_distance(
     return LocallyMinimalDistanceReport(best_all, best_nontrivial, len(masks))
 
 
-@dataclass(frozen=True)
-class MinimalRepresentative:
-    vector: F2Vector
-    v10_weight: int
-    v01_weight: int
-    normalized_weight: Fraction
-
-
-def minimal_coset_representative(
-    code: CssCode,
-    syndrome: F2Vector,
-    budget: int = DEFAULT_KERNEL_BUDGET,
-) -> MinimalRepresentative:
-    """The minimum-normalized-weight error consistent with a syndrome.
-
-    Exhaustive over the solution coset (particular solution plus the full
-    kernel of Hx), so only feasible at toy sizes; budgeted accordingly.
-    Candidates are compared by the integer key of `_key_weights` (ties go to
-    the smaller mask); the returned weight is that key over down*right.  The
-    coset is read in bit-sliced blocks of at most 2^12 combinations, as in
-    `brute_distance`: a block's least key is a minimum over carry-save key
-    sums, and its smallest tied mask is found plane by plane from the
-    highest qubit down.
-    """
-    _check_budget(budget)
-    if code.degrees is None:
-        raise PreconditionError("normalized weight needs recorded degrees")
-    particular = gf2.solve(code.hx, syndrome)
-    if particular is None:
-        raise ValidationError("syndrome is not in the image of Hx")
-    masks = _kernel_masks(code.hx, budget, "coset")
-    a, b = _key_weights(code)
-    split = code.v10_size
-    base = particular.to_mask()
-    best: Optional[tuple[int, int]] = None         # (key, mask)
-    for block in gf2.span_planes(masks, range(code.n), offset=base):
-        planes = block.planes
-        k, tied = gf2.plane_min(
-            gf2.plane_sum((p, a if q < split else b) for q, p in enumerate(planes)), block.full)
-        if best is not None and k > best[0]:
-            continue
-        for p in reversed(planes):       # the smallest mask: highest qubit first
-            low = tied & ~p
-            if low:
-                tied = low
-        c = block.start + tied.bit_length() - 1
-        m = base
-        for i in gf2.bits(c):
-            m ^= masks[i]
-        if best is None or (k, m) < best:
-            best = (k, m)
-    best_key, best_mask = best
-    vec = F2Vector.from_mask(code.n, best_mask)
-    s10, s01 = code.split_support(vec)
-    d = code.degrees
-    return MinimalRepresentative(vec, len(s10), len(s01),
-                                 Fraction(best_key, d.down * d.right))
-
-
 def export_manifest(code: CssCode, params: CodeParams, provenance: dict) -> dict:
     """JSON manifest accompanying the alist pair of an exported code."""
     d = code.degrees
@@ -532,9 +413,9 @@ def export_manifest(code: CssCode, params: CodeParams, provenance: dict) -> dict
         if d else None,
         "rate_bound": [params.rate_bound.numerator, params.rate_bound.denominator]
         if params.rate_bound is not None else None,
-        "d_x": params.d_x,
-        "d_z": params.d_z,
-        "d": params.d,
-        "d_lm": params.d_lm,
+        "d_x": None,
+        "d_z": None,
+        "d": None,
+        "d_lm": None,
         "provenance": provenance,
     }

@@ -101,13 +101,6 @@ class DecoderConfig:
 
 
 @dataclass(frozen=True)
-class FlipCheck:
-    flippable: bool
-    changed_count: int
-    cleared_count: int
-
-
-@dataclass(frozen=True)
 class TraceStep:
     """One applied flip.  updated_syndromes is the number of checks it
     changed (cleared + created), and rescanned_vertices the number of
@@ -217,7 +210,8 @@ class _DecoderIndex:
                 v00s[z11].append(x00)
         self.v00_of_v11: list[tuple[int, ...]] = [tuple(v) for v in v00s]
         # ruler[c] is the number of trailing zeros of c > 0.  It covers c = 1
-        # even when no center has a neighbor: `flippable` walks one mask.
+        # even when no center has a neighbor, for the one-mask walk of the
+        # tests' `flippable` oracle.
         width = max(1, max(map(len, self.prefixes), default=0))
         self.ruler: list[int] = [(c & -c).bit_length() - 1 for c in range(1 << width)]
 
@@ -240,42 +234,6 @@ def _checked_index(code: _CodeOrComplex, syndrome: F2Vector, side: str) -> _Deco
             f"syndrome length {syndrome.length} != |{idx.checks}| = {idx.check_count}"
         )
     return idx
-
-
-def flippable(
-    code: _CodeOrComplex,
-    syndrome: F2Vector,
-    x00: int,
-    n10: Iterable[int],
-    n01: Iterable[int],
-    beta: Fraction,
-) -> FlipCheck:
-    """Test one candidate flip against the current syndrome.
-
-    The flip of n10 (subset of the V10 neighborhood of x00) and n01 (subset
-    of the V01 neighborhood) passes when every changed syndrome count is
-    nonzero and cleared >= beta * changed.  Empty flips change nothing and
-    are defined non-flippable: they would never make progress.  The test is
-    the decoder's own search kernel, run on this one pair.
-    """
-    idx = _checked_index(code, syndrome, "z")
-    if not 0 <= x00 < len(idx.n10):
-        raise PreconditionError(f"center x00 = {x00} is outside V00 = 0..{len(idx.n10) - 1}")
-    s10 = set(n10)
-    s01 = set(n01)
-    if not s10 <= set(idx.n10[x00]):
-        raise PreconditionError(f"n10 is not a subset of the V10 neighborhood of {x00}")
-    if not s01 <= set(idx.n01[x00]):
-        raise PreconditionError(f"n01 is not a subset of the V01 neighborhood of {x00}")
-    mask = 0
-    for q in s10:
-        mask ^= idx.v11_of_v10[q]
-    for q in s01:
-        mask ^= idx.v11_of_v01[q]
-    synd = syndrome.to_mask()
-    beta = Fraction(beta)
-    found, _ = _first_flippable([mask], idx.ruler, synd, beta.numerator, beta.denominator)
-    return FlipCheck(found is not None, mask.bit_count(), (mask & synd).bit_count())
 
 
 def _first_flippable(
@@ -557,8 +515,11 @@ class RegionReport:
                                      - self.multihit_total - 2 * self.excess_total)
 
     @property
-    def chain_ok(self) -> bool:
+    def chain_ok(self) -> Optional[bool]:
+        """None when 1 - 12e <= 0: the chain bound is then vacuous."""
         factor = 1 - 12 * self.epsilon
+        if factor <= 0:
+            return None
         return (self.syndrome_weight >= self.unique_total
                 and Fraction(self.unique_total) >= factor * self.touched_total
                 and Fraction(self.unique_total) >= factor * self.flipped_total)

@@ -12,9 +12,9 @@ every size proven draws nothing.  Certificates are those of the full
 enumeration; the exhaustive budget counts only the subsets of unproven sizes.
 
 Also here: unique-neighbor counting, the two edge-count inequalities implied
-by losslessness, an integral max-flow solver, and the flow-based partition
-that assigns each vertex of a small target subset to a unique owner while
-leaving every owner with at most epsilon * w0 unassigned neighbors.
+by losslessness, and the flow-based partition that assigns each vertex of a
+small target subset to a unique owner while leaving every owner with at most
+epsilon * w0 unassigned neighbors.
 
 Certification enumerations are embarrassingly parallel over subset-size
 strata; the implementation here is sequential but keeps the contract that
@@ -26,10 +26,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import (
     BudgetExceededError,
@@ -41,8 +41,6 @@ from .graphs import BipartiteGraph, neighbors, regularity
 
 DEFAULT_CERTIFY_BUDGET = 1 << 24
 MODES = ("exhaustive", "sampled")
-
-Node = Hashable
 
 
 @dataclass(frozen=True)
@@ -328,98 +326,6 @@ def edge_count_bounds(
     )
 
 
-# -- integral max flow -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FlowNetwork:
-    """A directed flow network with nonnegative integer capacities."""
-
-    nodes: tuple[Node, ...]
-    arcs: tuple[tuple[Node, Node, int], ...]
-    source: Node
-    sink: Node
-
-    def __post_init__(self) -> None:
-        node_set = set(self.nodes)
-        if self.source not in node_set or self.sink not in node_set:
-            raise ValidationError("source and sink must be listed in nodes")
-        for u, v, cap in self.arcs:
-            if u not in node_set or v not in node_set:
-                raise ValidationError(f"arc ({u},{v}) references unknown node")
-            if not isinstance(cap, int) or cap < 0:
-                raise ValidationError(f"capacity of ({u},{v}) must be a nonnegative integer, got {cap!r}")
-
-
-@dataclass(frozen=True)
-class MaxFlowResult:
-    value: int
-    flow: dict[tuple[Node, Node], int]
-    cut_source_side: frozenset
-    cut_capacity: int
-
-
-def max_flow_integer(network: FlowNetwork) -> MaxFlowResult:
-    """Integral max flow via shortest augmenting paths, plus a minimum cut.
-
-    Integer capacities make every augmentation integral, so the returned flow
-    is integer on every arc and its value equals the returned cut capacity.
-    """
-    residual: dict[Node, dict[Node, int]] = {u: {} for u in network.nodes}
-    capacity: dict[tuple[Node, Node], int] = {}
-    for u, v, cap in network.arcs:
-        capacity[(u, v)] = capacity.get((u, v), 0) + cap
-        residual[u][v] = residual[u].get(v, 0) + cap
-        residual[v].setdefault(u, 0)
-
-    s, t = network.source, network.sink
-    value = 0
-    while True:
-        parent: dict[Node, Node] = {s: s}
-        queue = deque([s])
-        while queue and t not in parent:
-            u = queue.popleft()
-            for v, cap in residual[u].items():
-                if cap > 0 and v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        if t not in parent:
-            break
-        bottleneck = None
-        v = t
-        while v != s:
-            u = parent[v]
-            cap = residual[u][v]
-            bottleneck = cap if bottleneck is None else min(bottleneck, cap)
-            v = u
-        v = t
-        while v != s:
-            u = parent[v]
-            residual[u][v] -= bottleneck
-            residual[v][u] = residual[v].get(u, 0) + bottleneck
-            v = u
-        value += bottleneck
-
-    reachable = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for v, cap in residual[u].items():
-            if cap > 0 and v not in reachable:
-                reachable.add(v)
-                queue.append(v)
-    cut_capacity = sum(cap for (u, v), cap in capacity.items()
-                       if u in reachable and v not in reachable)
-    flow = {}
-    for (u, v), cap in capacity.items():
-        flow[(u, v)] = cap - residual[u][v] if residual[u][v] < cap else 0
-    if cut_capacity != value:
-        raise InternalInvariantError(
-            f"flow value {value} != cut capacity {cut_capacity}"
-        )
-    return MaxFlowResult(value, flow, frozenset(reachable), cut_capacity)
-
-
 # -- flow-based ownership partition -----------------------------------------
 
 
@@ -461,11 +367,12 @@ def tree_partition(
     invariant violation rather than silently weakened ownership.  A flow that
     saturates the source cut is maximal, so no cut is computed.
 
-    The flow runs on the vertex ids themselves, as `max_flow_integer` runs it
-    on this network: shortest augmenting paths, each vertex's residual arcs
-    visited in the order the network would insert them (the source's in
-    ascending V0 order; a V0 vertex's to its v1 neighbors in adjacency order;
-    a v1 vertex's to the sink, then back to its owner).  Every path ends on a
+    The flow runs on the vertex ids themselves, as the tests' generic
+    `max_flow_integer` oracle runs it on this network: shortest augmenting
+    paths, each vertex's residual arcs visited in the order the network
+    would insert them (the source's in ascending V0 order; a V0 vertex's to
+    its v1 neighbors in adjacency order; a v1 vertex's to the sink, then back
+    to its owner).  Every path ends on a
     unit sink arc, so each carries one unit, and a v1 vertex holds at most
     one: its owner.  A search ends at the first v1 vertex it finds without
     an owner, where the network's, which takes vertices in the order it
@@ -549,87 +456,3 @@ def tree_partition(
     assignment = {x0: frozenset(ys) for x0, ys in owned.items()}
     leftover = {x0: len(inside[x0]) - len(ys) for x0, ys in owned.items()}
     return TreePartition(assignment, leftover, value, threshold)
-
-
-@dataclass(frozen=True)
-class TreePartitionAudit:
-    disjoint: bool
-    covering: bool
-    within_neighborhoods: bool
-    leftover_ok: bool
-    majorization_ok: bool
-    majorization_skipped: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return (self.disjoint and self.covering and self.within_neighborhoods
-                and self.leftover_ok
-                and (self.majorization_ok or self.majorization_skipped))
-
-
-def verify_tree_partition(
-    graph: BipartiteGraph,
-    v1_subset: Iterable[int],
-    epsilon: Fraction,
-    w0: int,
-    part: TreePartition,
-) -> TreePartitionAudit:
-    """Recompute every partition invariant from scratch.
-
-    Checks disjointness, coverage of v1, containment in neighborhoods,
-    leftover <= epsilon * w0 (and no leftover recorded outside V0), and the
-    majorization of the sorted leftover sequence by {epsilon*w0 repeated
-    ceil((w1/(epsilon*w0)) |v1|) times} (skipped when epsilon * w0 = 0 and
-    all leftovers are zero).
-    """
-    epsilon = Fraction(epsilon)
-    v1 = set(v1_subset)
-    prof = regularity(graph)
-    w1 = prof.w1 if prof.is_regular else None
-
-    seen: set[int] = set()
-    disjoint = True
-    within = True
-    for x0, owned in part.assignment.items():
-        if owned & seen:
-            disjoint = False
-        seen |= owned
-        # An owner outside V0 has no neighborhood to hold what it owns.
-        if owned and not (0 <= x0 < graph.v0_size and owned <= set(graph.adj0[x0])):
-            within = False
-    covering = seen == v1
-
-    bound = epsilon * w0
-    leftovers = []
-    leftover_ok = True
-    for x0 in range(graph.v0_size):
-        actual = sum(1 for y in graph.adj0[x0] if y in v1) - len(part.assignment.get(x0, ()))
-        if actual != part.leftover.get(x0, 0):
-            leftover_ok = False
-        if Fraction(actual) > bound:
-            leftover_ok = False
-        leftovers.append(actual)
-    # A vertex outside V0 has no neighbors, so it leaves nothing over.
-    if any(n and not 0 <= x0 < graph.v0_size for x0, n in part.leftover.items()):
-        leftover_ok = False
-
-    if bound == 0:
-        skipped = all(v == 0 for v in leftovers)
-        return TreePartitionAudit(disjoint, covering, within, leftover_ok,
-                                  majorization_ok=skipped, majorization_skipped=skipped)
-    if w1 is None:
-        raise PreconditionError("majorization check needs a biregular graph")
-    copies = math.ceil(Fraction(w1, bound) * len(v1)) if v1 else 0
-    sorted_desc = sorted(leftovers, reverse=True)
-    length = max(len(sorted_desc), copies)
-    prefix_actual = Fraction(0)
-    prefix_bound = Fraction(0)
-    majorized = True
-    for i in range(length):
-        prefix_actual += sorted_desc[i] if i < len(sorted_desc) else 0
-        prefix_bound += bound if i < copies else 0
-        if prefix_actual > prefix_bound:
-            majorized = False
-            break
-    return TreePartitionAudit(disjoint, covering, within, leftover_ok,
-                              majorization_ok=majorized, majorization_skipped=False)

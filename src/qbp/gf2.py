@@ -3,9 +3,9 @@
 Vectors are stored as support sets.  A matrix is its shape plus one packed
 bit row per row, carried in a Python integer (bit c of row r is entry
 (r, c)); products, transposes and elimination all work on those rows.
-Rank, row spaces, kernels and linear solves share one elimination kernel,
-`_eliminate`, whose reduced row echelon form is unique.  Everything is
-exact; there is no floating point anywhere.
+Rank, row spaces and kernels share one elimination kernel, `_eliminate`,
+whose reduced row echelon form is unique.  Everything is exact; there is no
+floating point anywhere.
 
 A span is read bit-sliced by `span_planes`: its 2^k combinations come in
 blocks of at most 2^12 (SPAN_BLOCK_BITS), and a block is one 2^12-bit
@@ -23,7 +23,7 @@ rows once and never change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -43,10 +43,6 @@ class F2Vector:
         bad = [i for i in self.support if not 0 <= i < self.length]
         if bad:
             raise ValidationError(f"support indices out of range: {sorted(bad)}")
-
-    @classmethod
-    def zero(cls, length: int) -> "F2Vector":
-        return cls(length, frozenset())
 
     @classmethod
     def from_support(cls, length: int, support: Iterable[int]) -> "F2Vector":
@@ -103,31 +99,8 @@ class F2Matrix:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "F2Matrix":
-        return cls(rows, cols, (0,) * rows)
-
-    @classmethod
     def identity(cls, n: int) -> "F2Matrix":
         return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def from_entries(cls, rows: int, cols: int, entries: Iterable[tuple[int, int]]) -> "F2Matrix":
-        """The matrix with a 1 at each (r, c); repeated entries are one entry."""
-        _check_shape(rows, cols)
-        masks = [0] * rows
-        for r, c in entries:
-            r, c = int(r), int(c)
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValidationError(f"entry ({r},{c}) outside {rows}x{cols}")
-            masks[r] |= 1 << c
-        return cls(rows, cols, tuple(masks))
-
-    @classmethod
-    def from_dense(cls, dense: Sequence[Sequence[int]]) -> "F2Matrix":
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        masks = [sum(1 << c for c, v in enumerate(row) if v % 2) for row in dense]
-        return cls(rows, cols, tuple(masks))
 
     @classmethod
     def from_row_masks(cls, rows: int, cols: int, masks: Sequence[int]) -> "F2Matrix":
@@ -246,17 +219,9 @@ def rank(a: F2Matrix) -> int:
     return len(a._rref[0])
 
 
-def kernel_basis(a: F2Matrix) -> list[F2Vector]:
-    """Basis of the right kernel {v : A v = 0}, in reduced echelon order.
-
-    One basis vector per free column, listed by ascending free column; each
-    satisfies A v = 0 and the basis size equals cols - rank(A).
-    """
-    return [F2Vector.from_mask(a.cols, v) for v in kernel_masks(a)]
-
-
 def kernel_masks(a: F2Matrix) -> list[int]:
-    """The `kernel_basis` of A as packed masks, in the same order.
+    """Basis of the right kernel {v : A v = 0} as packed masks, in reduced
+    echelon order: one vector per free column, by ascending free column.
 
     The vector of free column f is f plus every pivot column whose pivot row
     holds f.
@@ -303,29 +268,6 @@ def row_space(a: F2Matrix) -> RowSpace:
     return RowSpace(a.cols, pivot_rows, pivot_cols)
 
 
-def solve(a: F2Matrix, b: F2Vector) -> Optional[F2Vector]:
-    """One solution x of A x = b, or None when the system is inconsistent.
-
-    Eliminates [A | b], with b as column `a.cols`.  The system is
-    inconsistent exactly when that column is a pivot; otherwise setting each
-    free variable to 0 leaves pivot variable i equal to bit `a.cols` of pivot
-    row i.
-    """
-    if a.rows != b.length:
-        raise ShapeError(f"rhs length {b.length} != row count {a.rows}")
-    target = b.to_mask()
-    rhs = 1 << a.cols
-    pivot_rows, pivot_cols = _eliminate(
-        m | rhs if target >> r & 1 else m for r, m in enumerate(a.row_masks))
-    if pivot_cols and pivot_cols[-1] == a.cols:
-        return None
-    x = 0
-    for row, col in zip(pivot_rows, pivot_cols):
-        if row & rhs:
-            x |= 1 << col
-    return F2Vector.from_mask(a.cols, x)
-
-
 SPAN_BLOCK_BITS = 12     # a span block holds at most 2^12 combinations
 
 
@@ -337,11 +279,10 @@ class SpanBlock(NamedTuple):
     planes: tuple[int, ...]   # one plane per requested coordinate
 
 
-def span_planes(masks: Sequence[int], coords: Iterable[int],
-                offset: int = 0) -> Iterator[SpanBlock]:
+def span_planes(masks: Sequence[int], coords: Iterable[int]) -> Iterator[SpanBlock]:
     """The span of packed vectors, bit-sliced in blocks of combinations.
 
-    Combination c, for 0 <= c < 2^len(masks), is `offset` XOR masks[i] for
+    Combination c, for 0 <= c < 2^len(masks), is the XOR of masks[i] over
     each set bit i of c.  The combinations come in 2^(len(masks) - b) blocks
     of 2^b, b = min(len(masks), SPAN_BLOCK_BITS), in ascending order.  For
     each block this yields its start, its `full` mask (2^b ones) and one
@@ -363,7 +304,7 @@ def span_planes(masks: Sequence[int], coords: Iterable[int],
     low, high = [], []
     for q in coords:
         col = columns.get(q, 0)
-        plane = full if offset >> q & 1 else 0
+        plane = 0
         for i in bits(col & (width - 1)):
             plane ^= index[i]
         low.append(plane)
@@ -469,36 +410,6 @@ def to_alist(a: F2Matrix) -> str:
         padded = [i + 1 for i in idx] + [0] * (max_row - len(idx))
         lines.append(" ".join(str(i) for i in padded) or "0")
     return "\n".join(lines) + "\n"
-
-
-def from_alist(text: str) -> F2Matrix:
-    """Parse alist text (zero padding tolerated, unpadded lines too)."""
-    if not isinstance(text, str):
-        raise ValidationError(f"alist must be text, got {type(text).__name__}")
-    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
-    try:
-        cols, rows = (int(x) for x in lines[0])
-        col_w = [int(x) for x in lines[2]]
-        row_w = [int(x) for x in lines[3]]
-        if len(col_w) != cols or len(row_w) != rows:
-            raise ValidationError("alist weight lists disagree with header")
-        entries = set()
-        for c in range(cols):
-            vals = [int(x) for x in lines[4 + c] if int(x) != 0]
-            if len(vals) != col_w[c]:
-                raise ValidationError(f"alist column {c} has {len(vals)} indices, expected {col_w[c]}")
-            for r in vals:
-                entries.add((r - 1, c))
-        for r in range(rows):
-            vals = [int(x) for x in lines[4 + cols + r] if int(x) != 0]
-            if len(vals) != row_w[r]:
-                raise ValidationError(f"alist row {r} has {len(vals)} indices, expected {row_w[r]}")
-            for c in vals:
-                if (r, c - 1) not in entries:
-                    raise ValidationError(f"alist row/column lists disagree at ({r},{c - 1})")
-    except (IndexError, ValueError) as exc:
-        raise ValidationError(f"malformed alist: {exc}") from exc
-    return F2Matrix.from_entries(rows, cols, entries)
 
 
 def bits(mask: int) -> Iterator[int]:

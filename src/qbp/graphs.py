@@ -210,14 +210,6 @@ def cayley_bipartite(group: FiniteGroup, gens: Iterable[int], side: str) -> Cayl
 # -- interchange ----------------------------------------------------------
 
 
-def graph_to_json(graph: BipartiteGraph) -> dict:
-    return {
-        "v0": graph.v0_size,
-        "v1": graph.v1_size,
-        "edges": sorted([a, b] for a, b in graph.edges),
-    }
-
-
 def graph_from_json(obj: dict) -> BipartiteGraph:
     """Load `{v0, v1, edges}`: int side sizes within the declared-size budget
     and a list of [x0, x1] int pairs."""

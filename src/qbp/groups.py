@@ -349,10 +349,6 @@ def trivial_group() -> FiniteGroup:
 # -- interchange ----------------------------------------------------------
 
 
-def group_to_json(group: FiniteGroup) -> dict:
-    return {"order": group.order, "mul": [list(r) for r in group.mul], "label": group.label}
-
-
 def group_from_json(obj: dict) -> FiniteGroup:
     """Load `{order, mul, label}`; every table entry must be an int, and
     `order`, when present, must be the int row count of `mul`."""

@@ -191,10 +191,3 @@ def write_result(path: str | Path, result: dict, timing: Optional[dict] = None) 
     """Write {"result": ..., "timing": ...}; only "result" is deterministic."""
     payload = {"result": result, "timing": timing or {}}
     Path(path).write_text(canonical_dumps(payload))
-
-
-def strip_timing(text: str) -> str:
-    """Canonical dump of a result file with the timing field removed."""
-    payload = json.loads(text)
-    payload.pop("timing", None)
-    return canonical_dumps(payload)

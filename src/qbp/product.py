@@ -17,8 +17,8 @@ sources, and only the last multiplies anything:
 * from the face check: `complex_from_json` accepts a file only when its
   faces match both families of two-edge paths one to one, which gives every
   (V00, V11) pair as many paths through V10 as through V01;
-* by `mat_mul`: any other complex (a transpose or one built field by
-  field) multiplies its two maps (`verify_chain_condition`).
+* by `mat_mul`: any other complex (one built field by field) multiplies
+  its two maps (`verify_chain_condition`).
 
 Construction is single-threaded; the resulting complex is immutable and
 shareable.  Being frozen, a complex derives each structure it is asked for
@@ -26,8 +26,7 @@ once and caches it on itself: the boundary maps, the chain-condition
 verdict, the four one-dimensional subgraphs (so each edge class has one
 graph and one adjacency, which the code, the partitions and the decoder all
 read), the faces through each qubit and the decoder's index of each side.  A
-cache is never shared between complexes; a transposed or reloaded complex
-builds its own.  The region diagnostics read the face index, and the
+cache is never shared between complexes; a reloaded complex builds its own.  The region diagnostics read the face index, and the
 loader's degree check reads the adjacency lengths.
 """
 
@@ -187,34 +186,6 @@ class BalancedProductComplex:
     def decoder_indexes(self) -> dict:    # side ("z", "x") -> index, filled by `decoder`
         return {}
 
-    def transposed(self) -> "BalancedProductComplex":
-        """The dual complex: V00 and V11 swap roles, as do V10 and V01.
-
-        It carries each factor graph with its sides reversed and each action
-        with its v0 and v1 swapped, the factors of which it is the product;
-        transposing twice gives back the complex, provenance aside.
-        """
-        return BalancedProductComplex(
-            reps_v00=self.reps_v11,
-            reps_v10=self.reps_v01,
-            reps_v01=self.reps_v10,
-            reps_v11=self.reps_v00,
-            edges_v00_v10=_rev(self.edges_v01_v11),
-            edges_v01_v11=_rev(self.edges_v00_v10),
-            edges_v00_v01=_rev(self.edges_v10_v11),
-            edges_v10_v11=_rev(self.edges_v00_v01),
-            faces=frozenset((f[3], f[2], f[1], f[0]) for f in self.faces),
-            degrees=DegreeProfile(self.degrees.up, self.degrees.down,
-                                  self.degrees.left, self.degrees.right)
-            if self.degrees else None,
-            group_order=self.group_order,
-            factor_x=_reversed(self.factor_x),
-            factor_y=_reversed(self.factor_y),
-            action_x=_swapped(self.action_x),
-            action_y=_swapped(self.action_y),
-            provenance=f"transpose of [{self.provenance}]",
-        )
-
 
 def _edge_rows(edges: frozenset[tuple[int, int]], which: str, size0: int, size1: int,
                shift: int = 0) -> list[int]:
@@ -250,19 +221,6 @@ def _preset_chain_check(cpx: BalancedProductComplex) -> BalancedProductComplex:
     name, for a complex that is a chain complex by proof."""
     cpx.__dict__[BalancedProductComplex.chain_check.attrname] = ChainCheck(True)
     return cpx
-
-
-def _rev(edges: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    return frozenset((b, a) for a, b in edges)
-
-
-def _reversed(graph: Optional[BipartiteGraph]) -> Optional[BipartiteGraph]:
-    return None if graph is None else BipartiteGraph(graph.v1_size, graph.v0_size,
-                                                     _rev(graph.edges))
-
-
-def _swapped(action: Optional[GraphAction]) -> Optional[GraphAction]:
-    return None if action is None else GraphAction(action.group, action.v1, action.v0)
 
 
 # -- construction -----------------------------------------------------------

@@ -1,12 +1,18 @@
-"""Test instance builders that no command or bench op uses: seeded random
-bipartite graphs, the symmetric groups and the conjugation action."""
+"""Test instance and file builders that no command or bench op uses:
+seeded random bipartite graphs, the symmetric groups and the conjugation
+action, zero and entry-built GF(2) vectors and matrices, factor JSON, and a
+result file with its timing dropped."""
 
 import itertools
+import json
 import random
+from typing import Iterable, Sequence
 
 from qbp.errors import ValidationError
+from qbp.gf2 import F2Matrix, F2Vector, _check_shape
 from qbp.graphs import BipartiteGraph, build_bipartite
 from qbp.groups import FiniteGroup, GroupAction
+from qbp.jsonio import canonical_dumps
 
 
 def random_bipartite(v0: int, v1: int, n_edges: int, rng: random.Random) -> BipartiteGraph:
@@ -67,3 +73,49 @@ def conjugation_action(group: FiniteGroup) -> GroupAction:
         for g in group.elements()
     )
     return GroupAction.from_table(group, table)
+
+
+def zero_vector(length: int) -> F2Vector:
+    return F2Vector(length, frozenset())
+
+
+def zero_matrix(rows: int, cols: int) -> F2Matrix:
+    return F2Matrix(rows, cols, (0,) * rows)
+
+
+def from_entries(rows: int, cols: int, entries: Iterable[tuple[int, int]]) -> F2Matrix:
+    """The matrix with a 1 at each (r, c); repeated entries are one entry."""
+    _check_shape(rows, cols)
+    masks = [0] * rows
+    for r, c in entries:
+        r, c = int(r), int(c)
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise ValidationError(f"entry ({r},{c}) outside {rows}x{cols}")
+        masks[r] |= 1 << c
+    return F2Matrix(rows, cols, tuple(masks))
+
+
+def from_dense(dense: Sequence[Sequence[int]]) -> F2Matrix:
+    rows = len(dense)
+    cols = len(dense[0]) if rows else 0
+    masks = [sum(1 << c for c, v in enumerate(row) if v % 2) for row in dense]
+    return F2Matrix(rows, cols, tuple(masks))
+
+
+def graph_to_json(graph: BipartiteGraph) -> dict:
+    return {
+        "v0": graph.v0_size,
+        "v1": graph.v1_size,
+        "edges": sorted([a, b] for a, b in graph.edges),
+    }
+
+
+def group_to_json(group: FiniteGroup) -> dict:
+    return {"order": group.order, "mul": [list(r) for r in group.mul], "label": group.label}
+
+
+def strip_timing(text: str) -> str:
+    """Canonical dump of a result file with the timing field removed."""
+    payload = json.loads(text)
+    payload.pop("timing", None)
+    return canonical_dumps(payload)

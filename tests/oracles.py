@@ -1,0 +1,457 @@
+"""Reference implementations the tests compare the package against.
+
+Each computes, by the direct method, something a faster path of the package
+computes, or a check a test runs on a package result; no command and no
+benchmark op runs them, so they live here and not in the package:
+
+* `solve` and `from_alist`: a linear solve by eliminating [A | b], and the
+  alist reader, the inverse of `gf2.to_alist`.
+* `minimal_coset_representative`: the least normalized weight error with a
+  given syndrome, by listing the whole coset.
+* `greedy_flip_reduce` and `is_locally_minimal`: single Hz-row reduction of
+  the normalized weight.
+* `flippable`: the decoder's test of one candidate flip.
+* `max_flow_integer`: integral max flow on a generic network, which
+  `expansion.tree_partition` reproduces on vertex ids.
+* `verify_tree_partition`: every invariant of a tree partition, recomputed.
+* `transposed`: the dual complex, with V00 and V11 swapped.
+"""
+
+import math
+from collections import deque
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Hashable, Iterable, NamedTuple, Optional
+
+from qbp import gf2
+from qbp.css import CssCode, _key_weights
+from qbp.decoder import _CodeOrComplex, _checked_index, _first_flippable
+from qbp.errors import InternalInvariantError, PreconditionError, ShapeError, ValidationError
+from qbp.expansion import TreePartition
+from qbp.gf2 import F2Matrix, F2Vector, _eliminate
+from qbp.graphs import BipartiteGraph, GraphAction, regularity
+from qbp.product import BalancedProductComplex, DegreeProfile
+
+from fixtures import from_entries
+
+__all__ = [
+    "FlipCheck", "FlipReduction", "FlowNetwork", "MaxFlowResult", "MinimalRepresentative",
+    "TreePartitionAudit", "flippable", "from_alist", "greedy_flip_reduce",
+    "is_locally_minimal", "max_flow_integer", "minimal_coset_representative", "solve",
+    "transposed", "verify_tree_partition",
+]
+
+Node = Hashable
+
+
+# -- gf2 -----------------------------------------------------------------------
+
+
+def solve(a: F2Matrix, b: F2Vector) -> Optional[F2Vector]:
+    """One solution x of A x = b, or None when the system is inconsistent.
+
+    Eliminates [A | b], with b as column `a.cols`.  The system is
+    inconsistent exactly when that column is a pivot; otherwise setting each
+    free variable to 0 leaves pivot variable i equal to bit `a.cols` of pivot
+    row i.
+    """
+    if a.rows != b.length:
+        raise ShapeError(f"rhs length {b.length} != row count {a.rows}")
+    target = b.to_mask()
+    rhs = 1 << a.cols
+    pivot_rows, pivot_cols = _eliminate(
+        m | rhs if target >> r & 1 else m for r, m in enumerate(a.row_masks))
+    if pivot_cols and pivot_cols[-1] == a.cols:
+        return None
+    x = 0
+    for row, col in zip(pivot_rows, pivot_cols):
+        if row & rhs:
+            x |= 1 << col
+    return F2Vector.from_mask(a.cols, x)
+
+
+def from_alist(text: str) -> F2Matrix:
+    """Parse alist text (zero padding tolerated, unpadded lines too)."""
+    if not isinstance(text, str):
+        raise ValidationError(f"alist must be text, got {type(text).__name__}")
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+    try:
+        cols, rows = (int(x) for x in lines[0])
+        col_w = [int(x) for x in lines[2]]
+        row_w = [int(x) for x in lines[3]]
+        if len(col_w) != cols or len(row_w) != rows:
+            raise ValidationError("alist weight lists disagree with header")
+        entries = set()
+        for c in range(cols):
+            vals = [int(x) for x in lines[4 + c] if int(x) != 0]
+            if len(vals) != col_w[c]:
+                raise ValidationError(f"alist column {c} has {len(vals)} indices, expected {col_w[c]}")
+            for r in vals:
+                entries.add((r - 1, c))
+        for r in range(rows):
+            vals = [int(x) for x in lines[4 + cols + r] if int(x) != 0]
+            if len(vals) != row_w[r]:
+                raise ValidationError(f"alist row {r} has {len(vals)} indices, expected {row_w[r]}")
+            for c in vals:
+                if (r, c - 1) not in entries:
+                    raise ValidationError(f"alist row/column lists disagree at ({r},{c - 1})")
+    except (IndexError, ValueError) as exc:
+        raise ValidationError(f"malformed alist: {exc}") from exc
+    return from_entries(rows, cols, entries)
+
+
+# -- css -----------------------------------------------------------------------
+
+
+class MinimalRepresentative(NamedTuple):
+    vector: F2Vector
+    v10_weight: int
+    v01_weight: int
+    normalized_weight: Fraction
+
+
+def minimal_coset_representative(code: CssCode, syndrome: F2Vector) -> MinimalRepresentative:
+    """The least normalized weight error with the given syndrome, ties to the
+    smaller mask.
+
+    Lists the whole coset, a particular solution plus every vector of
+    ker(Hx), and compares the integer key |v10| right + |v01| down; the
+    weight returned is that key over down * right.  2^dim ker(Hx) vectors are
+    held at once, so this is for desk-sized codes only.
+    """
+    particular = solve(code.hx, syndrome)
+    if particular is None:
+        raise ValidationError("syndrome is not in the image of Hx")
+    d, split = code.degrees, code.v10_size
+    low_block = (1 << split) - 1
+    coset = [particular.to_mask()]
+    for v in gf2.kernel_masks(code.hx):
+        coset += [m ^ v for m in coset]
+    key, mask = min((d.right * (m & low_block).bit_count() + d.down * (m >> split).bit_count(), m)
+                    for m in coset)
+    v10_weight = (mask & low_block).bit_count()
+    return MinimalRepresentative(F2Vector.from_mask(code.n, mask), v10_weight,
+                                 mask.bit_count() - v10_weight, Fraction(key, d.down * d.right))
+
+
+@dataclass(frozen=True)
+class FlipReduction:
+    vector: F2Vector
+    iterations: int
+
+
+def greedy_flip_reduce(code: CssCode, c1: F2Vector) -> FlipReduction:
+    """Add single Hz rows (columns of the V00 -> qubits map) while the
+    normalized weight strictly drops; the result is locally minimal and has
+    the same syndrome as the input.
+
+    Weights are compared through the exact integer key of `_key_weights`,
+    key(m) = a|m & V10| + b|m & V01|.  Adding Hz row r changes it by
+    key(r) - 2 key(m & r); a row disjoint from m can only raise it, so each
+    step tries only the rows that meet m's support, in ascending row order,
+    and takes the first one whose addition strictly lowers the key.  The
+    output is therefore deterministic.
+    """
+    if c1.length != code.n:
+        raise ValidationError(f"vector length {c1.length} != n = {code.n}")
+    if code.degrees is None:
+        raise PreconditionError("normalized reduction needs recorded degrees")
+    split = code.v10_size
+    low_block = (1 << split) - 1
+    a, b = _key_weights(code)
+
+    def key(m: int) -> int:
+        return a * (m & low_block).bit_count() + b * (m >> split).bit_count()
+
+    rows = code.hz.row_masks             # row i of Hz = column i of the V00 map
+    row_keys = [key(r) for r in rows]
+    rows_at = code.hz.col_masks          # qubit -> the Hz rows containing it
+    mask = c1.to_mask()
+    iterations = 0
+    while True:
+        touched = 0
+        for q in gf2.bits(mask):
+            touched |= rows_at[q]
+        for i in gf2.bits(touched):
+            if 2 * key(mask & rows[i]) > row_keys[i]:
+                break
+        else:
+            return FlipReduction(F2Vector.from_mask(code.n, mask), iterations)
+        mask ^= rows[i]
+        iterations += 1
+
+
+def is_locally_minimal(code: CssCode, c1: F2Vector) -> bool:
+    """No single Hz-row addition decreases the normalized weight.
+
+    Weight ties do not disqualify: the comparison is strict decrease.
+    """
+    reduced = greedy_flip_reduce(code, c1)
+    return reduced.iterations == 0
+
+
+# -- decoder -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FlipCheck:
+    flippable: bool
+    changed_count: int
+    cleared_count: int
+
+
+def flippable(
+    code: _CodeOrComplex,
+    syndrome: F2Vector,
+    x00: int,
+    n10: Iterable[int],
+    n01: Iterable[int],
+    beta: Fraction,
+) -> FlipCheck:
+    """Test one candidate flip against the current syndrome.
+
+    The flip of n10 (subset of the V10 neighborhood of x00) and n01 (subset
+    of the V01 neighborhood) passes when every changed syndrome count is
+    nonzero and cleared >= beta * changed.  Empty flips change nothing and
+    are defined non-flippable: they would never make progress.  The test is
+    the decoder's own search kernel, run on this one pair.
+    """
+    idx = _checked_index(code, syndrome, "z")
+    if not 0 <= x00 < len(idx.n10):
+        raise PreconditionError(f"center x00 = {x00} is outside V00 = 0..{len(idx.n10) - 1}")
+    s10 = set(n10)
+    s01 = set(n01)
+    if not s10 <= set(idx.n10[x00]):
+        raise PreconditionError(f"n10 is not a subset of the V10 neighborhood of {x00}")
+    if not s01 <= set(idx.n01[x00]):
+        raise PreconditionError(f"n01 is not a subset of the V01 neighborhood of {x00}")
+    mask = 0
+    for q in s10:
+        mask ^= idx.v11_of_v10[q]
+    for q in s01:
+        mask ^= idx.v11_of_v01[q]
+    synd = syndrome.to_mask()
+    beta = Fraction(beta)
+    found, _ = _first_flippable([mask], idx.ruler, synd, beta.numerator, beta.denominator)
+    return FlipCheck(found is not None, mask.bit_count(), (mask & synd).bit_count())
+
+
+# -- expansion -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FlowNetwork:
+    """A directed flow network with nonnegative integer capacities."""
+
+    nodes: tuple[Node, ...]
+    arcs: tuple[tuple[Node, Node, int], ...]
+    source: Node
+    sink: Node
+
+    def __post_init__(self) -> None:
+        node_set = set(self.nodes)
+        if self.source not in node_set or self.sink not in node_set:
+            raise ValidationError("source and sink must be listed in nodes")
+        for u, v, cap in self.arcs:
+            if u not in node_set or v not in node_set:
+                raise ValidationError(f"arc ({u},{v}) references unknown node")
+            if not isinstance(cap, int) or cap < 0:
+                raise ValidationError(f"capacity of ({u},{v}) must be a nonnegative integer, got {cap!r}")
+
+
+@dataclass(frozen=True)
+class MaxFlowResult:
+    value: int
+    flow: dict[tuple[Node, Node], int]
+    cut_source_side: frozenset
+    cut_capacity: int
+
+
+def max_flow_integer(network: FlowNetwork) -> MaxFlowResult:
+    """Integral max flow via shortest augmenting paths, plus a minimum cut.
+
+    Integer capacities make every augmentation integral, so the returned flow
+    is integer on every arc and its value equals the returned cut capacity.
+    """
+    residual: dict[Node, dict[Node, int]] = {u: {} for u in network.nodes}
+    capacity: dict[tuple[Node, Node], int] = {}
+    for u, v, cap in network.arcs:
+        capacity[(u, v)] = capacity.get((u, v), 0) + cap
+        residual[u][v] = residual[u].get(v, 0) + cap
+        residual[v].setdefault(u, 0)
+
+    s, t = network.source, network.sink
+    value = 0
+    while True:
+        parent: dict[Node, Node] = {s: s}
+        queue = deque([s])
+        while queue and t not in parent:
+            u = queue.popleft()
+            for v, cap in residual[u].items():
+                if cap > 0 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if t not in parent:
+            break
+        bottleneck = None
+        v = t
+        while v != s:
+            u = parent[v]
+            cap = residual[u][v]
+            bottleneck = cap if bottleneck is None else min(bottleneck, cap)
+            v = u
+        v = t
+        while v != s:
+            u = parent[v]
+            residual[u][v] -= bottleneck
+            residual[v][u] = residual[v].get(u, 0) + bottleneck
+            v = u
+        value += bottleneck
+
+    reachable = {s}
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        for v, cap in residual[u].items():
+            if cap > 0 and v not in reachable:
+                reachable.add(v)
+                queue.append(v)
+    cut_capacity = sum(cap for (u, v), cap in capacity.items()
+                       if u in reachable and v not in reachable)
+    flow = {}
+    for (u, v), cap in capacity.items():
+        flow[(u, v)] = cap - residual[u][v] if residual[u][v] < cap else 0
+    if cut_capacity != value:
+        raise InternalInvariantError(
+            f"flow value {value} != cut capacity {cut_capacity}"
+        )
+    return MaxFlowResult(value, flow, frozenset(reachable), cut_capacity)
+
+
+@dataclass(frozen=True)
+class TreePartitionAudit:
+    disjoint: bool
+    covering: bool
+    within_neighborhoods: bool
+    leftover_ok: bool
+    majorization_ok: bool
+    majorization_skipped: bool
+
+    @property
+    def all_ok(self) -> bool:
+        return (self.disjoint and self.covering and self.within_neighborhoods
+                and self.leftover_ok
+                and (self.majorization_ok or self.majorization_skipped))
+
+
+def verify_tree_partition(
+    graph: BipartiteGraph,
+    v1_subset: Iterable[int],
+    epsilon: Fraction,
+    w0: int,
+    part: TreePartition,
+) -> TreePartitionAudit:
+    """Recompute every partition invariant from scratch.
+
+    Checks disjointness, coverage of v1, containment in neighborhoods,
+    leftover <= epsilon * w0 (and no leftover recorded outside V0), and the
+    majorization of the sorted leftover sequence by {epsilon*w0 repeated
+    ceil((w1/(epsilon*w0)) |v1|) times} (skipped when epsilon * w0 = 0 and
+    all leftovers are zero).
+    """
+    epsilon = Fraction(epsilon)
+    v1 = set(v1_subset)
+    prof = regularity(graph)
+    w1 = prof.w1 if prof.is_regular else None
+
+    seen: set[int] = set()
+    disjoint = True
+    within = True
+    for x0, owned in part.assignment.items():
+        if owned & seen:
+            disjoint = False
+        seen |= owned
+        # An owner outside V0 has no neighborhood to hold what it owns.
+        if owned and not (0 <= x0 < graph.v0_size and owned <= set(graph.adj0[x0])):
+            within = False
+    covering = seen == v1
+
+    bound = epsilon * w0
+    leftovers = []
+    leftover_ok = True
+    for x0 in range(graph.v0_size):
+        actual = sum(1 for y in graph.adj0[x0] if y in v1) - len(part.assignment.get(x0, ()))
+        if actual != part.leftover.get(x0, 0):
+            leftover_ok = False
+        if Fraction(actual) > bound:
+            leftover_ok = False
+        leftovers.append(actual)
+    # A vertex outside V0 has no neighbors, so it leaves nothing over.
+    if any(n and not 0 <= x0 < graph.v0_size for x0, n in part.leftover.items()):
+        leftover_ok = False
+
+    if bound == 0:
+        skipped = all(v == 0 for v in leftovers)
+        return TreePartitionAudit(disjoint, covering, within, leftover_ok,
+                                  majorization_ok=skipped, majorization_skipped=skipped)
+    if w1 is None:
+        raise PreconditionError("majorization check needs a biregular graph")
+    copies = math.ceil(Fraction(w1, bound) * len(v1)) if v1 else 0
+    sorted_desc = sorted(leftovers, reverse=True)
+    length = max(len(sorted_desc), copies)
+    prefix_actual = Fraction(0)
+    prefix_bound = Fraction(0)
+    majorized = True
+    for i in range(length):
+        prefix_actual += sorted_desc[i] if i < len(sorted_desc) else 0
+        prefix_bound += bound if i < copies else 0
+        if prefix_actual > prefix_bound:
+            majorized = False
+            break
+    return TreePartitionAudit(disjoint, covering, within, leftover_ok,
+                              majorization_ok=majorized, majorization_skipped=False)
+
+
+# -- product -------------------------------------------------------------------
+
+
+def transposed(cpx: BalancedProductComplex) -> BalancedProductComplex:
+    """The dual complex: V00 and V11 swap roles, as do V10 and V01.
+
+    It carries each factor graph with its sides reversed and each action
+    with its v0 and v1 swapped, the factors of which it is the product;
+    transposing twice gives back the complex, provenance aside.
+    """
+    return BalancedProductComplex(
+        reps_v00=cpx.reps_v11,
+        reps_v10=cpx.reps_v01,
+        reps_v01=cpx.reps_v10,
+        reps_v11=cpx.reps_v00,
+        edges_v00_v10=_rev(cpx.edges_v01_v11),
+        edges_v01_v11=_rev(cpx.edges_v00_v10),
+        edges_v00_v01=_rev(cpx.edges_v10_v11),
+        edges_v10_v11=_rev(cpx.edges_v00_v01),
+        faces=frozenset((f[3], f[2], f[1], f[0]) for f in cpx.faces),
+        degrees=DegreeProfile(cpx.degrees.up, cpx.degrees.down,
+                              cpx.degrees.left, cpx.degrees.right)
+        if cpx.degrees else None,
+        group_order=cpx.group_order,
+        factor_x=_reversed(cpx.factor_x),
+        factor_y=_reversed(cpx.factor_y),
+        action_x=_swapped(cpx.action_x),
+        action_y=_swapped(cpx.action_y),
+        provenance=f"transpose of [{cpx.provenance}]",
+    )
+
+
+def _rev(edges: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+    return frozenset((b, a) for a, b in edges)
+
+
+def _reversed(graph: Optional[BipartiteGraph]) -> Optional[BipartiteGraph]:
+    return None if graph is None else BipartiteGraph(graph.v1_size, graph.v0_size,
+                                                     _rev(graph.edges))
+
+
+def _swapped(action: Optional[GraphAction]) -> Optional[GraphAction]:
+    return None if action is None else GraphAction(action.group, action.v1, action.v0)

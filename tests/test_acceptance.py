@@ -17,8 +17,6 @@ from qbp.css import (
     brute_distance,
     code_params,
     extract_code,
-    greedy_flip_reduce,
-    is_locally_minimal,
     locally_minimal_distance,
     normalized_syndrome_weight,
     normalized_weight,
@@ -31,14 +29,7 @@ from qbp.decoder import (
     size_gates,
 )
 from qbp.errors import InternalInvariantError
-from qbp.expansion import (
-    FlowNetwork,
-    certify_expansion,
-    check_unique_expander_bound,
-    max_flow_integer,
-    tree_partition,
-    verify_tree_partition,
-)
+from qbp.expansion import certify_expansion, check_unique_expander_bound, tree_partition
 from qbp.gf2 import F2Vector
 from qbp.graphs import regularity
 from qbp.groups import cyclic_group
@@ -55,7 +46,14 @@ from qbp.instances import (
 )
 from qbp.product import balanced_product, hypergraph_product, verify_chain_condition
 
-from fixtures import random_biregular, random_bipartite
+from fixtures import random_biregular, random_bipartite, strip_timing
+from oracles import (
+    FlowNetwork,
+    greedy_flip_reduce,
+    is_locally_minimal,
+    max_flow_integer,
+    verify_tree_partition,
+)
 
 
 def report(criterion, text):
@@ -399,7 +397,8 @@ def test_criterion_09_region_diagnostics(star12_certs):
             p01 = tree_partition(cpx.subgraph("v00_v01"), v01, eps_y, d.right)
             rep = region_diagnostics(cpx, v10, v01, p10, p01, epsilon=eps_chain)
             assert rep.counting_bound_ok
-            assert rep.chain_ok
+            # At 12 eps_chain >= 1 the chain bound is vacuous and reads None.
+            assert rep.chain_ok is (None if 12 * eps_chain >= 1 else True)
             assert rep.syndrome_weight >= rep.unique_total
             done += 1
             ran += 1
@@ -455,6 +454,6 @@ def test_criterion_11_cli_determinism(tmp_path):
             "--out", str(out),
         ])
         assert rc == 0
-        outputs.add(jsonio.strip_timing(out.read_text()))
+        outputs.add(strip_timing(out.read_text()))
     assert len(outputs) == 1
     report(11, "10/10 byte-identical results outside the timing field")

@@ -29,9 +29,7 @@ from qbp.css import (
     CssCode,
     brute_distance,
     extract_code,
-    greedy_flip_reduce,
     locally_minimal_distance,
-    minimal_coset_representative,
     normalized_syndrome_weight,
     normalized_weight,
 )
@@ -50,7 +48,8 @@ from qbp.instances import (
 )
 from qbp.product import DegreeProfile, hypergraph_product
 
-from fixtures import random_bipartite, random_biregular
+from fixtures import random_bipartite, random_biregular, zero_vector
+from oracles import greedy_flip_reduce, transposed
 
 EPSILONS = (Fraction(0), Fraction(1, 7), Fraction(1, 2))
 ORACLE_KERNEL_DIM = 12
@@ -82,10 +81,10 @@ def fraction_weight(code):
 def oracle_brute_distance(code, which):
     kernel_of, stabilizers = (code.hx, code.z_stabilizers) if which == "z" else (
         code.hz, code.x_stabilizers)
-    basis = gf2.kernel_basis(kernel_of)
+    basis = gf2.kernel_masks(kernel_of)
     best = None
     count = 0
-    for mask in gray_span([v.to_mask() for v in basis]):
+    for mask in gray_span(basis):
         count += 1
         if mask == 0 or stabilizers.contains_mask(mask):
             continue
@@ -98,9 +97,9 @@ def oracle_brute_distance(code, which):
 def oracle_locally_minimal_distance(code):
     measure = fraction_weight(code)
     columns = code.hz.row_masks
-    basis = gf2.kernel_basis(code.hx)
+    basis = gf2.kernel_masks(code.hx)
     best_all = best_nontrivial = None
-    for mask in gray_span([v.to_mask() for v in basis]):
+    for mask in gray_span(basis):
         if mask == 0:
             continue
         value = measure(mask)
@@ -131,18 +130,6 @@ def oracle_greedy_flip_reduce(code, c1):
                 improved = True
                 break
     return F2Vector.from_mask(code.n, mask), iterations
-
-
-def oracle_minimal_coset_representative(code, syndrome):
-    measure = fraction_weight(code)
-    base = gf2.solve(code.hx, syndrome).to_mask()
-    best_mask = best_val = None
-    for kmask in gray_span([v.to_mask() for v in gf2.kernel_basis(code.hx)]):
-        m = base ^ kmask
-        val = measure(m)
-        if best_val is None or val < best_val or (val == best_val and m < best_mask):
-            best_val, best_mask = val, m
-    return F2Vector.from_mask(code.n, best_mask), best_val
 
 
 def oracle_certify(graph, side, c, epsilon, mode, trials, seed):
@@ -200,12 +187,6 @@ def assert_oracles_agree(code, rng, vectors=6):
             continue
         r = greedy_flip_reduce(code, c1)
         assert (r.vector, r.iterations) == oracle_greedy_flip_reduce(code, c1)
-        if kernel_dim(code.hx) <= ORACLE_KERNEL_DIM:
-            syndrome = gf2.mat_vec(code.hx, c1)
-            rep = minimal_coset_representative(code, syndrome)
-            assert (rep.vector, rep.normalized_weight) == \
-                oracle_minimal_coset_representative(code, syndrome)
-            assert rep.v10_weight + rep.v01_weight == rep.vector.weight
 
 
 def source_views(graph, side):
@@ -286,14 +267,14 @@ class TestFamilies:
         cpx = request.getfixturevalue(name)
         code = extract_code(cpx)
         assert_oracles_agree(code, random.Random(name))
-        assert_oracles_agree(extract_code(cpx.transposed()), random.Random(name))
+        assert_oracles_agree(extract_code(transposed(cpx)), random.Random(name))
 
     @pytest.mark.parametrize("name", sorted(MORE_FAMILIES))
     def test_unequal_block_weights(self, name):
         cpx = MORE_FAMILIES[name]()
         assert cpx.degrees.down != cpx.degrees.right
         assert_oracles_agree(extract_code(cpx), random.Random(name))
-        assert_oracles_agree(extract_code(cpx.transposed()), random.Random(name))
+        assert_oracles_agree(extract_code(transposed(cpx)), random.Random(name))
 
     @pytest.mark.parametrize("epsilon", EPSILONS)
     def test_factor_certificates(self, epsilon):
@@ -349,8 +330,6 @@ class TestRandom:
             greedy_flip_reduce(code, c1)
         with pytest.raises(PreconditionError, match="down, right > 0"):
             locally_minimal_distance(code)
-        with pytest.raises(PreconditionError, match="down, right > 0"):
-            minimal_coset_representative(code, gf2.mat_vec(code.hx, c1))
 
     def test_zero_degree_refuses_every_normalized_quantity(self):
         # The same 0-regular factor: each quantity that divides by a degree
@@ -362,7 +341,7 @@ class TestRandom:
         with pytest.raises(PreconditionError, match="down, right > 0, got down = 0"):
             normalized_weight(code, F2Vector.from_support(code.n, [0]))
         with pytest.raises(PreconditionError, match="down, right > 0, got down = 0"):
-            normalized_syndrome_weight(code, F2Vector.zero(code.m_x))
+            normalized_syndrome_weight(code, zero_vector(code.m_x))
         certs = [certify_expansion(g, "0to1", Fraction(1, 2), Fraction(1, 2))
                  for g in (cpx.factor_x, cpx.factor_y)]
         with pytest.raises(PreconditionError, match="up, left > 0, got up = 0"):
@@ -498,7 +477,7 @@ def kernel_codes(draw, dim):
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     hx = F2Matrix.from_row_masks(n - dim, n, [rng.getrandbits(n) for _ in range(n - dim)])
     assume(gf2.rank(hx) == n - dim)
-    basis = [v.to_mask() for v in gf2.kernel_basis(hx)]
+    basis = gf2.kernel_masks(hx)
     if draw(st.booleans()):
         hz_rows = basis                                      # every logical is trivial
     else:
@@ -509,7 +488,7 @@ def kernel_codes(draw, dim):
                    draw(st.integers(0, n)), degrees)
 
 
-def assert_span_oracles_agree(code, syndrome):
+def assert_span_oracles_agree(code):
     for which, matrix in (("z", code.hx), ("x", code.hz)):
         if kernel_dim(matrix) <= 17:
             r = brute_distance(code, which)
@@ -517,9 +496,6 @@ def assert_span_oracles_agree(code, syndrome):
                 oracle_brute_distance(code, which)
     r = locally_minimal_distance(code)
     assert (r.d_lm_all, r.d_lm_nontrivial, r.kernel_dim) == oracle_locally_minimal_distance(code)
-    rep = minimal_coset_representative(code, syndrome)
-    assert (rep.vector, rep.normalized_weight) == \
-        oracle_minimal_coset_representative(code, syndrome)
 
 
 class TestSpanKernel:
@@ -529,17 +505,12 @@ class TestSpanKernel:
     @settings(max_examples=12, deadline=None)
     @given(data=st.data())
     def test_matches_the_gray_walk(self, dim, data):
-        self.check(data.draw(kernel_codes(dim)), data)
+        assert_span_oracles_agree(data.draw(kernel_codes(dim)))
 
     @settings(max_examples=1, deadline=None)      # 2^17 Fraction-weighted oracle steps
     @given(data=st.data())
     def test_multi_block_matches_the_gray_walk(self, data):
-        self.check(data.draw(kernel_codes(17)), data)
-
-    @staticmethod
-    def check(code, data):
-        error = F2Vector.from_mask(code.n, data.draw(st.integers(0, (1 << code.n) - 1)))
-        assert_span_oracles_agree(code, gf2.mat_vec(code.hx, error))
+        assert_span_oracles_agree(data.draw(kernel_codes(17)))
 
     def test_toric_multi_block_distance(self):
         code = extract_code(toric_complex(4))
@@ -561,15 +532,3 @@ class TestSpanKernel:
             finally:
                 tracemalloc.stop()
             assert peak <= 1 << 20
-
-    def test_minimal_coset_ties_go_to_the_smaller_mask(self):
-        # Qubits 0 and 2 have equal Hx columns and lie in the same block, so
-        # the coset of either holds both weight-1 vectors at the same key.
-        hx = F2Matrix.from_dense([[1, 0, 1, 0, 0], [0, 1, 0, 1, 0], [0, 0, 0, 1, 1]])
-        code = CssCode(hx, F2Matrix.zero(0, 5), 3, DegreeProfile(2, 1, 3, 1))
-        for q, expected in ((0, 0), (2, 0), (1, 1)):
-            syndrome = gf2.mat_vec(hx, F2Vector.from_support(5, [q]))
-            rep = minimal_coset_representative(code, syndrome)
-            assert rep.vector == F2Vector.from_support(5, [expected])
-            assert (rep.vector, rep.normalized_weight) == \
-                oracle_minimal_coset_representative(code, syndrome)

@@ -16,7 +16,8 @@ import json
 import pytest
 
 from qbp.cli import cli_dispatch
-from qbp.jsonio import strip_timing
+
+from fixtures import strip_timing
 
 M = 8
 TABLE = [[(g + x) % M for x in range(M)] for g in range(M)]
@@ -121,7 +122,7 @@ EXPECTED = {
     "decode_z:trace_z.jsonl":
         "e3ff1db521eee6463a8a448dd43c7b95bdeaa701a9657e1e1580d41d3d598755",
     "diagnose:diagnose.json":
-        "1e7d5ac6d994c8f2785323558ab0ebc15bc5d070b03a016c4d4d4c11904d6ffd",
+        "94b412d383862eeb584dcdb9f6db9cd7f4d49909eb783753da9584f35e65974d",
     "diagnose:stdout":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "distance:distance.json":

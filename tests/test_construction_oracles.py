@@ -50,6 +50,7 @@ from qbp.product import (
     hypergraph_product,
 )
 from fixtures import conjugation_action, random_bipartite, symmetric_group
+from oracles import transposed
 from test_local_oracles import table_groups
 
 GROUPS = {
@@ -455,7 +456,7 @@ class TestSquareCompletionOracle:
     def test_conftest_families_and_their_transposes(self, family, request):
         cpx = request.getfixturevalue(family)
         oracle_completion(cpx)
-        oracle_completion(cpx.transposed())
+        oracle_completion(transposed(cpx))
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(GROUPS)), seed=st.integers(0, 10**6))

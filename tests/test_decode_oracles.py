@@ -29,18 +29,18 @@ from qbp.css import extract_code
 from qbp.decoder import (
     DecodeResult,
     DecoderConfig,
-    FlipCheck,
     PreprocessResult,
     TraceStep,
     _first_flippable,
     _index_for,
     decode,
     decode_x,
-    flippable,
 )
 from qbp.gf2 import F2Vector, bits
 from qbp.groups import cyclic_group
 from qbp.instances import incidence_star_product, left_right_cayley, star_product, toric_complex
+
+from oracles import FlipCheck, flippable
 
 _FAMILIES = {
     "toric2": lambda: toric_complex(2),

@@ -13,14 +13,12 @@ from hypothesis import strategies as st
 
 import qbp
 from qbp import gf2
-from qbp.css import extract_code, minimal_coset_representative
+from qbp.css import extract_code
 from qbp.decoder import (
     DecoderConfig,
-    FlipCheck,
     _index_for,
     decode,
     decode_x,
-    flippable,
     guaranteed_correctable_weight,
     preprocess_candidates,
     region_diagnostics,
@@ -46,6 +44,10 @@ from qbp.product import (
     complex_to_json,
     hypergraph_product,
 )
+
+import oracles
+from fixtures import zero_matrix, zero_vector
+from oracles import FlipCheck, flippable, is_locally_minimal, minimal_coset_representative
 
 
 def syndrome_of(code, support):
@@ -135,7 +137,7 @@ class TestFlippable:
         # No center has a neighbor, so the only flip is the empty one.
         code = extract_code(hypergraph_product(build_bipartite(1, 1, []),
                                                build_bipartite(1, 1, [])))
-        syn = F2Vector.zero(code.cpx.v11_size)
+        syn = zero_vector(code.cpx.v11_size)
         assert flippable(code, syn, 0, [], [], Fraction(1)) == FlipCheck(False, 0, 0)
         assert decode(code, syn, DecoderConfig(epsilon=Fraction(0))).outcome == "success"
 
@@ -211,7 +213,7 @@ class TestFlippable:
 
 class TestPreprocess:
     def test_zero_syndrome_empty_queue(self, star12_code):
-        res = preprocess_candidates(star12_code, F2Vector.zero(72), Fraction(1))
+        res = preprocess_candidates(star12_code, zero_vector(72), Fraction(1))
         assert res.queue == ()
         assert res.vertices_scanned == 0
         assert res.subsets_tested == 0
@@ -282,7 +284,7 @@ class TestPreprocess:
 
 class TestDecode:
     def test_zero_syndrome(self, star12_code):
-        res = decode(star12_code, F2Vector.zero(72), DecoderConfig(epsilon=Fraction(0)))
+        res = decode(star12_code, zero_vector(72), DecoderConfig(epsilon=Fraction(0)))
         assert res.outcome == "success"
         assert res.iterations == 0
         assert res.correction.is_zero()
@@ -374,9 +376,9 @@ class TestEdgeDerivedIndex:
         cpx = request.getfixturevalue(family)
         code = extract_code(cpx)
         assert _index_for(code, "z").v00_of_v11 == face_derived_v00_of_v11(cpx)
-        tcode = extract_code(cpx.transposed())
-        assert _index_for(tcode, "z").v00_of_v11 == face_derived_v00_of_v11(cpx.transposed())
-        assert _index_for(code, "x").v00_of_v11 == face_derived_v00_of_v11(cpx.transposed())
+        tcode = extract_code(oracles.transposed(cpx))
+        assert _index_for(tcode, "z").v00_of_v11 == face_derived_v00_of_v11(oracles.transposed(cpx))
+        assert _index_for(code, "x").v00_of_v11 == face_derived_v00_of_v11(oracles.transposed(cpx))
 
     def test_decoding_ignores_faces(self, star12):
         # The decoder reads only the edge classes.  The loader refuses files
@@ -513,7 +515,7 @@ class TestIndexOnTheComplex:
         # whose syndrome under this Hz is empty.
         cpx = left_right_cayley(cyclic_group(8), [1, 2], [1, 4])
         code = extract_code(cpx)
-        other = qbp.CssCode(code.hx, gf2.F2Matrix.zero(code.m_z, code.n), code.v10_size,
+        other = qbp.CssCode(code.hx, zero_matrix(code.m_z, code.n), code.v10_size,
                             code.degrees, cpx=cpx)
         assert not other._maps_of_complex
         config = DecoderConfig(epsilon=Fraction(1, 30))
@@ -533,12 +535,12 @@ class TestIndexOnTheComplex:
     def test_refuses_a_code_without_a_complex(self, star12_code):
         bare = qbp.CssCode(star12_code.hx, star12_code.hz, star12_code.v10_size)
         with pytest.raises(PreconditionError, match="its complex's maps"):
-            decode(bare, F2Vector.zero(star12_code.m_x), DecoderConfig(epsilon=Fraction(0)))
+            decode(bare, zero_vector(star12_code.m_x), DecoderConfig(epsilon=Fraction(0)))
 
 
 class TestDecodeX:
     def test_zero_syndrome(self, star12_code):
-        res = decode_x(star12_code, F2Vector.zero(12), DecoderConfig(epsilon=Fraction(0)))
+        res = decode_x(star12_code, zero_vector(12), DecoderConfig(epsilon=Fraction(0)))
         assert res.outcome == "success" and res.iterations == 0
 
     def test_weight1_sweep_matching(self, match8_code):
@@ -578,8 +580,8 @@ def code_and_transposed_code(name, transposed):
     """A conftest family (or its transpose) and the code of its transpose."""
     cpx = _CONFTEST_FAMILIES[name]()
     if transposed:
-        cpx = cpx.transposed()
-    return extract_code(cpx), extract_code(cpx.transposed())
+        cpx = oracles.transposed(cpx)
+    return extract_code(cpx), extract_code(oracles.transposed(cpx))
 
 
 def transposed_decode_x(code, tcode, syndrome, config):
@@ -617,7 +619,7 @@ class TestDecodeXOracle:
 
     def test_x_side_refuses_a_wrong_syndrome_length(self, star12_code):
         with pytest.raises(ValidationError, match=r"syndrome length 72 != \|V00\| = 12"):
-            decode_x(star12_code, F2Vector.zero(72), DecoderConfig(epsilon=Fraction(0)))
+            decode_x(star12_code, zero_vector(72), DecoderConfig(epsilon=Fraction(0)))
 
 
 class TestShortnessMonitors:
@@ -745,6 +747,19 @@ class TestRegionDiagnostics:
             assert rep.chain_ok
             ran += 1
 
+    def test_chain_is_vacuous_once_beta_is_not_positive(self):
+        # Partitions at epsilon = 1/2 (1/14 cannot partition this error):
+        # unique = 3 < touched = flipped = 4, which no chain with
+        # 1 - 12e <= 0 can be said to pass.
+        cpx = left_right_cayley(cyclic_group(8), [1, 2], [1, 4])
+        v10, v01 = [1, 2, 3], [9 - cpx.v10_size, 10 - cpx.v10_size]
+        p10, p01 = self.partitions_for(cpx, v10, v01, Fraction(1, 2), Fraction(1, 2))
+        for epsilon, verdict in ((Fraction(1, 2), None), (Fraction(1, 12), None),
+                                 (Fraction(1, 14), True)):
+            rep = region_diagnostics(cpx, v10, v01, p10, p01, epsilon=epsilon)
+            assert (rep.unique_total, rep.touched_total, rep.flipped_total) == (3, 4, 4)
+            assert rep.chain_ok is verdict
+
     def test_partition_invariant_violation_rejected(self, star12):
         p10, p01 = self.partitions_for(star12, [0], [], Fraction(0), Fraction(0))
         with pytest.raises(PreconditionError):
@@ -765,7 +780,6 @@ class TestTheoryIntegration:
             v01 = set(rng.sample(range(star12.v01_size), 2))
             support = v10 | {code.v10_size + q for q in v01}
             c1 = F2Vector.from_support(code.n, support)
-            from qbp.css import is_locally_minimal
             if not is_locally_minimal(code, c1):
                 continue
             syn = gf2.mat_vec(code.hx, c1)

