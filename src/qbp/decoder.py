@@ -32,8 +32,12 @@ lit cell has cleared = 0 and, as beta > 0, cannot pass cleared >=
 beta*changed.  Only the vertices next to lit cells are scanned, and the work
 is bounded by the degrees times the syndrome weight.
 
-The decoder reads only the edge classes of the complex and caches its index
-there; a code read off a complex stands for it.  Faces serve the diagnostics.
+The decoder reads only the edge classes of the complex, through its
+subgraphs' adjacency and packed masks, and caches its index there; a code
+read off a complex stands for it.  On the X side the index's check masks are
+the V00 masks of the qubits, the rows of the complex's V00 map: Hz's
+columns, so a code read off the complex and its X index share one copy.
+Faces serve the diagnostics.
 
 X errors decode by the same search on the same complex with V00 and V11,
 and V10 and V01, swapped: the order the transposed complex would give, so
@@ -167,7 +171,7 @@ class DecodeResult:
 
 class _DecoderIndex:
     """Adjacency and per-center prefix masks for one side of a complex, built
-    once from its own subgraph adjacency.
+    once from its own subgraph adjacency and packed masks.
 
     Side "z" has V00 centers, flips over V10 then V01, and V11 checks; side
     "x" has V11 centers, flips over V01 then V10, and V00 checks.  Names are
@@ -185,15 +189,13 @@ class _DecoderIndex:
         if side == "z":
             centers, self.checks, self.check_count = "V00", "V11", cpx.v11_size
             self.n10, self.n01 = g10.adj0, g01.adj0
-            checks10, checks01 = h10.adj0, h01.adj0
+            self.v11_of_v10, self.v11_of_v01 = h10.masks0, h01.masks0
             self.offsets = (0, cpx.v10_size)        # qubit index of n10, n01 cell 0
         else:
             centers, self.checks, self.check_count = "V11", "V00", cpx.v00_size
             self.n10, self.n01 = h01.adj1, h10.adj1
-            checks10, checks01 = g01.adj1, g10.adj1
+            self.v11_of_v10, self.v11_of_v01 = g01.masks1, g10.masks1
             self.offsets = (cpx.v10_size, 0)
-        self.v11_of_v10: list[int] = [sum(1 << z for z in cells) for cells in checks10]
-        self.v11_of_v01: list[int] = [sum(1 << z for z in cells) for cells in checks01]
         # The centers two edges away from each check, through either flip
         # class: exactly the centers whose flips can change that check.
         v00s: list[list[int]] = [[] for _ in range(self.check_count)]

@@ -220,7 +220,7 @@ def certify_expansion(
             subsets = (tuple(sorted(rng.sample(range(n_src), size)))
                        for size in range(1, max_size + 1) for _ in range(trials))
     if s0 < max_size:
-        masks = [sum(1 << y for y in ys) for ys in adj]
+        masks = graph.masks0 if side == "0to1" else graph.masks1
         rate = num * w_src
         for subset in subsets:
             checked += 1

@@ -1,9 +1,12 @@
 """Bipartite graphs, biregularity, neighbors, and bipartite Cayley graphs.
 
-A graph is frozen, so its adjacency lists and its regularity verdict are
-derived once, on first use, and cached on that object; equal graphs built
-separately do not share them.  Edge invariance is checked on each call, not
-cached: a Cayley graph's translation action keeps its edges by
+A graph is frozen, so its adjacency lists, its packed neighborhoods
+(`masks0`, `masks1`: one int per vertex, built in one pass over the edges)
+and its regularity verdict are derived once, on first use, and cached on
+that object; equal graphs built separately do not share them.  The V00
+map of a product, its decoder index and expansion certification read the
+masks and pack none of their own.  Edge invariance is checked on each
+call, not cached: a Cayley graph's translation action keeps its edges by
 associativity, so only a product of arbitrary factors needs the check.
 """
 
@@ -43,6 +46,22 @@ class BipartiteGraph:
         for x0, x1 in self.edges:
             out[x1].append(x0)
         return tuple(map(tuple, map(sorted, out)))
+
+    @cached_property
+    def masks0(self) -> tuple[int, ...]:
+        """Packed neighborhoods of V0: bit x1 of masks0[x0] marks edge (x0, x1)."""
+        out = [0] * self.v0_size
+        for x0, x1 in self.edges:
+            out[x0] |= 1 << x1
+        return tuple(out)
+
+    @cached_property
+    def masks1(self) -> tuple[int, ...]:
+        """Packed neighborhoods of V1: bit x0 of masks1[x1] marks edge (x0, x1)."""
+        out = [0] * self.v1_size
+        for x0, x1 in self.edges:
+            out[x1] |= 1 << x0
+        return tuple(out)
 
     @cached_property
     def regularity_profile(self) -> Union["RegularityProfile", "NonRegularReport"]:

@@ -24,10 +24,16 @@ Construction is single-threaded; the resulting complex is immutable and
 shareable.  Being frozen, a complex derives each structure it is asked for
 once and caches it on itself: the boundary maps, the chain-condition
 verdict, the four one-dimensional subgraphs (so each edge class has one
-graph and one adjacency, which the code, the partitions and the decoder all
-read), the faces through each qubit and the decoder's index of each side.  A
-cache is never shared between complexes; a reloaded complex builds its own.  The region diagnostics read the face index, and the
-loader's degree check reads the adjacency lengths.
+graph, one adjacency and one set of packed masks, which the code, the
+partitions and the decoder all read), the faces through each qubit and the
+decoder's index of each side.  A cache is never shared between complexes; a
+reloaded complex builds its own.  The region diagnostics read the face
+index, and the loader's degree check reads the adjacency lengths.
+
+The rows of the V00 map are the subgraphs' packed V00 masks of the qubits,
+shared with them; the V11 map packs its rows in one pass over the two V11
+classes.  Every edge endpoint is checked once, on first subgraph use
+(`_check_endpoints`), which both maps go through.
 """
 
 from __future__ import annotations
@@ -121,19 +127,22 @@ class BalancedProductComplex:
 
     @cached_property
     def boundary_2(self) -> F2Matrix:
-        """F2^{V00} -> F2^{V10} (+) F2^{V01}; rows are qubits, columns V00."""
-        rows = _edge_rows(self.edges_v00_v10, "v00_v10", self.v00_size, self.v10_size)
-        rows += _edge_rows(self.edges_v00_v01, "v00_v01", self.v00_size, self.v01_size)
-        return F2Matrix(self.n_qubits, self.v00_size, tuple(rows))
+        """F2^{V00} -> F2^{V10} (+) F2^{V01}; rows are qubits, columns V00: the
+        V00 masks of the V10 and then the V01 cells, shared with the subgraphs."""
+        rows = self.subgraph("v00_v10").masks1 + self.subgraph("v00_v01").masks1
+        return F2Matrix(self.n_qubits, self.v00_size, rows)
 
     @cached_property
     def boundary_1(self) -> F2Matrix:
-        """F2^{V10} (+) F2^{V01} -> F2^{V11}; rows are V11, columns qubits."""
-        from_v10 = _edge_rows(self.edges_v10_v11, "v10_v11", self.v10_size, self.v11_size)
-        from_v01 = _edge_rows(self.edges_v01_v11, "v01_v11", self.v01_size, self.v11_size,
-                              shift=self.v10_size)
-        return F2Matrix(self.v11_size, self.n_qubits,
-                        tuple(p | q for p, q in zip(from_v10, from_v01)))
+        """F2^{V10} (+) F2^{V01} -> F2^{V11}; rows are V11, columns qubits,
+        packed in one pass over the two V11 classes."""
+        rows, shift = [0] * self.v11_size, self.v10_size
+        self.subgraph("v10_v11")        # the first use checks every edge endpoint
+        for z10, z11 in self.edges_v10_v11:
+            rows[z11] |= 1 << z10
+        for z01, z11 in self.edges_v01_v11:
+            rows[z11] |= 1 << (shift + z01)
+        return F2Matrix(self.v11_size, self.n_qubits, tuple(rows))
 
     @cached_property
     def chain_check(self) -> "ChainCheck":
@@ -162,7 +171,7 @@ class BalancedProductComplex:
     @cached_property
     def _subgraphs(self) -> dict[str, BipartiteGraph]:
         """The four subgraphs, built once their edge endpoints are checked:
-        `BipartiteGraph` indexes its adjacency by them unchecked."""
+        `BipartiteGraph` indexes its adjacency and masks by them unchecked."""
         _check_endpoints(self)
         return {
             "v00_v10": BipartiteGraph(self.v00_size, self.v10_size, self.edges_v00_v10),
@@ -185,35 +194,6 @@ class BalancedProductComplex:
     @cached_property
     def decoder_indexes(self) -> dict:    # side ("z", "x") -> index, filled by `decoder`
         return {}
-
-
-def _edge_rows(edges: frozenset[tuple[int, int]], which: str, size0: int, size1: int,
-               shift: int = 0) -> list[int]:
-    """One edge class as packed rows indexed by its second endpoint: row b
-    holds bit shift + a for each edge (a, b).
-
-    Every edge must join a vertex of its first class to one of its second.
-    The boundary maps place V10 and V01 in one qubit range, so an endpoint
-    past its class would land on another class's row; it is refused instead,
-    naming the smallest such edge.
-    """
-    rows = [0] * size1
-    for a, b in edges:
-        if not (0 <= a < size0 and 0 <= b < size1):
-            raise _endpoint_error(edges, which, size0, size1)
-        rows[b] |= 1 << (shift + a)
-    return rows
-
-
-def _endpoint_error(edges: frozenset[tuple[int, int]], which: str, size0: int,
-                    size1: int) -> ValidationError:
-    """The refusal of an edge class with an endpoint outside its class,
-    naming the smallest such edge."""
-    a, b = min(e for e in edges if not (0 <= e[0] < size0 and 0 <= e[1] < size1))
-    return ValidationError(
-        f"edge ({a}, {b}) in edges_{which} has an endpoint outside its "
-        f"class (sizes {size0} and {size1})"
-    )
 
 
 def _preset_chain_check(cpx: BalancedProductComplex) -> BalancedProductComplex:
@@ -553,10 +533,11 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
     ints too; anything else is refused with a ValidationError naming the
     field.  Each field is read in one C-level pass (see `jsonio._int_rows`).
     A declared class size (`v00`, `v10`, `v01`, `v11`), when present, must be
-    the int length of its reps list.  The edge endpoints are checked against
-    their classes, the edges against the degrees when these are recorded,
-    and the faces against the edges (`_check_faces`); the first check that
-    fails names the file's error.
+    the int length of its reps list, and a class's representatives must be
+    distinct, as orbits are disjoint.  No edge class may repeat an edge.
+    The edge endpoints are checked against their classes, the edges against
+    the degrees when these are recorded, and the faces against the edges
+    (`_check_faces`); the first check that fails names the file's error.
     Faces in one-to-one correspondence with both families of two-edge paths
     prove the chain condition, so the verdict is preset and no boundary map
     is built.
@@ -569,11 +550,16 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
     except KeyError as exc:
         raise ValidationError(f"malformed complex JSON: missing {exc}") from exc
     for cell in ("v00", "v10", "v01", "v11"):
-        size = len(rows[f"reps_{cell}"])
+        reps = rows[f"reps_{cell}"]
+        size = len(reps)
         declared = obj.get(cell, size)
         if type(declared) is not int or declared != size:
             raise ValidationError(
                 f"complex {cell} must be {size}, the length of reps_{cell}, got {declared!r:.40}")
+        if len(set(reps)) != size:
+            i = _first_repeat(reps)
+            raise ValidationError(
+                f"reps_{cell}[{i}] repeats the orbit representative {list(reps[i])}")
     deg = obj.get("degrees")
     degrees = None
     if deg is not None:
@@ -588,15 +574,18 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
     group_order = _int_value(obj.get("group_order", 1), "group_order")
     if group_order < 1:
         raise ValidationError(f"group_order must be positive, got {group_order}")
+    edges = {}
+    for name in _PAIR_FIELDS[4:]:
+        edges[name] = frozenset(rows[name])
+        if len(edges[name]) != len(rows[name]):
+            i = _first_repeat(rows[name])
+            raise ValidationError(f"{name}[{i}] repeats the edge {list(rows[name][i])}")
     cpx = BalancedProductComplex(
         reps_v00=rows["reps_v00"],
         reps_v10=rows["reps_v10"],
         reps_v01=rows["reps_v01"],
         reps_v11=rows["reps_v11"],
-        edges_v00_v10=frozenset(rows["edges_v00_v10"]),
-        edges_v01_v11=frozenset(rows["edges_v01_v11"]),
-        edges_v00_v01=frozenset(rows["edges_v00_v01"]),
-        edges_v10_v11=frozenset(rows["edges_v10_v11"]),
+        **edges,
         faces=frozenset(faces),
         degrees=degrees,
         group_order=group_order,
@@ -609,11 +598,23 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
     return _preset_chain_check(cpx)
 
 
+def _first_repeat(rows: tuple[tuple[int, ...], ...]) -> int:
+    """The index of the first row equal to an earlier one."""
+    seen: set[tuple[int, ...]] = set()
+    for i, row in enumerate(rows):
+        if row in seen:
+            return i
+        seen.add(row)
+    raise InternalInvariantError("no row repeats")
+
+
 def _check_endpoints(cpx: BalancedProductComplex) -> None:
     """Every edge must join a vertex of its first class to one of its second.
 
-    One min and one max per end of each class decide it; a refusal names
-    the smallest bad edge of the first bad class.
+    The boundary maps place V10 and V01 in one qubit range, so an endpoint
+    past its class would land on another class's row.  One min and one max
+    per end of each class decide it; a refusal names the smallest bad edge
+    of the first bad class.
     """
     for which, size0, size1 in (("v10_v11", cpx.v10_size, cpx.v11_size),
                                 ("v01_v11", cpx.v01_size, cpx.v11_size),
@@ -626,7 +627,11 @@ def _check_endpoints(cpx: BalancedProductComplex) -> None:
         if (min(edges)[0] < 0 or max(edges)[0] >= size0
                 or min(map(itemgetter(1), edges)) < 0
                 or max(map(itemgetter(1), edges)) >= size1):
-            raise _endpoint_error(edges, which, size0, size1)
+            a, b = min(e for e in edges if not (0 <= e[0] < size0 and 0 <= e[1] < size1))
+            raise ValidationError(
+                f"edge ({a}, {b}) in edges_{which} has an endpoint outside its "
+                f"class (sizes {size0} and {size1})"
+            )
 
 
 def _check_faces(cpx: BalancedProductComplex, faces: tuple[tuple[int, ...], ...]) -> None:

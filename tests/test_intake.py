@@ -190,6 +190,31 @@ class TestDeclaredSizes:
         with pytest.raises(ValidationError, match=re.escape(message)):
             complex_from_json(obj)
 
+    @pytest.mark.parametrize("cell", ["v00", "v10", "v01", "v11"])
+    def test_complex_reps_must_be_distinct(self, cell):
+        # Orbits are disjoint, so two cells of a class cannot share one.
+        obj = complex_to_json(toric_complex(3))
+        reps = obj[f"reps_{cell}"]
+        reps[4] = reps[2]
+        with pytest.raises(ValidationError, match=re.escape(
+                f"reps_{cell}[4] repeats the orbit representative {reps[2]}")):
+            complex_from_json(obj)
+
+    @pytest.mark.parametrize("recorded", [True, False], ids=["degrees", "no_degrees"])
+    @pytest.mark.parametrize("which", ["v00_v10", "v01_v11", "v00_v01", "v10_v11"])
+    def test_complex_edges_must_not_repeat(self, which, recorded):
+        # A set would drop the repeat silently, and with no degrees recorded
+        # nothing else would notice it.
+        obj = complex_to_json(toric_complex(3))
+        if not recorded:
+            obj["degrees"] = None
+        edges = obj[f"edges_{which}"]
+        edges.insert(5, edges[2])
+        edges.append(edges[0])
+        with pytest.raises(ValidationError, match=re.escape(
+                f"edges_{which}[5] repeats the edge {edges[2]}")):
+            complex_from_json(obj)
+
     @pytest.mark.parametrize("command", [
         ["code"],
         ["distance"],

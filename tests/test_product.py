@@ -1,5 +1,6 @@
 """Products: construction counts, chain condition, squares, copies, inheritance."""
 
+import operator
 import random
 from collections import Counter
 from dataclasses import replace
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import qbp
+from qbp.decoder import _index_for
 from qbp.errors import PreconditionError, ValidationError
 from qbp.expansion import certify_expansion
 from qbp.graphs import GraphAction, build_bipartite
@@ -32,6 +34,7 @@ from qbp.product import (
 
 from fixtures import random_bipartite
 from oracles import transposed
+from test_build_oracles import assert_certificates_agree
 
 
 def single_edge():
@@ -444,3 +447,50 @@ class TestSerialization:
         assert (d.down, d.up, d.right, d.left) == (
             star12.degrees.up, star12.degrees.down,
             star12.degrees.left, star12.degrees.right)
+
+
+CONFTEST_FAMILIES = ["toric2", "toric3", "match8", "star12", "incstar13"]
+
+
+class TestPackedMasks:
+    """Each graph packs its neighborhoods once (`masks0`, `masks1`); the V00
+    map's rows and the X decoder index's check masks are those of the
+    complex's subgraphs, so they share one copy."""
+
+    @staticmethod
+    def complexes(cpx):
+        return {"built": cpx, "transposed": transposed(cpx),
+                "reloaded": complex_from_json(complex_to_json(cpx))}
+
+    @staticmethod
+    def graphs(cpx):
+        out = {which: cpx.subgraph(which)
+               for which in ("v00_v10", "v01_v11", "v00_v01", "v10_v11")}
+        out.update({name: graph for name, graph in (("x", cpx.factor_x), ("y", cpx.factor_y))
+                    if graph is not None})
+        return out
+
+    @pytest.mark.parametrize("name", CONFTEST_FAMILIES)
+    def test_masks_are_the_packed_adjacency(self, name, request):
+        for kind, cpx in self.complexes(request.getfixturevalue(name)).items():
+            for which, graph in self.graphs(cpx).items():
+                for masks, adj in ((graph.masks0, graph.adj0), (graph.masks1, graph.adj1)):
+                    assert masks == tuple(sum(1 << v for v in cells) for cells in adj), \
+                        (kind, which)
+
+    @pytest.mark.parametrize("name", CONFTEST_FAMILIES)
+    def test_v00_map_rows_are_the_x_index_masks(self, name, request):
+        for kind, cpx in self.complexes(request.getfixturevalue(name)).items():
+            idx = _index_for(cpx, "x")
+            rows = cpx.boundary_2.row_masks
+            shared = idx.v11_of_v01 + idx.v11_of_v10
+            assert rows == shared, kind
+            assert all(map(operator.is_, rows, shared)), kind
+            assert all(map(operator.is_, qbp.extract_code(cpx).hz.col_masks, shared)), kind
+
+    @pytest.mark.parametrize("name", CONFTEST_FAMILIES)
+    def test_certificates_read_the_masks_unchanged(self, name, request):
+        for cpx in self.complexes(request.getfixturevalue(name)).values():
+            for graph in self.graphs(cpx).values():
+                if graph.regularity_profile.is_regular:
+                    assert_certificates_agree(graph, Fraction(1, 2), Fraction(1, 4), trials=4)

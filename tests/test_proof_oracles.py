@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from qbp import groups, product
 from qbp.errors import ValidationError
+from qbp.graphs import BipartiteGraph
 from qbp.groups import FiniteGroup, GroupAction, cyclic_group, dihedral_group
 from qbp.instances import (
     doubled_complete_incidence,
@@ -85,10 +86,17 @@ def oracle_check_faces(cpx, faces):
 
 
 def oracle_complex_from_json(obj):
-    """The acceptance oracle: the chain condition by multiplying the maps
-    (whose rows check every endpoint) first, then degrees, then faces."""
+    """The acceptance oracle: a repeated edge by one scan per class, the
+    endpoints by one test per edge, in the classes' order in the maps, the
+    chain condition by multiplying the maps, then degrees, then faces."""
     rows = {name: _int_rows(obj[name], name, 2) for name in product._PAIR_FIELDS}
     faces = _int_rows(obj["faces"], "faces", 4)
+    for name in product._PAIR_FIELDS[4:]:
+        seen = set()
+        for i, edge in enumerate(rows[name]):
+            if edge in seen:
+                raise ValidationError(f"{name}[{i}] repeats the edge {list(edge)}")
+            seen.add(edge)
     deg = obj.get("degrees")
     degrees = None if deg is None else DegreeProfile(
         *(_int_value(deg[name], f"degree {name}") for name in ("down", "up", "right", "left")))
@@ -103,6 +111,16 @@ def oracle_complex_from_json(obj):
         group_order=_int_value(obj.get("group_order", 1), "group_order"),
         provenance=str(obj.get("provenance", "")),
     )
+    for which, size0, size1 in (("v10_v11", cpx.v10_size, cpx.v11_size),
+                                ("v01_v11", cpx.v01_size, cpx.v11_size),
+                                ("v00_v10", cpx.v00_size, cpx.v10_size),
+                                ("v00_v01", cpx.v00_size, cpx.v01_size)):
+        bad = [e for e in getattr(cpx, f"edges_{which}")
+               if not (0 <= e[0] < size0 and 0 <= e[1] < size1)]
+        if bad:
+            raise ValidationError(
+                f"edge {min(bad)} in edges_{which} has an endpoint outside its "
+                f"class (sizes {size0} and {size1})")
     check = verify_chain_condition(cpx)
     if not check.ok:
         raise ValidationError(
@@ -196,8 +214,8 @@ class TestChainVerdictByProof:
         assert_verdict_by_proof(loaded)
 
 
-CORRUPTIONS = ("move_edge", "past_class", "drop_edge", "add_edge", "drop_face", "move_face",
-               "repeat_face", "degree")
+CORRUPTIONS = ("move_edge", "past_class", "drop_edge", "add_edge", "repeat_edge", "drop_face",
+               "move_face", "repeat_face", "degree")
 _CLASS_SIZES = {"v00_v10": ("v00", "v10"), "v01_v11": ("v01", "v11"),
                 "v00_v01": ("v00", "v01"), "v10_v11": ("v10", "v11")}
 
@@ -235,6 +253,9 @@ def corrupt(obj, kind, data):
     i = data.draw(st.integers(0, len(edges) - 1), label="edge")
     if kind == "drop_edge":
         del edges[i]
+        return
+    if kind == "repeat_edge":
+        edges.insert(data.draw(st.integers(0, len(edges)), label="at"), list(edges[i]))
         return
     end = data.draw(st.integers(0, 1), label="end")
     size = obj[_CLASS_SIZES[which][end]]
@@ -354,7 +375,9 @@ class TestLoaderRefusals:
         assume(not isinstance(outcome(oracle_complex_from_json, obj), dict))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(product, "mat_mul", _forbidden)
-            patch.setattr(product, "_edge_rows", _forbidden)
+            for packer in ("masks0", "masks1"):
+                patch.setattr(BipartiteGraph, packer, property(_forbidden))
+            patch.setattr(BalancedProductComplex, "boundary_1", property(_forbidden))
             with pytest.raises(ValidationError):
                 complex_from_json(obj)
 
