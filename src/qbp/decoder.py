@@ -24,7 +24,17 @@ A center's test walks its subset pairs in ascending (mask10, mask01) order
 by prefix XORs (see `_first_flippable`): one XOR and two popcounts per pair,
 from |N10| + |N01| masks per center.  That state is linear in the degree,
 not exponential like a table per subset, so the index holds it for every
-center and needs no cache or size limit.
+center and needs no cache or size limit.  A dead center, none of whose
+prefix masks meets the syndrome, is not walked: every flip there is an XOR
+of its prefixes, so it clears nothing, and as beta > 0 no pair passes
+cleared >= beta*changed.  The test returns what the walk would, `tested`
+included, after one AND per prefix.  On i.i.d. errors more than half of
+the loop's pops and re-tests land on such centers.
+
+The correction is kept as a set of qubit indices, toggled per flip, and
+becomes an `F2Vector` once at the end, so no flip touches an n-bit
+integer for it.  Trace steps are named tuples, which cost less than half
+as much to build as frozen dataclasses.
 
 The initial candidate scan is syndrome-local: a flip at a V00 vertex only
 changes the V11 cells two edges away from it, so a vertex that reaches no
@@ -56,10 +66,16 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, chain
 from operator import or_, xor
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .css import CssCode
-from .errors import BudgetExceededError, InternalInvariantError, PreconditionError, ValidationError
+from .errors import (
+    BudgetExceededError,
+    InternalInvariantError,
+    PreconditionError,
+    ShapeError,
+    ValidationError,
+)
 from .expansion import ExpansionCertificate, TreePartition
 from .gf2 import F2Vector, bits
 from .product import BalancedProductComplex
@@ -104,8 +120,7 @@ class DecoderConfig:
         return self.epsilon < Fraction(1, 24)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One applied flip.  updated_syndromes is the number of checks it
     changed (cleared + created), and rescanned_vertices the number of
     vertices next to those checks: the vertices whose tests the flip can
@@ -248,12 +263,22 @@ def _first_flippable(
     N01 cells first.  From c - 1 to c the bits up to the lowest set bit of c
     flip, so the flip mask moves by prefix[ruler[c]].
 
+    A center none of whose prefix masks meets the syndrome is not walked:
+    every flip there is an XOR of prefixes, so it clears nothing, and with
+    beta_num > 0 (which every caller holds) no pair passes.  The result is
+    the one the walk would give.
+
     Returns (found, tested): found is (c, flip_mask, changed, cleared) or
     None, and tested counts the nonempty pairs tried, the found one
     included.
     """
-    flip = 0
     end = 1 << len(prefix)
+    for p in prefix:
+        if p & synd:
+            break
+    else:
+        return None, end - 1
+    flip = 0
     for c in range(1, end):
         flip ^= prefix[ruler[c]]
         changed = flip.bit_count()
@@ -290,12 +315,13 @@ def preprocess_candidates(code: _CodeOrComplex, syndrome: F2Vector, beta: Fracti
 
 
 def _preprocess(idx: _DecoderIndex, synd: int, beta: Fraction) -> PreprocessResult:
-    candidates = sorted({x00 for z11 in bits(synd) for x00 in idx.v00_of_v11[z11]})
+    prefixes, ruler, v00_of_v11 = idx.prefixes, idx.ruler, idx.v00_of_v11
+    bn, bd = beta.numerator, beta.denominator
+    candidates = sorted({x00 for z11 in bits(synd) for x00 in v00_of_v11[z11]})
     queue = []
     tested = 0
     for x00 in candidates:
-        found, pairs = _first_flippable(idx.prefixes[x00], idx.ruler, synd, beta.numerator,
-                                        beta.denominator)
+        found, pairs = _first_flippable(prefixes[x00], ruler, synd, bn, bd)
         tested += pairs
         if found is not None:
             queue.append(x00)
@@ -336,14 +362,15 @@ def _decode(idx: _DecoderIndex, syndrome: F2Vector, config: DecoderConfig,
             pre: PreprocessResult) -> DecodeResult:
     beta = config.beta
     bn, bd = beta.numerator, beta.denominator
+    prefixes, ruler, v00_of_v11 = idx.prefixes, idx.ruler, idx.v00_of_v11
+    keep_flip_sets = config.keep_flip_sets
     synd = syndrome.to_mask()
     initial_weight = synd.bit_count()
 
     queue = deque(pre.queue)
     queued = set(pre.queue)
-    correction = 0
+    correction: set[int] = set()          # support of the correction, in qubit indices
     off10, off01 = idx.offsets
-    ruler = idx.ruler
     trace: list[TraceStep] = []
     stale_pops = 0
     iterations = 0
@@ -351,7 +378,7 @@ def _decode(idx: _DecoderIndex, syndrome: F2Vector, config: DecoderConfig,
     while synd and queue and iterations < config.iteration_cap:
         x00 = queue.popleft()
         queued.discard(x00)
-        found, _ = _first_flippable(idx.prefixes[x00], ruler, synd, bn, bd)
+        found, _ = _first_flippable(prefixes[x00], ruler, synd, bn, bd)
         if found is None:
             stale_pops += 1
             continue
@@ -359,25 +386,23 @@ def _decode(idx: _DecoderIndex, syndrome: F2Vector, config: DecoderConfig,
         n10, n01 = idx.n10[x00], idx.n01[x00]
         n10_bits = [n10[i] for i in bits(c >> len(n01))]
         n01_bits = [n01[i] for i in bits(c & ((1 << len(n01)) - 1))]
-        for q in n10_bits:
-            correction ^= 1 << (off10 + q)
-        for q in n01_bits:
-            correction ^= 1 << (off01 + q)
+        correction.symmetric_difference_update([off10 + q for q in n10_bits])
+        correction.symmetric_difference_update([off01 + q for q in n01_bits])
         synd ^= flip
         iterations += 1
 
         near: set[int] = set()
         for z11 in bits(flip):
-            near.update(idx.v00_of_v11[z11])
+            near.update(v00_of_v11[z11])
         # Only x00 and the centers next to a newly lit check can have turned
         # flippable (proof in the module docstring).
         retest = {x00}
         for z11 in bits(flip & synd):
-            retest.update(idx.v00_of_v11[z11])
+            retest.update(v00_of_v11[z11])
         for y00 in sorted(retest):
             if y00 in queued:
                 continue
-            if _first_flippable(idx.prefixes[y00], ruler, synd, bn, bd)[0] is not None:
+            if _first_flippable(prefixes[y00], ruler, synd, bn, bd)[0] is not None:
                 queue.append(y00)
                 queued.add(y00)
         trace.append(TraceStep(
@@ -390,8 +415,8 @@ def _decode(idx: _DecoderIndex, syndrome: F2Vector, config: DecoderConfig,
             syndrome_after=synd.bit_count(),
             updated_syndromes=changed,
             rescanned_vertices=len(near),
-            n10=tuple(n10_bits) if config.keep_flip_sets else (),
-            n01=tuple(n01_bits) if config.keep_flip_sets else (),
+            n10=tuple(n10_bits) if keep_flip_sets else (),
+            n01=tuple(n01_bits) if keep_flip_sets else (),
         ))
 
     if synd == 0:
@@ -402,7 +427,7 @@ def _decode(idx: _DecoderIndex, syndrome: F2Vector, config: DecoderConfig,
         outcome = "stalled"
     return DecodeResult(
         outcome=outcome,
-        correction=F2Vector.from_mask(idx.n, correction),
+        correction=F2Vector(idx.n, frozenset(correction)),
         iterations=iterations,
         initial_syndrome_weight=initial_weight,
         trace=tuple(trace),
@@ -410,6 +435,21 @@ def _decode(idx: _DecoderIndex, syndrome: F2Vector, config: DecoderConfig,
         preprocess_vertices_scanned=pre.vertices_scanned,
         preprocess_subsets_tested=pre.subsets_tested,
     )
+
+
+def z_syndrome(code: _CodeOrComplex, error: F2Vector) -> F2Vector:
+    """The X syndrome (a subset of V11) of a Z error: the XOR of Hx's columns
+    at the error's qubits, read from the Z decoder index's check masks (V10
+    cells, then V01 cells), so Hx's column masks are never built."""
+    idx = _index_for(code, "z")
+    if error.length != idx.n:
+        raise ShapeError(f"error length {error.length} != n = {idx.n}")
+    v11_of_v10, v11_of_v01 = idx.v11_of_v10, idx.v11_of_v01
+    v10_size = idx.offsets[1]
+    synd = 0
+    for q in error.support:
+        synd ^= v11_of_v10[q] if q < v10_size else v11_of_v01[q - v10_size]
+    return F2Vector.from_mask(idx.check_count, synd)
 
 
 # -- eligibility gates and the guaranteed decoding radius ---------------------

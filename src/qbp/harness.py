@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from . import gf2
 from .css import CssCode
-from .decoder import DecoderConfig, decode
+from .decoder import DecoderConfig, decode, z_syndrome
 from .errors import BudgetExceededError, ValidationError
 from .gf2 import F2Vector
 from .jsonio import fraction_to_json
@@ -174,7 +173,7 @@ def run_simulation(code: CssCode, config: ExperimentConfig) -> ExperimentResult:
     records = []
     for index, support in _iter_errors(code, config):
         error = F2Vector.from_support(code.n, support)
-        syndrome = gf2.mat_vec(code.hx, error)
+        syndrome = z_syndrome(code, error)
         result = decode(code, syndrome, decoder_config)
         residual_ok = code.z_stabilizers.contains(error ^ result.correction)
         records.append(TrialRecord(

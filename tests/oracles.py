@@ -213,9 +213,13 @@ def flippable(
     The flip of n10 (subset of the V10 neighborhood of x00) and n01 (subset
     of the V01 neighborhood) passes when every changed syndrome count is
     nonzero and cleared >= beta * changed.  Empty flips change nothing and
-    are defined non-flippable: they would never make progress.  The test is
-    the decoder's own search kernel, run on this one pair.
+    are defined non-flippable: they would never make progress.  beta must
+    be positive, as in the decoder.  The test is the decoder's own search
+    kernel, run on this one pair.
     """
+    beta = Fraction(beta)
+    if beta <= 0:
+        raise PreconditionError(f"the flip test needs beta > 0, got beta = {beta}")
     idx = _checked_index(code, syndrome, "z")
     if not 0 <= x00 < len(idx.n10):
         raise PreconditionError(f"center x00 = {x00} is outside V00 = 0..{len(idx.n10) - 1}")
@@ -231,7 +235,6 @@ def flippable(
     for q in s01:
         mask ^= idx.v11_of_v01[q]
     synd = syndrome.to_mask()
-    beta = Fraction(beta)
     found, _ = _first_flippable([mask], idx.ruler, synd, beta.numerator, beta.denominator)
     return FlipCheck(found is not None, mask.bit_count(), (mask & synd).bit_count())
 

@@ -11,11 +11,15 @@ tables, which re-tests every unqueued vertex next to any check the flip
 changed.  Both must give equal results: outcome, correction, iterations,
 stale pops, preprocessing counters and every trace step, flip sets included.
 
-Every comparison runs on every conftest family and epsilon in {0, 1/30,
+Every comparison runs on every family below and epsilon in {0, 1/30,
 1/13}, and on both sides except `flippable`, which tests Z flips only.
+The loop is also compared on i.i.d. errors with p = 3/100, as in the
+bench's dense workload: they make stale pops and re-tests of centers that
+reach no lit check, which the flip search answers without a walk.
 """
 
 import functools
+import operator
 import random
 from collections import deque
 from fractions import Fraction
@@ -48,6 +52,8 @@ _FAMILIES = {
     "match8": lambda: left_right_cayley(cyclic_group(8), [1], [1]),
     "star12": lambda: star_product(12, 3, 2),
     "incstar13": lambda: incidence_star_product(13, 2),
+    # The bench's decode family, left_right_cayley(Z_m, [1, 2], [1, 4]), at m = 32.
+    "cayley32": lambda: left_right_cayley(cyclic_group(32), [1, 2], [1, 4]),
 }
 _EPSILONS = [Fraction(0), Fraction(1, 30), Fraction(1, 13)]
 _CAP = 32
@@ -188,6 +194,12 @@ def draw_syndrome(data, code, side):
     return F2Vector.from_support(checks, support)
 
 
+def iid_syndrome(code, side, seed):
+    """The syndrome of an i.i.d. error with p = 3/100, drawn from one seed."""
+    rng = random.Random(seed)
+    return syndrome_of(code, side, [q for q in range(code.n) if rng.random() < 0.03])
+
+
 class TestPrefixWalk:
     # Every family, side and epsilon gets its own draws.  A full walk of an
     # incstar13 V00 center tries 2^16 pairs in each kernel, so a Z draw
@@ -214,6 +226,20 @@ class TestPrefixWalk:
                 m10, m01, flip, changed, cleared = old
                 c = (m10 << len(idx.n01[x00])) | m01
                 assert found == (c, flip, changed, cleared)
+
+    @pytest.mark.parametrize("side", ["z", "x"])
+    def test_a_dead_center_is_not_walked(self, side):
+        # Every check lit but those the center reaches.  The empty ruler
+        # shows that no pair is walked: the first step would index it.
+        idx = _index_for(family_code("cayley32"), side)
+        prefix = idx.prefixes[0]
+        reach = functools.reduce(operator.or_, prefix)
+        synd = ((1 << idx.check_count) - 1) & ~reach
+        assert reach and synd
+        assert _first_flippable(prefix, [], synd, 1, 1) == (None, (1 << len(prefix)) - 1)
+        assert _first_flippable(prefix, [], synd, 1, 1) == \
+            _first_flippable(prefix, idx.ruler, synd, 1, 1)
+        assert _first_flippable([], [], synd, 1, 1) == (None, 0)
 
     @pytest.mark.parametrize("epsilon", _EPSILONS, ids=str)
     @pytest.mark.parametrize("family", sorted(_FAMILIES))
@@ -258,6 +284,26 @@ class TestRetestRule:
         syn = draw_syndrome(data, code, side)
         config = DecoderConfig(epsilon=epsilon, iteration_cap=_CAP, keep_flip_sets=True)
         assert decode_side(code, syn, config, side) == rescan_all_decode(code, syn, config, side)
+
+    @pytest.mark.parametrize("epsilon", _EPSILONS, ids=str)
+    @pytest.mark.parametrize("side", ["z", "x"])
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_iid_errors_match_the_rescan_all_loop(self, family, side, epsilon):
+        code = family_code(family)
+        config = DecoderConfig(epsilon=epsilon, iteration_cap=_CAP, keep_flip_sets=True)
+        for seed in range(4):
+            syn = iid_syndrome(code, side, seed)
+            assert (decode_side(code, syn, config, side)
+                    == rescan_all_decode(code, syn, config, side))
+
+    @pytest.mark.parametrize("side", ["z", "x"])
+    def test_iid_errors_make_stale_pops(self, side):
+        # The draws above reach the paths the dead-center test shortens.
+        code = family_code("cayley32")
+        config = DecoderConfig(epsilon=Fraction(1, 30), iteration_cap=_CAP)
+        stale = sum(decode_side(code, iid_syndrome(code, side, seed), config, side).stale_pops
+                    for seed in range(16))
+        assert stale > 0
 
     @pytest.mark.parametrize("side", ["z", "x"])
     def test_created_checks_are_followed(self, side):

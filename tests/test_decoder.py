@@ -16,6 +16,7 @@ from qbp import gf2
 from qbp.css import extract_code
 from qbp.decoder import (
     DecoderConfig,
+    TraceStep,
     _index_for,
     decode,
     decode_x,
@@ -184,6 +185,14 @@ class TestFlippable:
         with pytest.raises(PreconditionError, match=rf"center x00 = {x00} is outside V00 = 0\.\.11"):
             flippable(star12_code, syn, x00, [], [], Fraction(1))
 
+    @pytest.mark.parametrize("beta", [Fraction(0), Fraction(-1, 2)], ids=str)
+    def test_a_nonpositive_beta_is_refused(self, star12_code, beta):
+        # The search kernel skips centers that reach no lit check, which is
+        # exact only for beta > 0.
+        syn = syndrome_of(star12_code, [0])
+        with pytest.raises(PreconditionError, match="needs beta > 0"):
+            flippable(star12_code, syn, 0, [], [], beta)
+
     def test_matches_independent_recomputation(self, star12_code):
         # Exhaustive oracle at one vertex: recompute the flip result from the
         # boundary matrix for every candidate subset pair.
@@ -209,6 +218,18 @@ class TestFlippable:
                         check = flippable(code, syn, x00, sub10, sub01, beta)
                         assert check.flippable == expect
                         assert (check.changed_count, check.cleared_count) == (changed, cleared)
+
+
+class TestTraceStep:
+    def test_fields_defaults_and_json(self):
+        step = TraceStep(iteration=2, x00=3, n10_size=0, n01_size=1, cleared=2, created=0,
+                         syndrome_after=0, updated_syndromes=2, rescanned_vertices=6, n01=(7,))
+        assert step == TraceStep(2, 3, 0, 1, 2, 0, 0, 2, 6, (), (7,))
+        assert (step.n10, step.n01) == ((), (7,))
+        assert step.to_json() == {"iteration": 2, "x00": 3, "n10": 0, "n01": 1, "cleared": 2,
+                                  "created": 0, "syndrome_after": 0}
+        with pytest.raises(AttributeError):
+            step.x00 = 4
 
 
 class TestPreprocess:

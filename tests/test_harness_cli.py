@@ -12,7 +12,7 @@ import pytest
 import qbp
 from qbp import css, decoder, gf2, harness, jsonio, product
 from qbp.cli import cli_dispatch
-from qbp.errors import BudgetExceededError, ValidationError
+from qbp.errors import BudgetExceededError, ShapeError, ValidationError
 from qbp.gf2 import F2Vector
 from qbp.groups import cyclic_group
 from qbp.harness import ExperimentConfig, derive_trial_seed, run_simulation
@@ -117,6 +117,19 @@ class TestHarness:
             error = F2Vector.from_support(match8_code.n, rng.sample(range(match8_code.n), 2))
             rep = minimal_coset_representative(match8_code, gf2.mat_vec(match8_code.hx, error))
             assert rep.v10_weight + rep.v01_weight <= record.error_weight
+
+    def test_syndromes_come_from_the_decoder_index(self, monkeypatch):
+        # A fresh code, so no other test has built its Hx column masks.
+        code = css.extract_code(star_product(12, 3, 2))
+        config = ExperimentConfig(epsilon=Fraction(1, 30), trials=30, seed=3,
+                                  flip_probability=Fraction(1, 20))
+        result = run_simulation(code, config)
+        assert "col_masks" not in code.hx.__dict__
+        with pytest.raises(ShapeError, match="error length 59 != n = 60"):
+            decoder.z_syndrome(code, F2Vector(code.n - 1, frozenset()))
+        monkeypatch.setattr(harness, "z_syndrome",
+                            lambda code, error: gf2.mat_vec(code.hx, error))
+        assert run_simulation(code, config) == result
 
     def test_iterations_bounded_by_syndrome(self, star12_code):
         config = ExperimentConfig(epsilon=Fraction(0), trials=50, seed=11, weight=2)
@@ -320,6 +333,21 @@ class TestCli:
         lines = (workdir / "trace.jsonl").read_text().splitlines()
         assert len(lines) == payload["result"]["iterations"]
         assert all("x00" in json.loads(ln) for ln in lines)
+
+    def test_decode_trace_lines_are_pinned(self, workdir):
+        # The `--trace` format: one sorted JSON object per applied flip.
+        path = decode_complex_file(workdir, "z8")
+        (workdir / "syn.json").write_text(json.dumps({"length": 8, "support": [0, 1, 2, 5]}))
+        assert run_cli("decode", "--complex", path, "--syndrome", workdir / "syn.json",
+                       "--epsilon", "1/30", "--trace", workdir / "trace.jsonl",
+                       "--out", workdir / "dec.json") == 0
+        assert json.loads((workdir / "dec.json").read_text())["result"]["iterations"] == 2
+        assert (workdir / "trace.jsonl").read_text().splitlines() == [
+            '{"cleared": 2, "created": 0, "iteration": 1, "n01": 0, "n10": 1, '
+            '"syndrome_after": 2, "x00": 0}',
+            '{"cleared": 2, "created": 0, "iteration": 2, "n01": 1, "n10": 0, '
+            '"syndrome_after": 0, "x00": 3}',
+        ]
 
     def test_simulate_sweep_success(self, workdir):
         rc = run_cli("simulate", "--complex", workdir / "match.json",
