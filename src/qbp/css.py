@@ -19,8 +19,10 @@ through the integer key |v10|*right + |v01|*down, which orders them exactly
 (down, right > 0); a Fraction is built only where one is returned.
 Stabilizer membership comes from residues: reduction modulo a row space is
 linear over GF(2), so the basis residues are sliced alongside the qubits.
-ker(Hx) with its residues is derived once per code and shared by the two
-Z-side oracles; the budget is checked on every call.
+Each side's kernel basis with its residues comes from one helper,
+`_kernel`, which derives it once per code (ker(Hx) is shared by the two
+Z-side oracles) and checks the budget on every call.  The residues' pivot
+columns are read straight off `gf2._eliminate`.
 Blocks are independent; they are taken in ascending order, one after the
 other.
 """
@@ -124,10 +126,9 @@ class CssCode:
         return gf2.row_space(self.hx)
 
     @cached_property
-    def _z_kernel_residues(self) -> tuple[list[int], list[int]]:
-        """ker(Hx) with its residues modulo the Hz row space, sliced as
-        `_with_residues` gives them (see `_z_kernel`)."""
-        return _with_residues(gf2.kernel_masks(self.hx), self.z_stabilizers, self.n)
+    def _kernels(self) -> dict[str, tuple[list[int], list[int]]]:
+        """Each side's kernel with its residues, filled in by `_kernel`."""
+        return {}
 
     def split_support(self, v: F2Vector) -> tuple[frozenset[int], frozenset[int]]:
         """Split a length-n vector into (V10 support, V01 support as V01 indices)."""
@@ -235,14 +236,8 @@ def brute_distance(code: CssCode, which: str, budget: int = DEFAULT_KERNEL_BUDGE
     qubit planes, and its candidate the least weight among the nontrivial
     ones.  vectors_enumerated is 2^kernel_dim, every combination counted.
     """
-    _check_budget(budget)
+    masks, coords = _kernel(code, which, budget)
     n = code.n
-    if which == "z":
-        masks, coords = _z_kernel(code, budget)
-    elif which == "x":
-        masks, coords = _with_residues(_kernel_masks(code.hz, budget), code.x_stabilizers, n)
-    else:
-        raise ValidationError(f"which must be 'x' or 'z', got {which!r}")
     best: Optional[int] = None
     for block in gf2.span_planes(masks, coords):
         nontrivial = _nontrivial(block.planes, n)
@@ -253,33 +248,33 @@ def brute_distance(code: CssCode, which: str, budget: int = DEFAULT_KERNEL_BUDGE
     return DistanceReport(which, best, best is None, len(masks), 1 << len(masks))
 
 
-def _check_budget(budget: int) -> None:
-    """Refuse a negative budget before any work: no enumeration fits it."""
+def _kernel(code: CssCode, which: str, budget: int) -> tuple[list[int], list[int]]:
+    """One side's kernel as `_with_residues` gives it: ker(Hx) modulo the Hz
+    row space for "z", ker(Hz) modulo the Hx row space for "x".
+
+    Refused in this order: a negative budget (before any elimination), a
+    side other than "x" or "z", and a kernel with more vectors than the
+    budget.  The budget is checked on every call; each side is derived once
+    per code and shared by the oracles that read it.
+    """
     if budget < 0:
         raise PreconditionError(f"need budget >= 0, got {budget}")
-
-
-def _check_kernel_size(matrix: F2Matrix, budget: int) -> None:
-    """Refuse a kernel of `matrix` with more vectors than the budget."""
+    if which == "z":
+        matrix, other = code.hx, code.hz
+    elif which == "x":
+        matrix, other = code.hz, code.hx
+    else:
+        raise ValidationError(f"which must be 'x' or 'z', got {which!r}")
     dim = matrix.cols - gf2.rank(matrix)
     if 2 ** dim > budget:
         raise OracleUnavailableError(
             f"kernel has 2^{dim} vectors, over the budget of {budget}"
         )
-
-
-def _kernel_masks(matrix: F2Matrix, budget: int) -> list[int]:
-    """The kernel basis of `matrix` as packed masks, refused over the budget."""
-    _check_kernel_size(matrix, budget)
-    return gf2.kernel_masks(matrix)
-
-
-def _z_kernel(code: CssCode, budget: int) -> tuple[list[int], list[int]]:
-    """ker(Hx) as `_with_residues` gives it modulo the Hz row space, derived
-    once per code and shared by the Z-side oracles; the budget is checked on
-    every call."""
-    _check_kernel_size(code.hx, budget)
-    return code._z_kernel_residues
+    kernel = code._kernels.get(which)
+    if kernel is None:
+        kernel = code._kernels[which] = _with_residues(
+            gf2.kernel_masks(matrix), gf2.row_space(other), code.n)
+    return kernel
 
 
 def _with_residues(masks: list[int], stabilizers: gf2.RowSpace,
@@ -294,9 +289,9 @@ def _with_residues(masks: list[int], stabilizers: gf2.RowSpace,
     combination included) exactly when its k pivot planes are all clear.
     """
     residues = [stabilizers.reduce_mask(m) for m in masks]
-    pivots = gf2.row_space(F2Matrix.from_row_masks(len(residues), n, residues)).pivot_cols
+    pivots = gf2._eliminate(residues)
     return ([m | r << n for m, r in zip(masks, residues)],
-            [*range(n), *(n + c for c in pivots)])
+            [*range(n), *(n + low.bit_length() - 1 for low in pivots)])
 
 
 def _nontrivial(planes: tuple[int, ...], n: int) -> int:
@@ -363,8 +358,7 @@ def locally_minimal_distance(
     every combination of the block at once.  Stabilizer membership is the
     residue modulo the Hz row space, as in `brute_distance`.
     """
-    _check_budget(budget)
-    masks, coords = _z_kernel(code, budget)
+    masks, coords = _kernel(code, "z", budget)
     if code.degrees is None:
         raise PreconditionError("normalized local minimality needs recorded degrees")
     a, b = _key_weights(code)

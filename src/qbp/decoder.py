@@ -343,7 +343,8 @@ def decode(code: _CodeOrComplex, syndrome: F2Vector, config: DecoderConfig) -> D
     initial syndrome weight.
     """
     idx = _checked_index(code, syndrome, "z")
-    return _decode(idx, syndrome, config, preprocess_candidates(code, syndrome, config.beta))
+    return _decode(idx, syndrome.to_mask(), config,
+                   preprocess_candidates(code, syndrome, config.beta))
 
 
 def decode_x(code: _CodeOrComplex, syndrome_z: F2Vector, config: DecoderConfig) -> DecodeResult:
@@ -355,16 +356,17 @@ def decode_x(code: _CodeOrComplex, syndrome_z: F2Vector, config: DecoderConfig) 
     trace steps name the V11 cell as x00, and n10/n01 list V01/V10 cells.
     """
     idx = _checked_index(code, syndrome_z, "x")
-    return _decode(idx, syndrome_z, config, _preprocess(idx, syndrome_z.to_mask(), config.beta))
+    synd = syndrome_z.to_mask()
+    return _decode(idx, synd, config, _preprocess(idx, synd, config.beta))
 
 
-def _decode(idx: _DecoderIndex, syndrome: F2Vector, config: DecoderConfig,
+def _decode(idx: _DecoderIndex, synd: int, config: DecoderConfig,
             pre: PreprocessResult) -> DecodeResult:
+    """The flip loop from the packed syndrome and its preprocessed queue."""
     beta = config.beta
     bn, bd = beta.numerator, beta.denominator
     prefixes, ruler, v00_of_v11 = idx.prefixes, idx.ruler, idx.v00_of_v11
     keep_flip_sets = config.keep_flip_sets
-    synd = syndrome.to_mask()
     initial_weight = synd.bit_count()
 
     queue = deque(pre.queue)

@@ -4,8 +4,12 @@ Vectors are stored as support sets.  A matrix is its shape plus one packed
 bit row per row, carried in a Python integer (bit c of row r is entry
 (r, c)); products, transposes and elimination all work on those rows.
 Rank, row spaces and kernels share one elimination kernel, `_eliminate`,
-whose reduced row echelon form is unique.  Everything is exact; there is no
-floating point anywhere.
+whose reduced row echelon form is unique: the map {pivot bit: reduced row}.
+A matrix caches that map once, as a `RowSpace` with the OR of its pivot
+bits, and rank, kernel, row space and membership all read that one object.
+Reducing a vector modulo a row space takes one AND with the pivot mask and
+one XOR per pivot bit hit.  Everything is exact; there is no floating point
+anywhere.
 
 A span is read bit-sliced by `span_planes`: its 2^k combinations come in
 blocks of at most 2^12 (SPAN_BLOCK_BITS), and a block is one 2^12-bit
@@ -102,10 +106,6 @@ class F2Matrix:
     def identity(cls, n: int) -> "F2Matrix":
         return cls(n, n, tuple(1 << i for i in range(n)))
 
-    @classmethod
-    def from_row_masks(cls, rows: int, cols: int, masks: Sequence[int]) -> "F2Matrix":
-        return cls(rows, cols, tuple(masks))
-
     # -- packed views ----------------------------------------------------
 
     @cached_property
@@ -133,9 +133,10 @@ class F2Matrix:
     # -- reduced row echelon form ------------------------------------------
 
     @cached_property
-    def _rref(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def _echelon(self) -> "RowSpace":
         """Reduced row echelon form of the rows (see `_eliminate`)."""
-        return _eliminate(self.row_masks)
+        pivots = _eliminate(self.row_masks)
+        return RowSpace(self.cols, pivots, sum(pivots))
 
 
 def _check_shape(rows: int, cols: int) -> None:
@@ -143,12 +144,12 @@ def _check_shape(rows: int, cols: int) -> None:
         raise ShapeError(f"negative matrix shape {rows}x{cols}")
 
 
-def _eliminate(masks: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _eliminate(masks: Iterable[int]) -> dict[int, int]:
     """The reduced row echelon form of the span of packed rows.
 
-    Returns (pivot_rows, pivot_cols) in ascending pivot column: pivot_rows[i]
-    has its lowest set bit at pivot_cols[i], and that column is clear in
-    every other pivot row.  This form is unique for the span.
+    Returns {pivot bit: row} in ascending pivot bit: each row has its lowest
+    set bit at its pivot bit (1 << pivot column), and that bit is clear in
+    every other row.  This form is unique for the span.
 
     Each row is reduced at its lowest bit until that bit is a new pivot (or
     the row vanishes); then, from the highest pivot down, each pivot row has
@@ -174,7 +175,7 @@ def _eliminate(masks: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
             hit ^= h
         pivots[low] = row
         above |= low
-    return tuple(pivots[low] for low in lows), tuple(low.bit_length() - 1 for low in lows)
+    return {low: pivots[low] for low in lows}
 
 
 def mat_mul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
@@ -216,7 +217,7 @@ def mat_vec_mask(a: F2Matrix, v_mask: int) -> int:
 
 def rank(a: F2Matrix) -> int:
     """Rank over GF(2), via elimination on packed rows."""
-    return len(a._rref[0])
+    return len(a._echelon.pivots)
 
 
 def kernel_masks(a: F2Matrix) -> list[int]:
@@ -226,32 +227,33 @@ def kernel_masks(a: F2Matrix) -> list[int]:
     The vector of free column f is f plus every pivot column whose pivot row
     holds f.
     """
-    pivot_rows, pivot_cols = a._rref
     vectors = [1 << f for f in range(a.cols)]
-    for row, col in zip(pivot_rows, pivot_cols):
-        vectors[col] = 0
-        bit = 1 << col
-        for f in bits(row ^ bit):
-            vectors[f] |= bit
+    for low, row in a._echelon.pivots.items():
+        vectors[low.bit_length() - 1] = 0
+        for f in bits(row ^ low):
+            vectors[f] |= low
     return [v for v in vectors if v]
 
 
 @dataclass(frozen=True)
 class RowSpace:
-    """Reduced basis of a row space, for fast membership tests."""
+    """A row space as its reduced row echelon form (see `_eliminate`), for
+    fast membership tests."""
 
     length: int
-    pivot_rows: tuple[int, ...]
-    pivot_cols: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivot_rows)
+    pivots: dict[int, int]               # pivot bit -> reduced row, ascending
+    pivot_mask: int                      # the OR of the pivot bits
 
     def reduce_mask(self, v_mask: int) -> int:
-        for row, col in zip(self.pivot_rows, self.pivot_cols):
-            if v_mask & (1 << col):
-                v_mask ^= row
+        """The residue of v modulo the space: v plus the pivot row of each
+        pivot bit v holds.  A reduced row holds no other pivot bit, so one
+        pass over v's pivot bits clears them all."""
+        rows = self.pivots
+        hit = v_mask & self.pivot_mask
+        while hit:
+            h = hit & -hit
+            v_mask ^= rows[h]
+            hit ^= h
         return v_mask
 
     def contains_mask(self, v_mask: int) -> bool:
@@ -264,8 +266,7 @@ class RowSpace:
 
 
 def row_space(a: F2Matrix) -> RowSpace:
-    pivot_rows, pivot_cols = a._rref
-    return RowSpace(a.cols, pivot_rows, pivot_cols)
+    return a._echelon
 
 
 SPAN_BLOCK_BITS = 12     # a span block holds at most 2^12 combinations

@@ -268,9 +268,6 @@ class GroupAction:
         (g, x) order, or None when the action is free; scanned once."""
         return _first_fixed_point(self)
 
-    def act(self, g: int, x: int) -> int:
-        return self.table[g][x]
-
 
 def _regular_action(group: FiniteGroup, table: tuple[_Row, ...]) -> GroupAction:
     """The translation of `group` on itself, or on k copies of itself, with

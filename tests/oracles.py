@@ -37,8 +37,8 @@ from fixtures import from_entries
 __all__ = [
     "FlipCheck", "FlipReduction", "FlowNetwork", "MaxFlowResult", "MinimalRepresentative",
     "TreePartitionAudit", "flippable", "from_alist", "greedy_flip_reduce",
-    "is_locally_minimal", "max_flow_integer", "minimal_coset_representative", "solve",
-    "transposed", "verify_tree_partition",
+    "is_locally_minimal", "max_flow_integer", "minimal_coset_representative",
+    "reduce_by_pivot_scan", "solve", "transposed", "verify_tree_partition",
 ]
 
 Node = Hashable
@@ -52,22 +52,32 @@ def solve(a: F2Matrix, b: F2Vector) -> Optional[F2Vector]:
 
     Eliminates [A | b], with b as column `a.cols`.  The system is
     inconsistent exactly when that column is a pivot; otherwise setting each
-    free variable to 0 leaves pivot variable i equal to bit `a.cols` of pivot
-    row i.
+    free variable to 0 leaves each pivot variable equal to bit `a.cols` of
+    its pivot row.
     """
     if a.rows != b.length:
         raise ShapeError(f"rhs length {b.length} != row count {a.rows}")
     target = b.to_mask()
     rhs = 1 << a.cols
-    pivot_rows, pivot_cols = _eliminate(
-        m | rhs if target >> r & 1 else m for r, m in enumerate(a.row_masks))
-    if pivot_cols and pivot_cols[-1] == a.cols:
+    pivots = _eliminate(m | rhs if target >> r & 1 else m for r, m in enumerate(a.row_masks))
+    if rhs in pivots:
         return None
     x = 0
-    for row, col in zip(pivot_rows, pivot_cols):
+    for low, row in pivots.items():
         if row & rhs:
-            x |= 1 << col
+            x |= low
     return F2Vector.from_mask(a.cols, x)
+
+
+def reduce_by_pivot_scan(space: gf2.RowSpace, v_mask: int) -> int:
+    """The residue of v modulo a row space, as `RowSpace.reduce_mask` found it
+    before it read the pivot mask: every pivot row in ascending pivot column,
+    added when the running residue holds that column."""
+    for low, row in sorted(space.pivots.items()):
+        col = low.bit_length() - 1
+        if v_mask & (1 << col):
+            v_mask ^= row
+    return v_mask
 
 
 def from_alist(text: str) -> F2Matrix:

@@ -475,7 +475,7 @@ def kernel_codes(draw, dim):
     """
     n = dim + draw(st.integers(0 if dim else 1, 4))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    hx = F2Matrix.from_row_masks(n - dim, n, [rng.getrandbits(n) for _ in range(n - dim)])
+    hx = F2Matrix(n - dim, n, tuple(rng.getrandbits(n) for _ in range(n - dim)))
     assume(gf2.rank(hx) == n - dim)
     basis = gf2.kernel_masks(hx)
     if draw(st.booleans()):
@@ -484,7 +484,7 @@ def kernel_codes(draw, dim):
         hz_rows = [functools.reduce(operator.xor, (m for m in basis if rng.random() < 0.3), 0)
                    for _ in range(rng.randint(0, 3))]
     degrees = DegreeProfile(draw(st.integers(1, 4)), 1, draw(st.integers(1, 4)), 1)
-    return CssCode(hx, F2Matrix.from_row_masks(len(hz_rows), n, hz_rows),
+    return CssCode(hx, F2Matrix(len(hz_rows), n, tuple(hz_rows)),
                    draw(st.integers(0, n)), degrees)
 
 

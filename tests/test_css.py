@@ -84,7 +84,7 @@ class TestChainVerdict:
         # Matrices other than the complex's own maps are multiplied, even
         # when the (valid) complex is attached.
         code = toric3_code
-        hz = F2Matrix.from_row_masks(code.m_z, code.n, (1,) + code.hz.row_masks[1:])
+        hz = F2Matrix(code.m_z, code.n, (1,) + code.hz.row_masks[1:])
         with pytest.raises(ValidationError, match="Hx Hz"):
             CssCode(hx=code.hx, hz=hz, v10_size=code.v10_size, cpx=code.cpx)
 
@@ -183,10 +183,10 @@ class TestDistance:
         with pytest.raises(OracleUnavailableError, match="over the budget of 0"):
             brute_distance(code, "z", budget=0)
 
-    def test_z_kernel_residues_are_derived_once_per_code(self, toric3_code, monkeypatch):
+    def test_each_side_kernel_is_derived_once_per_code(self, toric3_code, monkeypatch):
         # brute_distance(code, "z") and locally_minimal_distance share one
-        # sliced ker(Hx); the X side derives its own on each call, and a
-        # budget below the kernel is refused after the Z side is cached.
+        # sliced ker(Hx), the X side derives ker(Hz) once too, and a budget
+        # below a kernel is refused after that side is cached.
         fresh = extract_code(toric3_code.cpx)
         derived = []
         with_residues = css._with_residues
@@ -196,13 +196,18 @@ class TestDistance:
         lm = locally_minimal_distance(fresh)
         assert brute_distance(fresh, "z") == z
         assert derived == [fresh.z_stabilizers]
-        brute_distance(fresh, "x")
+        x = brute_distance(fresh, "x")
+        assert brute_distance(fresh, "x") == x
+        assert brute_distance(fresh, "z") == z
         assert derived == [fresh.z_stabilizers, fresh.x_stabilizers]
         assert (z.d, lm.d_lm_nontrivial, lm.kernel_dim) == (3, 3, 10)
+        assert (x.d, x.kernel_dim) == (3, 10)
         for oracle in (lambda b: brute_distance(fresh, "z", budget=b),
-                       lambda b: locally_minimal_distance(fresh, budget=b)):
+                       lambda b: locally_minimal_distance(fresh, budget=b),
+                       lambda b: brute_distance(fresh, "x", budget=b)):
             with pytest.raises(OracleUnavailableError, match="has 2\\^10 vectors"):
                 oracle((1 << 10) - 1)
+        assert len(derived) == 2
 
     def test_balanced_product_code_parameters(self):
         # Regression values from the same oracle that the toric family

@@ -4,8 +4,9 @@ replaced.
 `F2Matrix` now holds only packed rows; the boundary maps are written from
 the edge classes, and rank, row spaces, kernels and `solve` share one
 leading-bit elimination.  The oracles here are the earlier entry-set
-boundary maps, the column-scan `_rref`, its kernel loop and the separate
-[A^T | I] elimination of `solve`.
+boundary maps, the column-scan elimination, its kernel loop, the separate
+[A^T | I] elimination of `solve` and the pivot-scan reduction modulo a row
+space (`oracles.reduce_by_pivot_scan`).
 """
 
 import random
@@ -18,13 +19,13 @@ from hypothesis import strategies as st
 from qbp import gf2
 from qbp.css import extract_code
 from qbp.errors import ShapeError, ValidationError
-from qbp.gf2 import F2Matrix, F2Vector
+from qbp.gf2 import F2Matrix, F2Vector, _eliminate
 from qbp.groups import cyclic_group
 from qbp.instances import left_right_cayley, star_product
 from qbp.product import hypergraph_product, verify_chain_condition
 
 from fixtures import from_entries, random_bipartite, zero_matrix, zero_vector
-from oracles import minimal_coset_representative, solve, transposed
+from oracles import minimal_coset_representative, reduce_by_pivot_scan, solve, transposed
 
 FAMILIES = ["toric2", "toric3", "match8", "star12", "incstar13"]
 
@@ -120,11 +121,40 @@ def matrices(draw, rows=None):
 
 
 def assert_elimination_matches(m):
-    assert m._rref == oracle_rref(m.row_masks, m.cols)
-    assert gf2.rank(m) == len(oracle_rref(m.row_masks, m.cols)[0])
+    pivot_rows, pivot_cols = oracle_rref(m.row_masks, m.cols)
+    expected = [(1 << col, row) for row, col in zip(pivot_rows, pivot_cols)]
+    assert list(_eliminate(m.row_masks).items()) == expected
+    assert gf2.rank(m) == len(pivot_rows)
     assert gf2.kernel_masks(m) == [v.to_mask() for v in oracle_kernel_basis(m.row_masks, m.cols)]
     space = gf2.row_space(m)
-    assert (space.pivot_rows, space.pivot_cols) == oracle_rref(m.row_masks, m.cols)
+    assert list(space.pivots.items()) == expected
+    assert space.pivot_mask == sum(1 << col for col in pivot_cols)
+    assert space.length == m.cols
+
+
+def assert_reduction_matches(m, combos, others):
+    """reduce_mask and contains_mask against the pivot scan, on the row
+    combinations named by the bits of each combo (inside the span) and on
+    the raw masks of others (inside or outside)."""
+    space = gf2.row_space(m)
+    inside = []
+    for combo in combos:
+        v = 0
+        for r in gf2.bits(combo):
+            v ^= m.row_masks[r]
+        inside.append(v)
+    for v in inside:
+        assert reduce_by_pivot_scan(space, v) == 0
+        assert space.reduce_mask(v) == 0
+        assert space.contains_mask(v)
+    for v in others:
+        residue = reduce_by_pivot_scan(space, v)
+        assert space.reduce_mask(v) == residue
+        assert space.contains_mask(v) == (residue == 0)
+        assert residue & space.pivot_mask == 0
+    for v, w in zip(inside, others):
+        # Adding a span vector leaves the residue as it was.
+        assert space.reduce_mask(v ^ w) == reduce_by_pivot_scan(space, w)
 
 
 # -- tests -----------------------------------------------------------------------------
@@ -143,12 +173,32 @@ class TestEliminationKernel:
         for m in (zero_matrix(rows, cols),
                   F2Matrix(rows, cols, tuple((1 << cols) - 1 for _ in range(rows)))):
             assert_elimination_matches(m)
+            assert_reduction_matches(m, range(1 << rows), range(1 << cols))
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_code_matrices(self, family, request):
         code = extract_code(request.getfixturevalue(family))
+        rng = random.Random(7)
         for m in (code.hx, code.hz):
             assert_elimination_matches(m)
+            combos = [rng.getrandbits(m.rows) for _ in range(40)]
+            # Low-weight vectors, mostly outside the span, then dense ones.
+            others = [sum(1 << q for q in rng.sample(range(m.cols), w))
+                      for w in (1, 2, 3, 4) for _ in range(5)]
+            others += [rng.getrandbits(m.cols) for _ in range(20)]
+            assert_reduction_matches(m, combos, others)
+            assert any(not gf2.row_space(m).contains_mask(v) for v in others)
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(), st.data())
+    def test_reduce_mask_matches_the_pivot_scan(self, m, data):
+        for a in (m, m.transpose()):
+            count = data.draw(st.integers(0, 6))
+            combos = data.draw(st.lists(st.integers(0, (1 << a.rows) - 1), min_size=count,
+                                        max_size=count))
+            others = data.draw(st.lists(st.integers(0, (1 << a.cols) - 1), min_size=count,
+                                        max_size=count))
+            assert_reduction_matches(a, combos, others)
 
     @settings(max_examples=300, deadline=None)
     @given(matrices(), st.data())
@@ -225,7 +275,6 @@ class TestPackedRows:
     def test_transpose_product_and_views(self, a, data):
         entries = {(r, c) for r in range(a.rows) for c in range(a.cols) if a.row_masks[r] >> c & 1}
         assert a == from_entries(a.rows, a.cols, entries)
-        assert F2Matrix.from_row_masks(a.rows, a.cols, list(a.row_masks)) == a
         assert [(r, c) for r, row in enumerate(a.row_masks) for c in gf2.bits(row)] == \
             sorted(entries)
         assert a.transpose() == from_entries(a.cols, a.rows, {(c, r) for r, c in entries})
