@@ -24,7 +24,7 @@ from .errors import (BudgetExceededError, InternalInvariantError, OracleUnavaila
 from .gf2 import F2Vector
 from .graphs import GraphAction, graph_from_json
 from .groups import GroupAction, group_from_json
-from .jsonio import _int_rows, _size_value, parse_rational
+from .jsonio import _first_repeat, _int_rows, _size_value, parse_rational
 
 
 class _UsageError(Exception):
@@ -67,19 +67,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("code", help="extract the CSS code and its parameters")
-    p.add_argument("--complex", "--code", dest="complex", required=True)
+    p.add_argument("--complex", required=True)
     p.add_argument("--out-prefix", help="write <prefix>.hx.alist, <prefix>.hz.alist, <prefix>.json")
     p.add_argument("--format", choices=["json", "alist"], default="json",
                    help="stdout summary format when no prefix is given")
 
     p = sub.add_parser("distance", help="brute-force distance oracles")
-    p.add_argument("--complex", "--code", dest="complex", required=True)
+    p.add_argument("--complex", required=True)
     p.add_argument("--which", choices=["x", "z", "both"], default="both")
     p.add_argument("--budget", type=int, default=css.DEFAULT_KERNEL_BUDGET)
     p.add_argument("--out")
 
     p = sub.add_parser("decode", help="decode one syndrome")
-    p.add_argument("--complex", "--code", dest="complex", required=True)
+    p.add_argument("--complex", required=True)
     p.add_argument("--syndrome", required=True, help="JSON with length and support")
     p.add_argument("--epsilon", required=True)
     p.add_argument("--side", choices=["z", "x"], default="z",
@@ -89,7 +89,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("simulate", help="Monte Carlo decoding campaign")
-    p.add_argument("--complex", "--code", dest="complex", required=True)
+    p.add_argument("--complex", required=True)
     p.add_argument("--error-weight", type=int)
     p.add_argument("--iid-p", help="i.i.d. flip probability, exact rational")
     p.add_argument("--sweep", action="store_true", help="enumerate all supports of the given weight")
@@ -99,7 +99,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("diagnose", help="face-level region report for one error")
-    p.add_argument("--complex", "--code", dest="complex", required=True)
+    p.add_argument("--complex", required=True)
     p.add_argument("--error", required=True, help="JSON with length n and support")
     p.add_argument("--epsilon", required=True, help="chain parameter, exact rational")
     p.add_argument("--epsilon-x", help="partition loss for the V00-V10 side (default: --epsilon)")
@@ -169,11 +169,7 @@ def _load_vector(path: str) -> F2Vector:
             f"vector support must be a list of ints, got {type(support).__name__}")
     (indices,) = _int_rows([support], "vector support")
     if len(set(indices)) != len(indices):
-        seen: set[int] = set()
-        for i in indices:
-            if i in seen:
-                raise ValidationError(f"vector support repeats index {i}")
-            seen.add(i)
+        raise ValidationError(f"vector support repeats index {indices[_first_repeat(indices)]}")
     return F2Vector.from_support(_size_value(length, "vector length"), indices)
 
 

@@ -85,10 +85,6 @@ class CssCode:
     def m_z(self) -> int:
         return self.hz.rows
 
-    @property
-    def v01_size(self) -> int:
-        return self.n - self.v10_size
-
     @cached_property
     def _maps_of_complex(self) -> bool:
         """Whether Hx and Hz are the boundary maps of the attached complex."""

@@ -244,13 +244,13 @@ def _index_for(source: _CodeOrComplex, side: str) -> _DecoderIndex:
     return cpx.decoder_indexes[side]
 
 
-def _checked_index(code: _CodeOrComplex, syndrome: F2Vector, side: str) -> _DecoderIndex:
-    idx = _index_for(code, side)
+def _packed(idx: _DecoderIndex, syndrome: F2Vector) -> int:
+    """The syndrome as a mask over the index's checks, refused on a wrong length."""
     if syndrome.length != idx.check_count:
         raise ValidationError(
             f"syndrome length {syndrome.length} != |{idx.checks}| = {idx.check_count}"
         )
-    return idx
+    return syndrome.to_mask()
 
 
 def _first_flippable(
@@ -311,7 +311,8 @@ def preprocess_candidates(code: _CodeOrComplex, syndrome: F2Vector, beta: Fracti
     beta = Fraction(beta)
     if beta <= 0:
         raise PreconditionError(f"preprocessing needs beta > 0, got beta = {beta}")
-    return _preprocess(_checked_index(code, syndrome, "z"), syndrome.to_mask(), beta)
+    idx = _index_for(code, "z")
+    return _preprocess(idx, _packed(idx, syndrome), beta)
 
 
 def _preprocess(idx: _DecoderIndex, synd: int, beta: Fraction) -> PreprocessResult:
@@ -338,13 +339,12 @@ def decode(code: _CodeOrComplex, syndrome: F2Vector, config: DecoderConfig) -> D
     found in ascending subset order.  After a flip, only the flipped vertex
     and the unqueued V00 vertices next to a newly lit check are re-tested, in
     ascending order; no other vertex can have become flippable (see the
-    module docstring).  The initial scan is syndrome-local (see
-    `preprocess_candidates`); its work is bounded by the degrees times the
-    initial syndrome weight.
+    module docstring).  The initial scan is the one `preprocess_candidates`
+    makes, run on the syndrome packed here once; its work is bounded by the
+    degrees times the initial syndrome weight.
     """
-    idx = _checked_index(code, syndrome, "z")
-    return _decode(idx, syndrome.to_mask(), config,
-                   preprocess_candidates(code, syndrome, config.beta))
+    idx = _index_for(code, "z")
+    return _decode(idx, _packed(idx, syndrome), config)
 
 
 def decode_x(code: _CodeOrComplex, syndrome_z: F2Vector, config: DecoderConfig) -> DecodeResult:
@@ -355,15 +355,14 @@ def decode_x(code: _CodeOrComplex, syndrome_z: F2Vector, config: DecoderConfig) 
     its V10 neighbors.  The correction is in the code's qubit coordinates;
     trace steps name the V11 cell as x00, and n10/n01 list V01/V10 cells.
     """
-    idx = _checked_index(code, syndrome_z, "x")
-    synd = syndrome_z.to_mask()
-    return _decode(idx, synd, config, _preprocess(idx, synd, config.beta))
+    idx = _index_for(code, "x")
+    return _decode(idx, _packed(idx, syndrome_z), config)
 
 
-def _decode(idx: _DecoderIndex, synd: int, config: DecoderConfig,
-            pre: PreprocessResult) -> DecodeResult:
-    """The flip loop from the packed syndrome and its preprocessed queue."""
+def _decode(idx: _DecoderIndex, synd: int, config: DecoderConfig) -> DecodeResult:
+    """The candidate scan and the flip loop from the packed syndrome."""
     beta = config.beta
+    pre = _preprocess(idx, synd, beta)
     bn, bd = beta.numerator, beta.denominator
     prefixes, ruler, v00_of_v11 = idx.prefixes, idx.ruler, idx.v00_of_v11
     keep_flip_sets = config.keep_flip_sets
@@ -393,14 +392,16 @@ def _decode(idx: _DecoderIndex, synd: int, config: DecoderConfig,
         synd ^= flip
         iterations += 1
 
-        near: set[int] = set()
-        for z11 in bits(flip):
-            near.update(v00_of_v11[z11])
         # Only x00 and the centers next to a newly lit check can have turned
         # flippable (proof in the module docstring).
+        near: set[int] = set()
         retest = {x00}
-        for z11 in bits(flip & synd):
-            retest.update(v00_of_v11[z11])
+        lit = flip & synd
+        for z11 in bits(flip):
+            centers = v00_of_v11[z11]
+            near.update(centers)
+            if lit >> z11 & 1:
+                retest.update(centers)
         for y00 in sorted(retest):
             if y00 in queued:
                 continue
@@ -611,7 +612,9 @@ def region_diagnostics(
     faces += [f for q in v01_set for f in at01.get(q, ()) if f[1] not in v10_set]
 
     per: dict[int, dict[str, int]] = {}
-    flip_parity: dict[int, dict[int, int]] = {}
+    # Parity of the flips each owner makes at each corner.  Only a touched
+    # face flips its corner: one with both coordinates owned flips it twice.
+    parity: dict[tuple[int, int], int] = {}
     for z00, z10, z01, z11 in faces:
         owned10 = owner10.get(z10) == z00
         owned01 = owner01.get(z01) == z00
@@ -622,28 +625,24 @@ def region_diagnostics(
             counts = per[z00] = _zero_counts()
         if owned10 != owned01:
             counts["touched"] += 1
-            if owned10 and in01 and not owned01:
-                counts["stray"] += 1
-            if owned01 and in10 and not owned10:
-                counts["stray"] += 1
-            if owned10 and deg_v10_at_v11.get(z11, 0) > 1:
-                counts["multihit"] += 1
-            if owned01 and deg_v01_at_v11.get(z11, 0) > 1:
-                counts["multihit"] += 1
+            # The unowned coordinate is stray when it is an error qubit, and
+            # the owned one multihit when its corner sees the error again.
+            if owned10:
+                counts["stray"] += in01
+                counts["multihit"] += deg_v10_at_v11.get(z11, 0) > 1
+            else:
+                counts["stray"] += in10
+                counts["multihit"] += deg_v01_at_v11.get(z11, 0) > 1
+            parity[z00, z11] = parity.get((z00, z11), 0) ^ 1
         if (in10 and not owned10) and (in01 and not owned01):
             counts["unowned_pairs"] += 1
-        if owned10 or owned01:
-            parity = flip_parity.setdefault(z00, {})
-            if owned10 != owned01:
-                parity[z11] = parity.get(z11, 0) ^ 1
-            # Both coordinates owned flips the corner twice: parity unchanged.
 
-    for z00, parity in flip_parity.items():
-        counts = per[z00]                # set by the face that gave z00 a parity
-        flipped = [z11 for z11, p in parity.items() if p]
-        counts["flipped"] = len(flipped)
-        counts["lit"] = sum(1 for z11 in flipped if z11 in syndrome)
-        counts["unique"] = sum(1 for z11 in flipped if z11 in unique_v11)
+    for (z00, z11), p in parity.items():
+        if p:
+            counts = per[z00]            # set by the face that flipped the corner
+            counts["flipped"] += 1
+            counts["lit"] += z11 in syndrome
+            counts["unique"] += z11 in unique_v11
 
     totals = _zero_counts()
     for counts in per.values():

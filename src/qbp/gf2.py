@@ -71,9 +71,6 @@ class F2Vector:
             raise ShapeError(f"cannot add vectors of lengths {self.length} and {other.length}")
         return F2Vector(self.length, self.support ^ other.support)
 
-    def is_zero(self) -> bool:
-        return not self.support
-
 
 @dataclass(frozen=True)
 class F2Matrix:
@@ -99,12 +96,6 @@ class F2Matrix:
             raise ValidationError(
                 f"entry ({r},{masks[r].bit_length() - 1}) outside {self.rows}x{self.cols}"
             )
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def identity(cls, n: int) -> "F2Matrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
 
     # -- packed views ----------------------------------------------------
 

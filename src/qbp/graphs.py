@@ -12,6 +12,7 @@ associativity, so only a product of arbitrary factors needs the check.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Union
@@ -89,12 +90,8 @@ def build_bipartite(v0_size: int, v1_size: int, edges: Iterable[tuple[int, int]]
             raise IndexError(f"edge endpoint {x1} outside V1 of size {v1_size}")
     edge_set = frozenset(edge_list)
     if len(edge_set) != len(edge_list):
-        seen, dupes = set(), set()
-        for e in edge_list:
-            if e in seen:
-                dupes.add(e)
-            seen.add(e)
-        raise ValidationError(f"duplicate edges rejected: {sorted(dupes)}")
+        dupes = sorted(e for e, k in Counter(edge_list).items() if k > 1)
+        raise ValidationError(f"duplicate edges rejected: {dupes}")
     return BipartiteGraph(v0_size, v1_size, edge_set)
 
 

@@ -12,8 +12,9 @@ admit only values whose type is exactly `int`: a float is never truncated,
 and neither a bool nor a numeric string stands in for an int.  A declared
 size (a graph side, a matrix shape, a vector length) goes through
 `_size_value`, which also bounds it by `MAX_DECLARED_SIZE` before anything
-is allocated from it.  They stay private, so a per-function profile charges
-their time to the loader that calls them.
+is allocated from it.  A loader that refuses a repeated row or index names
+the first repeat, found by `_first_repeat`.  They stay private, so a
+per-function profile charges their time to the loader that calls them.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Hashable, Optional, Sequence
 
-from .errors import ValidationError
+from .errors import InternalInvariantError, ValidationError
 
 TOOL_VERSION = "0.1.0"
 
@@ -72,6 +73,17 @@ def _int_rows(value: Any, what: str, width: Optional[int] = None) -> tuple[tuple
         v = next(v for v in chain.from_iterable(rows) if type(v) is not int)
         raise ValidationError(f"{what} holds {v!r:.40}, which is not an int")
     return rows
+
+
+def _first_repeat(items: Sequence[Hashable]) -> int:
+    """The index of the first item equal to an earlier one, for a loader's
+    refusal message once a set has shown that some item repeats."""
+    seen: set[Hashable] = set()
+    for i, item in enumerate(items):
+        if item in seen:
+            return i
+        seen.add(item)
+    raise InternalInvariantError("no item repeats")
 
 
 def fraction_to_json(value: Fraction) -> dict:

@@ -49,7 +49,7 @@ from .gf2 import F2Matrix, mat_mul
 from .graphs import BipartiteGraph, GraphAction, regularity, verify_edge_invariance
 from .groups import GroupAction, trivial_action, trivial_group, verify_free_action
 from .expansion import ExpansionCertificate
-from .jsonio import _int_rows, _int_value
+from .jsonio import _first_repeat, _int_rows, _int_value
 
 _Face = tuple[int, int, int, int]
 SUBGRAPHS = ("v00_v10", "v01_v11", "v00_v01", "v10_v11")
@@ -596,16 +596,6 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
         _check_degrees(cpx)
     _check_faces(cpx, faces)
     return _preset_chain_check(cpx)
-
-
-def _first_repeat(rows: tuple[tuple[int, ...], ...]) -> int:
-    """The index of the first row equal to an earlier one."""
-    seen: set[tuple[int, ...]] = set()
-    for i, row in enumerate(rows):
-        if row in seen:
-            return i
-        seen.add(row)
-    raise InternalInvariantError("no row repeats")
 
 
 def _check_endpoints(cpx: BalancedProductComplex) -> None:

@@ -1,7 +1,7 @@
 """Test instance and file builders that no command or bench op uses:
 seeded random bipartite graphs, the symmetric groups and the conjugation
-action, zero and entry-built GF(2) vectors and matrices, factor JSON, and a
-result file with its timing dropped."""
+action, zero, identity and entry-built GF(2) vectors and matrices, factor
+JSON, and a result file with its timing dropped."""
 
 import itertools
 import json
@@ -81,6 +81,10 @@ def zero_vector(length: int) -> F2Vector:
 
 def zero_matrix(rows: int, cols: int) -> F2Matrix:
     return F2Matrix(rows, cols, (0,) * rows)
+
+
+def identity_matrix(n: int) -> F2Matrix:
+    return F2Matrix(n, n, tuple(1 << i for i in range(n)))
 
 
 def from_entries(rows: int, cols: int, entries: Iterable[tuple[int, int]]) -> F2Matrix:

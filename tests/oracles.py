@@ -25,7 +25,7 @@ from typing import Hashable, Iterable, NamedTuple, Optional
 
 from qbp import gf2
 from qbp.css import CssCode, _key_weights
-from qbp.decoder import _CodeOrComplex, _checked_index, _first_flippable
+from qbp.decoder import _CodeOrComplex, _first_flippable, _index_for, _packed
 from qbp.errors import InternalInvariantError, PreconditionError, ShapeError, ValidationError
 from qbp.expansion import TreePartition
 from qbp.gf2 import F2Matrix, F2Vector, _eliminate
@@ -230,7 +230,8 @@ def flippable(
     beta = Fraction(beta)
     if beta <= 0:
         raise PreconditionError(f"the flip test needs beta > 0, got beta = {beta}")
-    idx = _checked_index(code, syndrome, "z")
+    idx = _index_for(code, "z")
+    synd = _packed(idx, syndrome)
     if not 0 <= x00 < len(idx.n10):
         raise PreconditionError(f"center x00 = {x00} is outside V00 = 0..{len(idx.n10) - 1}")
     s10 = set(n10)
@@ -244,7 +245,6 @@ def flippable(
         mask ^= idx.v11_of_v10[q]
     for q in s01:
         mask ^= idx.v11_of_v01[q]
-    synd = syndrome.to_mask()
     found, _ = _first_flippable([mask], idx.ruler, synd, beta.numerator, beta.denominator)
     return FlipCheck(found is not None, mask.bit_count(), (mask & synd).bit_count())
 

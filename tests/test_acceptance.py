@@ -257,9 +257,9 @@ def _ltc_samples(code, gates, rng, count):
         if w10 + w01 == 0:
             continue
         support = set(rng.sample(range(code.v10_size), w10))
-        support |= {code.v10_size + q for q in rng.sample(range(code.v01_size), w01)}
+        support |= {code.v10_size + q for q in rng.sample(range(code.n - code.v10_size), w01)}
         reduced = greedy_flip_reduce(code, F2Vector.from_support(code.n, support)).vector
-        if reduced.is_zero():
+        if not reduced.support:
             continue
         s10, s01 = code.split_support(reduced)
         if not (len(s10) < gates.v10 and len(s01) < gates.v01):
@@ -299,7 +299,7 @@ def test_criterion_06_small_set_syndrome_lower_bound(star12_certs, match8_cert, 
     produced = 0
     while produced < 160:
         v10 = rng.sample(range(inc_code.v10_size), rng.randrange(0, 2))
-        v01 = rng.sample(range(inc_code.v01_size), rng.randrange(0, 2))
+        v01 = rng.sample(range(inc_code.n - inc_code.v10_size), rng.randrange(0, 2))
         if not v10 and not v01:
             continue
         support = set(v10) | {inc_code.v10_size + q for q in v01}

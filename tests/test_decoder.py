@@ -308,7 +308,7 @@ class TestDecode:
         res = decode(star12_code, zero_vector(72), DecoderConfig(epsilon=Fraction(0)))
         assert res.outcome == "success"
         assert res.iterations == 0
-        assert res.correction.is_zero()
+        assert not res.correction.support
 
     def test_weight1_sweep_star(self, star12_code):
         config = DecoderConfig(epsilon=Fraction(0))
@@ -559,6 +559,49 @@ class TestIndexOnTheComplex:
             decode(bare, zero_vector(star12_code.m_x), DecoderConfig(epsilon=Fraction(0)))
 
 
+class TestOnePathPerSide:
+    """Each side's entry point looks up its index and packs its syndrome once
+    per call, and `decode` runs its candidate scan inside the loop rather
+    than through the public `preprocess_candidates`."""
+
+    @pytest.mark.parametrize("side", ["z", "x"])
+    def test_one_index_lookup_and_one_pack_per_call(self, monkeypatch, star12_code, side):
+        code = star12_code
+        run, matrix = (decode, code.hx) if side == "z" else (decode_x, code.hz)
+        syn = gf2.mat_vec(matrix, F2Vector.from_support(code.n, [0, 5]))
+        config = DecoderConfig(epsilon=Fraction(1, 30))
+        want = run(code, syn, config)
+        assert want.iterations > 0
+        calls = dict.fromkeys(("index", "pack"), 0)
+
+        def counted(key, f):
+            @functools.wraps(f)
+            def wrapper(*args):
+                calls[key] += 1
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr("qbp.decoder._index_for", counted("index", _index_for))
+        monkeypatch.setattr(F2Vector, "to_mask", counted("pack", F2Vector.to_mask))
+        got = run(code, syn, config)
+        assert calls == {"index": 1, "pack": 1}
+        assert got == want
+
+    def test_decode_does_not_call_preprocess_candidates(self, monkeypatch, star12_code):
+        syn = syndrome_of(star12_code, [0, 5])
+        config = DecoderConfig(epsilon=Fraction(1, 30))
+        pre = preprocess_candidates(star12_code, syn, config.beta)
+
+        def refuse(*args):
+            raise AssertionError("decode called preprocess_candidates")
+
+        monkeypatch.setattr("qbp.decoder.preprocess_candidates", refuse)
+        res = decode(star12_code, syn, config)
+        assert res.outcome == "success"
+        assert (res.preprocess_vertices_scanned, res.preprocess_subsets_tested) == \
+            (pre.vertices_scanned, pre.subsets_tested)
+
+
 class TestDecodeX:
     def test_zero_syndrome(self, star12_code):
         res = decode_x(star12_code, zero_vector(12), DecoderConfig(epsilon=Fraction(0)))
@@ -657,7 +700,7 @@ class TestShortnessMonitors:
             sup |= {code.v10_size + q for q in rng.sample(range(code.cpx.v01_size), w01)}
             err = F2Vector.from_support(code.n, sup)
             rep = minimal_coset_representative(code, gf2.mat_vec(code.hx, err))
-            if rep.vector.is_zero():
+            if not rep.vector.support:
                 continue
             if not (rep.v10_weight < gates.v10 and rep.v01_weight < gates.v01):
                 continue
@@ -804,7 +847,7 @@ class TestTheoryIntegration:
             if not is_locally_minimal(code, c1):
                 continue
             syn = gf2.mat_vec(code.hx, c1)
-            if syn.is_zero():
+            if not syn.support:
                 continue
             p10 = tree_partition(star12.subgraph("v00_v10"), v10, Fraction(0), d.down)
             p01 = tree_partition(star12.subgraph("v00_v01"), v01, Fraction(0), d.right)

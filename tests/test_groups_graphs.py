@@ -119,6 +119,12 @@ class TestBipartite:
         with pytest.raises(ValidationError):
             build_bipartite(2, 2, [(0, 0), (0, 0)])
 
+    def test_duplicate_edges_are_named_once_in_order(self):
+        edges = [(1, 1), (0, 1), (1, 1), (0, 0), (0, 1), (1, 1)]
+        with pytest.raises(ValidationError) as exc:
+            build_bipartite(2, 2, edges)
+        assert str(exc.value) == "duplicate edges rejected: [(0, 1), (1, 1)]"
+
     def test_out_of_range_rejected(self):
         with pytest.raises(IndexError):
             build_bipartite(2, 2, [(0, 2)])

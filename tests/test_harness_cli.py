@@ -580,6 +580,24 @@ class TestCli:
     def test_unknown_flag_exit1(self, workdir, capsys):
         assert run_cli("certify", "--graph", workdir / "cyc.json", "--bogus") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["code"],
+        ["distance"],
+        ["decode", "--syndrome", "syn.json", "--epsilon", "1/30"],
+        ["simulate", "--error-weight", "1", "--trials", "1", "--epsilon", "1/30"],
+        ["diagnose", "--error", "err.json", "--epsilon", "1/30"],
+    ])
+    def test_complex_has_no_code_alias(self, workdir, capsys, argv):
+        # The complex is read only through --complex: --code is refused as
+        # a usage error that names the missing option.
+        (workdir / "syn.json").write_text(json.dumps({"length": 8, "support": [0]}))
+        (workdir / "err.json").write_text(json.dumps({"length": 16, "support": [0]}))
+        rc = run_cli(*(workdir / a if a.endswith(".json") else a for a in argv),
+                     "--code", workdir / "match.json")
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: the following arguments are required: --complex\nusage: qbp ")
+
     def test_missing_file_exit2(self, tmp_path):
         rc = run_cli("distance", "--complex", tmp_path / "nope.json")
         assert rc == 2
