@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .gf2 import F2Matrix, F2Vector, mat_mul, mat_vec, rank
+from .gf2 import F2Matrix, F2Vector, mat_vec, rank
 from .graphs import (
     BipartiteGraph,
     CayleyGraph,
@@ -40,7 +40,6 @@ from .product import (
     copies_decomposition,
     hypergraph_product,
     inherit_certificates,
-    verify_chain_condition,
 )
 from .css import (
     CssCode,
@@ -56,7 +55,6 @@ from .decoder import (
     decode,
     decode_x,
     guaranteed_correctable_weight,
-    preprocess_candidates,
     region_diagnostics,
     size_gates,
 )

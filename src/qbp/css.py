@@ -4,7 +4,7 @@ A product complex yields the code with X checks indexed by V11, Z checks by
 V00, and qubits by V10 followed by V01.  The commuting condition
 Hx Hz^T = 0 is the chain condition; a code read off a complex reuses the
 complex's one chain-condition verdict, and a code given as bare matrices
-multiplies them.
+applies Hx to each row of Hz.
 
 Distance oracles cover whole kernels (budgeted), so every reported value is
 exact.  They read the kernel through the bit-sliced span kernel
@@ -51,7 +51,9 @@ class CssCode:
     Qubits 0..v10_size-1 are the V10 block, the rest the V01 block; the
     normalized weight of an error weights those blocks by 1/down and 1/right.
     When Hx and Hz are the maps of the attached complex, Hx Hz^T = 0 is the
-    complex's chain-condition verdict, reused; otherwise it is multiplied out.
+    complex's chain-condition verdict, reused, and a complex that fails it
+    is refused with its check's message; otherwise Hx is applied to each
+    row of Hz.
     """
 
     hx: F2Matrix
@@ -66,11 +68,10 @@ class CssCode:
                 f"Hx has {self.hx.cols} columns but Hz has {self.hz.cols}"
             )
         if self._maps_of_complex:
-            # Hx Hz^T is the complex's boundary_1 boundary_2, checked once.
-            commutes = self.cpx.chain_check.ok
-        else:
-            commutes = gf2.mat_mul(self.hx, self.hz.transpose()).is_zero()
-        if not commutes:
+            # Hx Hz^T is the complex's boundary_1 boundary_2: its verdict
+            # is True or raises.
+            self.cpx.chain_check
+        elif any(gf2.mat_vec_mask(self.hx, row) for row in self.hz.row_masks):
             raise ValidationError("Hx Hz^T != 0; not a CSS code")
 
     @property
@@ -139,15 +140,12 @@ def extract_code(cpx: BalancedProductComplex) -> CssCode:
     """Read the CSS code off a verified complex.
 
     Hx is the qubits -> V11 map (m_x = |V11| rows), Hz the qubits -> V00 map
-    (m_z = |V00| rows).  The complex's chain-condition verdict is computed
-    once per complex object (a builder or loader has usually computed it
-    already) and refuses a violating complex here.
+    (m_z = |V00| rows).  The complex's chain-condition verdict is read
+    before either map is built: the builder and the loader preset it, and
+    any other complex runs the loader's checks here, so one that a file of
+    the same data would not load is refused with the loader's message.
     """
-    check = cpx.chain_check
-    if not check.ok:
-        raise ValidationError(
-            f"complex violates the chain condition at V00 column {check.witness_column}"
-        )
+    cpx.chain_check                 # True, or the refusal of a loader check
     return CssCode(
         hx=cpx.boundary_1,
         hz=cpx.boundary_2.transpose(),

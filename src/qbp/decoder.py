@@ -290,32 +290,10 @@ def _first_flippable(
     return None, end - 1
 
 
-@dataclass(frozen=True)
-class PreprocessResult:
-    queue: tuple[int, ...]
-    vertices_scanned: int
-    subsets_tested: int
-
-
-def preprocess_candidates(code: _CodeOrComplex, syndrome: F2Vector, beta: Fraction) -> PreprocessResult:
-    """Find every V00 vertex with at least one flippable subset pair.
-
-    The queue lists, in ascending vertex order, exactly the vertices that
-    admit a flippable pair against the given syndrome.  Only the vertices
-    two edges away from a lit V11 cell are scanned: any other vertex changes
-    no lit cell, so every flip there has cleared = 0 and fails cleared >=
-    beta * changed.  That needs beta > 0, so beta <= 0 is refused, as
-    `DecoderConfig` refuses epsilon >= 1/12.  Work is recorded as the
-    vertices scanned and the subset pairs tested on them.
-    """
-    beta = Fraction(beta)
-    if beta <= 0:
-        raise PreconditionError(f"preprocessing needs beta > 0, got beta = {beta}")
-    idx = _index_for(code, "z")
-    return _preprocess(idx, _packed(idx, syndrome), beta)
-
-
-def _preprocess(idx: _DecoderIndex, synd: int, beta: Fraction) -> PreprocessResult:
+def _preprocess(idx: _DecoderIndex, synd: int, beta: Fraction) -> tuple[list[int], int, int]:
+    """The initial candidate scan (see the module docstring): the V00
+    vertices next to a lit cell that admit a flippable pair, in ascending
+    order, with the vertices scanned and the subset pairs tested on them."""
     prefixes, ruler, v00_of_v11 = idx.prefixes, idx.ruler, idx.v00_of_v11
     bn, bd = beta.numerator, beta.denominator
     candidates = sorted({x00 for z11 in bits(synd) for x00 in v00_of_v11[z11]})
@@ -326,7 +304,7 @@ def _preprocess(idx: _DecoderIndex, synd: int, beta: Fraction) -> PreprocessResu
         tested += pairs
         if found is not None:
             queue.append(x00)
-    return PreprocessResult(tuple(queue), len(candidates), tested)
+    return queue, len(candidates), tested
 
 
 def decode(code: _CodeOrComplex, syndrome: F2Vector, config: DecoderConfig) -> DecodeResult:
@@ -339,9 +317,9 @@ def decode(code: _CodeOrComplex, syndrome: F2Vector, config: DecoderConfig) -> D
     found in ascending subset order.  After a flip, only the flipped vertex
     and the unqueued V00 vertices next to a newly lit check are re-tested, in
     ascending order; no other vertex can have become flippable (see the
-    module docstring).  The initial scan is the one `preprocess_candidates`
-    makes, run on the syndrome packed here once; its work is bounded by the
-    degrees times the initial syndrome weight.
+    module docstring).  The initial scan (`_preprocess`) runs on the
+    syndrome packed here once; its work is bounded by the degrees times the
+    initial syndrome weight.
     """
     idx = _index_for(code, "z")
     return _decode(idx, _packed(idx, syndrome), config)
@@ -362,14 +340,14 @@ def decode_x(code: _CodeOrComplex, syndrome_z: F2Vector, config: DecoderConfig) 
 def _decode(idx: _DecoderIndex, synd: int, config: DecoderConfig) -> DecodeResult:
     """The candidate scan and the flip loop from the packed syndrome."""
     beta = config.beta
-    pre = _preprocess(idx, synd, beta)
+    first, scanned, tested = _preprocess(idx, synd, beta)
     bn, bd = beta.numerator, beta.denominator
     prefixes, ruler, v00_of_v11 = idx.prefixes, idx.ruler, idx.v00_of_v11
     keep_flip_sets = config.keep_flip_sets
     initial_weight = synd.bit_count()
 
-    queue = deque(pre.queue)
-    queued = set(pre.queue)
+    queue = deque(first)
+    queued = set(first)
     correction: set[int] = set()          # support of the correction, in qubit indices
     off10, off01 = idx.offsets
     trace: list[TraceStep] = []
@@ -435,8 +413,8 @@ def _decode(idx: _DecoderIndex, synd: int, config: DecoderConfig) -> DecodeResul
         initial_syndrome_weight=initial_weight,
         trace=tuple(trace),
         stale_pops=stale_pops,
-        preprocess_vertices_scanned=pre.vertices_scanned,
-        preprocess_subsets_tested=pre.subsets_tested,
+        preprocess_vertices_scanned=scanned,
+        preprocess_subsets_tested=tested,
     )
 
 

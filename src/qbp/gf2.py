@@ -2,9 +2,10 @@
 
 Vectors are stored as support sets.  A matrix is its shape plus one packed
 bit row per row, carried in a Python integer (bit c of row r is entry
-(r, c)); products, transposes and elimination all work on those rows.
-Rank, row spaces and kernels share one elimination kernel, `_eliminate`,
-whose reduced row echelon form is unique: the map {pivot bit: reduced row}.
+(r, c)); transposes, matrix-vector products and elimination all work on
+those rows.  Rank, row spaces and kernels share one elimination kernel,
+`_eliminate`, whose reduced row echelon form is unique: the map
+{pivot bit: reduced row}.
 A matrix caches that map once, as a `RowSpace` with the OR of its pivot
 bits, and rank, kernel, row space and membership all read that one object.
 Reducing a vector modulo a row space takes one AND with the pivot mask and
@@ -118,9 +119,6 @@ class F2Matrix:
         t.__dict__["col_masks"] = self.row_masks      # seed the cached view
         return t
 
-    def is_zero(self) -> bool:
-        return not any(self.row_masks)
-
     # -- reduced row echelon form ------------------------------------------
 
     @cached_property
@@ -167,23 +165,6 @@ def _eliminate(masks: Iterable[int]) -> dict[int, int]:
         pivots[low] = row
         above |= low
     return {low: pivots[low] for low in lows}
-
-
-def mat_mul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
-    """Matrix product over GF(2); entry (i, j) is the parity of the usual sum."""
-    if a.cols != b.rows:
-        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    b_rows = b.row_masks
-    out = []
-    for mask in a.row_masks:
-        acc = 0
-        m = mask
-        while m:
-            low = m & -m
-            acc ^= b_rows[low.bit_length() - 1]
-            m ^= low
-        out.append(acc)
-    return F2Matrix(a.rows, b.cols, tuple(out))
 
 
 def mat_vec(a: F2Matrix, v: F2Vector) -> F2Vector:

@@ -34,9 +34,9 @@ after its type and shape checks, for a table equal to `mul`.
 
 Every verdict here is thus known by proof (a formula group, a
 translation) or from the validating path (`from_table`), just as a
-complex's chain verdict is known by proof, from the loader's face check,
-or by `mat_mul` (see `product`).  Groups and actions are frozen, so a
-verdict about one is a fact about that object for good.  Each is computed
+complex's chain verdict is known by proof or from the loader's checks
+(see `product`).  Groups and actions are frozen, so a verdict about one is
+a fact about that object for good.  Each is computed
 at most once per object and cached on it: a group's generating set and its
 left and right translation actions (one object per side), and an action's
 freeness scan.  A cache lives on its own object and is never shared with

@@ -17,9 +17,8 @@ here is a translation, on the group or on copies of it (the star leaves,
 the incidence edge instances, the random blocks), so it is built with no
 law check or freeness scan (`groups._copies_translation`).  The products
 come from `balanced_product`, whose chain-condition verdict is preset by
-proof.  A complex has one of three verdict sources (see `product`): by
-proof for a built complex, from the face check for a loaded one, or by
-`mat_mul` for any other.
+proof.  A complex has one of two verdict sources (see `product`): by
+proof for a built complex, or from the loader's checks for any other.
 """
 
 from __future__ import annotations

@@ -9,16 +9,17 @@ V00 -> {V10, V01} -> V11 cancel over GF(2).  That cancellation is the chain
 condition, and it is exactly the CSS commuting condition of the codes
 extracted downstream.
 
-A complex's chain-condition verdict (`chain_check`) has one of three
-sources, and only the last multiplies anything:
+A complex's chain-condition verdict (`chain_check`) has one of two
+sources, and neither multiplies the boundary maps:
 
 * by proof: `balanced_product` writes one face per product square, so the
   complex it returns is a chain complex (see its docstring);
-* from the face check: `complex_from_json` accepts a file only when its
-  faces match both families of two-edge paths one to one, which gives every
-  (V00, V11) pair as many paths through V10 as through V01;
-* by `mat_mul`: any other complex (one built field by field) multiplies
-  its two maps (`verify_chain_condition`).
+* from the loader's checks (`_check_complex`): edge endpoints, then the
+  recorded degrees, then the faces, which must match both families of
+  two-edge paths one to one; that gives every (V00, V11) pair as many paths
+  through V10 as through V01.  `complex_from_json` runs them on a file, and
+  any other complex (one built field by field) runs them on first use, so
+  it is accepted or refused exactly as a file of the same data is.
 
 Construction is single-threaded; the resulting complex is immutable and
 shareable.  Being frozen, a complex derives each structure it is asked for
@@ -40,12 +41,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import itemgetter, mul, or_
+from functools import cached_property
+from operator import itemgetter, mul
 from typing import Optional
 
 from .errors import InternalInvariantError, PreconditionError, ValidationError
-from .gf2 import F2Matrix, mat_mul
+from .gf2 import F2Matrix
 from .graphs import BipartiteGraph, GraphAction, regularity, verify_edge_invariance
 from .groups import GroupAction, trivial_action, trivial_group, verify_free_action
 from .expansion import ExpansionCertificate
@@ -145,15 +146,17 @@ class BalancedProductComplex:
         return F2Matrix(self.v11_size, self.n_qubits, tuple(rows))
 
     @cached_property
-    def chain_check(self) -> "ChainCheck":
-        """The chain-condition verdict of this complex, computed once.
+    def chain_check(self) -> bool:
+        """The chain-condition verdict of this complex: True, or the
+        ValidationError of the first loader check that fails.
 
-        The builder and the loader preset it by proof (see the module
-        docstring); any other complex multiplies its maps here.  Code
-        extraction and the CSS commuting check read it instead of
-        multiplying the maps again.
+        The builder and the loader preset it (see the module docstring); any
+        other complex runs the loader's checks here, on its faces in the
+        order a file of it lists them.  Code extraction and the CSS
+        commuting check read it.
         """
-        return verify_chain_condition(self)
+        _check_complex(self, tuple(sorted(self.faces)))
+        return True
 
     # -- 1-d subgraphs --------------------------------------------------------
 
@@ -197,9 +200,9 @@ class BalancedProductComplex:
 
 
 def _preset_chain_check(cpx: BalancedProductComplex) -> BalancedProductComplex:
-    """Store the verdict `ChainCheck(True)` under the cached property's own
-    name, for a complex that is a chain complex by proof."""
-    cpx.__dict__[BalancedProductComplex.chain_check.attrname] = ChainCheck(True)
+    """Store the verdict True under the cached property's own name, for a
+    complex that is a chain complex by proof or has passed the checks."""
+    cpx.__dict__[BalancedProductComplex.chain_check.attrname] = True
     return cpx
 
 
@@ -378,23 +381,6 @@ class _Transversal:
         return self.rank[x] * y_action.set_size + y_action.table[self.to_min[x]][y]
 
 
-@dataclass(frozen=True)
-class ChainCheck:
-    ok: bool
-    witness_column: Optional[int] = None
-
-
-def verify_chain_condition(cpx: BalancedProductComplex) -> ChainCheck:
-    """Check that the two composite maps V00 -> V11 cancel over GF(2).
-
-    On failure reports the first V00 basis column whose image is nonzero.
-    """
-    columns = reduce(or_, mat_mul(cpx.boundary_1, cpx.boundary_2).row_masks, 0)
-    if not columns:
-        return ChainCheck(True)
-    return ChainCheck(False, (columns & -columns).bit_length() - 1)
-
-
 # -- copies decomposition ----------------------------------------------------
 
 
@@ -537,7 +523,8 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
     distinct, as orbits are disjoint.  No edge class may repeat an edge.
     The edge endpoints are checked against their classes, the edges against
     the degrees when these are recorded, and the faces against the edges
-    (`_check_faces`); the first check that fails names the file's error.
+    (`_check_complex`, which a hand-built complex runs too); the first check
+    that fails names the file's error.
     Faces in one-to-one correspondence with both families of two-edge paths
     prove the chain condition, so the verdict is preset and no boundary map
     is built.
@@ -591,11 +578,18 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
         group_order=group_order,
         provenance=str(obj.get("provenance", "")),
     )
-    cpx.subgraph("v00_v10")         # the first use checks every edge endpoint
+    _check_complex(cpx, faces)
+    return _preset_chain_check(cpx)
+
+
+def _check_complex(cpx: BalancedProductComplex, faces: tuple[tuple[int, ...], ...]) -> None:
+    """The loader's checks, in order: every edge endpoint (on first subgraph
+    use), the degrees when recorded, then the faces, scanned in `faces`
+    order.  The first that fails raises its ValidationError."""
+    cpx.subgraph("v00_v10")
     if cpx.degrees is not None:
         _check_degrees(cpx)
     _check_faces(cpx, faces)
-    return _preset_chain_check(cpx)
 
 
 def _check_endpoints(cpx: BalancedProductComplex) -> None:

@@ -15,6 +15,9 @@ benchmark op runs them, so they live here and not in the package:
   `expansion.tree_partition` reproduces on vertex ids.
 * `verify_tree_partition`: every invariant of a tree partition, recomputed.
 * `transposed`: the dual complex, with V00 and V11 swapped.
+* `mat_mul` and `verify_chain_condition`: the GF(2) matrix product, and the
+  chain condition decided by multiplying a complex's two boundary maps,
+  which the builder's proof and the loader's checks stand in for.
 """
 
 import math
@@ -35,10 +38,11 @@ from qbp.product import BalancedProductComplex, DegreeProfile
 from fixtures import from_entries
 
 __all__ = [
-    "FlipCheck", "FlipReduction", "FlowNetwork", "MaxFlowResult", "MinimalRepresentative",
-    "TreePartitionAudit", "flippable", "from_alist", "greedy_flip_reduce",
-    "is_locally_minimal", "max_flow_integer", "minimal_coset_representative",
-    "reduce_by_pivot_scan", "solve", "transposed", "verify_tree_partition",
+    "ChainCheck", "FlipCheck", "FlipReduction", "FlowNetwork", "MaxFlowResult",
+    "MinimalRepresentative", "TreePartitionAudit", "flippable", "from_alist", "greedy_flip_reduce",
+    "is_locally_minimal", "mat_mul", "max_flow_integer", "minimal_coset_representative",
+    "reduce_by_pivot_scan", "solve", "transposed", "verify_chain_condition",
+    "verify_tree_partition",
 ]
 
 Node = Hashable
@@ -67,6 +71,19 @@ def solve(a: F2Matrix, b: F2Vector) -> Optional[F2Vector]:
         if row & rhs:
             x |= low
     return F2Vector.from_mask(a.cols, x)
+
+
+def mat_mul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
+    """Matrix product over GF(2); entry (i, j) is the parity of the usual sum."""
+    if a.cols != b.rows:
+        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    out = []
+    for mask in a.row_masks:
+        acc = 0
+        for c in gf2.bits(mask):
+            acc ^= b.row_masks[c]
+        out.append(acc)
+    return F2Matrix(a.rows, b.cols, tuple(out))
 
 
 def reduce_by_pivot_scan(space: gf2.RowSpace, v_mask: int) -> int:
@@ -468,3 +485,21 @@ def _reversed(graph: Optional[BipartiteGraph]) -> Optional[BipartiteGraph]:
 
 def _swapped(action: Optional[GraphAction]) -> Optional[GraphAction]:
     return None if action is None else GraphAction(action.group, action.v1, action.v0)
+
+
+@dataclass(frozen=True)
+class ChainCheck:
+    ok: bool
+    witness_column: Optional[int] = None
+
+
+def verify_chain_condition(cpx: BalancedProductComplex) -> ChainCheck:
+    """Check that the two composite maps V00 -> V11 cancel over GF(2), by
+    multiplying them; on failure report the first V00 column whose image is
+    nonzero."""
+    columns = 0
+    for row in mat_mul(cpx.boundary_1, cpx.boundary_2).row_masks:
+        columns |= row
+    if not columns:
+        return ChainCheck(True)
+    return ChainCheck(False, (columns & -columns).bit_length() - 1)

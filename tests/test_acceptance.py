@@ -44,7 +44,7 @@ from qbp.instances import (
     star_product,
     toric_complex,
 )
-from qbp.product import balanced_product, hypergraph_product, verify_chain_condition
+from qbp.product import balanced_product, hypergraph_product
 
 from fixtures import random_biregular, random_bipartite, strip_timing
 from oracles import (
@@ -52,6 +52,7 @@ from oracles import (
     greedy_flip_reduce,
     is_locally_minimal,
     max_flow_integer,
+    verify_chain_condition,
     verify_tree_partition,
 )
 

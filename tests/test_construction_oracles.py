@@ -478,7 +478,7 @@ class TestSquareCompletionOracle:
             edges_v00_v10=pair, edges_v01_v11=both, edges_v00_v01=pair, edges_v10_v11=both,
             faces=frozenset({(0, 0, 0, 0), (0, 0, 0, 1)}), degrees=None, group_order=1,
         )
-        assert cpx.chain_check.ok
+        assert cpx.chain_check is True
         with pytest.raises(ValidationError, match=re.escape(
                 "square completion is not unique at (0, 0, 0); "
                 "the underlying action cannot be free")):

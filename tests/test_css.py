@@ -22,10 +22,16 @@ from qbp.gf2 import F2Matrix, F2Vector
 from qbp.graphs import build_bipartite
 from qbp.instances import left_right_cayley, toric_complex
 from qbp.groups import cyclic_group
-from qbp.product import DegreeProfile, hypergraph_product, verify_chain_condition
+from qbp.product import DegreeProfile, complex_from_json, complex_to_json, hypergraph_product
 
 from fixtures import from_dense, zero_vector
-from oracles import greedy_flip_reduce, is_locally_minimal, minimal_coset_representative
+from oracles import (
+    greedy_flip_reduce,
+    is_locally_minimal,
+    mat_mul,
+    minimal_coset_representative,
+    verify_chain_condition,
+)
 
 
 class TestExtraction:
@@ -46,7 +52,7 @@ class TestExtraction:
 
     def test_commuting_condition_everywhere(self, toric3_code, star12_code, incstar13_code):
         for code in (toric3_code, star12_code, incstar13_code):
-            assert gf2.mat_mul(code.hx, code.hz.transpose()).is_zero()
+            assert not any(mat_mul(code.hx, code.hz.transpose()).row_masks)
 
     def test_weight_formula(self, star12_code, incstar13_code, toric3_code):
         for code in (star12_code, incstar13_code, toric3_code):
@@ -56,15 +62,26 @@ class TestExtraction:
             assert code.weight == expected
 
 
+def loader_refusal(cpx):
+    """The message with which the loader refuses a file of the complex."""
+    with pytest.raises(ValidationError) as refused:
+        complex_from_json(complex_to_json(cpx))
+    return str(refused.value)
+
+
 class TestChainVerdict:
     def test_extract_refuses_a_violating_complex(self):
+        # Dropping an edge breaks the chain condition, and the loader's
+        # degree check refuses the complex, as it refuses a file of it.
         cpx = toric_complex(3)
         dropped = min(cpx.edges_v10_v11)
         broken = replace(cpx, edges_v10_v11=cpx.edges_v10_v11 - {dropped})
-        witness = verify_chain_condition(broken).witness_column
-        assert witness is not None
-        with pytest.raises(ValidationError, match=f"chain condition at V00 column {witness}$"):
+        assert not verify_chain_condition(broken).ok
+        message = loader_refusal(broken)
+        assert message.startswith("degrees say right = 2")
+        with pytest.raises(ValidationError) as refused:
             extract_code(broken)
+        assert str(refused.value) == message
 
     def test_bare_matrices_must_commute(self):
         hx = from_dense([[1, 0, 1]])
@@ -74,15 +91,18 @@ class TestChainVerdict:
         assert CssCode(hx=hx, hz=from_dense([[1, 1, 1]]), v10_size=1).n == 3
 
     def test_code_on_a_violating_complex_is_refused(self):
+        # A code whose matrices are its complex's maps reads the complex's
+        # verdict, and so is refused with the loader's message.
         cpx = toric_complex(3)
         broken = replace(cpx, edges_v10_v11=cpx.edges_v10_v11 - {min(cpx.edges_v10_v11)})
-        with pytest.raises(ValidationError, match="Hx Hz"):
+        with pytest.raises(ValidationError) as refused:
             CssCode(hx=broken.boundary_1, hz=broken.boundary_2.transpose(),
                     v10_size=broken.v10_size, cpx=broken)
+        assert str(refused.value) == loader_refusal(broken)
 
     def test_complex_verdict_covers_only_its_own_maps(self, toric3_code):
-        # Matrices other than the complex's own maps are multiplied, even
-        # when the (valid) complex is attached.
+        # Matrices other than the complex's own maps are checked row by row,
+        # even when the (valid) complex is attached.
         code = toric3_code
         hz = F2Matrix(code.m_z, code.n, (1,) + code.hz.row_masks[1:])
         with pytest.raises(ValidationError, match="Hx Hz"):
@@ -90,24 +110,32 @@ class TestChainVerdict:
 
     def test_one_chain_check_per_complex(self, monkeypatch):
         # The builder's verdict holds by proof: building and extracting twice
-        # multiplies no maps and runs no chain check.  The multiplied verdict
+        # runs no check and applies Hx to no row.  The multiplied verdict
         # (the oracle) agrees.
         calls = []
-        original = qbp.product.verify_chain_condition
-
-        def counted(cpx):
-            calls.append(cpx)
-            return original(cpx)
-
-        monkeypatch.setattr(qbp.product, "verify_chain_condition", counted)
-        monkeypatch.setattr(gf2, "mat_mul", lambda *a: pytest.fail("CssCode multiplied"))
-        monkeypatch.setattr(qbp.product, "mat_mul", lambda *a: pytest.fail("product multiplied"))
+        original = qbp.product._check_complex
+        monkeypatch.setattr(qbp.product, "_check_complex",
+                            lambda cpx, faces: calls.append(cpx) or original(cpx, faces))
+        monkeypatch.setattr(gf2, "mat_vec_mask", lambda *a: pytest.fail("CssCode applied Hx"))
         cpx = toric_complex(3)
         extract_code(cpx)
         extract_code(cpx)
         assert calls == []
         monkeypatch.undo()
-        assert cpx.chain_check == original(cpx) == qbp.product.ChainCheck(True)
+        assert cpx.chain_check is True and verify_chain_condition(cpx).ok
+
+    def test_a_hand_built_complex_is_checked_once(self, monkeypatch):
+        # A complex built field by field runs the loader's checks on first
+        # use and keeps the verdict.
+        calls = []
+        original = qbp.product._check_complex
+        monkeypatch.setattr(qbp.product, "_check_complex",
+                            lambda cpx, faces: calls.append(faces) or original(cpx, faces))
+        built = toric_complex(3)
+        cpx = replace(built, provenance="by hand")
+        extract_code(cpx)
+        extract_code(cpx)
+        assert calls == [tuple(sorted(built.faces))]
 
 
 class TestParams:

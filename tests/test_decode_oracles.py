@@ -33,7 +33,6 @@ from qbp.css import extract_code
 from qbp.decoder import (
     DecodeResult,
     DecoderConfig,
-    PreprocessResult,
     TraceStep,
     _first_flippable,
     _index_for,
@@ -99,7 +98,9 @@ def table_first_flippable(tables, synd, beta_num, beta_den):
 
 
 def table_preprocess(idx, synd, beta):
-    """Syndrome-local preprocessing over the subset tables."""
+    """Syndrome-local preprocessing over the subset tables: the queue, the
+    vertices scanned and the subset pairs tested, as `_preprocess` returns
+    them."""
     candidates = sorted({x00 for z11 in bits(synd) for x00 in idx.v00_of_v11[z11]})
     queue = []
     tested = 0
@@ -109,7 +110,7 @@ def table_preprocess(idx, synd, beta):
         tested += pairs
         if found is not None:
             queue.append(x00)
-    return PreprocessResult(tuple(queue), len(candidates), tested)
+    return queue, len(candidates), tested
 
 
 def rescan_all_decode(code, syndrome, config, side):
@@ -120,10 +121,10 @@ def rescan_all_decode(code, syndrome, config, side):
     beta = config.beta
     bn, bd = beta.numerator, beta.denominator
     synd = syndrome.to_mask()
-    pre = table_preprocess(idx, synd, beta)
+    first, scanned, tested = table_preprocess(idx, synd, beta)
     initial_weight = synd.bit_count()
-    queue = deque(pre.queue)
-    queued = set(pre.queue)
+    queue = deque(first)
+    queued = set(first)
     correction = 0
     off10, off01 = idx.offsets
     trace = []
@@ -170,8 +171,8 @@ def rescan_all_decode(code, syndrome, config, side):
     return DecodeResult(
         outcome=outcome, correction=F2Vector.from_mask(code.n, correction),
         iterations=iterations, initial_syndrome_weight=initial_weight, trace=tuple(trace),
-        stale_pops=stale_pops, preprocess_vertices_scanned=pre.vertices_scanned,
-        preprocess_subsets_tested=pre.subsets_tested,
+        stale_pops=stale_pops, preprocess_vertices_scanned=scanned,
+        preprocess_subsets_tested=tested,
     )
 
 

@@ -4,7 +4,6 @@ import dataclasses
 import functools
 import itertools
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -18,10 +17,11 @@ from qbp.decoder import (
     DecoderConfig,
     TraceStep,
     _index_for,
+    _packed,
+    _preprocess,
     decode,
     decode_x,
     guaranteed_correctable_weight,
-    preprocess_candidates,
     region_diagnostics,
     size_gates,
 )
@@ -53,6 +53,13 @@ from oracles import FlipCheck, flippable, is_locally_minimal, minimal_coset_repr
 
 def syndrome_of(code, support):
     return gf2.mat_vec(code.hx, F2Vector.from_support(code.n, support))
+
+
+def preprocess(code, syn, beta):
+    """The decoder's initial Z-side scan: (queue, vertices scanned, subset
+    pairs tested), as `_decode` runs it."""
+    idx = _index_for(code, "z")
+    return _preprocess(idx, _packed(idx, syn), Fraction(beta))
 
 
 def bruteforce_scan(code, syn, beta):
@@ -234,17 +241,7 @@ class TestTraceStep:
 
 class TestPreprocess:
     def test_zero_syndrome_empty_queue(self, star12_code):
-        res = preprocess_candidates(star12_code, zero_vector(72), Fraction(1))
-        assert res.queue == ()
-        assert res.vertices_scanned == 0
-        assert res.subsets_tested == 0
-
-    @pytest.mark.parametrize("beta", [Fraction(0), Fraction(-1, 5)])
-    def test_beta_at_most_zero_is_refused(self, star12_code, beta):
-        # A flip that clears nothing would pass, so no scan can stay local.
-        with pytest.raises(PreconditionError, match=re.escape(
-                f"preprocessing needs beta > 0, got beta = {beta}")):
-            preprocess_candidates(star12_code, syndrome_of(star12_code, [0]), beta)
+        assert preprocess(star12_code, zero_vector(72), 1) == ([], 0, 0)
 
     @pytest.mark.parametrize("family", sorted(_ORACLE_FAMILIES))
     def test_local_scan_holds_for_a_tiny_beta(self, family):
@@ -255,10 +252,9 @@ class TestPreprocess:
         rng = random.Random(family)
         for _ in range(4):
             syn = syndrome_of(code, rng.sample(range(code.n), 3))
-            res = preprocess_candidates(code, syn, beta)
-            queue, _ = bruteforce_scan(code, syn, beta)
-            assert list(res.queue) == queue
-            assert res.vertices_scanned == len(vertices_reaching(code.cpx, syn.support))
+            queue, scanned, _ = preprocess(code, syn, beta)
+            assert queue == bruteforce_scan(code, syn, beta)[0]
+            assert scanned == len(vertices_reaching(code.cpx, syn.support))
 
     def test_half_column_error_found(self, star12_code):
         code = star12_code
@@ -266,8 +262,7 @@ class TestPreprocess:
         n10 = [b for a, b in code.cpx.edges_v00_v10 if a == x00]
         err = F2Vector.from_support(code.n, n10)
         syn = gf2.mat_vec(code.hx, err)
-        res = preprocess_candidates(code, syn, Fraction(1))
-        assert x00 in res.queue
+        assert x00 in preprocess(code, syn, 1)[0]
 
     def test_matches_bruteforce_scan(self, star12_code):
         code = star12_code
@@ -276,8 +271,7 @@ class TestPreprocess:
         for _ in range(5):
             err = F2Vector.from_support(code.n, rng.sample(range(code.n), 3))
             syn = gf2.mat_vec(code.hx, err)
-            res = preprocess_candidates(code, syn, beta)
-            assert list(res.queue) == bruteforce_scan(code, syn, beta)[0]
+            assert preprocess(code, syn, beta)[0] == bruteforce_scan(code, syn, beta)[0]
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -295,12 +289,12 @@ class TestPreprocess:
         else:
             support = data.draw(st.sets(st.integers(0, code.m_x - 1), max_size=6), label="cells")
             syn = F2Vector.from_support(code.m_x, support)
-        res = preprocess_candidates(code, syn, beta)
-        queue, tested = bruteforce_scan(code, syn, beta)
-        assert list(res.queue) == queue
-        scanned = vertices_reaching(code.cpx, syn.support)
-        assert res.vertices_scanned == len(scanned)
-        assert res.subsets_tested == sum(tested[x00] for x00 in scanned)
+        queue, scanned, tested = preprocess(code, syn, beta)
+        want_queue, want_tested = bruteforce_scan(code, syn, beta)
+        assert queue == want_queue
+        reaching = vertices_reaching(code.cpx, syn.support)
+        assert scanned == len(reaching)
+        assert tested == sum(want_tested[x00] for x00 in reaching)
 
 
 class TestDecode:
@@ -403,38 +397,43 @@ class TestEdgeDerivedIndex:
 
     def test_decoding_ignores_faces(self, star12):
         # The decoder reads only the edge classes.  The loader refuses files
-        # whose faces disagree with the edges, so the complexes without faces
-        # and with one face altered are built directly; wrong faces must not
-        # change any decode.
+        # whose faces disagree with the edges, and code extraction refuses
+        # the complexes without faces and with one face altered, built
+        # directly, with the same message; they still decode through the
+        # complex, and wrong faces must not change any decode.
         obj = complex_to_json(star12)
         z00, z10, z01, z11 = obj["faces"][0]
         other = next(f[3] for f in obj["faces"] if f[3] != z11)
         altered = [[z00, z10, z01, other]] + obj["faces"][1:]
-        for faces in ([], altered):
-            with pytest.raises(ValidationError, match="face"):
-                complex_from_json(dict(obj, faces=faces))
         cpx = complex_from_json(obj)
         complexes = (cpx, dataclasses.replace(cpx, faces=frozenset()),
                      dataclasses.replace(cpx, faces=frozenset(map(tuple, altered))))
-        codes = [extract_code(c) for c in complexes]
-        n = codes[0].n
+        for faces, wrong in zip(([], altered), complexes[1:]):
+            with pytest.raises(ValidationError, match="face") as refused:
+                complex_from_json(dict(obj, faces=faces))
+            with pytest.raises(ValidationError) as extracted:
+                extract_code(wrong)
+            assert str(extracted.value) == str(refused.value)
+        code = extract_code(cpx)
+        n = code.n
         rng = random.Random(26)
         errors = [[q] for q in range(n)]
         errors += [rng.sample(range(n), w) for w in (2, 3) for _ in range(30)]
         config = DecoderConfig(epsilon=Fraction(0))
         for support in errors:
+            err = F2Vector.from_support(n, support)
+            syn_x, syn_z = gf2.mat_vec(code.hx, err), gf2.mat_vec(code.hz, err)
             outputs = []
-            for code in codes:
-                err = F2Vector.from_support(n, support)
-                z = decode(code, gf2.mat_vec(code.hx, err), config)
-                x = decode_x(code, gf2.mat_vec(code.hz, err), config)
+            for c in complexes:
+                z, x = decode(c, syn_x, config), decode_x(c, syn_z, config)
                 outputs.append((z.to_json(), z.trace, x.to_json(), x.trace))
             assert outputs[0] == outputs[1] == outputs[2], support
 
     def test_reach_through_either_edge_class(self):
         # A chain-valid complex without faces whose one check is reached only
         # through V01; its transpose reaches it only through V10.
-        # The loader refuses it, since its two V01 paths lie on no face.
+        # The loader refuses it, since its two V01 paths lie on no face, and
+        # so does code extraction; it still decodes through the complex.
         obj = {
             "reps_v00": [[0, 0]], "reps_v10": [], "reps_v01": [[0, 0], [0, 1]],
             "reps_v11": [[0, 0]], "edges_v00_v10": [], "edges_v10_v11": [],
@@ -447,13 +446,16 @@ class TestEdgeDerivedIndex:
             **{k: tuple(map(tuple, v)) for k, v in obj.items() if k.startswith("reps")},
             **{k: frozenset(map(tuple, v)) for k, v in obj.items() if k.startswith("edges")},
             faces=frozenset(), degrees=None, group_order=1)
-        assert cpx.chain_check.ok
-        code = extract_code(cpx)
+        assert oracles.verify_chain_condition(cpx).ok
+        with pytest.raises(ValidationError, match=r"no face holds the path V00 0 -> V01 0"):
+            extract_code(cpx)
+        # The bare matrices make a code (Hx Hz^T = 0) to check residuals on.
+        code = qbp.CssCode(cpx.boundary_1, cpx.boundary_2.transpose(), cpx.v10_size)
         config = DecoderConfig(epsilon=Fraction(0))
         for q in range(code.n):
             err = F2Vector.from_support(code.n, [q])
-            z = decode(code, gf2.mat_vec(code.hx, err), config)
-            x = decode_x(code, gf2.mat_vec(code.hz, err), config)
+            z = decode(cpx, gf2.mat_vec(code.hx, err), config)
+            x = decode_x(cpx, gf2.mat_vec(code.hz, err), config)
             assert z.outcome == x.outcome == "success"
             assert z.preprocess_vertices_scanned == x.preprocess_vertices_scanned == 1
             assert code.z_stabilizers.contains(err ^ z.correction)
@@ -504,7 +506,7 @@ class TestIndexOnTheComplex:
                 assert decode(cpx, syn_x, config) == decode(code, syn_x, config), support
                 assert decode_x(cpx, syn_z, config) == decode_x(code, syn_z, config), support
         syn = syndrome_of(code, [0])
-        assert preprocess_candidates(cpx, syn, 1) == preprocess_candidates(code, syn, 1)
+        assert preprocess(cpx, syn, 1) == preprocess(code, syn, 1)
         for x00 in range(cpx.v00_size):
             n10, n01 = cpx.subgraph("v00_v10").adj0[x00], cpx.subgraph("v00_v01").adj0[x00]
             assert (flippable(cpx, syn, x00, n10, n01, Fraction(1, 2))
@@ -545,7 +547,7 @@ class TestIndexOnTheComplex:
         calls = [
             lambda: decode(other, syn_x, config),
             lambda: decode_x(other, syn_z, config),
-            lambda: preprocess_candidates(other, syn_x, config.beta),
+            lambda: preprocess(other, syn_x, config.beta),
             lambda: flippable(other, syn_x, 0, [], [], config.beta),
         ]
         for call in calls:
@@ -561,8 +563,7 @@ class TestIndexOnTheComplex:
 
 class TestOnePathPerSide:
     """Each side's entry point looks up its index and packs its syndrome once
-    per call, and `decode` runs its candidate scan inside the loop rather
-    than through the public `preprocess_candidates`."""
+    per call, and runs its candidate scan once, inside `_decode`."""
 
     @pytest.mark.parametrize("side", ["z", "x"])
     def test_one_index_lookup_and_one_pack_per_call(self, monkeypatch, star12_code, side):
@@ -587,19 +588,22 @@ class TestOnePathPerSide:
         assert calls == {"index": 1, "pack": 1}
         assert got == want
 
-    def test_decode_does_not_call_preprocess_candidates(self, monkeypatch, star12_code):
+    def test_decode_runs_one_candidate_scan(self, monkeypatch, star12_code):
         syn = syndrome_of(star12_code, [0, 5])
         config = DecoderConfig(epsilon=Fraction(1, 30))
-        pre = preprocess_candidates(star12_code, syn, config.beta)
+        _, scanned, tested = preprocess(star12_code, syn, config.beta)
+        scans = []
 
-        def refuse(*args):
-            raise AssertionError("decode called preprocess_candidates")
+        def counted(*args):
+            scans.append(args[1])
+            return _preprocess(*args)
 
-        monkeypatch.setattr("qbp.decoder.preprocess_candidates", refuse)
+        monkeypatch.setattr("qbp.decoder._preprocess", counted)
         res = decode(star12_code, syn, config)
+        assert scans == [syn.to_mask()]
         assert res.outcome == "success"
         assert (res.preprocess_vertices_scanned, res.preprocess_subsets_tested) == \
-            (pre.vertices_scanned, pre.subsets_tested)
+            (scanned, tested)
 
 
 class TestDecodeX:
@@ -704,8 +708,8 @@ class TestShortnessMonitors:
                 continue
             if not (rep.v10_weight < gates.v10 and rep.v01_weight < gates.v01):
                 continue
-            res = preprocess_candidates(code, gf2.mat_vec(code.hx, err), Fraction(1))
-            assert res.queue, "no candidate despite an in-gate minimal representative"
+            queue, _, _ = preprocess(code, gf2.mat_vec(code.hx, err), 1)
+            assert queue, "no candidate despite an in-gate minimal representative"
             checked += 1
 
     def test_short_remains_short_exact_oracle(self, star12, star12_code, star12_certs):

@@ -29,11 +29,10 @@ from qbp.product import (
     copies_decomposition,
     hypergraph_product,
     inherit_certificates,
-    verify_chain_condition,
 )
 
 from fixtures import random_bipartite
-from oracles import transposed
+from oracles import transposed, verify_chain_condition
 from test_build_oracles import assert_certificates_agree
 
 
@@ -443,6 +442,7 @@ class TestSerialization:
         assert t.v00_size == star12.v11_size
         assert t.boundary_1.rows == star12.v00_size
         assert verify_chain_condition(t).ok
+        assert t.chain_check is True
         d = t.degrees
         assert (d.down, d.up, d.right, d.left) == (
             star12.degrees.up, star12.degrees.down,

@@ -1,9 +1,10 @@
 """Verdicts by proof against the validating paths they skip.
 
 The balanced product and the complex loader preset the chain-condition
-verdict instead of multiplying the boundary maps, `cyclic_group` and
-`dihedral_group` write their tables by formula with no group test, and the
-translations on copies of a group (the star leaves, the incidence edge
+verdict instead of multiplying the boundary maps, and any other complex runs
+the loader's checks, so it is accepted or refused as a file of it is.
+`cyclic_group` and `dihedral_group` write their tables by formula with no
+group test, and the translations on copies of a group (the star leaves, the incidence edge
 instances, the random families' blocks) are built with no range check, law
 check or freeness scan.  Each is compared here with the path it skips, kept
 as the oracle: `verify_chain_condition`, `FiniteGroup.from_table`,
@@ -12,7 +13,8 @@ multiplies the maps before checking degrees and faces.  That loader decides
 which files are accepted; the loader itself refuses the rest by its own
 checks, naming the first one that fails.  The oracle loader checks faces
 by one scan over them (`oracle_check_faces`), which the loader's set
-algebra must agree with, message for message.
+algebra must agree with, message for message.  Complexes perturbed field
+by field are read off by `extract_code` exactly as their files load.
 """
 
 import copy
@@ -23,7 +25,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qbp import groups, product
+import qbp
+from qbp import gf2, groups, product
+from qbp.css import extract_code
 from qbp.errors import ValidationError
 from qbp.graphs import BipartiteGraph
 from qbp.groups import FiniteGroup, GroupAction, cyclic_group, dihedral_group
@@ -39,16 +43,14 @@ from qbp.instances import (
 from qbp.jsonio import _int_rows, _int_value
 from qbp.product import (
     BalancedProductComplex,
-    ChainCheck,
     DegreeProfile,
     balanced_product,
     complex_from_json,
     complex_to_json,
     hypergraph_product,
-    verify_chain_condition,
 )
 from fixtures import random_bipartite
-from oracles import transposed
+from oracles import transposed, verify_chain_condition
 from test_construction_oracles import GROUPS, invariant_graph, random_factor
 from test_local_oracles import FAMILIES, family, table_groups
 
@@ -141,9 +143,9 @@ def outcome(load, obj):
 
 
 def assert_verdict_by_proof(cpx):
-    """The verdict was preset, not multiplied, and the product agrees."""
-    assert cpx.__dict__.get(_VERDICT) == ChainCheck(True)
-    assert verify_chain_condition(cpx) == cpx.chain_check
+    """The verdict was preset, not checked, and the product agrees."""
+    assert cpx.__dict__.get(_VERDICT) is True
+    assert verify_chain_condition(cpx).ok
 
 
 # -- strategies ---------------------------------------------------------------------
@@ -194,24 +196,26 @@ class TestChainVerdictByProof:
         assert_verdict_by_proof(cpx)
         loaded = complex_from_json(complex_to_json(cpx))
         assert_verdict_by_proof(loaded)
-        # The transpose builds its own verdict, by multiplying its maps.
+        # The transpose builds its own verdict, by the loader's checks.
         t = transposed(cpx)
         assert _VERDICT not in t.__dict__
-        assert t.chain_check == ChainCheck(True)
+        assert t.chain_check is True and verify_chain_condition(t).ok
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
-    def test_building_and_loading_multiply_nothing(self, name, monkeypatch):
-        def forbidden(*args):
-            pytest.fail("a boundary-map product on the build path")
-
-        monkeypatch.setattr(product, "mat_mul", forbidden)
+    def test_building_and_loading_build_no_boundary_map(self, name):
         cpx = FAMILIES[name]()
         loaded = complex_from_json(complex_to_json(cpx))
         assert "boundary_1" not in cpx.__dict__ and "boundary_2" not in cpx.__dict__
         assert "boundary_1" not in loaded.__dict__ and "boundary_2" not in loaded.__dict__
-        monkeypatch.undo()
         assert_verdict_by_proof(cpx)
         assert_verdict_by_proof(loaded)
+
+    def test_the_package_has_no_matrix_product(self):
+        # The product and the multiplied verdict are the tests' oracles.
+        for module in (qbp, gf2, product):
+            for name in ("mat_mul", "verify_chain_condition", "ChainCheck"):
+                assert not hasattr(module, name), (module.__name__, name)
+        assert not hasattr(gf2.F2Matrix, "is_zero")
 
 
 CORRUPTIONS = ("move_edge", "past_class", "drop_edge", "add_edge", "repeat_edge", "drop_face",
@@ -374,7 +378,6 @@ class TestLoaderRefusals:
         corrupt(obj, kind, data)
         assume(not isinstance(outcome(oracle_complex_from_json, obj), dict))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(product, "mat_mul", _forbidden)
             for packer in ("masks0", "masks1"):
                 patch.setattr(BipartiteGraph, packer, property(_forbidden))
             patch.setattr(BalancedProductComplex, "boundary_1", property(_forbidden))
@@ -421,6 +424,63 @@ class TestLoaderRefusals:
         got = [checked(product._check_faces, v) for v in variants]
         assert got == [checked(oracle_check_faces, v) for v in variants]
         assert got[0] is None and any(got)
+
+
+PERTURBATIONS = ("drop_edge", "endpoint_out", "move_corner", "drop_face", "add_face")
+
+
+def perturb(cpx, kind, data):
+    """A complex with one field changed by `dataclasses.replace`: an edge
+    dropped or moved out of its class, or a face dropped, added or moved at
+    one corner within its class."""
+    sizes = (cpx.v00_size, cpx.v10_size, cpx.v01_size, cpx.v11_size)
+    if kind in ("drop_edge", "endpoint_out"):
+        which = data.draw(st.sampled_from(sorted(_CLASS_SIZES)), label="class")
+        edges = getattr(cpx, f"edges_{which}")
+        assume(edges)
+        edge = data.draw(st.sampled_from(sorted(edges)), label="edge")
+        rest = edges - {edge}
+        if kind == "endpoint_out":
+            end = data.draw(st.integers(0, 1), label="end")
+            size = getattr(cpx, f"{_CLASS_SIZES[which][end]}_size")
+            past = data.draw(st.integers(0, 3), label="past")
+            moved = list(edge)
+            moved[end] = data.draw(st.sampled_from([size + past, -1 - past]), label="value")
+            rest |= {tuple(moved)}
+        return dataclasses.replace(cpx, **{f"edges_{which}": rest})
+    if kind == "add_face":
+        assume(all(sizes))
+        face = tuple(data.draw(st.integers(0, size - 1), label="corner") for size in sizes)
+        return dataclasses.replace(cpx, faces=cpx.faces | {face})
+    assume(cpx.faces)
+    face = data.draw(st.sampled_from(sorted(cpx.faces)), label="face")
+    rest = cpx.faces - {face}
+    if kind == "move_corner":
+        corner = data.draw(st.integers(0, 3), label="corner")
+        moved = list(face)
+        moved[corner] = data.draw(st.integers(0, sizes[corner] - 1), label="value")
+        rest |= {tuple(moved)}
+    return dataclasses.replace(cpx, faces=rest)
+
+
+class TestHandBuiltComplexes:
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(sorted(FAMILIES)), kind=st.sampled_from(PERTURBATIONS),
+           data=st.data())
+    def test_extract_code_refuses_as_the_loader_does(self, name, kind, data):
+        # Extraction accepts exactly the complexes whose files load, and
+        # refuses the others with the loader's message; wherever it accepts,
+        # the multiplied verdict finds that the maps cancel.
+        cpx = perturb(family(name), kind, data)
+        want = outcome(complex_from_json, complex_to_json(cpx))
+        try:
+            code = extract_code(cpx)
+        except ValidationError as exc:
+            assert (type(exc), str(exc)) == want
+            return
+        assert want == complex_to_json(cpx)
+        assert verify_chain_condition(cpx).ok
+        assert code.cpx is cpx and cpx.chain_check is True
 
 
 # -- groups by formula ------------------------------------------------------------------
