@@ -12,19 +12,21 @@ exact.  They read the kernel through the bit-sliced span kernel
 of at most 2^12, and a block is one 2^12-bit plane per qubit (bit j is the
 qubit's value in combination j).  Weights, keys, local minimality and
 minima are bit-sliced integer arithmetic on those planes, with no loop over
-vectors, and a call holds one block at a time: at most 512 bytes per qubit
-and stabilizer residue coordinate, plus O(log n) planes for each sum, however
-large the kernel.  Normalized weights |v10|/down + |v01|/right are compared
+vectors.  A side keeps its first block on the code and a call derives one
+later block at a time: at most 512 bytes per qubit and stabilizer residue
+coordinate for each, plus O(log n) planes for each sum, however large the
+kernel.  Normalized weights |v10|/down + |v01|/right are compared
 through the integer key |v10|*right + |v01|*down, which orders them exactly
 (down, right > 0); a Fraction is built only where one is returned.
 Stabilizer membership comes from residues: reduction modulo a row space is
 linear over GF(2), so the basis residues are sliced alongside the qubits.
-Each side's kernel basis with its residues comes from one helper,
-`_kernel`, which derives it once per code (ker(Hx) is shared by the two
-Z-side oracles) and checks the budget on every call.  The residues' pivot
-columns are read straight off `gf2._eliminate`.
-Blocks are independent; they are taken in ascending order, one after the
-other.
+Each side's kernel comes from one helper, `_kernel`, which derives it
+once per code and checks the budget on every call: the basis with its
+residues, sliced into its first block, and that block's weight digits.
+ker(Hx) is shared by the two Z-side oracles, so it is sliced
+and weighed once whichever of them runs first.  The residues' pivot
+columns are read straight off `gf2._eliminate`.  Later blocks are derived
+from the first as they are read, in ascending order, one at a time.
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ class CssCode:
                 f"Hx has {self.hx.cols} columns but Hz has {self.hz.cols}"
             )
         if self._maps_of_complex:
-            # Hx Hz^T is the complex's boundary_1 boundary_2: its verdict
-            # is True or raises.
+            # Hx is the complex's V11 map and Hz its V00 map, so Hx Hz^T = 0
+            # is its chain condition: the verdict is True or raises.
             self.cpx.chain_check
         elif any(gf2.mat_vec_mask(self.hx, row) for row in self.hz.row_masks):
             raise ValidationError("Hx Hz^T != 0; not a CSS code")
@@ -91,7 +93,7 @@ class CssCode:
         """Whether Hx and Hz are the boundary maps of the attached complex."""
         cpx = self.cpx
         return (cpx is not None and self.hx.row_masks == cpx.boundary_1.row_masks
-                and self.hz.col_masks == cpx.boundary_2.row_masks)
+                and self.hz.col_masks == cpx.v00_columns)
 
     @property
     def weight(self) -> int:
@@ -123,7 +125,7 @@ class CssCode:
         return gf2.row_space(self.hx)
 
     @cached_property
-    def _kernels(self) -> dict[str, tuple[list[int], list[int]]]:
+    def _kernels(self) -> dict[str, "_Kernel"]:
         """Each side's kernel with its residues, filled in by `_kernel`."""
         return {}
 
@@ -144,11 +146,15 @@ def extract_code(cpx: BalancedProductComplex) -> CssCode:
     before either map is built: the builder and the loader preset it, and
     any other complex runs the loader's checks here, so one that a file of
     the same data would not load is refused with the loader's message.
+
+    Hz is `cpx.v00_map()`, whose columns are the V00 subgraphs' packed
+    masks, shared with the X decoder index.
     """
     cpx.chain_check                 # True, or the refusal of a loader check
+    hx = cpx.boundary_1             # the first subgraph use checks every endpoint
     return CssCode(
-        hx=cpx.boundary_1,
-        hz=cpx.boundary_2.transpose(),
+        hx=hx,
+        hz=cpx.v00_map(),
         v10_size=cpx.v10_size,
         degrees=cpx.degrees,
         cpx=cpx,
@@ -230,26 +236,46 @@ def brute_distance(code: CssCode, which: str, budget: int = DEFAULT_KERNEL_BUDGE
     qubit planes, and its candidate the least weight among the nontrivial
     ones.  vectors_enumerated is 2^kernel_dim, every combination counted.
     """
-    masks, coords = _kernel(code, which, budget)
-    n = code.n
+    kernel, dim = _kernel(code, which, budget)
     best: Optional[int] = None
-    for block in gf2.span_planes(masks, coords):
-        nontrivial = _nontrivial(block.planes, n)
+    for block in kernel.span:
+        nontrivial = _nontrivial(block.planes, kernel.n)
         if nontrivial:
-            w, _ = gf2.plane_min(gf2.plane_sum((p, 1) for p in block.planes[:n]), nontrivial)
+            w, _ = gf2.plane_min(kernel.weights(block), nontrivial)
             if best is None or w < best:
                 best = w
-    return DistanceReport(which, best, best is None, len(masks), 1 << len(masks))
+    return DistanceReport(which, best, best is None, dim, 1 << dim)
 
 
-def _kernel(code: CssCode, which: str, budget: int) -> tuple[list[int], list[int]]:
-    """One side's kernel as `_with_residues` gives it: ker(Hx) modulo the Hz
-    row space for "z", ker(Hz) modulo the Hx row space for "x".
+@dataclass(frozen=True)
+class _Kernel:
+    """One side's kernel as `_with_residues` gives it, bit-sliced once.
+
+    `span` slices the basis over the n qubits and the residue pivots, and
+    `first_weights` holds its first block's qubit-weight digits, so every
+    oracle on this side reads one slicing and one count of that block.
+    """
+
+    n: int
+    span: gf2.SpanPlanes
+    first_weights: list[int]
+
+    def weights(self, block: gf2.SpanBlock) -> list[int]:
+        """The digits of each combination's weight in a block of `span`."""
+        if block.start == 0:
+            return self.first_weights
+        return gf2.plane_sum((p, 1) for p in block.planes[:self.n])
+
+
+def _kernel(code: CssCode, which: str, budget: int) -> tuple[_Kernel, int]:
+    """One side's kernel: ker(Hx) modulo the Hz row space for "z", ker(Hz)
+    modulo the Hx row space for "x".
 
     Refused in this order: a negative budget (before any elimination), a
     side other than "x" or "z", and a kernel with more vectors than the
-    budget.  The budget is checked on every call; each side is derived once
-    per code and shared by the oracles that read it.
+    budget.  The budget is checked on every call; each side is derived,
+    sliced and its first block weighed once per code and shared by the
+    oracles that read it.  Returns the kernel and its dimension.
     """
     if budget < 0:
         raise PreconditionError(f"need budget >= 0, got {budget}")
@@ -266,9 +292,11 @@ def _kernel(code: CssCode, which: str, budget: int) -> tuple[list[int], list[int
         )
     kernel = code._kernels.get(which)
     if kernel is None:
-        kernel = code._kernels[which] = _with_residues(
-            gf2.kernel_masks(matrix), gf2.row_space(other), code.n)
-    return kernel
+        masks, coords = _with_residues(gf2.kernel_masks(matrix), gf2.row_space(other), code.n)
+        span = gf2.span_planes(masks, coords)
+        first_weights = gf2.plane_sum((p, 1) for p in span.first.planes[:code.n])
+        kernel = code._kernels[which] = _Kernel(code.n, span, first_weights)
+    return kernel, dim
 
 
 def _with_residues(masks: list[int], stabilizers: gf2.RowSpace,
@@ -352,7 +380,7 @@ def locally_minimal_distance(
     every combination of the block at once.  Stabilizer membership is the
     residue modulo the Hz row space, as in `brute_distance`.
     """
-    masks, coords = _kernel(code, "z", budget)
+    kernel, dim = _kernel(code, "z", budget)
     if code.degrees is None:
         raise PreconditionError("normalized local minimality needs recorded degrees")
     a, b = _key_weights(code)
@@ -365,7 +393,7 @@ def locally_minimal_distance(
         rows.append((terms, sum(w for _, w in terms) // 2))
     best_all: Optional[int] = None
     best_nontrivial: Optional[int] = None
-    for block in gf2.span_planes(masks, coords):
+    for block in kernel.span:
         planes = block.planes
         improvable = 0
         for terms, bound in rows:
@@ -376,14 +404,14 @@ def locally_minimal_distance(
             minimal &= ~1                # the zero combination
         if not minimal:
             continue
-        weights = gf2.plane_sum((p, 1) for p in planes[:n])
+        weights = kernel.weights(block)
         w, _ = gf2.plane_min(weights, minimal)
         if best_all is None or w < best_all:
             best_all = w
         found = gf2.plane_min(weights, minimal & _nontrivial(planes, n))
         if found is not None and (best_nontrivial is None or found[0] < best_nontrivial):
             best_nontrivial = found[0]
-    return LocallyMinimalDistanceReport(best_all, best_nontrivial, len(masks))
+    return LocallyMinimalDistanceReport(best_all, best_nontrivial, dim)
 
 
 def export_manifest(code: CssCode, params: CodeParams, provenance: dict) -> dict:

@@ -2,7 +2,7 @@
 
 Vectors are stored as support sets.  A matrix is its shape plus one packed
 bit row per row, carried in a Python integer (bit c of row r is entry
-(r, c)); transposes, matrix-vector products and elimination all work on
+(r, c)); column views, matrix-vector products and elimination all work on
 those rows.  Rank, row spaces and kernels share one elimination kernel,
 `_eliminate`, whose reduced row echelon form is unique: the map
 {pivot bit: reduced row}.
@@ -15,11 +15,13 @@ anywhere.
 A span is read bit-sliced by `span_planes`: its 2^k combinations come in
 blocks of at most 2^12 (SPAN_BLOCK_BITS), and a block is one 2^12-bit
 integer, a plane, per requested coordinate, with bit j of the plane that
-coordinate of combination j.  A block therefore takes at most 512 bytes per
-coordinate, whatever k is.  `plane_sum` (a carry-save adder tree over
-weighted planes, O(1) wide operations per plane), `plane_min` and
-`plane_greater` do integer arithmetic on every combination of a block at
-once; the exact distance oracles in `css` are built from them.
+coordinate of combination j.  The vectors are sliced once, into the first
+block, and every later block is derived from it, so the sliced span takes
+at most 512 bytes per coordinate, whatever k is.  `plane_sum` (a
+carry-save adder tree over weighted planes, O(1) wide operations per
+plane), `plane_min` and `plane_greater` do integer arithmetic on every
+combination of a block at once; the exact distance oracles in `css` are
+built from them.
 
 All values are immutable after construction and safe to share across
 threads.  Cached views (column masks, the echelon form) are derived from the
@@ -113,11 +115,6 @@ class F2Matrix:
 
     def max_row_weight(self) -> int:
         return max(map(int.bit_count, self.row_masks), default=0)
-
-    def transpose(self) -> "F2Matrix":
-        t = F2Matrix(self.cols, self.rows, self.col_masks)
-        t.__dict__["col_masks"] = self.row_masks      # seed the cached view
-        return t
 
     # -- reduced row echelon form ------------------------------------------
 
@@ -252,17 +249,43 @@ class SpanBlock(NamedTuple):
     planes: tuple[int, ...]   # one plane per requested coordinate
 
 
-def span_planes(masks: Sequence[int], coords: Iterable[int]) -> Iterator[SpanBlock]:
+@dataclass(frozen=True)
+class SpanPlanes:
+    """A span bit-sliced by `span_planes`; iterating it yields its blocks.
+
+    `first` is the block of combinations 0 .. 2^b - 1.  For coordinate
+    coords[t], bit i of high[t] is its value in masks[b + i]: those masks
+    add one vector to every combination of a block, so each plane of a
+    later block is the first block's plane or its complement.
+    """
+
+    first: SpanBlock
+    high: tuple[int, ...]
+    blocks: int                          # 2^(len(masks) - b)
+
+    def __iter__(self) -> Iterator[SpanBlock]:
+        first = self.first
+        yield first
+        full, low = first.full, first.planes
+        width = full.bit_length()
+        for block in range(1, self.blocks):
+            yield SpanBlock(block * width, full, tuple(p ^ full if (h & block).bit_count() & 1
+                                                       else p for p, h in zip(low, self.high)))
+
+
+def span_planes(masks: Sequence[int], coords: Iterable[int]) -> SpanPlanes:
     """The span of packed vectors, bit-sliced in blocks of combinations.
 
     Combination c, for 0 <= c < 2^len(masks), is the XOR of masks[i] over
     each set bit i of c.  The combinations come in 2^(len(masks) - b) blocks
-    of 2^b, b = min(len(masks), SPAN_BLOCK_BITS), in ascending order.  For
-    each block this yields its start, its `full` mask (2^b ones) and one
+    of 2^b, b = min(len(masks), SPAN_BLOCK_BITS), in ascending order.  Each
+    block (a `SpanBlock`) has its start, its `full` mask (2^b ones) and one
     plane per coordinate of `coords`: bit j of planes[t] is coordinate
-    coords[t] of combination start + j.  A block is one 2^b-bit integer
-    (at most 512 bytes) per coordinate, whatever the size of the span;
-    callers are responsible for budgeting the number of blocks.
+    coords[t] of combination start + j.  The masks are sliced once, into
+    the first block; the returned `SpanPlanes` holds that block alone and
+    derives each later one from it as it is iterated, so a block is one
+    2^b-bit integer (at most 512 bytes) per coordinate, whatever the size of
+    the span; callers are responsible for budgeting the number of blocks.
     """
     b = min(len(masks), SPAN_BLOCK_BITS)
     width = 1 << b
@@ -282,12 +305,7 @@ def span_planes(masks: Sequence[int], coords: Iterable[int]) -> Iterator[SpanBlo
             plane ^= index[i]
         low.append(plane)
         high.append(col >> b)
-    yield SpanBlock(0, full, tuple(low))
-    for block in range(1, 1 << (len(masks) - b)):
-        # The masks past the first b add the same vector to every combination
-        # of a block, so each plane is the first block's or its complement.
-        yield SpanBlock(block << b, full, tuple(p ^ full if (h & block).bit_count() & 1 else p
-                                                for p, h in zip(low, high)))
+    return SpanPlanes(SpanBlock(0, full, tuple(low)), tuple(high), 1 << (len(masks) - b))
 
 
 def plane_sum(terms: Iterable[tuple[int, int]]) -> list[int]:

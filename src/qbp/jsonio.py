@@ -110,10 +110,10 @@ def canonical_dumps(obj: Any) -> str:
 
     With an indent, `json` runs its pure-Python encoder.  This writer walks
     dicts, lists and tuples with str keys and exact str, int, float, bool and
-    None leaves itself, and has the C encoder write lists of int rows, which
-    it then indents.  Anything else (non-str keys, values of other types or
-    of subclasses, cycles) goes to `json.dumps`, so it is written, or
-    refused, exactly as `json.dumps` does.
+    None leaves itself, and writes a table of equal-width int rows with one
+    format call (`_int_table`).  Anything else (non-str keys, values of
+    other types or of subclasses, cycles) goes to `json.dumps`, so it is
+    written, or refused, exactly as `json.dumps` does.
     """
     out: list[str] = []
     try:
@@ -124,18 +124,14 @@ def canonical_dumps(obj: Any) -> str:
     return "".join(out)
 
 
-# The C encoder writes lists compactly; a list whose compact text has only
-# these characters holds nothing but lists and ints (int subclasses included,
-# which `json` writes the same way).  Cycles reach RecursionError.
-_COMPACT = json.JSONEncoder(separators=(",", ":"), check_circular=False)
-_NOT_INT_LIST = str.maketrans("", "", "0123456789-,[]")
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _write(obj: Any, nl: str, out: list[str]) -> None:
     """Append the indented JSON of obj; nl is a newline plus obj's indent.
 
-    Raises TypeError for anything `canonical_dumps` leaves to `json.dumps`.
+    Raises TypeError for anything `canonical_dumps` leaves to `json.dumps`;
+    cycles reach RecursionError.
     """
     kind = type(obj)
     if kind is str:
@@ -163,18 +159,12 @@ def _write(obj: Any, nl: str, out: list[str]) -> None:
         if not obj:
             out.append("[]")
             return
-        inner = nl + "  "
         if set(map(type, obj)) <= {list, tuple}:
-            text = _COMPACT.encode(obj)
-            # Only lists and ints, one "[" per row and no empty row:
-            # non-empty int rows.
-            if (not text.translate(_NOT_INT_LIST) and text.count("[") == len(obj) + 1
-                    and "[]" not in text):
-                deep = inner + "  "
-                body = text[2:-2].replace(",", "," + deep)
-                body = body.replace("]," + deep + "[", inner + "]," + inner + "[" + deep)
-                out += ("[", inner, "[", deep, body, inner, "]", nl, "]")
+            table = _int_table(obj, nl)
+            if table is not None:
+                out.append(table)
                 return
+        inner = nl + "  "
         sep = "[" + inner
         for item in obj:
             out.append(sep)
@@ -183,6 +173,22 @@ def _write(obj: Any, nl: str, out: list[str]) -> None:
         out.append(nl + "]")
     else:
         raise TypeError(f"{kind.__name__} is left to json.dumps")
+
+
+def _int_table(rows: Sequence[Sequence[Any]], nl: str) -> Optional[str]:
+    """The indented JSON of lists or tuples of one width w >= 1, every entry
+    exactly an int, as one %-format call over the flattened ints; None for
+    any other list of lists.  %d writes an int as repr does, and the format
+    string holds no "%" but its fields, as nl is a newline and spaces."""
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    flat = tuple(chain.from_iterable(rows))
+    if set(map(type, flat)) != {int}:
+        return None
+    inner, deep = nl + "  ", nl + "    "
+    row = "[" + deep + ("%d," + deep) * (widths.pop() - 1) + "%d" + inner + "]"
+    return ("[" + inner + ("," + inner).join([row] * len(rows)) + nl + "]") % flat
 
 
 def file_digest(path: str | Path) -> str:

@@ -14,8 +14,9 @@ sources, and neither multiplies the boundary maps:
 
 * by proof: `balanced_product` writes one face per product square, so the
   complex it returns is a chain complex (see its docstring);
-* from the loader's checks (`_check_complex`): edge endpoints, then the
-  recorded degrees, then the faces, which must match both families of
+* from the loader's checks: distinct orbit representatives and a positive
+  group order (`_check_fields`), then (`_check_complex`) edge endpoints,
+  the recorded degrees, and the faces, which must match both families of
   two-edge paths one to one; that gives every (V00, V11) pair as many paths
   through V10 as through V01.  `complex_from_json` runs them on a file, and
   any other complex (one built field by field) runs them on first use, so
@@ -23,18 +24,18 @@ sources, and neither multiplies the boundary maps:
 
 Construction is single-threaded; the resulting complex is immutable and
 shareable.  Being frozen, a complex derives each structure it is asked for
-once and caches it on itself: the boundary maps, the chain-condition
-verdict, the four one-dimensional subgraphs (so each edge class has one
-graph, one adjacency and one set of packed masks, which the code, the
+once and caches it on itself: the V11 map, the chain-condition verdict,
+the four one-dimensional subgraphs (so each edge class has one graph, one
+adjacency and one set of packed masks, which the code, the
 partitions and the decoder all read), the faces through each qubit and the
 decoder's index of each side.  A cache is never shared between complexes; a
 reloaded complex builds its own.  The region diagnostics read the face
 index, and the loader's degree check reads the adjacency lengths.
 
-The rows of the V00 map are the subgraphs' packed V00 masks of the qubits,
-shared with them; the V11 map packs its rows in one pass over the two V11
-classes.  Every edge endpoint is checked once, on first subgraph use
-(`_check_endpoints`), which both maps go through.
+The V11 map packs its rows in one pass over the two V11 classes, and the
+V00 map (`v00_map`, the code's Hz) one per V00 cell, in one pass over the
+two V00 classes' adjacency.  Every edge endpoint is checked once, on first
+subgraph use (`_check_endpoints`), which both maps go through.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter, mul
 from typing import Optional
 
@@ -127,13 +129,6 @@ class BalancedProductComplex:
     # -- boundary maps -------------------------------------------------------
 
     @cached_property
-    def boundary_2(self) -> F2Matrix:
-        """F2^{V00} -> F2^{V10} (+) F2^{V01}; rows are qubits, columns V00: the
-        V00 masks of the V10 and then the V01 cells, shared with the subgraphs."""
-        rows = self.subgraph("v00_v10").masks1 + self.subgraph("v00_v01").masks1
-        return F2Matrix(self.n_qubits, self.v00_size, rows)
-
-    @cached_property
     def boundary_1(self) -> F2Matrix:
         """F2^{V10} (+) F2^{V01} -> F2^{V11}; rows are V11, columns qubits,
         packed in one pass over the two V11 classes."""
@@ -145,16 +140,45 @@ class BalancedProductComplex:
             rows[z11] |= 1 << (shift + z01)
         return F2Matrix(self.v11_size, self.n_qubits, tuple(rows))
 
+    def v00_map(self) -> F2Matrix:
+        """F2^{V10} (+) F2^{V01} -> F2^{V00}; rows are V00, columns qubits.
+
+        Not cached: the code read off the complex keeps it as its Hz.  The
+        rows are packed in one pass over the two V00 classes, read qubit by
+        qubit from the subgraphs' cached adjacency (which the loader's face
+        check has built), so every row grows from its low bits up; in
+        edge-set order rows would widen at random, leaving the allocator
+        more freed blocks of odd sizes.  The column view is seeded with
+        `v00_columns`, so the matrix shares them with the subgraphs and the
+        X decoder index and never unpacks its rows.
+        """
+        rows = [0] * self.v00_size
+        qubit_cells = chain(self.subgraph("v00_v10").adj1, self.subgraph("v00_v01").adj1)
+        for q, cells in enumerate(qubit_cells):
+            bit = 1 << q
+            for z00 in cells:
+                rows[z00] |= bit
+        matrix = F2Matrix(self.v00_size, self.n_qubits, tuple(rows))
+        matrix.__dict__["col_masks"] = self.v00_columns
+        return matrix
+
+    @property
+    def v00_columns(self) -> tuple[int, ...]:
+        """Each qubit's V00 cells, packed: the V10 then the V01 cells' masks,
+        the same int objects as the V00 subgraphs' `masks1`."""
+        return self.subgraph("v00_v10").masks1 + self.subgraph("v00_v01").masks1
+
     @cached_property
     def chain_check(self) -> bool:
         """The chain-condition verdict of this complex: True, or the
         ValidationError of the first loader check that fails.
 
         The builder and the loader preset it (see the module docstring); any
-        other complex runs the loader's checks here, on its faces in the
-        order a file of it lists them.  Code extraction and the CSS
-        commuting check read it.
+        other complex runs the loader's checks here, in the loader's order,
+        on its faces in the order a file of it lists them.  Code extraction
+        and the CSS commuting check read it.
         """
+        _check_fields(self)
         _check_complex(self, tuple(sorted(self.faces)))
         return True
 
@@ -543,10 +567,7 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
         if type(declared) is not int or declared != size:
             raise ValidationError(
                 f"complex {cell} must be {size}, the length of reps_{cell}, got {declared!r:.40}")
-        if len(set(reps)) != size:
-            i = _first_repeat(reps)
-            raise ValidationError(
-                f"reps_{cell}[{i}] repeats the orbit representative {list(reps[i])}")
+        _check_reps(cell, reps)
     deg = obj.get("degrees")
     degrees = None
     if deg is not None:
@@ -558,9 +579,7 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
                                       for name in ("down", "up", "right", "left")))
         except KeyError as exc:
             raise ValidationError(f"malformed complex JSON: degrees miss {exc}") from exc
-    group_order = _int_value(obj.get("group_order", 1), "group_order")
-    if group_order < 1:
-        raise ValidationError(f"group_order must be positive, got {group_order}")
+    group_order = _check_group_order(obj.get("group_order", 1))
     edges = {}
     for name in _PAIR_FIELDS[4:]:
         edges[name] = frozenset(rows[name])
@@ -582,10 +601,37 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
     return _preset_chain_check(cpx)
 
 
+def _check_reps(cell: str, reps: tuple[tuple[int, int], ...]) -> None:
+    """A class's orbit representatives must be distinct, as orbits are disjoint."""
+    if len(set(reps)) != len(reps):
+        i = _first_repeat(reps)
+        raise ValidationError(
+            f"reps_{cell}[{i}] repeats the orbit representative {list(reps[i])}")
+
+
+def _check_group_order(value: object) -> int:
+    """`value` as a group order: an int of at least 1."""
+    group_order = _int_value(value, "group_order")
+    if group_order < 1:
+        raise ValidationError(f"group_order must be positive, got {group_order}")
+    return group_order
+
+
+def _check_fields(cpx: BalancedProductComplex) -> None:
+    """The loader's checks of the fields that feed no boundary map, in its
+    order: each class's representatives, then the group order.  The loader
+    makes them as it reads the fields; a complex built field by field makes
+    them before `_check_complex`."""
+    for cell in ("v00", "v10", "v01", "v11"):
+        _check_reps(cell, getattr(cpx, f"reps_{cell}"))
+    _check_group_order(cpx.group_order)
+
+
 def _check_complex(cpx: BalancedProductComplex, faces: tuple[tuple[int, ...], ...]) -> None:
-    """The loader's checks, in order: every edge endpoint (on first subgraph
-    use), the degrees when recorded, then the faces, scanned in `faces`
-    order.  The first that fails raises its ValidationError."""
+    """The loader's last checks, after `_check_fields`, in order: every edge
+    endpoint (on first subgraph use), the degrees when recorded, then the
+    faces, scanned in `faces` order.  The first that fails raises its
+    ValidationError."""
     cpx.subgraph("v00_v10")
     if cpx.degrees is not None:
         _check_degrees(cpx)

@@ -14,7 +14,10 @@ benchmark op runs them, so they live here and not in the package:
 * `max_flow_integer`: integral max flow on a generic network, which
   `expansion.tree_partition` reproduces on vertex ids.
 * `verify_tree_partition`: every invariant of a tree partition, recomputed.
+* `transpose`: a matrix's transpose, read off its column view.
 * `transposed`: the dual complex, with V00 and V11 swapped.
+* `boundary_2`: the V00 map of a complex, rows indexed by qubits, the
+  transpose of the Hz that `extract_code` packs.
 * `mat_mul` and `verify_chain_condition`: the GF(2) matrix product, and the
   chain condition decided by multiplying a complex's two boundary maps,
   which the builder's proof and the loader's checks stand in for.
@@ -39,10 +42,10 @@ from fixtures import from_entries
 
 __all__ = [
     "ChainCheck", "FlipCheck", "FlipReduction", "FlowNetwork", "MaxFlowResult",
-    "MinimalRepresentative", "TreePartitionAudit", "flippable", "from_alist", "greedy_flip_reduce",
-    "is_locally_minimal", "mat_mul", "max_flow_integer", "minimal_coset_representative",
-    "reduce_by_pivot_scan", "solve", "transposed", "verify_chain_condition",
-    "verify_tree_partition",
+    "MinimalRepresentative", "TreePartitionAudit", "boundary_2", "flippable", "from_alist",
+    "greedy_flip_reduce", "is_locally_minimal", "mat_mul", "max_flow_integer",
+    "minimal_coset_representative", "reduce_by_pivot_scan", "solve", "transpose", "transposed",
+    "verify_chain_condition", "verify_tree_partition",
 ]
 
 Node = Hashable
@@ -445,6 +448,22 @@ def verify_tree_partition(
 # -- product -------------------------------------------------------------------
 
 
+def transpose(a: F2Matrix) -> F2Matrix:
+    """The transpose of a matrix: its column view, as rows."""
+    return F2Matrix(a.cols, a.rows, a.col_masks)
+
+
+def boundary_2(cpx: BalancedProductComplex) -> F2Matrix:
+    """F2^{V00} -> F2^{V10} (+) F2^{V01}: one row per qubit, the V10 then the
+    V01 cells, holding that cell's V00 neighbours, packed from the edges."""
+    rows = [0] * cpx.n_qubits
+    for z00, z10 in cpx.edges_v00_v10:
+        rows[z10] |= 1 << z00
+    for z00, z01 in cpx.edges_v00_v01:
+        rows[cpx.v10_size + z01] |= 1 << z00
+    return F2Matrix(cpx.n_qubits, cpx.v00_size, tuple(rows))
+
+
 def transposed(cpx: BalancedProductComplex) -> BalancedProductComplex:
     """The dual complex: V00 and V11 swap roles, as do V10 and V01.
 
@@ -498,7 +517,7 @@ def verify_chain_condition(cpx: BalancedProductComplex) -> ChainCheck:
     multiplying them; on failure report the first V00 column whose image is
     nonzero."""
     columns = 0
-    for row in mat_mul(cpx.boundary_1, cpx.boundary_2).row_masks:
+    for row in mat_mul(cpx.boundary_1, boundary_2(cpx)).row_masks:
         columns |= row
     if not columns:
         return ChainCheck(True)

@@ -532,3 +532,96 @@ class TestSpanKernel:
             finally:
                 tracemalloc.stop()
             assert peak <= 1 << 20
+
+
+# -- one slicing per kernel side ------------------------------------------------------
+
+ORACLES = {
+    "z": lambda code: brute_distance(code, "z"),
+    "lm": locally_minimal_distance,
+    "x": lambda code: brute_distance(code, "x"),
+}
+# The local-minimality oracle before, after and without the Z distance, with
+# the X distance in between or not at all.
+ORACLE_ORDERS = [("z", "lm", "x"), ("lm", "z", "x"), ("lm", "x", "z"), ("x", "lm"),
+                 ("z", "x"), ("lm",), ("z",)]
+
+
+def fresh(code):
+    """The same matrices as a new code, with no kernel derived yet."""
+    return CssCode(code.hx, code.hz, code.v10_size, code.degrees, code.cpx)
+
+
+def run_oracles(code, order):
+    """Each oracle's report in `order`, or its refusal's type and message."""
+    out = {}
+    for name in order:
+        try:
+            out[name] = ORACLES[name](code)
+        except PreconditionError as exc:
+            out[name] = (type(exc), str(exc))
+    return out
+
+
+def assert_order_free(code, max_dim=ORACLE_KERNEL_DIM):
+    """The three reports do not depend on which oracle runs first, or on
+    whether the code already holds a side's kernel."""
+    names = [name for name, matrix in (("z", code.hx), ("lm", code.hx), ("x", code.hz))
+             if kernel_dim(matrix) <= max_dim]
+    want = run_oracles(fresh(code), names)
+    warm = fresh(code)
+    for order in ORACLE_ORDERS:
+        order = [name for name in order if name in names]
+        expected = {name: want[name] for name in order}
+        assert run_oracles(fresh(code), order) == expected, order
+        assert run_oracles(warm, order) == expected, order
+
+
+class TestKernelSlices:
+    @pytest.mark.parametrize("name", FAMILIES + sorted(MORE_FAMILIES))
+    def test_families_in_every_order(self, name, request):
+        cpx = request.getfixturevalue(name) if name in FAMILIES else MORE_FAMILIES[name]()
+        for c in (cpx, transposed(cpx)):
+            assert_order_free(extract_code(c))
+
+    @pytest.mark.parametrize("dim", [0, 1, 12, 13])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_span_codes_in_every_order(self, dim, data):
+        assert_order_free(data.draw(kernel_codes(dim)), max_dim=13)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(BIREGULAR_SHAPES), st.sampled_from(BIREGULAR_SHAPES),
+           st.integers(0, 10 ** 6))
+    def test_random_products_in_every_order(self, shape_x, shape_y, seed):
+        assert_order_free(extract_code(hypergraph_product(biregular(shape_x, seed),
+                                                          biregular(shape_y, seed + 1))))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+           st.data())
+    def test_irregular_products_in_every_order(self, a0, a1, b0, b1, data):
+        seed = data.draw(st.integers(0, 10 ** 6))
+        x = random_bipartite(a0, a1, data.draw(st.integers(0, a0 * a1)), random.Random(seed))
+        y = random_bipartite(b0, b1, data.draw(st.integers(0, b0 * b1)), random.Random(seed + 1))
+        assert_order_free(extract_code(hypergraph_product(x, y)))
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_each_side_is_sliced_once_per_code(self, name, request, monkeypatch):
+        sliced = []
+        original = gf2.span_planes
+
+        def counted(masks, coords):
+            sliced.append(len(masks))
+            return original(masks, coords)
+
+        monkeypatch.setattr(gf2, "span_planes", counted)
+        code = extract_code(request.getfixturevalue(name))
+        dims = {which: kernel_dim(matrix) for which, matrix in (("z", code.hx), ("x", code.hz))
+                if kernel_dim(matrix) <= 14}     # incstar13's Z side has 2^14, in 4 blocks
+        assert "z" in dims
+        for _ in range(2):
+            for which in dims:
+                brute_distance(code, which)
+            locally_minimal_distance(code)
+        assert sorted(sliced) == sorted(dims.values())

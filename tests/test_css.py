@@ -26,10 +26,12 @@ from qbp.product import DegreeProfile, complex_from_json, complex_to_json, hyper
 
 from fixtures import from_dense, zero_vector
 from oracles import (
+    boundary_2,
     greedy_flip_reduce,
     is_locally_minimal,
     mat_mul,
     minimal_coset_representative,
+    transpose,
     verify_chain_condition,
 )
 
@@ -52,7 +54,7 @@ class TestExtraction:
 
     def test_commuting_condition_everywhere(self, toric3_code, star12_code, incstar13_code):
         for code in (toric3_code, star12_code, incstar13_code):
-            assert not any(mat_mul(code.hx, code.hz.transpose()).row_masks)
+            assert not any(mat_mul(code.hx, transpose(code.hz)).row_masks)
 
     def test_weight_formula(self, star12_code, incstar13_code, toric3_code):
         for code in (star12_code, incstar13_code, toric3_code):
@@ -96,7 +98,7 @@ class TestChainVerdict:
         cpx = toric_complex(3)
         broken = replace(cpx, edges_v10_v11=cpx.edges_v10_v11 - {min(cpx.edges_v10_v11)})
         with pytest.raises(ValidationError) as refused:
-            CssCode(hx=broken.boundary_1, hz=broken.boundary_2.transpose(),
+            CssCode(hx=broken.boundary_1, hz=transpose(boundary_2(broken)),
                     v10_size=broken.v10_size, cpx=broken)
         assert str(refused.value) == loader_refusal(broken)
 

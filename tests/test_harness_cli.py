@@ -22,7 +22,13 @@ from qbp.jsonio import parse_rational
 from qbp.product import complex_from_json, complex_to_json
 
 from fixtures import graph_to_json, group_to_json, strip_timing
-from oracles import from_alist, mat_mul, minimal_coset_representative, verify_chain_condition
+from oracles import (
+    from_alist,
+    mat_mul,
+    minimal_coset_representative,
+    transpose,
+    verify_chain_condition,
+)
 
 
 class TestHarness:
@@ -287,7 +293,7 @@ class TestCli:
         assert rc == 0
         hx = from_alist((workdir / "toric.hx.alist").read_text())
         hz = from_alist((workdir / "toric.hz.alist").read_text())
-        assert not any(mat_mul(hx, hz.transpose()).row_masks)
+        assert not any(mat_mul(hx, transpose(hz)).row_masks)
         manifest = json.loads((workdir / "toric.json").read_text())
         assert manifest["n"] == 18 and manifest["k"] == 2
 
@@ -475,7 +481,7 @@ class TestCli:
                        "--epsilon", "1/30", "--side", side) == 0
         assert json.loads(capsys.readouterr().out)["result"]["outcome"] == "success"
         (cpx,) = loaded
-        assert {"boundary_1", "boundary_2"}.isdisjoint(vars(cpx))
+        assert "boundary_1" not in vars(cpx)
         assert set(cpx.decoder_indexes) == {side}
         assert run_cli("decode", "--complex", path, "--syndrome", workdir / "short.json",
                        "--epsilon", "1/30", "--side", side) == 1

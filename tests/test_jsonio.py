@@ -1,19 +1,19 @@
 """The canonical writer against the `json.dumps` call it replaced.
 
-`canonical_dumps` walks core JSON values itself and has the C encoder write
-lists of ints and lists of int rows; anything else goes to `json.dumps`.
-Every case here must give the oracle's bytes, or raise the oracle's
-exception with the oracle's message.
+`canonical_dumps` walks core JSON values itself and writes a table of
+equal-width exact-int rows with one format call (`_int_table`); anything
+else goes to `json.dumps`.  Every case here must give the oracle's bytes,
+or raise the oracle's exception with the oracle's message.
 """
 
 import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qbp.jsonio import canonical_dumps
+from qbp.jsonio import _int_table, canonical_dumps
 from qbp.product import complex_to_json
 
 
@@ -62,6 +62,48 @@ class StrTag(str):
     pass
 
 
+# Tables of one width, 1 to 4, as a complex file's reps, edges and faces
+# are: the one-call path.  The same with one cell that is not an exact int,
+# or one row of another width: its fall-backs.
+table_ints = st.one_of(st.integers(-3, 40), st.integers(-10 ** 40, 10 ** 40))
+
+
+@st.composite
+def int_tables(draw):
+    width = draw(st.integers(1, 4))
+    row = st.lists(table_ints, min_size=width, max_size=width)
+    return draw(st.lists(st.one_of(row, row.map(tuple)), min_size=1, max_size=60))
+
+
+@st.composite
+def odd_cell_tables(draw):
+    rows = draw(int_tables())
+    i = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.integers(0, len(rows[i]) - 1))
+    odd = draw(st.one_of(st.booleans(), st.none(), floats, table_ints.map(IntTag)))
+    rows[i] = type(rows[i])(odd if k == j else v for k, v in enumerate(rows[i]))
+    return rows
+
+
+@st.composite
+def ragged_tables(draw):
+    rows = draw(int_tables())
+    assume(len(rows) >= 2)
+    i = draw(st.integers(0, len(rows) - 1))
+    width = len(rows[i])
+    size = draw(st.integers(0, width + 2).filter(lambda size: size != width))
+    rows[i] = (list(rows[i]) + draw(st.lists(table_ints, min_size=2, max_size=2)))[:size]
+    return rows
+
+
+def nested(table, depth):
+    """The table `depth` levels down, alternating dict and list, so that it
+    is written at every indent up to that depth."""
+    for level in range(depth):
+        table = {"k": table} if level % 2 else [table, 0]
+    return table
+
+
 class TestWriterMatchesJsonDumps:
     @settings(max_examples=300, deadline=None)
     @given(json_values)
@@ -102,6 +144,18 @@ class TestWriterMatchesJsonDumps:
             kind, message = outcome(canonical_dumps, obj)
             assert (kind, message) == outcome(oracle_dumps, obj)
             assert kind is ValueError and "Circular reference" in message
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_tables(), st.integers(0, 3))
+    def test_int_tables_take_one_format_call(self, table, depth):
+        assert _int_table(table, "\n") is not None
+        assert_same(nested(table, depth))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(odd_cell_tables(), ragged_tables()), st.integers(0, 3))
+    def test_other_tables_fall_back(self, table, depth):
+        assert _int_table(table, "\n") is None
+        assert_same(nested(table, depth))
 
     @pytest.mark.parametrize("family", ["toric2", "toric3", "match8", "star12", "incstar13"])
     def test_complex_files(self, family, request):

@@ -57,7 +57,7 @@ from qbp.product import SUBGRAPHS, balanced_product, hypergraph_product
 
 import oracles
 from fixtures import conjugation_action, random_bipartite, symmetric_group, zero_matrix
-from oracles import FlowNetwork, max_flow_integer, transposed
+from oracles import FlowNetwork, max_flow_integer, transpose, transposed
 
 
 # -- oracles: the earlier formulations ------------------------------------------
@@ -610,7 +610,7 @@ class TestVerdicts:
         # check has qubits, so a wrong per-qubit count shows in the weight.
         cpx = transposed(family(name))
         code = extract_code(cpx)
-        other = CssCode(code.hx, code.hz.transpose().transpose(), code.v10_size, cpx=cpx)
+        other = CssCode(code.hx, transpose(transpose(code.hz)), code.v10_size, cpx=cpx)
         assert other._maps_of_complex
         for hx, hz in ((code.hx, zero_matrix(code.hz.rows, code.hz.cols)),
                        (zero_matrix(code.hx.rows, code.hx.cols), code.hz)):

@@ -30,6 +30,7 @@ from oracles import (
     minimal_coset_representative,
     reduce_by_pivot_scan,
     solve,
+    transpose,
     transposed,
     verify_chain_condition,
 )
@@ -72,7 +73,7 @@ def oracle_kernel_basis(row_masks, cols):
 
 def oracle_solve(a, b):
     """Elimination on the rows of [A^T | I], so each pivot carries its combination."""
-    aug = [(m, 1 << i) for i, m in enumerate(a.transpose().row_masks)]
+    aug = [(m, 1 << i) for i, m in enumerate(transpose(a).row_masks)]
     target, combo = b.to_mask(), 0
     for col in range(a.rows):
         bit = 1 << col
@@ -96,6 +97,16 @@ def oracle_boundaries(cpx):
     b1 += [(z11, off + z01) for z01, z11 in cpx.edges_v01_v11]
     return (from_entries(cpx.v11_size, cpx.n_qubits, b1),
             from_entries(cpx.n_qubits, cpx.v00_size, b2))
+
+
+def assert_maps_match_the_entry_sets(cpx):
+    """Hx, and Hz with its seeded column view, against `oracle_boundaries`:
+    Hz's packed rows are the V00 map's columns, its column view the rows."""
+    b1, b2 = oracle_boundaries(cpx)
+    hz = extract_code(cpx).hz
+    assert cpx.boundary_1 == b1
+    assert transpose(hz) == b2
+    assert hz == transpose(b2)
 
 
 def oracle_minimal_coset_representative(code, syndrome):
@@ -172,7 +183,7 @@ class TestEliminationKernel:
     @given(matrices())
     def test_rref_rank_kernel_match_the_column_scan(self, m):
         assert_elimination_matches(m)
-        assert_elimination_matches(m.transpose())
+        assert_elimination_matches(transpose(m))
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0), (3, 1), (1, 3)])
     def test_empty_and_thin_shapes(self, shape):
@@ -199,7 +210,7 @@ class TestEliminationKernel:
     @settings(max_examples=300, deadline=None)
     @given(matrices(), st.data())
     def test_reduce_mask_matches_the_pivot_scan(self, m, data):
-        for a in (m, m.transpose()):
+        for a in (m, transpose(m)):
             count = data.draw(st.integers(0, 6))
             combos = data.draw(st.lists(st.integers(0, (1 << a.rows) - 1), min_size=count,
                                         max_size=count))
@@ -244,9 +255,8 @@ class TestPackedRows:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_boundary_maps_match_the_entry_sets(self, family, request):
         cpx = request.getfixturevalue(family)
-        assert (cpx.boundary_1, cpx.boundary_2) == oracle_boundaries(cpx)
-        t = transposed(cpx)
-        assert (t.boundary_1, t.boundary_2) == oracle_boundaries(t)
+        assert_maps_match_the_entry_sets(cpx)
+        assert_maps_match_the_entry_sets(transposed(cpx))
 
     @pytest.mark.parametrize("build", [
         lambda: left_right_cayley(cyclic_group(12), [1, 2], [1, 4]),
@@ -255,8 +265,7 @@ class TestPackedRows:
                                    random_bipartite(3, 5, 7, random.Random(6))),
     ])
     def test_more_boundary_maps(self, build):
-        cpx = build()
-        assert (cpx.boundary_1, cpx.boundary_2) == oracle_boundaries(cpx)
+        assert_maps_match_the_entry_sets(build())
 
     @pytest.mark.parametrize("which", ["v00_v10", "v01_v11", "v00_v01", "v10_v11"])
     def test_boundary_maps_refuse_a_first_endpoint_past_its_class(self, toric2, which):
@@ -284,9 +293,8 @@ class TestPackedRows:
         assert a == from_entries(a.rows, a.cols, entries)
         assert [(r, c) for r, row in enumerate(a.row_masks) for c in gf2.bits(row)] == \
             sorted(entries)
-        assert a.transpose() == from_entries(a.cols, a.rows, {(c, r) for r, c in entries})
-        assert a.transpose().transpose() == a
-        assert a.col_masks == a.transpose().row_masks
+        assert transpose(a) == from_entries(a.cols, a.rows, {(c, r) for r, c in entries})
+        assert transpose(transpose(a)) == a
         b = data.draw(matrices(rows=a.cols))
         expected = {(r, c) for r in range(a.rows) for c in range(b.cols)
                     if sum(a.row_masks[r] >> k & b.row_masks[k] >> c & 1 for k in range(a.cols)) % 2}

@@ -12,6 +12,7 @@ import qbp
 from qbp.decoder import _index_for
 from qbp.errors import PreconditionError, ValidationError
 from qbp.expansion import certify_expansion
+from qbp.gf2 import F2Matrix
 from qbp.graphs import GraphAction, build_bipartite
 from qbp.groups import cyclic_group, dihedral_group, trivial_action, trivial_group
 from qbp.instances import (
@@ -376,7 +377,7 @@ class TestSerialization:
             complex_from_json(obj)
 
     def test_edge_endpoint_outside_its_class(self):
-        # (z00, v10 + k) lands in boundary_2 on V01 qubit k's row; with (z00, k)
+        # (z00, v10 + k) lands in the V00 map on V01 qubit k's row; with (z00, k)
         # already a V00-V01 edge the chain condition still holds, so only the
         # endpoint check refuses it.
         cpx = hypergraph_product(random_bipartite(4, 3, 6, random.Random(5)),
@@ -453,8 +454,8 @@ CONFTEST_FAMILIES = ["toric2", "toric3", "match8", "star12", "incstar13"]
 
 
 class TestPackedMasks:
-    """Each graph packs its neighborhoods once (`masks0`, `masks1`); the V00
-    map's rows and the X decoder index's check masks are those of the
+    """Each graph packs its neighborhoods once (`masks0`, `masks1`); Hz's
+    columns and the X decoder index's check masks are those of the
     complex's subgraphs, so they share one copy."""
 
     @staticmethod
@@ -482,11 +483,12 @@ class TestPackedMasks:
     def test_v00_map_rows_are_the_x_index_masks(self, name, request):
         for kind, cpx in self.complexes(request.getfixturevalue(name)).items():
             idx = _index_for(cpx, "x")
-            rows = cpx.boundary_2.row_masks
+            hz = qbp.extract_code(cpx).hz
             shared = idx.v11_of_v01 + idx.v11_of_v10
-            assert rows == shared, kind
-            assert all(map(operator.is_, rows, shared)), kind
-            assert all(map(operator.is_, qbp.extract_code(cpx).hz.col_masks, shared)), kind
+            assert hz.col_masks == shared, kind
+            assert all(map(operator.is_, hz.col_masks, shared)), kind
+            # The seeded column view is the one the packed rows give.
+            assert F2Matrix(hz.rows, hz.cols, hz.row_masks).col_masks == shared, kind
 
     @pytest.mark.parametrize("name", CONFTEST_FAMILIES)
     def test_certificates_read_the_masks_unchanged(self, name, request):

@@ -205,8 +205,7 @@ class TestChainVerdictByProof:
     def test_building_and_loading_build_no_boundary_map(self, name):
         cpx = FAMILIES[name]()
         loaded = complex_from_json(complex_to_json(cpx))
-        assert "boundary_1" not in cpx.__dict__ and "boundary_2" not in cpx.__dict__
-        assert "boundary_1" not in loaded.__dict__ and "boundary_2" not in loaded.__dict__
+        assert "boundary_1" not in cpx.__dict__ and "boundary_1" not in loaded.__dict__
         assert_verdict_by_proof(cpx)
         assert_verdict_by_proof(loaded)
 
@@ -426,14 +425,26 @@ class TestLoaderRefusals:
         assert got[0] is None and any(got)
 
 
-PERTURBATIONS = ("drop_edge", "endpoint_out", "move_corner", "drop_face", "add_face")
+PERTURBATIONS = ("drop_edge", "endpoint_out", "move_corner", "drop_face", "add_face",
+                 "repeat_rep", "group_order")
 
 
 def perturb(cpx, kind, data):
     """A complex with one field changed by `dataclasses.replace`: an edge
-    dropped or moved out of its class, or a face dropped, added or moved at
-    one corner within its class."""
+    dropped or moved out of its class, a face dropped, added or moved at
+    one corner within its class, one orbit representative written over by
+    another of its class, or the group order replaced."""
     sizes = (cpx.v00_size, cpx.v10_size, cpx.v01_size, cpx.v11_size)
+    if kind == "repeat_rep":
+        cell = data.draw(st.sampled_from(["v00", "v10", "v01", "v11"]), label="cell")
+        reps = list(getattr(cpx, f"reps_{cell}"))
+        assume(len(reps) >= 2)
+        i, j = data.draw(st.lists(st.integers(0, len(reps) - 1), min_size=2, max_size=2,
+                                  unique=True), label="from, to")
+        reps[j] = reps[i]
+        return dataclasses.replace(cpx, **{f"reps_{cell}": tuple(reps)})
+    if kind == "group_order":
+        return dataclasses.replace(cpx, group_order=data.draw(st.integers(-2, 3), label="order"))
     if kind in ("drop_edge", "endpoint_out"):
         which = data.draw(st.sampled_from(sorted(_CLASS_SIZES)), label="class")
         edges = getattr(cpx, f"edges_{which}")
@@ -481,6 +492,41 @@ class TestHandBuiltComplexes:
         assert want == complex_to_json(cpx)
         assert verify_chain_condition(cpx).ok
         assert code.cpx is cpx and cpx.chain_check is True
+
+    def test_a_repeated_orbit_representative_is_refused(self):
+        cpx = toric_complex(3)
+        reps = cpx.reps_v00
+        broken = dataclasses.replace(cpx, reps_v00=(reps[0],) + reps[:-1])
+        message = "reps_v00[1] repeats the orbit representative [0, 0]"
+        assert outcome(complex_from_json, complex_to_json(broken)) == (ValidationError, message)
+        with pytest.raises(ValidationError) as refused:
+            extract_code(broken)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_a_group_order_below_one_is_refused(self, order):
+        broken = dataclasses.replace(toric_complex(3), group_order=order)
+        message = f"group_order must be positive, got {order}"
+        assert outcome(complex_from_json, complex_to_json(broken)) == (ValidationError, message)
+        with pytest.raises(ValidationError) as refused:
+            extract_code(broken)
+        assert str(refused.value) == message
+
+    def test_the_loader_order_holds_for_a_hand_built_complex(self):
+        # A repeated representative is named before a bad group order, and
+        # both before an edge check, as in a file.
+        cpx = toric_complex(3)
+        broken = dataclasses.replace(
+            cpx, reps_v11=cpx.reps_v11[:1] * 2 + cpx.reps_v11[2:], group_order=0,
+            edges_v10_v11=cpx.edges_v10_v11 - {min(cpx.edges_v10_v11)})
+        want = outcome(complex_from_json, complex_to_json(broken))
+        assert want == (ValidationError, "reps_v11[1] repeats the orbit representative [0, 0]")
+        with pytest.raises(ValidationError) as refused:
+            extract_code(broken)
+        assert (ValidationError, str(refused.value)) == want
+        broken = dataclasses.replace(broken, reps_v11=cpx.reps_v11)
+        with pytest.raises(ValidationError, match="group_order must be positive, got 0"):
+            extract_code(broken)
 
 
 # -- groups by formula ------------------------------------------------------------------
