@@ -3,11 +3,16 @@
 A graph is frozen, so its adjacency lists, its packed neighborhoods
 (`masks0`, `masks1`: one int per vertex, built in one pass over the edges)
 and its regularity verdict are derived once, on first use, and cached on
-that object; equal graphs built separately do not share them.  The V00
-map of a product, its decoder index and expansion certification read the
-masks and pack none of their own.  Edge invariance is checked on each
-call, not cached: a Cayley graph's translation action keeps its edges by
-associativity, so only a product of arbitrary factors needs the check.
+that object; equal graphs built separately do not share them.  Both sides'
+lists come from one builder, `adjacency_lists`, in one pass over the edges
+in ascending order, so each list grows in ascending order and none is
+sorted per vertex.  A graph feeds it its sorted edge set; the complex
+loader feeds it each edge class's rows as the file lists them, through
+`sorted`, which is linear on the ascending rows `complex_to_json` writes.
+The V00 map of a product, its decoder index and expansion certification
+read the masks and pack none of their own.  Edge invariance is checked on
+each call, not cached: a Cayley graph's translation action keeps its edges
+by associativity, so only a product of arbitrary factors needs the check.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .groups import FiniteGroup, GroupAction
 from .jsonio import _int_rows, _size_value
 
 _Violation = Optional[tuple[int, tuple[int, int]]]   # (g, edge), or None
+_Adjacency = tuple[tuple[int, ...], ...]              # one sorted list per vertex
 
 
 @dataclass(frozen=True)
@@ -33,20 +39,20 @@ class BipartiteGraph:
     edges: frozenset[tuple[int, int]]
 
     @cached_property
-    def adj0(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbor lists for V0 vertices."""
-        out: list[list[int]] = [[] for _ in range(self.v0_size)]
-        for x0, x1 in self.edges:
-            out[x0].append(x1)
-        return tuple(map(tuple, map(sorted, out)))
+    def adjacency(self) -> tuple[_Adjacency, _Adjacency]:
+        """(adj0, adj1), built once by `adjacency_lists` from the sorted
+        edges; a loaded complex seeds it from its file's rows."""
+        return adjacency_lists(self.v0_size, self.v1_size, sorted(self.edges))
 
     @cached_property
-    def adj1(self) -> tuple[tuple[int, ...], ...]:
+    def adj0(self) -> _Adjacency:
+        """Sorted neighbor lists for V0 vertices."""
+        return self.adjacency[0]
+
+    @cached_property
+    def adj1(self) -> _Adjacency:
         """Sorted neighbor lists for V1 vertices."""
-        out: list[list[int]] = [[] for _ in range(self.v1_size)]
-        for x0, x1 in self.edges:
-            out[x1].append(x0)
-        return tuple(map(tuple, map(sorted, out)))
+        return self.adjacency[1]
 
     @cached_property
     def masks0(self) -> tuple[int, ...]:
@@ -77,17 +83,41 @@ class BipartiteGraph:
         return RegularityProfile(*widths)
 
 
+def adjacency_lists(v0_size: int, v1_size: int,
+                    rows: Iterable[tuple[int, int]]) -> tuple[_Adjacency, _Adjacency]:
+    """Both sides' neighbor lists of the edges `rows`, in one pass.
+
+    `rows` must be distinct edges in ascending order with every endpoint in
+    range (the caller checks it: a negative endpoint would index from the
+    end).  Each V0 list then grows by ascending x1 and each V1 list by
+    ascending x0, so every list comes out sorted and none is sorted again.
+    """
+    out0: list[list[int]] = [[] for _ in range(v0_size)]
+    out1: list[list[int]] = [[] for _ in range(v1_size)]
+    for x0, x1 in rows:
+        out0[x0].append(x1)
+        out1[x1].append(x0)
+    return tuple(map(tuple, out0)), tuple(map(tuple, out1))
+
+
 def build_bipartite(v0_size: int, v1_size: int, edges: Iterable[tuple[int, int]]) -> BipartiteGraph:
     """Validated constructor; rejects non-int or out-of-range endpoints and
-    duplicates."""
+    duplicates.
+
+    One min and one max per column decide the endpoints, in C; only a bad
+    list is scanned edge by edge, for the first bad endpoint in list order.
+    """
     if v0_size < 0 or v1_size < 0:
         raise ValidationError(f"negative side sizes ({v0_size}, {v1_size})")
     edge_list = _int_rows(edges, "edges", 2)
-    for x0, x1 in edge_list:
-        if not 0 <= x0 < v0_size:
-            raise IndexError(f"edge endpoint {x0} outside V0 of size {v0_size}")
-        if not 0 <= x1 < v1_size:
-            raise IndexError(f"edge endpoint {x1} outside V1 of size {v1_size}")
+    x0s, x1s = tuple(zip(*edge_list)) or ((), ())
+    if (min(x0s, default=0) < 0 or max(x0s, default=-1) >= v0_size
+            or min(x1s, default=0) < 0 or max(x1s, default=-1) >= v1_size):
+        for x0, x1 in edge_list:
+            if not 0 <= x0 < v0_size:
+                raise IndexError(f"edge endpoint {x0} outside V0 of size {v0_size}")
+            if not 0 <= x1 < v1_size:
+                raise IndexError(f"edge endpoint {x1} outside V1 of size {v1_size}")
     edge_set = frozenset(edge_list)
     if len(edge_set) != len(edge_list):
         dupes = sorted(e for e, k in Counter(edge_list).items() if k > 1)

@@ -32,6 +32,15 @@ decoder's index of each side.  A cache is never shared between complexes; a
 reloaded complex builds its own.  The region diagnostics read the face
 index, and the loader's degree check reads the adjacency lengths.
 
+The loader seeds each subgraph's adjacency (`BipartiteGraph.adjacency`,
+both sides' neighbor lists) from the file's rows of that edge class, once
+the endpoints are checked, through `graphs.adjacency_lists`.  The rows go
+in through `sorted`, which is linear on the ascending rows
+`complex_to_json` writes and still right for any other order, so every
+list is built in ascending order and none is sorted per vertex.  The
+degree and face checks, the V00 map, the partitions, the region
+diagnostics and the decoder index all read these lists.
+
 The V11 map packs its rows in one pass over the two V11 classes, and the
 V00 map (`v00_map`, the code's Hz) one per V00 cell, in one pass over the
 two V00 classes' adjacency.  Every edge endpoint is checked once, on first
@@ -40,6 +49,7 @@ subgraph use (`_check_endpoints`), which both maps go through.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -49,7 +59,8 @@ from typing import Optional
 
 from .errors import InternalInvariantError, PreconditionError, ValidationError
 from .gf2 import F2Matrix
-from .graphs import BipartiteGraph, GraphAction, regularity, verify_edge_invariance
+from .graphs import (BipartiteGraph, GraphAction, adjacency_lists, regularity,
+                     verify_edge_invariance)
 from .groups import GroupAction, trivial_action, trivial_group, verify_free_action
 from .expansion import ExpansionCertificate
 from .jsonio import _first_repeat, _int_rows, _int_value
@@ -145,8 +156,8 @@ class BalancedProductComplex:
 
         Not cached: the code read off the complex keeps it as its Hz.  The
         rows are packed in one pass over the two V00 classes, read qubit by
-        qubit from the subgraphs' cached adjacency (which the loader's face
-        check has built), so every row grows from its low bits up; in
+        qubit from the subgraphs' cached adjacency (which the loader seeds
+        from the file's rows), so every row grows from its low bits up; in
         edge-set order rows would widen at random, leaving the allocator
         more freed blocks of odd sizes.  The column view is seeded with
         `v00_columns`, so the matrix shares them with the subgraphs and the
@@ -211,12 +222,12 @@ class BalancedProductComplex:
     def faces_at_qubit(self) -> tuple[dict[int, list[_Face]], dict[int, list[_Face]]]:
         """(by V10 cell, by V01 cell): the faces through each qubit, indexed
         once per complex, so a face scan can start from the qubits it needs."""
-        at10: dict[int, list[_Face]] = {}
-        at01: dict[int, list[_Face]] = {}
+        at10: defaultdict[int, list[_Face]] = defaultdict(list)
+        at01: defaultdict[int, list[_Face]] = defaultdict(list)
         for face in self.faces:
-            at10.setdefault(face[1], []).append(face)
-            at01.setdefault(face[2], []).append(face)
-        return at10, at01
+            at10[face[1]].append(face)
+            at01[face[2]].append(face)
+        return dict(at10), dict(at01)
 
     @cached_property
     def decoder_indexes(self) -> dict:    # side ("z", "x") -> index, filled by `decoder`
@@ -548,7 +559,9 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
     The edge endpoints are checked against their classes, the edges against
     the degrees when these are recorded, and the faces against the edges
     (`_check_complex`, which a hand-built complex runs too); the first check
-    that fails names the file's error.
+    that fails names the file's error.  Between the endpoint check and the
+    degree check, each subgraph's neighbor lists are seeded from the
+    file's rows (see the module docstring).
     Faces in one-to-one correspondence with both families of two-edge paths
     prove the chain condition, so the verdict is preset and no boundary map
     is built.
@@ -597,6 +610,10 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
         group_order=group_order,
         provenance=str(obj.get("provenance", "")),
     )
+    for which in SUBGRAPHS:             # the first use checks every edge endpoint
+        graph = cpx.subgraph(which)
+        graph.__dict__["adjacency"] = adjacency_lists(
+            graph.v0_size, graph.v1_size, sorted(rows[f"edges_{which}"]))
     _check_complex(cpx, faces)
     return _preset_chain_check(cpx)
 

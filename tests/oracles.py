@@ -14,6 +14,8 @@ benchmark op runs them, so they live here and not in the package:
 * `max_flow_integer`: integral max flow on a generic network, which
   `expansion.tree_partition` reproduces on vertex ids.
 * `verify_tree_partition`: every invariant of a tree partition, recomputed.
+* `adjacency_by_vertex_sort`: a graph's neighbor lists, appended in
+  edge-set order and sorted per vertex.
 * `transpose`: a matrix's transpose, read off its column view.
 * `transposed`: the dual complex, with V00 and V11 swapped.
 * `boundary_2`: the V00 map of a complex, rows indexed by qubits, the
@@ -42,10 +44,10 @@ from fixtures import from_entries
 
 __all__ = [
     "ChainCheck", "FlipCheck", "FlipReduction", "FlowNetwork", "MaxFlowResult",
-    "MinimalRepresentative", "TreePartitionAudit", "boundary_2", "flippable", "from_alist",
-    "greedy_flip_reduce", "is_locally_minimal", "mat_mul", "max_flow_integer",
-    "minimal_coset_representative", "reduce_by_pivot_scan", "solve", "transpose", "transposed",
-    "verify_chain_condition", "verify_tree_partition",
+    "MinimalRepresentative", "TreePartitionAudit", "adjacency_by_vertex_sort", "boundary_2",
+    "flippable", "from_alist", "greedy_flip_reduce", "is_locally_minimal", "mat_mul",
+    "max_flow_integer", "minimal_coset_representative", "reduce_by_pivot_scan", "solve",
+    "transpose", "transposed", "verify_chain_condition", "verify_tree_partition",
 ]
 
 Node = Hashable
@@ -443,6 +445,21 @@ def verify_tree_partition(
             break
     return TreePartitionAudit(disjoint, covering, within, leftover_ok,
                               majorization_ok=majorized, majorization_skipped=False)
+
+
+# -- graphs --------------------------------------------------------------------
+
+
+def adjacency_by_vertex_sort(graph: BipartiteGraph) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """(adj0, adj1) built edge by edge in edge-set order, then each vertex's
+    list sorted: the builder that `graphs.adjacency_lists` replaced."""
+    out0: list[list[int]] = [[] for _ in range(graph.v0_size)]
+    for x0, x1 in graph.edges:
+        out0[x0].append(x1)
+    out1: list[list[int]] = [[] for _ in range(graph.v1_size)]
+    for x0, x1 in graph.edges:
+        out1[x1].append(x0)
+    return tuple(map(tuple, map(sorted, out0))), tuple(map(tuple, map(sorted, out1)))
 
 
 # -- product -------------------------------------------------------------------

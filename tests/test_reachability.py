@@ -10,10 +10,16 @@ a reached class also reaches its bases, its decorators, its class-level
 statements and its dunder methods.  A module-level assignment is a
 definition of its target names.  Imports reach nothing, so `qbp.__init__`'s
 re-exports do not count.
+
+Being name-level, the walk counts a public method as reached whenever a
+namesake is; every public method that shares its short name with another
+public definition is therefore listed in SHARED with the command or bench
+function that calls it.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import oracles
@@ -45,6 +51,24 @@ KEEP = {
     "product.inherit_certificates": "lemma",
 }
 ROLES = {"lemma"}
+
+# Public methods whose short name another public definition also carries,
+# each with the command or bench function that calls it: that function must
+# reach both the method's class and its name.  A new collision fails until
+# it is listed.
+SHARED = {
+    "css.CssCode.weight": "cli.py:_cmd_code",
+    "decoder.DecodeResult.to_json": "cli.py:_cmd_decode",
+    "decoder.TraceStep.to_json": "cli.py:_cmd_decode",
+    "expansion.ExpansionCertificate.to_json": "cli.py:_cmd_certify",
+    "gf2.F2Vector.weight": "cli.py:_cmd_simulate",
+    "graphs.NonRegularReport.is_regular": "cli.py:_cmd_certify",
+    "graphs.RegularityProfile.is_regular": "cli.py:_cmd_certify",
+    "groups.FiniteGroup.from_table": "cli.py:_cmd_construct",
+    "groups.GroupAction.from_table": "cli.py:_cmd_construct",
+    "harness.ExperimentResult.to_json": "cli.py:_cmd_simulate",
+    "harness.TrialRecord.to_json": "cli.py:_cmd_simulate",
+}
 
 
 def body_names(node):
@@ -100,12 +124,16 @@ def bench_names():
 
 def reached(defs):
     """The qualified names reached from the roots."""
+    roots = {qual for qual in defs if qual.startswith("cli.")}
+    return roots | closure(defs, bench_names().union(*(defs[qual][1] for qual in roots)))
+
+
+def closure(defs, names):
+    """The qualified names that the identifiers `names` reach."""
     by_name = {}
     for qual, (name, _, _) in defs.items():
         by_name.setdefault(name, []).append(qual)
-    seen = {qual for qual in defs if qual.startswith("cli.")}
-    todo = list(bench_names().union(*(defs[qual][1] for qual in seen)))
-    done = set()
+    seen, todo, done = set(), list(names), set()
     while todo:
         name = todo.pop()
         if name not in done:
@@ -114,6 +142,15 @@ def reached(defs):
                 seen.add(qual)
                 todo.extend(defs[qual][1])
     return seen
+
+
+def site_names(site):
+    """The names used by the body of `site`, "file:function" for a function
+    of cli.py or a perfbench/ file."""
+    path, _, function = site.partition(":")
+    tree = ast.parse((SRC / path if path == "cli.py" else ROOT / path).read_text())
+    return body_names(next(node for node in tree.body
+                           if isinstance(node, ast.FunctionDef) and node.name == function))
 
 
 def test_every_public_name_is_reached_or_kept():
@@ -129,6 +166,20 @@ def test_keep_lists_only_unreached_names():
     assert [name for name in KEEP if name not in defs] == [], "KEEP names that no longer exist"
     assert [name for name in KEEP if name in seen] == [], "KEEP names that are now reached"
     assert set(KEEP.values()) <= ROLES
+
+
+def test_shared_names_are_listed_with_a_site_that_reaches_them():
+    defs = definitions()
+    public = {qual: name for qual, (name, _, is_public) in defs.items() if is_public}
+    uses = Counter(public.values())
+    shared = sorted(qual for qual, name in public.items()
+                    if qual.count(".") == 2 and uses[name] > 1)
+    assert shared == sorted(SHARED), "public methods that share a name: list them in SHARED"
+    for qual, site in SHARED.items():
+        assert site.split(":")[0] == "cli.py" or site.startswith("perfbench/"), site
+        seen = closure(defs, site_names(site))
+        module, cls, _ = qual.split(".")
+        assert qual in seen and f"{module}.{cls}" in seen, (qual, site)
 
 
 def test_walk_reaches_what_the_commands_run():
