@@ -6,9 +6,11 @@ and its regularity verdict are derived once, on first use, and cached on
 that object; equal graphs built separately do not share them.  Both sides'
 lists come from one builder, `adjacency_lists`, in one pass over the edges
 in ascending order, so each list grows in ascending order and none is
-sorted per vertex.  A graph feeds it its sorted edge set; the complex
-loader feeds it each edge class's rows as the file lists them, through
-`sorted`, which is linear on the ascending rows `complex_to_json` writes.
+sorted per vertex.  A graph sorts its edge set for it by V1 end and then,
+stably, by V0 end: two sorts on int keys are faster than one on the
+pairs.  The complex loader seeds each subgraph instead
+(`seed_adjacency`) from its file's rows of that class, through `sorted`,
+which is linear on the ascending rows `complex_to_json` writes.
 The V00 map of a product, its decoder index and expansion certification
 read the masks and pack none of their own.  Edge invariance is checked on
 each call, not cached: a Cayley graph's translation action keeps its edges
@@ -20,6 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 from .errors import ValidationError
@@ -40,16 +43,19 @@ class BipartiteGraph:
 
     @cached_property
     def adjacency(self) -> tuple[_Adjacency, _Adjacency]:
-        """(adj0, adj1), built once by `adjacency_lists` from the sorted
-        edges; a loaded complex seeds it from its file's rows."""
-        return adjacency_lists(self.v0_size, self.v1_size, sorted(self.edges))
+        """(adj0, adj1), built once by `adjacency_lists` from the edges,
+        sorted by V1 end and then, stably, by V0 end; a loaded complex seeds
+        it from its file's rows (`seed_adjacency`)."""
+        rows = sorted(self.edges, key=itemgetter(1))
+        rows.sort(key=itemgetter(0))
+        return adjacency_lists(self.v0_size, self.v1_size, rows)
 
-    @cached_property
+    @property
     def adj0(self) -> _Adjacency:
         """Sorted neighbor lists for V0 vertices."""
         return self.adjacency[0]
 
-    @cached_property
+    @property
     def adj1(self) -> _Adjacency:
         """Sorted neighbor lists for V1 vertices."""
         return self.adjacency[1]
@@ -100,24 +106,28 @@ def adjacency_lists(v0_size: int, v1_size: int,
     return tuple(map(tuple, out0)), tuple(map(tuple, out1))
 
 
+def seed_adjacency(graph: BipartiteGraph, rows: Iterable[tuple[int, int]]) -> None:
+    """Store the adjacency of `graph` built from `rows`, its edges listed in
+    any order, so the graph never sorts its edge set.
+
+    The caller has checked that `rows` are distinct and in range.  They go
+    in through `sorted`, linear on rows that are already ascending.
+    """
+    graph.__dict__[BipartiteGraph.adjacency.attrname] = adjacency_lists(
+        graph.v0_size, graph.v1_size, sorted(rows))
+
+
 def build_bipartite(v0_size: int, v1_size: int, edges: Iterable[tuple[int, int]]) -> BipartiteGraph:
     """Validated constructor; rejects non-int or out-of-range endpoints and
-    duplicates.
-
-    One min and one max per column decide the endpoints, in C; only a bad
-    list is scanned edge by edge, for the first bad endpoint in list order.
-    """
+    duplicates."""
     if v0_size < 0 or v1_size < 0:
         raise ValidationError(f"negative side sizes ({v0_size}, {v1_size})")
     edge_list = _int_rows(edges, "edges", 2)
-    x0s, x1s = tuple(zip(*edge_list)) or ((), ())
-    if (min(x0s, default=0) < 0 or max(x0s, default=-1) >= v0_size
-            or min(x1s, default=0) < 0 or max(x1s, default=-1) >= v1_size):
-        for x0, x1 in edge_list:
-            if not 0 <= x0 < v0_size:
-                raise IndexError(f"edge endpoint {x0} outside V0 of size {v0_size}")
-            if not 0 <= x1 < v1_size:
-                raise IndexError(f"edge endpoint {x1} outside V1 of size {v1_size}")
+    for x0, x1 in edge_list:
+        if not 0 <= x0 < v0_size:
+            raise IndexError(f"edge endpoint {x0} outside V0 of size {v0_size}")
+        if not 0 <= x1 < v1_size:
+            raise IndexError(f"edge endpoint {x1} outside V1 of size {v1_size}")
     edge_set = frozenset(edge_list)
     if len(edge_set) != len(edge_list):
         dupes = sorted(e for e, k in Counter(edge_list).items() if k > 1)

@@ -34,10 +34,11 @@ index, and the loader's degree check reads the adjacency lengths.
 
 The loader seeds each subgraph's adjacency (`BipartiteGraph.adjacency`,
 both sides' neighbor lists) from the file's rows of that edge class, once
-the endpoints are checked, through `graphs.adjacency_lists`.  The rows go
+the endpoints are checked, through `graphs.seed_adjacency`.  The rows go
 in through `sorted`, which is linear on the ascending rows
 `complex_to_json` writes and still right for any other order, so every
-list is built in ascending order and none is sorted per vertex.  The
+list is built in ascending order and none is sorted per vertex.  A built
+complex's subgraphs sort their own edge sets on first use.  The
 degree and face checks, the V00 map, the partitions, the region
 diagnostics and the decoder index all read these lists.
 
@@ -49,7 +50,6 @@ subgraph use (`_check_endpoints`), which both maps go through.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -59,7 +59,7 @@ from typing import Optional
 
 from .errors import InternalInvariantError, PreconditionError, ValidationError
 from .gf2 import F2Matrix
-from .graphs import (BipartiteGraph, GraphAction, adjacency_lists, regularity,
+from .graphs import (BipartiteGraph, GraphAction, regularity, seed_adjacency,
                      verify_edge_invariance)
 from .groups import GroupAction, trivial_action, trivial_group, verify_free_action
 from .expansion import ExpansionCertificate
@@ -222,12 +222,12 @@ class BalancedProductComplex:
     def faces_at_qubit(self) -> tuple[dict[int, list[_Face]], dict[int, list[_Face]]]:
         """(by V10 cell, by V01 cell): the faces through each qubit, indexed
         once per complex, so a face scan can start from the qubits it needs."""
-        at10: defaultdict[int, list[_Face]] = defaultdict(list)
-        at01: defaultdict[int, list[_Face]] = defaultdict(list)
+        at10: dict[int, list[_Face]] = {}
+        at01: dict[int, list[_Face]] = {}
         for face in self.faces:
-            at10[face[1]].append(face)
-            at01[face[2]].append(face)
-        return dict(at10), dict(at01)
+            at10.setdefault(face[1], []).append(face)
+            at01.setdefault(face[2], []).append(face)
+        return at10, at01
 
     @cached_property
     def decoder_indexes(self) -> dict:    # side ("z", "x") -> index, filled by `decoder`
@@ -611,9 +611,7 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
         provenance=str(obj.get("provenance", "")),
     )
     for which in SUBGRAPHS:             # the first use checks every edge endpoint
-        graph = cpx.subgraph(which)
-        graph.__dict__["adjacency"] = adjacency_lists(
-            graph.v0_size, graph.v1_size, sorted(rows[f"edges_{which}"]))
+        seed_adjacency(cpx.subgraph(which), rows[f"edges_{which}"])
     _check_complex(cpx, faces)
     return _preset_chain_check(cpx)
 

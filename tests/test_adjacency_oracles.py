@@ -1,7 +1,8 @@
 """The loader's neighbor lists against the per-vertex sort they replaced.
 
 `complex_from_json` seeds each subgraph's adjacency from the file's rows of
-that edge class, in one ordered pass (`graphs.adjacency_lists`); the oracle
+that edge class, in one ordered pass (`graphs.seed_adjacency`), and a built
+complex's subgraphs sort their own edge sets for the same pass; the oracle
 `adjacency_by_vertex_sort` appends edge by edge in edge-set order and sorts
 each vertex's list.  The files here list every edge class and the faces in
 a shuffled order, so the loader's `sorted` does real work, and a broken file
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbp import product
+from qbp import graphs
 from qbp.errors import ValidationError
 from qbp.graphs import BipartiteGraph
 from qbp.groups import cyclic_group
@@ -25,6 +26,7 @@ from qbp.product import SUBGRAPHS, complex_from_json, complex_to_json, hypergrap
 from fixtures import random_bipartite
 from oracles import adjacency_by_vertex_sort
 
+ADJACENCY = BipartiteGraph.adjacency.attrname
 SHUFFLED = tuple(f"edges_{which}" for which in SUBGRAPHS) + ("faces",)
 
 # The conftest families, then more star and incidence-star products.
@@ -108,7 +110,7 @@ class TestLoadedAdjacency:
     def test_subgraphs_hold_their_lists_when_the_loader_returns(self, obj):
         cpx = complex_from_json(obj)
         for which in SUBGRAPHS:
-            held = vars(cpx.subgraph(which)).get("adjacency")
+            held = vars(cpx.subgraph(which)).get(ADJACENCY)
             assert held == oracle_lists(obj, which), which
 
     @pytest.mark.parametrize("obj", [
@@ -119,18 +121,18 @@ class TestLoadedAdjacency:
     def test_loader_seeds_the_lists_from_the_sorted_rows(self, obj, monkeypatch):
         # Each class's lists are the builder's output for that class's rows,
         # sorted, and no subgraph derives them again from its edge set.
-        made, build = [], product.adjacency_lists
+        made, build = [], graphs.adjacency_lists
 
         def recording(v0_size, v1_size, rows):
             made.append((rows, build(v0_size, v1_size, rows)))
             return made[-1][1]
 
-        monkeypatch.setattr(product, "adjacency_lists", recording)
+        monkeypatch.setattr(graphs, "adjacency_lists", recording)
         cpx = complex_from_json(obj)
         assert len(made) == len(SUBGRAPHS)
         for which, (rows, lists) in zip(SUBGRAPHS, made):
             assert rows == sorted(map(tuple, obj[f"edges_{which}"]))
-            assert vars(cpx.subgraph(which))["adjacency"] is lists
+            assert vars(cpx.subgraph(which))[ADJACENCY] is lists
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_built_complexes_derive_the_same_lists(self, name):
@@ -138,9 +140,8 @@ class TestLoadedAdjacency:
         cpx = FAMILIES[name]()
         for which in SUBGRAPHS:
             graph = cpx.subgraph(which)
-            assert "adjacency" not in vars(graph)
+            assert ADJACENCY not in vars(graph)
             assert (graph.adj0, graph.adj1) == adjacency_by_vertex_sort(graph)
-            assert graph.adj0 is graph.adjacency[0] and graph.adj1 is graph.adjacency[1]
 
 
 class TestRefusalsUnchanged:

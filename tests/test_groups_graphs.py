@@ -139,15 +139,10 @@ class TestBipartite:
     ], ids=["low_v0", "high_v0", "low_v1", "high_v1", "v1_then_v0",
             "v0_of_an_edge_bad_at_both_ends"])
     def test_out_of_range_names_the_first_bad_edge_in_list_order(self, edges, message):
-        # The column bounds decide that some endpoint is bad; the message
-        # still names the first bad edge as listed, its V0 end first.
+        # The message names the first bad edge as listed, its V0 end first.
         with pytest.raises(IndexError) as exc:
             build_bipartite(2, 2, edges)
         assert str(exc.value) == message
-
-    def test_empty_sides_and_edges_accepted(self):
-        assert build_bipartite(0, 0, []).edges == frozenset()
-        assert build_bipartite(0, 3, []).adj1 == ((), (), ())
 
     def test_path_non_regular_report(self):
         # Four-vertex path 0-0'-1-1': vertex 1 on side 0 has degree 2.
