@@ -2,9 +2,10 @@
 
     python3 bench/scale.py --out BENCH.json
 
-For each L in 16, 32, 64, 128 the script runs one fresh interpreter on
-`toric_complex(L)` (n = 2L^2 qubits), so that each size's `ru_maxrss` is
-its own peak, and times these stages one after the other:
+For each L in 16, 32, 64, 128 the script runs `toric_complex(L)` (n = 2L^2
+qubits) RUNS = 3 times, in rounds over the sizes, each run in a fresh
+interpreter, so that each run's `ru_maxrss` is its own peak.  Each run
+times these stages one after the other:
 
 * `build_s`: `toric_complex(L)`
 * `dump_s`: `complex_to_json` plus `canonical_dumps`, the bytes
@@ -19,10 +20,18 @@ The errors are i.i.d. Z errors at p = 1/100, drawn from `random.Random`
 seeded by L, and decoded at epsilon = 1/30.  For the later
 decodes the script also records the initial syndrome weight and the sums
 of `DecodeResult`'s counters, each also per syndrome bit, since at fixed p
-the syndrome grows with n.  Each stage's log-log exponent in n is the
-least-squares slope over the sizes.  The report is written in canonical
-JSON (`qbp.jsonio.canonical_dumps`).  Nothing is gated: wall times and
-RSS depend on the host, so they show a trajectory, not a bound.
+the syndrome grows with n.  Once its peak RSS is read, a run also counts
+the bits and ints each packed structure holds (`sizes.held_sizes`): those
+counts are exact, so they are the same in every run.
+
+A rung reports each stage's and RSS reading's median over its runs and
+their min-max range; the decode counters and held sizes come from its
+first run.  Each stage's log-log exponent in n is the least-squares slope
+of the medians over the sizes, and each held structure's is that of its
+bits.  The report is written in canonical JSON
+(`qbp.jsonio.canonical_dumps`).  Nothing is gated here: wall times and RSS
+depend on the host, so they show a trajectory, not a bound; the held
+sizes' exponents are bounded by `tests/test_bench_scale.py`.
 
 Only the standard library and `qbp` are used; `qbp` is imported from the
 `src` directory next to this script.
@@ -43,16 +52,18 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-sys.path.insert(0, str(SRC))
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
 from qbp import css, decoder, instances, jsonio, product  # noqa: E402
 from qbp.gf2 import F2Vector  # noqa: E402
+from sizes import held_sizes  # noqa: E402
 
 P = Fraction(1, 100)
 EPSILON = Fraction(1, 30)
 DECODES = 30
 SIZES = (16, 32, 64, 128)
+RUNS = 3
 STAGES = ("build_s", "dump_s", "load_s", "extract_s", "first_decode_s", "decode_p50_s")
 COUNTERS = ("iterations", "stale_pops", "preprocess_vertices_scanned",
             "preprocess_subsets_tested")
@@ -124,7 +135,8 @@ def measure_rung(length: int) -> dict:
         for name in COUNTERS:
             sums[name] += getattr(result, name)
     times["decode_p50_s"] = statistics.median(walls)
-    rss["decodes"] = _rss_mib()
+    rss["decodes"] = peak = _rss_mib()
+    held = held_sizes(loaded, code)     # may build more, so after the peak is read
     del code, loaded
 
     return {
@@ -132,7 +144,8 @@ def measure_rung(length: int) -> dict:
         **counts,
         "stages_s": times,
         "rss_after_mib": rss,
-        "peak_rss_mib": _rss_mib(),
+        "peak_rss_mib": peak,
+        "held": held,
         "decodes": {
             "outcomes": outcomes,
             "syndrome_bits": syndrome_bits,
@@ -166,19 +179,53 @@ def _rounded(value):
     return value
 
 
+def _median_range(readings: list[dict]) -> tuple[dict, dict]:
+    """Per key of the runs' readings: the median, and the [min, max] range."""
+    medians, ranges = {}, {}
+    for key in readings[0]:
+        values = [reading[key] for reading in readings]
+        medians[key] = statistics.median(values)
+        ranges[key] = [min(values), max(values)]
+    return medians, ranges
+
+
+def merge_runs(runs: list[dict]) -> dict:
+    """One rung from its runs: each stage's and RSS reading's median and
+    range; the exact counts, the same in every run, from the first."""
+    first = runs[0]
+    stages, stage_ranges = _median_range([run["stages_s"] for run in runs])
+    rss, rss_ranges = _median_range([run["rss_after_mib"] for run in runs])
+    peaks = [run["peak_rss_mib"] for run in runs]
+    return {
+        **{key: first[key] for key in ("L", "cells", "edges", "faces", "n")},
+        "runs": len(runs),
+        "stages_s": stages,
+        "stages_range_s": stage_ranges,
+        "rss_after_mib": rss,
+        "rss_after_range_mib": rss_ranges,
+        "peak_rss_mib": statistics.median(peaks),
+        "peak_rss_range_mib": [min(peaks), max(peaks)],
+        "held": first["held"],
+        "decodes": first["decodes"],
+    }
+
+
 def report(rungs: list[dict]) -> dict:
     exponents = {stage: exponent([(r["n"], r["stages_s"][stage]) for r in rungs])
                  for stage in STAGES}
     exponents["peak_rss_mib"] = exponent([(r["n"], r["peak_rss_mib"]) for r in rungs])
+    held = {name: exponent([(r["n"], r["held"][name]["bits"]) for r in rungs])
+            for name in rungs[0]["held"]}
     return _rounded({
         "ladder": "toric_complex(L)",
-        "config": {"sizes": [r["L"] for r in rungs], "decodes": DECODES,
-                   "p": [P.numerator, P.denominator],
+        "config": {"sizes": [r["L"] for r in rungs], "runs": rungs[0]["runs"],
+                   "decodes": DECODES, "p": [P.numerator, P.denominator],
                    "epsilon": [EPSILON.numerator, EPSILON.denominator]},
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "system": platform.system()},
         "rungs": rungs,
         "exponents_in_n": exponents,
+        "held_bits_exponents_in_n": held,
     })
 
 
@@ -193,15 +240,17 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.out is None:
         parser.error("--out is required")
-    rungs = []
-    for length in SIZES:
-        done = subprocess.run([sys.executable, __file__, "--rung", str(length)],
-                              check=True, capture_output=True, text=True)
-        rung = json.loads(done.stdout)
-        rungs.append(rung)
-        stages = "  ".join(f"{stage} {rung['stages_s'][stage]:.4g}" for stage in STAGES)
-        print(f"L={length} n={rung['n']}  {stages}  peak {rung['peak_rss_mib']:.1f} MiB",
-              file=sys.stderr)
+    runs: dict[int, list[dict]] = {length: [] for length in SIZES}
+    for round_ in range(1, RUNS + 1):
+        for length in SIZES:
+            done = subprocess.run([sys.executable, __file__, "--rung", str(length)],
+                                  check=True, capture_output=True, text=True)
+            run = json.loads(done.stdout)
+            runs[length].append(run)
+            stages = "  ".join(f"{stage} {run['stages_s'][stage]:.4g}" for stage in STAGES)
+            print(f"run {round_}/{RUNS} L={length} n={run['n']}  {stages}  "
+                  f"peak {run['peak_rss_mib']:.1f} MiB", file=sys.stderr)
+    rungs = [merge_runs(runs[length]) for length in SIZES]
     Path(args.out).write_text(jsonio.canonical_dumps(report(rungs)))
     return 0
 

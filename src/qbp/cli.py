@@ -118,7 +118,7 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         return 1
     started = time.time()
     try:
-        result, inputs, out_path = _COMMANDS[args.command](args)
+        result, digests, out_path = _COMMANDS[args.command](args)
     except (ValidationError, BudgetExceededError, OracleUnavailableError,
             ValueError, IndexError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -128,7 +128,7 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         return 2
     if result is None:
         return 0             # the command already streamed its output
-    result["provenance"] = jsonio.provenance_block(inputs, _config_echo(args))
+    result["provenance"] = jsonio.provenance_block(digests, _config_echo(args))
     if out_path:
         try:
             jsonio.write_result(out_path, result, {"wall_seconds": time.time() - started})
@@ -173,6 +173,13 @@ def _load_vector(path: str) -> F2Vector:
     return F2Vector.from_support(_size_value(length, "vector length"), indices)
 
 
+def _digests(inputs: dict[str, str]) -> dict[str, str]:
+    """Each input file's SHA-256 by name: a command hashes each input file
+    once, for its provenance block and any file it writes them into."""
+    by_path = {path: jsonio.file_digest(path) for path in set(inputs.values())}
+    return {name: by_path[path] for name, path in inputs.items()}
+
+
 def _load_code(path: str) -> css.CssCode:
     """The CSS code of the complex in the file at `path`."""
     return css.extract_code(product.complex_from_json(_load_json(path)))
@@ -206,8 +213,7 @@ def _cmd_construct(args) -> tuple[dict, dict, Optional[str]]:
     # The builder's verdict holds by proof (see `product.balanced_product`).
     print("chain condition: pass")
     payload = product.complex_to_json(cpx)
-    payload["provenance_files"] = {name: jsonio.file_digest(path)
-                                   for name, path in inputs.items()}
+    payload["provenance_files"] = digests = _digests(inputs)
     Path(args.out).write_text(jsonio.canonical_dumps(payload))
     summary = {
         "written": args.out,
@@ -216,7 +222,7 @@ def _cmd_construct(args) -> tuple[dict, dict, Optional[str]]:
         "faces": len(cpx.faces),
         "chain_condition": "pass",
     }
-    return summary, inputs, None
+    return summary, digests, None
 
 
 def _cmd_certify(args) -> tuple[dict, dict, Optional[str]]:
@@ -225,13 +231,14 @@ def _cmd_certify(args) -> tuple[dict, dict, Optional[str]]:
         graph, args.side, parse_rational(args.c), parse_rational(args.epsilon),
         mode=args.mode, trials=args.trials, seed=args.seed, budget=args.budget,
     )
-    return cert.to_json(), {"graph": args.graph}, args.out
+    return cert.to_json(), _digests({"graph": args.graph}), args.out
 
 
 def _cmd_code(args) -> tuple[Optional[dict], dict, Optional[str]]:
     code = _load_code(args.complex)
     params = css.code_params(code)
-    manifest = css.export_manifest(code, params, {"complex": jsonio.file_digest(args.complex)})
+    digests = _digests({"complex": args.complex})
+    manifest = css.export_manifest(code, params, digests)
     if args.out_prefix:
         prefix = Path(args.out_prefix)
         (prefix.parent or Path(".")).mkdir(parents=True, exist_ok=True)
@@ -242,8 +249,8 @@ def _cmd_code(args) -> tuple[Optional[dict], dict, Optional[str]]:
     elif args.format == "alist":
         sys.stdout.write(gf2.to_alist(code.hx))
         sys.stdout.write(gf2.to_alist(code.hz))
-        return None, {"complex": args.complex}, None
-    return manifest, {"complex": args.complex}, None
+        return None, digests, None
+    return manifest, digests, None
 
 
 def _cmd_distance(args) -> tuple[dict, dict, Optional[str]]:
@@ -259,20 +266,23 @@ def _cmd_distance(args) -> tuple[dict, dict, Optional[str]]:
     known = [d for d in ds if d is not None]
     out["d"] = min(known) if len(known) == len(sides) and known else None
     out["budget"] = args.budget
-    return out, {"complex": args.complex}, args.out
+    return out, _digests({"complex": args.complex}), args.out
 
 
 def _cmd_decode(args) -> tuple[dict, dict, Optional[str]]:
     # The decoder reads the complex alone, so no code is extracted.
     cpx = product.complex_from_json(_load_json(args.complex))
     syndrome = _load_vector(args.syndrome)
-    config = decoder.DecoderConfig(epsilon=parse_rational(args.epsilon), iteration_cap=args.cap)
+    # Nothing written reads the per-step flip sets, so none are kept.
+    config = decoder.DecoderConfig(epsilon=parse_rational(args.epsilon), iteration_cap=args.cap,
+                                   keep_flip_sets=False)
     decode = decoder.decode if args.side == "z" else decoder.decode_x
     result = decode(cpx, syndrome, config)
     if args.trace:
         with open(args.trace, "w") as fh:
             fh.writelines(json.dumps(step.to_json(), sort_keys=True) + "\n" for step in result.trace)
-    return result.to_json(), {"complex": args.complex, "syndrome": args.syndrome}, args.out
+    inputs = {"complex": args.complex, "syndrome": args.syndrome}
+    return result.to_json(), _digests(inputs), args.out
 
 
 def _cmd_simulate(args) -> tuple[dict, dict, Optional[str]]:
@@ -288,7 +298,7 @@ def _cmd_simulate(args) -> tuple[dict, dict, Optional[str]]:
     result = harness.run_simulation(code, config)
     payload = result.to_json()
     payload["config"] = config.echo()
-    return payload, {"complex": args.complex}, args.out
+    return payload, _digests({"complex": args.complex}), args.out
 
 
 def _cmd_diagnose(args) -> tuple[dict, dict, Optional[str]]:
@@ -329,7 +339,7 @@ def _cmd_diagnose(args) -> tuple[dict, dict, Optional[str]]:
         "chain_ok": report.chain_ok,
         "per_vertex": {str(k): v for k, v in sorted(report.per_vertex.items())},
     }
-    return payload, {"complex": args.complex, "error": args.error}, args.out
+    return payload, _digests({"complex": args.complex, "error": args.error}), args.out
 
 
 _COMMANDS = {

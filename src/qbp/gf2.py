@@ -3,9 +3,10 @@
 Vectors are stored as support sets.  A matrix is its shape plus one packed
 bit row per row, carried in a Python integer (bit c of row r is entry
 (r, c)); column views, matrix-vector products and elimination all work on
-those rows.  Rank, row spaces and kernels share one elimination kernel,
-`_eliminate`, whose reduced row echelon form is unique: the map
-{pivot bit: reduced row}.
+those rows.  Every packed row in the package comes from one packer, `pack`,
+which sets each row's bits from the highest down.  Rank, row spaces and
+kernels share one elimination kernel, `_eliminate`, whose reduced row
+echelon form is unique: the map {pivot bit: reduced row}.
 A matrix caches that map once, as a `RowSpace` with the OR of its pivot
 bits, and rank, kernel, row space and membership all read that one object.
 Reducing a vector modulo a row space takes one AND with the pivot mask and
@@ -104,12 +105,7 @@ class F2Matrix:
 
     @cached_property
     def col_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.cols
-        for r, m in enumerate(self.row_masks):
-            bit = 1 << r
-            for c in bits(m):
-                masks[c] |= bit
-        return tuple(masks)
+        return pack(self.cols, [*map(bits, self.row_masks)])
 
     # -- simple queries ---------------------------------------------------
 
@@ -128,6 +124,24 @@ class F2Matrix:
 def _check_shape(rows: int, cols: int) -> None:
     if rows < 0 or cols < 0:
         raise ShapeError(f"negative matrix shape {rows}x{cols}")
+
+
+def pack(size: int, lists: Sequence[Iterable[int]]) -> tuple[int, ...]:
+    """`size` packed rows: bit i of row z is set for every z in lists[i].
+
+    The one packer of bit rows (graph masks, Hx, Hz, column views, kernel
+    bases).  Bits are set for i descending, so each row is allocated at its
+    full width by its first OR, and every later OR frees a block of the size
+    the next one needs.  Set in ascending or edge-set order, wide rows widen
+    step by step and leave the allocator freed blocks too small to reuse.
+    Each z must be in range(size): a negative one would index from the end.
+    """
+    rows = [0] * size
+    for i in reversed(range(len(lists))):
+        zs, bit = lists[i], 1 << i
+        for z in zs:
+            rows[z] |= bit
+    return tuple(rows)
 
 
 def _eliminate(masks: Iterable[int]) -> dict[int, int]:
@@ -151,16 +165,15 @@ def _eliminate(masks: Iterable[int]) -> dict[int, int]:
                 break
             m ^= row
     lows = sorted(pivots)
-    above = 0                            # the pivot bits already reduced
+    others = sum(lows)                   # a row holds no pivot bit below its own
     for low in reversed(lows):
         row = pivots[low]
-        hit = row & above
+        hit = row & others ^ low         # the higher pivot bits, already reduced
         while hit:
             h = hit & -hit
             row ^= pivots[h]
             hit ^= h
         pivots[low] = row
-        above |= low
     return {low: pivots[low] for low in lows}
 
 
@@ -194,14 +207,11 @@ def kernel_masks(a: F2Matrix) -> list[int]:
     echelon order: one vector per free column, by ascending free column.
 
     The vector of free column f is f plus every pivot column whose pivot row
-    holds f.
+    holds f: `pack` sets bit f in row f and bit p in the rows of the free
+    columns pivot row p holds, so the pivot columns' rows stay empty.
     """
-    vectors = [1 << f for f in range(a.cols)]
-    for low, row in a._echelon.pivots.items():
-        vectors[low.bit_length() - 1] = 0
-        for f in bits(row ^ low):
-            vectors[f] |= low
-    return [v for v in vectors if v]
+    held = {low.bit_length() - 1: bits(row ^ low) for low, row in a._echelon.pivots.items()}
+    return [v for v in pack(a.cols, [held.get(c, (c,)) for c in range(a.cols)]) if v]
 
 
 @dataclass(frozen=True)
@@ -293,13 +303,10 @@ def span_planes(masks: Sequence[int], coords: Iterable[int]) -> SpanPlanes:
     # Bit j of index[i] is bit i of j: alternating runs of 2^i zeros and ones.
     index = [full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
              for i in range(b)]
-    columns: dict[int, int] = {}         # coordinate -> the masks holding it
-    for i, m in enumerate(masks):
-        for q in bits(m):
-            columns[q] = columns.get(q, 0) | 1 << i
+    columns = pack(max(map(int.bit_length, masks), default=0), [*map(bits, masks)])
     low, high = [], []
     for q in coords:
-        col = columns.get(q, 0)
+        col = columns[q] if q < len(columns) else 0
         plane = 0
         for i in bits(col & (width - 1)):
             plane ^= index[i]

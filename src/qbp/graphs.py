@@ -1,17 +1,17 @@
 """Bipartite graphs, biregularity, neighbors, and bipartite Cayley graphs.
 
 A graph is frozen, so its adjacency lists, its packed neighborhoods
-(`masks0`, `masks1`: one int per vertex, built in one pass over the edges)
-and its regularity verdict are derived once, on first use, and cached on
-that object; equal graphs built separately do not share them.  Both sides'
-lists come from one builder, `adjacency_lists`, in one pass over the edges
-in ascending order, so each list grows in ascending order and none is
-sorted per vertex.  A graph sorts its edge set for it by V1 end and then,
+(`masks0`, `masks1`: one int per vertex, packed by `gf2.pack` from the
+other side's lists) and its regularity verdict are derived once, on first
+use, and cached on that object; equal graphs built separately do not share
+them.  Both sides' lists come from one builder, `adjacency_lists`, in one
+pass over the edges in ascending order, so each list grows in ascending
+order and none is sorted per vertex.  A graph sorts its edge set for it by V1 end and then,
 stably, by V0 end: two sorts on int keys are faster than one on the
 pairs.  The complex loader seeds each subgraph instead
 (`seed_adjacency`) from its file's rows of that class, through `sorted`,
 which is linear on the ascending rows `complex_to_json` writes.
-The V00 map of a product, its decoder index and expansion certification
+The V00 map's column view, the decoder index and expansion certification
 read the masks and pack none of their own.  Edge invariance is checked on
 each call, not cached: a Cayley graph's translation action keeps its edges
 by associativity, so only a product of arbitrary factors needs the check.
@@ -26,6 +26,7 @@ from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 from .errors import ValidationError
+from .gf2 import pack
 from .groups import FiniteGroup, GroupAction
 from .jsonio import _int_rows, _size_value
 
@@ -63,18 +64,12 @@ class BipartiteGraph:
     @cached_property
     def masks0(self) -> tuple[int, ...]:
         """Packed neighborhoods of V0: bit x1 of masks0[x0] marks edge (x0, x1)."""
-        out = [0] * self.v0_size
-        for x0, x1 in self.edges:
-            out[x0] |= 1 << x1
-        return tuple(out)
+        return pack(self.v0_size, self.adj1)
 
     @cached_property
     def masks1(self) -> tuple[int, ...]:
         """Packed neighborhoods of V1: bit x0 of masks1[x1] marks edge (x0, x1)."""
-        out = [0] * self.v1_size
-        for x0, x1 in self.edges:
-            out[x1] |= 1 << x0
-        return tuple(out)
+        return pack(self.v1_size, self.adj0)
 
     @cached_property
     def regularity_profile(self) -> Union["RegularityProfile", "NonRegularReport"]:

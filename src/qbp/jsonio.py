@@ -197,10 +197,10 @@ def file_digest(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def provenance_block(inputs: dict[str, str | Path], config_echo: dict) -> dict:
+def provenance_block(digests: dict[str, str], config_echo: dict) -> dict:
     return {
         "tool_version": TOOL_VERSION,
-        "inputs": {str(name): file_digest(path) for name, path in inputs.items()},
+        "inputs": dict(digests),
         "config": config_echo,
     }
 

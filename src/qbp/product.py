@@ -42,10 +42,11 @@ complex's subgraphs sort their own edge sets on first use.  The
 degree and face checks, the V00 map, the partitions, the region
 diagnostics and the decoder index all read these lists.
 
-The V11 map packs its rows in one pass over the two V11 classes, and the
-V00 map (`v00_map`, the code's Hz) one per V00 cell, in one pass over the
-two V00 classes' adjacency.  Every edge endpoint is checked once, on first
-subgraph use (`_check_endpoints`), which both maps go through.
+Both boundary maps, the V11 map (Hx) and the V00 map (`v00_map`, the
+code's Hz), are packed by `gf2.pack` from the subgraphs' adjacency, each
+qubit's cells in turn, so every row is set from its highest bit down.  Every
+edge endpoint is checked once, on first subgraph use (`_check_endpoints`),
+which both maps go through.
 """
 
 from __future__ import annotations
@@ -53,12 +54,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from operator import itemgetter, mul
 from typing import Optional
 
 from .errors import InternalInvariantError, PreconditionError, ValidationError
-from .gf2 import F2Matrix
+from .gf2 import F2Matrix, pack
 from .graphs import (BipartiteGraph, GraphAction, regularity, seed_adjacency,
                      verify_edge_invariance)
 from .groups import GroupAction, trivial_action, trivial_group, verify_free_action
@@ -142,34 +142,21 @@ class BalancedProductComplex:
     @cached_property
     def boundary_1(self) -> F2Matrix:
         """F2^{V10} (+) F2^{V01} -> F2^{V11}; rows are V11, columns qubits,
-        packed in one pass over the two V11 classes."""
-        rows, shift = [0] * self.v11_size, self.v10_size
-        self.subgraph("v10_v11")        # the first use checks every edge endpoint
-        for z10, z11 in self.edges_v10_v11:
-            rows[z11] |= 1 << z10
-        for z01, z11 in self.edges_v01_v11:
-            rows[z11] |= 1 << (shift + z01)
-        return F2Matrix(self.v11_size, self.n_qubits, tuple(rows))
+        packed by `gf2.pack` from each qubit's V11 cells."""
+        qubit_cells = (*self.subgraph("v10_v11").adj0, *self.subgraph("v01_v11").adj0)
+        return F2Matrix(self.v11_size, self.n_qubits, pack(self.v11_size, qubit_cells))
 
     def v00_map(self) -> F2Matrix:
         """F2^{V10} (+) F2^{V01} -> F2^{V00}; rows are V00, columns qubits.
 
         Not cached: the code read off the complex keeps it as its Hz.  The
-        rows are packed in one pass over the two V00 classes, read qubit by
-        qubit from the subgraphs' cached adjacency (which the loader seeds
-        from the file's rows), so every row grows from its low bits up; in
-        edge-set order rows would widen at random, leaving the allocator
-        more freed blocks of odd sizes.  The column view is seeded with
+        rows are packed by `gf2.pack` from each qubit's V00 cells, read from
+        the subgraphs' cached adjacency.  The column view is seeded with
         `v00_columns`, so the matrix shares them with the subgraphs and the
         X decoder index and never unpacks its rows.
         """
-        rows = [0] * self.v00_size
-        qubit_cells = chain(self.subgraph("v00_v10").adj1, self.subgraph("v00_v01").adj1)
-        for q, cells in enumerate(qubit_cells):
-            bit = 1 << q
-            for z00 in cells:
-                rows[z00] |= bit
-        matrix = F2Matrix(self.v00_size, self.n_qubits, tuple(rows))
+        qubit_cells = (*self.subgraph("v00_v10").adj1, *self.subgraph("v00_v01").adj1)
+        matrix = F2Matrix(self.v00_size, self.n_qubits, pack(self.v00_size, qubit_cells))
         matrix.__dict__["col_masks"] = self.v00_columns
         return matrix
 

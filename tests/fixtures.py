@@ -1,18 +1,24 @@
 """Test instance and file builders that no command or bench op uses:
 seeded random bipartite graphs, the symmetric groups and the conjugation
 action, zero, identity and entry-built GF(2) vectors and matrices, factor
-JSON, and a result file with its timing dropped."""
+JSON, a result file with its timing dropped, and hypothesis strategies for
+complex files with every edge class and the faces in a shuffled order."""
 
 import itertools
 import json
 import random
+from functools import lru_cache
 from typing import Iterable, Sequence
+
+from hypothesis import strategies as st
 
 from qbp.errors import ValidationError
 from qbp.gf2 import F2Matrix, F2Vector, _check_shape
 from qbp.graphs import BipartiteGraph, build_bipartite
-from qbp.groups import FiniteGroup, GroupAction
+from qbp.groups import FiniteGroup, GroupAction, cyclic_group
+from qbp.instances import incidence_star_product, left_right_cayley, star_product, toric_complex
 from qbp.jsonio import canonical_dumps
+from qbp.product import SUBGRAPHS, complex_to_json, hypergraph_product
 
 
 def random_bipartite(v0: int, v1: int, n_edges: int, rng: random.Random) -> BipartiteGraph:
@@ -123,3 +129,49 @@ def strip_timing(text: str) -> str:
     payload = json.loads(text)
     payload.pop("timing", None)
     return canonical_dumps(payload)
+
+
+# -- shuffled complex files ------------------------------------------------------
+
+SHUFFLED = tuple(f"edges_{which}" for which in SUBGRAPHS) + ("faces",)
+
+# The conftest families, then more star and incidence-star products.
+SHUFFLED_FAMILIES = {
+    "toric2": lambda: toric_complex(2),
+    "toric3": lambda: toric_complex(3),
+    "match8": lambda: left_right_cayley(cyclic_group(8), [1], [1]),
+    "star12": lambda: star_product(12, 3, 2),
+    "incstar13": lambda: incidence_star_product(13, 2),
+    "star_product(5, 2, 3)": lambda: star_product(5, 2, 3),
+    "star_product(7, 4, 1)": lambda: star_product(7, 4, 1),
+    "incidence_star_product(5, 3)": lambda: incidence_star_product(5, 3),
+}
+
+
+@lru_cache(maxsize=None)
+def family_file(name):
+    return complex_to_json(SHUFFLED_FAMILIES[name]())
+
+
+def shuffled(obj, rng):
+    """`obj` with each edge class and the faces listed in a random order."""
+    out = dict(obj)
+    for field in SHUFFLED:
+        out[field] = rng.sample(obj[field], len(obj[field]))
+    return out
+
+
+@st.composite
+def family_files(draw):
+    return shuffled(family_file(draw(st.sampled_from(sorted(SHUFFLED_FAMILIES)))),
+                    draw(st.randoms(use_true_random=False)))
+
+
+@st.composite
+def hypergraph_product_files(draw):
+    def factor():
+        v0, v1 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        n_edges = draw(st.integers(0, v0 * v1))
+        return random_bipartite(v0, v1, n_edges, random.Random(draw(st.integers(0, 2**16))))
+    obj = complex_to_json(hypergraph_product(factor(), factor()))
+    return shuffled(obj, draw(st.randoms(use_true_random=False)))

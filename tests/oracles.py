@@ -16,6 +16,9 @@ benchmark op runs them, so they live here and not in the package:
 * `verify_tree_partition`: every invariant of a tree partition, recomputed.
 * `adjacency_by_vertex_sort`: a graph's neighbor lists, appended in
   edge-set order and sorted per vertex.
+* `masks_by_edge`, `boundary_1_by_edge`, `v00_map_by_qubit` and
+  `col_masks_by_row`: the loops that packed bit rows before `gf2.pack`,
+  the first two ORing bits in edge-set order.
 * `transpose`: a matrix's transpose, read off its column view.
 * `transposed`: the dual complex, with V00 and V11 swapped.
 * `boundary_2`: the V00 map of a complex, rows indexed by qubits, the
@@ -44,10 +47,11 @@ from fixtures import from_entries
 
 __all__ = [
     "ChainCheck", "FlipCheck", "FlipReduction", "FlowNetwork", "MaxFlowResult",
-    "MinimalRepresentative", "TreePartitionAudit", "adjacency_by_vertex_sort", "boundary_2",
-    "flippable", "from_alist", "greedy_flip_reduce", "is_locally_minimal", "mat_mul",
-    "max_flow_integer", "minimal_coset_representative", "reduce_by_pivot_scan", "solve",
-    "transpose", "transposed", "verify_chain_condition", "verify_tree_partition",
+    "MinimalRepresentative", "TreePartitionAudit", "adjacency_by_vertex_sort", "boundary_1_by_edge",
+    "boundary_2", "col_masks_by_row", "flippable", "from_alist", "greedy_flip_reduce",
+    "is_locally_minimal", "masks_by_edge", "mat_mul", "max_flow_integer",
+    "minimal_coset_representative", "reduce_by_pivot_scan", "solve", "transpose", "transposed",
+    "v00_map_by_qubit", "verify_chain_condition", "verify_tree_partition",
 ]
 
 Node = Hashable
@@ -462,7 +466,56 @@ def adjacency_by_vertex_sort(graph: BipartiteGraph) -> tuple[tuple[tuple[int, ..
     return tuple(map(tuple, map(sorted, out0))), tuple(map(tuple, map(sorted, out1)))
 
 
+def masks_by_edge(graph: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(masks0, masks1) ORed edge by edge in edge-set order."""
+    out0 = [0] * graph.v0_size
+    for x0, x1 in graph.edges:
+        out0[x0] |= 1 << x1
+    out1 = [0] * graph.v1_size
+    for x0, x1 in graph.edges:
+        out1[x1] |= 1 << x0
+    return tuple(out0), tuple(out1)
+
+
+# -- packed matrices -----------------------------------------------------------
+
+
+def col_masks_by_row(a: F2Matrix) -> tuple[int, ...]:
+    """A matrix's column view, one row's bit at a time."""
+    masks = [0] * a.cols
+    for r, m in enumerate(a.row_masks):
+        bit = 1 << r
+        for c in gf2.bits(m):
+            masks[c] |= bit
+    return tuple(masks)
+
+
 # -- product -------------------------------------------------------------------
+
+
+def boundary_1_by_edge(cpx: BalancedProductComplex) -> F2Matrix:
+    """Hx: V11 rows over the V10 then the V01 qubits, ORed edge by edge in
+    the edge sets' order."""
+    rows, shift = [0] * cpx.v11_size, cpx.v10_size
+    for z10, z11 in cpx.edges_v10_v11:
+        rows[z11] |= 1 << z10
+    for z01, z11 in cpx.edges_v01_v11:
+        rows[z11] |= 1 << (shift + z01)
+    return F2Matrix(cpx.v11_size, cpx.n_qubits, tuple(rows))
+
+
+def v00_map_by_qubit(cpx: BalancedProductComplex) -> F2Matrix:
+    """Hz: V00 rows over the qubits, one qubit's bit at a time from the V00
+    subgraphs' V1-side lists."""
+    rows = [0] * cpx.v00_size
+    qubit_cells = (*cpx.subgraph("v00_v10").adj1, *cpx.subgraph("v00_v01").adj1)
+    for q, cells in enumerate(qubit_cells):
+        bit = 1 << q
+        for z00 in cells:
+            rows[z00] |= bit
+    return F2Matrix(cpx.v00_size, cpx.n_qubits, tuple(rows))
+
+
 
 
 def transpose(a: F2Matrix) -> F2Matrix:

@@ -10,7 +10,6 @@ must be refused with the message that names its first fault as before.
 """
 
 import random
-from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -19,27 +18,13 @@ from hypothesis import strategies as st
 from qbp import graphs
 from qbp.errors import ValidationError
 from qbp.graphs import BipartiteGraph
-from qbp.groups import cyclic_group
-from qbp.instances import incidence_star_product, left_right_cayley, star_product, toric_complex
 from qbp.product import SUBGRAPHS, complex_from_json, complex_to_json, hypergraph_product
 
-from fixtures import random_bipartite
+from fixtures import (SHUFFLED_FAMILIES as FAMILIES, family_file, family_files,
+                      hypergraph_product_files, random_bipartite, shuffled)
 from oracles import adjacency_by_vertex_sort
 
 ADJACENCY = BipartiteGraph.adjacency.attrname
-SHUFFLED = tuple(f"edges_{which}" for which in SUBGRAPHS) + ("faces",)
-
-# The conftest families, then more star and incidence-star products.
-FAMILIES = {
-    "toric2": lambda: toric_complex(2),
-    "toric3": lambda: toric_complex(3),
-    "match8": lambda: left_right_cayley(cyclic_group(8), [1], [1]),
-    "star12": lambda: star_product(12, 3, 2),
-    "incstar13": lambda: incidence_star_product(13, 2),
-    "star_product(5, 2, 3)": lambda: star_product(5, 2, 3),
-    "star_product(7, 4, 1)": lambda: star_product(7, 4, 1),
-    "incidence_star_product(5, 3)": lambda: incidence_star_product(5, 3),
-}
 
 # _check_degrees's order: (cell, edge class, end of the edge, degree name).
 DEGREE_ORDER = (
@@ -50,38 +35,9 @@ DEGREE_ORDER = (
 )
 
 
-@lru_cache(maxsize=None)
-def family_file(name):
-    return complex_to_json(FAMILIES[name]())
-
-
 def class_sizes(obj, which):
     first, second = which.split("_")
     return obj[first], obj[second]
-
-
-def shuffled(obj, rng):
-    """`obj` with each edge class and the faces listed in a random order."""
-    out = dict(obj)
-    for field in SHUFFLED:
-        out[field] = rng.sample(obj[field], len(obj[field]))
-    return out
-
-
-@st.composite
-def family_files(draw):
-    return shuffled(family_file(draw(st.sampled_from(sorted(FAMILIES)))),
-                    draw(st.randoms(use_true_random=False)))
-
-
-@st.composite
-def hypergraph_product_files(draw):
-    def factor():
-        v0, v1 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-        n_edges = draw(st.integers(0, v0 * v1))
-        return random_bipartite(v0, v1, n_edges, random.Random(draw(st.integers(0, 2**16))))
-    obj = complex_to_json(hypergraph_product(factor(), factor()))
-    return shuffled(obj, draw(st.randoms(use_true_random=False)))
 
 
 def oracle_lists(obj, which):

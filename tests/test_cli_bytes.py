@@ -12,9 +12,11 @@ import contextlib
 import hashlib
 import io
 import json
+from collections import Counter
 
 import pytest
 
+from qbp import decoder, jsonio
 from qbp.cli import cli_dispatch
 
 from fixtures import strip_timing
@@ -144,8 +146,9 @@ EXPECTED = {
 }
 
 
-def run_all(directory):
-    """Output name -> sha256 of its bytes, for every run of RUNS in `directory`."""
+def run_all(directory, after_run=lambda run: None):
+    """Output name -> sha256 of its bytes, for every run of RUNS in `directory`;
+    `after_run(run)` is called as each run returns."""
     digests = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(directory)
@@ -156,6 +159,7 @@ def run_all(directory):
             with contextlib.redirect_stdout(stdout):
                 status = cli_dispatch(argv)
             assert status == 0, f"{run} exited with {status}"
+            after_run(run)
             digests[f"{run}:stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
             for path, kind in files.items():
                 text = (directory / path).read_text()
@@ -177,3 +181,36 @@ def test_every_output_is_pinned(digests):
 @pytest.mark.parametrize("output", sorted(EXPECTED))
 def test_output_bytes(digests, output):
     assert digests[output] == EXPECTED[output]
+
+
+def test_each_command_hashes_each_input_once(tmp_path, monkeypatch):
+    hashed, per_run = Counter(), {}
+    digest = jsonio.file_digest
+
+    def counted(path):
+        hashed[str(path)] += 1
+        return digest(path)
+
+    def after_run(run):
+        per_run[run] = dict(hashed)
+        hashed.clear()
+
+    monkeypatch.setattr(jsonio, "file_digest", counted)
+    assert run_all(tmp_path, after_run) == EXPECTED
+    for run, argv, _ in RUNS:
+        inputs = {argv[i + 1] for i, arg in enumerate(argv)
+                  if arg in ("--left", "--right", "--group", "--actions", "--graph",
+                             "--complex", "--syndrome", "--error")}
+        assert per_run[run] == dict.fromkeys(inputs, 1), run
+
+
+def test_decode_keeps_no_flip_sets(tmp_path, monkeypatch):
+    # Neither the result nor the trace writes the flipped cells.
+    configs = []
+    for name in ("decode", "decode_x"):
+        def spy(cpx, syndrome, config, _decode=getattr(decoder, name)):
+            configs.append(config)
+            return _decode(cpx, syndrome, config)
+        monkeypatch.setattr(decoder, name, spy)
+    assert run_all(tmp_path) == EXPECTED
+    assert len(configs) == 2 and not any(config.keep_flip_sets for config in configs)
