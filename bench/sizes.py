@@ -9,8 +9,10 @@ structures counted, each read from its documented attribute (and built if
 it is not yet):
 
 * `hx`, `hz`: the rows of the code's two check matrices
-* `z_stabilizers`: the reduced rows of the row space of Hz
-* `z_index_prefixes`: the Z decoder index's prefix masks, every center's
+* `z_stabilizers`, `x_stabilizers`: the reduced rows of the row spaces of
+  Hz and of Hx
+* `z_index_prefixes`, `x_index_prefixes`: each side's decoder index's
+  prefix masks, every center's
 * `<subgraph>.masks0`, `<subgraph>.masks1`: each of the complex's four
   subgraphs' packed neighborhoods
 
@@ -41,7 +43,9 @@ def held_sizes(cpx: BalancedProductComplex, code: CssCode) -> dict[str, dict[str
         "hx": count(code.hx.row_masks),
         "hz": count(code.hz.row_masks),
         "z_stabilizers": count(code.z_stabilizers.pivots.values()),
+        "x_stabilizers": count(code.x_stabilizers.pivots.values()),
         "z_index_prefixes": count(chain.from_iterable(decoder._index_for(cpx, "z").prefixes)),
+        "x_index_prefixes": count(chain.from_iterable(decoder._index_for(cpx, "x").prefixes)),
     }
     for which in SUBGRAPHS:
         graph = cpx.subgraph(which)

@@ -6,11 +6,10 @@ other side's lists) and its regularity verdict are derived once, on first
 use, and cached on that object; equal graphs built separately do not share
 them.  Both sides' lists come from one builder, `adjacency_lists`, in one
 pass over the edges in ascending order, so each list grows in ascending
-order and none is sorted per vertex.  A graph sorts its edge set for it by V1 end and then,
-stably, by V0 end: two sorts on int keys are faster than one on the
-pairs.  The complex loader seeds each subgraph instead
-(`seed_adjacency`) from its file's rows of that class, through `sorted`,
-which is linear on the ascending rows `complex_to_json` writes.
+order and none is sorted per vertex.  A factor graph sorts its edge set by
+V1 end and then, stably, by V0 end: two sorts on int keys beat one on the
+pairs.  A complex seeds its subgraphs instead (`seed_adjacency`) from each
+edge class's rows, already ascending, as `product` sorts them once.
 The V00 map's column view, the decoder index and expansion certification
 read the masks and pack none of their own.  Edge invariance is checked on
 each call, not cached: a Cayley graph's translation action keeps its edges
@@ -45,8 +44,8 @@ class BipartiteGraph:
     @cached_property
     def adjacency(self) -> tuple[_Adjacency, _Adjacency]:
         """(adj0, adj1), built once by `adjacency_lists` from the edges,
-        sorted by V1 end and then, stably, by V0 end; a loaded complex seeds
-        it from its file's rows (`seed_adjacency`)."""
+        sorted by V1 end and then, stably, by V0 end; a complex's subgraphs
+        are seeded from their ascending rows instead (`seed_adjacency`)."""
         rows = sorted(self.edges, key=itemgetter(1))
         rows.sort(key=itemgetter(0))
         return adjacency_lists(self.v0_size, self.v1_size, rows)
@@ -102,14 +101,14 @@ def adjacency_lists(v0_size: int, v1_size: int,
 
 
 def seed_adjacency(graph: BipartiteGraph, rows: Iterable[tuple[int, int]]) -> None:
-    """Store the adjacency of `graph` built from `rows`, its edges listed in
-    any order, so the graph never sorts its edge set.
+    """Store the adjacency of `graph` built from `rows`, its edges in
+    ascending order, so the graph never sorts its edge set.
 
-    The caller has checked that `rows` are distinct and in range.  They go
-    in through `sorted`, linear on rows that are already ascending.
+    The caller has checked that `rows` are distinct, ascending and in range
+    (see `adjacency_lists`); nothing here sorts them.
     """
     graph.__dict__[BipartiteGraph.adjacency.attrname] = adjacency_lists(
-        graph.v0_size, graph.v1_size, sorted(rows))
+        graph.v0_size, graph.v1_size, rows)
 
 
 def build_bipartite(v0_size: int, v1_size: int, edges: Iterable[tuple[int, int]]) -> BipartiteGraph:

@@ -32,21 +32,17 @@ decoder's index of each side.  A cache is never shared between complexes; a
 reloaded complex builds its own.  The region diagnostics read the face
 index, and the loader's degree check reads the adjacency lengths.
 
-The loader seeds each subgraph's adjacency (`BipartiteGraph.adjacency`,
-both sides' neighbor lists) from the file's rows of that edge class, once
-the endpoints are checked, through `graphs.seed_adjacency`.  The rows go
-in through `sorted`, which is linear on the ascending rows
-`complex_to_json` writes and still right for any other order, so every
-list is built in ascending order and none is sorted per vertex.  A built
-complex's subgraphs sort their own edge sets on first use.  The
-degree and face checks, the V00 map, the partitions, the region
-diagnostics and the decoder index all read these lists.
-
-Both boundary maps, the V11 map (Hx) and the V00 map (`v00_map`, the
-code's Hz), are packed by `gf2.pack` from the subgraphs' adjacency, each
-qubit's cells in turn, so every row is set from its highest bit down.  Every
-edge endpoint is checked once, on first subgraph use (`_check_endpoints`),
-which both maps go through.
+Every complex builds its four subgraphs with one helper,
+`_subgraphs_from_rows`, from one ascending list of rows per edge class: the
+loader sorts the file's rows (linear on the ascending rows `complex_to_json`
+writes, and right for any order); a built or hand-built complex sorts its
+edge sets on first subgraph use.  That list checks every edge endpoint, then
+seeds the subgraph's adjacency (both sides' neighbor lists) through
+`graphs.seed_adjacency`, so no list is sorted per vertex.  The degree and
+face checks, the partitions, the region diagnostics and the decoder index
+all read these lists, and `gf2.pack` packs both boundary maps from them,
+the V11 map (Hx) and the V00 map (`v00_map`, the code's Hz), each qubit's
+cells in turn, so every row is set from its highest bit down.
 """
 
 from __future__ import annotations
@@ -195,15 +191,10 @@ class BalancedProductComplex:
 
     @cached_property
     def _subgraphs(self) -> dict[str, BipartiteGraph]:
-        """The four subgraphs, built once their edge endpoints are checked:
-        `BipartiteGraph` indexes its adjacency and masks by them unchecked."""
-        _check_endpoints(self)
-        return {
-            "v00_v10": BipartiteGraph(self.v00_size, self.v10_size, self.edges_v00_v10),
-            "v01_v11": BipartiteGraph(self.v01_size, self.v11_size, self.edges_v01_v11),
-            "v00_v01": BipartiteGraph(self.v00_size, self.v01_size, self.edges_v00_v01),
-            "v10_v11": BipartiteGraph(self.v10_size, self.v11_size, self.edges_v10_v11),
-        }
+        """The four subgraphs, from each edge set sorted once; the loader
+        presets them from its file's rows instead."""
+        return _subgraphs_from_rows(
+            self, {which: sorted(getattr(self, f"edges_{which}")) for which in SUBGRAPHS})
 
     @cached_property
     def faces_at_qubit(self) -> tuple[dict[int, list[_Face]], dict[int, list[_Face]]]:
@@ -506,22 +497,23 @@ def inherit_certificates(
 # -- interchange ---------------------------------------------------------------
 
 
+_PAIR_FIELDS = ("reps_v00", "reps_v10", "reps_v01", "reps_v11",
+                "edges_v00_v10", "edges_v01_v11", "edges_v00_v01", "edges_v10_v11")
+
+
 def complex_to_json(cpx: BalancedProductComplex) -> dict:
+    """The complex file's data, each table a list of the complex's own tuples
+    (reps in index order, edges and faces sorted), which JSON writes as
+    arrays: a caller that edits a row copies it first."""
     d = cpx.degrees
     return {
         "v00": cpx.v00_size,
         "v10": cpx.v10_size,
         "v01": cpx.v01_size,
         "v11": cpx.v11_size,
-        "reps_v00": list(map(list, cpx.reps_v00)),
-        "reps_v10": list(map(list, cpx.reps_v10)),
-        "reps_v01": list(map(list, cpx.reps_v01)),
-        "reps_v11": list(map(list, cpx.reps_v11)),
-        "edges_v00_v10": list(map(list, sorted(cpx.edges_v00_v10))),
-        "edges_v01_v11": list(map(list, sorted(cpx.edges_v01_v11))),
-        "edges_v00_v01": list(map(list, sorted(cpx.edges_v00_v01))),
-        "edges_v10_v11": list(map(list, sorted(cpx.edges_v10_v11))),
-        "faces": list(map(list, sorted(cpx.faces))),
+        **{name: list(getattr(cpx, name)) for name in _PAIR_FIELDS[:4]},
+        **{name: sorted(getattr(cpx, name)) for name in _PAIR_FIELDS[4:]},
+        "faces": sorted(cpx.faces),
         "degrees": {"down": d.down, "up": d.up, "right": d.right, "left": d.left}
         if d else None,
         "group_order": cpx.group_order,
@@ -529,29 +521,23 @@ def complex_to_json(cpx: BalancedProductComplex) -> dict:
     }
 
 
-_PAIR_FIELDS = ("reps_v00", "reps_v10", "reps_v01", "reps_v11",
-                "edges_v00_v10", "edges_v01_v11", "edges_v00_v01", "edges_v10_v11")
-
-
 def complex_from_json(obj: dict) -> BalancedProductComplex:
     """Load a complex written by `complex_to_json`.
 
-    Reps and edges are lists of int pairs, faces lists of four ints, and
-    `degrees` (null or four ints) and `group_order` (a positive int) are
-    ints too; anything else is refused with a ValidationError naming the
-    field.  Each field is read in one C-level pass (see `jsonio._int_rows`).
-    A declared class size (`v00`, `v10`, `v01`, `v11`), when present, must be
-    the int length of its reps list, and a class's representatives must be
-    distinct, as orbits are disjoint.  No edge class may repeat an edge.
-    The edge endpoints are checked against their classes, the edges against
-    the degrees when these are recorded, and the faces against the edges
-    (`_check_complex`, which a hand-built complex runs too); the first check
-    that fails names the file's error.  Between the endpoint check and the
-    degree check, each subgraph's neighbor lists are seeded from the
-    file's rows (see the module docstring).
-    Faces in one-to-one correspondence with both families of two-edge paths
-    prove the chain condition, so the verdict is preset and no boundary map
-    is built.
+    Reps and edges are lists of int pairs, faces lists of four ints,
+    `degrees` null or four ints, `group_order` a positive int and
+    `provenance`, when present, a string; anything else is refused with a
+    ValidationError naming the field.  Each table is read in one C-level
+    pass (see `jsonio._int_rows`).  A declared class size (`v00`, `v10`,
+    `v01`, `v11`), when present, must be the int length of its reps list,
+    and a class's representatives must be distinct, as orbits are disjoint.
+    No edge class may repeat an edge.  Each class's rows, sorted once, check
+    the endpoints and seed its subgraph (see the module docstring); then
+    the edges are checked against the recorded degrees and the faces
+    against the edges (`_check_complex`, which a hand-built complex runs
+    too).  The first check that fails names the file's error.  Faces in
+    one-to-one correspondence with both families of two-edge paths prove
+    the chain condition, so the verdict is preset and no map is built.
     """
     if not isinstance(obj, dict):
         raise ValidationError(f"complex JSON must be an object, got {type(obj).__name__}")
@@ -580,6 +566,7 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
         except KeyError as exc:
             raise ValidationError(f"malformed complex JSON: degrees miss {exc}") from exc
     group_order = _check_group_order(obj.get("group_order", 1))
+    provenance = _check_provenance(obj.get("provenance", ""))
     edges = {}
     for name in _PAIR_FIELDS[4:]:
         edges[name] = frozenset(rows[name])
@@ -595,10 +582,10 @@ def complex_from_json(obj: dict) -> BalancedProductComplex:
         faces=frozenset(faces),
         degrees=degrees,
         group_order=group_order,
-        provenance=str(obj.get("provenance", "")),
+        provenance=provenance,
     )
-    for which in SUBGRAPHS:             # the first use checks every edge endpoint
-        seed_adjacency(cpx.subgraph(which), rows[f"edges_{which}"])
+    cpx.__dict__[BalancedProductComplex._subgraphs.attrname] = _subgraphs_from_rows(
+        cpx, {which: sorted(rows[f"edges_{which}"]) for which in SUBGRAPHS})
     _check_complex(cpx, faces)
     return _preset_chain_check(cpx)
 
@@ -619,14 +606,22 @@ def _check_group_order(value: object) -> int:
     return group_order
 
 
+def _check_provenance(value: object) -> str:
+    """`value` as a provenance: exactly a str, written back as read."""
+    if type(value) is not str:
+        raise ValidationError(f"complex provenance must be a string, got {value!r:.40}")
+    return value
+
+
 def _check_fields(cpx: BalancedProductComplex) -> None:
     """The loader's checks of the fields that feed no boundary map, in its
-    order: each class's representatives, then the group order.  The loader
-    makes them as it reads the fields; a complex built field by field makes
-    them before `_check_complex`."""
+    order: each class's representatives, the group order, then the
+    provenance.  The loader makes them as it reads the fields; a complex
+    built field by field makes them before `_check_complex`."""
     for cell in ("v00", "v10", "v01", "v11"):
         _check_reps(cell, getattr(cpx, f"reps_{cell}"))
     _check_group_order(cpx.group_order)
+    _check_provenance(cpx.provenance)
 
 
 def _check_complex(cpx: BalancedProductComplex, faces: tuple[tuple[int, ...], ...]) -> None:
@@ -640,30 +635,35 @@ def _check_complex(cpx: BalancedProductComplex, faces: tuple[tuple[int, ...], ..
     _check_faces(cpx, faces)
 
 
-def _check_endpoints(cpx: BalancedProductComplex) -> None:
-    """Every edge must join a vertex of its first class to one of its second.
-
-    The boundary maps place V10 and V01 in one qubit range, so an endpoint
-    past its class would land on another class's row.  One min and one max
-    per end of each class decide it; a refusal names the smallest bad edge
-    of the first bad class.
-    """
-    for which, size0, size1 in (("v10_v11", cpx.v10_size, cpx.v11_size),
-                                ("v01_v11", cpx.v01_size, cpx.v11_size),
-                                ("v00_v10", cpx.v00_size, cpx.v10_size),
-                                ("v00_v01", cpx.v00_size, cpx.v01_size)):
-        edges = getattr(cpx, f"edges_{which}")
-        if not edges:
-            continue
-        # Pairs order by their first end, so min and max of the pairs bound it.
-        if (min(edges)[0] < 0 or max(edges)[0] >= size0
-                or min(map(itemgetter(1), edges)) < 0
-                or max(map(itemgetter(1), edges)) >= size1):
-            a, b = min(e for e in edges if not (0 <= e[0] < size0 and 0 <= e[1] < size1))
+def _subgraphs_from_rows(cpx: BalancedProductComplex,
+                         rows: dict[str, list[tuple[int, int]]]) -> dict[str, BipartiteGraph]:
+    """The four subgraphs of `cpx`, each seeded from `rows[which]`, that
+    class's distinct edges in ascending order, once every edge joins a
+    vertex of its first class to one of its second: the adjacency and the
+    maps index by them unchecked, and an endpoint past its class would land
+    on another class's row.  The first and last rows bound the first ends,
+    one min and one max the second; a refusal names the smallest bad edge
+    of the first bad class, the V11 map's classes first."""
+    sizes = {"v00": cpx.v00_size, "v10": cpx.v10_size,
+             "v01": cpx.v01_size, "v11": cpx.v11_size}
+    for which in ("v10_v11", "v01_v11", "v00_v10", "v00_v01"):
+        edges = rows[which]
+        size0, size1 = (sizes[cell] for cell in which.split("_"))
+        if edges and (edges[0][0] < 0 or edges[-1][0] >= size0
+                      or min(map(itemgetter(1), edges)) < 0
+                      or max(map(itemgetter(1), edges)) >= size1):
+            a, b = next(e for e in edges if not (0 <= e[0] < size0 and 0 <= e[1] < size1))
             raise ValidationError(
                 f"edge ({a}, {b}) in edges_{which} has an endpoint outside its "
                 f"class (sizes {size0} and {size1})"
             )
+    graphs = {}
+    for which in SUBGRAPHS:
+        first, second = which.split("_")
+        graphs[which] = BipartiteGraph(sizes[first], sizes[second],
+                                       getattr(cpx, f"edges_{which}"))
+        seed_adjacency(graphs[which], rows[which])
+    return graphs
 
 
 def _check_faces(cpx: BalancedProductComplex, faces: tuple[tuple[int, ...], ...]) -> None:

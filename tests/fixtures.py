@@ -1,8 +1,9 @@
 """Test instance and file builders that no command or bench op uses:
 seeded random bipartite graphs, the symmetric groups and the conjugation
 action, zero, identity and entry-built GF(2) vectors and matrices, factor
-JSON, a result file with its timing dropped, and hypothesis strategies for
-complex files with every edge class and the faces in a shuffled order."""
+JSON, what a complex file holds, a result file with its timing dropped, and
+hypothesis strategies for complex files with every edge class and the faces
+in a shuffled order."""
 
 import itertools
 import json
@@ -124,6 +125,13 @@ def group_to_json(group: FiniteGroup) -> dict:
     return {"order": group.order, "mul": [list(r) for r in group.mul], "label": group.label}
 
 
+def complex_file(cpx) -> dict:
+    """What the complex file of `cpx` holds, as `json.loads` reads it back:
+    every row a fresh list, so a test may edit it in place.
+    `complex_to_json` itself hands out the complex's own tuples."""
+    return json.loads(canonical_dumps(complex_to_json(cpx)))
+
+
 def strip_timing(text: str) -> str:
     """Canonical dump of a result file with the timing field removed."""
     payload = json.loads(text)
@@ -150,7 +158,7 @@ SHUFFLED_FAMILIES = {
 
 @lru_cache(maxsize=None)
 def family_file(name):
-    return complex_to_json(SHUFFLED_FAMILIES[name]())
+    return complex_file(SHUFFLED_FAMILIES[name]())
 
 
 def shuffled(obj, rng):
@@ -173,5 +181,5 @@ def hypergraph_product_files(draw):
         v0, v1 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
         n_edges = draw(st.integers(0, v0 * v1))
         return random_bipartite(v0, v1, n_edges, random.Random(draw(st.integers(0, 2**16))))
-    obj = complex_to_json(hypergraph_product(factor(), factor()))
+    obj = complex_file(hypergraph_product(factor(), factor()))
     return shuffled(obj, draw(st.randoms(use_true_random=False)))

@@ -20,6 +20,12 @@ benchmark op runs them, so they live here and not in the package:
   `col_masks_by_row`: the loops that packed bit rows before `gf2.pack`,
   the first two ORing bits in edge-set order.
 * `transpose`: a matrix's transpose, read off its column view.
+* `complex_to_json_by_lists`: the complex writer that copied every row of
+  every table into a new list.
+* `check_endpoints_by_min_max`: the endpoint check over a complex's edge
+  sets, by two min and two max passes per class, and
+  `subgraphs_by_oracle`, the loader's subgraphs built after it from that
+  check and `adjacency_by_vertex_sort`, unseeded by any ascending rows.
 * `transposed`: the dual complex, with V00 and V11 swapped.
 * `boundary_2`: the V00 map of a complex, rows indexed by qubits, the
   transpose of the Hz that `extract_code` packs.
@@ -41,17 +47,18 @@ from qbp.errors import InternalInvariantError, PreconditionError, ShapeError, Va
 from qbp.expansion import TreePartition
 from qbp.gf2 import F2Matrix, F2Vector, _eliminate
 from qbp.graphs import BipartiteGraph, GraphAction, regularity
-from qbp.product import BalancedProductComplex, DegreeProfile
+from qbp.product import SUBGRAPHS, BalancedProductComplex, DegreeProfile
 
 from fixtures import from_entries
 
 __all__ = [
     "ChainCheck", "FlipCheck", "FlipReduction", "FlowNetwork", "MaxFlowResult",
     "MinimalRepresentative", "TreePartitionAudit", "adjacency_by_vertex_sort", "boundary_1_by_edge",
-    "boundary_2", "col_masks_by_row", "flippable", "from_alist", "greedy_flip_reduce",
+    "boundary_2", "check_endpoints_by_min_max", "col_masks_by_row", "complex_to_json_by_lists",
+    "flippable", "from_alist", "greedy_flip_reduce",
     "is_locally_minimal", "masks_by_edge", "mat_mul", "max_flow_integer",
-    "minimal_coset_representative", "reduce_by_pivot_scan", "solve", "transpose", "transposed",
-    "v00_map_by_qubit", "verify_chain_condition", "verify_tree_partition",
+    "minimal_coset_representative", "reduce_by_pivot_scan", "solve", "subgraphs_by_oracle",
+    "transpose", "transposed", "v00_map_by_qubit", "verify_chain_condition", "verify_tree_partition",
 ]
 
 Node = Hashable
@@ -516,6 +523,69 @@ def v00_map_by_qubit(cpx: BalancedProductComplex) -> F2Matrix:
     return F2Matrix(cpx.v00_size, cpx.n_qubits, tuple(rows))
 
 
+
+
+def complex_to_json_by_lists(cpx: BalancedProductComplex) -> dict:
+    """The complex file's data with every row copied into a new list."""
+    d = cpx.degrees
+    return {
+        "v00": cpx.v00_size,
+        "v10": cpx.v10_size,
+        "v01": cpx.v01_size,
+        "v11": cpx.v11_size,
+        "reps_v00": list(map(list, cpx.reps_v00)),
+        "reps_v10": list(map(list, cpx.reps_v10)),
+        "reps_v01": list(map(list, cpx.reps_v01)),
+        "reps_v11": list(map(list, cpx.reps_v11)),
+        "edges_v00_v10": list(map(list, sorted(cpx.edges_v00_v10))),
+        "edges_v01_v11": list(map(list, sorted(cpx.edges_v01_v11))),
+        "edges_v00_v01": list(map(list, sorted(cpx.edges_v00_v01))),
+        "edges_v10_v11": list(map(list, sorted(cpx.edges_v10_v11))),
+        "faces": list(map(list, sorted(cpx.faces))),
+        "degrees": {"down": d.down, "up": d.up, "right": d.right, "left": d.left}
+        if d else None,
+        "group_order": cpx.group_order,
+        "provenance": cpx.provenance,
+    }
+
+
+def check_endpoints_by_min_max(cpx: BalancedProductComplex) -> None:
+    """Every edge must join a vertex of its first class to one of its second,
+    decided by one min and one max per end of each class's edge set; a
+    refusal names the smallest bad edge of the first bad class."""
+    for which, size0, size1 in (("v10_v11", cpx.v10_size, cpx.v11_size),
+                                ("v01_v11", cpx.v01_size, cpx.v11_size),
+                                ("v00_v10", cpx.v00_size, cpx.v10_size),
+                                ("v00_v01", cpx.v00_size, cpx.v01_size)):
+        edges = getattr(cpx, f"edges_{which}")
+        if not edges:
+            continue
+        # Pairs order by their first end, so min and max of the pairs bound it.
+        if (min(edges)[0] < 0 or max(edges)[0] >= size0
+                or min(e[1] for e in edges) < 0
+                or max(e[1] for e in edges) >= size1):
+            a, b = min(e for e in edges if not (0 <= e[0] < size0 and 0 <= e[1] < size1))
+            raise ValidationError(
+                f"edge ({a}, {b}) in edges_{which} has an endpoint outside its "
+                f"class (sizes {size0} and {size1})"
+            )
+
+
+def subgraphs_by_oracle(cpx: BalancedProductComplex, rows: object = None) -> dict:
+    """The four subgraphs of `cpx`, in the signature of
+    `product._subgraphs_from_rows` but ignoring its rows: the endpoints
+    checked by `check_endpoints_by_min_max`, then each graph's lists set
+    from `adjacency_by_vertex_sort`."""
+    check_endpoints_by_min_max(cpx)
+    sizes = {"v00": cpx.v00_size, "v10": cpx.v10_size,
+             "v01": cpx.v01_size, "v11": cpx.v11_size}
+    out = {}
+    for which in SUBGRAPHS:
+        first, second = which.split("_")
+        graph = BipartiteGraph(sizes[first], sizes[second], getattr(cpx, f"edges_{which}"))
+        graph.__dict__[BipartiteGraph.adjacency.attrname] = adjacency_by_vertex_sort(graph)
+        out[which] = graph
+    return out
 
 
 def transpose(a: F2Matrix) -> F2Matrix:

@@ -1,10 +1,10 @@
 """The loader's neighbor lists against the per-vertex sort they replaced.
 
 `complex_from_json` seeds each subgraph's adjacency from the file's rows of
-that edge class, in one ordered pass (`graphs.seed_adjacency`), and a built
-complex's subgraphs sort their own edge sets for the same pass; the oracle
-`adjacency_by_vertex_sort` appends edge by edge in edge-set order and sorts
-each vertex's list.  The files here list every edge class and the faces in
+that edge class, sorted, in one ordered pass (`graphs.seed_adjacency`), and
+a built complex seeds its subgraphs the same way from its edge sets, sorted
+once on first use; the oracle `adjacency_by_vertex_sort` appends edge by
+edge in edge-set order and sorts each vertex's list.  The files here list every edge class and the faces in
 a shuffled order, so the loader's `sorted` does real work, and a broken file
 must be refused with the message that names its first fault as before.
 """
@@ -91,13 +91,25 @@ class TestLoadedAdjacency:
             assert vars(cpx.subgraph(which))[ADJACENCY] is lists
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
-    def test_built_complexes_derive_the_same_lists(self, name):
-        # A complex the builder returns sorts its own edge sets, on first use.
+    def test_built_complexes_derive_the_same_lists(self, name, monkeypatch):
+        # A complex the builder returns seeds its subgraphs on first use,
+        # each from its edge set sorted once, through the loader's helper.
         cpx = FAMILIES[name]()
-        for which in SUBGRAPHS:
+        made, build = [], graphs.adjacency_lists
+
+        def recording(v0_size, v1_size, rows):
+            made.append((rows, build(v0_size, v1_size, rows)))
+            return made[-1][1]
+
+        monkeypatch.setattr(graphs, "adjacency_lists", recording)
+        cpx.subgraph(SUBGRAPHS[0])
+        assert len(made) == len(SUBGRAPHS)
+        for which, (rows, lists) in zip(SUBGRAPHS, made):
             graph = cpx.subgraph(which)
-            assert ADJACENCY not in vars(graph)
+            assert rows == sorted(getattr(cpx, f"edges_{which}"))
+            assert vars(graph)[ADJACENCY] is lists
             assert (graph.adj0, graph.adj1) == adjacency_by_vertex_sort(graph)
+        assert len(made) == len(SUBGRAPHS)
 
 
 class TestRefusalsUnchanged:

@@ -91,7 +91,8 @@ def test_held_bits_grow_within_their_exponent_bounds(scale, sizes):
         cpx = instances.toric_complex(length)
         ladder.append((cpx.n_qubits, sizes.held_sizes(cpx, css.extract_code(cpx))))
     names = set(ladder[0][1])
-    assert names == {"hx", "hz", "z_stabilizers", "z_index_prefixes"} | {
+    assert names == {"hx", "hz", "z_stabilizers", "x_stabilizers", "z_index_prefixes",
+                     "x_index_prefixes"} | {
         f"{which}.masks{side}" for which in ("v00_v10", "v01_v11", "v00_v01", "v10_v11")
         for side in (0, 1)}
     for name in sorted(names):

@@ -33,7 +33,7 @@ from qbp.instances import bipartite_cycle, star_graph, toric_complex
 from qbp.jsonio import MAX_DECLARED_SIZE
 from qbp.product import balanced_product, complex_from_json, complex_to_json
 
-from fixtures import graph_to_json, group_to_json
+from fixtures import complex_file, graph_to_json, group_to_json
 from oracles import from_alist
 
 QBP_ERRORS = tuple(v for v in vars(errors).values()
@@ -54,7 +54,7 @@ class TestOnlyInts:
 
     @pytest.mark.parametrize("field", ["edges_v00_v10", "edges_v10_v11", "reps_v01", "faces"])
     def test_complex_float_entry_is_refused(self, field):
-        obj = complex_to_json(toric_complex(3))
+        obj = complex_file(toric_complex(3))
         first = obj[field][0]
         obj[field][0] = [first[0] + 0.5] + first[1:]
         with pytest.raises(ValidationError, match=f"{field} holds {first[0] + 0.5}"):
@@ -74,8 +74,23 @@ class TestOnlyInts:
         with pytest.raises(ValidationError, match="group_order must be"):
             complex_from_json(obj)
 
+    @pytest.mark.parametrize("provenance", [None, [1, 2], 3, True, {"by": "x"}],
+                             ids=["null", "list", "int", "bool", "object"])
+    def test_complex_provenance_must_be_a_string(self, provenance):
+        # Read with str(), null would load as "None" and be written back so.
+        obj = dict(complex_file(toric_complex(3)), provenance=provenance)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"complex provenance must be a string, got {provenance!r}")):
+            complex_from_json(obj)
+
+    def test_complex_provenance_loads_as_written(self):
+        obj = complex_file(toric_complex(3))
+        assert complex_to_json(complex_from_json(obj))["provenance"] == obj["provenance"]
+        del obj["provenance"]
+        assert complex_from_json(obj).provenance == ""
+
     def test_complex_face_must_have_four_corners(self):
-        obj = complex_to_json(toric_complex(3))
+        obj = complex_file(toric_complex(3))
         obj["faces"][0] = obj["faces"][0][:3]
         with pytest.raises(ValidationError, match="faces entry .* does not have 4 values"):
             complex_from_json(obj)
@@ -193,7 +208,7 @@ class TestDeclaredSizes:
     @pytest.mark.parametrize("cell", ["v00", "v10", "v01", "v11"])
     def test_complex_reps_must_be_distinct(self, cell):
         # Orbits are disjoint, so two cells of a class cannot share one.
-        obj = complex_to_json(toric_complex(3))
+        obj = complex_file(toric_complex(3))
         reps = obj[f"reps_{cell}"]
         reps[4] = reps[2]
         with pytest.raises(ValidationError, match=re.escape(
@@ -205,7 +220,7 @@ class TestDeclaredSizes:
     def test_complex_edges_must_not_repeat(self, which, recorded):
         # A set would drop the repeat silently, and with no degrees recorded
         # nothing else would notice it.
-        obj = complex_to_json(toric_complex(3))
+        obj = complex_file(toric_complex(3))
         if not recorded:
             obj["degrees"] = None
         edges = obj[f"edges_{which}"]

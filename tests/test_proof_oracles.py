@@ -49,7 +49,7 @@ from qbp.product import (
     complex_to_json,
     hypergraph_product,
 )
-from fixtures import random_bipartite
+from fixtures import complex_file, random_bipartite
 from oracles import transposed, verify_chain_condition
 from test_construction_oracles import GROUPS, invariant_graph, random_factor
 from test_local_oracles import FAMILIES, family, table_groups
@@ -358,7 +358,7 @@ class TestLoaderRefusals:
     @given(name=st.sampled_from(sorted(FAMILIES)), kind=st.sampled_from(CORRUPTIONS),
            data=st.data())
     def test_corrupted_files_are_loaded_as_the_oracle_loads_them(self, name, kind, data):
-        obj = complex_to_json(family(name))
+        obj = complex_file(family(name))
         corrupt(obj, kind, data)
         assert_loaded_as_the_oracle_loads(obj)
 
@@ -373,7 +373,7 @@ class TestLoaderRefusals:
     @settings(max_examples=20, deadline=None)
     @given(name=st.sampled_from(sorted(FAMILIES)), data=st.data())
     def test_refusals_build_and_multiply_no_boundary_map(self, kind, name, data):
-        obj = complex_to_json(family(name))
+        obj = complex_file(family(name))
         corrupt(obj, kind, data)
         assume(not isinstance(outcome(oracle_complex_from_json, obj), dict))
         with pytest.MonkeyPatch.context() as patch:
@@ -507,6 +507,14 @@ class TestHandBuiltComplexes:
     def test_a_group_order_below_one_is_refused(self, order):
         broken = dataclasses.replace(toric_complex(3), group_order=order)
         message = f"group_order must be positive, got {order}"
+        assert outcome(complex_from_json, complex_to_json(broken)) == (ValidationError, message)
+        with pytest.raises(ValidationError) as refused:
+            extract_code(broken)
+        assert str(refused.value) == message
+
+    def test_a_provenance_that_is_not_a_string_is_refused(self):
+        broken = dataclasses.replace(toric_complex(3), provenance=None)
+        message = "complex provenance must be a string, got None"
         assert outcome(complex_from_json, complex_to_json(broken)) == (ValidationError, message)
         with pytest.raises(ValidationError) as refused:
             extract_code(broken)
